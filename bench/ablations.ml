@@ -252,7 +252,7 @@ let parallel ?(rows = 600) ?(users = 150) () =
   List.iter
     (fun domains ->
       match
-        Coordination.Parallel.solve ~domains db Workload.Flights.config queries
+        Coordination.Executor.solve_consistent ~domains db Workload.Flights.config queries
       with
       | Error _ -> ()
       | Ok par ->
@@ -547,18 +547,16 @@ let online ?(rows = 20_000) ?(n = 60) () =
 (* Pool-growth scaling: a stream of mutually independent queries — each
    one's postcondition names a partner that never arrives, so nothing
    ever fires and the pool only grows.  Per-submit latency then isolates
-   the engine's own maintenance cost: the full-rebuild mode re-derives
-   the coordination graph and components of the whole pool on every
-   submission (superlinear total), while the incremental mode probes its
-   persistent atom index and touches one union-find entry (flat). *)
+   the engine's own maintenance cost: each submission probes the
+   persistent atom index and touches one union-find entry, so latency
+   should stay flat as the pool grows. *)
 let online_scaling ?(rows = 2_000) ?(pools = [ 1_000; 10_000 ]) () =
-  Printf.printf
-    "\n== Ablation: online engine scaling (full rebuild vs incremental) ==\n";
+  Printf.printf "\n== Ablation: online engine scaling ==\n";
   Printf.printf
     "(independent queries streamed eagerly: nothing fires, the pool only \
      grows; per-submit latency isolates engine maintenance)\n";
   Series.start "ablation_online_scaling"
-    [ "mode"; "pool"; "p50_us"; "p95_us"; "total_ms" ];
+    [ "pool"; "p50_us"; "p95_us"; "total_ms" ];
   let topics = 50 in
   let query i =
     let const fmt j = Term.Const (Value.Str (Printf.sprintf fmt j)) in
@@ -584,39 +582,31 @@ let online_scaling ?(rows = 2_000) ?(pools = [ 1_000; 10_000 ]) () =
   in
   List.iter
     (fun n ->
-      List.iter
-        (fun (label, mode) ->
-          let db = Database.create () in
-          ignore (Workload.Social.install_posts ~rows ~topics db);
-          let engine = Coordination.Online.create ~mode db in
-          let lat = Array.make (max n 1) 0.0 in
-          let t0 = Coordination.Stats.now_ns () in
-          for i = 0 to n - 1 do
-            let s0 = Coordination.Stats.now_ns () in
-            ignore (Coordination.Online.submit engine (query i));
-            lat.(i) <-
-              Int64.to_float (Int64.sub (Coordination.Stats.now_ns ()) s0)
-              /. 1e3
-          done;
-          let total = ms (Int64.sub (Coordination.Stats.now_ns ()) t0) in
-          Array.sort compare lat;
-          let p50 = percentile lat 0.5 and p95 = percentile lat 0.95 in
-          Printf.printf
-            "  %-13s pool %6d:  p50 %8.2f us   p95 %8.2f us   total \
-             %10.3f ms   (%d pending)\n"
-            label n p50 p95 total
-            (Coordination.Online.pending_count engine);
-          Series.row "ablation_online_scaling"
-            [
-              label;
-              string_of_int n;
-              Printf.sprintf "%.2f" p50;
-              Printf.sprintf "%.2f" p95;
-              Printf.sprintf "%.3f" total;
-            ])
+      let db = Database.create () in
+      ignore (Workload.Social.install_posts ~rows ~topics db);
+      let engine = Coordination.Online.create db in
+      let lat = Array.make (max n 1) 0.0 in
+      let t0 = Coordination.Stats.now_ns () in
+      for i = 0 to n - 1 do
+        let s0 = Coordination.Stats.now_ns () in
+        ignore (Coordination.Online.submit engine (query i));
+        lat.(i) <-
+          Int64.to_float (Int64.sub (Coordination.Stats.now_ns ()) s0) /. 1e3
+      done;
+      let total = ms (Int64.sub (Coordination.Stats.now_ns ()) t0) in
+      Array.sort compare lat;
+      let p50 = percentile lat 0.5 and p95 = percentile lat 0.95 in
+      Printf.printf
+        "  pool %6d:  p50 %8.2f us   p95 %8.2f us   total %10.3f ms   (%d \
+         pending)\n"
+        n p50 p95 total
+        (Coordination.Online.pending_count engine);
+      Series.row "ablation_online_scaling"
         [
-          ("full-rebuild", Coordination.Online.Full_rebuild);
-          ("incremental", Coordination.Online.Incremental);
+          string_of_int n;
+          Printf.sprintf "%.2f" p50;
+          Printf.sprintf "%.2f" p95;
+          Printf.sprintf "%.3f" total;
         ])
     pools
 

@@ -702,29 +702,28 @@ directives:
   \help                    this message
   \quit                    leave|}
 
+(* Open (or recover) a durable engine for [repl]/[serve], reporting the
+   recovery on stdout; exits on an unrecoverable directory. *)
+let open_durable ~consume ~backend ~fsync ~snapshot_every dir =
+  match
+    Durable.open_or_recover ~consume ~backend
+      (Durable.config ~fsync ~snapshot_every dir)
+  with
+  | Error m ->
+    Printf.eprintf "error: %s\n" m;
+    exit 1
+  | Ok (t, db, engine, report) ->
+    (match report with
+    | None -> Printf.printf "wal: new journal in %s\n" dir
+    | Some r -> Format.printf "%a@." Durable.pp_report r);
+    (t, db, engine)
+
 let repl_cmd =
   let consume =
     Arg.(
       value & flag
       & info [ "consume" ]
           ~doc:"Coordinated sets book their tuples: matched rows are deleted.")
-  in
-  let mode =
-    let modes =
-      [
-        ("incremental", Coordination.Online.Incremental);
-        ("full-rebuild", Coordination.Online.Full_rebuild);
-      ]
-    in
-    Arg.(
-      value
-      & opt (enum modes) Coordination.Online.Incremental
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Online engine mode: $(b,incremental) (persistent atom index, \
-             union-find components, dirty tracking — the default) or \
-             $(b,full-rebuild) (re-derive the coordination graph on every \
-             evaluation; reference implementation).")
   in
   let flight_recorder =
     Arg.(
@@ -769,7 +768,7 @@ let repl_cmd =
              operations (0 disables periodic snapshots).  Only \
              meaningful with $(b,--wal).")
   in
-  let run consume mode flight_recorder wal fsync snapshot_every backend =
+  let run consume flight_recorder wal fsync snapshot_every backend =
     (* A pipe downstream of the repl closing (e.g. `entangle repl | head`)
        must end the session cleanly, not kill the process: ignore
        SIGPIPE and let the write surface as Sys_error instead. *)
@@ -783,20 +782,12 @@ let repl_cmd =
       match wal with
       | None ->
         let db = Database.create ~backend () in
-        (None, db, Coordination.Online.create ~consume ~mode db)
-      | Some dir -> (
-        match
-          Durable.open_or_recover ~consume ~mode ~backend
-            (Durable.config ~fsync ~snapshot_every dir)
-        with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (t, db, engine, report) ->
-          (match report with
-          | None -> Printf.printf "wal: new journal in %s\n" dir
-          | Some r -> Format.printf "%a@." Durable.pp_report r);
-          (Some t, db, engine))
+        (None, db, Coordination.Online.create ~consume db)
+      | Some dir ->
+        let t, db, engine =
+          open_durable ~consume ~backend ~fsync ~snapshot_every dir
+        in
+        (Some t, db, engine)
     in
     let report_fired (c : Coordination.Online.coordinated) =
       Printf.printf "coordinated: {%s}\n"
@@ -915,7 +906,7 @@ let repl_cmd =
   Cmd.v
     (Cmd.info "repl" ~doc)
     Cmdliner.Term.(
-      const run $ consume $ mode $ flight_recorder $ wal $ fsync
+      const run $ consume $ flight_recorder $ wal $ fsync
       $ snapshot_every $ backend_arg)
 
 (* ------------------------------ recover ---------------------------- *)
@@ -992,18 +983,6 @@ let serve_cmd =
       & info [ "consume" ]
           ~doc:"Coordinated sets book their tuples: matched rows are deleted.")
   in
-  let mode =
-    let modes =
-      [
-        ("incremental", Coordination.Online.Incremental);
-        ("full-rebuild", Coordination.Online.Full_rebuild);
-      ]
-    in
-    Arg.(
-      value
-      & opt (enum modes) Coordination.Online.Incremental
-      & info [ "mode" ] ~docv:"MODE" ~doc:"Online engine mode.")
-  in
   let wal =
     Arg.(
       value
@@ -1055,8 +1034,7 @@ let serve_cmd =
           ~doc:
             "Shard the online engine across $(docv) OCaml domains, routing \
              arrivals by coordination-graph component.  Observationally \
-             identical to the sequential engine at every domain count; \
-             requires $(b,--mode incremental).")
+             identical to the sequential engine at every domain count.")
   in
   let verbose =
     Arg.(
@@ -1111,14 +1089,10 @@ let serve_cmd =
       value & opt pos_int_conv 4
       & info [ "max-attempts" ] ~docv:"N" ~doc:"Tries per probe.")
   in
-  let run socket host port consume mode backend wal fsync snapshot_every
+  let run socket host port consume backend wal fsync snapshot_every
       max_pending max_sessions domains verbose flight_recorder metrics
       deadline_ms max_probes max_tuples probe_timeout_ms max_attempts =
     let listen = listen_of_flags socket host port in
-    if domains > 1 && mode <> Coordination.Online.Incremental then begin
-      Printf.eprintf "error: --domains requires --mode incremental\n";
-      exit 2
-    end;
     (match flight_recorder with
     | None -> ()
     | Some path ->
@@ -1129,20 +1103,21 @@ let serve_cmd =
       match wal with
       | None ->
         let db = Database.create ~backend () in
-        (None, db, Coordination.Online.create ~consume ~mode db)
-      | Some dir -> (
-        match
-          Durable.open_or_recover ~consume ~mode ~backend
-            (Durable.config ~fsync ~snapshot_every dir)
-        with
-        | Error m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 1
-        | Ok (t, db, engine, report) ->
-          (match report with
-          | None -> Printf.printf "wal: new journal in %s\n" dir
-          | Some r -> Format.printf "%a@." Durable.pp_report r);
-          (Some t, db, engine))
+        ( None,
+          db,
+          if domains = 1 then
+            Server.Sequential (Coordination.Online.create ~consume db)
+          else
+            Server.Sharded
+              (Coordination.Online_sharded.create ~consume ~domains db) )
+      | Some dir ->
+        let t, db, engine =
+          open_durable ~consume ~backend ~fsync ~snapshot_every dir
+        in
+        ( Some t,
+          db,
+          if domains = 1 then Server.Sequential engine
+          else Server.Sharded (Durable.shard ~domains t) )
     in
     let guard =
       if
@@ -1171,14 +1146,6 @@ let serve_cmd =
         max_sessions;
         verbose;
       }
-    in
-    let engine =
-      if domains = 1 then Server.Sequential engine
-      else
-        Server.Sharded
-          (match durable with
-          | None -> Coordination.Online_sharded.of_online ~domains db engine
-          | Some t -> Server.shard_durable ~domains t db engine)
     in
     let srv = Server.create cfg { Server.db; engine; durable; guard } in
     (match listen with
@@ -1213,7 +1180,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Cmdliner.Term.(
-      const run $ socket_arg $ host_arg $ port_arg $ consume $ mode
+      const run $ socket_arg $ host_arg $ port_arg $ consume
       $ backend_arg $ wal $ fsync $ snapshot_every $ max_pending
       $ max_sessions $ domains $ verbose $ flight_recorder $ metrics
       $ deadline_ms $ max_probes $ max_tuples $ probe_timeout_ms

@@ -75,7 +75,7 @@ let () =
         outcome.choices));
 
   (* The same instance through the parallel value loop. *)
-  (match Coordination.Parallel.solve ~domains:4 db config queries with
+  (match Coordination.Executor.solve_consistent ~domains:4 db config queries with
   | Error e -> Format.printf "error: %a@." Coordination.Consistent.pp_error e
   | Ok outcome ->
     Format.printf "@.Parallel solve (4 domains) agrees: %s, %d members@."

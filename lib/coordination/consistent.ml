@@ -319,7 +319,7 @@ let finalize db p ~candidates ~best stats =
 
 (* What a solve degrades to when the guard aborts inside [prepare]: no
    option list was completed, so nothing downstream can run.  Shared
-   with {!Parallel.solve}. *)
+   with {!Executor.solve_consistent}. *)
 let degraded_outcome config input stats reason =
   let queries = Array.of_list input in
   let n = Array.length queries in

@@ -33,7 +33,7 @@ type error =
   | Bad_k of Value.t * int
       (** a [K_friends k] partner with [k < 1] *)
   | Worker_crashed of string
-      (** a {!Parallel.solve} worker domain raised; the message is the
+      (** a {!Executor.solve_consistent} worker domain raised; the message is the
           printed exception.  All sibling domains were still joined. *)
 
 val pp_error : Format.formatter -> error -> unit
@@ -67,8 +67,9 @@ val solve :
 
     The value loop is embarrassingly parallel (each [v] is independent —
     the parallelisation the paper leaves as future work, implemented in
-    {!Parallel}).  [prepare] performs all database work up front;
-    {!survivors} is pure and safe to call from multiple domains. *)
+    {!Executor.solve_consistent}).  [prepare] performs all database work
+    up front; {!survivors} is pure and safe to call from multiple
+    domains. *)
 
 type prepared
 
@@ -106,7 +107,7 @@ val degraded_outcome :
   Resilient.error ->
   outcome
 (** The empty outcome a solve degrades to when {!prepare} is aborted by
-    an armed guard (shared with {!Parallel.solve}). *)
+    an armed guard (shared with {!Executor.solve_consistent}). *)
 
 val to_solution :
   Database.t ->

@@ -112,5 +112,5 @@ val solve_consistent :
 (** Parallel consistent coordination ({!Consistent} staged interface):
     [prepare] and [finalize] run on the calling domain; the pure
     per-value survivor computation fans out one task per v in V(Q).
-    {!Parallel.solve} delegates here.  Equivalent to
+    Equivalent to
     [Consistent.solve ~selection:`Largest]. *)

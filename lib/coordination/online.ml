@@ -1,8 +1,6 @@
 open Relational
 open Entangled
 
-type mode = Full_rebuild | Incremental
-
 type coordinated = {
   queries : Query.t list;
   assignment : Eval.valuation;
@@ -17,8 +15,8 @@ type submission =
    to merge per-shard fire streams deterministically: [f_key] is the
    smallest live member id of the component that was EVALUATED (not of
    the subset that fired — a remnant can refire under the same key),
-   which is exactly the order both sequential flush modes try
-   components in. *)
+   which is exactly the order the sequential flush tries components
+   in. *)
 type fired = { f_key : int; f_ids : int list; f_set : coordinated }
 
 type inventory_conflict = {
@@ -64,10 +62,9 @@ type t = {
   selection : Scc_algo.selection;
   eager : bool;
   consume : bool;
-  mode : mode;
   entries : (int, entry) Hashtbl.t;  (* the live pool, keyed by id *)
   mutable next_id : int;
-  (* Incremental-mode state.  The two atom indexes cover the post/head
+  (* Persistent indexing state.  The two atom indexes cover the post/head
      atoms of every live entry (payload = owner id): a new arrival
      probes its posts against pooled heads and its heads against pooled
      posts to discover coordination edges without re-unifying against
@@ -88,13 +85,12 @@ type t = {
 }
 
 let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
-    ?(mode = Incremental) db =
+    db =
   {
     db;
     selection;
     eager;
     consume;
-    mode;
     entries = Hashtbl.create 64;
     next_id = 0;
     posts_index = Coordination_graph.Atom_index.create ();
@@ -110,7 +106,6 @@ let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
     stats = Stats.create ();
   }
 
-let mode engine = engine.mode
 let selection engine = engine.selection
 let eager engine = engine.eager
 let consume engine = engine.consume
@@ -149,22 +144,18 @@ let mark_dirty engine id = Hashtbl.replace engine.dirty id ()
    The stamp is per-database, so only mutations of *this* engine's
    database trigger a refresh. *)
 let refresh_db_version engine =
-  match engine.mode with
-  | Full_rebuild -> ()
-  | Incremental ->
-    let v = Database.data_version engine.db in
-    if v <> engine.db_version then begin
-      engine.db_version <- v;
-      Hashtbl.iter (fun id _ -> mark_dirty engine id) engine.entries
-    end
+  let v = Database.data_version engine.db in
+  if v <> engine.db_version then begin
+    engine.db_version <- v;
+    Hashtbl.iter (fun id _ -> mark_dirty engine id) engine.entries
+  end
 
 (* Absorb the engine's own inventory deletions at the end of an
    operation: conjunctive queries are monotone, so deleting tuples can
    only shrink answer sets — a component that just evaluated to
    "cannot fire" still cannot, and need not be re-dirtied. *)
 let sync_db_version engine =
-  if engine.mode = Incremental then
-    engine.db_version <- Database.data_version engine.db
+  engine.db_version <- Database.data_version engine.db
 
 (* Every public operation starts here.  Per-operation verdicts from the
    PREVIOUS operation — a degradation, an inventory conflict — are
@@ -227,8 +218,8 @@ let union_ids engine a b =
     Hashtbl.replace engine.comp_members r (List.rev_append ma mb)
   end
 
-(* Admit a query into the pool.  In incremental mode this is where all
-   persistent state is maintained: probe the indexes for partners
+(* Admit a query into the pool.  This is where all persistent state is
+   maintained: probe the indexes for partners
    (before indexing the entry's own atoms, so it cannot partner with
    itself), record the adjacency on both sides, union into the
    partition, and mark the (possibly fused) component dirty.
@@ -238,139 +229,89 @@ let union_ids engine a b =
    through [add_entry], which allocates the next id. *)
 let admit engine ~id query =
   if id >= engine.next_id then engine.next_id <- id + 1;
-  let e = { id; query; neighbours = [] } in
-  (match engine.mode with
-  | Full_rebuild -> Hashtbl.replace engine.entries id e
-  | Incremental ->
-    let partners = discover_partners engine query in
-    e.neighbours <- partners;
-    List.iter
-      (fun p ->
-        let pe = Hashtbl.find engine.entries p in
-        pe.neighbours <- id :: pe.neighbours)
-      partners;
-    Hashtbl.replace engine.entries id e;
-    index_entry engine e;
-    Graphs.Union_find.ensure engine.uf id;
-    (* A re-attached id (shard migration round-trip) may carry a stale
-       parent pointer from its retirement in this engine; reset makes it
-       a singleton root again.  For a fresh id this is a no-op. *)
-    Graphs.Union_find.reset engine.uf id;
-    Hashtbl.replace engine.comp_members id [ id ];
-    List.iter (fun p -> union_ids engine id p) partners;
-    mark_dirty engine id);
+  let partners = discover_partners engine query in
+  let e = { id; query; neighbours = partners } in
+  List.iter
+    (fun p ->
+      let pe = Hashtbl.find engine.entries p in
+      pe.neighbours <- id :: pe.neighbours)
+    partners;
+  Hashtbl.replace engine.entries id e;
+  index_entry engine e;
+  Graphs.Union_find.ensure engine.uf id;
+  (* A re-attached id (shard migration round-trip) may carry a stale
+     parent pointer from its retirement in this engine; reset makes it a
+     singleton root again.  For a fresh id this is a no-op. *)
+  Graphs.Union_find.reset engine.uf id;
+  Hashtbl.replace engine.comp_members id [ id ];
+  List.iter (fun p -> union_ids engine id p) partners;
+  mark_dirty engine id;
   e
 
 let add_entry engine query = admit engine ~id:engine.next_id query
 
-(* Remove [ids] from the pool.  In incremental mode their components are
-   dissolved: every surviving member is reset to a union-find singleton
-   and re-unioned from its stored (still-live) adjacency, rebuilding the
-   partition locally.  Survivors are marked dirty — retirement shrinks
-   their component, which can newly enable a coordinating set among the
-   remainder (the fired set may have been what made a candidate
-   unsafe or over-constrained). *)
+(* Remove [ids] from the pool, dissolving their components: every
+   surviving member is reset to a union-find singleton and re-unioned
+   from its stored (still-live) adjacency, rebuilding the partition
+   locally.  Survivors are marked dirty — retirement shrinks their
+   component, which can newly enable a coordinating set among the
+   remainder (the fired set may have been what made a candidate unsafe
+   or over-constrained). *)
 let retire engine ids =
-  match engine.mode with
-  | Full_rebuild -> List.iter (fun id -> Hashtbl.remove engine.entries id) ids
-  | Incremental ->
-    let roots =
-      List.sort_uniq Int.compare
-        (List.map (fun id -> Graphs.Union_find.find engine.uf id) ids)
-    in
-    let component_ids =
-      List.concat_map
-        (fun r ->
-          Option.value ~default:[] (Hashtbl.find_opt engine.comp_members r))
-        roots
-    in
-    List.iter
-      (fun id ->
-        let e = Hashtbl.find engine.entries id in
-        unindex_entry engine e;
-        Hashtbl.remove engine.entries id;
-        Hashtbl.remove engine.dirty id)
-      ids;
-    List.iter (fun r -> Hashtbl.remove engine.comp_members r) roots;
-    let survivors =
-      List.filter (fun id -> Hashtbl.mem engine.entries id) component_ids
-    in
-    (* Reset every survivor first: afterwards each live node of the old
-       tree is its own root, so the re-union pass below only ever links
-       freshly reset roots.  Retired nodes may keep stale parent
-       pointers into the old tree, but nothing ever calls [find] on a
-       retired id again. *)
-    List.iter
-      (fun id ->
-        let e = Hashtbl.find engine.entries id in
-        e.neighbours <-
-          List.filter (fun nb -> Hashtbl.mem engine.entries nb) e.neighbours;
-        Graphs.Union_find.reset engine.uf id;
-        Hashtbl.replace engine.comp_members id [ id ])
-      survivors;
-    List.iter
-      (fun id ->
-        let e = Hashtbl.find engine.entries id in
-        List.iter (fun nb -> union_ids engine id nb) e.neighbours;
-        mark_dirty engine id)
-      survivors
-
-(* Weakly connected components of a query array's coordination graph, as
-   lists of positions (each ascending, components ordered by first
-   member).  Traversal uses an explicit work stack: a recursive DFS here
-   used to exhaust the call stack on deep chain-shaped pools.  Renaming
-   the queries apart is unnecessary — edge existence only inspects
-   relation symbols and constants, which renaming preserves. *)
-let wcc (pool : Query.t array) =
-  let graph = (Coordination_graph.build pool).Coordination_graph.graph in
-  let n = Array.length pool in
-  let undirected = Graphs.Digraph.create n in
-  Graphs.Digraph.iter_edges
-    (fun u v ->
-      Graphs.Digraph.add_edge undirected u v;
-      Graphs.Digraph.add_edge undirected v u)
-    graph;
-  let seen = Array.make n false in
-  let comps = ref [] in
-  for v = 0 to n - 1 do
-    if not seen.(v) then begin
-      let acc = ref [] in
-      let stack = ref [ v ] in
-      while !stack <> [] do
-        match !stack with
-        | [] -> ()
-        | u :: rest ->
-          stack := rest;
-          if not seen.(u) then begin
-            seen.(u) <- true;
-            acc := u :: !acc;
-            List.iter
-              (fun w -> if not seen.(w) then stack := w :: !stack)
-              (Graphs.Digraph.successors undirected u)
-          end
-      done;
-      comps := List.sort Int.compare !acc :: !comps
-    end
-  done;
-  List.rev !comps
+  let roots =
+    List.sort_uniq Int.compare
+      (List.map (fun id -> Graphs.Union_find.find engine.uf id) ids)
+  in
+  let component_ids =
+    List.concat_map
+      (fun r ->
+        Option.value ~default:[] (Hashtbl.find_opt engine.comp_members r))
+      roots
+  in
+  List.iter
+    (fun id ->
+      let e = Hashtbl.find engine.entries id in
+      unindex_entry engine e;
+      Hashtbl.remove engine.entries id;
+      Hashtbl.remove engine.dirty id)
+    ids;
+  List.iter (fun r -> Hashtbl.remove engine.comp_members r) roots;
+  let survivors =
+    List.filter (fun id -> Hashtbl.mem engine.entries id) component_ids
+  in
+  (* Reset every survivor first: afterwards each live node of the old
+     tree is its own root, so the re-union pass below only ever links
+     freshly reset roots.  Retired nodes may keep stale parent pointers
+     into the old tree, but nothing ever calls [find] on a retired id
+     again. *)
+  List.iter
+    (fun id ->
+      let e = Hashtbl.find engine.entries id in
+      e.neighbours <-
+        List.filter (fun nb -> Hashtbl.mem engine.entries nb) e.neighbours;
+      Graphs.Union_find.reset engine.uf id;
+      Hashtbl.replace engine.comp_members id [ id ])
+    survivors;
+  List.iter
+    (fun id ->
+      let e = Hashtbl.find engine.entries id in
+      List.iter (fun nb -> union_ids engine id nb) e.neighbours;
+      mark_dirty engine id)
+    survivors
 
 let components engine =
   let live = live_entries engine in
-  match engine.mode with
-  | Full_rebuild ->
-    wcc (Array.of_list (List.map (fun e -> e.query) live))
-  | Incremental ->
-    let position = Hashtbl.create (2 * List.length live) in
-    List.iteri (fun i e -> Hashtbl.replace position e.id i) live;
-    let groups = Hashtbl.create 16 in
-    List.iter
-      (fun e ->
-        let r = Graphs.Union_find.find engine.uf e.id in
-        let l = Option.value ~default:[] (Hashtbl.find_opt groups r) in
-        Hashtbl.replace groups r (Hashtbl.find position e.id :: l))
-      live;
-    Hashtbl.fold (fun _ l acc -> List.rev l :: acc) groups []
-    |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
+  let position = Hashtbl.create (2 * List.length live) in
+  List.iteri (fun i e -> Hashtbl.replace position e.id i) live;
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let r = Graphs.Union_find.find engine.uf e.id in
+      let l = Option.value ~default:[] (Hashtbl.find_opt groups r) in
+      Hashtbl.replace groups r (Hashtbl.find position e.id :: l))
+    live;
+  Hashtbl.fold (fun _ l acc -> List.rev l :: acc) groups []
+  |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
 
 (* Book the grounded body tuples of a fired set: each tuple is one unit
    of inventory.  Two-phase for exception safety: every deletion is
@@ -463,7 +404,7 @@ let evaluate engine ids =
          changes, and both of those mark it dirty again.  A degraded
          evaluation proves nothing — some candidate was never probed —
          so it must stay dirty for the next flush. *)
-      if engine.mode = Incremental && outcome.degraded = None then
+      if outcome.degraded = None then
         List.iter (fun id -> Hashtbl.remove engine.dirty id) ids;
       Ok None
     | Some solution ->
@@ -491,21 +432,9 @@ let evaluate engine ids =
 
 (* The ids of the component containing [e], ascending. *)
 let component_of engine (e : entry) =
-  match engine.mode with
-  | Incremental ->
-    let r = Graphs.Union_find.find engine.uf e.id in
-    List.sort Int.compare
-      (Option.value ~default:[ e.id ]
-         (Hashtbl.find_opt engine.comp_members r))
-  | Full_rebuild ->
-    let live = live_entries engine in
-    let ids = Array.of_list (List.map (fun x -> x.id) live) in
-    let positions =
-      List.find
-        (fun c -> List.exists (fun p -> ids.(p) = e.id) c)
-        (wcc (Array.of_list (List.map (fun x -> x.query) live)))
-    in
-    List.map (fun p -> ids.(p)) positions
+  let r = Graphs.Union_find.find engine.uf e.id in
+  List.sort Int.compare
+    (Option.value ~default:[ e.id ] (Hashtbl.find_opt engine.comp_members r))
 
 let submit ?id engine query =
   Obs.with_span
@@ -580,56 +509,33 @@ let withdraw engine id =
     true
   end
 
-(* Full-rebuild flush: re-derive the components of the whole pool, try
-   each in order, restart after a fire (positions shift).  Re-evaluate
-   until a fixpoint: removing one satisfied set can newly enable
-   another among the remainder. *)
-let flush_full engine results =
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let live = live_entries engine in
-    if live <> [] then begin
-      let ids = Array.of_list (List.map (fun e -> e.id) live) in
-      let comps = wcc (Array.of_list (List.map (fun e -> e.query) live)) in
-      let rec try_components = function
-        | [] -> ()
-        | c :: rest -> (
-          match evaluate engine (List.map (fun p -> ids.(p)) c) with
-          | Ok (Some fired) ->
-            results := fired :: !results;
-            progress := true
-          | Ok None | Error _ -> try_components rest)
-      in
-      try_components comps
-    end
-  done
+(* The components a flush round must (re-)evaluate, as ascending id
+   lists ordered by smallest member.  An all-clean component was last
+   evaluated (completely, to no fire) with exactly its current member set
+   and database contents, so it provably cannot fire now. *)
+let due_components engine =
+  let roots = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun id () ->
+      if Hashtbl.mem engine.entries id then
+        Hashtbl.replace roots (Graphs.Union_find.find engine.uf id) ())
+    engine.dirty;
+  Hashtbl.fold
+    (fun r () acc ->
+      match Hashtbl.find_opt engine.comp_members r with
+      | None | Some [] -> acc
+      | Some ids -> List.sort Int.compare ids :: acc)
+    roots []
+  |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
 
-(* Incremental flush: only dirty components are evaluated — an all-clean
-   component was last evaluated (completely, to no fire) with exactly
-   its current member set and database contents, so it provably cannot
-   fire now.  Components are tried in order of their smallest member id,
-   matching the full rebuild's position order; since clean components
-   cannot fire, both modes fire the same sets in the same order. *)
-let flush_incremental engine results =
+(* Evaluate the dirty components in order of their smallest member id,
+   restarting after every fire, until a fixpoint: removing one satisfied
+   set can newly enable another among the remainder. *)
+let flush_fired engine =
+  let results = ref [] in
   let progress = ref true in
   while !progress do
     progress := false;
-    let roots = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun id () ->
-        if Hashtbl.mem engine.entries id then
-          Hashtbl.replace roots (Graphs.Union_find.find engine.uf id) ())
-      engine.dirty;
-    let comps =
-      Hashtbl.fold
-        (fun r () acc ->
-          match Hashtbl.find_opt engine.comp_members r with
-          | None | Some [] -> acc
-          | Some ids -> List.sort Int.compare ids :: acc)
-        roots []
-      |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
-    in
     let rec try_components = function
       | [] -> ()
       | c :: rest -> (
@@ -647,125 +553,11 @@ let flush_incremental engine results =
           List.iter (fun id -> Hashtbl.remove engine.dirty id) c;
           try_components rest)
     in
-    try_components comps
-  done
-
-let flush_core engine =
-  let results = ref [] in
-  (match engine.mode with
-  | Full_rebuild -> flush_full engine results
-  | Incremental -> flush_incremental engine results);
-  List.rev !results
-
-(* The components a flush round must (re-)evaluate, as ascending id
-   lists ordered by smallest member — the order both sequential flush
-   modes try them in.  Full-rebuild has no dirty tracking: every live
-   component is due every round, exactly as [flush_full] re-derives
-   them. *)
-let dirty_components engine =
-  match engine.mode with
-  | Full_rebuild -> (
-    match live_entries engine with
-    | [] -> []
-    | live ->
-      let ids = Array.of_list (List.map (fun e -> e.id) live) in
-      wcc (Array.of_list (List.map (fun e -> e.query) live))
-      |> List.map (List.map (fun p -> ids.(p))))
-  | Incremental ->
-    let roots = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun id () ->
-        if Hashtbl.mem engine.entries id then
-          Hashtbl.replace roots (Graphs.Union_find.find engine.uf id) ())
-      engine.dirty;
-    Hashtbl.fold
-      (fun r () acc ->
-        match Hashtbl.find_opt engine.comp_members r with
-        | None | Some [] -> acc
-        | Some ids -> List.sort Int.compare ids :: acc)
-      roots []
-    |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
-
-(* Parallel flush: each round evaluates every due component
-   speculatively — read-only, on unguarded worker views sharing the
-   store — then walks the verdicts in the sequential order.  "Cannot
-   fire" verdicts are sound to trust and cache because the store did
-   not move during the round (workers only read) and conjunctive
-   queries are monotone; the first "can fire" component is re-evaluated
-   through the sequential [evaluate] on the engine's own database,
-   which commits the retirement and inventory consumption, and the
-   round restarts — so the fired sequence, the final store and the
-   pending pool are exactly the sequential flush's.  Components after
-   the first fire are left untouched (still dirty), like the
-   sequential rescan.
-
-   Stats: no-fire outcomes are merged as the sequential flush would
-   have, and per-component probe/tuple/candidate counts are
-   deterministic; only the plan-cache hit/miss split can attribute
-   differently, because which concurrent evaluation compiles a shared
-   shape first depends on the schedule (the hit+miss total is stable).
-   Speculative evaluations of components at or beyond the first fire
-   are discarded unmerged. *)
-let flush_speculative engine k =
-  let results = ref [] in
-  Database.warm_indexes engine.db;
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    let comps = dirty_components engine in
-    if comps <> [] then begin
-      let comp_arr = Array.of_list comps in
-      let inputs =
-        Array.map
-          (fun ids ->
-            List.map (fun id -> (Hashtbl.find engine.entries id).query) ids)
-          comp_arr
-      in
-      let verdicts =
-        Executor.Pool.map ~domains:k
-          ~weights:(Array.map List.length comp_arr)
-          (fun i ->
-            let view = Database.worker_view engine.db in
-            Scc_algo.solve ~selection:engine.selection view inputs.(i))
-      in
-      (* [Pool.map] joined every domain already; surface the first
-         trapped crash through the canonical path (which also dumps a
-         flight-recorder incident) rather than a bare raise. *)
-      Executor.raise_first_crash verdicts;
-      let fired_this_round = ref false in
-      Array.iteri
-        (fun i verdict ->
-          if not !fired_this_round then
-            match verdict with
-            | Error _ -> assert false
-            | Ok (Error _ws) ->
-              (* Unsafe: the verdict caches exactly as in the
-                 sequential flush. *)
-              if engine.mode = Incremental then
-                List.iter
-                  (fun id -> Hashtbl.remove engine.dirty id)
-                  comp_arr.(i)
-            | Ok (Ok outcome) -> (
-              match outcome.Scc_algo.solution with
-              | None ->
-                Stats.merge ~into:engine.stats outcome.Scc_algo.stats;
-                if engine.mode = Incremental then
-                  List.iter
-                    (fun id -> Hashtbl.remove engine.dirty id)
-                    comp_arr.(i)
-              | Some _ -> (
-                match evaluate engine comp_arr.(i) with
-                | Ok (Some fired) ->
-                  results := fired :: !results;
-                  fired_this_round := true;
-                  progress := true
-                | Ok None | Error _ -> ())))
-        verdicts
-    end
+    try_components (due_components engine)
   done;
   List.rev !results
 
-let flush ?domains engine =
+let flush engine =
   let pool0 = Hashtbl.length engine.entries in
   Obs.with_span
     ~args:(fun () ->
@@ -776,11 +568,7 @@ let flush ?domains engine =
     "online.flush"
   @@ fun () ->
   begin_op engine;
-  let fired =
-    match domains with
-    | None -> flush_core engine
-    | Some k -> flush_speculative engine (max 1 k)
-  in
+  let fired = flush_fired engine in
   emit engine
     (Journal.Op_end { op = Journal.Flush_op; fired = List.length fired });
   sync_db_version engine;
@@ -801,7 +589,7 @@ let submit_all engine queries =
       let e = add_entry engine q in
       emit engine (Journal.Submitted { id = e.id; query = q }))
     queries;
-  let fired = flush_core engine in
+  let fired = flush_fired engine in
   emit engine
     (Journal.Op_end { op = Journal.Submit_all_op; fired = List.length fired });
   sync_db_version engine;
@@ -852,15 +640,12 @@ let restore_counters engine ~satisfied ~next_id =
 
 let prepare_op = begin_op
 let finish_op = sync_db_version
-let due_components = dirty_components
-let flush_fired engine = flush_core engine
 
 let evaluate_due engine ids =
   match evaluate engine ids with
   | Error _ ->
-    (* Cache the unsafe verdict exactly as [flush_incremental] does. *)
-    if engine.mode = Incremental then
-      List.iter (fun id -> Hashtbl.remove engine.dirty id) ids;
+    (* Cache the unsafe verdict exactly as [flush_fired] does. *)
+    List.iter (fun id -> Hashtbl.remove engine.dirty id) ids;
     `Unsafe
   | Ok None -> `Quiet
   | Ok (Some fr) -> `Fired fr
@@ -898,12 +683,3 @@ let attach engine moved =
          as the sequential engine would not. *)
       if not m.mv_dirty then Hashtbl.remove engine.dirty m.mv_id)
     moved
-
-let mirror_sink engine : Journal.sink = function
-  | Journal.Submitted { id; query } -> restore_submit engine ~id query
-  | Journal.Retired { ids } -> restore_retire engine ids
-  | Journal.Rejected { id } -> restore_evict engine id
-  | Journal.Consumed _ | Journal.Op_end _ ->
-    (* Inventory deletions hit the shared store directly; nothing to
-       mirror.  Op boundaries are the durability layer's concern. *)
-    ()

@@ -17,15 +17,11 @@
     through {!submit_all}), which evaluates pending components — useful
     for batching, and equivalent to one {!Scc_algo.solve} per component.
 
-    {2 Incremental vs full rebuild}
+    {2 Incremental state}
 
-    Two observationally equivalent engine {!mode}s exist.
-    [Full_rebuild] is the reference implementation: every evaluation
-    rebuilds the coordination graph and re-derives the weakly-connected
-    components of the {e whole} pool — O(pool²) work per submission.
-    [Incremental] (the default) maintains persistent per-engine state
-    instead, the shape Chen et al.'s {e enmeshed queries} system uses
-    for this workload:
+    The engine never rebuilds the coordination graph of the whole pool.
+    It maintains persistent per-engine state instead, the shape Chen et
+    al.'s {e enmeshed queries} system uses for this workload:
 
     - an {b atom index} keyed by relation symbol and first-argument
       constant ({!Coordination_graph.Atom_index}) over the pool's
@@ -44,24 +40,22 @@
       deterministic and already found nothing), so their cached outcome
       stands.  Degraded evaluations (see {!Resilient}) stay dirty.
 
-    Per-submission cost drops from O(pool²) to O(edges touched). *)
+    Per-submission cost is O(edges touched), not O(pool²).  The test
+    suite keeps a rebuild-everything reference engine
+    ([test/online_oracle.ml]) that re-derives the components of the
+    whole pool on every evaluation; the engine must fire the same sets,
+    keep the same pool and book the same inventory for every
+    interleaving of operations. *)
 
 open Relational
 open Entangled
 
 type t
 
-type mode =
-  | Full_rebuild  (** rebuild graph + components of the whole pool per
-                      evaluation (reference implementation) *)
-  | Incremental   (** persistent atom index, union-find and dirty
-                      tracking (default) *)
-
 val create :
   ?selection:Scc_algo.selection ->
   ?eager:bool ->
   ?consume:bool ->
-  ?mode:mode ->
   Database.t ->
   t
 (** [eager] (default [true]): evaluate on every submission.  With
@@ -70,13 +64,7 @@ val create :
     [consume] (default [false]): when a set coordinates, delete the
     grounded body tuples its members used from the database — each tuple
     is one bookable unit (a flight seat block, a class section), so later
-    arrivals cannot coordinate on spent inventory.
-
-    [mode] (default [Incremental]): see the module comment.  Both modes
-    produce identical coordinated sets, pool contents and satisfied
-    counts for any interleaving of operations; they differ only in cost. *)
-
-val mode : t -> mode
+    arrivals cannot coordinate on spent inventory. *)
 
 val selection : t -> Scc_algo.selection
 
@@ -112,25 +100,12 @@ val submit_all : t -> Query.t list -> coordinated list
     counterpart of eager {!submit}.  Queries whose component is unsafe
     are left pending (there is no single arrival to reject). *)
 
-val flush : ?domains:int -> t -> coordinated list
-(** Evaluate the pending pool's weakly connected components — in
-    incremental mode, only those touched since their last evaluation;
-    satisfied sets leave the pool.  Returns them in discovery order.
-
-    With [~domains:k] the due components are the shard list for the
-    batch executor's pool ({!Executor.Pool}): each flush round
-    evaluates every due component speculatively on read-only
-    {!Relational.Database.worker_view}s across [k] domains, trusts and
-    caches the "cannot fire" verdicts (sound because workers never
-    write and conjunctive queries are monotone), and commits only the
-    first fireable component — re-evaluated sequentially on the
-    engine's database so retirement and inventory consumption are
-    exactly the sequential flush's.  Fired sets, final store and
-    pending pool are identical to [flush] without [domains] for any
-    [k]; cumulative {!stats} match too except that the plan-cache
-    hit/miss split may attribute differently (the total is stable).
-    Worker views are unguarded: any {!Resilient} guard on the engine's
-    database only constrains the committing evaluations. *)
+val flush : t -> coordinated list
+(** Evaluate the pending pool's weakly connected components that were
+    touched since their last evaluation, in order of their smallest
+    member, until no set fires; satisfied sets leave the pool.  Returns
+    them in discovery order.  {!Online_sharded} is the parallel
+    counterpart. *)
 
 val withdraw : t -> int -> bool
 (** [withdraw engine id] removes the pending entry with pool id [id]
@@ -163,8 +138,8 @@ val components : t -> int list list
 (** The weakly-connected-component partition of the pending pool, as
     lists of positions into {!pending} (each sorted ascending,
     components ordered by their first member).  Exposed for diagnostics
-    and differential testing; in incremental mode this reads the
-    union-find instead of traversing a rebuilt graph. *)
+    and differential testing; this reads the union-find instead of
+    traversing a rebuilt graph. *)
 
 val total_coordinated : t -> int
 (** Queries satisfied over the engine's lifetime. *)
@@ -178,8 +153,8 @@ val last_degradation : t -> Resilient.degradation option
     hit an armed-guard limit mid-evaluation (see {!Resilient}): the
     underlying solve returned a degraded outcome, so some component may
     hold a coordinating set that was never probed.  Cleared at the start
-    of the next operation.  In incremental mode a degraded component
-    stays dirty and is re-evaluated by the next [flush]. *)
+    of the next operation.  A degraded component stays dirty and is
+    re-evaluated by the next [flush]. *)
 
 type inventory_conflict = {
   double_spent : (string * Tuple.t) list;
@@ -261,15 +236,6 @@ val restore_counters : t -> satisfied:int -> next_id:int -> unit
     snapshot (retired ids may exceed every live id, so neither can be
     derived from the restored pool).
     @raise Invalid_argument if [next_id] would re-issue an admitted id. *)
-
-val mirror_sink : t -> Journal.sink
-(** A sink that keeps [t] record-equivalent to another engine emitting
-    the records, by applying admissions, retirements and evictions
-    through the [restore_*] functions (consume deletions and op
-    boundaries are skipped: the store is shared, and op grouping is the
-    durability layer's concern).  This is how a re-sharded service keeps
-    the recovered sequential engine alive as the snapshot source while a
-    sharded engine does the work — see {!Server.shard_durable}. *)
 
 (** {2 Sharding hooks}
 

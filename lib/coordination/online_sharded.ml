@@ -36,7 +36,6 @@ type t = {
   rel_wildcard : (string, unit) Hashtbl.t;
   entry_shard : (int, int) Hashtbl.t;  (* live id -> shard *)
   entry_bucket : (int, int) Hashtbl.t;  (* live id -> a bucket of its group *)
-  shard_live : int array;  (* live entries per shard, current mid-route *)
   mutable next_bucket : int;
   mutable next_id : int;
   mutable base_satisfied : int;  (* satisfied before this engine took over *)
@@ -53,11 +52,7 @@ let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
       (Printf.sprintf "Online_sharded.create: domains must be positive (%d)"
          domains);
   let views = Array.init domains (fun _ -> Database.worker_view db) in
-  let shards =
-    Array.map
-      (fun v -> Online.create ~selection ~eager ~consume ~mode:Online.Incremental v)
-      views
-  in
+  let shards = Array.map (Online.create ~selection ~eager ~consume) views in
   {
     db;
     domains;
@@ -71,7 +66,6 @@ let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
     rel_wildcard = Hashtbl.create 4;
     entry_shard = Hashtbl.create 256;
     entry_bucket = Hashtbl.create 256;
-    shard_live = Array.make domains 0;
     next_bucket = 0;
     next_id = 0;
     base_satisfied = 0;
@@ -190,21 +184,16 @@ let release_ids t ids =
         let root = find_root t b in
         let g = Hashtbl.find t.groups root in
         g.g_live <- g.g_live - 1;
-        (match Hashtbl.find_opt t.entry_shard id with
-        | Some s -> t.shard_live.(s) <- t.shard_live.(s) - 1
-        | None -> ());
         Hashtbl.remove t.entry_bucket id;
         Hashtbl.remove t.entry_shard id;
         if g.g_live = 0 then purge_group t root g)
     ids
 
-(* Balance on the router's own live counts, not the shard engines' —
-   during a [submit_all] batch, admission is deferred to the parallel
-   attach, so the engines' pool sizes lag the routing decisions. *)
 let least_loaded t =
   let best = ref 0 in
   for i = 1 to t.domains - 1 do
-    if t.shard_live.(i) < t.shard_live.(!best) then best := i
+    if Online.pending_count t.shards.(i) < Online.pending_count t.shards.(!best)
+    then best := i
   done;
   !best
 
@@ -266,9 +255,6 @@ let route t ~id (q : Query.t) =
           if ids <> [] then begin
             let moved = Online.detach t.shards.(s) ids in
             Online.attach t.shards.(target) moved;
-            let n = List.length ids in
-            t.shard_live.(s) <- t.shard_live.(s) - n;
-            t.shard_live.(target) <- t.shard_live.(target) + n;
             List.iter (fun i -> Hashtbl.replace t.entry_shard i target) ids;
             t.migrations <- t.migrations + 1
           end
@@ -281,7 +267,6 @@ let route t ~id (q : Query.t) =
   g.g_shard <- target;
   g.g_members <- id :: g.g_members;
   g.g_live <- g.g_live + 1;
-  t.shard_live.(target) <- t.shard_live.(target) + 1;
   Hashtbl.replace t.entry_shard id target;
   Hashtbl.replace t.entry_bucket id b0;
   target
@@ -500,26 +485,19 @@ let submit_all t queries =
     "online_sharded.submit_all"
   @@ fun () ->
   prepare_all t;
-  let batches = Array.make t.domains [] in
+  (* Admit each arrival as soon as it is routed: a later arrival of the
+     same batch can migrate the group an earlier one joined, and only an
+     admitted entry can be detached.  Evaluation happens in the flush
+     below. *)
   List.iter
     (fun q ->
       let id = t.next_id in
       t.next_id <- id + 1;
       let s = route t ~id q in
       emit t (Online.Journal.Submitted { id; query = q });
-      batches.(s) <-
-        { Online.mv_id = id; mv_query = q; mv_dirty = true } :: batches.(s))
+      Online.attach t.shards.(s)
+        [ { Online.mv_id = id; mv_query = q; mv_dirty = true } ])
     queries;
-  let batches = Array.map List.rev batches in
-  (* Index and union-find maintenance is shard-local, so admission fans
-     out too; evaluation happens in the flush below. *)
-  Database.warm_indexes t.db;
-  let admitted =
-    Executor.Pool.map ~domains:t.domains
-      ~weights:(Array.map List.length batches)
-      (fun i -> Online.attach t.shards.(i) batches.(i))
-  in
-  Executor.raise_first_crash admitted;
   let fired = flush_fired t in
   emit t
     (Online.Journal.Op_end

@@ -65,17 +65,17 @@ val create :
   ?domains:int ->
   Database.t ->
   t
-(** Like {!Online.create} with [mode:Incremental], over [domains]
-    shards (default {!Executor.default_domains}).
+(** Like {!Online.create}, over [domains] shards (default
+    {!Executor.default_domains}).
     @raise Invalid_argument if [domains < 1]. *)
 
 val of_online : domains:int -> Database.t -> Online.t -> t
 (** Re-shard a live (typically just-recovered) sequential engine's pool
     across [domains] shards: every pending entry is routed and attached
     under its original id, and the id allocator and lifetime satisfied
-    count carry over.  [src] is read, not modified — a durable session
-    keeps it attached as the snapshot mirror (see {!Online.mirror_sink}
-    and [Server.shard_durable]).  The database must be [src]'s. *)
+    count carry over.  [src] is read, not modified; the caller drops it
+    afterwards (a durable session does so in [Durable.shard]).  The
+    database must be [src]'s. *)
 
 val domains : t -> int
 val consume : t -> bool
@@ -117,4 +117,7 @@ val set_journal : t -> Online.Journal.sink option -> unit
     byte-equivalent to the sequential engine's, so [lib/durable] can
     log a sharded engine without knowing it is sharded, and a recovery
     can replay into a sequential engine and re-shard at any domain
-    count. *)
+    count.  At each {!Online.Journal.Op_end} the readers below
+    ({!next_id}, {!total_coordinated}, {!pending_entries}) already
+    report the post-operation state, so a WAL snapshots the sharded
+    engine directly. *)

@@ -368,6 +368,13 @@ let config ?(fsync = Always) ?(snapshot_every = 512) dir =
 
 (* --------------------------- Live handle --------------------------- *)
 
+(* The engine the WAL journals and snapshots: the sequential engine
+   [create_engine]/[recover] build, or the sharded engine [shard]
+   re-partitions it into.  Both emit the same record stream and expose
+   the post-operation id allocator, satisfied count and pool at every
+   [Op_end], which is all a snapshot reads. *)
+type engine = Sequential of Online.t | Sharded of Online_sharded.t
+
 type t = {
   cfg : config;
   mutable oc : out_channel;
@@ -378,8 +385,9 @@ type t = {
   mutable group : (int * string) list;  (* buffered records, newest first *)
   mutable groups_since_sync : int;
   mutable groups_since_snapshot : int;
-  mutable engine : Online.t option;
-  mutable db : Database.t option;
+  meta : meta;  (* captured once, when the engine is built *)
+  db : Database.t;
+  mutable engine : engine;
   mutable closed : bool;
 }
 
@@ -463,7 +471,16 @@ let commit_group t =
    dictionary makes tuples compact and — on the columnar backend —
    recovery re-interns values in snapshot order, giving a fresh process
    deterministic dictionary contents. *)
-let encode_snapshot ~meta ~(db : Database.t) ~(engine : Online.t) =
+let encode_snapshot ~meta ~(db : Database.t) engine =
+  let next_id, satisfied, pool =
+    match engine with
+    | Sequential e ->
+      (Online.next_id e, Online.total_coordinated e, Online.pending_entries e)
+    | Sharded e ->
+      ( Online_sharded.next_id e,
+        Online_sharded.total_coordinated e,
+        Online_sharded.pending_entries e )
+  in
   let b = Buffer.create 4096 in
   (let m = meta in
    Enc.u8 b (match m.m_backend with Database.Row -> 0 | Columnar -> 1);
@@ -474,8 +491,8 @@ let encode_snapshot ~meta ~(db : Database.t) ~(engine : Online.t) =
         | First_found -> 1
         | Preferred _ ->
           invalid_arg "Durable: Preferred selection holds a closure (not journalable)"));
-  Enc.u32 b (Online.next_id engine);
-  Enc.u32 b (Online.total_coordinated engine);
+  Enc.u32 b next_id;
+  Enc.u32 b satisfied;
   let dict = Hashtbl.create 256 in
   let dict_order = ref [] in
   let intern v =
@@ -513,7 +530,7 @@ let encode_snapshot ~meta ~(db : Database.t) ~(engine : Online.t) =
     (fun b (id, query) ->
       Enc.u32 b id;
       Enc.str b (Parser.query_to_string query))
-    (Online.pending_entries engine);
+    pool;
   Buffer.contents b
 
 type snapshot_state = {
@@ -687,42 +704,38 @@ let try_write_snapshot ~dirname ~lsn payload =
 let snapshot t =
   if t.closed then invalid_arg "Durable.snapshot: closed";
   commit_group t;
-  match (t.engine, t.db) with
-  | Some engine, Some db ->
-    if Int64.compare t.next_lsn 1L > 0 then begin
-      (* The WAL prefix a snapshot supersedes must be durable before
-         pruning may delete it. *)
-      if t.cfg.fsync <> Never || t.synced < t.offset then do_fsync t;
-      let lsn = last_lsn t in
-      let meta = meta_of_engine ~backend:(Database.backend db) engine in
-      match
-        try_write_snapshot ~dirname:t.cfg.dir ~lsn
-          (encode_snapshot ~meta ~db ~engine)
-      with
-      | Error why ->
-        (* The snapshot never made it to disk, so the journal it was to
-           supersede stays the only durable copy: keep appending to the
-           current segment and prune NOTHING.  Resetting the cadence
-           counter turns the periodic trigger into a retry after
-           another full interval instead of an O(store) encode on every
-           subsequent group. *)
-        t.groups_since_snapshot <- 0;
-        Error why
-      | Ok _path ->
-        close_out_noerr t.oc;
-        let path, oc = open_segment ~dir:t.cfg.dir ~first_lsn:t.next_lsn in
-        t.seg_path <- path;
-        t.oc <- oc;
-        t.offset <- segment_header_len;
-        t.synced <- segment_header_len;
-        t.groups_since_sync <- 0;
-        t.groups_since_snapshot <- 0;
-        prune ~keep:2 t.cfg.dir;
-        if Obs.metrics_on () then Obs.Counter.incr (Lazy.force c_snapshots);
-        Ok ()
-    end
-    else Ok ()
-  | _ -> Ok ()
+  if Int64.compare t.next_lsn 1L <= 0 then Ok ()
+  else begin
+    (* The WAL prefix a snapshot supersedes must be durable before
+       pruning may delete it. *)
+    if t.cfg.fsync <> Never || t.synced < t.offset then do_fsync t;
+    let lsn = last_lsn t in
+    match
+      try_write_snapshot ~dirname:t.cfg.dir ~lsn
+        (encode_snapshot ~meta:t.meta ~db:t.db t.engine)
+    with
+    | Error why ->
+      (* The snapshot never made it to disk, so the journal it was to
+         supersede stays the only durable copy: keep appending to the
+         current segment and prune NOTHING.  Resetting the cadence
+         counter turns the periodic trigger into a retry after another
+         full interval instead of an O(store) encode on every subsequent
+         group. *)
+      t.groups_since_snapshot <- 0;
+      Error why
+    | Ok _path ->
+      close_out_noerr t.oc;
+      let path, oc = open_segment ~dir:t.cfg.dir ~first_lsn:t.next_lsn in
+      t.seg_path <- path;
+      t.oc <- oc;
+      t.offset <- segment_header_len;
+      t.synced <- segment_header_len;
+      t.groups_since_sync <- 0;
+      t.groups_since_snapshot <- 0;
+      prune ~keep:2 t.cfg.dir;
+      if Obs.metrics_on () then Obs.Counter.incr (Lazy.force c_snapshots);
+      Ok ()
+  end
 
 let maybe_snapshot t =
   if
@@ -778,15 +791,28 @@ let journal_create_table t name attrs =
   commit_group t;
   maybe_snapshot t
 
-let attach t db engine =
-  t.db <- Some db;
-  t.engine <- Some engine;
-  Online.set_journal engine (Some (journal_sink t))
+let set_journal engine sink =
+  match engine with
+  | Sequential e -> Online.set_journal e sink
+  | Sharded e -> Online_sharded.set_journal e sink
+
+let attach t = set_journal t.engine (Some (journal_sink t))
+
+let shard ~domains t =
+  if t.closed then invalid_arg "Durable.shard: closed";
+  match t.engine with
+  | Sharded _ -> invalid_arg "Durable.shard: already sharded"
+  | Sequential e ->
+    let sharded = Online_sharded.of_online ~domains t.db e in
+    Online.set_journal e None;
+    t.engine <- Sharded sharded;
+    attach t;
+    sharded
 
 let close t =
   if not t.closed then begin
     commit_group t;
-    (match t.engine with Some e -> Online.set_journal e None | None -> ());
+    set_journal t.engine None;
     if t.cfg.fsync <> Never then do_fsync t;
     close_out_noerr t.oc;
     t.closed <- true
@@ -798,14 +824,15 @@ let has_wal_files dir =
        (fun n -> segment_lsn n <> None || snapshot_lsn n <> None)
        (list_dir dir)
 
-let create_engine ?selection ?eager ?consume ?mode ?backend cfg =
+let create_engine ?selection ?eager ?consume ?backend cfg =
   mkdir_p cfg.dir;
   if has_wal_files cfg.dir then
     invalid_arg
       (Printf.sprintf
          "Durable.create_engine: %s already holds a WAL (use recover)" cfg.dir);
   let db = Database.create ?backend () in
-  let engine = Online.create ?selection ?eager ?consume ?mode db in
+  let engine = Online.create ?selection ?eager ?consume db in
+  let meta = meta_of_engine ~backend:(Database.backend db) engine in
   let path, oc = open_segment ~dir:cfg.dir ~first_lsn:1L in
   let t =
     {
@@ -818,15 +845,16 @@ let create_engine ?selection ?eager ?consume ?mode ?backend cfg =
       group = [];
       groups_since_sync = 0;
       groups_since_snapshot = 0;
-      engine = None;
-      db = None;
+      meta;
+      db;
+      engine = Sequential engine;
       closed = false;
     }
   in
-  buffer_record t (Meta (meta_of_engine ~backend:(Database.backend db) engine));
+  buffer_record t (Meta meta);
   commit_group t;
   if t.cfg.fsync = Never then do_fsync t;  (* the meta record must survive *)
-  attach t db engine;
+  attach t;
   (t, db, engine)
 
 (* ----------------------------- Recovery ---------------------------- *)
@@ -1014,7 +1042,7 @@ let load_snapshot path =
       end
     end
 
-let recover ?(mode = Online.Incremental) cfg =
+let recover cfg =
   if not (Sys.file_exists cfg.dir) then
     Result.Error (Printf.sprintf "%s: no such directory" cfg.dir)
   else begin
@@ -1062,7 +1090,7 @@ let recover ?(mode = Online.Incremental) cfg =
         let db = Database.create ~backend:m.m_backend () in
         let engine =
           Online.create ~selection:m.m_selection ~eager:m.m_eager
-            ~consume:m.m_consume ~mode db
+            ~consume:m.m_consume db
         in
         state := Some (db, engine, m);
         Ok (db, engine)
@@ -1250,7 +1278,7 @@ let recover ?(mode = Online.Incremental) cfg =
       let lsn = !last_applied in
       let checkpoint =
         try_write_snapshot ~dirname:cfg.dir ~lsn
-          (encode_snapshot ~meta ~db ~engine)
+          (encode_snapshot ~meta ~db (Sequential engine))
       in
       (match (checkpoint, (!truncation, !segments_dropped)) with
       | Error why, ((Some _, _) | (_, _ :: _)) ->
@@ -1277,8 +1305,9 @@ let recover ?(mode = Online.Incremental) cfg =
             group = [];
             groups_since_sync = 0;
             groups_since_snapshot = 0;
-            engine = None;
-            db = None;
+            meta;
+            db;
+            engine = Sequential engine;
             closed = false;
           }
         in
@@ -1288,7 +1317,7 @@ let recover ?(mode = Online.Incremental) cfg =
         (match checkpoint with
         | Ok _ -> prune ~keep:1 cfg.dir
         | Error _ -> ());
-        attach t db engine;
+        attach t;
         let report =
           {
             snapshot_loaded =
@@ -1308,12 +1337,12 @@ let recover ?(mode = Online.Incremental) cfg =
         Result.Ok (t, db, engine, report))
   end
 
-let open_or_recover ?selection ?eager ?consume ?mode ?backend cfg =
+let open_or_recover ?selection ?eager ?consume ?backend cfg =
   if has_wal_files cfg.dir then
     Result.map
       (fun (t, db, engine, report) -> (t, db, engine, Some report))
-      (recover ?mode cfg)
+      (recover cfg)
   else
-    match create_engine ?selection ?eager ?consume ?mode ?backend cfg with
+    match create_engine ?selection ?eager ?consume ?backend cfg with
     | t, db, engine -> Result.Ok (t, db, engine, None)
     | exception Invalid_argument msg -> Result.Error msg

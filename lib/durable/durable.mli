@@ -76,7 +76,6 @@ val create_engine :
   ?selection:Scc_algo.selection ->
   ?eager:bool ->
   ?consume:bool ->
-  ?mode:Online.mode ->
   ?backend:Database.backend ->
   config ->
   t * Database.t * Online.t
@@ -112,12 +111,17 @@ val journal_insert : t -> string -> Value.t list -> unit
 val journal_create_table : t -> string -> string list -> unit
 (** Journal an external table creation; see {!journal_insert}. *)
 
-val journal_sink : t -> Online.Journal.sink
-(** The WAL's record sink — what {!create_engine}/{!recover} install on
-    the engine they return.  Exposed so an orchestrator that owns the
-    commit boundary itself (a {!Coordination.Online_sharded} engine
-    re-sharding a recovered pool) can tee its byte-equivalent record
-    stream into the same WAL; see [Server.shard_durable]. *)
+val shard : domains:int -> t -> Online_sharded.t
+(** Re-shard the engine [t] journals across [domains] shards
+    ({!Coordination.Online_sharded.of_online}) and journal the sharded
+    engine instead.  The sequential engine {!create_engine} or
+    {!recover} returned is detached and must not be used afterwards.
+    The sharded engine's record stream is byte-equivalent to a
+    sequential engine's, and snapshots encode the sharded engine's own
+    pool, id allocator and satisfied count, so the WAL and its
+    snapshots are exactly what a sequential session would have written:
+    a later {!recover} can re-shard at any domain count.
+    @raise Invalid_argument if [t] is closed or already sharded. *)
 
 val dir : t -> string
 
@@ -187,23 +191,20 @@ type recovery_report = {
 val pp_report : Format.formatter -> recovery_report -> unit
 
 val recover :
-  ?mode:Online.mode -> config -> (t * Database.t * Online.t * recovery_report, string) result
+  config -> (t * Database.t * Online.t * recovery_report, string) result
 (** Rebuild the engine from [config.dir]: load the newest valid
     snapshot, replay the WAL tail group by group, stop cleanly at any
     corruption, then checkpoint (see the module comment).  The returned
     engine observes — pool, ids, components, satisfied count, store
     contents — exactly as a never-crashed engine after the same
     committed operations; solver statistics do not survive, and every
-    recovered component is conservatively dirty.  [mode] (default
-    [Incremental]) only selects the evaluation strategy, which is
-    observationally irrelevant.  [Error _] when the directory holds no
-    recoverable state at all. *)
+    recovered component is conservatively dirty.  [Error _] when the
+    directory holds no recoverable state at all. *)
 
 val open_or_recover :
   ?selection:Scc_algo.selection ->
   ?eager:bool ->
   ?consume:bool ->
-  ?mode:Online.mode ->
   ?backend:Database.backend ->
   config ->
   (t * Database.t * Online.t * recovery_report option, string) result

@@ -4,17 +4,24 @@ type t = {
   positions : (string, int) Hashtbl.t;
 }
 
+let validate name attrs =
+  let rec duplicate = function
+    | [] -> None
+    | a :: rest -> if List.mem a rest then Some a else duplicate rest
+  in
+  if name = "" then Error "empty relation name"
+  else if attrs = [] then Error "empty attribute list"
+  else
+    match duplicate attrs with
+    | Some a -> Error (Printf.sprintf "duplicate attribute %S in %s" a name)
+    | None -> Ok ()
+
 let make name attrs =
-  if name = "" then invalid_arg "Schema.make: empty relation name";
-  if attrs = [] then invalid_arg "Schema.make: empty attribute list";
+  (match validate name attrs with
+  | Error why -> invalid_arg ("Schema.make: " ^ why)
+  | Ok () -> ());
   let positions = Hashtbl.create (List.length attrs) in
-  List.iteri
-    (fun i a ->
-      if Hashtbl.mem positions a then
-        invalid_arg
-          (Printf.sprintf "Schema.make: duplicate attribute %S in %s" a name);
-      Hashtbl.add positions a i)
-    attrs;
+  List.iteri (fun i a -> Hashtbl.add positions a i) attrs;
   { name; attrs = Array.of_list attrs; positions }
 
 let name s = s.name

@@ -10,6 +10,11 @@ val make : string -> string list -> t
     @raise Invalid_argument if [attrs] contains duplicates or is empty,
     or if [name] is empty. *)
 
+val validate : string -> string list -> (unit, string) result
+(** The checks {!make} applies, as a value: [Error why] exactly when
+    [make name attrs] would raise.  Lets a boundary that accepts
+    untrusted table definitions answer with an error instead. *)
+
 val name : t -> string
 
 val arity : t -> int

@@ -56,9 +56,19 @@ module Json = struct
     in
     let hex4 () =
       if !pos + 4 > n then fail "truncated \\u escape";
-      let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+      let digit c =
+        match c with
+        | '0' .. '9' -> Char.code c - Char.code '0'
+        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      let v = ref 0 in
+      for i = 0 to 3 do
+        v := (!v lsl 4) lor digit s.[!pos + i]
+      done;
       pos := !pos + 4;
-      v
+      !v
     in
     let parse_string () =
       expect '"';
@@ -353,24 +363,6 @@ let eng_last_degradation = function
 let eng_domains = function
   | Sequential _ -> 1
   | Sharded e -> Online_sharded.domains e
-
-(* Re-shard a just-recovered durable engine.  The recovered sequential
-   engine stays attached to the WAL as the snapshot mirror: the sharded
-   engine's record stream is byte-equivalent to a sequential engine's,
-   so teeing each record through Online.mirror_sink (replaying its
-   effect on the mirror, mutating no store state) before the WAL sink
-   keeps the mirror — which Durable snapshots encode — exactly in step
-   with the authoritative sharded pool at every commit boundary. *)
-let shard_durable ~domains durable db mirror =
-  let sharded = Online_sharded.of_online ~domains db mirror in
-  let apply = Online.mirror_sink mirror in
-  let wal = Durable.journal_sink durable in
-  Online_sharded.set_journal sharded
-    (Some
-       (fun record ->
-         apply record;
-         wal record));
-  sharded
 
 type session = {
   sid : int;
@@ -680,6 +672,14 @@ let handle_request t s req =
         in
         match Database.relation_opt t.binding.db rel with
         | None -> err "no_table" ~fields:[ ("rel", Json.Str rel) ]
+        | Some r when Relation.arity r <> List.length tuple ->
+          err "bad_arity"
+            ~fields:
+              [
+                ("rel", Json.Str rel);
+                ("expected", Json.Int (Relation.arity r));
+                ("got", Json.Int (List.length tuple));
+              ]
         | Some _ ->
           Database.insert t.binding.db rel tuple;
           Option.iter
@@ -698,11 +698,17 @@ let handle_request t s req =
               items
           | _ -> raise (Bad_request "missing_attrs")
         in
-        ignore (Database.create_table' t.binding.db name attrs);
-        Option.iter
-          (fun d -> Durable.journal_create_table d name attrs)
-          t.binding.durable;
-        respond ~ok:true [ ("result", Json.Str "table_created") ]
+        if Database.mem_relation t.binding.db name then
+          err "table_exists" ~fields:[ ("name", Json.Str name) ]
+        else (
+          match Schema.validate name attrs with
+          | Error why -> err "bad_schema" ~fields:[ ("detail", Json.Str why) ]
+          | Ok () ->
+            ignore (Database.create_table' t.binding.db name attrs);
+            Option.iter
+              (fun d -> Durable.journal_create_table d name attrs)
+              t.binding.durable;
+            respond ~ok:true [ ("result", Json.Str "table_created") ])
       | other -> err "bad_op" ~fields:[ ("op", Json.Str other) ]
     with Bad_request code -> err code)
 

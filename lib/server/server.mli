@@ -32,11 +32,14 @@
       armed {!Resilient} guard limit.
     - [{"op":"insert","rel":"F","tuple":[1,"Zurich"]}] and
       [{"op":"create_table","name":"F","attrs":["fid","dest"]}] — store
-      mutations, journaled like repl [fact]/[table] statements.
+      mutations, journaled like repl [fact]/[table] statements.  A tuple
+      of the wrong arity is refused with ["bad_arity"], an existing
+      table name with ["table_exists"], and an empty name, an empty
+      attribute list or a duplicate attribute with ["bad_schema"].
 
-    Malformed JSON, unknown ops and bad arguments get
-    [{"ok":false,"error":...}] responses; framing stays intact, the
-    session survives.  Oversized frames and clients that stop draining
+    Malformed JSON (including a non-hex [\u] escape), unknown ops and
+    bad arguments get [{"ok":false,"error":...}] responses; framing
+    stays intact, the session survives.  Oversized frames and clients that stop draining
     their socket are abnormal disconnects: the session is torn down
     (flight-recorder incident, resources released), others continue.
 
@@ -101,7 +104,9 @@ val default_config : listen -> config
     engine, or the domain-sharded one ({!Coordination.Online_sharded})
     when [serve --domains N] asked for parallelism.  Both are
     observationally identical — the protocol layer dispatches blindly;
-    [status] reports ["domains"] ([1] for [Sequential]). *)
+    [status] reports ["domains"] ([1] for [Sequential]).  A durable
+    sharded server gets its engine from {!Durable.shard}, so the WAL
+    journals and snapshots the sharded engine itself. *)
 type engine =
   | Sequential of Coordination.Online.t
   | Sharded of Coordination.Online_sharded.t
@@ -115,21 +120,6 @@ type binding = {
   durable : Durable.t option;
   guard : Resilient.t option;
 }
-
-val shard_durable :
-  domains:int ->
-  Durable.t ->
-  Relational.Database.t ->
-  Coordination.Online.t ->
-  Coordination.Online_sharded.t
-(** [shard_durable ~domains t db engine] re-shards a just-recovered (or
-    just-created) durable engine across [domains] shards.  [engine]
-    stays attached to [t] as the WAL's snapshot mirror; every record
-    the sharded engine journals is applied to the mirror (via
-    {!Coordination.Online.mirror_sink}) and then written to the WAL, so
-    snapshots and recovery see exactly the sharded pool.  A later
-    recovery can re-shard at {e any} domain count — the journal is
-    byte-equivalent to a sequential engine's. *)
 
 type t
 

@@ -56,3 +56,45 @@ let check_validates db queries solution =
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
+
+(* Scratch directories for WAL suites.  CHAOS_WAL_DIR relocates them so
+   a failing CI leg leaves its segments behind for artifact upload. *)
+let scratch_base =
+  match Sys.getenv "CHAOS_WAL_DIR" with
+  | dir ->
+    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+    dir
+  | exception Not_found -> Filename.get_temp_dir_name ()
+
+let dir_counter = ref 0
+
+let fresh_dir tag =
+  incr dir_counter;
+  let d =
+    Filename.concat scratch_base
+      (Printf.sprintf "ewal-%d-%s-%d" (Unix.getpid ()) tag !dir_counter)
+  in
+  if Sys.file_exists d then
+    Sys.readdir d |> Array.iter (fun n -> Sys.remove (Filename.concat d n))
+  else Unix.mkdir d 0o755;
+  d
+
+let rm_rf d =
+  if Sys.file_exists d then begin
+    Sys.readdir d |> Array.iter (fun n -> Sys.remove (Filename.concat d n));
+    Unix.rmdir d
+  end
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let copy_dir src dst =
+  if not (Sys.file_exists dst) then Unix.mkdir dst 0o755;
+  Sys.readdir src
+  |> Array.iter (fun n ->
+         let oc = open_out_bin (Filename.concat dst n) in
+         output_string oc (read_file (Filename.concat src n));
+         close_out oc)

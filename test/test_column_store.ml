@@ -239,7 +239,7 @@ let test_parallel_differential () =
   let run backend =
     let db, queries = Workload.Movies.make ~backend () in
     match
-      Coordination.Parallel.solve ~domains:2 db Workload.Movies.config queries
+      Coordination.Executor.solve_consistent ~domains:2 db Workload.Movies.config queries
     with
     | Error e -> Alcotest.failf "error: %a" Coordination.Consistent.pp_error e
     | Ok o -> o
@@ -254,7 +254,7 @@ let test_online_differential () =
     let db, queries =
       Workload.Listgen.make ~backend ~rows:1_000 ~seed:11 8
     in
-    let engine = Coordination.Online.create ~mode:Coordination.Online.Incremental db in
+    let engine = Coordination.Online.create db in
     let fired =
       List.map
         (fun (c : Coordination.Online.coordinated) ->

@@ -25,43 +25,6 @@ let chaos_seed =
   | Some s -> s
   | None -> 42
 
-let scratch_base =
-  match Sys.getenv "CHAOS_WAL_DIR" with
-  | dir ->
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    dir
-  | exception Not_found -> Filename.get_temp_dir_name ()
-
-let dir_counter = ref 0
-
-let fresh_dir tag =
-  incr dir_counter;
-  let d =
-    Filename.concat scratch_base
-      (Printf.sprintf "ewal-%d-%s-%d" (Unix.getpid ()) tag !dir_counter)
-  in
-  if Sys.file_exists d then
-    Sys.readdir d |> Array.iter (fun n -> Sys.remove (Filename.concat d n))
-  else Unix.mkdir d 0o755;
-  d
-
-let rm_rf d =
-  if Sys.file_exists d then begin
-    Sys.readdir d |> Array.iter (fun n -> Sys.remove (Filename.concat d n));
-    Unix.rmdir d
-  end
-
-let copy_dir src dst =
-  if not (Sys.file_exists dst) then Unix.mkdir dst 0o755;
-  Sys.readdir src
-  |> Array.iter (fun n ->
-         let ic = open_in_bin (Filename.concat src n) in
-         let data = really_input_string ic (in_channel_length ic) in
-         close_in ic;
-         let oc = open_out_bin (Filename.concat dst n) in
-         output_string oc data;
-         close_out oc)
-
 (* ----------------------- observable state ------------------------- *)
 
 type obs_state = {
@@ -375,9 +338,7 @@ let setup_cycle dir =
 let test_uncommitted_group () =
   let dir = fresh_dir "uncommitted" in
   let seg, _, b1, b2, state1, _ = setup_cycle dir in
-  let ic = open_in_bin seg in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let data = read_file seg in
   (* First record of the final group: length prefix + lsn/kind/payload
      + crc. *)
   let payload_len =

@@ -311,48 +311,6 @@ let test_chaos_shard_budget () =
           first snapshot)
     domain_counts
 
-(* ----------------------- Online parallel flush -------------------- *)
-
-let online_stream () =
-  let db, queries = pairgen 7 in
-  (db, queries)
-
-let test_online_parallel_flush () =
-  let run domains =
-    let db, queries = online_stream () in
-    let engine =
-      Coordination.Online.create ~eager:false ~consume:true
-        ~mode:Coordination.Online.Incremental db
-    in
-    List.iter
-      (fun q -> ignore (Coordination.Online.submit engine q))
-      queries;
-    let fired = Coordination.Online.flush ?domains engine in
-    let names =
-      List.map
-        (fun (c : Coordination.Online.coordinated) ->
-          String.concat "," (List.map (fun q -> q.Query.name) c.queries))
-        fired
-    in
-    ( names,
-      Coordination.Online.pending_count engine,
-      Database.total_tuples db,
-      (Coordination.Online.stats engine).Stats.db_probes,
-      (Coordination.Online.stats engine).Stats.candidates )
-  in
-  let seq_names, seq_pending, seq_tuples, seq_probes, seq_cands = run None in
-  Alcotest.(check bool) "something fired" true (seq_names <> []);
-  List.iter
-    (fun domains ->
-      let names, pending, tuples, probes, cands = run (Some domains) in
-      let label fmt = Printf.sprintf "domains %d: %s" domains fmt in
-      Alcotest.(check (list string)) (label "fired sets") seq_names names;
-      Alcotest.(check int) (label "pending") seq_pending pending;
-      Alcotest.(check int) (label "store") seq_tuples tuples;
-      Alcotest.(check int) (label "probes") seq_probes probes;
-      Alcotest.(check int) (label "candidates") seq_cands cands)
-    domain_counts
-
 (* ----------------------------- Pool units ------------------------- *)
 
 let test_pool_order () =
@@ -415,8 +373,6 @@ let suite =
       test_consistent_differential;
     Alcotest.test_case "chaos: only the over-budget shard degrades" `Quick
       test_chaos_shard_budget;
-    Alcotest.test_case "online: parallel flush ≡ sequential flush" `Quick
-      test_online_parallel_flush;
     Alcotest.test_case "pool: results in task order" `Quick test_pool_order;
     Alcotest.test_case "pool: exceptions captured per task" `Quick
       test_pool_exception;

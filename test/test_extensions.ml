@@ -229,7 +229,7 @@ let test_parallel_matches_sequential () =
   List.iter
     (fun domains ->
       match
-        Coordination.Parallel.solve ~domains db Workload.Flights.config queries
+        Coordination.Executor.solve_consistent ~domains db Workload.Flights.config queries
       with
       | Error _ -> Alcotest.fail "parallel solves"
       | Ok par ->
@@ -247,7 +247,7 @@ let test_parallel_matches_sequential () =
 
 let test_parallel_movies () =
   let db, queries = Workload.Movies.make () in
-  match Coordination.Parallel.solve ~domains:3 db Workload.Movies.config queries with
+  match Coordination.Executor.solve_consistent ~domains:3 db Workload.Movies.config queries with
   | Error e -> Alcotest.failf "error: %a" Coordination.Consistent.pp_error e
   | Ok outcome -> (
     Alcotest.(check int) "three members" 3 (List.length outcome.members);
@@ -485,7 +485,7 @@ let suite =
         in
         let seq = Coordination.Consistent.solve db Workload.Flights.config queries in
         let par =
-          Coordination.Parallel.solve ~domains:3 db Workload.Flights.config queries
+          Coordination.Executor.solve_consistent ~domains:3 db Workload.Flights.config queries
         in
         match (seq, par) with
         | Ok s, Ok p ->

@@ -416,12 +416,6 @@ let test_explain_via_obs () =
 
 (* ------------------------- flight recorder ------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let item_name = function
   | Obs.Span s -> s.Obs.name
   | Obs.Event e -> e.Obs.ev_name
@@ -540,12 +534,12 @@ let test_incident_dump_latch () =
       Obs.Counter.reset c;
       Obs.event "before-crash";
       Obs.Flight_recorder.incident "first-failure";
-      let first_dump = read_file path in
+      let first_dump = Helpers.read_file path in
       Obs.event "after-first";
       Obs.Flight_recorder.incident "second-failure";
       Alcotest.(check string)
         "second incident does not re-dump (latched)" first_dump
-        (read_file path);
+        (Helpers.read_file path);
       Alcotest.(check int) "both incidents counted" 2 (Obs.Counter.value c);
       let lines =
         String.split_on_char '\n' first_dump
@@ -585,7 +579,7 @@ let test_abort_triggers_incident () =
       | Ok outcome ->
         Alcotest.(check bool) "solve degraded under the 0-probe budget" true
           (outcome.Coordination.Scc_algo.degraded <> None);
-        let dump = read_file path in
+        let dump = Helpers.read_file path in
         Alcotest.(check bool) "abort dumped the flight window" true
           (String.length dump > 0);
         Alcotest.(check bool) "window marks the incident" true

@@ -1,14 +1,15 @@
-(* The incremental online engine against its reference implementation.
+(* The incremental online engine against a rebuild-everything oracle.
 
-   The engine's two modes (persistent atom-index/union-find/dirty
-   tracking vs full graph rebuild per evaluation) must be
-   observationally equivalent: same coordinated sets, same pool, same
-   component partition, same satisfied counts, same database contents —
-   for any interleaving of submissions, flushes and external inserts.
-   The differential driver below checks exactly that on seeded random
-   interleavings; the remaining cases pin the incremental machinery
-   (dirty-component skipping, deep-chain traversal, inventory conflict
-   reporting, stats folding) individually. *)
+   The engine (persistent atom index, union-find, dirty tracking) must
+   be observationally equivalent to [Online_oracle], which re-derives
+   the coordination graph of the whole pool on every evaluation: same
+   coordinated sets, same pool, same component partition, same
+   satisfied counts, same database contents — for any interleaving of
+   submissions, flushes and external inserts.  The differential driver
+   below checks exactly that on seeded random interleavings; the
+   remaining cases pin the incremental machinery (dirty-component
+   skipping, deep-chain traversal, inventory conflict reporting, stats
+   folding) individually. *)
 
 open Relational
 open Entangled
@@ -56,20 +57,20 @@ let submission_repr = function
 let run_differential ~seed ~eager ~consume =
   let rng = Prng.create seed in
   let db_full = mk_db () and db_inc = mk_db () in
-  let full =
-    Online.create ~eager ~consume ~mode:Online.Full_rebuild db_full
-  in
-  let inc = Online.create ~eager ~consume ~mode:Online.Incremental db_inc in
+  let full = Online_oracle.create ~eager ~consume db_full in
+  let inc = Online.create ~eager ~consume db_inc in
   let check_sync step =
     let ctx m = Printf.sprintf "seed %d step %d: %s" seed step m in
     Alcotest.(check (list string))
       (ctx "pending")
-      (List.map (fun q -> q.Query.name) (Online.pending full))
+      (List.map (fun q -> q.Query.name) (Online_oracle.pending full))
       (List.map (fun q -> q.Query.name) (Online.pending inc));
     Alcotest.(check (list (list int)))
-      (ctx "components") (Online.components full) (Online.components inc);
+      (ctx "components")
+      (Online_oracle.components full)
+      (Online.components inc);
     Alcotest.(check int) (ctx "satisfied")
-      (Online.total_coordinated full)
+      (Online_oracle.total_coordinated full)
       (Online.total_coordinated inc)
   in
   let next_fid = ref 1000 in
@@ -77,14 +78,14 @@ let run_differential ~seed ~eager ~consume =
     let roll = Prng.int rng 10 in
     if roll < 7 then begin
       let q = random_query rng step in
-      let rf = Online.submit full q in
+      let rf = Online_oracle.submit full q in
       let ri = Online.submit inc q in
       Alcotest.(check string)
         (Printf.sprintf "seed %d step %d: submission" seed step)
         (submission_repr rf) (submission_repr ri)
     end
     else if roll < 9 then begin
-      let ff = Online.flush full in
+      let ff = Online_oracle.flush full in
       let fi = Online.flush inc in
       Alcotest.(check (list (list string)))
         (Printf.sprintf "seed %d step %d: flush" seed step)
@@ -100,7 +101,7 @@ let run_differential ~seed ~eager ~consume =
     end;
     check_sync step
   done;
-  let ff = Online.flush full in
+  let ff = Online_oracle.flush full in
   let fi = Online.flush inc in
   Alcotest.(check (list (list string)))
     (Printf.sprintf "seed %d: final flush" seed)
@@ -113,7 +114,7 @@ let run_differential ~seed ~eager ~consume =
     (Printf.sprintf "seed %d: final store" seed)
     (tuples db_full) (tuples db_inc)
 
-let test_differential_modes () =
+let test_differential_oracle () =
   List.iter
     (fun seed ->
       List.iter
@@ -135,8 +136,8 @@ let chain_query i ~last =
 let test_submit_all_matches_deferred_flush () =
   let n = 8 in
   let queries = List.init n (fun i -> chain_query i ~last:(i = n - 1)) in
-  let batch_of mode =
-    let engine = Online.create ~mode (flights_db ()) in
+  let incremental =
+    let engine = Online.create (flights_db ()) in
     List.map fired_names (Online.submit_all engine queries)
   in
   let deferred =
@@ -144,12 +145,12 @@ let test_submit_all_matches_deferred_flush () =
     List.iter (fun q -> ignore (Online.submit engine q)) queries;
     List.map fired_names (Online.flush engine)
   in
-  let incremental = batch_of Online.Incremental in
   Alcotest.(check (list (list string)))
     "batch == enqueue-then-flush" deferred incremental;
   Alcotest.(check (list (list string)))
-    "batch: incremental == full rebuild"
-    (batch_of Online.Full_rebuild)
+    "batch: incremental == oracle"
+    (List.map fired_names
+       (Online_oracle.submit_all (Online_oracle.create (flights_db ())) queries))
     incremental;
   Alcotest.(check int) "whole chain fired" n
     (List.length (List.concat incremental))
@@ -193,23 +194,24 @@ let test_flush_skips_clean_components () =
 (* --------------------------- deep chains -------------------------- *)
 
 (* A chain-shaped pool tens of thousands of queries long: component
-   discovery must not recurse (the previous DFS overflowed the call
-   stack here) and the incremental partition must agree with the
-   rebuilt one. *)
+   discovery must not recurse (a recursive DFS overflowed the call stack
+   here) and the incremental partition must agree with the rebuilt
+   one. *)
 let test_components_deep_chain () =
   let n = 50_000 in
   let queries = List.init n (fun i -> chain_query i ~last:(i = n - 1)) in
-  let partition_of mode =
-    let engine = Online.create ~eager:false ~mode (Database.create ()) in
-    List.iter (fun q -> ignore (Online.submit engine q)) queries;
-    Online.components engine
-  in
-  let full = partition_of Online.Full_rebuild in
+  let oracle = Online_oracle.create ~eager:false (Database.create ()) in
+  let engine = Online.create ~eager:false (Database.create ()) in
+  List.iter
+    (fun q ->
+      ignore (Online_oracle.submit oracle q);
+      ignore (Online.submit engine q))
+    queries;
+  let full = Online_oracle.components oracle in
   Alcotest.(check int) "one component" 1 (List.length full);
   Alcotest.(check int) "all members" n (List.length (List.hd full));
   Alcotest.(check (list (list int)))
-    "incremental partition agrees" full
-    (partition_of Online.Incremental)
+    "incremental partition agrees" full (Online.components engine)
 
 (* ------------------------ inventory conflicts --------------------- *)
 
@@ -343,9 +345,9 @@ let test_degradation_flag_cleared_on_recovery () =
 
 let suite =
   [
-    Alcotest.test_case "differential: incremental == full rebuild" `Quick
-      test_differential_modes;
-    Alcotest.test_case "submit_all == enqueue + flush, both modes" `Quick
+    Alcotest.test_case "differential: incremental == rebuild oracle" `Quick
+      test_differential_oracle;
+    Alcotest.test_case "submit_all == enqueue + flush == oracle" `Quick
       test_submit_all_matches_deferred_flush;
     Alcotest.test_case "flush skips clean components" `Quick
       test_flush_skips_clean_components;

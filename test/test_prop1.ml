@@ -103,7 +103,7 @@ let test_staged_api () =
 let test_parallel_error_propagation () =
   let db, queries = Workload.Movies.make () in
   match
-    Coordination.Parallel.solve db Workload.Movies.config
+    Coordination.Executor.solve_consistent db Workload.Movies.config
       (queries @ [ List.hd queries ])
   with
   | Error (Coordination.Consistent.Duplicate_user u) ->

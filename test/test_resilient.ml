@@ -254,7 +254,7 @@ let test_differential_parallel () =
       let db, queries = Workload.Flights.make_worst_case ~rows:40 ~users:8 in
       guarded db cfg @@ fun () ->
       match
-        Coordination.Parallel.solve ~domains:3 db Workload.Flights.config
+        Coordination.Executor.solve_consistent ~domains:3 db Workload.Flights.config
           queries
       with
       | Error _ -> Alcotest.fail "flights workload solves"
@@ -333,7 +333,7 @@ let test_parallel_degrades_on_prepare_abort () =
   with_guard db { Resilient.default_config with max_probes = Some 0 }
   @@ fun _ ->
   match
-    Coordination.Parallel.solve ~domains:2 db Workload.Flights.config queries
+    Coordination.Executor.solve_consistent ~domains:2 db Workload.Flights.config queries
   with
   | Error e -> Alcotest.failf "typed abort expected: %a" Coordination.Consistent.pp_error e
   | Ok o ->

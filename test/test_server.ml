@@ -26,32 +26,6 @@ let chaos_seed =
   | Some s -> s
   | None -> 42
 
-let scratch_base =
-  match Sys.getenv "CHAOS_WAL_DIR" with
-  | dir ->
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    dir
-  | exception Not_found -> Filename.get_temp_dir_name ()
-
-let dir_counter = ref 0
-
-let fresh_dir tag =
-  incr dir_counter;
-  let d =
-    Filename.concat scratch_base
-      (Printf.sprintf "esrv-%d-%s-%d" (Unix.getpid ()) tag !dir_counter)
-  in
-  if Sys.file_exists d then
-    Sys.readdir d |> Array.iter (fun n -> Sys.remove (Filename.concat d n))
-  else Unix.mkdir d 0o755;
-  d
-
-let rm_rf d =
-  if Sys.file_exists d then begin
-    Sys.readdir d |> Array.iter (fun n -> Sys.remove (Filename.concat d n));
-    Unix.rmdir d
-  end
-
 (* ----------------------- observable state ------------------------- *)
 
 type obs_state = {
@@ -482,6 +456,111 @@ let test_protocol_errors () =
   pump srv;
   Server.stop srv
 
+(* ----------------- one-frame crash regressions --------------------- *)
+
+(* Each of these single frames once raised out of [Server.step], which
+   killed the process and every session with it.  Each must now get a
+   typed error frame.  They are written as raw payload bytes, because a
+   well-behaved JSON printer would never produce the bad escapes. *)
+let killer_frames =
+  [
+    ({|{"id":1,"op":"insert","rel":"G","tuple":[1,2,3]}|}, "bad_arity");
+    ({|{"id":2,"op":"\uzzzz"}|}, "bad_json");
+    ({|{"id":3,"op":"st\u_061tus"}|}, "bad_json");
+    ({|{"id":4,"op":"create_table","name":"G","attrs":["a","b"]}|},
+     "table_exists");
+    ({|{"id":5,"op":"create_table","name":"H","attrs":[]}|}, "bad_schema");
+    ({|{"id":6,"op":"create_table","name":"H","attrs":["a","a"]}|},
+     "bad_schema");
+    ({|{"id":7,"op":"create_table","name":"","attrs":["a"]}|}, "bad_schema");
+  ]
+
+(* A bare socket speaking the frame protocol with raw payload bytes,
+   one request and one response at a time (no subscription). *)
+let raw_connect srv =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd
+    (Unix.ADDR_INET (Unix.inet_addr_of_string loopback, Server.port srv));
+  fd
+
+let raw_rpc ~ctx srv fd payload =
+  let n = String.length payload in
+  let frame = Bytes.create (4 + n) in
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 frame 4 n;
+  ignore (Unix.write fd frame 0 (4 + n));
+  let inb = Buffer.create 64 and chunk = Bytes.create 4096 in
+  let rec go tries =
+    let got = Buffer.contents inb in
+    let len = String.length got in
+    if len >= 4 && len >= 4 + Int32.to_int (String.get_int32_be got 0) then
+      match Json.parse (String.sub got 4 (len - 4)) with
+      | Ok j -> j
+      | Error why -> Alcotest.failf "%s: unparsable response: %s" ctx why
+    else if tries > 2000 then Alcotest.failf "%s: no response" ctx
+    else begin
+      ignore (Server.step ~timeout:0.01 srv);
+      (match Unix.select [ fd ] [] [] 0.0 with
+      | [], _, _ -> ()
+      | _ -> Buffer.add_subbytes inb chunk 0 (Unix.read fd chunk 0 4096));
+      go (tries + 1)
+    end
+  in
+  go 0
+
+let test_killer_frames () =
+  let db = Database.create () in
+  let engine = Online.create ~eager:true db in
+  let srv = mk_server db engine in
+  let bystander = connect srv in
+  seed_over_wire srv bystander;
+  let fd = raw_connect srv in
+  let status = {|{"op":"status"}|} in
+  ignore
+    (raw_rpc ~ctx:"create G" srv fd
+       {|{"op":"create_table","name":"G","attrs":["a","b"]}|});
+  List.iter
+    (fun (payload, code) ->
+      let resp = raw_rpc ~ctx:payload srv fd payload in
+      Alcotest.(check (option string))
+        payload (Some code) (Json.str_mem "error" resp);
+      (* The same session, and every other session, is still served. *)
+      Alcotest.(check (option string))
+        (payload ^ ": same session served") (Some "status")
+        (Json.str_mem "result" (raw_rpc ~ctx:payload srv fd status));
+      let resp, _ =
+        rpc_ok ~ctx:payload srv bystander
+          (Json.Obj [ ("op", Json.Str "status") ])
+      in
+      Alcotest.(check (option string))
+        (payload ^ ": other session served") (Some "status")
+        (Json.str_mem "result" resp))
+    killer_frames;
+  Alcotest.(check (list string))
+    "no refused table was created" [ "F"; "G" ]
+    (List.sort compare (List.map Relation.name (Database.relations db)));
+  Alcotest.(check int) "refused insert stored nothing" 0
+    (Relation.cardinal (Database.relation db "G"));
+  (* Well-formed work still flows across both sessions. *)
+  ignore
+    (raw_rpc ~ctx:"submit qa" srv fd
+       {|{"op":"submit","query":"qa: { R(G1, y) } R(G0, x) :- F(x, Zurich)."}|});
+  let resp, _ =
+    rpc_ok ~ctx:"submit qb" srv bystander
+      (Json.Obj
+         [
+           ("op", Json.Str "submit");
+           ("query", Json.Str "qb: { R(G0, y) } R(G1, x) :- F(x, Zurich).");
+         ])
+  in
+  Alcotest.(check (option string))
+    "pair coordinates across the sessions" (Some "coordinated")
+    (Json.str_mem "result" resp);
+  Unix.close fd;
+  Server.Client.close bystander;
+  pump srv;
+  Server.stop srv
+
 let test_json_roundtrip () =
   let cases =
     [
@@ -504,9 +583,12 @@ let test_json_roundtrip () =
   (match Json.parse "{broken" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must not parse");
-  match Json.parse {|{"a":1} trailing|} with
+  (match Json.parse {|{"a":1} trailing|} with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing bytes must not parse"
+  | Ok _ -> Alcotest.fail "trailing bytes must not parse");
+  match Json.parse {|"\u00e9\u0041"|} with
+  | Ok (Json.Str s) -> Alcotest.(check string) "hex escapes decode" "\xc3\xa9A" s
+  | _ -> Alcotest.fail "valid \\u escapes must parse"
 
 let suite =
   [
@@ -525,4 +607,6 @@ let suite =
       test_overloaded;
     Alcotest.test_case "protocol errors keep the session alive" `Quick
       test_protocol_errors;
+    Alcotest.test_case "one-frame crashes become typed error frames" `Quick
+      test_killer_frames;
   ]
