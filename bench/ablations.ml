@@ -1,6 +1,7 @@
-(* Ablation benchmarks for the design choices DESIGN.md calls out:
-   evaluator access paths and join ordering, the preprocessing step of
-   the SCC algorithm, and its selection criterion. *)
+(* Ablation benchmarks for the design choices DESIGN.md calls out: the
+   preprocessing step of the SCC algorithm, its selection criterion,
+   and the online, parallel, observability, resilience, durability and
+   service layers. *)
 
 open Relational
 
@@ -9,121 +10,6 @@ let ms ns = Int64.to_float ns /. 1e6
 let time f =
   let x, ns = Coordination.Stats.timed f in
   (x, ms ns)
-
-(* --------------------------- Evaluator ---------------------------- *)
-
-(* A join whose syntactic order is adversarial: the big Edge relation
-   comes first, the single-row Mark atoms last.  Greedy planning starts
-   from the selective atoms and walks the join through indexes; the
-   fixed orders pay for starting blind. *)
-let evaluator ?(rows = 3_000) () =
-  Printf.printf "\n== Ablation: evaluator access path and join order ==\n";
-  Printf.printf
-    "(Edge(x,y), Edge(y,z), Mark(z) with |Edge| = %d and |Mark| = 1, \
-     selective atom written last)\n"
-    rows;
-  let db = Database.create () in
-  ignore (Database.create_table' db "Edge" [ "a"; "b" ]);
-  ignore (Database.create_table' db "Mark" [ "a" ]);
-  let rng = Prng.create 99 in
-  for _ = 1 to rows do
-    Database.insert db "Edge"
-      [ Value.Int (Prng.int rng rows); Value.Int (Prng.int rng rows) ]
-  done;
-  (* Mark one value that is guaranteed to appear as an edge target. *)
-  let target =
-    match Relation.to_list (Database.relation db "Edge") with
-    | t :: _ -> t.(1)
-    | [] -> Value.Int 0
-  in
-  Database.insert db "Mark" [ target ];
-  let body =
-    Cq.make
-      [
-        { Cq.rel = "Edge"; args = [| Term.Var "x"; Term.Var "y" |] };
-        { Cq.rel = "Edge"; args = [| Term.Var "y"; Term.Var "z" |] };
-        { Cq.rel = "Mark"; args = [| Term.Var "z" |] };
-      ]
-  in
-  (* Warm the indexes so the scan variant is not unfairly charged for
-     building them. *)
-  ignore (Eval.find_first db body);
-  Series.start "ablation_evaluator"
-    [ "variant"; "time_ms"; "tuples_scanned"; "found" ];
-  let run plan label =
-    let c0 = Database.snapshot_counters db in
-    let result, t = time (fun () -> Eval.find_first ~plan db body) in
-    let d = Counters.diff ~before:c0 ~after:(Database.snapshot_counters db) in
-    Printf.printf "  %-22s %10.3f ms   %9d tuples   (found: %b)\n" label t
-      d.tuples_scanned (Option.is_some result);
-    Series.row "ablation_evaluator"
-      [
-        label;
-        Printf.sprintf "%.3f" t;
-        string_of_int d.tuples_scanned;
-        string_of_bool (Option.is_some result);
-      ]
-  in
-  run Eval.Compiled "compiled + cache";
-  run Eval.Greedy_indexed "greedy + index";
-  run Eval.Fixed_indexed "fixed order + index";
-  run Eval.Fixed_scan "fixed order + scan"
-
-(* Figure-4-style probe stream: the coordination algorithms issue long
-   runs of structurally identical queries that differ only in their
-   constants (each suffix candidate grounds the same body shape with its
-   members' topics).  This is exactly what the plan cache is for: one
-   compilation serves the whole stream.  Interpreted evaluation re-plans
-   per probe; compiled-nocache re-compiles per probe; compiled+cache
-   compiles once. *)
-let evaluator_batch ?(rows = 20_000) ?(probes = 2_000) () =
-  Printf.printf "\n== Ablation: compiled plans over isomorphic probe streams ==\n";
-  Printf.printf
-    "(%d satisfiability probes of Posts(x,T1), Posts(y,T2), Posts(z,T3) \
-     with fresh constants per probe, table of %d rows)\n"
-    probes rows;
-  let db = Database.create () in
-  let topics = 100 in
-  ignore (Workload.Social.install_posts ~rows ~topics db);
-  let topic rng = Term.str (Workload.Social.topic (Prng.int rng topics)) in
-  let bodies =
-    let rng = Prng.create 4242 in
-    List.init probes (fun _ ->
-        Cq.make
-          [
-            { Cq.rel = "Posts"; args = [| Term.Var "x"; topic rng |] };
-            { Cq.rel = "Posts"; args = [| Term.Var "y"; topic rng |] };
-            { Cq.rel = "Posts"; args = [| Term.Var "z"; topic rng |] };
-          ])
-  in
-  (* Warm the topic index once for everyone. *)
-  ignore (Eval.satisfiable db (List.hd bodies));
-  Series.start "ablation_evaluator_batch"
-    [ "variant"; "time_ms"; "plan_hits"; "plan_misses"; "tuples_scanned" ];
-  let run plan label =
-    let c0 = Database.snapshot_counters db in
-    let sat, t =
-      time (fun () ->
-          List.fold_left
-            (fun acc body -> if Eval.satisfiable ~plan db body then acc + 1 else acc)
-            0 bodies)
-    in
-    let d = Counters.diff ~before:c0 ~after:(Database.snapshot_counters db) in
-    Printf.printf
-      "  %-22s %10.3f ms   %5d hits  %5d misses  %9d tuples   (%d sat)\n"
-      label t d.plan_hits d.plan_misses d.tuples_scanned sat;
-    Series.row "ablation_evaluator_batch"
-      [
-        label;
-        Printf.sprintf "%.3f" t;
-        string_of_int d.plan_hits;
-        string_of_int d.plan_misses;
-        string_of_int d.tuples_scanned;
-      ]
-  in
-  run Eval.Greedy_indexed "interpreted";
-  run Eval.Compiled_nocache "compiled, no cache";
-  run Eval.Compiled "compiled + cache"
 
 (* ------------------------- Preprocessing -------------------------- *)
 
@@ -692,8 +578,8 @@ let parallel_scaling ?(rows = 2_000) ?(pools = [ 1_000; 10_000 ])
      amortized per-submit p50/p95, total wall time and throughput.
    - [ablation_online_sharded_gate]: one row per pool carrying
      [sharded_submit_speedup], the 4-domain/1-domain aggregate submit
-     throughput ratio.  CI enforces its floor (>= 2.5x at 100k pool)
-     with gate.exe --sharded-speedup-floor. *)
+     throughput ratio.  The bench gate holds it above 2.5x at 100k
+     pool. *)
 let online_sharded ?(rows = 2_000) ?(pools = [ 100_000; 300_000 ])
     ?(domain_counts = [ 1; 2; 4; 8 ]) ?(probe_latency = 0.0001)
     ?(batch = 1_024) () =
@@ -816,123 +702,6 @@ let online_sharded ?(rows = 2_000) ?(pools = [ 100_000; 300_000 ])
         Series.row "ablation_online_sharded_gate"
           [ string_of_int pool; Printf.sprintf "%.2f" s ])
     pools
-
-(* ----------------------------- Storage ---------------------------- *)
-
-(* Row store vs columnar store on the repeat-probe path: the same
-   compiled plan, the same candidate streams, the same counters — only
-   the data layout differs.  Measured through [Eval.Prepared], the raw
-   probe loop with no per-probe scaffolding, the regime a coordination
-   server lives in: one shape, millions of executions, constants
-   swapped per probe.
-
-   Two numbers feed the bench gate:
-   - [columnar_speedup]: median-of-best row/columnar time ratio.  The
-     gate enforces the storage engine's acceptance floor (>= 3x).
-   - [columnar_minor_words_per_probe]: minor-heap words allocated per columnar
-     probe, measured over a separate pass with nothing boxed inside the
-     loop.  Steady state this is 0.00 and the gate keeps it there; the
-     row store's figure is reported alongside but not gated (it is
-     whatever the boxed-tuple path costs).
-
-   Timing and allocation are measured in separate passes: [now_ns] and
-   [Gc.minor_words] both box their results, so the pass that counts
-   words must not call the clock per probe. *)
-let storage ?(rows = 100_000) ?(topics = 100) ?(timing_probes = 2_000)
-    ?(alloc_probes = 10_000) ?(repeats = 5) () =
-  Printf.printf "\n== Ablation: storage backend (row vs columnar cursor) ==\n";
-  Printf.printf
-    "(Posts(x,T1), Posts(x,T2) count probes with constants swapped per \
-     probe;\n\
-    \ table of %d rows, %d topics -> ~%d candidates per probe; best of %d \
-     runs)\n"
-    rows topics (rows / topics) repeats;
-  let make backend =
-    let db = Database.create ~backend () in
-    ignore (Workload.Social.install_posts ~rows ~topics db);
-    Database.warm_indexes db;
-    db
-  in
-  let db_row = make Database.Row in
-  let db_col = make Database.Columnar in
-  let topic_term i = Term.str (Workload.Social.topic i) in
-  let body =
-    Cq.make
-      [
-        { Cq.rel = "Posts"; args = [| Term.Var "x"; topic_term 0 |] };
-        { Cq.rel = "Posts"; args = [| Term.Var "x"; topic_term 1 |] };
-      ]
-  in
-  let topic_vals =
-    Array.init topics (fun i -> Value.Str (Workload.Social.topic i))
-  in
-  (* Even probes are satisfiable (T1 = T2), odd ones empty — both still
-     walk the full first posting. *)
-  let run_probe prep i =
-    Eval.Prepared.set_param prep 0 topic_vals.(i mod topics);
-    Eval.Prepared.set_param prep 1 topic_vals.((i + (i land 1)) mod topics);
-    Eval.Prepared.count prep
-  in
-  let measure db =
-    let prep = Eval.Prepared.make db body in
-    for i = 0 to 99 do
-      ignore (run_probe prep i)
-    done;
-    let best_ns = ref infinity in
-    let solutions = ref 0 in
-    for _ = 1 to repeats do
-      let s = ref 0 in
-      let t0 = Coordination.Stats.now_ns () in
-      for i = 0 to timing_probes - 1 do
-        s := !s + run_probe prep i
-      done;
-      let t = Int64.to_float (Int64.sub (Coordination.Stats.now_ns ()) t0) in
-      solutions := !s;
-      if t < !best_ns then best_ns := t
-    done;
-    (* Allocation pass: no clock, no boxing inside the loop. *)
-    let w0 = Gc.minor_words () in
-    for i = 0 to alloc_probes - 1 do
-      ignore (run_probe prep i)
-    done;
-    let w1 = Gc.minor_words () in
-    let words = (w1 -. w0) /. float_of_int alloc_probes in
-    (!best_ns /. 1e3 /. float_of_int timing_probes, !best_ns /. 1e6, words,
-     !solutions)
-  in
-  let row_us, row_ms, row_words, row_solutions = measure db_row in
-  let col_us, col_ms, col_words, col_solutions = measure db_col in
-  let speedup = row_us /. col_us in
-  Printf.printf
-    "  row store             %10.3f us/probe   %10.1f words/probe\n" row_us
-    row_words;
-  Printf.printf
-    "  columnar cursor       %10.3f us/probe   %10.2f words/probe\n" col_us
-    col_words;
-  Printf.printf "  speedup               %10.2fx           (agree: %b)\n"
-    speedup
-    (row_solutions = col_solutions);
-  if row_solutions <> col_solutions then
-    Printf.printf "  !! backends disagree: row %d vs columnar %d solutions\n"
-      row_solutions col_solutions;
-  Series.start "ablation_storage"
-    [
-      "rows"; "probes"; "row_probe_us"; "columnar_probe_us";
-      "columnar_speedup"; "row_total_ms"; "columnar_total_ms";
-      "row_alloc_words"; "columnar_minor_words_per_probe";
-    ];
-  Series.row "ablation_storage"
-    [
-      string_of_int rows;
-      string_of_int timing_probes;
-      Printf.sprintf "%.3f" row_us;
-      Printf.sprintf "%.3f" col_us;
-      Printf.sprintf "%.2f" speedup;
-      Printf.sprintf "%.3f" row_ms;
-      Printf.sprintf "%.3f" col_ms;
-      Printf.sprintf "%.1f" row_words;
-      Printf.sprintf "%.2f" col_words;
-    ]
 
 (* ------------------------------ Durability ------------------------ *)
 
@@ -1227,8 +996,6 @@ let service ?(rows = 2_000) ?(requests = 512) ?(clients = [ 1; 8; 64 ]) () =
 
 let run_all ?(fast = false) () =
   if fast then begin
-    evaluator ~rows:1_000 ();
-    evaluator_batch ~rows:5_000 ~probes:300 ();
     preprocess ~rows:5_000 ~n:15 ();
     selection ~rows:5_000 ~n:20 ();
     minimize ~rows:5_000 ~n:12 ();
@@ -1239,13 +1006,10 @@ let run_all ?(fast = false) () =
     parallel_scaling ~rows:1_000 ();
     observability ~rows:5_000 ~n:15 ~repeats:3 ();
     resilience ~rows:5_000 ~n:15 ~repeats:3 ();
-    storage ~repeats:3 ();
     durability ~rows:1_000 ~pools:[ 200; 1_000 ] ();
     service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
   end
   else begin
-    evaluator ();
-    evaluator_batch ();
     preprocess ();
     selection ();
     minimize ();
@@ -1256,7 +1020,6 @@ let run_all ?(fast = false) () =
     parallel_scaling ();
     observability ();
     resilience ();
-    storage ();
     durability ();
     service ()
   end

@@ -1,56 +1,35 @@
 (* Bench regression gate.
 
    Compares a fresh `entangle-bench --json` dump against the committed
-   baseline (BENCH_eval.json).  Three column families are enforced, by
-   median over each series' rows:
+   baseline (BENCH_eval.json).  Every column is judged by its median
+   over the series' rows, under the first rule in [rules] whose suffix
+   it ends with; columns no rule names are not gated.  A rule has one
+   of three limits:
 
-   - timing columns (`_ms`/`_us`/`_ns` suffix): fail when the fresh
-     median got more than --tolerance slower than the baseline.
-     Columns whose baseline median is below a per-unit noise floor are
-     skipped — sub-millisecond medians regress by scheduler jitter
-     alone.
-   - speedup columns (`_speedup` suffix — deliberately not the bare
-     `speedup` of the parallel-scaling series, which depends on the
-     machine's core count): fail when the fresh median drops below an
-     absolute floor (--speedup-floor, default 3.0).  An absolute floor
-     rather than a baseline ratio: these are committed acceptance
-     ratios (the columnar storage engine must stay >= 3x the row
-     store) and ratios of two timings are far more portable across
-     machines than either timing, but not so stable that losing a lead
-     over an unusually good baseline run should fail CI.
-   - allocation columns (`minor_words_per_probe` suffix): fail when
-     the fresh median exceeds the baseline by more than --alloc-slack
-     words (default 0.5).  Allocation counts are exact and
-     deterministic, so the slack only absorbs measurement boxing
-     amortized across the probe loop; a single boxed value per probe
-     (2-3 words) is a real regression and fails.
-   - overhead columns (`overhead_ratio` suffix): fail when the fresh
-     median exceeds an absolute cap (--overhead-cap, default 1.05).
-     These are armed-vs-disarmed ratios of the always-on telemetry
-     (metrics registry, flight recorder): the observability layer's
-     committed promise is <5% on hot paths, and like the speedup
-     floors a ratio of two same-machine timings ports across hardware
-     where raw timings do not.
+   - [Slack t], for timings: fail when the fresh median is more than
+     [t] slower than the baseline's.  Baseline medians below the rule's
+     noise floor are skipped — a 25% "regression" of 40 microseconds is
+     scheduler jitter, not a slowdown.
+   - [Floor x]: fail when the fresh median drops below [x].
+   - [Cap x]: fail when the fresh median exceeds [x].
 
-   - WAL overhead columns (`wal_overhead_x` suffix): fail when the
-     fresh median exceeds an absolute cap (--wal-overhead-cap, default
-     3.0).  The durability ablation commits the page-cache-bound ratio
-     of a journaling submit stream over the plain engine (fsync-bound
-     variants are reported but deliberately not gated — their cost is
-     the disk's); like the other ratio families it ports across
-     machines where raw timings do not.
+   Floors and caps are absolute because the columns they judge are
+   ratios of two same-machine timings, which port across hardware where
+   raw timings do not:
+   - the 4-domain sharded submit speedup must beat 2.5x, or sharding is
+     not pulling its weight;
+   - armed-vs-disarmed telemetry overhead must stay under the
+     observability layer's <5% promise;
+   - a page-cache-bound journaling submit stream may cost at most 3x
+     the plain engine (fsync-bound variants are the disk's cost and are
+     not gated);
+   - a journaling submit stream through the frame protocol may cost at
+     most 5x the plain one — looser than the WAL cap, because a socket
+     round trip amplifies small absolute regressions into large ratios.
 
-   - service overhead columns (`service_overhead_x` suffix): fail when
-     the fresh median exceeds an absolute cap (--service-overhead-cap,
-     default 5.0).  The service ablation commits the ratio of a
-     journaling submit stream over the plain one, both through the
-     frame protocol; the cap is looser than the WAL cap because the
-     journal rides on top of protocol cost here, and a socket round
-     trip amplifies small absolute regressions into large ratios.
+     gate.exe --baseline BENCH_eval.json --fresh bench.json [--tolerance T]
 
-     gate.exe --baseline BENCH_eval.json --fresh bench.json [--tolerance 0.25]
-       [--speedup-floor 3.0] [--alloc-slack 0.5] [--overhead-cap 1.05]
-       [--wal-overhead-cap 3.0] [--service-overhead-cap 5.0]
+   [--tolerance T] replaces every timing rule's slack.
 
    The parser below covers exactly the JSON Series.to_json emits
    (objects, arrays, numbers, strings); it is not a general-purpose
@@ -230,68 +209,57 @@ let column_median series name =
            match List.nth_opt row !idx with Some (Num f) -> Some f | _ -> None)
     |> median
 
-type rule =
-  | Timing of float  (* noise floor in the column's own unit *)
-  | Speedup          (* fresh median must stay above the absolute floor *)
-  | Sharded_speedup  (* fresh median must stay above the sharded floor *)
-  | Alloc            (* fresh median must stay within slack of baseline *)
-  | Overhead         (* fresh median must stay below the absolute cap *)
-  | Wal_overhead     (* fresh median must stay below the WAL cap *)
-  | Service_overhead (* fresh median must stay below the service cap *)
+type limit =
+  | Slack of float  (* fresh <= baseline * (1 + t) *)
+  | Floor of float  (* fresh >= x *)
+  | Cap of float    (* fresh <= x *)
 
-(* Sub-noise-floor medians are skipped: a 25% "regression" of 40
-   microseconds is scheduler jitter, not a slowdown.  The
-   sharded_submit_speedup test must run before the generic _speedup
-   suffix it also matches: the online engine's 4-domain throughput
-   ratio has its own floor (--sharded-speedup-floor, default 2.5) —
-   a whole-engine flush pipeline cannot match the storage engine's
-   3x bar on a single core, but it must beat 2.5x or sharding is not
-   pulling its weight. *)
-let rule_of_column name =
-  let suffixed s = String.length name >= String.length s
-    && String.sub name (String.length name - String.length s) (String.length s) = s
-  in
-  if suffixed "minor_words_per_probe" then Some Alloc
-  else if suffixed "service_overhead_x" then Some Service_overhead
-  else if suffixed "wal_overhead_x" then Some Wal_overhead
-  else if suffixed "overhead_ratio" then Some Overhead
-  else if suffixed "sharded_submit_speedup" then Some Sharded_speedup
-  else if suffixed "_speedup" then Some Speedup
-  else if suffixed "_ms" then Some (Timing 1.0)
-  else if suffixed "_us" then Some (Timing 1000.0)
-  else if suffixed "_ns" then Some (Timing 1_000_000.0)
-  else None
+(* (column suffix, limit, noise floor of the baseline median).  The
+   first matching suffix wins, so longer suffixes come first. *)
+let rules =
+  [
+    ("service_overhead_x", Cap 5.0, 0.0);
+    ("wal_overhead_x", Cap 3.0, 0.0);
+    ("overhead_ratio", Cap 1.05, 0.0);
+    ("sharded_submit_speedup", Floor 2.5, 0.0);
+    ("_ms", Slack 0.25, 1.0);
+    ("_us", Slack 0.25, 1000.0);
+    ("_ns", Slack 0.25, 1_000_000.0);
+  ]
+
+let rule_of_column col =
+  List.find_opt (fun (suffix, _, _) -> String.ends_with ~suffix col) rules
+
+(* [Some why] when the fresh median [f] breaks [limit] against the
+   baseline median [b]. *)
+let violation limit ~b ~f =
+  match limit with
+  | Slack t when f > b *. (1.0 +. t) ->
+    Some
+      (Printf.sprintf "slowed down %.1f%% (median %.3f -> %.3f, tolerance %.0f%%)"
+         ((f /. b -. 1.0) *. 100.0) b f (t *. 100.0))
+  | Floor x when f < x ->
+    Some (Printf.sprintf "median %.3f is below the %.2f floor (baseline %.3f)" f x b)
+  | Cap x when f > x ->
+    Some (Printf.sprintf "median %.3f exceeds the %.2f cap (baseline %.3f)" f x b)
+  | Slack _ | Floor _ | Cap _ -> None
+
+let describe = function
+  | Slack t -> Printf.sprintf "slack %.0f%%" (t *. 100.0)
+  | Floor x -> Printf.sprintf "floor %.2f" x
+  | Cap x -> Printf.sprintf "cap %.2f" x
 
 let () =
   let baseline_path = ref "BENCH_eval.json" in
   let fresh_path = ref "" in
-  let tolerance = ref 0.25 in
-  let speedup_floor = ref 3.0 in
-  let sharded_speedup_floor = ref 2.5 in
-  let alloc_slack = ref 0.5 in
-  let overhead_cap = ref 1.05 in
-  let wal_overhead_cap = ref 3.0 in
-  let service_overhead_cap = ref 5.0 in
+  let tolerance = ref None in
   let spec =
     [
       ("--baseline", Arg.Set_string baseline_path, "FILE  committed baseline");
       ("--fresh", Arg.Set_string fresh_path, "FILE  freshly generated dump");
-      ("--tolerance", Arg.Set_float tolerance,
-       "T  fail when median(fresh) > median(baseline) * (1+T)  (default 0.25)");
-      ("--speedup-floor", Arg.Set_float speedup_floor,
-       "S  fail when a *_speedup median drops below S  (default 3.0)");
-      ("--sharded-speedup-floor", Arg.Set_float sharded_speedup_floor,
-       "S  fail when a *sharded_submit_speedup median drops below S \
-        (default 2.5)");
-      ("--alloc-slack", Arg.Set_float alloc_slack,
-       "W  fail when a *minor_words_per_probe median exceeds baseline + W \
-        words  (default 0.5)");
-      ("--overhead-cap", Arg.Set_float overhead_cap,
-       "C  fail when an *overhead_ratio median exceeds C  (default 1.05)");
-      ("--wal-overhead-cap", Arg.Set_float wal_overhead_cap,
-       "C  fail when a *wal_overhead_x median exceeds C  (default 3.0)");
-      ("--service-overhead-cap", Arg.Set_float service_overhead_cap,
-       "C  fail when a *service_overhead_x median exceeds C  (default 5.0)");
+      ("--tolerance", Arg.Float (fun t -> tolerance := Some t),
+       "T  fail when a timing median(fresh) > median(baseline) * (1+T)  \
+        (default 0.25)");
     ]
   in
   Arg.parse spec
@@ -303,6 +271,27 @@ let () =
   let baseline = load !baseline_path and fresh = load !fresh_path in
   let failures = ref [] in
   let checked = ref 0 in
+  let check name base_series fresh_series col =
+    match
+      ( rule_of_column col,
+        column_median base_series col,
+        column_median fresh_series col )
+    with
+    | None, _, _ | _, None, _ | _, _, None -> ()
+    | Some (_, _, noise), Some b, Some _ when b < noise ->
+      Printf.printf "  %-32s %-30s base %12.3f  (below noise floor, skipped)\n"
+        name col b
+    | Some (_, limit, _), Some b, Some f ->
+      let limit =
+        match (limit, !tolerance) with Slack _, Some t -> Slack t | l, _ -> l
+      in
+      incr checked;
+      Printf.printf "  %-32s %-30s base %12.3f  fresh %12.3f  (%s)\n" name col
+        b f (describe limit);
+      Option.iter
+        (fun why -> failures := Printf.sprintf "%s.%s %s" name col why :: !failures)
+        (violation limit ~b ~f)
+  in
   List.iter
     (fun (name, base_series) ->
       match List.assoc_opt name fresh with
@@ -310,115 +299,7 @@ let () =
         failures := Printf.sprintf "%s: series missing from fresh run" name
                     :: !failures
       | Some fresh_series ->
-        List.iter
-          (fun col ->
-            match rule_of_column col with
-            | None -> ()
-            | Some rule -> (
-              match
-                (column_median base_series col, column_median fresh_series col)
-              with
-              | None, _ | _, None -> ()
-              | Some b, Some f -> (
-                match rule with
-                | Timing floor when b < floor ->
-                  Printf.printf
-                    "  %-32s %-30s base %12.3f  (below noise floor, skipped)\n"
-                    name col b
-                | Timing _ ->
-                  incr checked;
-                  let ratio = f /. b in
-                  Printf.printf
-                    "  %-32s %-30s base %12.3f  fresh %12.3f  %+6.1f%%\n" name
-                    col b f ((ratio -. 1.0) *. 100.0);
-                  if ratio > 1.0 +. !tolerance then
-                    failures :=
-                      Printf.sprintf
-                        "%s.%s slowed down %.1f%% (median %.3f -> %.3f, \
-                         tolerance %.0f%%)"
-                        name col
-                        ((ratio -. 1.0) *. 100.0)
-                        b f (!tolerance *. 100.0)
-                      :: !failures
-                | Speedup ->
-                  incr checked;
-                  Printf.printf
-                    "  %-32s %-30s base %12.2fx fresh %12.2fx (floor %.1fx)\n"
-                    name col b f !speedup_floor;
-                  if f < !speedup_floor then
-                    failures :=
-                      Printf.sprintf
-                        "%s.%s speedup %.2fx is below the %.1fx floor \
-                         (baseline %.2fx)"
-                        name col f !speedup_floor b
-                      :: !failures
-                | Sharded_speedup ->
-                  incr checked;
-                  Printf.printf
-                    "  %-32s %-30s base %12.2fx fresh %12.2fx (floor %.1fx)\n"
-                    name col b f !sharded_speedup_floor;
-                  if f < !sharded_speedup_floor then
-                    failures :=
-                      Printf.sprintf
-                        "%s.%s sharded submit speedup %.2fx is below the \
-                         %.1fx floor (baseline %.2fx): the online engine \
-                         is no longer scaling across domains"
-                        name col f !sharded_speedup_floor b
-                      :: !failures
-                | Alloc ->
-                  incr checked;
-                  Printf.printf
-                    "  %-32s %-30s base %12.2f  fresh %12.2f  (slack %.1f \
-                     words)\n"
-                    name col b f !alloc_slack;
-                  if f > b +. !alloc_slack then
-                    failures :=
-                      Printf.sprintf
-                        "%s.%s allocates %.2f minor words per probe \
-                         (baseline %.2f, slack %.1f): the probe path is no \
-                         longer allocation-free"
-                        name col f b !alloc_slack
-                      :: !failures
-                | Wal_overhead ->
-                  incr checked;
-                  Printf.printf
-                    "  %-32s %-30s base %12.3fx fresh %12.3fx (cap %.2fx)\n"
-                    name col b f !wal_overhead_cap;
-                  if f > !wal_overhead_cap then
-                    failures :=
-                      Printf.sprintf
-                        "%s.%s page-cache WAL overhead %.3fx exceeds the \
-                         %.2fx cap (baseline %.3fx): journaling is taxing \
-                         the submit path"
-                        name col f !wal_overhead_cap b
-                      :: !failures
-                | Service_overhead ->
-                  incr checked;
-                  Printf.printf
-                    "  %-32s %-30s base %12.3fx fresh %12.3fx (cap %.2fx)\n"
-                    name col b f !service_overhead_cap;
-                  if f > !service_overhead_cap then
-                    failures :=
-                      Printf.sprintf
-                        "%s.%s journaled service overhead %.3fx exceeds the \
-                         %.2fx cap (baseline %.3fx): the WAL is taxing the \
-                         request path"
-                        name col f !service_overhead_cap b
-                      :: !failures
-                | Overhead ->
-                  incr checked;
-                  Printf.printf
-                    "  %-32s %-30s base %12.3fx fresh %12.3fx (cap %.2fx)\n"
-                    name col b f !overhead_cap;
-                  if f > !overhead_cap then
-                    failures :=
-                      Printf.sprintf
-                        "%s.%s armed overhead %.3fx exceeds the %.2fx cap \
-                         (baseline %.3fx): always-on telemetry is taxing the \
-                         hot path"
-                        name col f !overhead_cap b
-                      :: !failures)))
-          (columns_of base_series))
+        List.iter (check name base_series fresh_series) (columns_of base_series))
     baseline;
   Printf.printf "bench gate: %d column medians checked against %s\n" !checked
     !baseline_path;

@@ -5,14 +5,14 @@
    Bechamel micro-benchmarks.  Individual pieces:
 
      dune exec bench/main.exe -- --figure 4
-     dune exec bench/main.exe -- --ablation evaluator
+     dune exec bench/main.exe -- --ablation preprocess
      dune exec bench/main.exe -- --bechamel
      dune exec bench/main.exe -- --fast        (reduced sizes, for CI) *)
 
 let usage =
   "main.exe [--fast] [--figure N]... [--ablation \
-   evaluator|preprocess|selection|minimize|realistic|parallel|online|\
-   online-scaling|parallel-scaling|observability|resilience|storage|\
+   preprocess|selection|minimize|realistic|parallel|online|\
+   online-scaling|parallel-scaling|observability|resilience|\
    durability|service]... \
    [--bechamel] \
    [--figures-only] [--json FILE]"
@@ -29,7 +29,7 @@ let () =
       ("--figure", Arg.Int (fun n -> figures := n :: !figures),
        "N  run only figure N (4..8); repeatable");
       ("--ablation", Arg.String (fun s -> ablations := s :: !ablations),
-       "NAME  run only this ablation (evaluator|preprocess|selection)");
+       "NAME  run only this ablation (preprocess|selection|...)");
       ("--bechamel", Arg.Set bechamel_only, " run only the micro-benchmarks");
       ("--figures-only", Arg.Set figures_only, " skip ablations and bechamel");
       ("--fast", Arg.Set fast, " reduced sizes (CI-friendly)");
@@ -65,15 +65,6 @@ let () =
     (fun name ->
       ran_something := true;
       match name with
-      | "evaluator" ->
-        if fast then begin
-          Ablations.evaluator ~rows:1_000 ();
-          Ablations.evaluator_batch ~rows:5_000 ~probes:300 ()
-        end
-        else begin
-          Ablations.evaluator ();
-          Ablations.evaluator_batch ()
-        end
       | "preprocess" ->
         if fast then Ablations.preprocess ~rows:5_000 ~n:15 ()
         else Ablations.preprocess ()
@@ -119,11 +110,6 @@ let () =
         if fast then
           Ablations.service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
         else Ablations.service ()
-      | "storage" ->
-        (* 100k rows even in fast mode: the speedup and allocation gates
-           are only meaningful at the acceptance workload size. *)
-        if fast then Ablations.storage ~repeats:3 ()
-        else Ablations.storage ()
       | s -> Printf.eprintf "unknown ablation %s\n" s)
     (List.rev !ablations);
   if !bechamel_only then begin

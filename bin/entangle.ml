@@ -18,31 +18,11 @@ let read_file path =
   close_in ic;
   s
 
-let load ?backend path =
+let load path =
   let program = Entangled.Parser.parse_program (read_file path) in
-  let db = Database.create ?backend () in
+  let db = Database.create () in
   let queries = Entangled.Parser.load_program db program in
   (db, queries)
-
-let backend_conv =
-  let parse s =
-    match Database.backend_of_string s with
-    | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown backend %S (row|columnar)" s))
-  in
-  let print ppf b = Format.pp_print_string ppf (Database.backend_to_string b) in
-  Arg.conv (parse, print)
-
-let backend_arg =
-  Arg.(
-    value
-    & opt backend_conv Database.Row
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Storage backend: $(b,row) (boxed tuples, the reference) or \
-           $(b,columnar) (dictionary-interned Bigarray columns with the \
-           allocation-free probe cursor).  Answers and statistics are \
-           identical; only speed differs.")
 
 (* Validated numeric converters: nonsense values are rejected at parse
    time with a message naming the constraint, instead of leaking into
@@ -339,9 +319,9 @@ let solve_cmd =
   let run file algorithm first parallel domains stats dot explain
       explain_analyze metrics_out flight_recorder trace trace_format metrics
       deadline_ms max_probes max_tuples probe_timeout_ms max_attempts
-      fault_rate fault_seed backend =
+      fault_rate fault_seed =
     handle_syntax @@ fun () ->
-    let db, input = load ~backend file in
+    let db, input = load file in
     (match flight_recorder with
     | None -> ()
     | Some path ->
@@ -583,8 +563,7 @@ let solve_cmd =
       const run $ file $ algorithm $ first $ parallel $ domains $ stats $ dot
       $ explain $ explain_analyze $ metrics_out $ flight_recorder $ trace
       $ trace_format $ metrics $ deadline_ms $ max_probes $ max_tuples
-      $ probe_timeout_ms $ max_attempts $ fault_rate $ fault_seed
-      $ backend_arg)
+      $ probe_timeout_ms $ max_attempts $ fault_rate $ fault_seed)
 
 (* ------------------------------ check ----------------------------- *)
 
@@ -704,10 +683,9 @@ directives:
 
 (* Open (or recover) a durable engine for [repl]/[serve], reporting the
    recovery on stdout; exits on an unrecoverable directory. *)
-let open_durable ~consume ~backend ~fsync ~snapshot_every dir =
+let open_durable ~consume ~fsync ~snapshot_every dir =
   match
-    Durable.open_or_recover ~consume ~backend
-      (Durable.config ~fsync ~snapshot_every dir)
+    Durable.open_or_recover ~consume (Durable.config ~fsync ~snapshot_every dir)
   with
   | Error m ->
     Printf.eprintf "error: %s\n" m;
@@ -768,7 +746,7 @@ let repl_cmd =
              operations (0 disables periodic snapshots).  Only \
              meaningful with $(b,--wal).")
   in
-  let run consume flight_recorder wal fsync snapshot_every backend =
+  let run consume flight_recorder wal fsync snapshot_every =
     (* A pipe downstream of the repl closing (e.g. `entangle repl | head`)
        must end the session cleanly, not kill the process: ignore
        SIGPIPE and let the write surface as Sys_error instead. *)
@@ -781,11 +759,11 @@ let repl_cmd =
     let durable, db, engine =
       match wal with
       | None ->
-        let db = Database.create ~backend () in
+        let db = Database.create () in
         (None, db, Coordination.Online.create ~consume db)
       | Some dir ->
         let t, db, engine =
-          open_durable ~consume ~backend ~fsync ~snapshot_every dir
+          open_durable ~consume ~fsync ~snapshot_every dir
         in
         (Some t, db, engine)
     in
@@ -906,8 +884,7 @@ let repl_cmd =
   Cmd.v
     (Cmd.info "repl" ~doc)
     Cmdliner.Term.(
-      const run $ consume $ flight_recorder $ wal $ fsync
-      $ snapshot_every $ backend_arg)
+      const run $ consume $ flight_recorder $ wal $ fsync $ snapshot_every)
 
 (* ------------------------------ recover ---------------------------- *)
 
@@ -1089,7 +1066,7 @@ let serve_cmd =
       value & opt pos_int_conv 4
       & info [ "max-attempts" ] ~docv:"N" ~doc:"Tries per probe.")
   in
-  let run socket host port consume backend wal fsync snapshot_every
+  let run socket host port consume wal fsync snapshot_every
       max_pending max_sessions domains verbose flight_recorder metrics
       deadline_ms max_probes max_tuples probe_timeout_ms max_attempts =
     let listen = listen_of_flags socket host port in
@@ -1102,7 +1079,7 @@ let serve_cmd =
     let durable, db, engine =
       match wal with
       | None ->
-        let db = Database.create ~backend () in
+        let db = Database.create () in
         ( None,
           db,
           if domains = 1 then
@@ -1112,7 +1089,7 @@ let serve_cmd =
               (Coordination.Online_sharded.create ~consume ~domains db) )
       | Some dir ->
         let t, db, engine =
-          open_durable ~consume ~backend ~fsync ~snapshot_every dir
+          open_durable ~consume ~fsync ~snapshot_every dir
         in
         ( Some t,
           db,
@@ -1180,11 +1157,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Cmdliner.Term.(
-      const run $ socket_arg $ host_arg $ port_arg $ consume
-      $ backend_arg $ wal $ fsync $ snapshot_every $ max_pending
-      $ max_sessions $ domains $ verbose $ flight_recorder $ metrics
-      $ deadline_ms $ max_probes $ max_tuples $ probe_timeout_ms
-      $ max_attempts)
+      const run $ socket_arg $ host_arg $ port_arg $ consume $ wal $ fsync
+      $ snapshot_every $ max_pending $ max_sessions $ domains $ verbose
+      $ flight_recorder $ metrics $ deadline_ms $ max_probes $ max_tuples
+      $ probe_timeout_ms $ max_attempts)
 
 (* ------------------------------ client ----------------------------- *)
 

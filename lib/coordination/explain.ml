@@ -61,9 +61,8 @@ let pp_event db queries ppf (event : Scc_algo.event) =
    the counter columns are always on and need no arming. *)
 let pp_analyze ppf db =
   let plans = Database.cached_plans db in
-  Format.fprintf ppf "@[<v>-- EXPLAIN ANALYZE (%d cached plans, backend %s) --"
-    (List.length plans)
-    (Database.backend_to_string (Database.backend db));
+  Format.fprintf ppf "@[<v>-- EXPLAIN ANALYZE (%d cached plans) --"
+    (List.length plans);
   List.iter
     (fun (_, plan) -> Format.fprintf ppf "@,%a" Plan.pp_analyze plan)
     plans;

@@ -151,11 +151,37 @@ end
 (* ------------------------------ Records ---------------------------- *)
 
 type meta = {
-  m_backend : Database.backend;
   m_eager : bool;
   m_consume : bool;
   m_selection : Scc_algo.selection;
 }
+
+(* Engine meta, shared by the [Meta] record and the snapshot header.
+   The leading byte once named the storage backend (0 row, 1 a columnar
+   mirror of the row store).  The row store was always authoritative,
+   so both values recover onto it; new files always carry 0. *)
+let encode_meta b m =
+  Enc.u8 b 0;
+  Enc.u8 b (Bool.to_int m.m_eager);
+  Enc.u8 b (Bool.to_int m.m_consume);
+  Enc.u8 b
+    (match m.m_selection with
+    | Scc_algo.Largest -> 0
+    | First_found -> 1
+    | Preferred _ ->
+      invalid_arg "Durable: Preferred selection holds a closure (not journalable)")
+
+let decode_meta d =
+  if Dec.u8 d > 1 then raise (Decode_error "bad backend");
+  let eager = Dec.u8 d <> 0 in
+  let consume = Dec.u8 d <> 0 in
+  let selection =
+    match Dec.u8 d with
+    | 0 -> Scc_algo.Largest
+    | 1 -> Scc_algo.First_found
+    | _ -> raise (Decode_error "bad selection")
+  in
+  { m_eager = eager; m_consume = consume; m_selection = selection }
 
 type record =
   | Meta of meta
@@ -172,15 +198,7 @@ let encode_record r =
   let kind =
     match r with
     | Meta m ->
-      Enc.u8 b (match m.m_backend with Database.Row -> 0 | Columnar -> 1);
-      Enc.u8 b (Bool.to_int m.m_eager);
-      Enc.u8 b (Bool.to_int m.m_consume);
-      Enc.u8 b
-        (match m.m_selection with
-        | Scc_algo.Largest -> 0
-        | First_found -> 1
-        | Preferred _ ->
-          invalid_arg "Durable: Preferred selection holds a closure (not journalable)");
+      encode_meta b m;
       0
     | Submit { id; src } ->
       Enc.u32 b id;
@@ -218,28 +236,7 @@ let decode_record kind payload =
   let d = Dec.make payload in
   let r =
     match kind with
-    | 0 ->
-      let backend =
-        match Dec.u8 d with
-        | 0 -> Database.Row
-        | 1 -> Database.Columnar
-        | _ -> raise (Decode_error "bad backend")
-      in
-      let eager = Dec.u8 d <> 0 in
-      let consume = Dec.u8 d <> 0 in
-      let selection =
-        match Dec.u8 d with
-        | 0 -> Scc_algo.Largest
-        | 1 -> Scc_algo.First_found
-        | _ -> raise (Decode_error "bad selection")
-      in
-      Meta
-        {
-          m_backend = backend;
-          m_eager = eager;
-          m_consume = consume;
-          m_selection = selection;
-        }
+    | 0 -> Meta (decode_meta d)
     | 1 ->
       let id = Dec.u32 d in
       Submit { id; src = Dec.str d }
@@ -468,9 +465,7 @@ let commit_group t =
 (* Snapshot payload: engine meta, id allocator, satisfied count, then
    the store as a snapshot-local value dictionary plus per-table tuples
    of dictionary references, then the pool as (id, query source).  The
-   dictionary makes tuples compact and — on the columnar backend —
-   recovery re-interns values in snapshot order, giving a fresh process
-   deterministic dictionary contents. *)
+   dictionary makes tuples compact. *)
 let encode_snapshot ~meta ~(db : Database.t) engine =
   let next_id, satisfied, pool =
     match engine with
@@ -482,15 +477,7 @@ let encode_snapshot ~meta ~(db : Database.t) engine =
         Online_sharded.pending_entries e )
   in
   let b = Buffer.create 4096 in
-  (let m = meta in
-   Enc.u8 b (match m.m_backend with Database.Row -> 0 | Columnar -> 1);
-   Enc.u8 b (Bool.to_int m.m_eager);
-   Enc.u8 b (Bool.to_int m.m_consume);
-   Enc.u8 b (match m.m_selection with
-        | Scc_algo.Largest -> 0
-        | First_found -> 1
-        | Preferred _ ->
-          invalid_arg "Durable: Preferred selection holds a closure (not journalable)"));
+  encode_meta b meta;
   Enc.u32 b next_id;
   Enc.u32 b satisfied;
   let dict = Hashtbl.create 256 in
@@ -543,20 +530,7 @@ type snapshot_state = {
 
 let decode_snapshot payload =
   let d = Dec.make payload in
-  let backend =
-    match Dec.u8 d with
-    | 0 -> Database.Row
-    | 1 -> Database.Columnar
-    | _ -> raise (Decode_error "bad backend")
-  in
-  let eager = Dec.u8 d <> 0 in
-  let consume = Dec.u8 d <> 0 in
-  let selection =
-    match Dec.u8 d with
-    | 0 -> Scc_algo.Largest
-    | 1 -> Scc_algo.First_found
-    | _ -> raise (Decode_error "bad selection")
-  in
+  let meta = decode_meta d in
   let next_id = Dec.u32 d in
   let satisfied = Dec.u32 d in
   let dict = Array.of_list (Dec.list d Dec.value) in
@@ -583,22 +557,15 @@ let decode_snapshot payload =
   in
   if not (Dec.at_end d) then raise (Decode_error "trailing snapshot bytes");
   {
-    s_meta =
-      {
-        m_backend = backend;
-        m_eager = eager;
-        m_consume = consume;
-        m_selection = selection;
-      };
+    s_meta = meta;
     s_next_id = next_id;
     s_satisfied = satisfied;
     s_tables = tables;
     s_pool = pool;
   }
 
-let meta_of_engine ~backend engine =
+let meta_of_engine engine =
   {
-    m_backend = backend;
     m_eager = Online.eager engine;
     m_consume = Online.consume engine;
     m_selection = Online.selection engine;
@@ -824,15 +791,15 @@ let has_wal_files dir =
        (fun n -> segment_lsn n <> None || snapshot_lsn n <> None)
        (list_dir dir)
 
-let create_engine ?selection ?eager ?consume ?backend cfg =
+let create_engine ?selection ?eager ?consume cfg =
   mkdir_p cfg.dir;
   if has_wal_files cfg.dir then
     invalid_arg
       (Printf.sprintf
          "Durable.create_engine: %s already holds a WAL (use recover)" cfg.dir);
-  let db = Database.create ?backend () in
+  let db = Database.create () in
   let engine = Online.create ?selection ?eager ?consume db in
-  let meta = meta_of_engine ~backend:(Database.backend db) engine in
+  let meta = meta_of_engine engine in
   let path, oc = open_segment ~dir:cfg.dir ~first_lsn:1L in
   let t =
     {
@@ -1087,7 +1054,7 @@ let recover cfg =
       | Some (db, engine, stored) ->
         if stored <> m then Error Bad_payload else Ok (db, engine)
       | None ->
-        let db = Database.create ~backend:m.m_backend () in
+        let db = Database.create () in
         let engine =
           Online.create ~selection:m.m_selection ~eager:m.m_eager
             ~consume:m.m_consume db
@@ -1249,7 +1216,13 @@ let recover cfg =
     match !state with
     | None ->
       Result.Error
-        (Printf.sprintf "%s: no valid snapshot or WAL records" cfg.dir)
+        (Printf.sprintf "%s: no valid snapshot or WAL records%s" cfg.dir
+           (match !truncation with
+           | Some tr ->
+             Printf.sprintf " (%s in %s)"
+               (corruption_to_string tr.reason)
+               (Filename.basename tr.t_segment)
+           | None -> ""))
     | Some (db, engine, meta) ->
       (match !truncation with
       | None -> ()
@@ -1337,12 +1310,12 @@ let recover cfg =
         Result.Ok (t, db, engine, report))
   end
 
-let open_or_recover ?selection ?eager ?consume ?backend cfg =
+let open_or_recover ?selection ?eager ?consume cfg =
   if has_wal_files cfg.dir then
     Result.map
       (fun (t, db, engine, report) -> (t, db, engine, Some report))
       (recover cfg)
   else
-    match create_engine ?selection ?eager ?consume ?backend cfg with
+    match create_engine ?selection ?eager ?consume cfg with
     | t, db, engine -> Result.Ok (t, db, engine, None)
     | exception Invalid_argument msg -> Result.Error msg

@@ -20,11 +20,16 @@
     [snap-<lsn>.img].  Records are length-prefixed and CRC32-checksummed
     with strictly monotonic LSNs; segments start at the LSN in their
     name.  Snapshots serialize the full recoverable state (engine meta,
-    pool, satisfied count, store contents for either backend via a
-    snapshot-local value dictionary) and are written to a temporary
+    pool, satisfied count, store contents via a snapshot-local value
+    dictionary) and are written to a temporary
     file, fsynced, atomically renamed, and fsynced into the directory;
     only then does the WAL rotate to a fresh segment and prune history
     (the latest two snapshots and the segments they need are kept).
+
+    The meta record and the snapshot header start with a byte that
+    once named a storage backend (0 row, 1 row plus a columnar mirror).
+    It is always written as 0; 0 and 1 both recover onto the row store,
+    and any other value is a payload decode error.
 
     {2 Recovery and truncation}
 
@@ -76,14 +81,13 @@ val create_engine :
   ?selection:Scc_algo.selection ->
   ?eager:bool ->
   ?consume:bool ->
-  ?backend:Database.backend ->
   config ->
   t * Database.t * Online.t
 (** Create a fresh durable engine: an empty database and
     {!Coordination.Online} engine whose operations journal through the
-    WAL in [config.dir].  The engine meta (backend, eager, consume,
-    selection) is the WAL's first record, so {!recover} can rebuild an
-    equivalent engine without being told.
+    WAL in [config.dir].  The engine meta (eager, consume, selection) is
+    the WAL's first record, so {!recover} can rebuild an equivalent
+    engine without being told.
     @raise Invalid_argument if the directory already holds WAL files
     (use {!recover} or {!open_or_recover}), or if [selection] is
     [Preferred _] — a closure cannot be journaled, so a durable engine
@@ -205,7 +209,6 @@ val open_or_recover :
   ?selection:Scc_algo.selection ->
   ?eager:bool ->
   ?consume:bool ->
-  ?backend:Database.backend ->
   config ->
   (t * Database.t * Online.t * recovery_report option, string) result
 (** {!recover} when [config.dir] already holds WAL files (the creation

@@ -1,12 +1,3 @@
-type backend = Row | Columnar
-
-let backend_to_string = function Row -> "row" | Columnar -> "columnar"
-
-let backend_of_string = function
-  | "row" -> Some Row
-  | "columnar" -> Some Columnar
-  | _ -> None
-
 type t = {
   tables : (string, Relation.t) Hashtbl.t;
   counters : Counters.t;
@@ -14,13 +5,6 @@ type t = {
   plan_lock : Mutex.t;
       (* serialises plan_cache lookup+compile+insert; shared (like the
          cache itself) between a database and its worker views *)
-  backend : backend;
-  uid : int;
-      (* process-unique instance id, shared with worker views; keys the
-         cursor's per-domain compiled-exec cache *)
-  plan_epoch : int Atomic.t;
-      (* bumped with every plan-cache invalidation; shared with worker
-         views so stale cursor execs die with the plans they compiled *)
   version : int Atomic.t;
       (* per-database content version: passed into every relation this
          database creates (each successful insert/delete bumps it) and
@@ -31,17 +15,12 @@ type t = {
   mutable guard : Resilient.t option;  (* resilience middleware, if armed *)
 }
 
-let next_uid = Atomic.make 0
-
-let create ?(backend = Row) () =
+let create () =
   {
     tables = Hashtbl.create 16;
     counters = Counters.create ();
     plan_cache = Hashtbl.create 64;
     plan_lock = Mutex.create ();
-    backend;
-    uid = Atomic.fetch_and_add next_uid 1;
-    plan_epoch = Atomic.make 0;
     version = Atomic.make 0;
     probe_latency = 0.0;
     guard = None;
@@ -50,45 +29,28 @@ let create ?(backend = Row) () =
 (* A worker view shares the parent's tables, plan cache and lock — so
    concurrent solves see one store and one compile-once cache — but has
    private counters (merged by the caller afterwards) and its own guard
-   slot (one shard's budget, not the parent's).  [uid] and [plan_epoch]
-   are shared too: a view probes the same stores, so it must hit the
-   same cursor-exec cache entries and see the same invalidations. *)
+   slot (one shard's budget, not the parent's). *)
 let worker_view ?guard db =
   {
     tables = db.tables;
     counters = Counters.create ();
     plan_cache = db.plan_cache;
     plan_lock = db.plan_lock;
-    backend = db.backend;
-    uid = db.uid;
-    plan_epoch = db.plan_epoch;
     version = db.version;
     probe_latency = db.probe_latency;
     guard;
   }
 
-let backend db = db.backend
-
-let uid db = db.uid
-
-let plan_epoch db = Atomic.get db.plan_epoch
-
 (* Plans bake in join orders chosen against the schema (and, for
    tie-breaks, cardinalities) seen at compile time; schema changes make
-   them meaningless, so the cache empties wholesale and the epoch bump
-   retires every per-domain cursor exec derived from it. *)
-let invalidate_plans db =
-  Hashtbl.reset db.plan_cache;
-  Atomic.incr db.plan_epoch
+   them meaningless, so the cache empties wholesale. *)
+let invalidate_plans db = Hashtbl.reset db.plan_cache
 
 let create_table db schema =
   let name = Schema.name schema in
   if Hashtbl.mem db.tables name then
     invalid_arg (Printf.sprintf "Database.create_table: %s already exists" name);
-  let r =
-    Relation.create ~columnar:(db.backend = Columnar) ~version:db.version
-      schema
-  in
+  let r = Relation.create ~version:db.version schema in
   Hashtbl.add db.tables name r;
   invalidate_plans db;
   Atomic.incr db.version;
@@ -134,40 +96,33 @@ let data_version db = Atomic.get db.version
 (* Plan cache                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let prepare ?(cache = true) db q =
+let prepare db q =
   let key, shape, binding = Plan.canonicalize q in
+  (* Held across lookup+compile+insert so parallel shards sharing the
+     cache compile each shape exactly once — keeping plan hit/miss
+     totals identical to a sequential run. *)
+  Mutex.lock db.plan_lock;
   let plan =
-    if cache then begin
-      (* Held across lookup+compile+insert so parallel shards sharing
-         the cache compile each shape exactly once — keeping plan
-         hit/miss totals identical to a sequential run. *)
-      Mutex.lock db.plan_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock db.plan_lock)
-        (fun () ->
-          match Hashtbl.find_opt db.plan_cache key with
-          | Some plan ->
-            db.counters.plan_hits <- db.counters.plan_hits + 1;
-            (* Stamp how current the data was when the plan last served
-               a hit — rendered by EXPLAIN ANALYZE as the drift window
-               against [compiled_version]. *)
-            Plan.note_seen plan ~version:(Atomic.get db.version);
-            plan
-          | None ->
-            db.counters.plan_misses <- db.counters.plan_misses + 1;
-            let plan =
-              Plan.compile
-                ~version:(Atomic.get db.version)
-                (relation_opt db) ~key shape
-            in
-            Hashtbl.add db.plan_cache key plan;
-            plan)
-    end
-    else begin
-      db.counters.plan_misses <- db.counters.plan_misses + 1;
-      Plan.compile ~version:(Atomic.get db.version) (relation_opt db) ~key
-        shape
-    end
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock db.plan_lock)
+      (fun () ->
+        match Hashtbl.find_opt db.plan_cache key with
+        | Some plan ->
+          db.counters.plan_hits <- db.counters.plan_hits + 1;
+          (* Stamp how current the data was when the plan last served a
+             hit — rendered by EXPLAIN ANALYZE as the drift window
+             against [compiled_version]. *)
+          Plan.note_seen plan ~version:(Atomic.get db.version);
+          plan
+        | None ->
+          db.counters.plan_misses <- db.counters.plan_misses + 1;
+          let plan =
+            Plan.compile
+              ~version:(Atomic.get db.version)
+              (relation_opt db) ~key shape
+          in
+          Hashtbl.add db.plan_cache key plan;
+          plan)
   in
   (plan, binding)
 

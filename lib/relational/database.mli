@@ -1,5 +1,5 @@
-(** Database instances: named relations, a compiled-plan cache, and
-    query-engine counters.
+(** Database instances: named relations (each a row store,
+    {!Relation}), a compiled-plan cache, and query-engine counters.
 
     The probe counter mirrors the metric the paper's experiments are
     driven by — the number of SQL queries sent to MySQL.  Every call
@@ -10,30 +10,8 @@
 
 type t
 
-type backend =
-  | Row      (** the original boxed-tuple store; the differential oracle *)
-  | Columnar (** row store + {!Column_store} mirror probed by {!Cursor} *)
-
-val backend_to_string : backend -> string
-
-val backend_of_string : string -> backend option
-
-val create : ?backend:backend -> unit -> t
-(** [create ?backend ()] makes an empty instance.  [~backend:Columnar]
-    (default [Row]) makes every subsequently created table keep a
-    columnar mirror ({!Relation.column_store}); the evaluator then runs
-    probes through the allocation-free cursor path. *)
-
-val backend : t -> backend
-
-val uid : t -> int
-(** Process-unique instance id, shared by {!worker_view}s; keys
-    per-domain caches derived from this database. *)
-
-val plan_epoch : t -> int
-(** Monotone stamp bumped on every plan-cache invalidation (table
-    creation/drop).  Caches holding anything compiled from a plan
-    snapshot this and retire entries when it moves. *)
+val create : unit -> t
+(** [create ()] makes an empty instance. *)
 
 val worker_view : ?guard:Resilient.t -> t -> t
 (** [worker_view db] is a database handle for one parallel shard: it
@@ -93,12 +71,11 @@ val data_version : t -> int
     abstracted — so isomorphic probes compile once.  The cache is
     cleared whenever a table is created or dropped. *)
 
-val prepare : ?cache:bool -> t -> Cq.t -> Plan.t * Plan.binding
+val prepare : t -> Cq.t -> Plan.t * Plan.binding
 (** [prepare db q] canonicalizes [q] and returns its compiled plan plus
-    the instance binding (constants and variable names).  With [~cache]
-    (default [true]) the plan is served from / stored into the shape
-    cache, counting a hit or miss; with [~cache:false] it is compiled
-    afresh, counting a miss.
+    the instance binding (constants and variable names).  The plan is
+    served from / stored into the shape cache, counting a hit or
+    miss.
     @raise Plan.Unknown_relation, Plan.Arity_mismatch on bad queries. *)
 
 val plan_cache_size : t -> int

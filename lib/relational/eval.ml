@@ -13,196 +13,32 @@ let get_relation db (a : Cq.atom) =
     if got <> expected then raise (Arity_mismatch (a.rel, got, expected));
     r
 
-(* Search state of the interpreted evaluator: a mutable binding table;
-   undo information lives on the call stack of the backtracking
-   search. *)
-type state = { bound : (string, Value.t) Hashtbl.t }
-
-let term_value st = function
-  | Term.Const v -> Some v
-  | Term.Var x -> Hashtbl.find_opt st.bound x
-
-(* Try to match tuple [t] against atom args, extending the binding.
-   Returns the number of variables newly bound (to undo), or [None] if the
-   tuple does not match. *)
-let match_tuple st (args : Term.t array) (t : Tuple.t) =
-  let undo = ref [] in
-  let ok = ref true in
-  let n = Array.length args in
-  let i = ref 0 in
-  while !ok && !i < n do
-    (match args.(!i) with
-    | Term.Const v -> if not (Value.equal v t.(!i)) then ok := false
-    | Term.Var x -> (
-      match Hashtbl.find_opt st.bound x with
-      | Some v -> if not (Value.equal v t.(!i)) then ok := false
-      | None ->
-        Hashtbl.add st.bound x t.(!i);
-        undo := x :: !undo));
-    incr i
-  done;
-  if !ok then Some !undo
-  else begin
-    List.iter (Hashtbl.remove st.bound) !undo;
-    None
-  end
-
-type plan =
-  | Compiled
-  | Compiled_nocache
-  | Greedy_indexed
-  | Fixed_indexed
-  | Fixed_scan
-
-(* Cost estimate for an atom under the current binding, together with the
-   best access path. *)
-type access =
-  | Membership of Tuple.t          (* fully ground: O(1) test *)
-  | Index_scan of int * Value.t    (* bound column: index lookup *)
-  | Full_scan
-
-let plan_atom st db (a : Cq.atom) =
-  let r = get_relation db a in
-  let values = Array.map (term_value st) a.args in
-  if Array.for_all Option.is_some values then
-    let t = Array.map Option.get values in
-    (0, r, Membership t)
-  else begin
-    let best = ref None in
-    Array.iteri
-      (fun c v ->
-        match v with
-        | None -> ()
-        | Some v ->
-          let cost = Relation.count_matching r ~col:c v in
-          (match !best with
-          | Some (bc, _, _) when bc <= cost -> ()
-          | _ -> best := Some (cost, c, v)))
-      values;
-    match !best with
-    | Some (cost, c, v) -> (cost, r, Index_scan (c, v))
-    | None -> (Relation.cardinal r, r, Full_scan)
-  end
-
-(* Pick the cheapest remaining atom; returns (atom, plan, rest). *)
-let pick_atom st db atoms =
-  let rec loop best best_cost acc = function
-    | [] -> best
-    | a :: rest ->
-      let ((cost, _, _) as plan) = plan_atom st db a in
-      let acc' = a :: acc in
-      if cost < best_cost then
-        loop (Some (a, plan, List.rev_append acc rest)) cost acc' rest
-      else loop best best_cost acc' rest
-  in
-  loop None max_int [] atoms
-
-exception Stop
-
-(* The interpreted evaluator: re-plans at each binding step (or follows
-   the syntactic order), keyed by variable-name strings.  Kept as the
-   differential-testing reference for the compiled path and for the
-   evaluator ablation. *)
-let solve_interpreted ~plan db (q : Cq.t) ~on_solution =
-  (* Validate all atoms up front so errors surface even for plans that
-     would short-circuit. *)
-  List.iter (fun a -> ignore (get_relation db a)) q.atoms;
-  let counters = Database.counters db in
-  let st = { bound = Hashtbl.create 16 } in
-  let snapshot () =
-    Hashtbl.fold (fun x v acc -> Binding.add x v acc) st.bound Binding.empty
-  in
-  let next_atom atoms =
-    match plan with
-    | Compiled | Compiled_nocache | Greedy_indexed -> pick_atom st db atoms
-    | Fixed_indexed -> (
-      match atoms with
-      | [] -> None
-      | a :: rest -> Some (a, plan_atom st db a, rest))
-    | Fixed_scan -> (
-      match atoms with
-      | [] -> None
-      | a :: rest -> Some (a, (0, get_relation db a, Full_scan), rest))
-  in
-  let rec go atoms =
-    match atoms with
-    | [] -> if not (on_solution (snapshot ())) then raise Stop
-    | _ -> (
-      match next_atom atoms with
-      | None -> assert false
-      | Some (a, (_, r, access), rest) -> (
-        let try_tuple t =
-          counters.Counters.tuples_scanned <-
-            counters.Counters.tuples_scanned + 1;
-          match match_tuple st a.Cq.args t with
-          | None -> ()
-          | Some undo ->
-            go rest;
-            List.iter (Hashtbl.remove st.bound) undo
-        in
-        match access with
-        | Membership t ->
-          counters.Counters.tuples_scanned <-
-            counters.Counters.tuples_scanned + 1;
-          if Relation.mem r t then go rest
-        | Index_scan (c, v) -> Relation.iter_matching r ~col:c v try_tuple
-        | Full_scan -> Relation.iter try_tuple r))
-  in
-  try go q.atoms with Stop -> ()
-
 (* The compiled evaluator: canonicalize, fetch or build the plan
    (per-database cache keyed by query shape), execute over an integer
    slot frame.  Returns the instance binding (variable names per slot)
-   and a runner.  On a columnar database the runner goes through the
-   allocation-free {!Cursor} machine against the Bigarray mirrors; the
-   solution stream and counter deltas are identical either way. *)
-let prepare_compiled ~cache db q =
-  let plan, binding = Database.prepare ~cache db q in
-  let run =
-    match Database.backend db with
-    | Database.Row ->
-      fun on_frame ->
-        Plan.execute plan
-          (Database.relation_opt db)
-          (Database.counters db) binding ~on_frame
-    | Database.Columnar ->
-      fun on_frame ->
-        let exec = Cursor.prepare db plan in
-        Cursor.bind_params exec binding.Plan.params;
-        Cursor.iter_frames exec (Database.counters db) on_frame
+   and a runner. *)
+let prepare db q =
+  let plan, binding = Database.prepare db q in
+  let run on_frame =
+    Plan.execute plan
+      (Database.relation_opt db)
+      (Database.counters db) binding ~on_frame
   in
   (binding, run)
 
-(* Counting runner: like [prepare_compiled] but returns [limit -> n]
-   without materialising frames — on the columnar path this is the
-   fully allocation-free [Cursor.run_count]. *)
-let prepare_counting ~cache db q =
-  let plan, binding = Database.prepare ~cache db q in
-  match Database.backend db with
-  | Database.Row ->
-    fun limit ->
-      let n = ref 0 in
-      Plan.execute plan
-        (Database.relation_opt db)
-        (Database.counters db) binding
-        ~on_frame:(fun _ ->
-          incr n;
-          !n < limit);
-      !n
-  | Database.Columnar ->
-    fun limit ->
-      let exec = Cursor.prepare db plan in
-      Cursor.bind_params exec binding.Plan.params;
-      Cursor.run_count exec (Database.counters db) ~limit
+(* Number of frames, stopping at [limit], without materialising any
+   valuation. *)
+let count_frames run limit =
+  let n = ref 0 in
+  run (fun _ ->
+      incr n;
+      !n < limit);
+  !n
 
 let snapshot_frame (binding : Plan.binding) frame =
   let b = ref Binding.empty in
   Array.iteri (fun s x -> b := Binding.add x frame.(s) !b) binding.var_names;
   !b
-
-let is_compiled = function
-  | Compiled | Compiled_nocache -> true
-  | Greedy_indexed | Fixed_indexed | Fixed_scan -> false
 
 (* ------------------------------------------------------------------ *)
 (* Probe-level observability                                          *)
@@ -330,60 +166,41 @@ let probed db (q : Cq.t) ~kind f =
     end
   end
 
-let solve ?(plan = Compiled) db (q : Cq.t) ~on_solution =
+let solve db (q : Cq.t) ~on_solution =
   probed db q ~kind:"solve" @@ fun () ->
-  match plan with
-  | Compiled | Compiled_nocache ->
-    let binding, run = prepare_compiled ~cache:(plan = Compiled) db q in
-    run (fun frame -> on_solution (snapshot_frame binding frame))
-  | Greedy_indexed | Fixed_indexed | Fixed_scan ->
-    solve_interpreted ~plan db q ~on_solution
+  let binding, run = prepare db q in
+  run (fun frame -> on_solution (snapshot_frame binding frame))
 
-let find_first ?plan db q =
+let find_first db q =
   let result = ref None in
-  solve ?plan db q ~on_solution:(fun b ->
+  solve db q ~on_solution:(fun b ->
       result := Some b;
       false);
   !result
 
-let satisfiable ?(plan = Compiled) db q =
-  if is_compiled plan then begin
-    (* No valuation snapshot needed: stop at the first frame. *)
-    probed db q ~kind:"satisfiable" @@ fun () ->
-    let run = prepare_counting ~cache:(plan = Compiled) db q in
-    run 1 > 0
-  end
-  else Option.is_some (find_first ~plan db q)
+let satisfiable db q =
+  probed db q ~kind:"satisfiable" @@ fun () ->
+  let _, run = prepare db q in
+  count_frames run 1 > 0
 
-let find_all ?plan ?limit db q =
+let find_all ?limit db q =
   let results = ref [] in
   let n = ref 0 in
   let continue_after () =
     incr n;
     match limit with None -> true | Some l -> !n < l
   in
-  solve ?plan db q ~on_solution:(fun b ->
+  solve db q ~on_solution:(fun b ->
       results := b :: !results;
       continue_after ());
   List.rev !results
 
-let count ?(plan = Compiled) db q =
-  if is_compiled plan then begin
-    (* The compiled path counts frames directly — no per-solution
-       valuation map is materialized. *)
-    probed db q ~kind:"count" @@ fun () ->
-    let run = prepare_counting ~cache:(plan = Compiled) db q in
-    run max_int
-  end
-  else begin
-    let n = ref 0 in
-    solve ~plan db q ~on_solution:(fun _ ->
-        incr n;
-        true);
-    !n
-  end
+let count db q =
+  probed db q ~kind:"count" @@ fun () ->
+  let _, run = prepare db q in
+  count_frames run max_int
 
-let distinct_projections ?(plan = Compiled) db q vars =
+let distinct_projections db q vars =
   let qvars = Cq.variables q in
   List.iter
     (fun x ->
@@ -391,34 +208,24 @@ let distinct_projections ?(plan = Compiled) db q vars =
         invalid_arg
           (Printf.sprintf "Eval.distinct_projections: %s not in query" x))
     vars;
-  if is_compiled plan then begin
-    probed db q ~kind:"distinct" @@ fun () ->
-    let binding, run = prepare_compiled ~cache:(plan = Compiled) db q in
-    (* Project straight out of the slot frame. *)
-    let slot_of x =
-      let slot = ref (-1) in
-      Array.iteri
-        (fun s y -> if String.equal x y then slot := s)
-        binding.Plan.var_names;
-      assert (!slot >= 0);
-      !slot
-    in
-    let slots = Array.of_list (List.map slot_of vars) in
-    let acc = ref Tuple.Set.empty in
-    run (fun frame ->
-        let t = Array.map (fun s -> frame.(s)) slots in
-        acc := Tuple.Set.add t !acc;
-        true);
-    !acc
-  end
-  else begin
-    let acc = ref Tuple.Set.empty in
-    solve ~plan db q ~on_solution:(fun b ->
-        let t = Array.of_list (List.map (fun x -> Binding.find x b) vars) in
-        acc := Tuple.Set.add t !acc;
-        true);
-    !acc
-  end
+  probed db q ~kind:"distinct" @@ fun () ->
+  let binding, run = prepare db q in
+  (* Project straight out of the slot frame. *)
+  let slot_of x =
+    let slot = ref (-1) in
+    Array.iteri
+      (fun s y -> if String.equal x y then slot := s)
+      binding.Plan.var_names;
+    assert (!slot >= 0);
+    !slot
+  in
+  let slots = Array.of_list (List.map slot_of vars) in
+  let acc = ref Tuple.Set.empty in
+  run (fun frame ->
+      let t = Array.map (fun s -> frame.(s)) slots in
+      acc := Tuple.Set.add t !acc;
+      true);
+  !acc
 
 let check_ground db q =
   if not (Cq.is_ground q) then
@@ -431,196 +238,9 @@ let check_ground db q =
       Relation.mem r t)
     q.atoms
 
-(* ------------------------------------------------------------------ *)
-(* Repeat-probe handles                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* A prepared query: canonicalized and compiled once, re-executed many
-   times with swapped constants.  This is the raw probe loop with all
-   per-probe scaffolding stripped — no Obs span, no resilience guard,
-   no valuation snapshots — for callers (the storage bench, tight
-   server loops) that issue the same shape millions of times.  On a
-   columnar database the whole [count]/[satisfiable] path is
-   allocation-free in steady state. *)
-module Prepared = struct
-  type prepared = {
-    db : Database.t;
-    plan : Plan.t;
-    binding : Plan.binding;
-    exec : Cursor.t option;  (* Some iff the database is columnar *)
-  }
-
-  type t = prepared
-
-  let make db q =
-    let plan, binding = Database.prepare db q in
-    let exec =
-      match Database.backend db with
-      | Database.Columnar -> Some (Cursor.prepare db plan)
-      | Database.Row -> None
-    in
-    { db; plan; binding; exec }
-
-  let nparams t = Array.length t.binding.Plan.params
-
-  let set_param t j v = t.binding.Plan.params.(j) <- v
-
-  let count_limit t limit =
-    Database.count_probe t.db;
-    match t.exec with
-    | Some exec ->
-      Cursor.bind_params exec t.binding.Plan.params;
-      Cursor.run_count exec (Database.counters t.db) ~limit
-    | None ->
-      let n = ref 0 in
-      Plan.execute t.plan
-        (Database.relation_opt t.db)
-        (Database.counters t.db) t.binding
-        ~on_frame:(fun _ ->
-          incr n;
-          !n < limit);
-      !n
-
-  let count t = count_limit t max_int
-
-  let satisfiable t = count_limit t 1 > 0
-end
-
 let pp_valuation ppf b =
   Format.fprintf ppf "{@[%a@]}"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
        (fun ppf (x, v) -> Format.fprintf ppf "%s -> %a" x Value.pp v))
     (Binding.bindings b)
-
-module Naive = struct
-  (* Reference semantics for tests: enumerate every combination of tuples
-     for the atoms and keep consistent ones. *)
-  let find_all db (q : Cq.t) =
-    Database.count_probe db;
-    let rec go binding = function
-      | [] -> [ binding ]
-      | (a : Cq.atom) :: rest ->
-        let r = get_relation db a in
-        Relation.fold
-          (fun acc t ->
-            let rec unify binding i =
-              if i = Array.length a.args then Some binding
-              else
-                match a.args.(i) with
-                | Term.Const v ->
-                  if Value.equal v t.(i) then unify binding (i + 1) else None
-                | Term.Var x -> (
-                  match Binding.find_opt x binding with
-                  | Some v ->
-                    if Value.equal v t.(i) then unify binding (i + 1) else None
-                  | None -> unify (Binding.add x t.(i) binding) (i + 1))
-            in
-            match unify binding 0 with
-            | None -> acc
-            | Some binding' -> acc @ go binding' rest)
-          [] r
-    in
-    let all = go Binding.empty q.atoms in
-    (* Dedupe: distinct valuations only. *)
-    List.sort_uniq (Binding.compare Value.compare) all
-end
-
-(* ------------------------------------------------------------------ *)
-(* Plan introspection                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type plan_step = {
-  atom : Cq.atom;
-  access : [ `Membership | `Index of int * Value.t | `Bound_index of int | `Scan ];
-  estimated_rows : int;
-}
-
-let explain db (q : Cq.t) =
-  List.iter (fun a -> ignore (get_relation db a)) q.atoms;
-  let bound : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* Static cost of an atom under the current bound-variable set. *)
-  let assess (a : Cq.atom) =
-    let r = get_relation db a in
-    let all_known =
-      Array.for_all
-        (function
-          | Term.Const _ -> true
-          | Term.Var x -> Hashtbl.mem bound x)
-        a.args
-    in
-    if all_known && Array.for_all Term.is_const a.args then
-      { atom = a; access = `Membership; estimated_rows = 0 }
-    else begin
-      (* Prefer the most selective constant column; else a bound
-         variable column; else scan. *)
-      let best_const = ref None in
-      Array.iteri
-        (fun c t ->
-          match t with
-          | Term.Const v ->
-            let n = Relation.count_matching r ~col:c v in
-            (match !best_const with
-            | Some (m, _, _) when m <= n -> ()
-            | _ -> best_const := Some (n, c, v))
-          | Term.Var _ -> ())
-        a.args;
-      match !best_const with
-      | Some (n, c, v) -> { atom = a; access = `Index (c, v); estimated_rows = n }
-      | None -> (
-        let bound_col = ref None in
-        Array.iteri
-          (fun c t ->
-            match t with
-            | Term.Var x when Hashtbl.mem bound x && !bound_col = None ->
-              bound_col := Some c
-            | Term.Var _ | Term.Const _ -> ())
-          a.args;
-        match !bound_col with
-        | Some c ->
-          { atom = a; access = `Bound_index c; estimated_rows = Relation.cardinal r }
-        | None -> { atom = a; access = `Scan; estimated_rows = Relation.cardinal r })
-    end
-  in
-  let rec order remaining acc =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-      let assessed = List.map (fun a -> (a, assess a)) remaining in
-      let weight (_, step) =
-        (* Membership first, then constant indexes by size, then bound
-           indexes, then scans. *)
-        match step.access with
-        | `Membership -> (0, 0)
-        | `Index _ -> (1, step.estimated_rows)
-        | `Bound_index _ -> (2, step.estimated_rows)
-        | `Scan -> (3, step.estimated_rows)
-      in
-      let best =
-        List.fold_left
-          (fun acc x -> if weight x < weight acc then x else acc)
-          (List.hd assessed) (List.tl assessed)
-      in
-      let chosen, step = best in
-      List.iter
-        (function Term.Var x -> Hashtbl.replace bound x () | Term.Const _ -> ())
-        (Array.to_list chosen.Cq.args);
-      order (List.filter (fun a -> a != chosen) remaining) (step :: acc)
-  in
-  order q.atoms []
-
-let pp_plan ppf steps =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i step ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%d. %a  via %s" (i + 1) Cq.pp_atom step.atom
-        (match step.access with
-        | `Membership -> "membership test"
-        | `Index (c, v) ->
-          Printf.sprintf "index col %d = %s (~%d rows)" c (Value.to_string v)
-            step.estimated_rows
-        | `Bound_index c -> Printf.sprintf "index col %d (bound at run time)" c
-        | `Scan -> Printf.sprintf "scan (%d rows)" step.estimated_rows))
-    steps;
-  Format.fprintf ppf "@]"

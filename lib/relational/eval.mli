@@ -1,19 +1,15 @@
 (** Conjunctive-query evaluation.
 
-    Two evaluators share this interface:
-
-    - the {e compiled} evaluator (default): the query is canonicalized
-      — variables numbered into integer slots, constants abstracted into
-      parameters — and lowered once into a {!Plan.t} whose join order
-      and access paths are fixed per binding stage.  Plans are cached on
-      the database instance keyed by query shape, so isomorphic probes
-      (the common case in the coordination algorithms: thousands of
-      structurally identical queries differing only in constants)
-      compile exactly once.  The hot path runs over a slot-indexed
-      binding frame with no string hashing and no per-node re-planning.
-    - the {e interpreted} evaluator: a backtracking join that re-plans
-      at each step, keyed by variable-name strings.  Kept for
-      differential testing and for the evaluator ablation.
+    One evaluator answers every query: the query is canonicalized —
+    variables numbered into integer slots, constants abstracted into
+    parameters — and lowered once into a {!Plan.t} whose join order and
+    access paths are fixed per binding stage.  Plans are cached on the
+    database instance keyed by query shape, so isomorphic probes (the
+    common case in the coordination algorithms: thousands of
+    structurally identical queries differing only in constants) compile
+    exactly once.  The hot path runs over a slot-indexed binding frame
+    with no string hashing and no per-node re-planning.  Its reference
+    semantics live in the test suite's evaluation oracle.
 
     Each top-level call counts as one database probe
     ({!Database.count_probe}), mirroring "one SQL query" in the paper's
@@ -33,40 +29,23 @@ exception Arity_mismatch of string * int * int
 (** [Arity_mismatch (rel, got, expected)].
     (Physically equal to {!Plan.Arity_mismatch}.) *)
 
-type plan =
-  | Compiled
-      (** default: compile-once slot plan, served from the per-database
-          shape-keyed cache *)
-  | Compiled_nocache
-      (** compile-once slot plan, recompiled on every call — isolates
-          the cache's contribution in the ablation benchmarks *)
-  | Greedy_indexed
-      (** interpreted: cheapest atom next at every backtracking node,
-          hash-index access paths *)
-  | Fixed_indexed
-      (** interpreted: atoms in syntactic order, still index-backed —
-          isolates the benefit of dynamic ordering *)
-  | Fixed_scan
-      (** interpreted: atoms in syntactic order, full scans only — what
-          evaluation costs without any index *)
-
-val find_first : ?plan:plan -> Database.t -> Cq.t -> valuation option
+val find_first : Database.t -> Cq.t -> valuation option
 (** Choose-1 semantics: the first satisfying valuation, if any.  The empty
     query succeeds with the empty valuation. *)
 
-val satisfiable : ?plan:plan -> Database.t -> Cq.t -> bool
+val satisfiable : Database.t -> Cq.t -> bool
 
-val find_all : ?plan:plan -> ?limit:int -> Database.t -> Cq.t -> valuation list
+val find_all : ?limit:int -> Database.t -> Cq.t -> valuation list
 (** All satisfying valuations (up to [limit] when given), in search order.
     Two valuations agreeing on all variables of the query are returned
     once. *)
 
-val count : ?plan:plan -> Database.t -> Cq.t -> int
-(** Number of distinct satisfying valuations.  On the compiled path no
-    per-solution valuation map is materialized. *)
+val count : Database.t -> Cq.t -> int
+(** Number of distinct satisfying valuations.  No per-solution
+    valuation map is materialized. *)
 
 val distinct_projections :
-  ?plan:plan -> Database.t -> Cq.t -> string list -> Tuple.Set.t
+  Database.t -> Cq.t -> string list -> Tuple.Set.t
 (** [distinct_projections db q vars] is the set of distinct tuples of
     values the listed variables take over all satisfying valuations.
     @raise Invalid_argument if some listed variable does not occur in [q]. *)
@@ -76,63 +55,3 @@ val check_ground : Database.t -> Cq.t -> bool
     tuple is present.  Counts as one probe. *)
 
 val pp_valuation : Format.formatter -> valuation -> unit
-
-(** {2 Repeat-probe handles}
-
-    A query canonicalized and compiled once, then re-executed many
-    times with swapped constants — the raw probe loop with the
-    per-probe scaffolding (Obs spans, resilience guard, valuation
-    snapshots) stripped.  Each execution still counts one probe and
-    its scanned tuples.  On a columnar database ({!Database.backend})
-    the [count]/[satisfiable] path is allocation-free in steady state;
-    on a row database it is the ordinary compiled executor.  A handle
-    is valid until a table is created or dropped, and must not be
-    shared across domains. *)
-module Prepared : sig
-  type t
-
-  val make : Database.t -> Cq.t -> t
-  (** Compiles (or fetches from the plan cache) immediately; the usual
-      plan-cache hit/miss is counted here, once, not per execution.
-      @raise Plan.Unknown_relation, Plan.Arity_mismatch on bad queries. *)
-
-  val nparams : t -> int
-  (** Number of constant parameters, in first-occurrence order. *)
-
-  val set_param : t -> int -> Value.t -> unit
-  (** [set_param t j v] replaces the [j]-th constant for subsequent
-      executions. *)
-
-  val count : t -> int
-
-  val satisfiable : t -> bool
-end
-
-(** {2 Plan introspection} *)
-
-type plan_step = {
-  atom : Cq.atom;
-  access : [ `Membership | `Index of int * Value.t | `Bound_index of int | `Scan ];
-      (** [`Index]: lookup on a constant column; [`Bound_index]: lookup
-          on a column whose variable an earlier step binds (value known
-          only at run time); [`Scan]: no usable column. *)
-  estimated_rows : int;
-      (** index-size estimate for [`Index], relation cardinality for
-          [`Scan] and [`Bound_index] (a pre-execution upper bound), 0
-          for [`Membership]. *)
-}
-
-val explain : Database.t -> Cq.t -> plan_step list
-(** The order and access paths the greedy interpreted planner would
-    choose before any tuple is read: constants drive index choices,
-    variables become bound as atoms are placed.  The compiled
-    evaluator's actual plan (constants abstracted) can be rendered with
-    {!Plan.pp}. *)
-
-val pp_plan : Format.formatter -> plan_step list -> unit
-
-module Naive : sig
-  val find_all : Database.t -> Cq.t -> valuation list
-  (** Reference semantics: enumerate the full cross product of candidate
-      tuples for each atom and filter.  Exponential; for tests only. *)
-end

@@ -46,11 +46,11 @@ type step = {
   access : access;
 }
 
-(* Per-step observed statistics, updated on every execution of the plan
-   (row path and cursor machine alike).  Plain int increments: always
-   on, allocation-free, and advisory — a plan shared across executor
-   domains takes lossy unsynchronised updates, which skews counts by at
-   most the lost races and never affects results. *)
+(* Per-step observed statistics, updated on every execution of the
+   plan.  Plain int increments: always on, allocation-free, and
+   advisory — a plan shared across executor domains takes lossy
+   unsynchronised updates, which skews counts by at most the lost races
+   and never affects results. *)
 type step_stat = {
   mutable s_entered : int;  (* times the step was entered *)
   mutable s_scanned : int;  (* candidates examined (= tuples_scanned share) *)

@@ -17,40 +17,13 @@
     {!Relation.count_matching} call per column on stage entry.
 
     {!execute} runs a plan over a [Value.t array] binding frame indexed
-    by slot, invoking a callback per solution.  The interpreted
-    evaluator in {!Eval} remains available for differential testing. *)
+    by slot, invoking a callback per solution over the row store's
+    indexes.  It is the only evaluator {!Eval} runs. *)
 
 exception Unknown_relation of string
 exception Arity_mismatch of string * int * int
 (** Same meaning as the exceptions re-exported by {!Eval}:
     [Arity_mismatch (rel, got, expected)]. *)
-
-type arg =
-  | Slot of int   (** a variable slot of the binding frame *)
-  | Param of int  (** a constant parameter of the query instance *)
-
-(** The representation below is exposed read-only ([private]) so that
-    {!Cursor} can translate a compiled plan into its integer-id
-    executor without a parallel compilation pipeline; everyone else
-    should treat [t] as abstract and go through {!execute}. *)
-
-type op =
-  | Bind of int         (** first occurrence: write the tuple value *)
-  | Check_slot of int   (** bound slot: compare *)
-  | Check_param of int  (** constant: compare *)
-
-type access =
-  | Membership                           (** fully bound: O(1) test *)
-  | Index_one of int * arg               (** the single bound column *)
-  | Index_adaptive of (int * arg) array  (** several; cheapest at run time *)
-  | Full_scan
-
-type step = private {
-  rel : string;
-  args : arg array;
-  ops : op array;
-  access : access;
-}
 
 type step_stat = {
   mutable s_entered : int;  (** times the step was entered *)
@@ -59,11 +32,9 @@ type step_stat = {
   mutable s_ns : int64;     (** inclusive time; only under {!set_analyze} *)
 }
 (** Per-step observed statistics.  Always on: plain int increments,
-    allocation-free.  Mutable and non-private because {!Cursor} updates
-    the same records from its integer-id machine, so one plan accrues
-    one set of numbers whichever backend ran it.  On plans shared
-    across executor domains the updates are advisory (lossy, racy);
-    they never affect query results. *)
+    allocation-free.  On plans shared across executor domains the
+    updates are advisory (lossy, racy); they never affect query
+    results. *)
 
 type stats = {
   mutable executions : int;
@@ -81,16 +52,11 @@ type stats = {
       (** [data_version] at the most recent cache hit *)
 }
 
-type t = private {
-  key : string;
-  steps : step array;
-  nslots : int;
-  nparams : int;
-  obs : stats;
-}
-(** A compiled plan.  Pure description: contains relation {e names},
-    not relation handles, so it survives table drop/re-creation (arities
-    are re-validated on execution). *)
+type t
+(** A compiled plan: the join order and each step's access path.  Pure
+    description: contains relation {e names}, not relation handles, so
+    it survives table drop/re-creation (arities are re-validated on
+    execution). *)
 
 type binding = {
   params : Value.t array;   (** concrete constants, by parameter position *)

@@ -18,11 +18,6 @@ type t = {
   (* indexes.(c) maps a value of column c to its posting; built lazily on
      first lookup of column c. *)
   mutable indexes : posting Value.Hashtbl.t option array;
-  (* Columnar twin, dual-written by [insert]/[delete] when the owning
-     database selected the columnar backend.  The row store stays
-     authoritative (and is the differential oracle); the mirror is what
-     {!Cursor} probes. *)
-  mirror : Column_store.t option;
   (* Content-version stamp, shared with the owning database (every
      relation of one database bumps the same atomic) so that
      [Database.data_version] moves exactly when *that* database's
@@ -48,7 +43,7 @@ let mutation_count () = Atomic.get mutations
 
 let note_mutation () = Atomic.incr mutations
 
-let create ?(columnar = false) ?version schema =
+let create ?version schema =
   let r =
     {
       schema;
@@ -57,7 +52,6 @@ let create ?(columnar = false) ?version schema =
       present = Tuple.Hashtbl.create 64;
       dead_count = 0;
       indexes = Array.make (Schema.arity schema) None;
-      mirror = (if columnar then Some (Column_store.create schema) else None);
       version = (match version with Some v -> v | None -> Atomic.make 0);
       n_inserts = 0;
       n_deletes = 0;
@@ -70,8 +64,6 @@ let create ?(columnar = false) ?version schema =
   if Schema.arity schema > 0 then
     r.indexes.(0) <- Some (Value.Hashtbl.create 16);
   r
-
-let column_store r = r.mirror
 
 let schema r = r.schema
 
@@ -110,9 +102,6 @@ let insert r t =
       (fun c idx ->
         match idx with None -> () | Some idx -> index_row idx row t c)
       r.indexes;
-    (match r.mirror with
-    | None -> ()
-    | Some cs -> ignore (Column_store.insert cs t));
     r.n_inserts <- r.n_inserts + 1;
     Atomic.incr r.version;
     note_mutation ();
@@ -177,9 +166,6 @@ let delete r t =
           | None -> ()))
       r.indexes;
     if r.dead_count > Vec.length r.tuples / 2 then compact r;
-    (match r.mirror with
-    | None -> ()
-    | Some cs -> ignore (Column_store.delete cs t));
     r.n_deletes <- r.n_deletes + 1;
     Atomic.incr r.version;
     note_mutation ();

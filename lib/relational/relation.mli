@@ -1,18 +1,18 @@
-(** Extensional relations.
+(** Extensional relations: the one tuple store.
 
     A relation stores a bag-free (set-semantics) collection of tuples of a
     fixed schema, with lazily-built per-column hash indexes used by the
-    conjunctive-query evaluator to avoid full scans. *)
+    conjunctive-query evaluator to avoid full scans.
+
+    Live tuples iterate in insertion order.  Deletes tombstone and
+    compaction keeps the survivors' order; a deleted tuple inserted
+    again appends at the end.  The online engine's candidate order and
+    the durable layer's snapshots rely on this. *)
 
 type t
 
-val create : ?columnar:bool -> ?version:int Atomic.t -> Schema.t -> t
-(** [create ?columnar ?version schema] makes an empty relation.  With
-    [~columnar:true] the relation also maintains a {!Column_store}
-    mirror: every successful {!insert}/{!delete} is dual-written, and
-    {!column_store} exposes the mirror for the allocation-free cursor
-    path ({!Cursor}).  The row store remains authoritative either way —
-    it is the differential oracle the mirror is tested against.
+val create : ?version:int Atomic.t -> Schema.t -> t
+(** [create ?version schema] makes an empty relation.
 
     [version] is the content-version stamp the relation bumps on every
     successful mutation; {!Database.create_table} passes the owning
@@ -23,10 +23,6 @@ val create : ?columnar:bool -> ?version:int Atomic.t -> Schema.t -> t
     compaction, so first-argument bucket cardinalities
     ({!count_matching}, {!distinct_count}, {!estimate_bucket}) are live
     from the first insert. *)
-
-val column_store : t -> Column_store.t option
-(** The columnar mirror, when the relation was created with
-    [~columnar:true]. *)
 
 val schema : t -> Schema.t
 

@@ -18,7 +18,7 @@ let equal a b = a == b || compare a b = 0
 (* Per-constructor salts keep [Int 1], [Str "1"] and [Bool true] apart
    without building an intermediate pair for [Stdlib.Hashtbl.hash] to
    consume — hashing a tuple literal allocates it, and [hash] sits on
-   the allocation-free probe path ({!Dict.find}). *)
+   every index lookup and tuple-membership test. *)
 let hash = function
   | Int x -> Stdlib.Hashtbl.hash x lxor 0x2545f491
   | Str s -> Stdlib.Hashtbl.hash s lxor 0x27220a95

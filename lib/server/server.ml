@@ -91,19 +91,25 @@ module Json = struct
           | Some 'u' ->
             advance ();
             let cp = hex4 () in
-            (* UTF-8 encode the code point (surrogate pairs land as two
-               separate 3-byte sequences — good enough for diagnostic
-               strings, which is all \u is used for here). *)
-            if cp < 0x80 then Buffer.add_char b (Char.chr cp)
-            else if cp < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xC0 lor (cp lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-            end
-            else begin
-              Buffer.add_char b (Char.chr (0xE0 lor (cp lsr 12)));
-              Buffer.add_char b (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-              Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
-            end
+            (* A high surrogate and the low surrogate escaped right
+               after it are one code point: encode it as the same 4
+               UTF-8 bytes a raw spelling would carry, so both
+               spellings of a constant are one value. *)
+            let cp =
+              if cp >= 0xD800 && cp <= 0xDBFF then begin
+                if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+                then begin
+                  pos := !pos + 2;
+                  let lo = hex4 () in
+                  if lo < 0xDC00 || lo > 0xDFFF then fail "unpaired surrogate";
+                  0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                end
+                else fail "unpaired surrogate"
+              end
+              else if cp >= 0xDC00 && cp <= 0xDFFF then fail "unpaired surrogate"
+              else cp
+            in
+            Buffer.add_utf_8_uchar b (Uchar.of_int cp)
           | _ -> fail "bad escape");
           go ()
         | Some c ->

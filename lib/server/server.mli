@@ -37,7 +37,9 @@
       table name with ["table_exists"], and an empty name, an empty
       attribute list or a duplicate attribute with ["bad_schema"].
 
-    Malformed JSON (including a non-hex [\u] escape), unknown ops and
+    A [\u]-escaped surrogate pair decodes to the same UTF-8 bytes as
+    the raw character.  Malformed JSON (including a non-hex [\u]
+    escape or an unpaired surrogate), unknown ops and
     bad arguments get [{"ok":false,"error":...}] responses; framing
     stays intact, the session survives.  Oversized frames and clients that stop draining
     their socket are abnormal disconnects: the session is torn down

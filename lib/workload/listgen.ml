@@ -26,8 +26,8 @@ let queries ?(topics = 100) rng ~n =
         ~head:[ answer_atom (user i) (Term.Var "x") ]
         [ body_atom rng ~topics ])
 
-let make ?backend ?rows ?(topics = 100) ~seed n =
+let make ?rows ?(topics = 100) ~seed n =
   let rng = Prng.create seed in
-  let db = Database.create ?backend () in
+  let db = Database.create () in
   ignore (Social.install_posts ?rows ~topics db);
   (db, queries ~topics rng ~n)

@@ -18,12 +18,9 @@ val queries : ?topics:int -> Prng.t -> n:int -> Query.t list
     {!Social.install_posts} with the same [topics]). *)
 
 val make :
-  ?backend:Database.backend ->
   ?rows:int ->
   ?topics:int ->
   seed:int ->
   int ->
   Database.t * Query.t list
-(** Database plus chain, ready for {!Coordination.Scc_algo.solve}.
-    [backend] selects the generated database's storage backend
-    (default row). *)
+(** Database plus chain, ready for {!Coordination.Scc_algo.solve}. *)

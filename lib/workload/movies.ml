@@ -12,8 +12,8 @@ let guy = Value.Str "Guy"
 let jonny = Value.Str "Jonny"
 let will = Value.Str "Will"
 
-let make ?backend () =
-  let db = Database.create ?backend () in
+let make () =
+  let db = Database.create () in
   let m = Database.create_table db movies_schema in
   List.iter
     (fun (id, cinema, movie) ->

@@ -20,9 +20,7 @@ val jonny : Value.t
 val will : Value.t
 
 val make :
-  ?backend:Database.backend ->
   unit ->
   Database.t * Coordination.Consistent_query.t list
 (** Database (movies at Regal/AMC/Cinemark, the C friendship table) and
-    the four queries qc, qg, qj, qw in that order.  [backend] selects
-    the generated database's storage backend (default row). *)
+    the four queries qc, qg, qj, qw in that order. *)

@@ -9,13 +9,13 @@ let posts_atom ~var topic =
 (* A topic guaranteed absent: Social.topic only emits "t<i>". *)
 let missing_topic = "t-missing"
 
-let make ?backend ?rows ?(topics = 100) ?(p_unsat = 0.) ?(p_dependent = 0.) ~seed n =
+let make ?rows ?(topics = 100) ?(p_unsat = 0.) ?(p_dependent = 0.) ~seed n =
   Obs.with_span
     ~args:(fun () -> [ ("n", Obs.Int n); ("topics", Obs.Int topics) ])
     "workload.pairgen"
   @@ fun () ->
   let rng = Prng.create seed in
-  let db = Database.create ?backend () in
+  let db = Database.create () in
   ignore (Social.install_posts ?rows ~topics db);
   let topic () = Social.topic (Prng.int rng topics) in
   let queries =
@@ -56,13 +56,13 @@ let make ?backend ?rows ?(topics = 100) ?(p_unsat = 0.) ?(p_dependent = 0.) ~see
   in
   (db, queries)
 
-let ring ?backend ?rows ?(topics = 100) ~seed n =
+let ring ?rows ?(topics = 100) ~seed n =
   Obs.with_span
     ~args:(fun () -> [ ("n", Obs.Int n); ("topics", Obs.Int topics) ])
     "workload.ring"
   @@ fun () ->
   let rng = Prng.create seed in
-  let db = Database.create ?backend () in
+  let db = Database.create () in
   ignore (Social.install_posts ?rows ~topics db);
   let user i = Value.Str (Printf.sprintf "r%d" i) in
   let queries =

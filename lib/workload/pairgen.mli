@@ -28,7 +28,6 @@ open Relational
 open Entangled
 
 val make :
-  ?backend:Database.backend ->
   ?rows:int ->
   ?topics:int ->
   ?p_unsat:float ->
@@ -37,11 +36,9 @@ val make :
   int ->
   Database.t * Query.t list
 (** [make ~seed n] builds the Posts table ({!Social.install_posts}) and
-    [n] pairs.  [p_unsat] and [p_dependent] default to [0.]; [backend]
-    selects the storage backend of the generated database (default row). *)
+    [n] pairs.  [p_unsat] and [p_dependent] default to [0.]. *)
 
 val ring :
-  ?backend:Database.backend ->
   ?rows:int ->
   ?topics:int ->
   seed:int ->

@@ -6,8 +6,7 @@
    crash — copy the WAL directory aside — and later recover from the
    copy: the recovered pool (ids and names), component partition,
    satisfied count and store contents must equal the reference's state
-   at exactly that boundary, for both storage backends and the
-   eager/consume mode grid.  Torn, partial and bit-flipped tails
+   at exactly that boundary, for every eager/consume mode.  Torn, partial and bit-flipped tails
    (seeded through Resilient.Disk_fault) must recover to the previous
    boundary with a typed truncation report — never an exception, never
    a double-spent tuple.  CHAOS_SEED sweeps the trace seed in CI;
@@ -119,8 +118,8 @@ let apply_op ?wal db engine = function
     | Some t -> Durable.journal_insert t "F" [ vi fid; vs dest ]
     | None -> ())
 
-let mk_reference ~backend ~eager ~consume =
-  let db = Database.create ~backend () in
+let mk_reference ~eager ~consume =
+  let db = Database.create () in
   let engine = Online.create ~eager ~consume db in
   seed_store db;
   (db, engine)
@@ -136,20 +135,16 @@ let recover_exn ?(ctx = "") dir =
    the reference, copying the WAL directory at every operation
    boundary; then recover every copy and demand state equality with the
    reference at that boundary. *)
-let run_crash_points ~seed ~backend ~eager ~consume () =
-  let tag =
-    Printf.sprintf "cp-%s-%b-%b"
-      (Database.backend_to_string backend)
-      eager consume
-  in
+let run_crash_points ~seed ~eager ~consume () =
+  let tag = Printf.sprintf "cp-%b-%b" eager consume in
   let dir = fresh_dir tag in
   let trace = gen_trace (Prng.create seed) 12 in
   let wal, db, engine =
-    Durable.create_engine ~eager ~consume ~backend
+    Durable.create_engine ~eager ~consume
       (Durable.config ~fsync:Durable.Always ~snapshot_every:4 dir)
   in
   seed_store ~wal db;
-  let rdb, rengine = mk_reference ~backend ~eager ~consume in
+  let rdb, rengine = mk_reference ~eager ~consume in
   let copies = ref [] in
   let states = ref [] in
   let checkpoint k =
@@ -205,14 +200,14 @@ let run_crash_points ~seed ~backend ~eager ~consume () =
   rm_rf final;
   rm_rf dir
 
+(* The eager/consume grid both differentials run over. *)
+let modes = [ (true, false); (true, true); (false, true) ]
+
 let test_crash_points () =
   List.iter
-    (fun backend ->
-      List.iter
-        (fun (eager, consume) ->
-          run_crash_points ~seed:chaos_seed ~backend ~eager ~consume ())
-        [ (true, false); (true, true); (false, true) ])
-    [ Database.Row; Database.Columnar ]
+    (fun (eager, consume) ->
+      run_crash_points ~seed:chaos_seed ~eager ~consume ())
+    modes
 
 (* --------------------- torn and corrupt tails --------------------- *)
 
@@ -222,16 +217,16 @@ let test_crash_points () =
    write / lost tail / bit flip) and recover: the result must be the
    state one boundary earlier, reported as a truncation, never an
    exception. *)
-let run_torn_tails ~seed ~backend ~consume () =
-  let tag = Printf.sprintf "torn-%s-%b" (Database.backend_to_string backend) consume in
+let run_torn_tails ~seed ~eager ~consume () =
+  let tag = Printf.sprintf "torn-%b-%b" eager consume in
   let dir = fresh_dir tag in
   let trace = gen_trace (Prng.create seed) 12 in
   let wal, db, engine =
-    Durable.create_engine ~eager:true ~consume ~backend
+    Durable.create_engine ~eager ~consume
       (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
   in
   seed_store ~wal db;
-  let rdb, rengine = mk_reference ~backend ~eager:true ~consume in
+  let rdb, rengine = mk_reference ~eager ~consume in
   let states = ref [ (0, observe rdb rengine) ] in
   let offsets = ref [ (0, Durable.wal_offset wal) ] in
   List.iteri
@@ -291,8 +286,9 @@ let run_torn_tails ~seed ~backend ~consume () =
   rm_rf dir
 
 let test_torn_tails () =
-  run_torn_tails ~seed:chaos_seed ~backend:Database.Row ~consume:true ();
-  run_torn_tails ~seed:chaos_seed ~backend:Database.Columnar ~consume:false ()
+  List.iter
+    (fun (eager, consume) -> run_torn_tails ~seed:chaos_seed ~eager ~consume ())
+    modes
 
 (* A deterministic two-query coordination: q1 waits, q2 closes the
    cycle and fires the pair. *)
@@ -410,7 +406,7 @@ let test_snapshot_fallback () =
       (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
   in
   seed_store ~wal db;
-  let rdb, rengine = mk_reference ~backend:Database.Row ~eager:true ~consume:true in
+  let rdb, rengine = mk_reference ~eager:true ~consume:true in
   List.iteri
     (fun i op ->
       apply_op ~wal db engine op;
@@ -460,7 +456,7 @@ let test_snapshot_failure_retains_journal () =
   in
   seed_store ~wal db;
   let rdb, rengine =
-    mk_reference ~backend:Database.Row ~eager:true ~consume:true
+    mk_reference ~eager:true ~consume:true
   in
   let run ops =
     List.iter
@@ -654,7 +650,7 @@ let test_fsync_policies_recover () =
       in
       seed_store ~wal db;
       let rdb, rengine =
-        mk_reference ~backend:Database.Row ~eager:true ~consume:false
+        mk_reference ~eager:true ~consume:false
       in
       List.iter
         (fun op ->
@@ -694,6 +690,97 @@ let test_open_or_recover () =
   | Error msg -> Alcotest.fail msg);
   rm_rf dir
 
+(* Files written when a WAL could name a storage backend carry 0 or 1
+   in the first payload byte of the Meta record and of each snapshot.
+   [set_backend_byte dir v] rewrites that byte to [v] in every file of
+   [dir] and re-checksums what it touched. *)
+let set_backend_byte dir v =
+  Array.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      let data = Bytes.of_string (read_file path) in
+      let set_crc off ~from ~len =
+        Bytes.set_int32_le data off
+          (Int32.of_int (Durable.Crc32.bytes data from len))
+      in
+      if Filename.check_suffix name ".img" then begin
+        (* magic 8 | lsn 8 | payload_len 4 | payload | crc 4 *)
+        let len = Bytes.length data - 24 in
+        Bytes.set_uint8 data 20 v;
+        set_crc (20 + len) ~from:20 ~len
+      end
+      else begin
+        (* header 16, then per record:
+           payload_len 4 | lsn 8 | kind 1 | payload | crc 4 *)
+        let pos = ref 16 in
+        while !pos < Bytes.length data do
+          let len = Int32.to_int (Bytes.get_int32_le data !pos) in
+          let body = !pos + 4 in
+          if Bytes.get_uint8 data (body + 8) land 0x7f = 0 then begin
+            Bytes.set_uint8 data (body + 9) v;
+            set_crc (body + 9 + len) ~from:body ~len:(9 + len)
+          end;
+          pos := body + 9 + len + 4
+        done
+      end;
+      let oc = open_out_bin path in
+      output_bytes oc data;
+      close_out oc)
+    (Sys.readdir dir)
+
+(* A WAL and a snapshot whose backend byte says "columnar" recover onto
+   the row store with the same pool, ids, satisfied count and store; a
+   byte no writer ever produced is a typed decode failure. *)
+let test_backend_byte_compat () =
+  let dir = fresh_dir "compat" in
+  let wal, db, engine =
+    Durable.create_engine ~eager:true ~consume:true
+      (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
+  in
+  seed_store ~wal db;
+  let rdb, rengine = mk_reference ~eager:true ~consume:true in
+  let q1, q2 = cycle_pair () in
+  List.iter
+    (fun op ->
+      apply_op ~wal db engine op;
+      apply_op rdb rengine op)
+    (Submit q1 :: Submit q2 :: gen_trace (Prng.create chaos_seed) 12);
+  let expected = observe rdb rengine in
+  Alcotest.(check bool) "something coordinated" true (expected.o_satisfied > 0);
+  (* [wal_only] and [bad] hold the Meta record; after the forced
+     snapshot [dir] holds only the snapshot and an empty segment. *)
+  let wal_only = fresh_dir "compat-wal" and bad = fresh_dir "compat-bad" in
+  copy_dir dir wal_only;
+  copy_dir dir bad;
+  (match Durable.snapshot wal with
+  | Ok () -> ()
+  | Error why -> Alcotest.fail why);
+  Durable.close wal;
+  List.iter
+    (fun (label, d) ->
+      set_backend_byte d 1;
+      let t, rdb', rengine', report = recover_exn ~ctx:label d in
+      Alcotest.(check bool) (label ^ ": clean tail") true
+        (report.Durable.truncation = None);
+      Alcotest.check obs_t (label ^ ": recovered == original") expected
+        (observe rdb' rengine');
+      Durable.close t)
+    [ ("meta record", wal_only); ("snapshot", dir) ];
+  set_backend_byte bad 2;
+  (match Durable.recover (Durable.config bad) with
+  | Ok _ -> Alcotest.fail "backend byte 2 must not recover"
+  | Error msg ->
+    let needle = Durable.corruption_to_string Durable.Bad_payload in
+    let contains =
+      let nl = String.length needle in
+      let rec go i =
+        i + nl <= String.length msg && (String.sub msg i nl = needle || go (i + 1))
+      in
+      go 0
+    in
+    if not contains then Alcotest.failf "expected %S in %S" needle msg);
+  List.iter rm_rf [ dir; wal_only; bad ]
+
 let suite =
   [
     Alcotest.test_case "crc32 known vector" `Quick test_crc32_vector;
@@ -704,6 +791,8 @@ let suite =
     Alcotest.test_case "recover needs some valid state" `Quick
       test_recover_empty_dir;
     Alcotest.test_case "open_or_recover round trip" `Quick test_open_or_recover;
+    Alcotest.test_case "backend byte 1 recovers onto the row store" `Quick
+      test_backend_byte_compat;
     Alcotest.test_case "relaxed fsync policies recover equally" `Quick
       test_fsync_policies_recover;
     Alcotest.test_case "differential: every crash point recovers exactly"

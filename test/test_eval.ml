@@ -1,5 +1,5 @@
 (* Conjunctive-query evaluation: unit cases plus randomized agreement
-   with the naive reference evaluator. *)
+   with the reference evaluators in Eval_oracle. *)
 
 open Relational
 open Helpers
@@ -98,6 +98,12 @@ let test_check_ground () =
   Alcotest.(check bool) "absent" false
     (Eval.check_ground db (q [ atom "F" [ ci 101; cs "Paris" ] ]))
 
+(* The compiled plan's order and access paths, as {!Plan.pp} renders
+   them (the first line is the shape key). *)
+let plan_steps db query =
+  let plan, _ = Database.prepare db query in
+  List.tl (String.split_on_char '\n' (Format.asprintf "%a" Plan.pp plan))
+
 let test_explain_plan () =
   let db = Database.create () in
   ignore (Database.create_table' db "Edge" [ "a"; "b" ]);
@@ -106,7 +112,9 @@ let test_explain_plan () =
     Database.insert db "Edge" [ vi i; vi ((i + 1) mod 100) ]
   done;
   Database.insert db "Mark" [ vi 7 ];
-  (* Adversarial syntactic order: big scan first, selective atoms last. *)
+  (* Adversarial syntactic order: big scan first, selective atoms last.
+     With no constant to index on, the small Mark scan goes first, then
+     the Edge atoms walk through bound columns. *)
   let query =
     q
       [
@@ -115,35 +123,25 @@ let test_explain_plan () =
         atom "Mark" [ var "z" ];
       ]
   in
-  let plan = Eval.explain db query in
-  Alcotest.(check int) "three steps" 3 (List.length plan);
-  (* The planner has no constant to index on, so the small Mark scan
-     goes first, then the Edge atoms walk through bound columns. *)
-  (match plan with
-  | first :: rest ->
-    Alcotest.(check string) "mark first" "Mark" first.Eval.atom.Cq.rel;
-    Alcotest.(check bool) "mark scanned" true (first.Eval.access = `Scan);
-    List.iter
-      (fun step ->
-        Alcotest.(check bool) "edges via bound index" true
-          (match step.Eval.access with `Bound_index _ -> true | _ -> false))
-      rest
-  | [] -> Alcotest.fail "plan empty");
-  (* A constant column shows as an index access with its estimate. *)
-  let plan2 = Eval.explain db (q [ atom "Edge" [ ci 3; var "y" ] ]) in
-  (match plan2 with
-  | [ { Eval.access = `Index (0, v); estimated_rows = 1; _ } ] ->
-    Alcotest.check value_t "index value" (vi 3) v
-  | _ -> Alcotest.fail "expected single index step");
-  (* Ground atoms become membership tests; rendering works. *)
-  let plan3 = Eval.explain db (q [ atom "Mark" [ ci 7 ] ]) in
-  (match plan3 with
-  | [ { Eval.access = `Membership; _ } ] -> ()
-  | _ -> Alcotest.fail "expected membership");
-  Alcotest.(check bool) "pp_plan renders" true
-    (String.length (Format.asprintf "%a" Eval.pp_plan plan) > 0)
+  Alcotest.(check (list string))
+    "mark scanned first, edges via bound index"
+    [
+      "1. Mark(s2) via scan";
+      "2. Edge(s1, s2) via index col 1 = s2";
+      "3. Edge(s0, s1) via index col 1 = s1";
+    ]
+    (plan_steps db query);
+  (* A constant column shows as an index access on its parameter. *)
+  Alcotest.(check (list string))
+    "index on the constant" [ "1. Edge(p0, s0) via index col 0 = p0" ]
+    (plan_steps db (q [ atom "Edge" [ ci 3; var "y" ] ]));
+  (* Ground atoms become membership tests. *)
+  Alcotest.(check (list string))
+    "membership" [ "1. Mark(p0) via membership" ]
+    (plan_steps db (q [ atom "Mark" [ ci 7 ] ]))
 
-(* Randomized agreement with the naive evaluator on small instances. *)
+(* Randomized agreement with the reference evaluators on small
+   instances. *)
 
 let gen_instance =
   QCheck.Gen.(
@@ -204,7 +202,7 @@ let suite =
     qtest ~count:300 "backtracking join = naive semantics" instance_arb
       (fun inst ->
         let db, query = build_instance inst in
-        valuations_equal (Eval.find_all db query) (Eval.Naive.find_all db query));
+        valuations_equal (Eval.find_all db query) (Eval_oracle.naive db query));
     qtest ~count:200 "find_first consistent with find_all" instance_arb
       (fun inst ->
         let db, query = build_instance inst in
@@ -217,8 +215,5 @@ let suite =
         Eval.count db query = List.length (Eval.find_all db query));
     qtest ~count:300 "compiled = interpreted" instance_arb (fun inst ->
         let db, query = build_instance inst in
-        let interpreted = Eval.find_all ~plan:Eval.Greedy_indexed db query in
-        valuations_equal interpreted (Eval.find_all ~plan:Eval.Compiled db query)
-        && valuations_equal interpreted
-             (Eval.find_all ~plan:Eval.Compiled_nocache db query));
+        valuations_equal (Eval_oracle.greedy db query) (Eval.find_all db query));
   ]

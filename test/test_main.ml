@@ -2,7 +2,6 @@ let () =
   Alcotest.run "entangle"
     [
       ("relational", Test_relational.suite);
-      ("column-store", Test_column_store.suite);
       ("eval", Test_eval.suite);
       ("plan", Test_plan.suite);
       ("graphs", Test_graphs.suite);

@@ -1,5 +1,5 @@
-(* Compiled query plans: differential agreement with the interpreted
-   evaluator on workload databases, plan-cache keying, and index posting
+(* Compiled query plans: differential agreement with the greedy
+   reference evaluator (Eval_oracle) on workload databases, plan-cache keying, and index posting
    maintenance across delete/compact cycles. *)
 
 open Relational
@@ -43,17 +43,10 @@ let check_differential ~seed ~rounds db =
   let rng = Prng.create seed in
   for i = 1 to rounds do
     let body = random_body rng db in
-    let reference = Eval.find_all ~plan:Eval.Greedy_indexed db body in
-    List.iter
-      (fun (plan, label) ->
-        if not (valuations_equal reference (Eval.find_all ~plan db body)) then
-          Alcotest.failf "round %d: %s disagrees with interpreted on %a" i
-            label Cq.pp body)
-      [
-        (Eval.Compiled, "compiled");
-        (Eval.Compiled_nocache, "compiled (no cache)");
-        (Eval.Fixed_indexed, "fixed order + index");
-      ];
+    let reference = Eval_oracle.greedy db body in
+    if not (valuations_equal reference (Eval.find_all db body)) then
+      Alcotest.failf "round %d: compiled disagrees with the oracle on %a" i
+        Cq.pp body;
     (* count and satisfiable must agree with the same enumeration. *)
     let n = List.length reference in
     Alcotest.(check int) "count agrees" n (Eval.count db body);
@@ -124,17 +117,6 @@ let test_cache_invalidation () =
     (Database.plan_cache_size db);
   Alcotest.check_raises "unknown after drop" (Eval.Unknown_relation "G")
     (fun () -> ignore (Eval.find_all db (q [ atom "G" [ var "a" ] ])))
-
-let test_nocache_counts_misses () =
-  let db = flights_db () in
-  Database.reset_counters db;
-  let body = q [ atom "F" [ var "x"; cs "Zurich" ] ] in
-  ignore (Eval.find_all ~plan:Eval.Compiled_nocache db body);
-  ignore (Eval.find_all ~plan:Eval.Compiled_nocache db body);
-  let c = Database.counters db in
-  Alcotest.(check int) "nocache: all misses" 2 c.Counters.plan_misses;
-  Alcotest.(check int) "nocache: no hits" 0 c.Counters.plan_hits;
-  Alcotest.(check int) "nocache: nothing stored" 0 (Database.plan_cache_size db)
 
 (* Same shape, different constants, selective position: results must
    come from each instance's own constant even though the compiled plan
@@ -222,30 +204,14 @@ let test_delete_compact_cycles () =
       (Printf.sprintf "round %d: survivors visible" round)
       (5 * (round + 1))
       (Eval.count db body);
-    (* The compiled and interpreted paths agree on the churned store. *)
+    (* The compiled path and the oracle agree on the churned store. *)
     Alcotest.(check bool)
       (Printf.sprintf "round %d: differential" round)
       true
-      (valuations_equal
-         (Eval.find_all ~plan:Eval.Greedy_indexed db body)
-         (Eval.find_all ~plan:Eval.Compiled db body))
+      (valuations_equal (Eval_oracle.greedy db body) (Eval.find_all db body))
   done
 
 (* ---------------------- observed plan statistics ------------------ *)
-
-(* The flights fixture on a chosen backend (the shared helper is
-   row-only). *)
-let flights_backend backend =
-  let db = Database.create ~backend () in
-  ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
-  ignore (Database.create_table' db "H" [ "hid"; "loc" ]);
-  List.iter
-    (fun (f, d) -> Database.insert db "F" [ vi f; vs d ])
-    [ (101, "Zurich"); (102, "Zurich"); (200, "Paris"); (300, "Athens") ];
-  List.iter
-    (fun (h, l) -> Database.insert db "H" [ vi h; vs l ])
-    [ (7, "Paris"); (8, "Athens"); (9, "Zurich") ];
-  db
 
 let scanned_total db =
   List.fold_left
@@ -257,28 +223,23 @@ let scanned_total db =
 
 (* The always-on per-step scanned counters and the engine's
    [tuples_scanned] counter meter the same thing; their totals must
-   agree exactly, on both execution backends. *)
+   agree exactly. *)
 let test_observed_equals_tuples_scanned () =
+  let db = flights_db () in
+  Database.reset_counters db;
   List.iter
-    (fun backend ->
-      let label = Database.backend_to_string backend in
-      let db = flights_backend backend in
-      Database.reset_counters db;
-      List.iter
-        (fun body -> ignore (Eval.find_all db body))
-        [
-          q [ atom "F" [ var "x"; cs "Zurich" ] ];
-          q [ atom "F" [ var "x"; var "d" ]; atom "H" [ var "h"; var "d" ] ];
-          q [ atom "F" [ var "x"; cs "Paris" ] ];
-          q [ atom "F" [ var "x"; var "d" ]; atom "H" [ var "h"; var "d" ] ];
-        ];
-      let c = Database.counters db in
-      Alcotest.(check bool) (label ^ ": something was scanned") true
-        (c.Counters.tuples_scanned > 0);
-      Alcotest.(check int)
-        (label ^ ": per-step scanned totals tuples_scanned")
-        c.Counters.tuples_scanned (scanned_total db))
-    [ Database.Row; Database.Columnar ]
+    (fun body -> ignore (Eval.find_all db body))
+    [
+      q [ atom "F" [ var "x"; cs "Zurich" ] ];
+      q [ atom "F" [ var "x"; var "d" ]; atom "H" [ var "h"; var "d" ] ];
+      q [ atom "F" [ var "x"; cs "Paris" ] ];
+      q [ atom "F" [ var "x"; var "d" ]; atom "H" [ var "h"; var "d" ] ];
+    ];
+  let c = Database.counters db in
+  Alcotest.(check bool) "something was scanned" true
+    (c.Counters.tuples_scanned > 0);
+  Alcotest.(check int) "per-step scanned totals tuples_scanned"
+    c.Counters.tuples_scanned (scanned_total db)
 
 let test_estimates_and_drift () =
   let db = flights_db () in
@@ -317,35 +278,29 @@ let test_estimates_and_drift () =
   Alcotest.(check int) "reset zeroes step counters" 0 (scanned_total db);
   Alcotest.(check (float 0.001)) "reset zeroes drift" 1.0 (Plan.max_drift plan)
 
-(* Analyze mode adds per-step and whole-plan wall clock on both
-   backends; the counters do not depend on it. *)
+(* Analyze mode adds per-step and whole-plan wall clock; the counters
+   do not depend on it. *)
 let test_analyze_mode_times_steps () =
-  List.iter
-    (fun backend ->
-      let label = Database.backend_to_string backend in
-      let db = flights_backend backend in
-      let body =
-        q [ atom "F" [ var "x"; var "d" ]; atom "H" [ var "h"; var "d" ] ]
-      in
-      let plan, _ = Database.prepare db body in
-      let stats = Plan.stats plan in
-      ignore (Eval.find_all db body);
-      Alcotest.(check bool) (label ^ ": no timing when disarmed") true
-        (stats.Plan.exec_ns = 0L
-        && Array.for_all
-             (fun (so : Plan.step_stat) -> so.Plan.s_ns = 0L)
-             stats.Plan.steps_obs);
-      Plan.set_analyze true;
-      Fun.protect
-        ~finally:(fun () -> Plan.set_analyze false)
-        (fun () -> ignore (Eval.find_all db body));
-      Alcotest.(check bool) (label ^ ": analyze accrues plan time") true
-        (stats.Plan.exec_ns > 0L);
-      Alcotest.(check bool) (label ^ ": analyze accrues step time") true
-        (Array.exists
-           (fun (so : Plan.step_stat) -> so.Plan.s_ns > 0L)
-           stats.Plan.steps_obs))
-    [ Database.Row; Database.Columnar ]
+  let db = flights_db () in
+  let body = q [ atom "F" [ var "x"; var "d" ]; atom "H" [ var "h"; var "d" ] ] in
+  let plan, _ = Database.prepare db body in
+  let stats = Plan.stats plan in
+  ignore (Eval.find_all db body);
+  Alcotest.(check bool) "no timing when disarmed" true
+    (stats.Plan.exec_ns = 0L
+    && Array.for_all
+         (fun (so : Plan.step_stat) -> so.Plan.s_ns = 0L)
+         stats.Plan.steps_obs);
+  Plan.set_analyze true;
+  Fun.protect
+    ~finally:(fun () -> Plan.set_analyze false)
+    (fun () -> ignore (Eval.find_all db body));
+  Alcotest.(check bool) "analyze accrues plan time" true
+    (stats.Plan.exec_ns > 0L);
+  Alcotest.(check bool) "analyze accrues step time" true
+    (Array.exists
+       (fun (so : Plan.step_stat) -> so.Plan.s_ns > 0L)
+       stats.Plan.steps_obs)
 
 let test_pp_analyze_renders () =
   let db = flights_db () in
@@ -373,14 +328,13 @@ let suite =
     Alcotest.test_case "cache: isomorphic probes share" `Quick test_cache_sharing;
     Alcotest.test_case "cache: schema changes invalidate" `Quick
       test_cache_invalidation;
-    Alcotest.test_case "cache: nocache bypasses" `Quick test_nocache_counts_misses;
     Alcotest.test_case "cache: constants stay per-instance" `Quick
       test_shared_plan_distinct_constants;
     Alcotest.test_case "postings: prune at half dead" `Quick test_posting_pruning;
     Alcotest.test_case "postings: delete/compact cycles" `Quick
       test_delete_compact_cycles;
-    Alcotest.test_case "stats: observed == tuples_scanned (both backends)"
-      `Quick test_observed_equals_tuples_scanned;
+    Alcotest.test_case "stats: observed == tuples_scanned" `Quick
+      test_observed_equals_tuples_scanned;
     Alcotest.test_case "stats: estimates, drift, versions, reset" `Quick
       test_estimates_and_drift;
     Alcotest.test_case "stats: analyze mode times steps" `Quick

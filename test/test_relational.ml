@@ -150,7 +150,35 @@ let test_relation_delete_compaction () =
   Alcotest.(check int) "index consistent after compaction" 1
     (Relation.count_matching r ~col:0 (vi 80));
   Alcotest.(check int) "distinct values" 40
-    (Value.Set.cardinal (Relation.distinct_values r ~col:0))
+    (Value.Set.cardinal (Relation.distinct_values r ~col:0));
+  (* Order invariants the online engine's candidate order and the
+     byte-equal snapshots rely on: killing 80% of one hot posting
+     compacts the store, survivors keep insertion order, and a deleted
+     tuple inserted again lands at the end. *)
+  let p = Relation.create (Schema.make "P" [ "k"; "v" ]) in
+  let n = 1_000 in
+  for i = 0 to n - 1 do
+    ignore (Relation.insert p (tup [ vi i; vs "hot" ]))
+  done;
+  for i = 0 to n - 1 do
+    if i mod 5 <> 0 then ignore (Relation.delete p (tup [ vi i; vs "hot" ]))
+  done;
+  let live = n / 5 in
+  Alcotest.(check int) "live count" live (Relation.cardinal p);
+  Alcotest.(check int) "posting count tracks deletes" live
+    (Relation.count_matching p ~col:1 (vs "hot"));
+  Alcotest.(check bool) "posting pruned: len <= 2 * count" true
+    (Relation.posting_length p ~col:1 (vs "hot") <= 2 * live);
+  let expected = List.init live (fun j -> tup [ vi (5 * j); vs "hot" ]) in
+  Alcotest.(check (list tuple_t)) "insertion order survives compaction"
+    expected (Relation.to_list p);
+  Alcotest.(check bool) "reinsert" true
+    (Relation.insert p (tup [ vi 1; vs "hot" ]));
+  Alcotest.(check (list tuple_t)) "reinsert appends"
+    (expected @ [ tup [ vi 1; vs "hot" ] ])
+    (Relation.to_list p);
+  Alcotest.(check int) "count_matching sees the reinsert" (live + 1)
+    (Relation.count_matching p ~col:1 (vs "hot"))
 
 let test_relation_delete_under_eval () =
   (* Choose-1 semantics sees inventory disappear. *)
@@ -272,8 +300,8 @@ let test_data_version_per_database () =
 (* Observed statistics on relations: monotone insert/delete tallies
    (surviving compaction), first-column distinct counts, and the
    estimate_bucket cardinality estimate. *)
-let relation_stats_test ~columnar () =
-  let r = Relation.create ~columnar (Schema.make "F" [ "fid"; "dest" ]) in
+let test_relation_stats () =
+  let r = Relation.create (Schema.make "F" [ "fid"; "dest" ]) in
   Alcotest.(check int) "no inserts yet" 0 (Relation.inserts r);
   Alcotest.(check int) "empty estimate" 0 (Relation.estimate_bucket r ~col:0);
   for i = 1 to 8 do
@@ -305,8 +333,6 @@ let relation_stats_test ~columnar () =
   ignore (Relation.insert r (tup [ vi 7; vs "Paris" ]));
   Alcotest.(check int) "ceil estimate" 2 (Relation.estimate_bucket r ~col:0)
 
-let test_relation_stats_row () = relation_stats_test ~columnar:false ()
-let test_relation_stats_columnar () = relation_stats_test ~columnar:true ()
 
 let arbitrary_value =
   QCheck.Gen.(
@@ -342,9 +368,7 @@ let suite =
     Alcotest.test_case "data_version is per-database" `Quick
       test_data_version_per_database;
     Alcotest.test_case "relation observed stats (row)" `Quick
-      test_relation_stats_row;
-    Alcotest.test_case "relation observed stats (columnar)" `Quick
-      test_relation_stats_columnar;
+      test_relation_stats;
     Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
     Alcotest.test_case "csv crlf" `Quick test_csv_crlf;
     Alcotest.test_case "csv relation roundtrip" `Quick test_csv_relation_roundtrip;

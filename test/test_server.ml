@@ -473,6 +473,9 @@ let killer_frames =
     ({|{"id":6,"op":"create_table","name":"H","attrs":["a","a"]}|},
      "bad_schema");
     ({|{"id":7,"op":"create_table","name":"","attrs":["a"]}|}, "bad_schema");
+    ({|{"id":8,"op":"\ud83d"}|}, "bad_json");
+    ({|{"id":9,"op":"\ude00"}|}, "bad_json");
+    ({|{"id":10,"op":"\ud83d\u0041"}|}, "bad_json");
   ]
 
 (* A bare socket speaking the frame protocol with raw payload bytes,
@@ -561,6 +564,36 @@ let test_killer_frames () =
   pump srv;
   Server.stop srv
 
+(* A \u-escaped surrogate pair decodes to the same UTF-8 bytes as the
+   raw character, so a constant spelled escaped in one request and raw
+   in another is one value: the pair unifies and coordinates. *)
+let test_escaped_constant_coordinates () =
+  let db = Database.create () in
+  let engine = Online.create ~eager:true db in
+  let srv = mk_server db engine in
+  let conn = connect srv in
+  seed_over_wire srv conn;
+  let fd = raw_connect srv in
+  let escaped =
+    raw_rpc ~ctx:"escaped" srv fd
+      {|{"op":"submit","query":"qa: { R('\ud83d\ude00', y) } R(G0, x) :- F(x, Zurich)."}|}
+  in
+  Alcotest.(check (option string))
+    "escaped side pends" (Some "pending")
+    (Json.str_mem "result" escaped);
+  let raw =
+    raw_rpc ~ctx:"raw" srv fd
+      "{\"op\":\"submit\",\"query\":\"qb: { R(G0, y) } \
+       R('\xf0\x9f\x98\x80', x) :- F(x, Zurich).\"}"
+  in
+  Alcotest.(check (option string))
+    "raw side coordinates with the escaped one" (Some "coordinated")
+    (Json.str_mem "result" raw);
+  Unix.close fd;
+  Server.Client.close conn;
+  pump srv;
+  Server.stop srv
+
 let test_json_roundtrip () =
   let cases =
     [
@@ -586,9 +619,14 @@ let test_json_roundtrip () =
   (match Json.parse {|{"a":1} trailing|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes must not parse");
-  match Json.parse {|"\u00e9\u0041"|} with
+  (match Json.parse {|"\u00e9\u0041"|} with
   | Ok (Json.Str s) -> Alcotest.(check string) "hex escapes decode" "\xc3\xa9A" s
-  | _ -> Alcotest.fail "valid \\u escapes must parse"
+  | _ -> Alcotest.fail "valid \\u escapes must parse");
+  match Json.parse {|"\ud83d\ude00"|} with
+  | Ok (Json.Str s) ->
+    Alcotest.(check string) "surrogate pair is one 4-byte code point"
+      "\xf0\x9f\x98\x80" s
+  | _ -> Alcotest.fail "a surrogate pair must parse"
 
 let suite =
   [
@@ -609,4 +647,6 @@ let suite =
       test_protocol_errors;
     Alcotest.test_case "one-frame crashes become typed error frames" `Quick
       test_killer_frames;
+    Alcotest.test_case "escaped and raw spellings of a constant coordinate"
+      `Quick test_escaped_constant_coordinates;
   ]
