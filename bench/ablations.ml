@@ -939,15 +939,15 @@ let service ?(rows = 2_000) ?(requests = 512) ?(clients = [ 1; 8; 64 ]) () =
             let conn = conns.(i mod nclients) in
             let s0 = Coordination.Stats.now_ns () in
             Server.Client.send conn
-              (Server.Json.Obj
+              (Json.Obj
                  [
-                   ("id", Server.Json.Int i);
-                   ("op", Server.Json.Str "submit");
-                   ("query", Server.Json.Str (query_src i));
+                   ("id", Json.Int i);
+                   ("op", Json.Str "submit");
+                   ("query", Json.Str (query_src i));
                  ]);
             let rec await () =
               match Server.Client.try_recv conn with
-              | Some f when Server.Json.str_mem "notify" f = None -> f
+              | Some f when Json.str_mem "notify" f = None -> f
               | Some _ -> await ()
               | None ->
                 ignore (Server.step ~timeout:0.01 srv);

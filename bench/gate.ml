@@ -29,137 +29,7 @@
 
      gate.exe --baseline BENCH_eval.json --fresh bench.json [--tolerance T]
 
-   [--tolerance T] replaces every timing rule's slack.
-
-   The parser below covers exactly the JSON Series.to_json emits
-   (objects, arrays, numbers, strings); it is not a general-purpose
-   JSON reader. *)
-
-type json =
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char b '"'
-        | Some '\\' -> Buffer.add_char b '\\'
-        | Some 'n' -> Buffer.add_char b '\n'
-        | Some 't' -> Buffer.add_char b '\t'
-        | Some 'u' ->
-          (* \uXXXX: the emitter only writes these for control bytes;
-             keep the raw escape, the gate never compares them. *)
-          for _ = 1 to 4 do
-            advance ()
-          done
-        | _ -> fail "bad escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (
-        advance ();
-        Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((k, v) :: acc)
-          | _ -> fail "expected , or } in object"
-        in
-        Obj (members [])
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (
-        advance ();
-        List [])
-      else
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected , or ] in array"
-        in
-        List (elements [])
-    | Some ('0' .. '9' | '-') -> Num (parse_number ())
-    | _ -> fail "unexpected character"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+   [--tolerance T] replaces every timing rule's slack. *)
 
 (* ------------------------- Series access -------------------------- *)
 
@@ -170,27 +40,19 @@ let read_file path =
   s
 
 let load path =
-  match parse_json (read_file path) with
-  | Obj series -> series
-  | _ -> raise (Parse_error (path ^ ": top level is not an object"))
+  match Json.parse (read_file path) with
+  | Ok (Json.Obj series) -> series
+  | Ok _ -> failwith (path ^ ": top level is not an object")
+  | Error why -> failwith (path ^ ": " ^ why)
 
-let strings = function
-  | List vs ->
-    List.map (function Str s -> s | Num f -> string_of_float f | _ -> "") vs
+let columns_of series =
+  match Json.mem "columns" series with
+  | Some (Json.Arr cs) -> List.map (function Json.Str s -> s | _ -> "") cs
   | _ -> []
 
-let columns_of = function
-  | Obj fields -> (
-    match List.assoc_opt "columns" fields with
-    | Some c -> strings c
-    | None -> [])
-  | _ -> []
-
-let rows_of = function
-  | Obj fields -> (
-    match List.assoc_opt "rows" fields with
-    | Some (List rows) -> List.map (function List r -> r | _ -> []) rows
-    | _ -> [])
+let rows_of series =
+  match Json.mem "rows" series with
+  | Some (Json.Arr rows) -> List.map (function Json.Arr r -> r | _ -> []) rows
   | _ -> []
 
 let median xs =
@@ -206,7 +68,7 @@ let column_median series name =
   else
     rows_of series
     |> List.filter_map (fun row ->
-           match List.nth_opt row !idx with Some (Num f) -> Some f | _ -> None)
+           Option.bind (List.nth_opt row !idx) Json.number)
     |> median
 
 type limit =

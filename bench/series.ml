@@ -44,21 +44,8 @@ let names () = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) 
 let is_number s =
   s <> "" && match float_of_string_opt s with Some _ -> true | None -> false
 
-let add_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_cell b s = if is_number s then Buffer.add_string b s else add_string b s
+let add_cell b s =
+  if is_number s then Buffer.add_string b s else Json.add_string b s
 
 let add_list b add xs =
   Buffer.add_char b '[';
@@ -79,9 +66,9 @@ let to_json () =
         match rows name with [] -> ([], []) | cols :: data -> (cols, data)
       in
       Buffer.add_string b "  ";
-      add_string b name;
+      Json.add_string b name;
       Buffer.add_string b ": {\"columns\": ";
-      add_list b add_string columns;
+      add_list b Json.add_string columns;
       Buffer.add_string b ", \"rows\": ";
       add_list b (fun b r -> add_list b add_cell r) data;
       (match metrics name with
@@ -91,7 +78,7 @@ let to_json () =
         List.iteri
           (fun i (k, v) ->
             if i > 0 then Buffer.add_string b ", ";
-            add_string b k;
+            Json.add_string b k;
             Buffer.add_string b ": ";
             add_cell b v)
           kvs;

@@ -86,6 +86,12 @@ let fsync_conv =
   in
   Arg.conv (parse, print)
 
+(* A WAL that cannot be written stops the process: carrying on would
+   answer from state a restart does not recover. *)
+let wal_failed why =
+  Printf.eprintf "WAL write failed: %s; stopping\n%!" why;
+  exit 1
+
 let handle_syntax f =
   try f () with
   | Entangled.Parser.Syntax_error (line, msg) ->
@@ -869,7 +875,9 @@ let repl_cmd =
            end
          end
        done
-     with End_of_file | Exit | Sys_error _ -> ());
+     with
+     | End_of_file | Exit | Sys_error _ -> ()
+     | Durable.Wal_failed why -> wal_failed why);
     Option.iter Durable.close durable;
     (try
        Printf.printf "bye: %d queries coordinated, %d still pending\n"
@@ -1129,7 +1137,10 @@ let serve_cmd =
     | Server.Unix_socket path -> Printf.printf "serving on unix:%s\n%!" path
     | Server.Tcp (host, _) ->
       Printf.printf "serving on %s:%d\n%!" host (Server.port srv));
-    Server.run srv;
+    (try Server.run srv
+     with Durable.Wal_failed why ->
+       Server.stop srv;
+       wal_failed why);
     Server.stop srv;
     Option.iter Durable.close durable;
     let coordinated, still_pending =
@@ -1191,7 +1202,7 @@ let client_cmd =
        while not !aborted do
          let line = String.trim (input_line stdin) in
          if line <> "" then begin
-           match Server.Json.parse line with
+           match Json.parse line with
            | Error why -> Printf.printf "client: bad request json: %s\n" why
            | Ok req ->
              Server.Client.send conn req;
@@ -1208,8 +1219,8 @@ let client_cmd =
                  match Server.Client.recv ~timeout conn with
                  | None -> Printf.printf "client: timeout\n"
                  | Some frame ->
-                   print_endline (Server.Json.to_string frame);
-                   if Server.Json.str_mem "notify" frame <> None then
+                   print_endline (Json.to_string frame);
+                   if Json.str_mem "notify" frame <> None then
                      await ()
                in
                await ())

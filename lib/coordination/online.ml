@@ -128,6 +128,10 @@ let next_id engine = engine.next_id
 
 let pending_count engine = Hashtbl.length engine.entries
 
+let index_keys engine =
+  ( Coordination_graph.Atom_index.key_count engine.posts_index,
+    Coordination_graph.Atom_index.key_count engine.heads_index )
+
 let total_coordinated engine = engine.satisfied
 
 let stats engine = engine.stats

@@ -134,6 +134,12 @@ val next_id : t -> int
 
 val pending_count : t -> int
 
+val index_keys : t -> int * int
+(** First-constant keys held by the postcondition and head atom
+    indexes ({!Entangled.Coordination_graph.Atom_index.key_count}) — a
+    debug and gauge accessor.  Both are bounded by the live pool's
+    atoms: a retired or fired entry's keys leave with it. *)
+
 val components : t -> int list list
 (** The weakly-connected-component partition of the pending pool, as
     lists of positions into {!pending} (each sorted ascending,

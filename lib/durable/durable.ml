@@ -386,6 +386,7 @@ type t = {
   db : Database.t;
   mutable engine : engine;
   mutable closed : bool;
+  mutable failed : string option;  (* why the journal stopped taking writes *)
 }
 
 let dir t = t.cfg.dir
@@ -419,6 +420,37 @@ let open_segment ~dir ~first_lsn =
 
 let buffer_record t r = t.group <- (encode_record r) :: t.group
 
+exception Wal_failed of string
+
+let io_error_to_string = function
+  | Unix.Unix_error (err, fn, arg) ->
+    Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err)
+  | Sys_error msg -> msg
+  | e -> Printexc.to_string e
+
+(* Test-only fault injection for the journal: when set, [commit_group]
+   raises the given exception in place of its write, as an EIO or
+   ENOSPC from the log device would. *)
+let journal_fault : exn option ref = ref None
+let inject_journal_failure e = journal_fault := e
+
+(* Fail-stop.  An I/O error while appending, syncing or rotating the
+   journal leaves the engine past what the WAL holds, and after a
+   failed fsync the kernel may already have dropped the dirty pages, so
+   a later fsync that succeeds proves nothing.  The handle therefore
+   refuses every later write as well, and the caller must stop: a
+   restart recovers exactly what the WAL holds. *)
+let fail_stop t f =
+  match t.failed with
+  | Some why -> raise (Wal_failed why)
+  | None -> (
+    try f ()
+    with (Unix.Unix_error _ | Sys_error _) as e ->
+      let why = io_error_to_string e in
+      t.failed <- Some why;
+      Obs.Flight_recorder.incident ("WAL write failed: " ^ why);
+      raise (Wal_failed why))
+
 (* Append the buffered group as one write, flagging its last record,
    then apply the fsync policy. *)
 let commit_group t =
@@ -444,6 +476,7 @@ let commit_group t =
         Enc.u32 b (Crc32.string body))
       recs;
     t.group <- [];
+    (match !journal_fault with Some e -> raise e | None -> ());
     Buffer.output_buffer t.oc b;
     flush t.oc;
     t.offset <- t.offset + Buffer.length b;
@@ -655,13 +688,7 @@ let try_write_snapshot ~dirname ~lsn payload =
     let tmp = Filename.concat dirname (snapshot_name lsn ^ ".tmp") in
     (try if Sys.file_exists tmp then Sys.remove tmp
      with Sys_error _ | Unix.Unix_error _ -> ());
-    let why =
-      match e with
-      | Unix.Unix_error (err, fn, arg) ->
-        Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err)
-      | Sys_error msg -> msg
-      | _ -> assert false
-    in
+    let why = io_error_to_string e in
     Obs.Counter.incr (Lazy.force c_snapshot_failures);
     Obs.event
       ~args:(fun () -> [ ("lsn", Obs.Int (Int64.to_int lsn)); ("error", Obs.Str why) ])
@@ -670,6 +697,7 @@ let try_write_snapshot ~dirname ~lsn payload =
 
 let snapshot t =
   if t.closed then invalid_arg "Durable.snapshot: closed";
+  fail_stop t @@ fun () ->
   commit_group t;
   if Int64.compare t.next_lsn 1L <= 0 then Ok ()
   else begin
@@ -723,6 +751,11 @@ let op_tag = function
   | Online.Journal.Flush_op -> 2
   | Online.Journal.Withdraw_op -> 3
 
+let commit_group_and_snapshot t =
+  fail_stop t @@ fun () ->
+  commit_group t;
+  maybe_snapshot t
+
 let journal_sink t : Online.Journal.sink = function
   | Online.Journal.Submitted { id; query } ->
     buffer_record t (Submit { id; src = Parser.query_to_string query })
@@ -744,19 +777,16 @@ let journal_sink t : Online.Journal.sink = function
       | Online.Journal.Submit_op | Online.Journal.Withdraw_op -> ()
       | Online.Journal.Submit_all_op | Online.Journal.Flush_op ->
         buffer_record t (Commit { op = op_tag op; fired }));
-      commit_group t;
-      maybe_snapshot t
+      commit_group_and_snapshot t
     end
 
 let journal_insert t rel tuple =
   buffer_record t (Insert { rel; tuple });
-  commit_group t;
-  maybe_snapshot t
+  commit_group_and_snapshot t
 
 let journal_create_table t name attrs =
   buffer_record t (Create_table { name; attrs });
-  commit_group t;
-  maybe_snapshot t
+  commit_group_and_snapshot t
 
 let set_journal engine sink =
   match engine with
@@ -778,11 +808,14 @@ let shard ~domains t =
 
 let close t =
   if not t.closed then begin
-    commit_group t;
+    t.closed <- true;
     set_journal t.engine None;
-    if t.cfg.fsync <> Never then do_fsync t;
-    close_out_noerr t.oc;
-    t.closed <- true
+    Fun.protect ~finally:(fun () -> close_out_noerr t.oc) @@ fun () ->
+    (* A failed handle has nothing left it may write. *)
+    if t.failed = None then
+      fail_stop t (fun () ->
+          commit_group t;
+          if t.cfg.fsync <> Never then do_fsync t)
   end
 
 let has_wal_files dir =
@@ -816,6 +849,7 @@ let create_engine ?selection ?eager ?consume cfg =
       db;
       engine = Sequential engine;
       closed = false;
+      failed = None;
     }
   in
   buffer_record t (Meta meta);
@@ -1282,6 +1316,7 @@ let recover cfg =
             db;
             engine = Sequential engine;
             closed = false;
+            failed = None;
           }
         in
         (* A failed (but tolerable — clean tail) checkpoint leaves the

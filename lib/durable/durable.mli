@@ -93,9 +93,20 @@ val create_engine :
     [Preferred _] — a closure cannot be journaled, so a durable engine
     cannot carry one. *)
 
+exception Wal_failed of string
+(** The journal could not be written: an I/O error while appending,
+    syncing or rotating a segment (the payload says which).  The
+    engine has already moved past what the WAL holds, and after a
+    failed fsync a later one proves nothing, so the handle is
+    {e fail-stop}: it records a flight-recorder incident and every
+    later journaled operation raises [Wal_failed] again.  The caller
+    must stop; a restart recovers exactly what the WAL holds. *)
+
 val close : t -> unit
 (** Flush, fsync (unless the policy is [Never]) and close the current
-    segment, detaching the journal sink.  Idempotent. *)
+    segment, detaching the journal sink.  A failed handle is closed
+    without writing.  Idempotent.
+    @raise Wal_failed if the final flush or fsync fails. *)
 
 val snapshot : t -> (unit, string) result
 (** Force a snapshot + segment rotation + prune now (the same protocol
@@ -105,12 +116,16 @@ val snapshot : t -> (unit, string) result
     event, the current segment keeps growing, and {e nothing is
     pruned} — the journal the snapshot would have superseded remains
     the only durable copy, so recovery still replays it.  Periodic
-    snapshots retry after another [snapshot_every] interval. *)
+    snapshots retry after another [snapshot_every] interval.
+    @raise Wal_failed if the journal itself cannot be synced or its
+    next segment cannot be opened. *)
 
 val journal_insert : t -> string -> Value.t list -> unit
 (** Journal an external tuple insert (e.g. a repl [fact] statement) as
     its own committed group.  The caller performs the actual
-    {!Relational.Database.insert}; replay re-issues it. *)
+    {!Relational.Database.insert}; replay re-issues it.
+    @raise Wal_failed if the group cannot be written; so does every
+    engine operation journaled through this handle. *)
 
 val journal_create_table : t -> string -> string list -> unit
 (** Journal an external table creation; see {!journal_insert}. *)
@@ -222,6 +237,11 @@ val inject_snapshot_failure : exn option -> unit
     [Unix.Unix_error (EACCES, _, _)]) instead of touching the
     filesystem, simulating a full disk or permission failure the test
     harness cannot provoke for real.  [None] clears the fault. *)
+
+val inject_journal_failure : exn option -> unit
+(** Test-only: make the next journal group writes raise [e] (e.g. a
+    [Unix.Unix_error (EIO, _, _)]) in place of the write, so a test can
+    drive the {!Wal_failed} path.  [None] clears the fault. *)
 
 module Crc32 : sig
   val string : string -> int

@@ -75,9 +75,19 @@ module Atom_index = struct
       | Term.Const v -> (
         match Value.Hashtbl.find_opt bucket.by_first_const v with
         | None -> ()
-        | Some l ->
-          Value.Hashtbl.replace bucket.by_first_const v (List.filter keep l))
+        | Some l -> (
+          (* An emptied key goes: constants are per-request (fresh
+             partner names), so keeping it would grow the table with
+             requests served rather than with the live pool. *)
+          match List.filter keep l with
+          | [] -> Value.Hashtbl.remove bucket.by_first_const v
+          | l -> Value.Hashtbl.replace bucket.by_first_const v l))
       | Term.Var _ -> bucket.var_first <- List.filter keep bucket.var_first)
+
+  let key_count (t : 'a t) =
+    Hashtbl.fold
+      (fun _ bucket n -> n + Value.Hashtbl.length bucket.by_first_const)
+      t 0
 
   let probe (t : 'a t) (p : Cq.atom) =
     match Hashtbl.find_opt t p.rel with

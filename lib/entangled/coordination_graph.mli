@@ -46,6 +46,11 @@ module Atom_index : sig
   (** [remove t a pred] drops every entry under [a]'s buckets whose
       payload satisfies [pred] — pass the same atom used in {!add}. *)
 
+  val key_count : 'a t -> int
+  (** First-argument-constant keys currently held, over all relations
+      — a debug and gauge accessor: it tracks the distinct constants
+      of the live atoms, not every constant ever added. *)
+
   val probe : 'a t -> Cq.atom -> (Cq.atom * 'a) list
   (** All stored atoms {!compatible} with the probe atom, bucket order
       (first-argument-constant matches before wildcards). *)

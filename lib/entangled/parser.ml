@@ -53,6 +53,11 @@ let tokenize input =
   let line = ref 1 in
   let emit t = tokens := (t, !line) :: !tokens in
   let error msg = raise (Syntax_error (!line, msg)) in
+  let int_literal digits =
+    match int_of_string_opt digits with
+    | Some k -> emit (INT k)
+    | None -> error "integer literal out of range"
+  in
   let rec scan i =
     if i >= n then emit EOF
     else
@@ -118,14 +123,14 @@ let tokenize input =
         while !j < n && (match input.[!j] with '0' .. '9' -> true | _ -> false) do
           incr j
         done;
-        emit (INT (int_of_string (String.sub input i (!j - i))));
+        int_literal (String.sub input i (!j - i));
         scan !j
       | '-' when i + 1 < n && (match input.[i + 1] with '0' .. '9' -> true | _ -> false) ->
         let j = ref (i + 1) in
         while !j < n && (match input.[!j] with '0' .. '9' -> true | _ -> false) do
           incr j
         done;
-        emit (INT (int_of_string (String.sub input i (!j - i))));
+        int_literal (String.sub input i (!j - i));
         scan !j
       | c when is_ident_start c ->
         let j = ref i in

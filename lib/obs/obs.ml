@@ -6,10 +6,11 @@
       on one mutable boolean; with no sink installed and metrics off,
       [with_span] is a load, a branch and a tail call.  Argument lists
       are thunks, evaluated only when a sink actually consumes them.
-   2. Zero dependencies.  The monotonic clock is a 10-line C stub
-      (CLOCK_MONOTONIC); JSON is emitted by hand; sinks write through a
-      plain [string -> unit] so they work over files, buffers and pipes
-      alike.
+   2. Zero external dependencies.  The monotonic clock is a 10-line C
+      stub (CLOCK_MONOTONIC); JSON is streamed by hand, with strings
+      quoted by the tree's one escaper (Json.add_string); sinks write
+      through a plain [string -> unit] so they work over files, buffers
+      and pipes alike.
    3. One event stream.  Typed solver events ride along as extensible
       [payload]s, so `--explain` (which needs the typed data) and
       `--trace` (which needs the serialized view) are fed by the same
@@ -527,24 +528,8 @@ let with_sink sink f =
     f
 
 (* ------------------------------------------------------------------ *)
-(* JSON plumbing (shared by the jsonl and chrome sinks)               *)
+(* JSON plumbing (the jsonl/chrome sinks and the recorder dumps)      *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
 
 let json_float b f =
   (* %.3f keeps microsecond timestamps readable; JSON numbers must not
@@ -552,7 +537,7 @@ let json_float b f =
   Buffer.add_string b (Printf.sprintf "%.3f" f)
 
 let json_arg b = function
-  | Str s -> json_escape b s
+  | Str s -> Json.add_string b s
   | Int i -> Buffer.add_string b (string_of_int i)
   | Float f -> json_float b f
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
@@ -562,13 +547,64 @@ let json_args b args =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ", ";
-      json_escape b k;
+      Json.add_string b k;
       Buffer.add_string b ": ";
       json_arg b v)
     args;
   Buffer.add_char b '}'
 
 let us_of_ns ns = Int64.to_float ns /. 1e3
+
+(* One JSONL line for [item], timestamps in microseconds after [t0];
+   [dom] tags the recording domain (flight-recorder dumps). *)
+let add_jsonl_line b ~t0 ?dom item =
+  let kind, name, ts_ns, dur_ns, depth, args =
+    match item with
+    | Span s -> ("span", s.name, s.start_ns, Some s.dur_ns, s.depth, s.args)
+    | Event e -> ("event", e.ev_name, e.ev_ts_ns, None, e.ev_depth, e.ev_args)
+  in
+  Buffer.add_string b "{\"type\": ";
+  Json.add_string b kind;
+  Buffer.add_string b ", \"name\": ";
+  Json.add_string b name;
+  Buffer.add_string b ", \"ts_us\": ";
+  json_float b (us_of_ns (Int64.sub ts_ns t0));
+  Option.iter
+    (fun d ->
+      Buffer.add_string b ", \"dur_us\": ";
+      json_float b (us_of_ns d))
+    dur_ns;
+  Printf.bprintf b ", \"depth\": %d" depth;
+  Option.iter (Printf.bprintf b ", \"dom\": %d") dom;
+  Buffer.add_string b ", \"args\": ";
+  json_args b args;
+  Buffer.add_string b "}\n"
+
+(* One Chrome trace_event object for [item] on lane [tid]: a complete
+   event [ph = "X"] for a span, an instant event [ph = "i"] for an
+   event. *)
+let add_chrome_entry b ~t0 ~tid item =
+  let name, ph, ts_ns =
+    match item with
+    | Span s -> (s.name, "X", s.start_ns)
+    | Event e -> (e.ev_name, "i", e.ev_ts_ns)
+  in
+  Buffer.add_string b "{\"name\": ";
+  Json.add_string b name;
+  Buffer.add_string b ", \"ph\": ";
+  Json.add_string b ph;
+  Printf.bprintf b ", \"pid\": 1, \"tid\": %d, \"ts\": " tid;
+  json_float b (us_of_ns (Int64.sub ts_ns t0));
+  (match item with
+  | Span s ->
+    Buffer.add_string b ", \"dur\": ";
+    json_float b (us_of_ns s.dur_ns);
+    Buffer.add_string b ", \"args\": ";
+    json_args b s.args
+  | Event e ->
+    Buffer.add_string b ", \"s\": \"t\", \"args\": ";
+    json_args b e.ev_args);
+  Buffer.add_char b '}'
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                              *)
@@ -615,73 +651,32 @@ let text_sink ppf =
    was installed. *)
 let jsonl_sink write =
   let t0 = now_ns () in
-  let line kind name ts_ns dur_ns depth args =
+  let line item =
     let b = Buffer.create 128 in
-    Buffer.add_string b "{\"type\": ";
-    json_escape b kind;
-    Buffer.add_string b ", \"name\": ";
-    json_escape b name;
-    Buffer.add_string b ", \"ts_us\": ";
-    json_float b (us_of_ns (Int64.sub ts_ns t0));
-    (match dur_ns with
-    | Some d ->
-      Buffer.add_string b ", \"dur_us\": ";
-      json_float b (us_of_ns d)
-    | None -> ());
-    Buffer.add_string b ", \"depth\": ";
-    Buffer.add_string b (string_of_int depth);
-    Buffer.add_string b ", \"args\": ";
-    json_args b args;
-    Buffer.add_string b "}\n";
+    add_jsonl_line b ~t0 item;
     write (Buffer.contents b)
   in
   {
-    on_span = (fun s -> line "span" s.name s.start_ns (Some s.dur_ns) s.depth s.args);
-    on_event = (fun e -> line "event" e.ev_name e.ev_ts_ns None e.ev_depth e.ev_args);
+    on_span = (fun s -> line (Span s));
+    on_event = (fun e -> line (Event e));
     on_close = (fun () -> ());
   }
 
-(* Chrome trace_event JSON (the "JSON array format"): complete events
-   [ph = "X"] for spans, instant events [ph = "i"] for events.  Load
-   the file in chrome://tracing or https://ui.perfetto.dev. *)
+(* Chrome trace_event JSON (the "JSON array format").  Load the file in
+   chrome://tracing or https://ui.perfetto.dev. *)
 let chrome_sink write =
   let t0 = now_ns () in
   let first = ref true in
-  let entry add_fields =
+  let entry item =
     let b = Buffer.create 128 in
-    if !first then begin
-      Buffer.add_string b "[\n";
-      first := false
-    end
-    else Buffer.add_string b ",\n";
-    Buffer.add_char b '{';
-    add_fields b;
-    Buffer.add_char b '}';
+    Buffer.add_string b (if !first then "[\n" else ",\n");
+    first := false;
+    add_chrome_entry b ~t0 ~tid:1 item;
     write (Buffer.contents b)
   in
-  let common b name ph ts_ns =
-    Buffer.add_string b "\"name\": ";
-    json_escape b name;
-    Buffer.add_string b ", \"ph\": ";
-    json_escape b ph;
-    Buffer.add_string b ", \"pid\": 1, \"tid\": 1, \"ts\": ";
-    json_float b (us_of_ns (Int64.sub ts_ns t0))
-  in
   {
-    on_span =
-      (fun s ->
-        entry (fun b ->
-            common b s.name "X" s.start_ns;
-            Buffer.add_string b ", \"dur\": ";
-            json_float b (us_of_ns s.dur_ns);
-            Buffer.add_string b ", \"args\": ";
-            json_args b s.args));
-    on_event =
-      (fun e ->
-        entry (fun b ->
-            common b e.ev_name "i" e.ev_ts_ns;
-            Buffer.add_string b ", \"s\": \"t\", \"args\": ";
-            json_args b e.ev_args));
+    on_span = (fun s -> entry (Span s));
+    on_event = (fun e -> entry (Event e));
     on_close =
       (fun () -> if !first then write "[\n]\n" else write "\n]\n");
   }
@@ -811,59 +806,14 @@ module Flight_recorder = struct
     List.iteri
       (fun i (dom, it) ->
         Buffer.add_string b (if i = 0 then "\n" else ",\n");
-        Buffer.add_char b '{';
-        let common name ph ts_ns =
-          Buffer.add_string b "\"name\": ";
-          json_escape b name;
-          Buffer.add_string b ", \"ph\": ";
-          json_escape b ph;
-          Buffer.add_string b (Printf.sprintf ", \"pid\": 1, \"tid\": %d, \"ts\": " dom);
-          json_float b (us_of_ns (Int64.sub ts_ns t0))
-        in
-        (match it with
-        | Span s ->
-          common s.name "X" s.start_ns;
-          Buffer.add_string b ", \"dur\": ";
-          json_float b (us_of_ns s.dur_ns);
-          Buffer.add_string b ", \"args\": ";
-          json_args b s.args
-        | Event e ->
-          common e.ev_name "i" e.ev_ts_ns;
-          Buffer.add_string b ", \"s\": \"t\", \"args\": ";
-          json_args b e.ev_args);
-        Buffer.add_char b '}')
+        add_chrome_entry b ~t0 ~tid:dom it)
       items;
     Buffer.add_string b "\n]\n";
     write (Buffer.contents b)
 
   let write_jsonl write items =
     let b = Buffer.create 4096 in
-    List.iter
-      (fun (dom, it) ->
-        Buffer.add_string b "{\"type\": ";
-        (match it with
-        | Span s ->
-          json_escape b "span";
-          Buffer.add_string b ", \"name\": ";
-          json_escape b s.name;
-          Buffer.add_string b ", \"ts_us\": ";
-          json_float b (us_of_ns s.start_ns);
-          Buffer.add_string b ", \"dur_us\": ";
-          json_float b (us_of_ns s.dur_ns);
-          Buffer.add_string b (Printf.sprintf ", \"depth\": %d" s.depth);
-          Buffer.add_string b (Printf.sprintf ", \"dom\": %d, \"args\": " dom);
-          json_args b s.args
-        | Event e ->
-          json_escape b "event";
-          Buffer.add_string b ", \"name\": ";
-          json_escape b e.ev_name;
-          Buffer.add_string b ", \"ts_us\": ";
-          json_float b (us_of_ns e.ev_ts_ns);
-          Buffer.add_string b (Printf.sprintf ", \"depth\": %d" e.ev_depth);
-          Buffer.add_string b (Printf.sprintf ", \"dom\": %d, \"args\": " dom);
-          json_args b e.ev_args);
-        Buffer.add_string b "}\n")
-      items;
+    List.iter (fun (dom, it) -> add_jsonl_line b ~t0:0L ~dom it) items;
     write (Buffer.contents b)
 
   let dump_to_file path =
@@ -960,7 +910,7 @@ let metrics_json () =
     (fun i (c : Counter.t) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n    {\"name\": ";
-      json_escape b c.Counter.c_name;
+      Json.add_string b c.Counter.c_name;
       Buffer.add_string b ", \"value\": ";
       Buffer.add_string b (string_of_int c.Counter.value);
       Buffer.add_char b '}')
@@ -970,7 +920,7 @@ let metrics_json () =
     (fun i (g : Gauge.t) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n    {\"name\": ";
-      json_escape b g.Gauge.g_name;
+      Json.add_string b g.Gauge.g_name;
       Buffer.add_string b ", \"value\": ";
       json_float b g.Gauge.g_value;
       Buffer.add_char b '}')
@@ -980,7 +930,7 @@ let metrics_json () =
     (fun i (h : Histogram.t) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n    {\"name\": ";
-      json_escape b h.Histogram.h_name;
+      Json.add_string b h.Histogram.h_name;
       Buffer.add_string b
         (Printf.sprintf ", \"count\": %d, \"sum\": %Ld, \"max\": %Ld"
            (Histogram.count h) (Histogram.sum h) (Histogram.max_value h));

@@ -2,9 +2,9 @@
    multiplexing socket sessions onto one Online engine.  See the .mli
    for the protocol; the design constraints that shape this file:
 
-   - No JSON or async dependency exists in the tree, so frames carry a
-     hand-rolled minimal JSON (module Json) and the loop is plain
-     Unix.select — the same zero-dependency discipline as lib/obs.
+   - No JSON or async dependency exists in the tree, so frames carry
+     the repo's own lib/json codec and the loop is plain Unix.select —
+     the same zero-dependency discipline as lib/obs.
    - Determinism: sessions are processed in session-id order every
      round, so one arrival order always yields one engine-operation
      order.  The differential suite replays that order against a
@@ -18,250 +18,9 @@ open Relational
 module Online = Coordination.Online
 module Online_sharded = Coordination.Online_sharded
 
-(* ------------------------------ JSON ------------------------------ *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse_exn s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some d when d = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal word value =
-      String.iter expect word;
-      value
-    in
-    let hex4 () =
-      if !pos + 4 > n then fail "truncated \\u escape";
-      let digit c =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | _ -> fail "bad \\u escape"
-      in
-      let v = ref 0 in
-      for i = 0 to 3 do
-        v := (!v lsl 4) lor digit s.[!pos + i]
-      done;
-      pos := !pos + 4;
-      !v
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> advance (); Buffer.add_char b '"'
-          | Some '\\' -> advance (); Buffer.add_char b '\\'
-          | Some '/' -> advance (); Buffer.add_char b '/'
-          | Some 'b' -> advance (); Buffer.add_char b '\b'
-          | Some 'f' -> advance (); Buffer.add_char b '\012'
-          | Some 'n' -> advance (); Buffer.add_char b '\n'
-          | Some 'r' -> advance (); Buffer.add_char b '\r'
-          | Some 't' -> advance (); Buffer.add_char b '\t'
-          | Some 'u' ->
-            advance ();
-            let cp = hex4 () in
-            (* A high surrogate and the low surrogate escaped right
-               after it are one code point: encode it as the same 4
-               UTF-8 bytes a raw spelling would carry, so both
-               spellings of a constant are one value. *)
-            let cp =
-              if cp >= 0xD800 && cp <= 0xDBFF then begin
-                if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                then begin
-                  pos := !pos + 2;
-                  let lo = hex4 () in
-                  if lo < 0xDC00 || lo > 0xDFFF then fail "unpaired surrogate";
-                  0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-                end
-                else fail "unpaired surrogate"
-              end
-              else if cp >= 0xDC00 && cp <= 0xDFFF then fail "unpaired surrogate"
-              else cp
-            in
-            Buffer.add_utf_8_uchar b (Uchar.of_int cp)
-          | _ -> fail "bad escape");
-          go ()
-        | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while match peek () with Some c when is_num_char c -> true | _ -> false
-      do
-        advance ()
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt tok with
-        | Some f -> Float f
-        | None -> fail "bad number")
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "empty input"
-      | Some 'n' -> literal "null" Null
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some '"' -> Str (parse_string ())
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items (v :: acc)
-            | Some ']' ->
-              advance ();
-              List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (items [])
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            (k, parse_value ())
-          in
-          let rec fields acc =
-            let kv = field () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              fields (kv :: acc)
-            | Some '}' ->
-              advance ();
-              List.rev (kv :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (fields [])
-      | Some _ -> parse_number ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing bytes";
-    v
-
-  let parse s = match parse_exn s with v -> Ok v | exception Bad m -> Error m
-
-  let escape b s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
-
-  let to_string v =
-    let b = Buffer.create 64 in
-    let rec go = function
-      | Null -> Buffer.add_string b "null"
-      | Bool true -> Buffer.add_string b "true"
-      | Bool false -> Buffer.add_string b "false"
-      | Int i -> Buffer.add_string b (string_of_int i)
-      | Float f -> Buffer.add_string b (Printf.sprintf "%.12g" f)
-      | Str s ->
-        Buffer.add_char b '"';
-        escape b s;
-        Buffer.add_char b '"'
-      | Arr items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_char b ',';
-            go v)
-          items;
-        Buffer.add_char b ']'
-      | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            escape b k;
-            Buffer.add_string b "\":";
-            go v)
-          fields;
-        Buffer.add_char b '}'
-    in
-    go v;
-    Buffer.contents b
-
-  let mem key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-
-  let str_mem key v =
-    match mem key v with Some (Str s) -> Some s | _ -> None
-
-  let int_mem key v = match mem key v with Some (Int i) -> Some i | _ -> None
-end
+(* perfbench/ names the codec Server.Json throughout; the alias keeps
+   that spelling compiling.  New code calls Json directly. *)
+module Json = Json
 
 (* ----------------------------- framing ---------------------------- *)
 
@@ -557,14 +316,33 @@ let value_of_json = function
 let request_id req =
   match Json.mem "id" req with Some v -> v | None -> Json.Null
 
+let error_frame ?(fields = []) id code =
+  Json.Obj
+    (("id", id) :: ("ok", Json.Bool false) :: ("error", Json.Str code) :: fields)
+
+(* The error frame for reading or writing [rel] at [arity] when the
+   store has no such table or the table has another arity.  Inserts
+   and submitted query bodies share it, so a body the evaluator could
+   not plan is refused with the same codes and fields as a bad insert. *)
+let schema_error db rel arity =
+  match Database.relation_opt db rel with
+  | None -> Some ("no_table", [ ("rel", Json.Str rel) ])
+  | Some r when Relation.arity r <> arity ->
+    Some
+      ( "bad_arity",
+        [
+          ("rel", Json.Str rel);
+          ("expected", Json.Int (Relation.arity r));
+          ("got", Json.Int arity);
+        ] )
+  | Some _ -> None
+
 let handle_request t s req =
-  let respond ~ok fields =
+  let respond fields =
     enqueue t s
-      (Json.Obj (("id", request_id req) :: ("ok", Json.Bool ok) :: fields))
+      (Json.Obj (("id", request_id req) :: ("ok", Json.Bool true) :: fields))
   in
-  let err ?(fields = []) code =
-    respond ~ok:false (("error", Json.Str code) :: fields)
-  in
+  let err ?fields code = enqueue t s (error_frame ?fields (request_id req) code) in
   let degraded_fields = function
     | None -> []
     | Some (_ : Resilient.degradation) -> [ ("degraded", Json.Bool true) ]
@@ -584,9 +362,16 @@ let handle_request t s req =
           err "syntax"
             ~fields:
               [ ("detail", Json.Str (Printf.sprintf "%d: %s" pos msg)) ]
-        | q ->
-          if eng_pending_count t.binding.engine >= t.cfg.max_pending
-          then begin
+        | q -> (
+          match
+            List.find_map
+              (fun (a : Cq.atom) ->
+                schema_error t.binding.db a.Cq.rel (Array.length a.Cq.args))
+              q.Entangled.Query.body.Cq.atoms
+          with
+          | Some (code, fields) -> err code ~fields
+          | None when eng_pending_count t.binding.engine >= t.cfg.max_pending
+            ->
             (* Typed admission-control refusal instead of unbounded
                queueing: the client backs off, the pool stays bounded. *)
             if Obs.metrics_on () then
@@ -597,8 +382,7 @@ let handle_request t s req =
                   ("pending", Json.Int (eng_pending_count t.binding.engine));
                   ("max_pending", Json.Int t.cfg.max_pending);
                 ]
-          end
-          else begin
+          | None -> (
             Option.iter Resilient.start_solve t.binding.guard;
             let pool_id = eng_next_id t.binding.engine in
             let r = eng_submit t.binding.engine q in
@@ -613,25 +397,24 @@ let handle_request t s req =
             notify_degraded t degraded;
             match r with
             | Online.Coordinated c ->
-              respond ~ok:true
+              respond
                 (("result", Json.Str "coordinated")
                 :: ("queries", queries_json c)
                 :: degraded_fields degraded)
             | Online.Pending ->
-              respond ~ok:true
+              respond
                 (("result", Json.Str "pending")
                 :: ("pool_id", Json.Int pool_id)
                 :: degraded_fields degraded)
             | Online.Rejected_unsafe ws ->
-              respond ~ok:true
+              respond
                 (("result", Json.Str "rejected_unsafe")
                 :: ("conflicts", Json.Int (List.length ws))
-                :: degraded_fields degraded)
-          end)
+                :: degraded_fields degraded))))
       | "retire" ->
         let pool_id = require Json.int_mem "pool_id" in
         if eng_withdraw t.binding.engine pool_id then
-          respond ~ok:true [ ("result", Json.Str "withdrawn") ]
+          respond [ ("result", Json.Str "withdrawn") ]
         else err "not_found" ~fields:[ ("pool_id", Json.Int pool_id) ]
       | "flush" ->
         Option.iter Resilient.start_solve t.binding.guard;
@@ -639,7 +422,7 @@ let handle_request t s req =
         let degraded = eng_last_degradation t.binding.engine in
         notify_matched t fired;
         notify_degraded t degraded;
-        respond ~ok:true
+        respond
           (("result", Json.Str "flushed")
           :: ("fired", Json.Int (List.length fired))
           :: ("sets", Json.Arr (List.map queries_json fired))
@@ -655,7 +438,7 @@ let handle_request t s req =
                 ("last_lsn", Json.Int (Int64.to_int (Durable.last_lsn d)));
               ]
         in
-        respond ~ok:true
+        respond
           [
             ("result", Json.Str "status");
             ("pending", Json.Int (eng_pending_count t.binding.engine));
@@ -668,7 +451,7 @@ let handle_request t s req =
           ]
       | "subscribe" ->
         s.subscribed <- true;
-        respond ~ok:true [ ("result", Json.Str "subscribed") ]
+        respond [ ("result", Json.Str "subscribed") ]
       | "insert" -> (
         let rel = require Json.str_mem "rel" in
         let tuple =
@@ -676,22 +459,14 @@ let handle_request t s req =
           | Some (Json.Arr items) -> List.map value_of_json items
           | _ -> raise (Bad_request "missing_tuple")
         in
-        match Database.relation_opt t.binding.db rel with
-        | None -> err "no_table" ~fields:[ ("rel", Json.Str rel) ]
-        | Some r when Relation.arity r <> List.length tuple ->
-          err "bad_arity"
-            ~fields:
-              [
-                ("rel", Json.Str rel);
-                ("expected", Json.Int (Relation.arity r));
-                ("got", Json.Int (List.length tuple));
-              ]
-        | Some _ ->
+        match schema_error t.binding.db rel (List.length tuple) with
+        | Some (code, fields) -> err code ~fields
+        | None ->
           Database.insert t.binding.db rel tuple;
           Option.iter
             (fun d -> Durable.journal_insert d rel tuple)
             t.binding.durable;
-          respond ~ok:true [ ("result", Json.Str "inserted") ])
+          respond [ ("result", Json.Str "inserted") ])
       | "create_table" ->
         let name = require Json.str_mem "name" in
         let attrs =
@@ -714,7 +489,7 @@ let handle_request t s req =
             Option.iter
               (fun d -> Durable.journal_create_table d name attrs)
               t.binding.durable;
-            respond ~ok:true [ ("result", Json.Str "table_created") ])
+            respond [ ("result", Json.Str "table_created") ])
       | other -> err "bad_op" ~fields:[ ("op", Json.Str other) ]
     with Bad_request code -> err code)
 
@@ -723,14 +498,23 @@ let handle_frame t s payload =
   (match Json.parse payload with
   | Error why ->
     enqueue t s
-      (Json.Obj
-         [
-           ("id", Json.Null);
-           ("ok", Json.Bool false);
-           ("error", Json.Str "bad_json");
-           ("detail", Json.Str why);
-         ])
-  | Ok req -> handle_request t s req);
+      (error_frame Json.Null "bad_json" ~fields:[ ("detail", Json.Str why) ])
+  | Ok req -> (
+    (* Last resort: a request that raises anything not yet known costs
+       that one request an [internal_error] frame and the flight
+       recorder an incident — never the process and every other
+       session with it.  Out_of_memory and Stack_overflow say nothing
+       about the request and still propagate, and so does a WAL write
+       failure: the engine has moved past what the log holds, so the
+       server stops rather than answer from state a restart would not
+       recover. *)
+    try handle_request t s req with
+    | (Out_of_memory | Stack_overflow | Durable.Wal_failed _) as e -> raise e
+    | e ->
+      Obs.Flight_recorder.incident
+        (Printf.sprintf "session %d internal error: %s" s.sid
+           (Printexc.to_string e));
+      enqueue t s (error_frame (request_id req) "internal_error")));
   if Obs.metrics_on () then begin
     Obs.Counter.incr (Lazy.force c_requests);
     Obs.Histogram.observe (Lazy.force h_request_ns)
@@ -748,12 +532,7 @@ let drain_frames t s =
         (* Framing is no longer trustworthy past an insane length;
            answer once, then drop the session. *)
         enqueue t s
-          (Json.Obj
-             [
-               ("id", Json.Null);
-               ("ok", Json.Bool false);
-               ("error", Json.Str "frame_too_large");
-             ]);
+          (error_frame Json.Null "frame_too_large");
         (try
            ignore
              (Unix.write_substring s.fd s.out 0 (String.length s.out))

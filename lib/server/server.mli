@@ -18,7 +18,11 @@
     - [{"id":1,"op":"submit","query":"q1 { ... }"}] — parse and submit
       one entangled query statement.  Responses: [result]
       ["coordinated"] (with the fired set), ["pending"] (with the
-      assigned ["pool_id"]), or ["rejected_unsafe"].  When the pending
+      assigned ["pool_id"]), or ["rejected_unsafe"].  A statement that
+      does not parse (an out-of-range integer literal included) is
+      refused with ["syntax"]; a body atom over a missing table or of
+      the wrong arity with the same ["no_table"] / ["bad_arity"] frames
+      an [insert] gets, before the query is admitted.  When the pending
       pool is at [max_pending] the typed failure
       [{"ok":false,"error":"overloaded"}] is returned instead of
       queueing unboundedly.
@@ -41,9 +45,15 @@
     the raw character.  Malformed JSON (including a non-hex [\u]
     escape or an unpaired surrogate), unknown ops and
     bad arguments get [{"ok":false,"error":...}] responses; framing
-    stays intact, the session survives.  Oversized frames and clients that stop draining
-    their socket are abnormal disconnects: the session is torn down
-    (flight-recorder incident, resources released), others continue.
+    stays intact, the session survives.  A request that raises an
+    exception the protocol does not know gets
+    [{"id":...,"ok":false,"error":"internal_error"}] and records a
+    flight-recorder incident; only [Out_of_memory], [Stack_overflow]
+    and a WAL write failure ({!Durable.Wal_failed}) propagate out of
+    {!step}.  Oversized frames and clients that stop
+    draining their socket are abnormal disconnects: the session is torn
+    down (flight-recorder incident, resources released), others
+    continue.
 
     {2 Threading model}
 
@@ -55,27 +65,10 @@
     produces the same engine-operation order — the property the
     differential suite leans on. *)
 
-(** Minimal JSON: parser and printer for the frame payloads (the repo
-    deliberately has no JSON dependency). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val parse : string -> (t, string) result
-  val to_string : t -> string
-
-  val mem : string -> t -> t option
-  (** Field lookup on an [Obj]; [None] on anything else. *)
-
-  val str_mem : string -> t -> string option
-  val int_mem : string -> t -> int option
-end
+(** The frame codec: an alias of the tree's one JSON module
+    ({!Json}, in [lib/json]).  It stays only because [perfbench/]
+    spells the codec [Server.Json]; new code names [Json] directly. *)
+module Json = Json
 
 type listen =
   | Unix_socket of string  (** path; unlinked on {!stop} *)
@@ -136,10 +129,14 @@ val step : ?timeout:float -> t -> bool
     seconds (default 0.05).  Returns [false] once the server stopped —
     {!stop} was called or [max_sessions] sessions have come and gone
     (the listener closes as soon as that many sessions have been
-    accepted). *)
+    accepted).
+    @raise Durable.Wal_failed when the binding's WAL cannot be written.
+    The request that hit it gets no response; the server must stop,
+    and a restart recovers what the WAL holds. *)
 
 val run : t -> unit
-(** Loop {!step} until it returns [false]. *)
+(** Loop {!step} until it returns [false].
+    @raise Durable.Wal_failed as {!step}. *)
 
 val stop : t -> unit
 (** Close every session and the listener (unlinking a Unix-socket

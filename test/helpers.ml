@@ -98,3 +98,139 @@ let copy_dir src dst =
          let oc = open_out_bin (Filename.concat dst n) in
          output_string oc (read_file (Filename.concat src n));
          close_out oc)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
+  loop 0
+
+(* Same valuations, ignoring order and duplicates. *)
+let valuations_equal l1 l2 =
+  let norm l = List.sort_uniq (Eval.Binding.compare Value.compare) l in
+  List.equal (fun a b -> Eval.Binding.compare Value.compare a b = 0) (norm l1)
+    (norm l2)
+
+(* ------------------------- chaos settings ------------------------- *)
+
+let chaos_seed =
+  match int_of_string_opt (try Sys.getenv "CHAOS_SEED" with Not_found -> "")
+  with
+  | Some s -> s
+  | None -> 42
+
+let chaos_rate =
+  match
+    float_of_string_opt (try Sys.getenv "CHAOS_FAULT_RATE" with Not_found -> "")
+  with
+  | Some r when r >= 0.0 && r < 1.0 -> r
+  | Some _ | None -> 0.3
+
+(* Transient faults with effectively unlimited retries: every probe
+   eventually succeeds, so a chaos run must equal the fault-free one. *)
+let chaos_config =
+  {
+    Resilient.default_config with
+    max_attempts = 1000;
+    faults =
+      Some
+        {
+          Resilient.fault_defaults with
+          fault_seed = chaos_seed;
+          transient_rate = chaos_rate;
+        };
+  }
+
+(* -------------------- seeded online workloads ---------------------- *)
+
+open Entangled
+module Online = Coordination.Online
+
+(* Heads and posts draw constants from a 4-value pool, so partners,
+   multi-member components and ambiguous (unsafe) postconditions all
+   occur; "Nowhere" bodies keep some components pending forever. *)
+let dests = [| "Zurich"; "Paris"; "Athens"; "Nowhere" |]
+
+let random_query rng i =
+  let g k = cs (Printf.sprintf "g%d" k) in
+  let post =
+    if Prng.int rng 4 < 3 then [ atom "R" [ g (Prng.int rng 4); var "y" ] ]
+    else []
+  in
+  Query.make
+    ~name:(Printf.sprintf "q%d" i)
+    ~post
+    ~head:[ atom "R" [ g (Prng.int rng 4); var "x" ] ]
+    [ atom "F" [ var "x"; cs dests.(Prng.int rng (Array.length dests)) ] ]
+
+type op = Submit of Query.t | Flush | Insert of int * string
+
+let gen_trace rng n =
+  let next_fid = ref 1000 in
+  List.init n (fun i ->
+      let roll = Prng.int rng 10 in
+      if roll < 7 then Submit (random_query rng i)
+      else if roll < 9 then Flush
+      else begin
+        incr next_fid;
+        Insert (!next_fid, dests.(Prng.int rng 3))
+      end)
+
+(* The F table the online differentials start from. *)
+let mk_db () =
+  let db = Database.create () in
+  ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
+  List.iter
+    (fun (f, d) -> Database.insert db "F" [ vi f; vs d ])
+    [ (101, "Zurich"); (102, "Zurich"); (200, "Paris"); (300, "Athens") ];
+  db
+
+let seed_facts = [ (101, "Zurich"); (102, "Zurich"); (200, "Paris") ]
+
+let fired_names (c : Online.coordinated) =
+  List.map (fun q -> q.Query.name) c.Online.queries
+
+let submission_repr = function
+  | Online.Coordinated c -> "fired " ^ String.concat "," (fired_names c)
+  | Online.Pending -> "pending"
+  | Online.Rejected_unsafe ws ->
+    "rejected "
+    ^ String.concat ","
+        (List.map (fun (a, b) -> Printf.sprintf "%d/%d" a b) ws)
+
+(* ----------------------- observable state ------------------------- *)
+
+type obs_state = {
+  o_pending : (int * string) list;
+  o_comps : int list list;
+  o_satisfied : int;
+  o_next_id : int;
+  o_tables : (string * Tuple.t list) list;
+}
+
+let observe db engine =
+  {
+    o_pending =
+      List.map
+        (fun (id, q) -> (id, q.Query.name))
+        (Online.pending_entries engine);
+    o_comps = Online.components engine;
+    o_satisfied = Online.total_coordinated engine;
+    o_next_id = Online.next_id engine;
+    o_tables =
+      List.map
+        (fun r ->
+          (Relation.name r, List.sort Tuple.compare (Relation.to_list r)))
+        (Database.relations db);
+  }
+
+let pp_obs ppf s =
+  Format.fprintf ppf "pending=[%s] satisfied=%d next_id=%d tuples=[%s]"
+    (String.concat ";"
+       (List.map (fun (i, n) -> Printf.sprintf "%d:%s" i n) s.o_pending))
+    s.o_satisfied s.o_next_id
+    (String.concat ";"
+       (List.map
+          (fun (n, tups) -> Printf.sprintf "%s:%d" n (List.length tups))
+          s.o_tables))
+
+let obs_t = Alcotest.testable pp_obs ( = )

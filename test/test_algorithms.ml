@@ -545,11 +545,6 @@ let suite =
           let rendered =
             Format.asprintf "%a" (Coordination.Explain.pp db) report
           in
-          let contains s sub =
-            let n = String.length s and m = String.length sub in
-            let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
-            loop 0
-          in
           Alcotest.(check bool) "mentions SELECT" true (contains rendered "SELECT");
           Alcotest.(check bool) "mentions the solution" true
             (contains rendered "qC, qG"));

@@ -18,81 +18,6 @@ open Entangled
 open Helpers
 module Online = Coordination.Online
 
-let chaos_seed =
-  match int_of_string_opt (try Sys.getenv "CHAOS_SEED" with Not_found -> "")
-  with
-  | Some s -> s
-  | None -> 42
-
-(* ----------------------- observable state ------------------------- *)
-
-type obs_state = {
-  o_pending : (int * string) list;
-  o_comps : int list list;
-  o_satisfied : int;
-  o_next_id : int;
-  o_tables : (string * Tuple.t list) list;
-}
-
-let observe db engine =
-  {
-    o_pending =
-      List.map
-        (fun (id, q) -> (id, q.Query.name))
-        (Online.pending_entries engine);
-    o_comps = Online.components engine;
-    o_satisfied = Online.total_coordinated engine;
-    o_next_id = Online.next_id engine;
-    o_tables =
-      List.map
-        (fun r ->
-          (Relation.name r, List.sort Tuple.compare (Relation.to_list r)))
-        (Database.relations db);
-  }
-
-let pp_obs ppf s =
-  Format.fprintf ppf "pending=[%s] satisfied=%d next_id=%d tuples=[%s]"
-    (String.concat ";"
-       (List.map (fun (i, n) -> Printf.sprintf "%d:%s" i n) s.o_pending))
-    s.o_satisfied s.o_next_id
-    (String.concat ";"
-       (List.map
-          (fun (n, tups) -> Printf.sprintf "%s:%d" n (List.length tups))
-          s.o_tables))
-
-let obs_t = Alcotest.testable pp_obs ( = )
-
-(* --------------------------- seeded traces ------------------------ *)
-
-let dests = [| "Zurich"; "Paris"; "Athens"; "Nowhere" |]
-
-let random_query rng i =
-  let g k = cs (Printf.sprintf "g%d" k) in
-  let post =
-    if Prng.int rng 4 < 3 then [ atom "R" [ g (Prng.int rng 4); var "y" ] ]
-    else []
-  in
-  Query.make
-    ~name:(Printf.sprintf "q%d" i)
-    ~post
-    ~head:[ atom "R" [ g (Prng.int rng 4); var "x" ] ]
-    [ atom "F" [ var "x"; cs dests.(Prng.int rng (Array.length dests)) ] ]
-
-type op = Submit of Query.t | Flush | Insert of int * string
-
-let gen_trace rng n =
-  let next_fid = ref 1000 in
-  List.init n (fun i ->
-      let roll = Prng.int rng 10 in
-      if roll < 7 then Submit (random_query rng i)
-      else if roll < 9 then Flush
-      else begin
-        incr next_fid;
-        Insert (!next_fid, dests.(Prng.int rng 3))
-      end)
-
-let seed_facts = [ (101, "Zurich"); (102, "Zurich"); (200, "Paris") ]
-
 (* A durable side and a plain reference side run the same setup: the
    schema and seed facts flow through the journal on the durable side
    so recovery can rebuild them. *)
@@ -771,14 +696,7 @@ let test_backend_byte_compat () =
   | Ok _ -> Alcotest.fail "backend byte 2 must not recover"
   | Error msg ->
     let needle = Durable.corruption_to_string Durable.Bad_payload in
-    let contains =
-      let nl = String.length needle in
-      let rec go i =
-        i + nl <= String.length msg && (String.sub msg i nl = needle || go (i + 1))
-      in
-      go 0
-    in
-    if not contains then Alcotest.failf "expected %S in %S" needle msg);
+    if not (contains msg needle) then Alcotest.failf "expected %S in %S" needle msg);
   List.iter rm_rf [ dir; wal_only; bad ]
 
 let suite =

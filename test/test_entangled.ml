@@ -165,6 +165,7 @@ let test_parse_errors () =
       "fact F(x).";                        (* variable in fact *)
       "{ R( } S(x).";                      (* bad atom *)
       "query q: { R(x) } S(x) :- F(x)";    (* missing final dot *)
+      "query q: { } S(99999999999999999999).";  (* int out of range *)
     ]
   in
   List.iter

@@ -174,11 +174,6 @@ let build_instance (r_rows, s_rows, atoms) =
   List.iter (fun a -> Database.insert db "S" [ vi a ]) s_rows;
   (db, Cq.make atoms)
 
-let valuations_equal l1 l2 =
-  let norm l = List.sort_uniq (Eval.Binding.compare Value.compare) l in
-  List.equal (fun a b -> Eval.Binding.compare Value.compare a b = 0) (norm l1)
-    (norm l2)
-
 let instance_arb =
   QCheck.make
     ~print:(fun (_, _, atoms) -> Format.asprintf "%a" Cq.pp (Cq.make atoms))

@@ -96,17 +96,12 @@ let test_simple_paths () =
   Alcotest.(check int) "single" 1 (Reach.simple_path_count g 1 3 ~max:10);
   Alcotest.(check int) "none" 0 (Reach.simple_path_count g 3 0 ~max:10)
 
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
-  loop 0
-
 let test_dot () =
   let g = Digraph.of_edges 2 [ (0, 1) ] in
   let s = Dot.to_string ~label:(fun v -> Printf.sprintf "q%d" v) ~highlight:(fun v -> v = 0) g in
-  Alcotest.(check bool) "mentions edge" true (contains_substring s "n0 -> n1");
-  Alcotest.(check bool) "label rendered" true (contains_substring s "label=\"q1\"");
-  Alcotest.(check bool) "highlight rendered" true (contains_substring s "fillcolor")
+  Alcotest.(check bool) "mentions edge" true (Helpers.contains s "n0 -> n1");
+  Alcotest.(check bool) "label rendered" true (Helpers.contains s "label=\"q1\"");
+  Alcotest.(check bool) "highlight rendered" true (Helpers.contains s "fillcolor")
 
 (* Random graph generator for property tests. *)
 let gen_graph =

@@ -16,6 +16,7 @@ let () =
       ("sat", Test_sat.suite);
       ("workload", Test_workload.suite);
       ("obs", Test_obs.suite);
+      ("json", Test_json.suite);
       ("resilient", Test_resilient.suite);
       ("durable", Test_durable.suite);
       ("server", Test_server.suite);

@@ -4,144 +4,18 @@
 
 open Relational
 
-(* ------------------------ mini JSON parser ------------------------ *)
+(* ----------------------- JSON read-back ------------------------ *)
 
-(* Just enough JSON to re-parse what the jsonl and chrome sinks emit,
-   so the round-trip tests check real output, not a pretty-printer's
-   idea of it. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+(* The round-trip tests re-parse what the jsonl and chrome sinks emit
+   with the tree's JSON parser, so they check real output, not a
+   pretty-printer's idea of it. *)
+let read_json s =
+  match Json.parse s with
+  | Ok v -> v
+  | Error why -> Alcotest.failf "%s: %s" why s
 
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail m = raise (Bad (Printf.sprintf "%s at %d" m !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      String.iter expect word;
-      v
-    in
-    let string_lit () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-          | Some 'u' ->
-            advance ();
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            Buffer.add_char b (Char.chr (int_of_string ("0x" ^ hex) land 0xff));
-            go ()
-          | Some c -> advance (); Buffer.add_char b c; go ()
-          | None -> fail "unterminated escape")
-        | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Obj (members [])
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          Arr (elements [])
-        end
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (number ())
-      | None -> fail "unexpected end"
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member k = function
-    | Obj kvs -> List.assoc_opt k kvs
-    | _ -> None
-
-  let str_exn j =
-    match j with Str s -> s | _ -> raise (Bad "expected string")
-
-  let num_exn j = match j with Num f -> f | _ -> raise (Bad "expected number")
-end
+let str_exn = function Json.Str s -> s | _ -> Alcotest.fail "expected string"
+let num_exn j = Option.get (Json.number j)
 
 (* ------------------------------ clock ----------------------------- *)
 
@@ -337,32 +211,32 @@ let test_jsonl_roundtrip () =
     |> List.filter (fun l -> String.trim l <> "")
   in
   Alcotest.(check int) "two spans + one event" 3 (List.length lines);
-  let parsed = List.map Json.parse lines in
-  let get k j = Option.get (Json.member k j) in
-  let types = List.map (fun j -> Json.str_exn (get "type" j)) parsed in
+  let parsed = List.map read_json lines in
+  let get k j = Option.get (Json.mem k j) in
+  let types = List.map (fun j -> str_exn (get "type" j)) parsed in
   Alcotest.(check (list string))
     "emission order: inner span, event, outer span"
     [ "span"; "event"; "span" ] types;
   let inner = List.nth parsed 0 in
   Alcotest.(check string) "name survives" "inner"
-    (Json.str_exn (get "name" inner));
+    (str_exn (get "name" inner));
   Alcotest.(check bool) "span has dur_us" true
-    (Json.member "dur_us" inner <> None);
+    (Json.mem "dur_us" inner <> None);
   Alcotest.(check string) "string arg survives" "Posts"
-    (Json.str_exn (Option.get (Json.member "rels" (get "args" inner))));
+    (str_exn (Option.get (Json.mem "rels" (get "args" inner))));
   let event = List.nth parsed 1 in
   Alcotest.(check bool) "event has no dur_us" true
-    (Json.member "dur_us" event = None);
+    (Json.mem "dur_us" event = None);
   Alcotest.(check (float 0.001)) "int arg survives" 3.0
-    (Json.num_exn (Option.get (Json.member "n" (get "args" event))))
+    (num_exn (Option.get (Json.mem "n" (get "args" event))))
 
 let test_chrome_roundtrip () =
   let buf = Buffer.create 256 in
   Obs.with_sink (Obs.chrome_sink (Buffer.add_string buf)) traced_run;
-  match Json.parse (Buffer.contents buf) with
+  match read_json (Buffer.contents buf) with
   | Json.Arr entries ->
     Alcotest.(check int) "three trace entries" 3 (List.length entries);
-    let get k j = Option.get (Json.member k j) in
+    let get k j = Option.get (Json.mem k j) in
     List.iter
       (fun e ->
         List.iter
@@ -370,21 +244,21 @@ let test_chrome_roundtrip () =
             Alcotest.(check bool)
               (Printf.sprintf "entry has %S" k)
               true
-              (Json.member k e <> None))
+              (Json.mem k e <> None))
           [ "name"; "ph"; "pid"; "tid"; "ts" ])
       entries;
-    let phs = List.map (fun e -> Json.str_exn (get "ph" e)) entries in
+    let phs = List.map (fun e -> str_exn (get "ph" e)) entries in
     Alcotest.(check (list string))
       "complete spans and one instant" [ "X"; "i"; "X" ] phs;
     (* The inner span must lie within the outer span's interval. *)
     let span name =
       List.find
         (fun e ->
-          Json.str_exn (get "name" e) = name && Json.str_exn (get "ph" e) = "X")
+          str_exn (get "name" e) = name && str_exn (get "ph" e) = "X")
         entries
     in
-    let ts e = Json.num_exn (get "ts" e) in
-    let dur e = Json.num_exn (get "dur" e) in
+    let ts e = num_exn (get "ts" e) in
+    let dur e = num_exn (get "dur" e) in
     let outer = span "outer" and inner = span "inner" in
     Alcotest.(check bool) "child nested within parent" true
       (ts inner >= ts outer && ts inner +. dur inner <= ts outer +. dur outer +. 0.001)
@@ -393,7 +267,7 @@ let test_chrome_roundtrip () =
 let test_chrome_empty_is_valid () =
   let buf = Buffer.create 16 in
   Obs.with_sink (Obs.chrome_sink (Buffer.add_string buf)) (fun () -> ());
-  match Json.parse (Buffer.contents buf) with
+  match read_json (Buffer.contents buf) with
   | Json.Arr [] -> ()
   | _ -> Alcotest.fail "empty chrome trace should parse as []"
 
@@ -547,17 +421,17 @@ let test_incident_dump_latch () =
       in
       let names =
         List.map
-          (fun l -> Json.str_exn (Option.get (Json.member "name" (Json.parse l))))
+          (fun l -> str_exn (Option.get (Json.mem "name" (read_json l))))
           lines
       in
       Alcotest.(check (list string))
         "dump holds the window up to the first incident"
         [ "before-crash"; "flight.incident" ]
         names;
-      let last = Json.parse (List.nth lines 1) in
+      let last = read_json (List.nth lines 1) in
       let reason =
-        Json.member "args" last
-        |> Option.get |> Json.member "reason" |> Option.get |> Json.str_exn
+        Json.mem "args" last
+        |> Option.get |> Json.mem "reason" |> Option.get |> str_exn
       in
       Alcotest.(check string) "incident carries its reason" "first-failure"
         reason);
@@ -587,7 +461,7 @@ let test_abort_triggers_incident () =
            List.exists
              (fun l ->
                String.trim l <> ""
-               && Json.member "name" (Json.parse l) = Some (Json.Str "flight.incident"))
+               && Json.mem "name" (read_json l) = Some (Json.Str "flight.incident"))
              lines));
   Sys.remove path
 
@@ -602,37 +476,37 @@ let test_metrics_json_export () =
   for v = 1 to 10 do
     Obs.Histogram.observe h (Int64.of_int v)
   done;
-  let doc = Json.parse (Obs.metrics_json ()) in
+  let doc = read_json (Obs.metrics_json ()) in
   let find section name =
-    match Json.member section doc with
+    match Json.mem section doc with
     | Some (Json.Arr entries) ->
       List.find_opt
-        (fun e -> Json.member "name" e = Some (Json.Str name))
+        (fun e -> Json.mem "name" e = Some (Json.Str name))
         entries
     | _ -> Alcotest.failf "missing %s array" section
   in
   (match find "counters" "test.export.counter" with
   | Some e ->
     Alcotest.(check (float 0.001)) "counter value" 7.0
-      (Json.num_exn (Option.get (Json.member "value" e)))
+      (num_exn (Option.get (Json.mem "value" e)))
   | None -> Alcotest.fail "counter missing from JSON export");
   (match find "gauges" "test.export.gauge" with
   | Some e ->
     Alcotest.(check (float 0.001)) "gauge value" 2.5
-      (Json.num_exn (Option.get (Json.member "value" e)))
+      (num_exn (Option.get (Json.mem "value" e)))
   | None -> Alcotest.fail "gauge missing from JSON export");
   (match find "histograms" "test.export.hist" with
   | Some e ->
     Alcotest.(check (float 0.001)) "histogram count" 10.0
-      (Json.num_exn (Option.get (Json.member "count" e)));
+      (num_exn (Option.get (Json.mem "count" e)));
     Alcotest.(check (float 0.001)) "histogram sum" 55.0
-      (Json.num_exn (Option.get (Json.member "sum" e)));
+      (num_exn (Option.get (Json.mem "sum" e)));
     List.iter
       (fun q ->
         Alcotest.(check bool)
           (Printf.sprintf "histogram has %s" q)
           true
-          (Json.member q e <> None))
+          (Json.mem q e <> None))
       [ "max"; "p50"; "p95"; "p99" ]
   | None -> Alcotest.fail "histogram missing from JSON export")
 

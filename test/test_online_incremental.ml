@@ -18,42 +18,6 @@ module Online = Coordination.Online
 
 (* ------------------------ differential driver --------------------- *)
 
-let dests = [| "Zurich"; "Paris"; "Athens"; "Nowhere" |]
-
-let mk_db () =
-  let db = Database.create () in
-  ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
-  List.iter
-    (fun (f, d) -> Database.insert db "F" [ vi f; vs d ])
-    [ (101, "Zurich"); (102, "Zurich"); (200, "Paris"); (300, "Athens") ];
-  db
-
-(* Heads and posts draw constants from a 4-value pool, so partners,
-   multi-member components and ambiguous (unsafe) postconditions all
-   occur; "Nowhere" bodies keep some components pending forever. *)
-let random_query rng i =
-  let g k = cs (Printf.sprintf "g%d" k) in
-  let post =
-    if Prng.int rng 4 < 3 then [ atom "R" [ g (Prng.int rng 4); var "y" ] ]
-    else []
-  in
-  Query.make
-    ~name:(Printf.sprintf "q%d" i)
-    ~post
-    ~head:[ atom "R" [ g (Prng.int rng 4); var "x" ] ]
-    [ atom "F" [ var "x"; cs dests.(Prng.int rng (Array.length dests)) ] ]
-
-let fired_names (c : Online.coordinated) =
-  List.map (fun q -> q.Query.name) c.Online.queries
-
-let submission_repr = function
-  | Online.Coordinated c -> "fired " ^ String.concat "," (fired_names c)
-  | Online.Pending -> "pending"
-  | Online.Rejected_unsafe ws ->
-    "rejected "
-    ^ String.concat ","
-        (List.map (fun (a, b) -> Printf.sprintf "%d/%d" a b) ws)
-
 let run_differential ~seed ~eager ~consume =
   let rng = Prng.create seed in
   let db_full = mk_db () and db_inc = mk_db () in
@@ -124,13 +88,13 @@ let test_differential_oracle () =
 
 (* --------------------------- submit_all --------------------------- *)
 
-let chain_query i ~last =
+let chain_query ?(prefix = "u") i ~last =
   Query.make
-    ~name:(Printf.sprintf "u%d" i)
+    ~name:(Printf.sprintf "%s%d" prefix i)
     ~post:
       (if last then []
-       else [ atom "R" [ cs (Printf.sprintf "u%d" (i + 1)); var "y" ] ])
-    ~head:[ atom "R" [ cs (Printf.sprintf "u%d" i); var "x" ] ]
+       else [ atom "R" [ cs (Printf.sprintf "%s%d" prefix (i + 1)); var "y" ] ])
+    ~head:[ atom "R" [ cs (Printf.sprintf "%s%d" prefix i); var "x" ] ]
     [ atom "F" [ var "x"; cs "Zurich" ] ]
 
 let test_submit_all_matches_deferred_flush () =
@@ -212,6 +176,31 @@ let test_components_deep_chain () =
   Alcotest.(check int) "all members" n (List.length (List.hd full));
   Alcotest.(check (list (list int)))
     "incremental partition agrees" full (Online.components engine)
+
+(* ---------------------- bounded atom indexes ---------------------- *)
+
+(* Every chain names fresh partner constants, as a long-running serve
+   sees them.  Even chains fire; odd chains never get their tail and
+   are withdrawn.  Once every entry is gone, both atom indexes hold no
+   key at all: their size follows the live pool, not requests served. *)
+let test_index_keys_follow_live_pool () =
+  let engine = Online.create (flights_db ()) in
+  let chains = 200 and len = 4 in
+  for c = 0 to chains - 1 do
+    List.init (len - (c mod 2)) (fun i ->
+        chain_query ~prefix:(Printf.sprintf "c%du" c) i ~last:(i = len - 1))
+    |> List.iter (fun q -> ignore (Online.submit engine q))
+  done;
+  Alcotest.(check int) "even chains fired" (chains / 2 * len)
+    (Online.total_coordinated engine);
+  let pending = chains / 2 * (len - 1) in
+  Alcotest.(check (pair int int)) "one key per live constant"
+    (pending, pending) (Online.index_keys engine);
+  List.iter
+    (fun (id, _) -> ignore (Online.withdraw engine id))
+    (Online.pending_entries engine);
+  Alcotest.(check (pair int int)) "no key outlives its entries" (0, 0)
+    (Online.index_keys engine)
 
 (* ------------------------ inventory conflicts --------------------- *)
 
@@ -353,6 +342,8 @@ let suite =
       test_flush_skips_clean_components;
     Alcotest.test_case "components survive deep chains" `Quick
       test_components_deep_chain;
+    Alcotest.test_case "atom index keys follow the live pool" `Quick
+      test_index_keys_follow_live_pool;
     Alcotest.test_case "consume: double spend reported" `Quick
       test_consume_double_spend_reported;
     Alcotest.test_case "consume: disjoint inventory clean" `Quick

@@ -26,46 +26,7 @@ let domain_counts =
   | Some k when k >= 1 -> [ k ]
   | Some _ | None -> [ 1; 2; 4 ]
 
-let chaos_seed =
-  match int_of_string_opt (try Sys.getenv "CHAOS_SEED" with Not_found -> "")
-  with
-  | Some s -> s
-  | None -> 42
-
-let chaos_rate =
-  match
-    float_of_string_opt (try Sys.getenv "CHAOS_FAULT_RATE" with Not_found -> "")
-  with
-  | Some r when r >= 0.0 && r < 1.0 -> r
-  | Some _ | None -> 0.3
-
-(* Transient faults with effectively unlimited retries: every probe
-   eventually succeeds, so the chaos run must equal the fault-free one
-   exactly, whatever order the shards issue probes in. *)
-let chaos_config =
-  {
-    Resilient.default_config with
-    max_attempts = 1000;
-    faults =
-      Some
-        {
-          Resilient.fault_defaults with
-          fault_seed = chaos_seed;
-          transient_rate = chaos_rate;
-        };
-  }
-
 (* ------------------------ differential driver --------------------- *)
-
-let dests = [| "Zurich"; "Paris"; "Athens"; "Nowhere" |]
-
-let mk_db () =
-  let db = Database.create () in
-  ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
-  List.iter
-    (fun (f, d) -> Database.insert db "F" [ vi f; vs d ])
-    [ (101, "Zurich"); (102, "Zurich"); (200, "Paris"); (300, "Athens") ];
-  db
 
 (* Constants draw from a 4-value pool so partners, multi-member
    components, cross-shard collisions (hence migrations) and unsafe
@@ -84,17 +45,6 @@ let random_query rng i =
     ~post
     ~head:[ atom "R" [ g (Prng.int rng 4); var "x" ] ]
     [ atom "F" [ var "x"; cs dests.(Prng.int rng (Array.length dests)) ] ]
-
-let fired_names (c : Online.coordinated) =
-  List.map (fun q -> q.Query.name) c.Online.queries
-
-let submission_repr = function
-  | Online.Coordinated c -> "fired " ^ String.concat "," (fired_names c)
-  | Online.Pending -> "pending"
-  | Online.Rejected_unsafe ws ->
-    "rejected "
-    ^ String.concat ","
-        (List.map (fun (a, b) -> Printf.sprintf "%d/%d" a b) ws)
 
 let entry_repr (id, q) = Printf.sprintf "%d:%s" id q.Query.name
 

@@ -7,11 +7,6 @@ open Helpers
 
 let q atoms = Cq.make atoms
 
-let valuations_equal l1 l2 =
-  let norm l = List.sort_uniq (Eval.Binding.compare Value.compare) l in
-  List.equal (fun a b -> Eval.Binding.compare Value.compare a b = 0) (norm l1)
-    (norm l2)
-
 (* ---------------- differential: workload databases ---------------- *)
 
 (* Random bodies over a real database: atoms over its relations, each
@@ -308,16 +303,11 @@ let test_pp_analyze_renders () =
   ignore (Eval.find_all db body);
   let plan, _ = Database.prepare db body in
   let s = Format.asprintf "%a" Plan.pp_analyze plan in
-  let contains needle =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
-    go 0
-  in
   List.iter
     (fun needle ->
       Alcotest.(check bool)
         (Printf.sprintf "pp_analyze mentions %S" needle)
-        true (contains needle))
+        true (contains s needle))
     [ "est_rows="; "scanned="; "emitted="; "sel="; "executions=" ]
 
 let suite =

@@ -12,34 +12,6 @@ open Relational
 open Entangled
 open Helpers
 
-let chaos_seed =
-  match int_of_string_opt (try Sys.getenv "CHAOS_SEED" with Not_found -> "")
-  with
-  | Some s -> s
-  | None -> 42
-
-let chaos_rate =
-  match
-    float_of_string_opt (try Sys.getenv "CHAOS_FAULT_RATE" with Not_found -> "")
-  with
-  | Some r when r >= 0.0 && r < 1.0 -> r
-  | Some _ | None -> 0.3
-
-(* Transient faults only, effectively unlimited retries: every probe
-   eventually succeeds, so degradation must never trigger. *)
-let chaos_config =
-  {
-    Resilient.default_config with
-    max_attempts = 1000;
-    faults =
-      Some
-        {
-          Resilient.fault_defaults with
-          fault_seed = chaos_seed;
-          transient_rate = chaos_rate;
-        };
-  }
-
 let with_guard db cfg f =
   let g = Resilient.arm cfg in
   Database.set_guard db (Some g);

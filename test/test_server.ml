@@ -18,51 +18,6 @@ open Relational
 open Entangled
 open Helpers
 module Online = Coordination.Online
-module Json = Server.Json
-
-let chaos_seed =
-  match int_of_string_opt (try Sys.getenv "CHAOS_SEED" with Not_found -> "")
-  with
-  | Some s -> s
-  | None -> 42
-
-(* ----------------------- observable state ------------------------- *)
-
-type obs_state = {
-  o_pending : (int * string) list;
-  o_comps : int list list;
-  o_satisfied : int;
-  o_next_id : int;
-  o_tables : (string * Tuple.t list) list;
-}
-
-let observe db engine =
-  {
-    o_pending =
-      List.map
-        (fun (id, q) -> (id, q.Query.name))
-        (Online.pending_entries engine);
-    o_comps = Online.components engine;
-    o_satisfied = Online.total_coordinated engine;
-    o_next_id = Online.next_id engine;
-    o_tables =
-      List.map
-        (fun r ->
-          (Relation.name r, List.sort Tuple.compare (Relation.to_list r)))
-        (Database.relations db);
-  }
-
-let pp_obs ppf s =
-  Format.fprintf ppf "pending=[%s] satisfied=%d next_id=%d tuples=[%s]"
-    (String.concat ";"
-       (List.map (fun (i, n) -> Printf.sprintf "%d:%s" i n) s.o_pending))
-    s.o_satisfied s.o_next_id
-    (String.concat ";"
-       (List.map
-          (fun (n, tups) -> Printf.sprintf "%s:%d" n (List.length tups))
-          s.o_tables))
-
-let obs_t = Alcotest.testable pp_obs ( = )
 
 (* ------------------------ server plumbing ------------------------- *)
 
@@ -77,7 +32,7 @@ let mk_server ?(max_pending = 1024) ?(max_sessions = 0) ?guard ?durable db
       max_sessions;
     }
   in
-  Server.create cfg { Server.db; engine = Server.Sequential engine; durable; guard }
+  Server.create cfg { Server.db; engine; durable; guard }
 
 let connect srv = Server.Client.connect (Server.Tcp (loopback, Server.port srv))
 
@@ -118,37 +73,11 @@ let pump ?(rounds = 5) srv =
 
 (* --------------------------- scripted ops ------------------------- *)
 
-let dests = [| "Zurich"; "Paris"; "Athens"; "Nowhere" |]
-
-let random_query rng i =
-  let g k = cs (Printf.sprintf "g%d" k) in
-  let post =
-    if Prng.int rng 4 < 3 then [ atom "R" [ g (Prng.int rng 4); var "y" ] ]
-    else []
-  in
-  Query.make
-    ~name:(Printf.sprintf "q%d" i)
-    ~post
-    ~head:[ atom "R" [ g (Prng.int rng 4); var "x" ] ]
-    [ atom "F" [ var "x"; cs dests.(Prng.int rng (Array.length dests)) ] ]
-
-type op = Submit of string | Flush | Insert of int * string
-
-let gen_trace rng n =
-  let next_fid = ref 1000 in
-  List.init n (fun i ->
-      let roll = Prng.int rng 10 in
-      if roll < 7 then Submit (Parser.query_to_string (random_query rng i))
-      else if roll < 9 then Flush
-      else begin
-        incr next_fid;
-        Insert (!next_fid, dests.(Prng.int rng 3))
-      end)
-
 let req_of_op id = function
-  | Submit src ->
+  | Submit q ->
     Json.Obj
-      [ ("id", Json.Int id); ("op", Json.Str "submit"); ("query", Json.Str src) ]
+      [ ("id", Json.Int id); ("op", Json.Str "submit");
+        ("query", Json.Str (Parser.query_to_string q)) ]
   | Flush -> Json.Obj [ ("id", Json.Int id); ("op", Json.Str "flush") ]
   | Insert (fid, dest) ->
     Json.Obj
@@ -160,11 +89,11 @@ let req_of_op id = function
       ]
 
 let apply_ref rdb rengine = function
-  | Submit src -> ignore (Online.submit rengine (Parser.parse_query src))
+  | Submit q ->
+    (* The reference submits what the server parses off the wire. *)
+    ignore (Online.submit rengine (Parser.parse_query (Parser.query_to_string q)))
   | Flush -> ignore (Online.flush rengine)
   | Insert (fid, dest) -> Database.insert rdb "F" [ vi fid; vs dest ]
-
-let seed_facts = [ (101, "Zurich"); (102, "Zurich"); (200, "Paris") ]
 
 (* Seed the schema over the wire on the server side (journaled when a
    WAL is attached) and directly on the reference side. *)
@@ -207,7 +136,7 @@ let run_differential ~seed ~nclients ~consume () =
   let ctx = Printf.sprintf "diff-%d-%b" nclients consume in
   let db = Database.create () in
   let engine = Online.create ~eager:true ~consume db in
-  let srv = mk_server db engine in
+  let srv = mk_server db (Server.Sequential engine) in
   let conns = Array.init nclients (fun _ -> connect srv) in
   let rdb, rengine = mk_reference ~consume () in
   seed_over_wire srv conns.(0);
@@ -245,7 +174,7 @@ let test_kill_and_restart () =
     Durable.create_engine ~eager:true
       (Durable.config ~fsync:Durable.Always ~snapshot_every:5 dir)
   in
-  let srv = mk_server ~durable:wal db engine in
+  let srv = mk_server ~durable:wal db (Server.Sequential engine) in
   let nclients = 3 in
   let conns = Array.init nclients (fun _ -> connect srv) in
   let rdb, rengine = mk_reference ~consume:false () in
@@ -275,7 +204,7 @@ let test_kill_and_restart () =
     (report.Durable.truncation = None);
   Alcotest.check obs_t "recovered state sits on the kill boundary"
     (observe rdb rengine) (observe db2 engine2);
-  let srv2 = mk_server ~durable:wal2 db2 engine2 in
+  let srv2 = mk_server ~durable:wal2 db2 (Server.Sequential engine2) in
   let conns2 = Array.init nclients (fun _ -> connect srv2) in
   List.iteri
     (fun i op ->
@@ -307,7 +236,7 @@ let test_client_dies_mid_frame () =
   Obs.set_metrics true;
   let db = Database.create () in
   let engine = Online.create ~eager:true db in
-  let srv = mk_server db engine in
+  let srv = mk_server db (Server.Sequential engine) in
   let survivor = connect srv in
   seed_over_wire srv survivor;
   let before = abnormal_count () in
@@ -343,7 +272,7 @@ let test_subscriber_dies_before_notify () =
   Obs.set_metrics true;
   let db = Database.create () in
   let engine = Online.create ~eager:true db in
-  let srv = mk_server db engine in
+  let srv = mk_server db (Server.Sequential engine) in
   let submitter = connect srv in
   seed_over_wire srv submitter;
   let subscriber = connect srv in
@@ -384,7 +313,7 @@ let test_subscriber_dies_before_notify () =
 let test_overloaded () =
   let db = Database.create () in
   let engine = Online.create ~eager:true db in
-  let srv = mk_server ~max_pending:1 db engine in
+  let srv = mk_server ~max_pending:1 db (Server.Sequential engine) in
   let conn = connect srv in
   seed_over_wire srv conn;
   (* Two queries that cannot coordinate with each other. *)
@@ -414,7 +343,7 @@ let test_overloaded () =
 let test_protocol_errors () =
   let db = Database.create () in
   let engine = Online.create ~eager:true db in
-  let srv = mk_server db engine in
+  let srv = mk_server db (Server.Sequential engine) in
   let conn = connect srv in
   let expect_error ctx req code =
     let resp, _ = rpc ~ctx srv conn req in
@@ -476,6 +405,11 @@ let killer_frames =
     ({|{"id":8,"op":"\ud83d"}|}, "bad_json");
     ({|{"id":9,"op":"\ude00"}|}, "bad_json");
     ({|{"id":10,"op":"\ud83d\u0041"}|}, "bad_json");
+    ({|{"id":11,"op":"submit","query":"q: { } R(99999999999999999999)."}|},
+     "syntax");
+    ({|{"id":12,"op":"submit","query":"q: { } R(x) :- Missing(x)."}|},
+     "no_table");
+    ({|{"id":13,"op":"submit","query":"q: { } R(x) :- F(x)."}|}, "bad_arity");
   ]
 
 (* A bare socket speaking the frame protocol with raw payload bytes,
@@ -511,10 +445,9 @@ let raw_rpc ~ctx srv fd payload =
   in
   go 0
 
-let test_killer_frames () =
+let test_killer_frames make_engine () =
   let db = Database.create () in
-  let engine = Online.create ~eager:true db in
-  let srv = mk_server db engine in
+  let srv = mk_server db (make_engine db) in
   let bystander = connect srv in
   seed_over_wire srv bystander;
   let fd = raw_connect srv in
@@ -564,13 +497,134 @@ let test_killer_frames () =
   pump srv;
   Server.stop srv
 
+let incidents () =
+  Option.fold ~none:0 ~some:Obs.Counter.value
+    (Obs.Counter.find "flight.incidents")
+
+(* The state a restart would recover: recover a copy of the WAL
+   directory, as if the process had died now. *)
+let recovered_state dir =
+  let copy = fresh_dir "recovered" in
+  copy_dir dir copy;
+  match Durable.recover (Durable.config copy) with
+  | Error why -> Alcotest.failf "recover: %s" why
+  | Ok (t, rdb, reng, _) ->
+    let st = observe rdb reng in
+    Durable.close t;
+    rm_rf copy;
+    st
+
+exception Injected
+
+(* A durable server with two seeded sessions and the flight recorder
+   armed, for the failure tests below. *)
+let with_durable_server tag f =
+  Obs.set_metrics true;
+  Obs.Flight_recorder.arm ();
+  let dir = fresh_dir tag in
+  let wal, db, engine = Durable.create_engine (Durable.config dir) in
+  let srv = mk_server ~durable:wal db (Server.Sequential engine) in
+  let conn = connect srv and bystander = connect srv in
+  seed_over_wire srv conn;
+  f dir db engine srv conn bystander;
+  List.iter Server.Client.close [ conn; bystander ];
+  Server.stop srv;
+  Durable.close wal;
+  Obs.Flight_recorder.disarm ();
+  Obs.set_metrics false;
+  rm_rf dir
+
+(* The last-resort handler: a request failing with an exception the
+   protocol has no code for answers [internal_error] with the request
+   id and records a flight-recorder incident, while the same session
+   and its neighbours keep being served.  The fault is a trace sink
+   that raises once the submit has completed and been journaled, so
+   the engine and the WAL still agree: recovering the WAL gives the
+   live state. *)
+let test_internal_error () =
+  with_durable_server "internal" @@ fun dir db engine srv conn bystander ->
+  let faulty =
+    Obs.jsonl_sink (fun line ->
+        match Json.parse line with
+        | Ok v
+          when Json.str_mem "name" v = Some "online.submit"
+               && Option.bind (Json.mem "args" v) (Json.str_mem "query")
+                  = Some "boom" ->
+          raise Injected
+        | _ -> ())
+  in
+  let before = incidents () in
+  Obs.install faulty;
+  let resp, _ =
+    rpc srv conn
+      (Json.Obj
+         [ ("id", Json.Int 9); ("op", Json.Str "submit");
+           ("query", Json.Str "boom: { R(Nobody, y) } R(Boom, x) :- F(x, Zurich).") ])
+  in
+  Obs.remove faulty;
+  Alcotest.(check string) "typed internal_error frame"
+    {|{"id":9,"ok":false,"error":"internal_error"}|} (Json.to_string resp);
+  Alcotest.(check int) "one incident recorded" (before + 1) (incidents ());
+  List.iter
+    (fun c ->
+      ignore
+        (rpc_ok ~ctx:"served after internal_error" srv c
+           (Json.Obj [ ("op", Json.Str "status") ])))
+    [ conn; bystander ];
+  Alcotest.check obs_t "the WAL holds the live state" (observe db engine)
+    (recovered_state dir)
+
+(* A WAL write failure is fail-stop, not an [internal_error]: [step]
+   raises [Durable.Wal_failed] and the request gets no response.  The
+   handle stays failed, so no later mutating request — from any session,
+   after the fault itself has cleared — is answered either, and the
+   WAL still recovers to the state before the failed write. *)
+let test_wal_failure_stops () =
+  with_durable_server "walfail" @@ fun dir db engine srv conn bystander ->
+  let last_good = observe db engine in
+  let expect_stop ctx c req =
+    Server.Client.send c req;
+    let rec go tries =
+      if tries > 200 then Alcotest.failf "%s: the server kept running" ctx
+      else
+        match Server.step ~timeout:0.01 srv with
+        | _ -> go (tries + 1)
+        | exception Durable.Wal_failed _ -> ()
+    in
+    go 0;
+    List.iter
+      (fun c ->
+        Option.iter
+          (fun fr -> Alcotest.failf "%s: answered %s" ctx (Json.to_string fr))
+          (Server.Client.try_recv c))
+      [ conn; bystander ]
+  in
+  let before = incidents () in
+  Durable.inject_journal_failure (Some (Unix.Unix_error (Unix.EIO, "write", "")));
+  expect_stop "insert under EIO" conn
+    (Json.Obj
+       [ ("op", Json.Str "insert"); ("rel", Json.Str "F");
+         ("tuple", Json.Arr [ Json.Int 300; Json.Str "Oslo" ]) ]);
+  Durable.inject_journal_failure None;
+  Alcotest.(check int) "one incident recorded" (before + 1) (incidents ());
+  expect_stop "submit after the fault cleared" bystander
+    (Json.Obj
+       [ ("op", Json.Str "submit");
+         ("query", Json.Str "qa: { } R(A, x) :- F(x, Zurich).") ]);
+  expect_stop "create_table after the fault cleared" conn
+    (Json.Obj
+       [ ("op", Json.Str "create_table"); ("name", Json.Str "G");
+         ("attrs", Json.Arr [ Json.Str "a" ]) ]);
+  Alcotest.check obs_t "the WAL recovers the state before the failure"
+    last_good (recovered_state dir)
+
 (* A \u-escaped surrogate pair decodes to the same UTF-8 bytes as the
    raw character, so a constant spelled escaped in one request and raw
    in another is one value: the pair unifies and coordinates. *)
 let test_escaped_constant_coordinates () =
   let db = Database.create () in
   let engine = Online.create ~eager:true db in
-  let srv = mk_server db engine in
+  let srv = mk_server db (Server.Sequential engine) in
   let conn = connect srv in
   seed_over_wire srv conn;
   let fd = raw_connect srv in
@@ -646,7 +700,17 @@ let suite =
     Alcotest.test_case "protocol errors keep the session alive" `Quick
       test_protocol_errors;
     Alcotest.test_case "one-frame crashes become typed error frames" `Quick
-      test_killer_frames;
+      (test_killer_frames (fun db ->
+           Server.Sequential (Online.create ~eager:true db)));
+    Alcotest.test_case "sharded: one-frame crashes become typed error frames"
+      `Quick
+      (test_killer_frames (fun db ->
+           Server.Sharded
+             (Coordination.Online_sharded.create ~eager:true ~domains:2 db)));
+    Alcotest.test_case "an unknown exception is an internal_error frame"
+      `Quick test_internal_error;
+    Alcotest.test_case "a WAL write failure stops the server" `Quick
+      test_wal_failure_stops;
     Alcotest.test_case "escaped and raw spellings of a constant coordinate"
       `Quick test_escaped_constant_coordinates;
   ]
