@@ -44,21 +44,6 @@ let names (queries : Query.t array) is =
 
 let emit name args e = Obs.event ~args ~payload:(Scc_event e) name
 
-(* Safety restricted to live queries: a live postcondition atom must have
-   at most one live candidate head. *)
-let unsafe_posts_masked (graph : Coordination_graph.t) alive =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Coordination_graph.edge) ->
-      if alive.(e.src) && alive.(e.dst) then begin
-        let key = (e.src, e.post_index) in
-        Hashtbl.replace counts key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-      end)
-    graph.extended;
-  Hashtbl.fold (fun key c acc -> if c > 1 then key :: acc else acc) counts []
-  |> List.sort compare
-
 let select selection queries candidates =
   let score =
     match selection with
@@ -110,7 +95,7 @@ let analyze ?(preprocess = true) queries =
           emit "scc.pruned"
             (fun () -> [ ("dropped", Obs.Str (names queries dead)) ])
             (Pruned dead));
-  let unsafe = unsafe_posts_masked graph alive in
+  let unsafe = Safety.unsafe_posts ~alive graph in
   if unsafe <> [] then Error (Not_safe unsafe)
   else begin
     let scc, condensation =
@@ -140,9 +125,10 @@ type ctx = {
   cx_stats : Stats.t;
   (* Failure/coverage state keyed by SCC id.  Sound under sharding
      because condensation edges never cross weakly-connected components:
-     a shard's context sees every predecessor-relevant entry. *)
+     a shard's context sees every predecessor-relevant entry.  A covered
+     SCC keeps its whole candidate: the witness seeds its predecessors. *)
   cx_failed : (int, unit) Hashtbl.t;
-  cx_covered : (int, int list) Hashtbl.t;
+  cx_covered : (int, candidate) Hashtbl.t;
 }
 
 let make_ctx ?(minimize = false) ~stats db =
@@ -154,59 +140,154 @@ let make_ctx ?(minimize = false) ~stats db =
     cx_covered = Hashtbl.create 32;
   }
 
+(* How a candidate's unifier was found: seeded from its successors'
+   merged witness, or by the full search over R(q). *)
+type unified =
+  | Seeded of {
+      merged : Eval.valuation;
+      subst : Subst.t;
+      fixed : Eval.valuation;
+    }
+  | Full of (Subst.t, Combine.failure) result
+
+(* The successors' witnesses as one valuation; [None] when two of them
+   give a shared variable different values (a diamond one side of which
+   took the full search), which leaves the verdict to the full search. *)
+let merge_witnesses = function
+  | [] -> None
+  | (w : candidate) :: ws -> (
+    let exception Disagree in
+    let agree _ u v = if Value.equal u v then Some u else raise Disagree in
+    try
+      Some
+        (List.fold_left
+           (fun acc (w : candidate) ->
+             Eval.Binding.union agree acc w.assignment)
+           w.assignment ws)
+    with Disagree -> None)
+
+(* Seeded candidates.  When every successor of SCC [c] is covered, R(c)
+   is [c]'s own members plus the successors' covered sets, and each of
+   those already has a witness.  Unifying only [c]'s own postconditions
+   (with their heads inside R(c)) gives sigma.  If every sigma class that
+   holds a successor variable holds exactly that one successor variable,
+   no constant and no variable of [c]'s own bodies, then [c]'s
+   constraints only read the successors' values: the solutions of R(c)
+   are the product of the successors' solutions and those of [c]'s own
+   bodies under sigma.  So grounding [c]'s own bodies alone, with each
+   linking class fixed to its successor variable's witnessed value, gives
+   exactly the full search's verdict, and the full unifier cannot clash.
+   [None]: this rule does not apply (a coupled SCC such as Figure 1's
+   qJ, disagreeing witnesses, or an own unification failure, which the
+   full search then reports in its own words). *)
+let seed a c ~own ~successors witnesses =
+  let g = a.an_graph in
+  let comp = a.an_scc.component in
+  let succ d = List.mem comp.(d) successors in
+  match
+    ( merge_witnesses witnesses,
+      Combine.unify_posts g ~in_set:(fun d -> comp.(d) = c || succ d)
+        ~members:own )
+  with
+  | None, _ | _, Error _ -> None
+  | Some merged, Ok subst -> (
+    let exception Coupled in
+    (* class representative -> the one successor variable in its class *)
+    let links = Hashtbl.create 8 in
+    let link = function
+      | Term.Const _ -> ()
+      | Term.Var y -> (
+        match Subst.resolve subst (Term.Var y) with
+        | Term.Const _ -> raise Coupled
+        | Term.Var r -> (
+          match Hashtbl.find_opt links r with
+          | Some y' when y' <> y -> raise Coupled
+          | _ -> Hashtbl.replace links r y))
+    in
+    let unlinked = function
+      | Term.Const _ -> ()
+      | Term.Var v -> (
+        match Subst.resolve subst (Term.Var v) with
+        | Term.Var r when Hashtbl.mem links r -> raise Coupled
+        | _ -> ())
+    in
+    try
+      List.iter
+        (fun q ->
+          List.iteri
+            (fun pi (_ : Cq.atom) ->
+              List.iter
+                (fun (d, hi) ->
+                  if succ d then
+                    Array.iter link
+                      (List.nth g.queries.(d).Query.head hi).Cq.args)
+                (Coordination_graph.post_targets g ~src:q ~post_index:pi))
+            g.queries.(q).Query.post)
+        own;
+      List.iter
+        (fun q ->
+          List.iter
+            (fun (at : Cq.atom) -> Array.iter unlinked at.args)
+            g.queries.(q).Query.body.Cq.atoms)
+        own;
+      let fixed =
+        Hashtbl.fold
+          (fun r y acc -> Eval.Binding.add r (Eval.Binding.find y merged) acc)
+          links Eval.Binding.empty
+      in
+      Some (Seeded { merged; subst; fixed })
+    with Coupled | Not_found -> None)
+
 (* One component, in reverse topological order relative to its
    predecessors in the same ctx: probe the candidate set R(q), record
    failure/coverage, return the candidate when the combined query is
-   satisfiable.  Raises [Resilient.Abort] through (budget aborts are the
-   caller's policy decision). *)
+   satisfiable.  The probe is seeded from the successors' witnesses when
+   [seed] allows it and is the full search over R(q) otherwise;
+   either way it is exactly one database probe.  Raises
+   [Resilient.Abort] through (budget aborts are the caller's policy
+   decision). *)
 let probe_component ctx a c =
   let queries = a.an_queries in
   let scc = a.an_scc in
   let stats = ctx.cx_stats in
+  let own = scc.members.(c) in
   let successors = Graphs.Digraph.successors a.an_cond c in
   if List.exists (fun s -> Hashtbl.mem ctx.cx_failed s) successors then begin
     Hashtbl.replace ctx.cx_failed c ();
     emit "scc.skipped"
-      (fun () -> [ ("component", Obs.Str (names queries scc.members.(c))) ])
-      (Skipped { component = scc.members.(c) });
+      (fun () -> [ ("component", Obs.Str (names queries own)) ])
+      (Skipped { component = own });
     None
   end
   else begin
+    let witnesses =
+      List.filter_map (Hashtbl.find_opt ctx.cx_covered) successors
+    in
     let members =
       List.sort_uniq Int.compare
-        (scc.members.(c)
-        @ List.concat_map
-            (fun s ->
-              Option.value ~default:[] (Hashtbl.find_opt ctx.cx_covered s))
-            successors)
+        (own @ List.concat_map (fun (w : candidate) -> w.covered) witnesses)
     in
-    let unified, unify_ns =
-      Stats.timed (fun () ->
-          Obs.with_span
-            ~args:(fun () -> [ ("members", Obs.Str (names queries members)) ])
-            "scc.unify"
-            (fun () -> Combine.unify_set a.an_graph ~members))
+    let args ms () = [ ("members", Obs.Str (names queries ms)) ] in
+    let unify f =
+      let unified, unify_ns =
+        Stats.timed (fun () -> Obs.with_span ~args:(args members) "scc.unify" f)
+      in
+      stats.unify_ns <- Int64.add stats.unify_ns unify_ns;
+      unified
     in
-    stats.unify_ns <- Int64.add stats.unify_ns unify_ns;
-    match unified with
-    | Error failure ->
-      Hashtbl.replace ctx.cx_failed c ();
-      emit "scc.unify_failed"
-        (fun () -> [ ("component", Obs.Str (names queries scc.members.(c))) ])
-        (Unify_failed { component = scc.members.(c); failure });
-      None
-    | Ok subst -> (
+    let ground ?fixed ~grounded subst =
       let witness, ground_ns =
         Stats.timed (fun () ->
-            Obs.with_span
-              ~args:(fun () -> [ ("members", Obs.Str (names queries members)) ])
-              "scc.ground"
-              (fun () ->
-                Ground.solve ~minimize:ctx.cx_minimize ctx.cx_db queries
-                  ~members subst))
+            Obs.with_span ~args:(args grounded) "scc.ground" (fun () ->
+                Ground.solve ~minimize:ctx.cx_minimize ?fixed ctx.cx_db
+                  queries ~members:grounded subst))
       in
       stats.ground_ns <- Int64.add stats.ground_ns ground_ns;
       stats.candidates <- stats.candidates + 1;
+      stats.grounded_members <- stats.grounded_members + List.length grounded;
+      witness
+    in
+    let record ~body witness =
       if Obs.tracing () then
         emit "scc.probed"
           (fun () ->
@@ -214,20 +295,49 @@ let probe_component ctx a c =
               ("members", Obs.Str (names queries members));
               ("witness", Obs.Bool (Option.is_some witness));
             ])
-          (Probed
-             {
-               component = scc.members.(c);
-               members;
-               body = Combine.combined_body a.an_graph ~members subst;
-               witness;
-             });
+          (Probed { component = own; members; body = body (); witness });
       match witness with
       | None ->
         Hashtbl.replace ctx.cx_failed c ();
         None
       | Some assignment ->
-        Hashtbl.replace ctx.cx_covered c members;
-        Some { covered = members; assignment })
+        let cand = { covered = members; assignment } in
+        Hashtbl.replace ctx.cx_covered c cand;
+        Some cand
+    in
+    let seedable =
+      successors <> [] && List.compare_lengths witnesses successors = 0
+    in
+    let unified =
+      unify (fun () ->
+          match
+            if seedable then seed a c ~own ~successors witnesses else None
+          with
+          | Some seeded -> seeded
+          | None -> Full (Combine.unify_set a.an_graph ~members))
+    in
+    let full_body subst () = Combine.combined_body a.an_graph ~members subst in
+    match unified with
+    | Seeded { merged; subst; fixed } ->
+      (* Under tracing, [Probed] still carries the combined body of R(q),
+         which [Explain] renders as the SQL the full search would send. *)
+      let body () =
+        match Combine.unify_set a.an_graph ~members with
+        | Ok full -> full_body full ()
+        | Error _ -> Combine.combined_body a.an_graph ~members:own subst
+      in
+      record ~body
+        (Option.map
+           (fun mine -> Eval.Binding.fold Eval.Binding.add mine merged)
+           (ground ~fixed ~grounded:own subst))
+    | Full (Error failure) ->
+      Hashtbl.replace ctx.cx_failed c ();
+      emit "scc.unify_failed"
+        (fun () -> [ ("component", Obs.Str (names queries own)) ])
+        (Unify_failed { component = own; failure });
+      None
+    | Full (Ok subst) ->
+      record ~body:(full_body subst) (ground ~grounded:members subst)
   end
 
 (* ------------------------------------------------------------------ *)

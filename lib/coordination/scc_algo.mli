@@ -116,7 +116,8 @@ val analyze :
 
 type ctx
 (** Mutable per-run probing state: failure and coverage maps keyed by
-    SCC id, plus the database handle and the {!Stats.t} that
+    SCC id (a covered SCC keeps its candidate, whose witness seeds its
+    predecessors), plus the database handle and the {!Stats.t} that
     [probe_component] charges unify/ground time and candidate counts
     to. *)
 
@@ -126,7 +127,11 @@ val probe_component : ctx -> analysis -> int -> candidate option
 (** [probe_component ctx a c] processes SCC [c]: skip if a successor
     failed, otherwise unify and ground the candidate set R(q), updating
     [ctx] and emitting the [scc.skipped]/[scc.unify_failed]/[scc.probed]
-    events.  Must be called in ascending SCC id order relative to the
+    events.  When every successor is covered and [c]'s constraints only
+    read the successors' values, only [c]'s own postconditions are
+    unified and only its own bodies grounded, seeded from the
+    successors' witnesses; the verdict is the full search's either way,
+    and each candidate is one database probe.  Must be called in ascending SCC id order relative to the
     other components handled through the same [ctx].  A guard abort
     ({!Resilient.Abort}) propagates to the caller. *)
 

@@ -5,6 +5,7 @@ type t = {
   mutable ground_ns : int64;
   mutable total_ns : int64;
   mutable candidates : int;
+  mutable grounded_members : int;
   mutable cleaning_rounds : int;
   mutable plan_hits : int;
   mutable plan_misses : int;
@@ -19,6 +20,7 @@ let create () =
     ground_ns = 0L;
     total_ns = 0L;
     candidates = 0;
+    grounded_members = 0;
     cleaning_rounds = 0;
     plan_hits = 0;
     plan_misses = 0;
@@ -37,6 +39,7 @@ let merge ~(into : t) (from : t) =
   into.ground_ns <- Int64.add into.ground_ns from.ground_ns;
   into.total_ns <- Int64.add into.total_ns from.total_ns;
   into.candidates <- into.candidates + from.candidates;
+  into.grounded_members <- into.grounded_members + from.grounded_members;
   into.cleaning_rounds <- into.cleaning_rounds + from.cleaning_rounds;
   into.plan_hits <- into.plan_hits + from.plan_hits;
   into.plan_misses <- into.plan_misses + from.plan_misses;
@@ -54,6 +57,7 @@ let add_counters stats (d : Relational.Counters.t) =
 let same_counters a b =
   a.db_probes = b.db_probes
   && a.candidates = b.candidates
+  && a.grounded_members = b.grounded_members
   && a.cleaning_rounds = b.cleaning_rounds
   && a.plan_hits = b.plan_hits
   && a.plan_misses = b.plan_misses
@@ -74,11 +78,11 @@ let ms ns = Int64.to_float ns /. 1e6
 let pp ppf s =
   Format.fprintf ppf
     "probes=%d graph=%.3fms unify=%.3fms ground=%.3fms total=%.3fms \
-     candidates=%d cleaning_rounds=%d plan_hits=%d plan_misses=%d \
-     tuples_scanned=%d"
+     candidates=%d grounded_members=%d cleaning_rounds=%d plan_hits=%d \
+     plan_misses=%d tuples_scanned=%d"
     s.db_probes (ms s.graph_ns) (ms s.unify_ns) (ms s.ground_ns)
-    (ms s.total_ns) s.candidates s.cleaning_rounds s.plan_hits s.plan_misses
-    s.tuples_scanned
+    (ms s.total_ns) s.candidates s.grounded_members s.cleaning_rounds
+    s.plan_hits s.plan_misses s.tuples_scanned
 
 let to_row s =
   [

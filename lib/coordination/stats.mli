@@ -12,6 +12,9 @@ type t = {
   mutable ground_ns : int64;     (** database evaluation *)
   mutable total_ns : int64;      (** whole solver call *)
   mutable candidates : int;      (** candidate sets considered *)
+  mutable grounded_members : int;
+      (** member bodies the SCC algorithm sent to the evaluator,
+          summed over candidates *)
   mutable cleaning_rounds : int; (** consistent algorithm cleaning passes *)
   mutable plan_hits : int;       (** compiled plans served from the cache *)
   mutable plan_misses : int;     (** compiled plans built from scratch *)
@@ -33,7 +36,7 @@ val add_counters : t -> Relational.Counters.t -> unit
 
 val same_counters : t -> t -> bool
 (** Equality on every deterministic (non-timing) field: probes,
-    candidates, cleaning rounds, plan hits/misses, tuples scanned.  The
+    candidates, grounded members, cleaning rounds, plan hits/misses, tuples scanned.  The
     executor's differential tests compare parallel and sequential runs
     with this — timing spans necessarily differ. *)
 

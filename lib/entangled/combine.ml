@@ -17,38 +17,34 @@ let pp_failure queries ppf f =
   | Clash (q, pi) ->
     Format.fprintf ppf "unifying postcondition %d of %s clashed" pi (name q)
 
-let post_atom (g : Coordination_graph.t) q pi = List.nth g.queries.(q).Query.post pi
-
 let head_atom (g : Coordination_graph.t) q hi = List.nth g.queries.(q).Query.head hi
 
-let unify_set (g : Coordination_graph.t) ~members =
-  let in_set = Hashtbl.create 16 in
-  List.iter (fun q -> Hashtbl.replace in_set q ()) members;
-  (* Collect, per member post atom, the candidates inside the set. *)
-  let result = ref (Ok Subst.empty) in
-  let step q pi =
-    match !result with
-    | Error _ -> ()
-    | Ok subst -> (
+let unify_posts (g : Coordination_graph.t) ~in_set ~members =
+  let rec posts subst q pi = function
+    | [] -> Ok subst
+    | p :: rest -> (
       let targets =
         List.filter
-          (fun (d, _) -> Hashtbl.mem in_set d)
+          (fun (d, _) -> in_set d)
           (Coordination_graph.post_targets g ~src:q ~post_index:pi)
       in
       match targets with
-      | [] -> result := Error (Unsatisfiable_post (q, pi))
-      | _ :: _ :: _ -> result := Error (Ambiguous_post (q, pi, List.length targets))
+      | [] -> Error (Unsatisfiable_post (q, pi))
+      | _ :: _ :: _ -> Error (Ambiguous_post (q, pi, List.length targets))
       | [ (d, hi) ] -> (
-        let p = post_atom g q pi and h = head_atom g d hi in
-        match Subst.unify_atoms subst p h with
-        | None -> result := Error (Clash (q, pi))
-        | Some subst' -> result := Ok subst'))
+        match Subst.unify_atoms subst p (head_atom g d hi) with
+        | None -> Error (Clash (q, pi))
+        | Some subst -> posts subst q (pi + 1) rest))
   in
-  List.iter
-    (fun q ->
-      List.iteri (fun pi (_ : Cq.atom) -> step q pi) g.queries.(q).Query.post)
-    members;
-  !result
+  List.fold_left
+    (fun acc q ->
+      Result.bind acc (fun subst -> posts subst q 0 g.queries.(q).Query.post))
+    (Ok Subst.empty) members
+
+let unify_set g ~members =
+  let in_set = Hashtbl.create 16 in
+  List.iter (fun q -> Hashtbl.replace in_set q ()) members;
+  unify_posts g ~in_set:(Hashtbl.mem in_set) ~members
 
 let combined_body (g : Coordination_graph.t) ~members subst =
   let bodies =

@@ -26,6 +26,17 @@ val unify_set :
 (** Thread a most general unifier through every (postcondition, head)
     pair induced by [members].  Queries must have been renamed apart. *)
 
+val unify_posts :
+  Coordination_graph.t ->
+  in_set:(int -> bool) ->
+  members:int list ->
+  (Subst.t, failure) result
+(** [unify_set] generalised: unify only the postconditions of [members],
+    each with its unique candidate head among the queries satisfying
+    [in_set] (a set that may be larger than [members]).  [unify_set g
+    ~members] is [unify_posts g ~in_set:(fun q -> List.mem q members)
+    ~members]. *)
+
 val combined_body : Coordination_graph.t -> members:int list -> Subst.t -> Cq.t
 (** The conjunction of the members' bodies under the unifier — the single
     query the paper sends to the database. *)

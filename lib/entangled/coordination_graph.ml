@@ -11,6 +11,7 @@ type t = {
   queries : Query.t array;
   extended : edge list;
   graph : Graphs.Digraph.t;
+  targets : (int * int) list array array;
 }
 
 let compatible (a : Cq.atom) (b : Cq.atom) =
@@ -131,49 +132,50 @@ let build queries =
     queries;
   (* Deterministic edge order: by (src, post_index, dst, head_index). *)
   let extended = List.sort compare !extended in
-  { queries; extended; graph }
-
-let post_targets g ~src ~post_index =
-  List.filter_map
+  let targets =
+    Array.map (fun q -> Array.make (List.length q.Query.post) []) queries
+  in
+  List.iter
     (fun e ->
-      if e.src = src && e.post_index = post_index then Some (e.dst, e.head_index)
-      else None)
-    g.extended
+      targets.(e.src).(e.post_index) <-
+        (e.dst, e.head_index) :: targets.(e.src).(e.post_index))
+    (List.rev extended);
+  { queries; extended; graph; targets }
+
+let post_targets g ~src ~post_index = g.targets.(src).(post_index)
 
 let post_count g =
   Array.fold_left (fun acc q -> acc + List.length q.Query.post) 0 g.queries
 
+(* A worklist greatest fixpoint: [live] counts, per (src, post), the
+   edges into live queries; each query that dies walks its incoming
+   edges once, so the whole pass is O(E) however long the chain of
+   consecutive deaths (a pending k-chain would take k rescans). *)
 let prune_unsatisfiable g ~alive =
   let n = Array.length g.queries in
   if Array.length alive <> n then
     invalid_arg "Coordination_graph.prune_unsatisfiable: mask size mismatch";
-  (* For each (src, post_index), the list of candidate dst queries. *)
-  let candidates = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      let key = (e.src, e.post_index) in
-      let l = Option.value ~default:[] (Hashtbl.find_opt candidates key) in
-      Hashtbl.replace candidates key (e.dst :: l))
-    g.extended;
-  let has_live_candidate src post_index =
-    match Hashtbl.find_opt candidates (src, post_index) with
-    | None -> false
-    | Some ds -> List.exists (fun d -> alive.(d)) ds
+  let live_targets =
+    List.fold_left (fun k (d, _) -> if alive.(d) then k + 1 else k) 0
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iteri
-      (fun i q ->
-        if alive.(i) then
-          List.iteri
-            (fun pi (_ : Cq.atom) ->
-              if alive.(i) && not (has_live_candidate i pi) then begin
-                alive.(i) <- false;
-                changed := true
-              end)
-            q.Query.post)
-      g.queries
+  let live = Array.map (Array.map live_targets) g.targets in
+  let incoming = Array.make n [] in
+  List.iter (fun e -> incoming.(e.dst) <- e :: incoming.(e.dst)) g.extended;
+  let dead = Stack.create () in
+  let kill q =
+    alive.(q) <- false;
+    Stack.push q dead
+  in
+  Array.iteri
+    (fun q posts -> if alive.(q) && Array.mem 0 posts then kill q)
+    live;
+  while not (Stack.is_empty dead) do
+    List.iter
+      (fun e ->
+        let k = live.(e.src).(e.post_index) - 1 in
+        live.(e.src).(e.post_index) <- k;
+        if k = 0 && alive.(e.src) then kill e.src)
+      incoming.(Stack.pop dead)
   done
 
 let pp ppf g =

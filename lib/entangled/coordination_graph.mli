@@ -20,6 +20,9 @@ type t = private {
   queries : Query.t array;
   extended : edge list;
   graph : Graphs.Digraph.t;   (** collapsed; node ids = query indexes *)
+  targets : (int * int) list array array;
+      (** [targets.(src).(post_index)]: the [(dst, head_index)] pairs of
+          that postcondition's edges, in edge order *)
 }
 
 val compatible : Cq.atom -> Cq.atom -> bool
@@ -63,13 +66,14 @@ val build : Query.t array -> t
 
 val post_targets : t -> src:int -> post_index:int -> (int * int) list
 (** Candidate [(query, head_index)] pairs for one postcondition atom, in
-    edge order. *)
+    edge order; O(1), read from [targets]. *)
 
 val prune_unsatisfiable : t -> alive:bool array -> unit
 (** Iteratively clears [alive.(q)] for every query [q] having a
     postcondition atom none of whose candidate heads belongs to a live
     query.  This is the preprocessing step of the implementation in
-    Section 6.1; it runs to a fixpoint. *)
+    Section 6.1; it reaches the greatest fixpoint with a worklist, in
+    time linear in the number of edges. *)
 
 val post_count : t -> int
 (** Total number of postcondition atoms across all queries. *)

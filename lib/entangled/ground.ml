@@ -26,7 +26,15 @@ let assignment_of db queries ~members subst body_valuation =
     (fun acc x -> match acc with None -> None | Some acc -> extend acc x)
     (Some Eval.Binding.empty) vars
 
-let solve ?(minimize = false) db queries ~members subst =
+let solve ?(minimize = false) ?(fixed = Eval.Binding.empty) db queries
+    ~members subst =
+  let assignment_of body_valuation =
+    let body_valuation =
+      if Eval.Binding.is_empty fixed then body_valuation
+      else Eval.Binding.union (fun _ v _ -> Some v) body_valuation fixed
+    in
+    assignment_of db queries ~members subst body_valuation
+  in
   let g_body =
     let bodies =
       List.concat_map (fun q -> queries.(q).Query.body.Cq.atoms) members
@@ -36,8 +44,7 @@ let solve ?(minimize = false) db queries ~members subst =
   if not minimize then
     match Eval.find_first db g_body with
     | None -> None
-    | Some body_valuation ->
-      assignment_of db queries ~members subst body_valuation
+    | Some body_valuation -> assignment_of body_valuation
   else begin
     let core, retraction = Containment.minimize_with_retraction g_body in
     match Eval.find_first db core with
@@ -56,5 +63,5 @@ let solve ?(minimize = false) db queries ~members subst =
               | None -> acc))
           Eval.Binding.empty retraction
       in
-      assignment_of db queries ~members subst body_valuation
+      assignment_of body_valuation
   end

@@ -5,6 +5,7 @@ open Relational
 
 val solve :
   ?minimize:bool ->
+  ?fixed:Eval.valuation ->
   Database.t ->
   Query.t array ->
   members:int list ->
@@ -23,7 +24,13 @@ val solve :
     no constant and the body never mentions it) from the instance's active
     domain — Definition 1 only asks for {e some} domain value.  Returns
     [None] when the body is unsatisfiable or a free variable exists while
-    the active domain is empty. *)
+    the active domain is empty.
+
+    [fixed] (default empty) values unifier class representatives that
+    the body does not mention, ahead of the active-domain default: a
+    seeded SCC candidate passes the values its successors' witness gives
+    the classes linking its own head and postcondition variables to
+    theirs. *)
 
 val assignment_of :
   Database.t ->

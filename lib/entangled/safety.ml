@@ -1,13 +1,16 @@
-let unsafe_posts (g : Coordination_graph.t) =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Coordination_graph.edge) ->
-      let key = (e.src, e.post_index) in
-      Hashtbl.replace counts key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
-    g.extended;
-  Hashtbl.fold (fun key c acc -> if c > 1 then key :: acc else acc) counts []
-  |> List.sort compare
+let unsafe_posts ?alive (g : Coordination_graph.t) =
+  let live = match alive with Some a -> Array.get a | None -> Fun.const true in
+  let unsafe = ref [] in
+  Array.iteri
+    (fun src posts ->
+      if live src then
+        Array.iteri
+          (fun pi targets ->
+            if List.length (List.filter (fun (d, _) -> live d) targets) > 1
+            then unsafe := (src, pi) :: !unsafe)
+          posts)
+    g.targets;
+  List.rev !unsafe
 
 let is_safe_query g q = List.for_all (fun (s, _) -> s <> q) (unsafe_posts g)
 

@@ -1,8 +1,11 @@
 (** Safety and uniqueness of query sets (Definitions 2 and 3). *)
 
-val unsafe_posts : Coordination_graph.t -> (int * int) list
+val unsafe_posts :
+  ?alive:bool array -> Coordination_graph.t -> (int * int) list
 (** Postcondition atoms [(query, post_index)] with two or more candidate
-    head atoms in the extended graph — the witnesses of unsafety. *)
+    head atoms in the extended graph — the witnesses of unsafety, in
+    ascending order.  With [alive], only live queries' postconditions
+    and live candidate heads count (safety after preprocessing). *)
 
 val is_safe_query : Coordination_graph.t -> int -> bool
 (** Query [q] is safe in [Q] when none of its postcondition atoms unifies

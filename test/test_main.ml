@@ -7,6 +7,7 @@ let () =
       ("graphs", Test_graphs.suite);
       ("entangled", Test_entangled.suite);
       ("algorithms", Test_algorithms.suite);
+      ("scc-seeded", Test_scc_seeded.suite);
       ("single-connected", Test_single_connected.suite);
       ("extensions", Test_extensions.suite);
       ("online-incremental", Test_online_incremental.suite);
@@ -17,6 +18,7 @@ let () =
       ("workload", Test_workload.suite);
       ("obs", Test_obs.suite);
       ("json", Test_json.suite);
+      ("parser-fuzz", Test_parser_fuzz.suite);
       ("resilient", Test_resilient.suite);
       ("durable", Test_durable.suite);
       ("server", Test_server.suite);
