@@ -256,7 +256,10 @@ let solve_scc ?(selection = Scc_algo.Largest) ?(preprocess = true)
     result
   in
   let t_graph = Stats.now_ns () in
-  match Scc_algo.analyze ~preprocess queries with
+  let graph =
+    Obs.with_span "scc.graph" (fun () -> Coordination_graph.build queries)
+  in
+  match Scc_algo.analyze ~preprocess graph with
   | Error e ->
     stats.Stats.graph_ns <- Int64.sub (Stats.now_ns ()) t_graph;
     finish (Error e)
@@ -385,20 +388,17 @@ let run_gupta_shard ~tracing graph queries view shard_index members =
   in
   with_capture ~tracing trace shard_index @@ fun () ->
   let unified, unify_ns =
-    Stats.timed (fun () ->
-        Obs.with_span "gupta.unify" (fun () ->
-            Combine.unify_set graph ~members))
+    Obs.timed_span "gupta.unify" (fun () -> Combine.unify_set graph ~members)
   in
   stats.Stats.unify_ns <- unify_ns;
   match unified with
   | Error f -> report (Some (Error f)) None
   | Ok subst -> (
     let witness, ground_ns =
-      Stats.timed (fun () ->
-          Obs.with_span "gupta.ground" (fun () ->
-              match Ground.solve view queries ~members subst with
-              | w -> Ok w
-              | exception Resilient.Abort reason -> Error reason))
+      Obs.timed_span "gupta.ground" (fun () ->
+          match Ground.solve view queries ~members subst with
+          | w -> Ok w
+          | exception Resilient.Abort reason -> Error reason)
     in
     stats.Stats.ground_ns <- ground_ns;
     match witness with
@@ -426,9 +426,7 @@ let solve_gupta ?domains db input =
       (Ok { Gupta.queries; solution = None; stats; degraded = None })
   else begin
     let graph, graph_ns =
-      Stats.timed (fun () ->
-          Obs.with_span "gupta.graph" (fun () ->
-              Coordination_graph.build queries))
+      Obs.timed_span "gupta.graph" (fun () -> Coordination_graph.build queries)
     in
     stats.Stats.graph_ns <- graph_ns;
     match Safety.classify graph with

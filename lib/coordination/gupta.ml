@@ -40,8 +40,7 @@ let solve db input =
     finish (Ok { queries; solution = None; stats; degraded = None })
   else
   let graph, graph_ns =
-    Stats.timed (fun () ->
-        Obs.with_span "gupta.graph" (fun () -> Coordination_graph.build queries))
+    Obs.timed_span "gupta.graph" (fun () -> Coordination_graph.build queries)
   in
   stats.graph_ns <- graph_ns;
   match Safety.classify graph with
@@ -50,8 +49,7 @@ let solve db input =
   | `Safe_unique -> (
     let members = List.init (Array.length queries) Fun.id in
     let unified, unify_ns =
-      Stats.timed (fun () ->
-          Obs.with_span "gupta.unify" (fun () -> Combine.unify_set graph ~members))
+      Obs.timed_span "gupta.unify" (fun () -> Combine.unify_set graph ~members)
     in
     stats.unify_ns <- unify_ns;
     match unified with
@@ -60,11 +58,10 @@ let solve db input =
       (* The single combined probe is the only database work: an abort
          here degrades to "nothing probed" rather than raising. *)
       let witness, ground_ns =
-        Stats.timed (fun () ->
-            Obs.with_span "gupta.ground" (fun () ->
-                match Ground.solve db queries ~members subst with
-                | w -> Ok w
-                | exception Resilient.Abort reason -> Error reason))
+        Obs.timed_span "gupta.ground" (fun () ->
+            match Ground.solve db queries ~members subst with
+            | w -> Ok w
+            | exception Resilient.Abort reason -> Error reason)
       in
       stats.ground_ns <- ground_ns;
       stats.candidates <- 1;

@@ -1,5 +1,6 @@
 open Relational
 open Entangled
+module Atom_index = Coordination_graph.Atom_index
 
 type coordinated = {
   queries : Query.t list;
@@ -46,15 +47,22 @@ module Journal = struct
   type sink = record -> unit
 end
 
-(* One pooled query.  [neighbours] stores the undirected coordination
-   adjacency discovered when the entry (or a later partner) arrived, so
-   a dissolved component can be re-linked locally without rebuilding any
-   graph.  Ids are submission order and never reused; an id is live iff
-   it is present in [entries]. *)
+(* One pooled query.  [query] is the query as submitted (journaled and
+   reported); [renamed] is the same query renamed apart once, at
+   admission, by its pool id ({!Query.rename_apart}).  [out] holds the
+   entry's outgoing extended coordination edges, [src] = its own id and
+   [dst] a live pool id (itself for a self-loop): together the entries'
+   out-lists are the pool's coordination graph, discovered once at
+   admission and never rebuilt.  [comp] names the entry's weakly
+   connected component by the id of one of its live members.  Ids are
+   submission order and never reused; an id is live iff it is present
+   in [entries]. *)
 type entry = {
   id : int;
   query : Query.t;
-  mutable neighbours : int list;
+  renamed : Query.t;
+  mutable out : Coordination_graph.edge list;
+  mutable comp : int;
 }
 
 type t = {
@@ -65,16 +73,16 @@ type t = {
   entries : (int, entry) Hashtbl.t;  (* the live pool, keyed by id *)
   mutable next_id : int;
   (* Persistent indexing state.  The two atom indexes cover the post/head
-     atoms of every live entry (payload = owner id): a new arrival
-     probes its posts against pooled heads and its heads against pooled
-     posts to discover coordination edges without re-unifying against
-     the whole pool.  [uf]/[comp_members] maintain the weakly-connected
-     component partition; [dirty] the set of live ids whose component
-     must be re-evaluated (a component is dirty iff any member is). *)
-  posts_index : int Coordination_graph.Atom_index.t;
-  heads_index : int Coordination_graph.Atom_index.t;
-  uf : Graphs.Union_find.t;
-  comp_members : (int, int list) Hashtbl.t;  (* uf root -> live member ids *)
+     atoms of every live entry (payload = owner id, atom index): a new
+     arrival probes its posts against pooled heads and its heads against
+     pooled posts to discover its coordination edges without re-unifying
+     against the whole pool.  [comps] maps each component key to the
+     component's live member ids; [dirty] is the set of live ids whose
+     component must be re-evaluated (a component is dirty iff any member
+     is).  Every table is keyed by live ids or live atoms only. *)
+  posts_index : (int * int) Atom_index.t;
+  heads_index : (int * int) Atom_index.t;
+  comps : (int, int list) Hashtbl.t;
   dirty : (int, unit) Hashtbl.t;
   mutable db_version : int;
   mutable satisfied : int;
@@ -93,10 +101,9 @@ let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
     consume;
     entries = Hashtbl.create 64;
     next_id = 0;
-    posts_index = Coordination_graph.Atom_index.create ();
-    heads_index = Coordination_graph.Atom_index.create ();
-    uf = Graphs.Union_find.create ();
-    comp_members = Hashtbl.create 64;
+    posts_index = Atom_index.create ();
+    heads_index = Atom_index.create ();
+    comps = Hashtbl.create 64;
     dirty = Hashtbl.create 64;
     db_version = Database.data_version db;
     satisfied = 0;
@@ -128,9 +135,14 @@ let next_id engine = engine.next_id
 
 let pending_count engine = Hashtbl.length engine.entries
 
-let index_keys engine =
-  ( Coordination_graph.Atom_index.key_count engine.posts_index,
-    Coordination_graph.Atom_index.key_count engine.heads_index )
+let table_sizes engine =
+  [
+    ("posts_index_keys", Atom_index.key_count engine.posts_index);
+    ("heads_index_keys", Atom_index.key_count engine.heads_index);
+    ("components", Hashtbl.length engine.comps);
+    ("entries", Hashtbl.length engine.entries);
+    ("dirty", Hashtbl.length engine.dirty);
+  ]
 
 let total_coordinated engine = engine.satisfied
 
@@ -172,106 +184,120 @@ let begin_op engine =
   refresh_db_version engine
 
 let index_entry engine e =
-  List.iter
-    (fun a -> Coordination_graph.Atom_index.add engine.posts_index a e.id)
+  List.iteri
+    (fun i a -> Atom_index.add engine.posts_index a (e.id, i))
     e.query.Query.post;
-  List.iter
-    (fun a -> Coordination_graph.Atom_index.add engine.heads_index a e.id)
+  List.iteri
+    (fun i a -> Atom_index.add engine.heads_index a (e.id, i))
     e.query.Query.head
 
 let unindex_entry engine e =
-  let is_me id = id = e.id in
+  let is_me (id, _) = id = e.id in
   List.iter
-    (fun a -> Coordination_graph.Atom_index.remove engine.posts_index a is_me)
+    (fun a -> Atom_index.remove engine.posts_index a is_me)
     e.query.Query.post;
   List.iter
-    (fun a -> Coordination_graph.Atom_index.remove engine.heads_index a is_me)
+    (fun a -> Atom_index.remove engine.heads_index a is_me)
     e.query.Query.head
 
-(* Coordination partners of [q] within the current pool: an edge exists
-   when one side's postcondition is {!Coordination_graph.compatible}
-   with the other side's head.  Compatibility only inspects relation
-   symbols and constants, so probing the ORIGINAL (unrenamed) atoms
-   finds exactly the edges a rebuilt graph over the renamed pool
-   would. *)
-let discover_partners engine (q : Query.t) =
-  let probe_all atoms index =
-    List.concat_map
-      (fun a ->
-        List.map snd (Coordination_graph.Atom_index.probe index a))
-      atoms
+(* The coordination edges [q] would have as pool entry [id]: an edge
+   exists when a postcondition is {!Coordination_graph.compatible} with
+   a head.  Returns [q]'s out-edges — into pooled heads, plus its own
+   post x head self-loops, which {!Coordination_graph.build} has too and
+   safety and pruning read — and its in-edges from pooled posts.
+   Compatibility only inspects relation symbols and constants, so
+   probing the original atoms finds exactly the edges of the renamed
+   ones. *)
+let probe_edges engine ~id (q : Query.t) =
+  let edge src post_index dst head_index =
+    { Coordination_graph.src; post_index; dst; head_index }
   in
-  let outgoing = probe_all q.Query.post engine.heads_index in
-  let incoming = probe_all q.Query.head engine.posts_index in
-  List.sort_uniq Int.compare (List.rev_append outgoing incoming)
+  let out = ref [] and inc = ref [] in
+  List.iteri
+    (fun pi p ->
+      List.iter
+        (fun (_, (dst, hi)) -> out := edge id pi dst hi :: !out)
+        (Atom_index.probe engine.heads_index p);
+      List.iteri
+        (fun hi h ->
+          if Coordination_graph.compatible p h then
+            out := edge id pi id hi :: !out)
+        q.Query.head)
+    q.Query.post;
+  List.iteri
+    (fun hi h ->
+      List.iter
+        (fun (_, (src, pi)) -> inc := edge src pi id hi :: !inc)
+        (Atom_index.probe engine.posts_index h))
+    q.Query.head;
+  (!out, !inc)
 
-(* Merge the component member lists when two roots fuse. *)
-let union_ids engine a b =
-  let ra = Graphs.Union_find.find engine.uf a in
-  let rb = Graphs.Union_find.find engine.uf b in
-  if ra <> rb then begin
-    let ma =
-      Option.value ~default:[] (Hashtbl.find_opt engine.comp_members ra)
+(* Fuse the components of [a] and [b]: the smaller member list takes the
+   larger one's key, so an entry is relabelled O(log pool) times. *)
+let fuse engine a b =
+  if a.comp <> b.comp then begin
+    let ma = Hashtbl.find engine.comps a.comp in
+    let mb = Hashtbl.find engine.comps b.comp in
+    let key, gone, small, large =
+      if List.compare_lengths ma mb < 0 then (b.comp, a.comp, ma, mb)
+      else (a.comp, b.comp, mb, ma)
     in
-    let mb =
-      Option.value ~default:[] (Hashtbl.find_opt engine.comp_members rb)
-    in
-    let r = Graphs.Union_find.union engine.uf a b in
-    Hashtbl.remove engine.comp_members ra;
-    Hashtbl.remove engine.comp_members rb;
-    Hashtbl.replace engine.comp_members r (List.rev_append ma mb)
+    List.iter (fun id -> (Hashtbl.find engine.entries id).comp <- key) small;
+    Hashtbl.remove engine.comps gone;
+    Hashtbl.replace engine.comps key (List.rev_append small large)
   end
 
+let fuse_out engine e =
+  List.iter
+    (fun (ed : Coordination_graph.edge) ->
+      fuse engine e (Hashtbl.find engine.entries ed.dst))
+    e.out
+
 (* Admit a query into the pool.  This is where all persistent state is
-   maintained: probe the indexes for partners
-   (before indexing the entry's own atoms, so it cannot partner with
-   itself), record the adjacency on both sides, union into the
-   partition, and mark the (possibly fused) component dirty.
+   maintained: probe the indexes for the arrival's edges (before
+   indexing its own atoms, whose self-loops come from its own post x
+   head pairs), store each edge with its source, fuse the components
+   the edges join, and mark the (possibly fused) component dirty.
 
    [admit] takes the id explicitly so recovery replay (lib/durable) can
    re-admit entries under their journaled ids; live submissions go
    through [add_entry], which allocates the next id. *)
 let admit engine ~id query =
   if id >= engine.next_id then engine.next_id <- id + 1;
-  let partners = discover_partners engine query in
-  let e = { id; query; neighbours = partners } in
-  List.iter
-    (fun p ->
-      let pe = Hashtbl.find engine.entries p in
-      pe.neighbours <- id :: pe.neighbours)
-    partners;
+  let out, inc = probe_edges engine ~id query in
+  let e =
+    { id; query; renamed = Query.rename_apart id query; out; comp = id }
+  in
   Hashtbl.replace engine.entries id e;
+  Hashtbl.replace engine.comps id [ id ];
+  List.iter
+    (fun (ed : Coordination_graph.edge) ->
+      let src = Hashtbl.find engine.entries ed.src in
+      src.out <- ed :: src.out;
+      fuse engine src e)
+    inc;
+  fuse_out engine e;
   index_entry engine e;
-  Graphs.Union_find.ensure engine.uf id;
-  (* A re-attached id (shard migration round-trip) may carry a stale
-     parent pointer from its retirement in this engine; reset makes it a
-     singleton root again.  For a fresh id this is a no-op. *)
-  Graphs.Union_find.reset engine.uf id;
-  Hashtbl.replace engine.comp_members id [ id ];
-  List.iter (fun p -> union_ids engine id p) partners;
   mark_dirty engine id;
   e
 
 let add_entry engine query = admit engine ~id:engine.next_id query
 
 (* Remove [ids] from the pool, dissolving their components: every
-   surviving member is reset to a union-find singleton and re-unioned
-   from its stored (still-live) adjacency, rebuilding the partition
-   locally.  Survivors are marked dirty — retirement shrinks their
-   component, which can newly enable a coordinating set among the
-   remainder (the fired set may have been what made a candidate unsafe
-   or over-constrained). *)
+   surviving member drops its edges into the retired ids and restarts
+   as a singleton keyed by its own id, then the survivors fuse again
+   along their out-edges.  Union is symmetric, so out-edges alone reach
+   every surviving edge.  Survivors are marked dirty — retirement
+   shrinks their component, which can newly enable a coordinating set
+   among the remainder (the fired set may have been what made a
+   candidate unsafe or over-constrained). *)
 let retire engine ids =
-  let roots =
+  let keys =
     List.sort_uniq Int.compare
-      (List.map (fun id -> Graphs.Union_find.find engine.uf id) ids)
+      (List.map (fun id -> (Hashtbl.find engine.entries id).comp) ids)
   in
-  let component_ids =
-    List.concat_map
-      (fun r ->
-        Option.value ~default:[] (Hashtbl.find_opt engine.comp_members r))
-      roots
-  in
+  let members = List.concat_map (Hashtbl.find engine.comps) keys in
+  List.iter (Hashtbl.remove engine.comps) keys;
   List.iter
     (fun id ->
       let e = Hashtbl.find engine.entries id in
@@ -279,42 +305,45 @@ let retire engine ids =
       Hashtbl.remove engine.entries id;
       Hashtbl.remove engine.dirty id)
     ids;
-  List.iter (fun r -> Hashtbl.remove engine.comp_members r) roots;
-  let survivors =
-    List.filter (fun id -> Hashtbl.mem engine.entries id) component_ids
-  in
-  (* Reset every survivor first: afterwards each live node of the old
-     tree is its own root, so the re-union pass below only ever links
-     freshly reset roots.  Retired nodes may keep stale parent pointers
-     into the old tree, but nothing ever calls [find] on a retired id
-     again. *)
+  let survivors = List.filter_map (Hashtbl.find_opt engine.entries) members in
   List.iter
-    (fun id ->
-      let e = Hashtbl.find engine.entries id in
-      e.neighbours <-
-        List.filter (fun nb -> Hashtbl.mem engine.entries nb) e.neighbours;
-      Graphs.Union_find.reset engine.uf id;
-      Hashtbl.replace engine.comp_members id [ id ])
+    (fun e ->
+      let live (ed : Coordination_graph.edge) =
+        Hashtbl.mem engine.entries ed.dst
+      in
+      e.out <- List.filter live e.out;
+      e.comp <- e.id;
+      Hashtbl.replace engine.comps e.id [ e.id ])
     survivors;
   List.iter
-    (fun id ->
-      let e = Hashtbl.find engine.entries id in
-      List.iter (fun nb -> union_ids engine id nb) e.neighbours;
-      mark_dirty engine id)
+    (fun e ->
+      fuse_out engine e;
+      mark_dirty engine e.id)
     survivors
+
+(* The live ids of every component the query would join, ascending:
+   the same probe admission runs, without admitting. *)
+let touched engine query =
+  let out, inc = probe_edges engine ~id:(-1) query in
+  let keys =
+    List.filter_map
+      (fun (ed : Coordination_graph.edge) ->
+        let partner = if ed.dst < 0 then ed.src else ed.dst in
+        if partner < 0 then None
+        else Some (Hashtbl.find engine.entries partner).comp)
+      (List.rev_append out inc)
+    |> List.sort_uniq Int.compare
+  in
+  List.sort Int.compare (List.concat_map (Hashtbl.find engine.comps) keys)
 
 let components engine =
   let live = live_entries engine in
   let position = Hashtbl.create (2 * List.length live) in
   List.iteri (fun i e -> Hashtbl.replace position e.id i) live;
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let r = Graphs.Union_find.find engine.uf e.id in
-      let l = Option.value ~default:[] (Hashtbl.find_opt groups r) in
-      Hashtbl.replace groups r (Hashtbl.find position e.id :: l))
-    live;
-  Hashtbl.fold (fun _ l acc -> List.rev l :: acc) groups []
+  Hashtbl.fold
+    (fun _ ids acc ->
+      List.sort Int.compare (List.map (Hashtbl.find position) ids) :: acc)
+    engine.comps []
   |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
 
 (* Book the grounded body tuples of a fired set: each tuple is one unit
@@ -388,14 +417,57 @@ let consume_inventory engine (queries : Query.t array) (solution : Solution.t)
       "online.inventory_conflict"
   end
 
+(* The coordination graph of one component (live ids, ascending),
+   assembled from the stored edges: the member with the [i]-th smallest
+   id is query [i]. *)
+let component_graph engine ids =
+  let sorted = Array.of_list ids in
+  (* The position of a member id: binary search over the sorted ids. *)
+  let at id =
+    let rec go lo hi =
+      let mid = (lo + hi) / 2 in
+      if sorted.(mid) < id then go (mid + 1) hi
+      else if sorted.(mid) > id then go lo mid
+      else mid
+    in
+    go 0 (Array.length sorted)
+  in
+  let members = List.map (Hashtbl.find engine.entries) ids in
+  Coordination_graph.of_edges
+    (Array.of_list (List.map (fun e -> e.renamed) members))
+    (List.concat_map
+       (fun e ->
+         List.map
+           (fun (ed : Coordination_graph.edge) ->
+             { ed with src = at ed.src; dst = at ed.dst })
+           e.out)
+       members)
+
 (* Evaluate one component, given as a list of live ids in ascending
    order; on success retire the members and report them. *)
 let evaluate engine ids =
   let id_of_position = Array.of_list ids in
-  let input =
-    List.map (fun id -> (Hashtbl.find engine.entries id).query) ids
+  let solved =
+    Obs.with_span
+      ~args:(fun () -> [ ("queries", Obs.Int (List.length ids)) ])
+      "scc.solve"
+    @@ fun () ->
+    (* Assembling the graph is this engine's graph construction: charge
+       it where Scc_algo.solve charges its rebuild. *)
+    let graph, graph_ns =
+      Obs.timed_span "scc.graph" (fun () -> component_graph engine ids)
+    in
+    let result =
+      Scc_algo.solve_graph ~selection:engine.selection engine.db graph
+    in
+    Result.iter
+      (fun (o : Scc_algo.outcome) ->
+        o.stats.graph_ns <- Int64.add o.stats.graph_ns graph_ns;
+        o.stats.total_ns <- Int64.add o.stats.total_ns graph_ns)
+      result;
+    result
   in
-  match Scc_algo.solve ~selection:engine.selection engine.db input with
+  match solved with
   | Error (Scc_algo.Not_safe ws) -> Error ws
   | Ok outcome -> (
     Stats.merge ~into:engine.stats outcome.stats;
@@ -436,9 +508,7 @@ let evaluate engine ids =
 
 (* The ids of the component containing [e], ascending. *)
 let component_of engine (e : entry) =
-  let r = Graphs.Union_find.find engine.uf e.id in
-  List.sort Int.compare
-    (Option.value ~default:[ e.id ] (Hashtbl.find_opt engine.comp_members r))
+  List.sort Int.compare (Hashtbl.find engine.comps e.comp)
 
 let submit ?id engine query =
   Obs.with_span
@@ -518,18 +588,14 @@ let withdraw engine id =
    evaluated (completely, to no fire) with exactly its current member set
    and database contents, so it provably cannot fire now. *)
 let due_components engine =
-  let roots = Hashtbl.create 8 in
+  let keys = Hashtbl.create 8 in
   Hashtbl.iter
-    (fun id () ->
-      if Hashtbl.mem engine.entries id then
-        Hashtbl.replace roots (Graphs.Union_find.find engine.uf id) ())
+    (fun id () -> Hashtbl.replace keys (Hashtbl.find engine.entries id).comp ())
     engine.dirty;
   Hashtbl.fold
-    (fun r () acc ->
-      match Hashtbl.find_opt engine.comp_members r with
-      | None | Some [] -> acc
-      | Some ids -> List.sort Int.compare ids :: acc)
-    roots []
+    (fun key () acc ->
+      List.sort Int.compare (Hashtbl.find engine.comps key) :: acc)
+    keys []
   |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
 
 (* Evaluate the dirty components in order of their smallest member id,

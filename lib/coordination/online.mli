@@ -28,10 +28,16 @@
       postcondition and head atoms, so a new arrival discovers its
       coordination edges by probing the index instead of re-unifying
       against every pooled query;
-    - a {b union-find} ({!Graphs.Union_find}) maintaining the
-      weakly-connected-component partition as edges are added, with
-      component dissolution and local re-linking (from stored adjacency)
-      only when a fired set retires its members;
+    - {b stored edges}: each entry keeps its query renamed apart once,
+      by pool id, and its outgoing extended edges (self-loops
+      included).  Evaluation hands {!Scc_algo.solve_graph} the
+      component's graph assembled from them
+      ({!Coordination_graph.of_edges}); nothing is renamed or rebuilt
+      per evaluation;
+    - a {b partition keyed by live entries}: every entry names its
+      weakly connected component by a live member's id, a fuse
+      relabels the smaller member list, and a retirement re-fuses only
+      the survivors along their stored edges;
     - {b dirty-component tracking}: {!flush} and {!submit_all}
       re-evaluate only components touched since their last evaluation —
       a new member, a retirement, or any database mutation
@@ -40,7 +46,8 @@
       deterministic and already found nothing), so their cached outcome
       stands.  Degraded evaluations (see {!Resilient}) stay dirty.
 
-    Per-submission cost is O(edges touched), not O(pool²).  The test
+    Per-submission cost is O(edges touched), not O(pool²), and every
+    table is bounded by the live pool ({!table_sizes}).  The test
     suite keeps a rebuild-everything reference engine
     ([test/online_oracle.ml]) that re-derives the components of the
     whole pool on every evaluation; the engine must fire the same sets,
@@ -75,8 +82,8 @@ val consume : t -> bool
 type coordinated = {
   queries : Query.t list;        (** the satisfied queries, in pool order *)
   assignment : Eval.valuation;
-      (** over the members' variables, renamed with the prefixes of
-          their positions within the evaluated component *)
+      (** over the members' variables, renamed apart by pool id: member
+          [id]'s variable [x] is ["q<id>.x"] *)
 }
 
 type submission =
@@ -134,17 +141,31 @@ val next_id : t -> int
 
 val pending_count : t -> int
 
-val index_keys : t -> int * int
-(** First-constant keys held by the postcondition and head atom
-    indexes ({!Entangled.Coordination_graph.Atom_index.key_count}) — a
-    debug and gauge accessor.  Both are bounded by the live pool's
-    atoms: a retired or fired entry's keys leave with it. *)
+val table_sizes : t -> (string * int) list
+(** The sizes of the engine's internal tables, by name — a debug and
+    gauge accessor: ["posts_index_keys"] and ["heads_index_keys"]
+    (first-constant keys of the two atom indexes,
+    {!Entangled.Coordination_graph.Atom_index.key_count}),
+    ["components"], ["entries"] and ["dirty"].  Each is bounded by the
+    live pool: a retired or fired entry's keys leave with it. *)
+
+val touched : t -> Query.t -> int list
+(** The live ids, ascending, of every component the query has a
+    coordination edge with — found by the index probe admission runs,
+    without admitting it.  {!Online_sharded} routes arrivals by it. *)
+
+val component_graph : t -> int list -> Coordination_graph.t
+(** The coordination graph evaluation hands to
+    {!Scc_algo.solve_graph} for a component (its live ids, ascending):
+    assembled from the edges stored at admission, over the members'
+    queries renamed apart by pool id, the [i]-th smallest id being
+    query [i]. *)
 
 val components : t -> int list list
 (** The weakly-connected-component partition of the pending pool, as
     lists of positions into {!pending} (each sorted ascending,
     components ordered by their first member).  Exposed for diagnostics
-    and differential testing; this reads the union-find instead of
+    and differential testing; this reads the partition instead of
     traversing a rebuilt graph. *)
 
 val total_coordinated : t -> int

@@ -1,42 +1,13 @@
 open Relational
 open Entangled
 
-(* A bucket key mirrors Coordination_graph.Atom_index's partition of
-   atoms: relation symbol × first-argument constant, with [None] for
-   var-first (wildcard) atoms.  Two atoms can only be compatible when
-   they share a relation and their first arguments unify, so every
-   coordination edge connects entries that share a bucket key — or a
-   const-first bucket with the relation's wildcard bucket. *)
-type bucket_key = string * Value.t option
-
-(* A bucket group: a union-find class of bucket keys that have co-
-   occurred in one entry (or been wildcard-linked).  Every real
-   component of the coordination graph lies inside one group, so
-   owning groups — not components — is enough to route arrivals; the
-   over-approximation only coarsens placement, never correctness.
-   [g_members] is pruned lazily against [entry_shard]. *)
-type group = {
-  mutable g_keys : bucket_key list;
-  mutable g_members : int list;
-  mutable g_live : int;
-  mutable g_shard : int;  (* owning shard, or -1 while unplaced *)
-}
-
 type t = {
   db : Database.t;
   domains : int;
   consume : bool;
   shards : Online.t array;
   views : Database.t array;
-  (* routing state *)
-  bucket_ids : (bucket_key, int) Hashtbl.t;
-  bucket_uf : Graphs.Union_find.t;
-  groups : (int, group) Hashtbl.t;  (* uf root -> group *)
-  rel_buckets : (string, int list ref) Hashtbl.t;
-  rel_wildcard : (string, unit) Hashtbl.t;
   entry_shard : (int, int) Hashtbl.t;  (* live id -> shard *)
-  entry_bucket : (int, int) Hashtbl.t;  (* live id -> a bucket of its group *)
-  mutable next_bucket : int;
   mutable next_id : int;
   mutable base_satisfied : int;  (* satisfied before this engine took over *)
   mutable migrations : int;
@@ -59,14 +30,7 @@ let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
     consume;
     shards;
     views;
-    bucket_ids = Hashtbl.create 256;
-    bucket_uf = Graphs.Union_find.create ();
-    groups = Hashtbl.create 256;
-    rel_buckets = Hashtbl.create 16;
-    rel_wildcard = Hashtbl.create 4;
     entry_shard = Hashtbl.create 256;
-    entry_bucket = Hashtbl.create 256;
-    next_bucket = 0;
     next_id = 0;
     base_satisfied = 0;
     migrations = 0;
@@ -85,109 +49,21 @@ let emit t record =
 
 let shard_sizes t = Array.map Online.pending_count t.shards
 
+let table_sizes t =
+  let sum name =
+    Array.fold_left
+      (fun n e -> n + List.assoc name (Online.table_sizes e))
+      0 t.shards
+  in
+  ("entry_shard", Hashtbl.length t.entry_shard)
+  :: List.map
+       (fun (name, _) -> (name, sum name))
+       (Online.table_sizes t.shards.(0))
+
 (* ------------------------------- routing ------------------------------- *)
 
-let atom_key (a : Cq.atom) : bucket_key =
-  if Array.length a.args = 0 then (a.rel, None)
-  else
-    match a.args.(0) with
-    | Term.Const v -> (a.rel, Some v)
-    | Term.Var _ -> (a.rel, None)
-
-let find_root t b = Graphs.Union_find.find t.bucket_uf b
-let group_of t b = Hashtbl.find t.groups (find_root t b)
-
-let rel_bucket_list t rel =
-  match Hashtbl.find_opt t.rel_buckets rel with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.replace t.rel_buckets rel l;
-    l
-
-(* Look up or create the bucket for [key].  Creation registers a fresh
-   singleton group; any wildcard co-location this bucket implies is
-   returned as extra bucket ids for the caller to union (unions are
-   deferred to [route] so a cross-shard collision migrates before the
-   groups fuse). *)
-let bucket_id t key =
-  match Hashtbl.find_opt t.bucket_ids key with
-  | Some b -> (b, [])
-  | None ->
-    let b = t.next_bucket in
-    t.next_bucket <- b + 1;
-    Hashtbl.replace t.bucket_ids key b;
-    Graphs.Union_find.ensure t.bucket_uf b;
-    Hashtbl.replace t.groups b
-      { g_keys = [ key ]; g_members = []; g_live = 0; g_shard = -1 };
-    let rel = fst key in
-    let all = rel_bucket_list t rel in
-    let linked =
-      match snd key with
-      | Some _ ->
-        if Hashtbl.mem t.rel_wildcard rel then
-          [ Hashtbl.find t.bucket_ids (rel, None) ]
-        else []
-      | None ->
-        (* First var-first atom of [rel]: it can partner with any
-           const-first atom of the relation, so its bucket must co-
-           locate with every live bucket of [rel] — current and (via
-           [rel_wildcard]) future.  Prune retired buckets while
-           walking. *)
-        Hashtbl.replace t.rel_wildcard rel ();
-        let live =
-          List.filter (fun b' -> Hashtbl.mem t.groups (find_root t b')) !all
-        in
-        all := live;
-        live
-    in
-    all := b :: !all;
-    (b, linked)
-
-(* Merge the group records when two bucket roots fuse.  The caller has
-   already resolved any shard conflict, so inheriting either side's
-   [g_shard] (they are equal, or one is -1) is sound. *)
-let union_buckets t a b =
-  let ra = find_root t a and rb = find_root t b in
-  if ra <> rb then begin
-    let ga = Hashtbl.find t.groups ra and gb = Hashtbl.find t.groups rb in
-    let r = Graphs.Union_find.union t.bucket_uf a b in
-    Hashtbl.remove t.groups ra;
-    Hashtbl.remove t.groups rb;
-    Hashtbl.replace t.groups r
-      {
-        g_keys = List.rev_append ga.g_keys gb.g_keys;
-        g_members = List.rev_append ga.g_members gb.g_members;
-        g_live = ga.g_live + gb.g_live;
-        g_shard = (if ga.g_shard >= 0 then ga.g_shard else gb.g_shard);
-      }
-  end
-
-let purge_group t root g =
-  List.iter
-    (fun key ->
-      Hashtbl.remove t.bucket_ids key;
-      if snd key = None then Hashtbl.remove t.rel_wildcard (fst key))
-    g.g_keys;
-  Hashtbl.remove t.groups root
-
-(* An id left the pool (fired, rejected or withdrawn): release its
-   routing state, dissolving the whole group when its last live entry
-   goes — the next arrival on those atoms starts a fresh group, so
-   bucket co-location never coarsens past the live pool's lifetime. *)
-let release_ids t ids =
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.entry_bucket id with
-      | None -> ()
-      | Some b ->
-        let root = find_root t b in
-        let g = Hashtbl.find t.groups root in
-        g.g_live <- g.g_live - 1;
-        Hashtbl.remove t.entry_bucket id;
-        Hashtbl.remove t.entry_shard id;
-        if g.g_live = 0 then purge_group t root g)
-    ids
+(* Ids that left the pool (fired, rejected or withdrawn). *)
+let release_ids t ids = List.iter (Hashtbl.remove t.entry_shard) ids
 
 let least_loaded t =
   let best = ref 0 in
@@ -197,78 +73,36 @@ let least_loaded t =
   done;
   !best
 
-(* Route an arrival: find the groups its atoms touch, migrate every
-   colliding group into the shard that already holds the most involved
-   live entries (fewest entries move; ties break to the lowest shard
-   index), fuse the groups, and record the arrival.  Returns the owning
-   shard; the caller admits the entry there. *)
+(* Route an arrival: every shard reports the live components the
+   arrival has a coordination edge with ({!Online.touched}, the probe
+   admission runs).  The target is the shard holding the most touched
+   entries (fewest entries move; ties break to the lowest shard index),
+   or the least-loaded shard when no shard is touched.  Every other
+   shard's touched components move there whole.  Components are closed
+   under edges, so each one stays inside one shard, and a migration
+   happens only when the arrival really bridges two shards.  Records
+   the arrival's shard and returns it; the caller admits the entry
+   there. *)
 let route t ~id (q : Query.t) =
-  let atoms = q.Query.post @ q.Query.head in
-  let keys =
-    List.sort_uniq compare (List.map atom_key atoms)
-  in
-  let keys = if keys = [] then [ (("", None) : bucket_key) ] else keys in
-  let bids =
-    List.concat_map
-      (fun key ->
-        let b, linked = bucket_id t key in
-        b :: linked)
-      keys
-  in
-  let roots = List.sort_uniq Int.compare (List.map (find_root t) bids) in
-  let involved = List.map (fun r -> (r, Hashtbl.find t.groups r)) roots in
-  (* Live entries per involved shard. *)
-  let by_shard = Hashtbl.create 4 in
-  List.iter
-    (fun (_, g) ->
-      if g.g_shard >= 0 && g.g_live > 0 then
-        Hashtbl.replace by_shard g.g_shard
-          (g.g_live
-          + Option.value ~default:0 (Hashtbl.find_opt by_shard g.g_shard)))
-    involved;
-  let owners =
-    Hashtbl.fold (fun s n acc -> (s, n) :: acc) by_shard []
-    |> List.sort (fun (s1, n1) (s2, n2) ->
-           if n1 <> n2 then Int.compare n2 n1 else Int.compare s1 s2)
-  in
-  let target =
-    match owners with [] -> least_loaded t | (s, _) :: _ -> s
-  in
-  (* Migrate every involved group owned elsewhere into [target]. *)
-  (match owners with
-  | [] | [ _ ] -> ()
-  | _ ->
-    List.iter
-      (fun (s, _) ->
-        if s <> target then begin
-          let ids =
-            List.concat_map
-              (fun (_, g) ->
-                if g.g_shard = s then
-                  List.filter
-                    (fun m -> Hashtbl.find_opt t.entry_shard m = Some s)
-                    (List.sort_uniq Int.compare g.g_members)
-                else [])
-              involved
-          in
-          let ids = List.sort_uniq Int.compare ids in
-          if ids <> [] then begin
-            let moved = Online.detach t.shards.(s) ids in
-            Online.attach t.shards.(target) moved;
-            List.iter (fun i -> Hashtbl.replace t.entry_shard i target) ids;
-            t.migrations <- t.migrations + 1
-          end
-        end)
-      owners);
-  (* Fuse the involved groups and record the arrival. *)
-  let b0 = List.hd bids in
-  List.iter (fun b -> union_buckets t b0 b) (List.tl bids);
-  let g = group_of t b0 in
-  g.g_shard <- target;
-  g.g_members <- id :: g.g_members;
-  g.g_live <- g.g_live + 1;
+  let touched = Array.map (fun e -> Online.touched e q) t.shards in
+  let most = ref (-1) in
+  Array.iteri
+    (fun s ids ->
+      if
+        ids <> []
+        && (!most < 0 || List.compare_lengths ids touched.(!most) > 0)
+      then most := s)
+    touched;
+  let target = if !most < 0 then least_loaded t else !most in
+  Array.iteri
+    (fun s ids ->
+      if s <> target && ids <> [] then begin
+        Online.attach t.shards.(target) (Online.detach t.shards.(s) ids);
+        List.iter (fun i -> Hashtbl.replace t.entry_shard i target) ids;
+        t.migrations <- t.migrations + 1
+      end)
+    touched;
   Hashtbl.replace t.entry_shard id target;
-  Hashtbl.replace t.entry_bucket id b0;
   target
 
 (* ---------------------------- op plumbing ----------------------------- *)

@@ -10,21 +10,18 @@
 
     {2 Routing and migration}
 
-    Arrivals are routed at the granularity of
-    {!Coordination_graph.Atom_index} buckets (relation symbol ×
-    first-argument constant, wildcard for var-first atoms): two entries
-    can only share a coordination edge when their atoms share a bucket,
-    so a union-find over bucket keys — fusing the buckets that co-occur
-    in one entry — yields {e bucket groups} that are a conservative
-    over-approximation of components.  Each group is owned by exactly
-    one shard.  An arrival whose atoms touch groups owned by two shards
-    triggers a migration: every colliding group's live entries are
-    {!Online.detach}ed from their shard and {!Online.attach}ed — with
-    dirtiness preserved, so migration alone re-evaluates nothing — into
-    the shard already holding the most involved entries (fewest entries
-    move; ties to the lowest shard index).  When a group's last live
-    entry leaves, the group dissolves, so co-location never outlives
-    the entries that caused it.
+    Arrivals are routed by the coordination graph itself.  Each shard
+    answers {!Online.touched}: the live components the arrival has an
+    edge with, found by the same atom-index probe admission runs.  The
+    arrival goes to the shard holding the most touched entries (fewest
+    entries move; ties to the lowest shard index), or to the least
+    loaded shard when it touches nothing.  Every other shard's touched
+    components are {!Online.detach}ed and {!Online.attach}ed there —
+    with dirtiness preserved, so migration alone re-evaluates nothing.
+    Components are closed under edges, so every component lives in
+    exactly one shard, and a migration happens only when an arrival
+    really bridges two shards.  The orchestrator keeps no index of its
+    own: its only table maps live ids to shards.
 
     {2 Determinism}
 
@@ -85,6 +82,11 @@ val migrations : t -> int
 
 val shard_sizes : t -> int array
 (** Live entries per shard (diagnostics). *)
+
+val table_sizes : t -> (string * int) list
+(** ["entry_shard"] (the live-id routing table), then each of
+    {!Online.table_sizes} summed over the shards — a debug and gauge
+    accessor; every one is bounded by the live pool. *)
 
 val submit : t -> Query.t -> Online.submission
 val submit_all : t -> Query.t list -> Online.coordinated list

@@ -69,23 +69,20 @@ let select selection queries candidates =
 (* ------------------------------------------------------------------ *)
 
 type analysis = {
-  an_queries : Query.t array;
   an_graph : Coordination_graph.t;
   an_alive : bool array;
   an_scc : Graphs.Scc.result;
   an_cond : Graphs.Digraph.t;
 }
 
-(* Graph construction, preprocessing, safety check and SCC condensation
-   on already-renamed queries (Figure 6 measures exactly this).  Pure
-   with respect to the database, so the executor runs it once on the
-   orchestrating domain and shares the result read-only with every
-   shard. *)
-let analyze ?(preprocess = true) queries =
+(* Preprocessing, safety check and SCC condensation of an already-built
+   graph (Figure 6 measures these together with the graph's
+   construction).  Pure with respect to the database, so the executor
+   runs it once on the orchestrating domain and shares the result
+   read-only with every shard. *)
+let analyze ?(preprocess = true) (graph : Coordination_graph.t) =
+  let queries = graph.queries in
   let n = Array.length queries in
-  let graph =
-    Obs.with_span "scc.graph" (fun () -> Coordination_graph.build queries)
-  in
   let alive = Array.make n true in
   if preprocess then
     Obs.with_span "scc.preprocess" (fun () ->
@@ -107,7 +104,6 @@ let analyze ?(preprocess = true) queries =
     in
     Ok
       {
-        an_queries = queries;
         an_graph = graph;
         an_alive = alive;
         an_scc = scc;
@@ -247,7 +243,7 @@ let seed a c ~own ~successors witnesses =
    [Resilient.Abort] through (budget aborts are the caller's policy
    decision). *)
 let probe_component ctx a c =
-  let queries = a.an_queries in
+  let queries = a.an_graph.queries in
   let scc = a.an_scc in
   let stats = ctx.cx_stats in
   let own = scc.members.(c) in
@@ -270,17 +266,16 @@ let probe_component ctx a c =
     let args ms () = [ ("members", Obs.Str (names queries ms)) ] in
     let unify f =
       let unified, unify_ns =
-        Stats.timed (fun () -> Obs.with_span ~args:(args members) "scc.unify" f)
+        Obs.timed_span ~args:(args members) "scc.unify" f
       in
       stats.unify_ns <- Int64.add stats.unify_ns unify_ns;
       unified
     in
     let ground ?fixed ~grounded subst =
       let witness, ground_ns =
-        Stats.timed (fun () ->
-            Obs.with_span ~args:(args grounded) "scc.ground" (fun () ->
-                Ground.solve ~minimize:ctx.cx_minimize ?fixed ctx.cx_db
-                  queries ~members:grounded subst))
+        Obs.timed_span ~args:(args grounded) "scc.ground" (fun () ->
+            Ground.solve ~minimize:ctx.cx_minimize ?fixed ctx.cx_db queries
+              ~members:grounded subst)
       in
       stats.ground_ns <- Int64.add stats.ground_ns ground_ns;
       stats.candidates <- stats.candidates + 1;
@@ -344,33 +339,28 @@ let probe_component ctx a c =
 (* The sequential solver                                              *)
 (* ------------------------------------------------------------------ *)
 
-let solve ?(selection = Largest) ?(preprocess = true) ?(graph_only = false)
-    ?(minimize = false) db input =
-  Obs.with_span
-    ~args:(fun () -> [ ("queries", Obs.Int (List.length input)) ])
-    "scc.solve"
-  @@ fun () ->
+(* [solve_graph] times itself: [graph_ns] is the analysis, [total_ns]
+   the whole call.  A caller that built [graph] adds the construction
+   to both. *)
+let solve_graph ?(selection = Largest) ?(preprocess = true)
+    ?(graph_only = false) ?(minimize = false) db (graph : Coordination_graph.t)
+    =
+  let queries = graph.queries in
   let stats = Stats.create () in
   let t_start = Stats.now_ns () in
   let counters0 = Database.snapshot_counters db in
-  let queries = Query.rename_set input in
   let finish result =
     stats.total_ns <- Int64.sub (Stats.now_ns ()) t_start;
     Stats.add_counters stats
       (Counters.diff ~before:counters0 ~after:(Database.snapshot_counters db));
     result
   in
-  (* Phase 1: graph construction, preprocessing, SCCs (Figure 6 measures
-     exactly this span). *)
-  let t_graph = Stats.now_ns () in
-  match analyze ~preprocess queries with
-  | Error e ->
-    stats.graph_ns <- Int64.sub (Stats.now_ns ()) t_graph;
-    finish (Error e)
+  (* Phase 1: preprocessing and SCCs. *)
+  match analyze ~preprocess graph with
+  | Error e -> finish (Error e)
   | Ok a ->
-    let graph = a.an_graph in
     let scc = a.an_scc in
-    stats.graph_ns <- Int64.sub (Stats.now_ns ()) t_graph;
+    stats.graph_ns <- Int64.sub (Stats.now_ns ()) t_start;
     if graph_only then
       finish
         (Ok
@@ -429,3 +419,26 @@ let solve ?(selection = Largest) ?(preprocess = true) ?(graph_only = false)
         (Ok
            { queries; graph; candidates; solution; stats; degraded = !degraded })
     end
+
+let solve ?selection ?preprocess ?graph_only ?minimize db input =
+  Obs.with_span
+    ~args:(fun () -> [ ("queries", Obs.Int (List.length input)) ])
+    "scc.solve"
+  @@ fun () ->
+  let t_start = Stats.now_ns () in
+  let queries = Query.rename_set input in
+  let t_graph = Stats.now_ns () in
+  let graph =
+    Obs.with_span "scc.graph" (fun () -> Coordination_graph.build queries)
+  in
+  let t_built = Stats.now_ns () in
+  let result =
+    solve_graph ?selection ?preprocess ?graph_only ?minimize db graph
+  in
+  Result.iter
+    (fun o ->
+      let s = o.stats in
+      s.graph_ns <- Int64.add s.graph_ns (Int64.sub t_built t_graph);
+      s.total_ns <- Int64.add s.total_ns (Int64.sub t_built t_start))
+    result;
+  result

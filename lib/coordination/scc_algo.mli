@@ -74,7 +74,12 @@ val solve :
   Database.t ->
   Query.t list ->
   (outcome, error) result
-(** [preprocess] (default [true]) iteratively drops queries with an
+(** Renames the input apart ({!Query.rename_set}), builds its
+    coordination graph ({!Coordination_graph.build}, the [scc.graph]
+    span) and runs {!solve_graph} on it, charging the construction to
+    [stats.graph_ns].
+
+    [preprocess] (default [true]) iteratively drops queries with an
     unsatisfiable postcondition before the SCC phase, as in the
     implementation described in Section 6.1.  Disabling it is exposed for
     the ablation benchmark; results are identical because such queries
@@ -89,6 +94,22 @@ val solve :
     of its combined query (see {!Entangled.Ground.solve}); identical
     answers with fewer joins when unification makes atoms redundant. *)
 
+val solve_graph :
+  ?selection:selection ->
+  ?preprocess:bool ->
+  ?graph_only:bool ->
+  ?minimize:bool ->
+  Database.t ->
+  Coordination_graph.t ->
+  (outcome, error) result
+(** {!solve} from a supplied graph over renamed-apart queries: the
+    online engine assembles it from the edges it discovered at
+    admission ({!Coordination_graph.of_edges}) instead of rebuilding
+    it.  Same options, events, {!Stats} and degraded handling as
+    {!solve}.  [stats.graph_ns] covers the analysis only, and no
+    [scc.solve]/[scc.graph] span is emitted: both belong to the caller
+    that built the graph. *)
+
 (** {2 Component-level execution}
 
     The solver split open for {!Executor}: a database-free analysis
@@ -100,19 +121,19 @@ val solve :
     weakly-connected components. *)
 
 type analysis = {
-  an_queries : Query.t array;  (** renamed-apart ({!Query.rename_set}) *)
-  an_graph : Coordination_graph.t;
+  an_graph : Coordination_graph.t;  (** over renamed-apart queries *)
   an_alive : bool array;       (** [false] for preprocessing-pruned queries *)
   an_scc : Graphs.Scc.result;
   an_cond : Graphs.Digraph.t;  (** condensation; ids sinks-first *)
 }
 
 val analyze :
-  ?preprocess:bool -> Query.t array -> (analysis, error) result
-(** Graph construction, optional preprocessing, safety check and SCC
-    condensation over already-renamed queries.  Emits the same
-    [scc.graph]/[scc.preprocess]/[scc.condense] spans and [scc.pruned]
-    event as {!solve}; touches no database. *)
+  ?preprocess:bool -> Coordination_graph.t -> (analysis, error) result
+(** Optional preprocessing, safety check and SCC condensation of a
+    graph over already-renamed queries.  Emits the same
+    [scc.preprocess]/[scc.condense] spans and [scc.pruned] event as
+    {!solve}; touches no database.  Building the graph (and its
+    [scc.graph] span) is the caller's. *)
 
 type ctx
 (** Mutable per-run probing state: failure and coverage maps keyed by

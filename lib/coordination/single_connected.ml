@@ -77,9 +77,8 @@ let solve db input =
     result
   in
   let graph, graph_ns =
-    Stats.timed (fun () ->
-        Obs.with_span "single_connected.graph" (fun () ->
-            Coordination_graph.build queries))
+    Obs.timed_span "single_connected.graph" (fun () ->
+        Coordination_graph.build queries)
   in
   stats.graph_ns <- graph_ns;
   match Obs.with_span "single_connected.check" (fun () -> check graph) with

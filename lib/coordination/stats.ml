@@ -51,9 +51,6 @@ let add_counters stats (d : Relational.Counters.t) =
   stats.plan_misses <- stats.plan_misses + d.plan_misses;
   stats.tuples_scanned <- stats.tuples_scanned + d.tuples_scanned
 
-(* Delegates to the observability subsystem's CLOCK_MONOTONIC stub:
-   gettimeofday is not monotonic, so spans could go negative under
-   clock adjustment. *)
 let same_counters a b =
   a.db_probes = b.db_probes
   && a.candidates = b.candidates
@@ -63,15 +60,10 @@ let same_counters a b =
   && a.plan_misses = b.plan_misses
   && a.tuples_scanned = b.tuples_scanned
 
+(* Delegates to the observability subsystem's CLOCK_MONOTONIC stub:
+   gettimeofday is not monotonic, so spans could go negative under
+   clock adjustment. *)
 let now_ns = Obs.now_ns
-
-let add_span stats get set span = set stats (Int64.add (get stats) span)
-
-let timed f =
-  let t0 = now_ns () in
-  let x = f () in
-  let t1 = now_ns () in
-  (x, Int64.sub t1 t0)
 
 let ms ns = Int64.to_float ns /. 1e6
 

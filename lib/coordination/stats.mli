@@ -45,11 +45,6 @@ val now_ns : unit -> int64
     [CLOCK_MONOTONIC]); differences are durations, immune to wall-clock
     adjustment. *)
 
-val add_span : t -> (t -> int64) -> (t -> int64 -> unit) -> int64 -> unit
-
-val timed : (unit -> 'a) -> 'a * int64
-(** [timed f] runs [f] and reports its wall-clock duration. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_row : t -> (string * string) list

@@ -1067,42 +1067,19 @@ let recover cfg =
         entries
       |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
     in
-    (* Newest snapshot that validates wins; every newer one that failed
-       is reported. *)
-    let rec pick_snapshot skipped = function
-      | [] -> (None, List.rev skipped)
-      | (lsn, name) :: rest -> (
-        match load_snapshot (Filename.concat cfg.dir name) with
-        | Ok (stored_lsn, state) when stored_lsn = lsn ->
-          (Some (name, lsn, state), List.rev skipped)
-        | Ok _ -> pick_snapshot ((name, "name/LSN mismatch") :: skipped) rest
-        | Error why -> pick_snapshot ((name, why) :: skipped) rest)
+    let fresh_engine (m : meta) =
+      let db = Database.create () in
+      ( db,
+        Online.create ~selection:m.m_selection ~eager:m.m_eager
+          ~consume:m.m_consume db )
     in
-    let snapshot_pick, snapshots_skipped = pick_snapshot [] snaps in
-    let snap_lsn =
-      match snapshot_pick with Some (_, lsn, _) -> lsn | None -> 0L
-    in
-    let state = ref None in
-    let ensure_engine (m : meta) =
-      match !state with
-      | Some (db, engine, stored) ->
-        if stored <> m then Error Bad_payload else Ok (db, engine)
-      | None ->
-        let db = Database.create () in
-        let engine =
-          Online.create ~selection:m.m_selection ~eager:m.m_eager
-            ~consume:m.m_consume db
-        in
-        state := Some (db, engine, m);
-        Ok (db, engine)
-    in
-    (* Restore the snapshot before any replay. *)
-    (match snapshot_pick with
-    | None -> ()
-    | Some (_, _, s) -> (
-      match ensure_engine s.s_meta with
-      | Error _ -> assert false
-      | Ok (db, engine) ->
+    (* A checksummed snapshot can still fail to restore: a pool query
+       that does not parse, a repeated id or table, a tuple of the wrong
+       arity.  Restoring into a fresh store and engine turns that into
+       a reason to skip it, like any other corrupt snapshot. *)
+    let restore (s : snapshot_state) =
+      let db, engine = fresh_engine s.s_meta in
+      match
         List.iter
           (fun (name, attrs, tuples) ->
             let r = Database.create_table' db name attrs in
@@ -1113,7 +1090,42 @@ let recover cfg =
             Online.restore_submit engine ~id (Parser.parse_query src))
           s.s_pool;
         Online.restore_counters engine ~satisfied:s.s_satisfied
-          ~next_id:s.s_next_id));
+          ~next_id:s.s_next_id
+      with
+      | () -> Ok (db, engine, s.s_meta)
+      | exception
+          (( Parser.Syntax_error _ | Invalid_argument _ | Not_found
+           | Failure _ ) as e) ->
+        Error ("unrestorable: " ^ Printexc.to_string e)
+    in
+    (* Newest snapshot that validates and restores wins; every newer one
+       that failed is reported. *)
+    let rec pick_snapshot skipped = function
+      | [] -> (None, List.rev skipped)
+      | (lsn, name) :: rest -> (
+        match
+          Result.bind (load_snapshot (Filename.concat cfg.dir name))
+            (fun (stored_lsn, s) ->
+              if stored_lsn <> lsn then Error "name/LSN mismatch"
+              else restore s)
+        with
+        | Ok restored -> (Some (name, lsn, restored), List.rev skipped)
+        | Error why -> pick_snapshot ((name, why) :: skipped) rest)
+    in
+    let snapshot_pick, snapshots_skipped = pick_snapshot [] snaps in
+    let snap_lsn =
+      match snapshot_pick with Some (_, lsn, _) -> lsn | None -> 0L
+    in
+    let state = ref (Option.map (fun (_, _, r) -> r) snapshot_pick) in
+    let ensure_engine (m : meta) =
+      match !state with
+      | Some (db, engine, stored) ->
+        if stored <> m then Error Bad_payload else Ok (db, engine)
+      | None ->
+        let db, engine = fresh_engine m in
+        state := Some (db, engine, m);
+        Ok (db, engine)
+    in
     let records_replayed = ref 0 in
     let groups_replayed = ref 0 in
     let last_applied = ref snap_lsn in

@@ -108,30 +108,21 @@ module Atom_index = struct
       List.filter (fun (a, _) -> compatible p a) candidates
 end
 
-let build queries =
-  let n = Array.length queries in
-  let heads = Atom_index.create () in
-  Array.iteri
-    (fun j q ->
-      List.iteri (fun hi (h : Cq.atom) -> Atom_index.add heads h (j, hi)) q.Query.head)
-    queries;
-  let graph = Graphs.Digraph.create n in
-  let extended = ref [] in
-  Array.iteri
-    (fun i q ->
-      List.iteri
-        (fun pi (p : Cq.atom) ->
-          List.iter
-            (fun (_, (j, hi)) ->
-              extended :=
-                { src = i; post_index = pi; dst = j; head_index = hi }
-                :: !extended;
-              Graphs.Digraph.add_edge graph i j)
-            (Atom_index.probe heads p))
-        q.Query.post)
-    queries;
+(* Field by field: polymorphic [compare] on the record costs as much as
+   the rest of the assembly. *)
+let compare_edge a b =
+  let c = Int.compare a.src b.src in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.post_index b.post_index in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.dst b.dst in
+      if c <> 0 then c else Int.compare a.head_index b.head_index
+
+let of_edges queries edges =
   (* Deterministic edge order: by (src, post_index, dst, head_index). *)
-  let extended = List.sort compare !extended in
+  let extended = List.sort compare_edge edges in
   let targets =
     Array.map (fun q -> Array.make (List.length q.Query.post) []) queries
   in
@@ -140,7 +131,43 @@ let build queries =
       targets.(e.src).(e.post_index) <-
         (e.dst, e.head_index) :: targets.(e.src).(e.post_index))
     (List.rev extended);
+  (* The collapsed adjacency lists each postcondition's heads highest
+     index first, the order an index probe yields one bucket.  It is a
+     function of the edge set alone, so a graph assembled from stored
+     edges condenses (and numbers its SCCs) exactly like a rebuilt
+     one. *)
+  let graph = Graphs.Digraph.create (Array.length queries) in
+  Array.iteri
+    (fun src posts ->
+      Array.iter
+        (fun ts ->
+          List.iter
+            (fun (dst, _) -> Graphs.Digraph.add_edge graph src dst)
+            (List.rev ts))
+        posts)
+    targets;
   { queries; extended; graph; targets }
+
+let build queries =
+  let heads = Atom_index.create () in
+  Array.iteri
+    (fun j q ->
+      List.iteri (fun hi (h : Cq.atom) -> Atom_index.add heads h (j, hi)) q.Query.head)
+    queries;
+  let edges = ref [] in
+  Array.iteri
+    (fun i q ->
+      List.iteri
+        (fun pi (p : Cq.atom) ->
+          List.iter
+            (fun (_, (j, hi)) ->
+              edges :=
+                { src = i; post_index = pi; dst = j; head_index = hi }
+                :: !edges)
+            (Atom_index.probe heads p))
+        q.Query.post)
+    queries;
+  of_edges queries !edges
 
 let post_targets g ~src ~post_index = g.targets.(src).(post_index)
 

@@ -62,7 +62,17 @@ end
 val build : Query.t array -> t
 (** Queries are expected to be renamed apart (see {!Query.rename_set});
     variable names shared between queries would create spurious unifier
-    interactions downstream. *)
+    interactions downstream.  Discovers every compatible post × head
+    pair (self-loops included) through an {!Atom_index}, then calls
+    {!of_edges}. *)
+
+val of_edges : Query.t array -> edge list -> t
+(** The graph over [queries] with exactly the given extended edges (in
+    any order; each at most once).  [extended] and [targets] depend on
+    the edge set only, and so does the collapsed digraph's adjacency
+    order, hence its SCC numbering: a caller that discovered the edges
+    itself — the online engine, at admission — gets the graph {!build}
+    would. *)
 
 val post_targets : t -> src:int -> post_index:int -> (int * int) list
 (** Candidate [(query, head_index)] pairs for one postcondition atom, in

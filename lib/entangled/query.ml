@@ -49,13 +49,11 @@ let rename ~prefix q =
     body = Cq.rename_variables f q.body;
   }
 
-let rename_set qs =
-  Array.of_list
-    (List.mapi
-       (fun i q ->
-         let q = rename ~prefix:(Printf.sprintf "q%d." i) q in
-         if q.name = "" then { q with name = Printf.sprintf "q%d" i } else q)
-       qs)
+let rename_apart i q =
+  let q = rename ~prefix:(Printf.sprintf "q%d." i) q in
+  if q.name = "" then { q with name = Printf.sprintf "q%d" i } else q
+
+let rename_set qs = Array.of_list (List.mapi rename_apart qs)
 
 let well_formed db q =
   let problems = ref [] in

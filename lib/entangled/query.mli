@@ -34,9 +34,12 @@ val body_relations : t -> string list
 val rename : prefix:string -> t -> t
 (** Prefix every variable name, for renaming query sets apart. *)
 
+val rename_apart : int -> t -> t
+(** [rename_apart i q]: variables get prefix ["q<i>."] and an empty
+    name becomes ["q<i>"].  Distinct [i]s rename queries apart. *)
+
 val rename_set : t list -> t array
-(** Renames the queries apart (variables of query [i] get prefix ["q<i>."])
-    and fixes up empty names to ["q<i>"]. *)
+(** {!rename_apart} by position: query [i] gets prefix ["q<i>."]. *)
 
 val well_formed : Database.t -> t -> (unit, string) result
 (** Checks the two syntactic conditions of Section 2.1 against an

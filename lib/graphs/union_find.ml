@@ -66,8 +66,3 @@ let union t a b =
   end
 
 let same t a b = find t a = find t b
-
-let reset t id =
-  check t id;
-  t.parent.(id) <- id;
-  t.rank.(id) <- 0

@@ -1,17 +1,9 @@
 (** Growable union-find (disjoint sets) over dense integer ids.
 
-    The online coordination engine maintains the weakly-connected
-    components of its pool with one of these: submissions add nodes and
-    union them with the partners their atoms reach, so the component
-    containing a query is available in near-constant amortized time
-    instead of a full graph traversal per arrival.
-
-    Unlike the textbook structure, nodes can be {!reset} back to
-    singletons — the engine dissolves a component when a fired set
-    retires its members and re-links the survivors from their stored
-    adjacency.  A reset invalidates the rank heuristic for the affected
-    trees but never correctness; path compression keeps subsequent finds
-    cheap either way. *)
+    The component-sharded batch executor groups a condensation's nodes
+    into weakly-connected components with one of these: every
+    condensation edge unions its two ends, so each component becomes
+    one shard's work item. *)
 
 type t
 
@@ -36,8 +28,3 @@ val union : t -> int -> int -> int
     united ids. *)
 
 val same : t -> int -> int -> bool
-
-val reset : t -> int -> unit
-(** Make [id] a singleton root again.  The caller is responsible for
-    re-unioning any other member of its former set that should stay
-    connected — see the module comment. *)

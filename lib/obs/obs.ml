@@ -386,63 +386,81 @@ let depth () = (dstate ()).depth
 
 let force_args = function Some f -> f () | None -> []
 
+(* Close a span opened at [t0] on depth [d]; returns its duration.
+   Unboxed int timestamps and no [Fun.protect] wrapper: with the flight
+   recorder always armed this closes around every span in the engine,
+   so the epilogue allocates only when a sink or the metrics registry
+   asks for boxed values. *)
+let close_span st ?args ?hist name ~t0 ~d =
+  let dur = now_ns_i () - t0 in
+  st.depth <- d;
+  (match hist with
+  | Some h when st.metrics_enabled -> Histogram.observe_i h dur
+  | Some _ | None -> ());
+  (match (st.sinks, st.ring) with
+  | [], None -> ()
+  | [], Some r ->
+    (* Ring-only spans drop their args: forcing the closure is the
+       expensive part of recording (it may snapshot counters or build
+       strings), and the always-armed flight recorder must stay at
+       ~100ns per span.  As soon as a sink is attached the full args
+       are captured — and land in the ring too. *)
+    ring_push_span r ~name ~start_ns:t0 ~dur_ns:dur ~depth:d ~args:[]
+  | sinks, ring ->
+    let args = force_args args in
+    (match ring with
+    | Some r -> ring_push_span r ~name ~start_ns:t0 ~dur_ns:dur ~depth:d ~args
+    | None -> ());
+    let s =
+      {
+        name;
+        start_ns = Int64.of_int t0;
+        dur_ns = Int64.of_int dur;
+        depth = d;
+        args;
+      }
+    in
+    List.iter (fun k -> k.on_span s) sinks);
+  dur
+
+(* A span is live if a sink wants it, or if it feeds a histogram and
+   metrics are on; otherwise it must cost one domain-local load and a
+   branch. *)
+let[@inline] span_live st hist =
+  match hist with
+  | None -> st.sinks <> [] || st.ring != None
+  | Some _ -> st.sinks <> [] || st.metrics_enabled || st.ring != None
+
 let with_span ?args ?hist name f =
-  (* A span is live if a sink wants it, or if it feeds a histogram and
-     metrics are on; otherwise it must cost one domain-local load and a
-     branch. *)
   let st = dstate () in
-  let live =
-    match hist with
-    | None -> st.sinks <> [] || st.ring != None
-    | Some _ -> st.sinks <> [] || st.metrics_enabled || st.ring != None
-  in
-  if not live then f ()
+  if not (span_live st hist) then f ()
   else begin
     let d = st.depth in
     st.depth <- d + 1;
     let t0 = now_ns_i () in
-    (* Unboxed int timestamps and no [Fun.protect] wrapper: with the
-       flight recorder always armed this closes around every span in
-       the engine, so the epilogue allocates only when a sink or the
-       metrics registry asks for boxed values. *)
-    let finish () =
-      let dur = now_ns_i () - t0 in
-      st.depth <- d;
-      (match hist with
-      | Some h when st.metrics_enabled -> Histogram.observe_i h dur
-      | Some _ | None -> ());
-      match (st.sinks, st.ring) with
-      | [], None -> ()
-      | [], Some r ->
-        (* Ring-only spans drop their args: forcing the closure is the
-           expensive part of recording (it may snapshot counters or
-           build strings), and the always-armed flight recorder must
-           stay at ~100ns per span.  As soon as a sink is attached the
-           full args are captured — and land in the ring too. *)
-        ring_push_span r ~name ~start_ns:t0 ~dur_ns:dur ~depth:d ~args:[]
-      | sinks, ring ->
-        let args = force_args args in
-        (match ring with
-        | Some r ->
-          ring_push_span r ~name ~start_ns:t0 ~dur_ns:dur ~depth:d ~args
-        | None -> ());
-        let s =
-          {
-            name;
-            start_ns = Int64.of_int t0;
-            dur_ns = Int64.of_int dur;
-            depth = d;
-            args;
-          }
-        in
-        List.iter (fun k -> k.on_span s) sinks
-    in
     match f () with
     | v ->
-      finish ();
+      ignore (close_span st ?args ?hist name ~t0 ~d);
       v
     | exception e ->
-      finish ();
+      ignore (close_span st ?args ?hist name ~t0 ~d);
+      raise e
+  end
+
+let timed_span ?args name f =
+  let st = dstate () in
+  let t0 = now_ns_i () in
+  if not (span_live st None) then begin
+    let v = f () in
+    (v, Int64.of_int (now_ns_i () - t0))
+  end
+  else begin
+    let d = st.depth in
+    st.depth <- d + 1;
+    match f () with
+    | v -> (v, Int64.of_int (close_span st ?args name ~t0 ~d))
+    | exception e ->
+      ignore (close_span st ?args name ~t0 ~d);
       raise e
   end
 

@@ -198,6 +198,14 @@ val with_span :
     sink installed.  Disarmed cost: one branch.  Exceptions propagate;
     the span still closes. *)
 
+val timed_span :
+  ?args:(unit -> (string * arg) list) -> string -> (unit -> 'a) -> 'a * int64
+(** [timed_span name f] is {!with_span} that also returns the duration
+    in nanoseconds: the span's own two clock reads when it is recorded,
+    two reads of the same clock when nothing is armed.  For a caller
+    that charges the time to its own counters (as {!Stats} does), so an
+    armed span costs no extra clock pair. *)
+
 val event :
   ?args:(unit -> (string * arg) list) -> ?payload:payload -> string -> unit
 (** Instant event at the current nesting depth; dropped unless a sink

@@ -1,13 +1,13 @@
 (* A rebuild-everything reference for the online engine.
 
-   [Coordination.Online] keeps an atom index, a union-find partition and
+   [Coordination.Online] keeps an atom index, stored edges, a partition and
    dirty-component tracking so that it never looks at the whole pool.
    This oracle keeps none of them: it holds the pending pool as a plain
    list and, on every evaluation, rebuilds the coordination graph of the
    whole pool with [Coordination_graph.build], re-derives its weakly
    connected components with an explicit work stack, and runs
    [Scc_algo.solve] on each component in position order.  It shares no
-   code with the atom index or the union-find — that independence is
+   code with the atom index or the stored edges — that independence is
    its whole purpose — so the differential suites can hold the engine to
    it.  Cost is O(pool²) per evaluation; only tests use it. *)
 

@@ -133,24 +133,6 @@ let test_union_find_basics () =
     (Invalid_argument "Union_find: id 6 not ensured") (fun () ->
       ignore (Union_find.find uf 6))
 
-(* The engine's dissolution pattern: reset every live member of a
-   component, then re-union the survivors from adjacency. *)
-let test_union_find_reset () =
-  let uf = Union_find.create ~capacity:2 () in
-  Union_find.ensure uf 4;
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 1 2);
-  ignore (Union_find.union uf 3 4);
-  (* Dissolve {0,1,2}; survivors 1 and 2 stay connected, 0 leaves. *)
-  Union_find.reset uf 0;
-  Union_find.reset uf 1;
-  Union_find.reset uf 2;
-  ignore (Union_find.union uf 1 2);
-  Alcotest.(check bool) "survivors reunited" true (Union_find.same uf 1 2);
-  Alcotest.(check bool) "retired member detached" false
-    (Union_find.same uf 0 1);
-  Alcotest.(check bool) "other component intact" true (Union_find.same uf 3 4)
-
 let test_union_find_deep () =
   (* A long union chain must not recurse: find is iterative with path
      halving. *)
@@ -166,8 +148,6 @@ let suite =
   [
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
     Alcotest.test_case "union-find basics" `Quick test_union_find_basics;
-    Alcotest.test_case "union-find reset/dissolve" `Quick
-      test_union_find_reset;
     Alcotest.test_case "union-find deep chain" `Quick test_union_find_deep;
     Alcotest.test_case "transpose" `Quick test_transpose;
     Alcotest.test_case "induced subgraph" `Quick test_induced;

@@ -21,6 +21,7 @@ let () =
       ("parser-fuzz", Test_parser_fuzz.suite);
       ("resilient", Test_resilient.suite);
       ("durable", Test_durable.suite);
+      ("wal-fuzz", Test_wal_fuzz.suite);
       ("server", Test_server.suite);
       ("executor", Test_executor.suite);
     ]

@@ -1,6 +1,6 @@
 (* The incremental online engine against a rebuild-everything oracle.
 
-   The engine (persistent atom index, union-find, dirty tracking) must
+   The engine (persistent atom index, stored edges, dirty tracking) must
    be observationally equivalent to [Online_oracle], which re-derives
    the coordination graph of the whole pool on every evaluation: same
    coordinated sets, same pool, same component partition, same
@@ -194,13 +194,50 @@ let test_index_keys_follow_live_pool () =
   Alcotest.(check int) "even chains fired" (chains / 2 * len)
     (Online.total_coordinated engine);
   let pending = chains / 2 * (len - 1) in
+  let index_keys () =
+    let size name = List.assoc name (Online.table_sizes engine) in
+    (size "posts_index_keys", size "heads_index_keys")
+  in
   Alcotest.(check (pair int int)) "one key per live constant"
-    (pending, pending) (Online.index_keys engine);
+    (pending, pending) (index_keys ());
   List.iter
     (fun (id, _) -> ignore (Online.withdraw engine id))
     (Online.pending_entries engine);
   Alcotest.(check (pair int int)) "no key outlives its entries" (0, 0)
-    (Online.index_keys engine)
+    (index_keys ())
+
+(* ---------------------------- self-loops -------------------------- *)
+
+(* The arrival's var-first postcondition is compatible with its partner's
+   head and with its own head.  [Coordination_graph.build] has both
+   edges, so the batch solver calls the post ambiguous; the engine's
+   admission must store the self-loop too, or it would find the pair
+   safe and evaluate it instead of rejecting the arrival.  The partner's
+   body matches no flight, so it waits in the pool. *)
+let test_self_loop_makes_arrival_unsafe () =
+  let partner =
+    Query.make ~name:"partner" ~post:[]
+      ~head:[ atom "R" [ cs "a"; var "x" ] ]
+      [ atom "F" [ var "x"; cs "Nowhere" ] ]
+  in
+  let arrival =
+    Query.make ~name:"arrival"
+      ~post:[ atom "R" [ var "w"; var "y" ] ]
+      ~head:[ atom "R" [ cs "b"; var "z" ] ]
+      [ atom "F" [ var "z"; cs "Zurich" ] ]
+  in
+  let expected =
+    match Coordination.Scc_algo.solve (flights_db ()) [ partner; arrival ] with
+    | Error (Coordination.Scc_algo.Not_safe ws) -> ws
+    | Ok _ -> Alcotest.fail "the batch solver must find the pair unsafe"
+  in
+  Alcotest.(check (list (pair int int))) "the arrival's post is ambiguous"
+    [ (1, 0) ] expected;
+  let engine = Online.create (flights_db ()) in
+  ignore (Online.submit engine partner);
+  Alcotest.(check string) "online verdict == batch verdict"
+    (submission_repr (Online.Rejected_unsafe expected))
+    (submission_repr (Online.submit engine arrival))
 
 (* ------------------------ inventory conflicts --------------------- *)
 
@@ -344,6 +381,8 @@ let suite =
       test_components_deep_chain;
     Alcotest.test_case "atom index keys follow the live pool" `Quick
       test_index_keys_follow_live_pool;
+    Alcotest.test_case "self-loop: unsafe arrival rejected as batch" `Quick
+      test_self_loop_makes_arrival_unsafe;
     Alcotest.test_case "consume: double spend reported" `Quick
       test_consume_double_spend_reported;
     Alcotest.test_case "consume: disjoint inventory clean" `Quick

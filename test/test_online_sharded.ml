@@ -1,6 +1,6 @@
 (* The sharded online engine against the sequential oracle.
 
-   The sharded engine partitions the live pool by bucket group across
+   The sharded engine partitions the live pool by component across
    per-shard incremental engines; the sequential incremental engine is
    the differential oracle.  Equality must be exact at every domain
    count — pending entries (with ids), component partition, satisfied
@@ -31,7 +31,7 @@ let domain_counts =
 (* Constants draw from a 4-value pool so partners, multi-member
    components, cross-shard collisions (hence migrations) and unsafe
    postconditions all occur; an occasional var-first postcondition
-   exercises the wildcard bucket routing. *)
+   touches every component that holds an R head. *)
 let random_query rng i =
   let g k = cs (Printf.sprintf "g%d" k) in
   let post =
@@ -170,10 +170,10 @@ let test_differential_chaos () =
 
 (* --------------------------- migration ---------------------------- *)
 
-(* Two entries with disjoint bucket groups land on different shards;
-   a third whose atoms touch both groups must migrate one group into
-   the other's shard, after which the fused component coordinates
-   exactly as the oracle says. *)
+(* Two entries with no edge between them land on different shards; a
+   third with an edge to each must migrate one component into the
+   other's shard, after which the fused component coordinates exactly
+   as the oracle says. *)
 let test_migration_merges_components () =
   let q name ~post ~head =
     Query.make ~name
@@ -192,7 +192,7 @@ let test_migration_merges_components () =
   let sharded = Sharded.create ~eager:false ~domains:2 db_sh in
   List.iter (fun q -> ignore (Sharded.submit sharded q)) qs;
   Alcotest.(check bool)
-    "distinct groups were sharded apart then merged" true
+    "distinct components were sharded apart then merged" true
     (Sharded.migrations sharded > 0);
   let oracle = Online.create ~eager:false (mk_db ()) in
   List.iter (fun q -> ignore (Online.submit oracle q)) qs;
@@ -203,6 +203,107 @@ let test_migration_merges_components () =
     "fused component fires identically"
     (List.map fired_names (Online.flush oracle))
     (List.map fired_names (Sharded.flush sharded))
+
+(* -------------------------- graph handoff ------------------------- *)
+
+(* The graph an engine hands [Scc_algo] for a component, assembled from
+   the edges stored at admission, must be the one
+   [Coordination_graph.build] derives from scratch over the component's
+   queries renamed by position: the same extended edges and targets, and
+   the same adjacency order (so the same SCC numbering).  Pools come
+   from [random_query] — 4 constants, var-first posts, self-compatible
+   atoms — and withdrawals and flushes make the engine drop edges and
+   re-fuse the survivors. *)
+let test_component_graph_matches_build () =
+  let edge_repr (e : Coordination_graph.edge) =
+    Printf.sprintf "%d.%d->%d.%d" e.src e.post_index e.dst e.head_index
+  in
+  let shape (g : Coordination_graph.t) =
+    ( List.map edge_repr g.extended,
+      Array.to_list (Array.map Array.to_list g.targets),
+      List.map (Graphs.Digraph.successors g.graph)
+        (Graphs.Digraph.nodes g.graph) )
+  in
+  List.iter
+    (fun seed ->
+      let rng = Prng.create seed in
+      let engine = Online.create ~eager:false (mk_db ()) in
+      for step = 1 to 60 do
+        (match Prng.int rng 10 with
+        | 0 -> ignore (Online.flush engine)
+        | 1 -> (
+          match Online.pending_entries engine with
+          | [] -> ()
+          | live -> ignore (Online.withdraw engine (fst (Prng.pick rng live))))
+        | _ -> ignore (Online.submit engine (random_query rng step)));
+        let entries = Array.of_list (Online.pending_entries engine) in
+        List.iter
+          (fun comp ->
+            let ctx =
+              Printf.sprintf "seed %d step %d: component graph" seed step
+            in
+            let handed =
+              Online.component_graph engine
+                (List.map (fun p -> fst entries.(p)) comp)
+            in
+            let rebuilt =
+              Coordination_graph.build
+                (Query.rename_set (List.map (fun p -> snd entries.(p)) comp))
+            in
+            let e1, t1, s1 = shape rebuilt and e2, t2, s2 = shape handed in
+            Alcotest.(check (list string)) (ctx ^ " edges") e1 e2;
+            Alcotest.(check (list (list (list (pair int int)))))
+              (ctx ^ " targets") t1 t2;
+            Alcotest.(check (list (list int))) (ctx ^ " adjacency") s1 s2)
+          (Online.components engine)
+      done)
+    (List.init 10 (fun k -> chaos_seed + k))
+
+(* ------------------------ bounded tables -------------------------- *)
+
+(* 2,000 chains of 4 queries, each naming fresh partner constants, as a
+   long-running serve sees them; every chain fires when its tail
+   arrives.  After every submission each internal table of the
+   sequential and of the sharded engine is bounded by the live pool,
+   not by requests served. *)
+let test_tables_follow_live_pool () =
+  let chains = 2_000 and len = 4 in
+  let chain_query c i =
+    let name k = Printf.sprintf "c%du%d" c k in
+    Query.make ~name:(name i)
+      ~post:
+        (if i = len - 1 then []
+         else [ atom "R" [ cs (name (i + 1)); var "y" ] ])
+      ~head:[ atom "R" [ cs (name i); var "x" ] ]
+      [ atom "F" [ var "x"; cs "Zurich" ] ]
+  in
+  let check_bounded ~engine ~live sizes =
+    List.iter
+      (fun (table, n) ->
+        if n > 2 * (live + 1) then
+          Alcotest.failf "%s: table %s holds %d with %d live entries" engine
+            table n live)
+      sizes
+  in
+  let online = Online.create (mk_db ()) in
+  let sharded = Sharded.create ~domains:2 (mk_db ()) in
+  for c = 0 to chains - 1 do
+    for i = 0 to len - 1 do
+      let q = chain_query c i in
+      ignore (Online.submit online q);
+      ignore (Sharded.submit sharded q);
+      check_bounded ~engine:"online" ~live:(Online.pending_count online)
+        (Online.table_sizes online);
+      check_bounded ~engine:"sharded" ~live:(Sharded.pending_count sharded)
+        (Sharded.table_sizes sharded)
+    done
+  done;
+  Alcotest.(check (pair int int)) "every chain fired"
+    (chains * len, chains * len)
+    (Online.total_coordinated online, Sharded.total_coordinated sharded);
+  Alcotest.(check bool) "tables empty with the pool" true
+    (List.for_all (fun (_, n) -> n = 0)
+       (Online.table_sizes online @ Sharded.table_sizes sharded))
 
 (* ------------------------- degraded flush ------------------------- *)
 
@@ -377,6 +478,10 @@ let suite =
       test_differential_chaos;
     Alcotest.test_case "migration merges cross-shard components" `Quick
       test_migration_merges_components;
+    Alcotest.test_case "handed-over graph == Coordination_graph.build"
+      `Quick test_component_graph_matches_build;
+    Alcotest.test_case "internal tables follow the live pool" `Quick
+      test_tables_follow_live_pool;
     Alcotest.test_case "degraded flush stays dirty and converges" `Quick
       test_degraded_flush_converges;
     Alcotest.test_case "journal streams byte-equivalent" `Quick
