@@ -54,15 +54,18 @@ end
    [dst] a live pool id (itself for a self-loop): together the entries'
    out-lists are the pool's coordination graph, discovered once at
    admission and never rebuilt.  [comp] names the entry's weakly
-   connected component by the id of one of its live members.  Ids are
-   submission order and never reused; an id is live iff it is present
-   in [entries]. *)
+   connected component by the id of one of its live members.  [quiet]
+   holds when the component's last complete evaluation, with its
+   current members and the current store, was safe and fired nothing;
+   a component is quiet iff every member is.  Ids are submission order
+   and never reused; an id is live iff it is present in [entries]. *)
 type entry = {
   id : int;
   query : Query.t;
   renamed : Query.t;
   mutable out : Coordination_graph.edge list;
   mutable comp : int;
+  mutable quiet : bool;
 }
 
 type t = {
@@ -152,7 +155,18 @@ let last_degradation engine = engine.last_degradation
 
 let last_inventory_conflict engine = engine.last_conflict
 
-let mark_dirty engine id = Hashtbl.replace engine.dirty id ()
+let mark_dirty engine id =
+  (Hashtbl.find engine.entries id).quiet <- false;
+  Hashtbl.replace engine.dirty id ()
+
+(* Cache a verdict that lets [ids] skip the next flush; [quiet] only
+   for a safe, complete evaluation that fired nothing. *)
+let mark_clean engine ~quiet ids =
+  List.iter
+    (fun id ->
+      (Hashtbl.find engine.entries id).quiet <- quiet;
+      Hashtbl.remove engine.dirty id)
+    ids
 
 (* If the database moved since the engine last looked (external inserts
    or deletes — e.g. repl [fact] statements), every cached "this
@@ -266,7 +280,14 @@ let admit engine ~id query =
   if id >= engine.next_id then engine.next_id <- id + 1;
   let out, inc = probe_edges engine ~id query in
   let e =
-    { id; query; renamed = Query.rename_apart id query; out; comp = id }
+    {
+      id;
+      query;
+      renamed = Query.rename_apart id query;
+      out;
+      comp = id;
+      quiet = false;
+    }
   in
   Hashtbl.replace engine.entries id e;
   Hashtbl.replace engine.comps id [ id ];
@@ -468,7 +489,13 @@ let evaluate engine ids =
     result
   in
   match solved with
-  | Error (Scc_algo.Not_safe ws) -> Error ws
+  | Error (Scc_algo.Not_safe ws) ->
+    (* An unsafe component cannot fire until its membership or the
+       database changes — both mark it dirty again — so its verdict
+       caches like a quiescent one, without being quiet: it must still
+       reject an arrival. *)
+    mark_clean engine ~quiet:false ids;
+    Error ws
   | Ok outcome -> (
     Stats.merge ~into:engine.stats outcome.stats;
     (if outcome.degraded <> None then
@@ -480,8 +507,7 @@ let evaluate engine ids =
          changes, and both of those mark it dirty again.  A degraded
          evaluation proves nothing — some candidate was never probed —
          so it must stay dirty for the next flush. *)
-      if outcome.degraded = None then
-        List.iter (fun id -> Hashtbl.remove engine.dirty id) ids;
+      if outcome.degraded = None then mark_clean engine ~quiet:true ids;
       Ok None
     | Some solution ->
       (* Commit the pool/satisfied bookkeeping BEFORE consuming
@@ -510,6 +536,30 @@ let evaluate engine ids =
 let component_of engine (e : entry) =
   List.sort Int.compare (Hashtbl.find engine.comps e.comp)
 
+(* Whether the just-admitted [e] provably leaves its component quiet
+   (DESIGN.md §2c, "Proven-quiet arrivals"): some postcondition of [e]
+   has no out-edge, self-loops included, so pruning removes [e] first
+   and leaves every other member's status alone; if every other member
+   is quiet, every candidate of the fused component was already probed
+   and failed against this store. *)
+let proven_quiet engine (e : entry) =
+  let rec has_out pi = function
+    | [] -> false
+    | (ed : Coordination_graph.edge) :: rest ->
+      ed.post_index = pi || has_out pi rest
+  in
+  let rec unmatched pi = function
+    | [] -> false
+    | _ :: posts -> (not (has_out pi e.out)) || unmatched (pi + 1) posts
+  in
+  let rec others_quiet = function
+    | [] -> true
+    | id :: rest ->
+      (id = e.id || (Hashtbl.find engine.entries id).quiet) && others_quiet rest
+  in
+  unmatched 0 e.query.Query.post
+  && others_quiet (Hashtbl.find engine.comps e.comp)
+
 let submit ?id engine query =
   Obs.with_span
     ~args:(fun () ->
@@ -535,6 +585,10 @@ let submit ?id engine query =
   emit engine (Journal.Submitted { id = e.id; query });
   let result =
     if not engine.eager then Pending
+    else if proven_quiet engine e then begin
+      mark_clean engine ~quiet:true [ e.id ];
+      Pending
+    end
     else
       match evaluate engine (component_of engine e) with
       | Error ws ->
@@ -615,13 +669,7 @@ let flush_fired engine =
              rescan (the untried components stay dirty). *)
           results := fired :: !results;
           progress := true
-        | Ok None -> try_components rest
-        | Error _ ->
-          (* An unsafe component cannot fire until its membership or
-             the database changes — both mark it dirty again — so its
-             verdict caches exactly like a quiescent one. *)
-          List.iter (fun id -> Hashtbl.remove engine.dirty id) c;
-          try_components rest)
+        | Ok None | Error _ -> try_components rest)
     in
     try_components (due_components engine)
   done;
@@ -713,14 +761,16 @@ let finish_op = sync_db_version
 
 let evaluate_due engine ids =
   match evaluate engine ids with
-  | Error _ ->
-    (* Cache the unsafe verdict exactly as [flush_fired] does. *)
-    List.iter (fun id -> Hashtbl.remove engine.dirty id) ids;
-    `Unsafe
+  | Error _ -> `Unsafe
   | Ok None -> `Quiet
   | Ok (Some fr) -> `Fired fr
 
-type moved = { mv_id : int; mv_query : Query.t; mv_dirty : bool }
+type moved = {
+  mv_id : int;
+  mv_query : Query.t;
+  mv_dirty : bool;
+  mv_quiet : bool;
+}
 
 let detach engine ids =
   let ids = List.sort_uniq Int.compare ids in
@@ -735,6 +785,7 @@ let detach engine ids =
             mv_id = id;
             mv_query = e.query;
             mv_dirty = Hashtbl.mem engine.dirty id;
+            mv_quiet = e.quiet;
           })
       ids
   in
@@ -751,5 +802,5 @@ let attach engine moved =
       (* [admit] marks the new entry dirty; preserve the source shard's
          verdict instead — migration alone re-evaluates nothing, exactly
          as the sequential engine would not. *)
-      if not m.mv_dirty then Hashtbl.remove engine.dirty m.mv_id)
+      if not m.mv_dirty then mark_clean engine ~quiet:m.mv_quiet [ m.mv_id ])
     moved

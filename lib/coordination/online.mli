@@ -93,9 +93,17 @@ type submission =
       (** the component became unsafe; the new query was NOT admitted *)
 
 val submit : ?id:int -> t -> Query.t -> submission
-(** Submit one query.  [?id] forces the admitted entry's pool id — the
-    hook a sharded orchestrator ({!Online_sharded}) uses to keep one
-    global id space across per-shard pools; it must be at least
+(** Submit one query.  In eager mode the arrival's component is
+    evaluated, except when the arrival is {e proven quiet}: one of its
+    postconditions has no coordination edge (not even a self-loop), and
+    every other member of the component it joins is quiet — its
+    component's last complete evaluation, with the same members and
+    store, was safe and fired nothing.  Pruning then removes the
+    arrival first and leaves every other candidate as it was, so the
+    answer is [Pending] without a solve (DESIGN.md §2c).  The journal
+    is the same either way.  [?id] forces the admitted entry's pool id
+    — the hook a sharded orchestrator ({!Online_sharded}) uses to keep
+    one global id space across per-shard pools; it must be at least
     {!next_id}.
     @raise Invalid_argument if [id] is below {!next_id}. *)
 
@@ -317,9 +325,16 @@ val evaluate_due : t -> int list -> [ `Fired of fired | `Quiet | `Unsafe ]
     components one at a time in the global canonical order, because
     inventory deletions couple components across shards. *)
 
-type moved = { mv_id : int; mv_query : Query.t; mv_dirty : bool }
-(** A detached entry: its pool id, query, and whether its component was
-    awaiting re-evaluation when it left. *)
+type moved = {
+  mv_id : int;
+  mv_query : Query.t;
+  mv_dirty : bool;  (** its component was awaiting re-evaluation *)
+  mv_quiet : bool;
+      (** its component's last complete evaluation was safe and fired
+          nothing (see {!submit}); a record built for a fresh arrival
+          passes [false] *)
+}
+(** A detached entry: its pool id, query and cached verdict. *)
 
 val detach : t -> int list -> moved list
 (** Remove the given live ids from this engine and return them for

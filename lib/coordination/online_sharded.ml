@@ -105,6 +105,10 @@ let route t ~id (q : Query.t) =
   Hashtbl.replace t.entry_shard id target;
   target
 
+(* A fresh arrival as [Online.attach] takes it: due for evaluation. *)
+let arrival id q =
+  { Online.mv_id = id; mv_query = q; mv_dirty = true; mv_quiet = false }
+
 (* ---------------------------- op plumbing ----------------------------- *)
 
 (* Bracket every public operation exactly as the sequential engine
@@ -329,8 +333,7 @@ let submit_all t queries =
       t.next_id <- id + 1;
       let s = route t ~id q in
       emit t (Online.Journal.Submitted { id; query = q });
-      Online.attach t.shards.(s)
-        [ { Online.mv_id = id; mv_query = q; mv_dirty = true } ])
+      Online.attach t.shards.(s) [ arrival id q ])
     queries;
   let fired = flush_fired t in
   emit t
@@ -388,7 +391,6 @@ let of_online ~domains db src =
   List.iter
     (fun (id, q) ->
       let s = route t ~id q in
-      Online.attach t.shards.(s)
-        [ { Online.mv_id = id; mv_query = q; mv_dirty = true } ])
+      Online.attach t.shards.(s) [ arrival id q ])
     (Online.pending_entries src);
   t

@@ -124,8 +124,12 @@ let write_string rows =
     rows;
   Buffer.contents buf
 
+(* A string field that {!Value.of_string} would read back as something
+   else — ["42"], ["true"], ["'x'"] — is written in single quotes, which
+   [of_string] strips. *)
 let value_field v =
   match v with
+  | Value.Str s when not (Value.equal (Value.of_string s) v) -> "'" ^ s ^ "'"
   | Value.Str s -> s
   | Value.Int _ | Value.Bool _ -> Value.to_string v
 

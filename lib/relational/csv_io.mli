@@ -21,4 +21,7 @@ val load_relation : Database.t -> schema:Schema.t -> path:string -> Relation.t
 val write_string : string list list -> string
 
 val save_relation : Relation.t -> path:string -> unit
-(** Writes a header row of attribute names followed by all tuples. *)
+(** Writes a header row of attribute names followed by all tuples.  A
+    string that {!Value.of_string} would read back as another value
+    (["42"], ["true"], ["'x'"]) is written single-quoted, so
+    {!load_relation} returns the tuples saved. *)

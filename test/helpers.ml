@@ -110,6 +110,33 @@ let valuations_equal l1 l2 =
   List.equal (fun a b -> Eval.Binding.compare Value.compare a b = 0) (norm l1)
     (norm l2)
 
+(* ------------------------- fuzz mutations ------------------------- *)
+
+(* One seeded mutation of [s]: a replaced byte (half the time drawn
+   from [alphabet]), a truncation, an inserted byte, or a duplicated or
+   dropped span of up to 4 bytes. *)
+let mutate ~alphabet rng s =
+  let random_byte rng =
+    if Prng.bool rng then alphabet.[Prng.int rng (String.length alphabet)]
+    else Char.chr (Prng.int rng 256)
+  in
+  let n = String.length s in
+  match Prng.int rng 4 with
+  | 0 when n > 0 ->
+    let b = Bytes.of_string s in
+    Bytes.set b (Prng.int rng n) (random_byte rng);
+    Bytes.to_string b
+  | 1 -> String.sub s 0 (Prng.int rng (n + 1))
+  | 2 ->
+    let i = Prng.int rng (n + 1) in
+    String.sub s 0 i ^ String.make 1 (random_byte rng) ^ String.sub s i (n - i)
+  | _ ->
+    (* Duplicate or drop a short span: repeated or missing delimiters. *)
+    let i = Prng.int rng (n + 1) in
+    let len = min (n - i) (1 + Prng.int rng 4) in
+    if Prng.bool rng then String.sub s 0 (i + len) ^ String.sub s i (n - i)
+    else String.sub s 0 i ^ String.sub s (i + len) (n - i - len)
+
 (* ------------------------- chaos settings ------------------------- *)
 
 let chaos_seed =

@@ -22,6 +22,8 @@ let () =
       ("resilient", Test_resilient.suite);
       ("durable", Test_durable.suite);
       ("wal-fuzz", Test_wal_fuzz.suite);
+      ("csv-fuzz", Test_csv_fuzz.suite);
+      ("frame-fuzz", Test_frame_fuzz.suite);
       ("server", Test_server.suite);
       ("executor", Test_executor.suite);
     ]

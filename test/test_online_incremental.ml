@@ -18,7 +18,7 @@ module Online = Coordination.Online
 
 (* ------------------------ differential driver --------------------- *)
 
-let run_differential ~seed ~eager ~consume =
+let run_differential ~query ~seed ~eager ~consume =
   let rng = Prng.create seed in
   let db_full = mk_db () and db_inc = mk_db () in
   let full = Online_oracle.create ~eager ~consume db_full in
@@ -41,7 +41,7 @@ let run_differential ~seed ~eager ~consume =
   for step = 1 to 40 do
     let roll = Prng.int rng 10 in
     if roll < 7 then begin
-      let q = random_query rng step in
+      let q = query rng step in
       let rf = Online_oracle.submit full q in
       let ri = Online.submit inc q in
       Alcotest.(check string)
@@ -82,9 +82,34 @@ let test_differential_oracle () =
   List.iter
     (fun seed ->
       List.iter
-        (fun (eager, consume) -> run_differential ~seed ~eager ~consume)
+        (fun (eager, consume) ->
+          run_differential ~query:random_query ~seed ~eager ~consume)
         [ (true, false); (false, false); (true, true); (false, true) ])
     [ 1; 2; 3; 4; 5 ]
+
+(* The arrivals eager submission can prove quiet, and the ones it must
+   not: a third of them carry a postcondition no head ever matches, and
+   one in six a variable-first postcondition that can make the
+   component it joins unsafe (a rejection leaves its survivors due). *)
+let unmatched_query rng i =
+  let q = random_query rng i in
+  let extra =
+    match Prng.int rng 6 with
+    | 0 | 1 -> [ atom "R" [ cs "nobody"; var "z" ] ]
+    | 2 -> [ atom "R" [ var "w"; var "z" ] ]
+    | _ -> []
+  in
+  Query.make ~name:q.Query.name ~post:(q.Query.post @ extra)
+    ~head:q.Query.head q.Query.body.Cq.atoms
+
+let test_differential_unmatched () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun consume ->
+          run_differential ~query:unmatched_query ~seed ~eager:true ~consume)
+        [ false; true ])
+    (List.init 20 (fun k -> k + 1))
 
 (* --------------------------- submit_all --------------------------- *)
 
@@ -369,10 +394,129 @@ let test_degradation_flag_cleared_on_recovery () =
     "degradation cleared after recovery" true
     (Online.last_degradation engine = None)
 
+(* ---------------------- proven-quiet arrivals --------------------- *)
+
+(* A query over F: posts and head are R atoms on the given constants. *)
+let rq name ~posts ~head dest =
+  Query.make ~name
+    ~post:(List.map (fun c -> atom "R" [ cs c; var "y" ]) posts)
+    ~head:[ atom "R" [ cs head; var "x" ] ]
+    [ atom "F" [ var "x"; cs dest ] ]
+
+let probes engine = (Online.stats engine).Coordination.Stats.db_probes
+
+(* A flush caches an unsafe component's verdict (it is clean), but the
+   component is not quiet: an arrival with an unmatched postcondition
+   that joins it must still be rejected, with the batch solver's
+   witnesses. *)
+let test_quiet_unsafe_component_still_rejects () =
+  let pool =
+    [
+      rq "p" ~posts:[ "k" ] ~head:"a" "Zurich";
+      rq "h1" ~posts:[] ~head:"k" "Zurich";
+      rq "h2" ~posts:[] ~head:"k" "Zurich";
+    ]
+  in
+  let arrival = rq "z" ~posts:[ "nowhere" ] ~head:"k" "Zurich" in
+  let expected =
+    match Coordination.Scc_algo.solve (flights_db ()) (pool @ [ arrival ]) with
+    | Error (Coordination.Scc_algo.Not_safe ws) -> ws
+    | Ok _ -> Alcotest.fail "the batch solver must find the pool unsafe"
+  in
+  let engine = Online.create (flights_db ()) in
+  Alcotest.(check int) "unsafe component fires nothing" 0
+    (List.length (Online.submit_all engine pool));
+  Alcotest.(check int) "its verdict is cached" 0
+    (List.assoc "dirty" (Online.table_sizes engine));
+  Alcotest.(check string) "arrival rejected as batch"
+    (submission_repr (Online.Rejected_unsafe expected))
+    (submission_repr (Online.submit engine arrival))
+
+(* A degraded evaluation proves nothing, so its component is never
+   quiet: once the guard is gone, an arrival with an unmatched
+   postcondition re-evaluates it, and the partner fires. *)
+let test_quiet_never_after_degraded () =
+  let db = flights_db () in
+  let engine = Online.create db in
+  Database.set_guard db
+    (Some (Resilient.arm { Resilient.default_config with max_probes = Some 0 }));
+  Alcotest.(check string) "partner pending under the guard" "pending"
+    (submission_repr (Online.submit engine (rq "b" ~posts:[] ~head:"b0" "Zurich")));
+  Alcotest.(check bool) "its evaluation degraded" true
+    (Online.last_degradation engine <> None);
+  Database.set_guard db None;
+  Alcotest.(check string) "arrival re-evaluates the component" "fired b"
+    (submission_repr
+       (Online.submit engine
+          (rq "z" ~posts:[ "b0"; "nowhere" ] ~head:"z0" "Zurich")))
+
+(* Quiet verdicts hold for one store: an external insert sends the next
+   arrival down the full path, which probes again. *)
+let test_quiet_dropped_by_external_insert () =
+  let db = flights_db () in
+  let engine = Online.create db in
+  ignore (Online.submit engine (rq "b" ~posts:[] ~head:"b0" "Nowhere"));
+  let after_b = probes engine in
+  Alcotest.(check bool) "the partner was probed" true (after_b > 0);
+  let arrival i =
+    rq (Printf.sprintf "z%d" i)
+      ~posts:[ "b0"; Printf.sprintf "nowhere%d" i ]
+      ~head:(Printf.sprintf "z%d" i) "Zurich"
+  in
+  Alcotest.(check string) "quiet arrival pending" "pending"
+    (submission_repr (Online.submit engine (arrival 1)));
+  Alcotest.(check int) "proven quiet: no probe" after_b (probes engine);
+  Database.insert db "F" [ vi 999; vs "Paris" ];
+  Alcotest.(check string) "next arrival pending" "pending"
+    (submission_repr (Online.submit engine (arrival 2)));
+  Alcotest.(check bool) "store moved: the component is probed again" true
+    (probes engine > after_b)
+
+(* A head-first Figure 4 chain: each of the first 31 arrivals has an
+   unmatched postcondition and joins a quiet component, so none runs
+   the solver; the tail's arrival fires the whole chain. *)
+let test_quiet_chain_runs_one_solve () =
+  let n = 32 in
+  let db, chain = Workload.Listgen.make ~rows:1_000 ~topics:10 ~seed:3 n in
+  let engine = Online.create db in
+  let solves items =
+    List.length
+      (List.filter
+         (function Obs.Span s -> s.Obs.name = "scc.solve" | Obs.Event _ -> false)
+         items)
+  in
+  let traced f =
+    let sink, drain = Obs.memory_sink () in
+    let r = Obs.with_sink sink f in
+    (r, solves (drain ()))
+  in
+  let pending, head_solves =
+    traced (fun () ->
+        List.map
+          (fun q -> submission_repr (Online.submit engine q))
+          (List.filteri (fun i _ -> i < n - 1) chain))
+  in
+  Alcotest.(check (list string)) "31 arrivals pending"
+    (List.init (n - 1) (fun _ -> "pending"))
+    pending;
+  Alcotest.(check int) "no solve before the tail" 0 head_solves;
+  let tail, tail_solves =
+    traced (fun () -> Online.submit engine (List.nth chain (n - 1)))
+  in
+  Alcotest.(check int) "one solve for the tail" 1 tail_solves;
+  (match tail with
+  | Online.Coordinated c ->
+    Alcotest.(check int) "the whole chain fires" n (List.length c.Online.queries)
+  | other -> Alcotest.failf "tail: %s" (submission_repr other));
+  Alcotest.(check int) "one candidate per member" n
+    (Online.stats engine).Coordination.Stats.candidates
+
 let suite =
   [
     Alcotest.test_case "differential: incremental == rebuild oracle" `Quick
       test_differential_oracle;
+    Alcotest.test_case "differential: unmatched and ambiguous posts" `Quick
+      test_differential_unmatched;
     Alcotest.test_case "submit_all == enqueue + flush == oracle" `Quick
       test_submit_all_matches_deferred_flush;
     Alcotest.test_case "flush skips clean components" `Quick
@@ -390,4 +534,12 @@ let suite =
     Alcotest.test_case "stats merge sums every field" `Quick test_stats_merge;
     Alcotest.test_case "degradation flag cleared on recovery" `Quick
       test_degradation_flag_cleared_on_recovery;
+    Alcotest.test_case "quiet: cached-unsafe component still rejects" `Quick
+      test_quiet_unsafe_component_still_rejects;
+    Alcotest.test_case "quiet: never after a degraded evaluation" `Quick
+      test_quiet_never_after_degraded;
+    Alcotest.test_case "quiet: dropped by an external insert" `Quick
+      test_quiet_dropped_by_external_insert;
+    Alcotest.test_case "quiet: a 32-chain runs one solve" `Quick
+      test_quiet_chain_runs_one_solve;
   ]

@@ -170,22 +170,24 @@ let test_differential_chaos () =
 
 (* --------------------------- migration ---------------------------- *)
 
+(* A query over F whose posts and head are R atoms on the given
+   constants. *)
+let rq ?(dest = "Zurich") name ~post ~head =
+  Query.make ~name
+    ~post:(List.map (fun c -> atom "R" [ cs c; var "y" ]) post)
+    ~head:[ atom "R" [ cs head; var "x" ] ]
+    [ atom "F" [ var "x"; cs dest ] ]
+
 (* Two entries with no edge between them land on different shards; a
    third with an edge to each must migrate one component into the
    other's shard, after which the fused component coordinates exactly
    as the oracle says. *)
 let test_migration_merges_components () =
-  let q name ~post ~head =
-    Query.make ~name
-      ~post:(List.map (fun c -> atom "R" [ cs c; var "y" ]) post)
-      ~head:[ atom "R" [ cs head; var "x" ] ]
-      [ atom "F" [ var "x"; cs "Zurich" ] ]
-  in
   let qs =
     [
-      q "a" ~post:[] ~head:"u1";
-      q "b" ~post:[] ~head:"u2";
-      q "link" ~post:[ "u1"; "u2" ] ~head:"u3";
+      rq "a" ~post:[] ~head:"u1";
+      rq "b" ~post:[] ~head:"u2";
+      rq "link" ~post:[ "u1"; "u2" ] ~head:"u3";
     ]
   in
   let db_sh = mk_db () in
@@ -203,6 +205,40 @@ let test_migration_merges_components () =
     "fused component fires identically"
     (List.map fired_names (Online.flush oracle))
     (List.map fired_names (Sharded.flush sharded))
+
+(* A migrated component keeps its quiet verdict.  [a] and [b] evaluate
+   quiet on different shards; [link] reaches both and has an unmatched
+   postcondition, so it migrates [b]'s component to [a]'s shard and is
+   proven quiet there exactly as in the sequential engine: no
+   evaluation, the same probe count. *)
+let test_migration_keeps_quiet () =
+  let dest = "Nowhere" in
+  let qs =
+    [
+      rq ~dest "a" ~post:[] ~head:"u1";
+      rq ~dest "b" ~post:[] ~head:"u2";
+      rq ~dest "link" ~post:[ "u1"; "u2"; "nowhere" ] ~head:"u3";
+    ]
+  in
+  let sharded = Sharded.create ~domains:2 (mk_db ()) in
+  let oracle = Online.create (mk_db ()) in
+  List.iter
+    (fun q ->
+      Alcotest.(check string)
+        (q.Query.name ^ ": submission")
+        (submission_repr (Online.submit oracle q))
+        (submission_repr (Sharded.submit sharded q)))
+    qs;
+  Alcotest.(check bool) "link migrated a component" true
+    (Sharded.migrations sharded > 0);
+  let probes s = s.Stats.db_probes in
+  Alcotest.(check int) "one probe per partner, none for link" 2
+    (probes (Online.stats oracle));
+  Alcotest.(check int) "sharded probes == sequential"
+    (probes (Online.stats oracle))
+    (probes (Sharded.stats sharded));
+  Alcotest.(check bool) "deterministic stats counters equal" true
+    (Stats.same_counters (Online.stats oracle) (Sharded.stats sharded))
 
 (* -------------------------- graph handoff ------------------------- *)
 
@@ -478,6 +514,8 @@ let suite =
       test_differential_chaos;
     Alcotest.test_case "migration merges cross-shard components" `Quick
       test_migration_merges_components;
+    Alcotest.test_case "migration keeps the quiet verdict" `Quick
+      test_migration_keeps_quiet;
     Alcotest.test_case "handed-over graph == Coordination_graph.build"
       `Quick test_component_graph_matches_build;
     Alcotest.test_case "internal tables follow the live pool" `Quick

@@ -42,29 +42,6 @@ let inputs () =
 
 let alphabet = "{}(),.:-' _\"\\09azAZ\n\t"
 
-let random_byte rng =
-  if Prng.bool rng then alphabet.[Prng.int rng (String.length alphabet)]
-  else Char.chr (Prng.int rng 256)
-
-let mutate rng s =
-  let n = String.length s in
-  match Prng.int rng 4 with
-  | 0 when n > 0 ->
-    let b = Bytes.of_string s in
-    Bytes.set b (Prng.int rng n) (random_byte rng);
-    Bytes.to_string b
-  | 1 -> String.sub s 0 (Prng.int rng (n + 1))
-  | 2 ->
-    let i = Prng.int rng (n + 1) in
-    String.sub s 0 i ^ String.make 1 (random_byte rng) ^ String.sub s i (n - i)
-  | _ ->
-    (* Duplicate or drop a short span: repeated or missing braces,
-       parentheses, commas and ":-". *)
-    let i = Prng.int rng (n + 1) in
-    let len = min (n - i) (1 + Prng.int rng 4) in
-    if Prng.bool rng then String.sub s 0 (i + len) ^ String.sub s i (n - i)
-    else String.sub s 0 i ^ String.sub s (i + len) (n - i - len)
-
 let check_mutant ~seed mutant =
   match Parser.parse_query mutant with
   | exception Parser.Syntax_error _ -> false
@@ -86,7 +63,7 @@ let test_mutants () =
       for _ = 1 to 50_000 do
         let s = ref (Prng.pick_array rng inputs) in
         for _ = 0 to Prng.int rng 3 do
-          s := mutate rng !s
+          s := Helpers.mutate ~alphabet rng !s
         done;
         if check_mutant ~seed !s then incr accepted
       done;

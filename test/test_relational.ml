@@ -248,6 +248,50 @@ let test_csv_relation_roundtrip () =
   Alcotest.(check bool) "same content" true
     (Relation.mem r (tup [ vi 101; vs "Zurich" ]))
 
+(* save_relation then load_relation is the identity on tuples, for
+   strings that read like other values ("42", "true", "'x'") and
+   strings that need CSV quoting alike. *)
+let test_csv_relation_roundtrip_property =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map Value.int small_signed_int);
+          (1, map Value.bool bool);
+          ( 4,
+            map Value.str
+              (oneof
+                 [
+                   oneofl
+                     [ "42"; "-7"; "true"; "false"; "'x'"; "''"; "'"; "";
+                       "Zurich"; "New, York"; "say \"hi\""; "two\nlines" ];
+                   string_size ~gen:(oneofl [ '\''; '"'; ','; '\n'; '1'; 'a'; ' ' ])
+                     (0 -- 5);
+                 ]) );
+        ])
+  in
+  let row = QCheck.Gen.(map (fun l -> Tuple.make l) (list_repeat 3 value)) in
+  let rows =
+    QCheck.make
+      ~print:(fun ts -> String.concat "; " (List.map (Format.asprintf "%a" Tuple.pp) ts))
+      QCheck.Gen.(list_size (0 -- 8) row)
+  in
+  qtest ~count:300 "csv: save_relation then load_relation keeps tuples" rows
+    (fun ts ->
+      let schema = Schema.make "T" [ "a"; "b"; "c" ] in
+      let db = Database.create () in
+      let r = Database.create_table db schema in
+      List.iter (fun t -> ignore (Relation.insert r t)) ts;
+      let path = Filename.temp_file "entangle_test" ".csv" in
+      Csv_io.save_relation r ~path;
+      let loaded =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () -> Csv_io.load_relation (Database.create ()) ~schema ~path)
+      in
+      let sorted r = List.sort Tuple.compare (Relation.to_list r) in
+      List.equal Tuple.equal (sorted r) (sorted loaded))
+
 let test_csv_header_mismatch () =
   let path = Filename.temp_file "entangle_test" ".csv" in
   let oc = open_out path in
@@ -373,6 +417,7 @@ let suite =
     Alcotest.test_case "csv crlf" `Quick test_csv_crlf;
     Alcotest.test_case "csv relation roundtrip" `Quick test_csv_relation_roundtrip;
     Alcotest.test_case "csv header mismatch" `Quick test_csv_header_mismatch;
+    test_csv_relation_roundtrip_property;
     qtest "value compare total order"
       QCheck.(triple value_arb value_arb value_arb)
       (fun (a, b, c) ->

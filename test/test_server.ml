@@ -420,20 +420,25 @@ let raw_connect srv =
     (Unix.ADDR_INET (Unix.inet_addr_of_string loopback, Server.port srv));
   fd
 
-let raw_rpc ~ctx srv fd payload =
+(* A frame as it goes on the wire: a 4-byte big-endian length, then
+   the payload bytes. *)
+let raw_frame payload =
   let n = String.length payload in
-  let frame = Bytes.create (4 + n) in
-  Bytes.set_int32_be frame 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 frame 4 n;
-  ignore (Unix.write fd frame 0 (4 + n));
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  Bytes.to_string b
+
+(* Send one raw payload and step the server until a whole response
+   frame is back: its bytes, length prefix included. *)
+let raw_exchange ~ctx srv fd payload =
+  let frame = raw_frame payload in
+  ignore (Unix.write_substring fd frame 0 (String.length frame));
   let inb = Buffer.create 64 and chunk = Bytes.create 4096 in
   let rec go tries =
     let got = Buffer.contents inb in
     let len = String.length got in
-    if len >= 4 && len >= 4 + Int32.to_int (String.get_int32_be got 0) then
-      match Json.parse (String.sub got 4 (len - 4)) with
-      | Ok j -> j
-      | Error why -> Alcotest.failf "%s: unparsable response: %s" ctx why
+    if len >= 4 && len >= 4 + Int32.to_int (String.get_int32_be got 0) then got
     else if tries > 2000 then Alcotest.failf "%s: no response" ctx
     else begin
       ignore (Server.step ~timeout:0.01 srv);
@@ -444,6 +449,12 @@ let raw_rpc ~ctx srv fd payload =
     end
   in
   go 0
+
+let raw_rpc ~ctx srv fd payload =
+  let got = raw_exchange ~ctx srv fd payload in
+  match Json.parse (String.sub got 4 (String.length got - 4)) with
+  | Ok j -> j
+  | Error why -> Alcotest.failf "%s: unparsable response: %s" ctx why
 
 let test_killer_frames make_engine () =
   let db = Database.create () in
