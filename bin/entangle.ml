@@ -101,6 +101,78 @@ let handle_syntax f =
     Printf.eprintf "%s\n" msg;
     exit 2
 
+let arm_flight_recorder path =
+  Obs.Flight_recorder.set_dump_path (Some path);
+  Obs.Flight_recorder.arm ()
+
+(* The evaluation budget flags [solve] and [serve] share.  The term
+   yields the guard they arm, given the fault injector ([solve]'s chaos
+   flags, or none): [None] when no limit is set and no fault is
+   injected. *)
+let guard_term =
+  let deadline_ms =
+    Arg.(
+      value
+      & opt (some nonneg_float_conv) None
+      & info [ "deadline-ms" ] ~docv:"MS"
+          ~doc:
+            "Wall-clock budget for each evaluation (the whole solve, or one \
+             served request); on expiry the best (partial) answer found so \
+             far is returned, marked $(b,DEGRADED).")
+  in
+  let max_probes =
+    Arg.(
+      value
+      & opt (some nonneg_int_conv) None
+      & info [ "max-probes" ] ~docv:"N"
+          ~doc:"Abort (degraded) after $(docv) database probe attempts.")
+  in
+  let max_tuples =
+    Arg.(
+      value
+      & opt (some nonneg_int_conv) None
+      & info [ "max-tuples" ] ~docv:"N"
+          ~doc:"Abort (degraded) after scanning $(docv) tuples.")
+  in
+  let probe_timeout_ms =
+    Arg.(
+      value
+      & opt (some nonneg_float_conv) None
+      & info [ "probe-timeout-ms" ] ~docv:"MS"
+          ~doc:"Per-probe time limit; slow probes fail (and may retry).")
+  in
+  let max_attempts =
+    Arg.(
+      value & opt pos_int_conv 4
+      & info [ "max-attempts" ] ~docv:"N"
+          ~doc:
+            "Attempts per probe before a transient fault becomes fatal \
+             (exponential backoff between attempts).")
+  in
+  let guard deadline_ms max_probes max_tuples probe_timeout_ms max_attempts
+      faults =
+    if
+      deadline_ms = None && max_probes = None && max_tuples = None
+      && probe_timeout_ms = None && faults = None
+    then None
+    else
+      let ns_of_ms ms = Int64.of_float (ms *. 1e6) in
+      Some
+        (Resilient.arm
+           {
+             Resilient.default_config with
+             max_probes;
+             max_tuples;
+             deadline_ns = Option.map ns_of_ms deadline_ms;
+             probe_timeout_ns = Option.map ns_of_ms probe_timeout_ms;
+             max_attempts;
+             faults;
+           })
+  in
+  Cmdliner.Term.(
+    const guard $ deadline_ms $ max_probes $ max_tuples $ probe_timeout_ms
+    $ max_attempts)
+
 (* ------------------------------ solve ----------------------------- *)
 
 type algorithm = Scc | Gupta | Single_connected | Brute | Consistent
@@ -266,45 +338,6 @@ let solve_cmd =
             "Record latency histograms and counters during evaluation and \
              dump them (with p50/p95/p99) after the answer.")
   in
-  let deadline_ms =
-    Arg.(
-      value
-      & opt (some nonneg_float_conv) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Wall-clock budget for the whole solve; on expiry the solver \
-             returns the best (partial) answer found so far, marked \
-             $(b,DEGRADED).")
-  in
-  let max_probes =
-    Arg.(
-      value
-      & opt (some nonneg_int_conv) None
-      & info [ "max-probes" ] ~docv:"N"
-          ~doc:"Abort (degraded) after $(docv) database probe attempts.")
-  in
-  let max_tuples =
-    Arg.(
-      value
-      & opt (some nonneg_int_conv) None
-      & info [ "max-tuples" ] ~docv:"N"
-          ~doc:"Abort (degraded) after scanning $(docv) tuples.")
-  in
-  let probe_timeout_ms =
-    Arg.(
-      value
-      & opt (some nonneg_float_conv) None
-      & info [ "probe-timeout-ms" ] ~docv:"MS"
-          ~doc:"Per-probe time limit; slow probes fail (and may retry).")
-  in
-  let max_attempts =
-    Arg.(
-      value & opt pos_int_conv 4
-      & info [ "max-attempts" ] ~docv:"N"
-          ~doc:
-            "Attempts per probe before a transient fault becomes fatal \
-             (exponential backoff between attempts).")
-  in
   let fault_rate =
     Arg.(
       value & opt probability_conv 0.0
@@ -324,15 +357,10 @@ let solve_cmd =
      without the closing bracket is not valid JSON). *)
   let run file algorithm first parallel domains stats dot explain
       explain_analyze metrics_out flight_recorder trace trace_format metrics
-      deadline_ms max_probes max_tuples probe_timeout_ms max_attempts
-      fault_rate fault_seed =
+      make_guard fault_rate fault_seed =
     handle_syntax @@ fun () ->
     let db, input = load file in
-    (match flight_recorder with
-    | None -> ()
-    | Some path ->
-      Obs.Flight_recorder.set_dump_path (Some path);
-      Obs.Flight_recorder.arm ());
+    Option.iter arm_flight_recorder flight_recorder;
     (* The resolved pool size, for the stats line; [None] when running
        sequentially so the line matches the sequential run exactly. *)
     let pool_domains =
@@ -345,34 +373,15 @@ let solve_cmd =
     in
     if metrics || metrics_out <> None then Obs.set_metrics true;
     let guard =
-      if
-        deadline_ms = None && max_probes = None && max_tuples = None
-        && probe_timeout_ms = None && fault_rate = 0.0
-      then None
-      else begin
-        let ns_of_ms ms = Int64.of_float (ms *. 1e6) in
-        let faults =
-          if fault_rate > 0.0 then
-            Some
-              {
-                Resilient.fault_defaults with
-                fault_seed;
-                transient_rate = fault_rate;
-              }
-          else None
-        in
-        Some
-          (Resilient.arm
+      make_guard
+        (if fault_rate > 0.0 then
+           Some
              {
-               Resilient.default_config with
-               max_probes;
-               max_tuples;
-               deadline_ns = Option.map ns_of_ms deadline_ms;
-               probe_timeout_ns = Option.map ns_of_ms probe_timeout_ms;
-               max_attempts;
-               faults;
-             })
-      end
+               Resilient.fault_defaults with
+               fault_seed;
+               transient_rate = fault_rate;
+             }
+         else None)
     in
     Database.set_guard db guard;
     Option.iter Resilient.start_solve guard;
@@ -568,8 +577,7 @@ let solve_cmd =
     Cmdliner.Term.(
       const run $ file $ algorithm $ first $ parallel $ domains $ stats $ dot
       $ explain $ explain_analyze $ metrics_out $ flight_recorder $ trace
-      $ trace_format $ metrics $ deadline_ms $ max_probes $ max_tuples
-      $ probe_timeout_ms $ max_attempts $ fault_rate $ fault_seed)
+      $ trace_format $ metrics $ guard_term $ fault_rate $ fault_seed)
 
 (* ------------------------------ check ----------------------------- *)
 
@@ -687,37 +695,17 @@ directives:
   \help                    this message
   \quit                    leave|}
 
-(* Open (or recover) a durable engine for [repl]/[serve], reporting the
-   recovery on stdout; exits on an unrecoverable directory. *)
-let open_durable ~consume ~fsync ~snapshot_every dir =
-  match
-    Durable.open_or_recover ~consume (Durable.config ~fsync ~snapshot_every dir)
-  with
-  | Error m ->
-    Printf.eprintf "error: %s\n" m;
-    exit 1
-  | Ok (t, db, engine, report) ->
-    (match report with
-    | None -> Printf.printf "wal: new journal in %s\n" dir
-    | Some r -> Format.printf "%a@." Durable.pp_report r);
-    (t, db, engine)
-
-let repl_cmd =
+(* The engine flags [repl] and [serve] share.  The term yields the
+   session opener: it arms the flight recorder when asked, then builds
+   the engine — durable with --wal, recovering an existing journal and
+   reporting on stdout (exit 1 on an unrecoverable directory), in
+   memory otherwise. *)
+let session_term =
   let consume =
     Arg.(
       value & flag
       & info [ "consume" ]
           ~doc:"Coordinated sets book their tuples: matched rows are deleted.")
-  in
-  let flight_recorder =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight-recorder" ] ~docv:"FILE"
-          ~doc:
-            "Arm the flight recorder for the whole session; on the first \
-             incident (e.g. a degraded evaluation under a guard) the \
-             recent-item window is dumped to $(docv).")
   in
   let wal =
     Arg.(
@@ -728,9 +716,10 @@ let repl_cmd =
             "Make the session durable: journal every operation to a \
              checksummed write-ahead log in $(docv).  If the directory \
              already holds a journal the session $(i,recovers) from it \
-             first (replaying the log, truncating any torn tail) and the \
-             creation flags are ignored in favour of the journaled \
-             engine configuration.")
+             first (replaying the log, truncating any torn tail) and \
+             $(b,--consume) is ignored in favour of the journaled engine \
+             configuration, so a killed session restarts into identical \
+             state.")
   in
   let fsync =
     Arg.(
@@ -752,32 +741,55 @@ let repl_cmd =
              operations (0 disables periodic snapshots).  Only \
              meaningful with $(b,--wal).")
   in
-  let run consume flight_recorder wal fsync snapshot_every =
+  let flight_recorder =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "flight-recorder" ] ~docv:"FILE"
+          ~doc:
+            "Arm the flight recorder for the whole session; on the first \
+             incident (a degraded evaluation under a guard, an abnormal \
+             disconnect) the recent-item window is dumped to $(docv).")
+  in
+  let open_session consume wal fsync snapshot_every flight_recorder () =
+    Option.iter arm_flight_recorder flight_recorder;
+    match wal with
+    | None ->
+      let db = Database.create () in
+      (None, db, Coordination.Online.create ~consume db)
+    | Some dir -> (
+      match
+        Durable.open_or_recover ~consume
+          (Durable.config ~fsync ~snapshot_every dir)
+      with
+      | Error m ->
+        Printf.eprintf "error: %s\n" m;
+        exit 1
+      | Ok (t, db, engine, report) ->
+        (match report with
+        | None -> Printf.printf "wal: new journal in %s\n" dir
+        | Some r -> Format.printf "%a@." Durable.pp_report r);
+        (Some t, db, engine))
+  in
+  Cmdliner.Term.(
+    const open_session $ consume $ wal $ fsync $ snapshot_every
+    $ flight_recorder)
+
+let repl_cmd =
+  let run open_session =
     (* A pipe downstream of the repl closing (e.g. `entangle repl | head`)
        must end the session cleanly, not kill the process: ignore
        SIGPIPE and let the write surface as Sys_error instead. *)
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    (match flight_recorder with
-    | None -> ()
-    | Some path ->
-      Obs.Flight_recorder.set_dump_path (Some path);
-      Obs.Flight_recorder.arm ());
-    let durable, db, engine =
-      match wal with
-      | None ->
-        let db = Database.create () in
-        (None, db, Coordination.Online.create ~consume db)
-      | Some dir ->
-        let t, db, engine =
-          open_durable ~consume ~fsync ~snapshot_every dir
-        in
-        (Some t, db, engine)
-    in
+    let durable, db, engine = open_session () in
     let report_fired (c : Coordination.Online.coordinated) =
       Printf.printf "coordinated: {%s}\n"
         (String.concat ", "
            (List.map (fun q -> q.Entangled.Query.name) c.queries))
     in
+    (* A fact or query body over a missing table, or with the wrong
+       arity, is refused before it reaches the store or the engine. *)
+    let refuse e = Format.printf "error: %a@." Database.pp_schema_error e in
     let handle_statement stmt =
       match stmt with
       | Entangled.Parser.Table (name, attrs) ->
@@ -787,22 +799,25 @@ let repl_cmd =
           durable;
         Printf.printf "table %s created\n" name
       | Entangled.Parser.Fact (rel, values) -> (
-        match Database.relation_opt db rel with
-        | None -> Printf.printf "error: no table %s\n" rel
-        | Some _ ->
+        match Database.schema_error db rel (List.length values) with
+        | Some e -> refuse e
+        | None ->
           Database.insert db rel values;
           Option.iter (fun t -> Durable.journal_insert t rel values) durable)
       | Entangled.Parser.Query_stmt q -> (
-        match Coordination.Online.submit engine q with
-        | Coordination.Online.Coordinated c -> report_fired c
-        | Coordination.Online.Pending ->
-          Printf.printf "pending: %s\n"
-            (if q.Entangled.Query.name = "" then "(unnamed)"
-             else q.Entangled.Query.name)
-        | Coordination.Online.Rejected_unsafe ws ->
-          Printf.printf "rejected: submission makes the pool unsafe (%d \
-                         ambiguous postconditions)\n"
-            (List.length ws))
+        match Database.body_schema_error db q.Entangled.Query.body with
+        | Some e -> refuse e
+        | None -> (
+          match Coordination.Online.submit engine q with
+          | Coordination.Online.Coordinated c -> report_fired c
+          | Coordination.Online.Pending ->
+            Printf.printf "pending: %s\n"
+              (if q.Entangled.Query.name = "" then "(unnamed)"
+               else q.Entangled.Query.name)
+          | Coordination.Online.Rejected_unsafe ws ->
+            Printf.printf "rejected: submission makes the pool unsafe (%d \
+                           ambiguous postconditions)\n"
+              (List.length ws)))
     in
     let handle_directive line =
       match String.trim line with
@@ -889,10 +904,7 @@ let repl_cmd =
     "Interactive coordination server: facts and queries stream in, \
      coordinating sets fire as soon as they exist."
   in
-  Cmd.v
-    (Cmd.info "repl" ~doc)
-    Cmdliner.Term.(
-      const run $ consume $ flight_recorder $ wal $ fsync $ snapshot_every)
+  Cmd.v (Cmd.info "repl" ~doc) Cmdliner.Term.(const run $ session_term)
 
 (* ------------------------------ recover ---------------------------- *)
 
@@ -962,36 +974,6 @@ let listen_of_flags socket host port =
     exit 2
 
 let serve_cmd =
-  let consume =
-    Arg.(
-      value & flag
-      & info [ "consume" ]
-          ~doc:"Coordinated sets book their tuples: matched rows are deleted.")
-  in
-  let wal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "wal" ] ~docv:"DIR"
-          ~doc:
-            "Journal every operation to a write-ahead log in $(docv); an \
-             existing journal is recovered first, so a killed server \
-             restarts into identical state.")
-  in
-  let fsync =
-    Arg.(
-      value
-      & opt fsync_conv Durable.Always
-      & info [ "fsync" ] ~docv:"POLICY"
-          ~doc:"WAL fsync policy (always|never|every-n:<N>).")
-  in
-  let snapshot_every =
-    Arg.(
-      value
-      & opt nonneg_int_conv 512
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:"Snapshot cadence in journaled operations (0 disables).")
-  in
   let max_pending =
     Arg.(
       value
@@ -1026,15 +1008,6 @@ let serve_cmd =
       value & flag
       & info [ "verbose" ] ~doc:"Print session lifecycle lines to stdout.")
   in
-  let flight_recorder =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "flight-recorder" ] ~docv:"FILE"
-          ~doc:
-            "Arm the flight recorder; abnormal disconnects and degraded \
-             evaluations dump the recent-item window to $(docv).")
-  in
   let metrics =
     Arg.(
       value & flag
@@ -1043,86 +1016,20 @@ let serve_cmd =
             "Enable the metrics registry (per-request latency histogram, \
              session/overload counters).")
   in
-  let deadline_ms =
-    Arg.(
-      value
-      & opt (some nonneg_float_conv) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:"Per-request evaluation deadline (see $(b,solve)).")
-  in
-  let max_probes =
-    Arg.(
-      value
-      & opt (some nonneg_int_conv) None
-      & info [ "max-probes" ] ~docv:"N" ~doc:"Per-request probe budget.")
-  in
-  let max_tuples =
-    Arg.(
-      value
-      & opt (some nonneg_int_conv) None
-      & info [ "max-tuples" ] ~docv:"N"
-          ~doc:"Per-request tuples-scanned budget.")
-  in
-  let probe_timeout_ms =
-    Arg.(
-      value
-      & opt (some nonneg_float_conv) None
-      & info [ "probe-timeout-ms" ] ~docv:"MS" ~doc:"Per-probe timeout.")
-  in
-  let max_attempts =
-    Arg.(
-      value & opt pos_int_conv 4
-      & info [ "max-attempts" ] ~docv:"N" ~doc:"Tries per probe.")
-  in
-  let run socket host port consume wal fsync snapshot_every
-      max_pending max_sessions domains verbose flight_recorder metrics
-      deadline_ms max_probes max_tuples probe_timeout_ms max_attempts =
+  let run socket host port open_session max_pending max_sessions domains
+      verbose metrics make_guard =
     let listen = listen_of_flags socket host port in
-    (match flight_recorder with
-    | None -> ()
-    | Some path ->
-      Obs.Flight_recorder.set_dump_path (Some path);
-      Obs.Flight_recorder.arm ());
     if metrics then Obs.set_metrics true;
-    let durable, db, engine =
-      match wal with
-      | None ->
-        let db = Database.create () in
-        ( None,
-          db,
-          if domains = 1 then
-            Server.Sequential (Coordination.Online.create ~consume db)
-          else
-            Server.Sharded
-              (Coordination.Online_sharded.create ~consume ~domains db) )
-      | Some dir ->
-        let t, db, engine =
-          open_durable ~consume ~fsync ~snapshot_every dir
-        in
-        ( Some t,
-          db,
-          if domains = 1 then Server.Sequential engine
-          else Server.Sharded (Durable.shard ~domains t) )
+    let durable, db, engine = open_session () in
+    let engine =
+      if domains = 1 then Server.Sequential engine
+      else
+        Server.Sharded
+          (match durable with
+          | Some t -> Durable.shard ~domains t
+          | None -> Coordination.Online_sharded.of_online ~domains db engine)
     in
-    let guard =
-      if
-        deadline_ms = None && max_probes = None && max_tuples = None
-        && probe_timeout_ms = None
-      then None
-      else begin
-        let ns_of_ms ms = Int64.of_float (ms *. 1e6) in
-        Some
-          (Resilient.arm
-             {
-               Resilient.default_config with
-               max_probes;
-               max_tuples;
-               deadline_ns = Option.map ns_of_ms deadline_ms;
-               probe_timeout_ns = Option.map ns_of_ms probe_timeout_ms;
-               max_attempts;
-             })
-      end
-    in
+    let guard = make_guard None in
     Database.set_guard db guard;
     let cfg =
       {
@@ -1168,10 +1075,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Cmdliner.Term.(
-      const run $ socket_arg $ host_arg $ port_arg $ consume $ wal $ fsync
-      $ snapshot_every $ max_pending $ max_sessions $ domains $ verbose
-      $ flight_recorder $ metrics $ deadline_ms $ max_probes $ max_tuples
-      $ probe_timeout_ms $ max_attempts)
+      const run $ socket_arg $ host_arg $ port_arg $ session_term
+      $ max_pending $ max_sessions $ domains $ verbose $ metrics $ guard_term)
 
 (* ------------------------------ client ----------------------------- *)
 

@@ -129,8 +129,7 @@ end
    [keep], each group ascending, the groups ordered by first vertex —
    the deterministic shard list. *)
 let wcc_groups g ~count ~keep =
-  let uf = Graphs.Union_find.create ~capacity:(max 1 count) () in
-  if count > 0 then Graphs.Union_find.ensure uf (count - 1);
+  let uf = Graphs.Union_find.create count in
   Graphs.Digraph.iter_edges (fun u v -> ignore (Graphs.Union_find.union uf u v)) g;
   let groups = Hashtbl.create 64 in
   for v = count - 1 downto 0 do

@@ -70,8 +70,6 @@ type entry = {
 
 type t = {
   db : Database.t;
-  selection : Scc_algo.selection;
-  eager : bool;
   consume : bool;
   entries : (int, entry) Hashtbl.t;  (* the live pool, keyed by id *)
   mutable next_id : int;
@@ -95,12 +93,9 @@ type t = {
   stats : Stats.t;
 }
 
-let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
-    db =
+let create ?(consume = false) db =
   {
     db;
-    selection;
-    eager;
     consume;
     entries = Hashtbl.create 64;
     next_id = 0;
@@ -116,8 +111,6 @@ let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
     stats = Stats.create ();
   }
 
-let selection engine = engine.selection
-let eager engine = engine.eager
 let consume engine = engine.consume
 let set_journal engine sink = engine.journal <- sink
 
@@ -478,9 +471,7 @@ let evaluate engine ids =
     let graph, graph_ns =
       Obs.timed_span "scc.graph" (fun () -> component_graph engine ids)
     in
-    let result =
-      Scc_algo.solve_graph ~selection:engine.selection engine.db graph
-    in
+    let result = Scc_algo.solve_graph engine.db graph in
     Result.iter
       (fun (o : Scc_algo.outcome) ->
         o.stats.graph_ns <- Int64.add o.stats.graph_ns graph_ns;
@@ -584,8 +575,7 @@ let submit ?id engine query =
   in
   emit engine (Journal.Submitted { id = e.id; query });
   let result =
-    if not engine.eager then Pending
-    else if proven_quiet engine e then begin
+    if proven_quiet engine e then begin
       mark_clean engine ~quiet:true [ e.id ];
       Pending
     end
@@ -616,8 +606,8 @@ let submit ?id engine query =
    change).  Removal can newly enable a coordinating set among the
    remainder — the withdrawn query may have been what made its
    component unsafe or over-constrained — so survivors are marked
-   dirty by [retire]; the next flush (or eager submit) re-evaluates
-   them. *)
+   dirty by [retire]; the next flush, or a submit that joins them,
+   re-evaluates them. *)
 let withdraw engine id =
   Obs.with_span
     ~args:(fun () ->

@@ -10,12 +10,13 @@
     this online setting.  This module implements it.
 
     An engine holds a pool of pending queries.  Submitting a query adds
-    it to the pool and (in eager mode) evaluates only the weakly
-    connected component of the coordination graph that contains it; a
-    found coordinating set is reported and its members leave the pool.
-    Deferred submissions accumulate until {!flush} (or arrive batched
-    through {!submit_all}), which evaluates pending components — useful
-    for batching, and equivalent to one {!Scc_algo.solve} per component.
+    it to the pool and evaluates only the weakly connected component of
+    the coordination graph that contains it, selecting a largest
+    candidate ({!Scc_algo.Largest}); a found coordinating set is
+    reported and its members leave the pool.  A batch arrives through
+    {!submit_all}, which admits every query first and then evaluates the
+    touched components as {!flush} does — equivalent to one
+    {!Scc_algo.solve} per component.
 
     {2 Incremental state}
 
@@ -59,23 +60,11 @@ open Entangled
 
 type t
 
-val create :
-  ?selection:Scc_algo.selection ->
-  ?eager:bool ->
-  ?consume:bool ->
-  Database.t ->
-  t
-(** [eager] (default [true]): evaluate on every submission.  With
-    [eager:false], submissions only enqueue; call {!flush}.
-
-    [consume] (default [false]): when a set coordinates, delete the
+val create : ?consume:bool -> Database.t -> t
+(** [consume] (default [false]): when a set coordinates, delete the
     grounded body tuples its members used from the database — each tuple
     is one bookable unit (a flight seat block, a class section), so later
     arrivals cannot coordinate on spent inventory. *)
-
-val selection : t -> Scc_algo.selection
-
-val eager : t -> bool
 
 val consume : t -> bool
 
@@ -93,12 +82,12 @@ type submission =
       (** the component became unsafe; the new query was NOT admitted *)
 
 val submit : ?id:int -> t -> Query.t -> submission
-(** Submit one query.  In eager mode the arrival's component is
-    evaluated, except when the arrival is {e proven quiet}: one of its
-    postconditions has no coordination edge (not even a self-loop), and
-    every other member of the component it joins is quiet — its
-    component's last complete evaluation, with the same members and
-    store, was safe and fired nothing.  Pruning then removes the
+(** Submit one query.  The arrival's component is evaluated, except
+    when the arrival is {e proven quiet}: one of its postconditions has
+    no coordination edge (not even a self-loop), and every other member
+    of the component it joins is quiet — its component's last complete
+    evaluation, with the same members and store, was safe and fired
+    nothing.  Pruning then removes the
     arrival first and leaves every other candidate as it was, so the
     answer is [Pending] without a solve (DESIGN.md §2c).  The journal
     is the same either way.  [?id] forces the admitted entry's pool id
@@ -108,12 +97,12 @@ val submit : ?id:int -> t -> Query.t -> submission
     @raise Invalid_argument if [id] is below {!next_id}. *)
 
 val submit_all : t -> Query.t list -> coordinated list
-(** Batched submission: enqueue the whole batch (regardless of [eager]),
-    then evaluate pending components as {!flush} does.  One index/graph
-    maintenance pass per query and one evaluation per touched component,
-    instead of one component evaluation per submission — the batched
-    counterpart of eager {!submit}.  Queries whose component is unsafe
-    are left pending (there is no single arrival to reject). *)
+(** Batched submission: admit the whole batch, then evaluate pending
+    components as {!flush} does.  One index/graph maintenance pass per
+    query and one evaluation per touched component, instead of one
+    component evaluation per submission — the batched counterpart of
+    {!submit}.  Queries whose component is unsafe are left pending
+    (there is no single arrival to reject). *)
 
 val flush : t -> coordinated list
 (** Evaluate the pending pool's weakly connected components that were
@@ -131,7 +120,7 @@ val withdraw : t -> int -> bool
     Journaled as an eviction, so a durable session replays it exactly.
     Removal can newly enable a coordinating set among the remaining
     pool members; the affected component is re-evaluated at the next
-    {!flush} or eager {!submit}. *)
+    {!flush}, or {!submit} of a query that joins it. *)
 
 val pending : t -> Query.t list
 (** Queries still waiting, in submission order. *)
@@ -228,7 +217,7 @@ module Journal : sig
     | Submitted of { id : int; query : Query.t }
         (** an entry joined the pool under [id] *)
     | Rejected of { id : int }
-        (** eager {!submit} admitted [id], found its component unsafe
+        (** {!submit} admitted [id], found its component unsafe
             and evicted it (no satisfied-count change) *)
     | Retired of { ids : int list }
         (** a fired set left the pool; the lifetime satisfied count

@@ -16,14 +16,13 @@ type t = {
   mutable journal : Online.Journal.sink option;
 }
 
-let create ?(selection = Scc_algo.Largest) ?(eager = true) ?(consume = false)
-    ?(domains = Executor.default_domains ()) db =
+let create ?(consume = false) ?(domains = Executor.default_domains ()) db =
   if domains < 1 then
     invalid_arg
       (Printf.sprintf "Online_sharded.create: domains must be positive (%d)"
          domains);
   let views = Array.init domains (fun _ -> Database.worker_view db) in
-  let shards = Array.map (Online.create ~selection ~eager ~consume) views in
+  let shards = Array.map (Online.create ~consume) views in
   {
     db;
     domains;
@@ -382,10 +381,7 @@ let components t =
 (* ----------------------------- re-sharding ---------------------------- *)
 
 let of_online ~domains db src =
-  let t =
-    create ~selection:(Online.selection src) ~eager:(Online.eager src)
-      ~consume:(Online.consume src) ~domains db
-  in
+  let t = create ~consume:(Online.consume src) ~domains db in
   t.next_id <- Online.next_id src;
   t.base_satisfied <- Online.total_coordinated src;
   List.iter

@@ -55,13 +55,7 @@ open Entangled
 
 type t
 
-val create :
-  ?selection:Scc_algo.selection ->
-  ?eager:bool ->
-  ?consume:bool ->
-  ?domains:int ->
-  Database.t ->
-  t
+val create : ?consume:bool -> ?domains:int -> Database.t -> t
 (** Like {!Online.create}, over [domains] shards (default
     {!Executor.default_domains}).
     @raise Invalid_argument if [domains < 1]. *)

@@ -150,41 +150,31 @@ end
 
 (* ------------------------------ Records ---------------------------- *)
 
-type meta = {
-  m_eager : bool;
-  m_consume : bool;
-  m_selection : Scc_algo.selection;
-}
-
-(* Engine meta, shared by the [Meta] record and the snapshot header.
-   The leading byte once named the storage backend (0 row, 1 a columnar
-   mirror of the row store).  The row store was always authoritative,
-   so both values recover onto it; new files always carry 0. *)
-let encode_meta b m =
+(* Engine meta, shared by the [Meta] record and the snapshot header:
+   four bytes, of which only the third (consume) still configures
+   anything.  The first once named the storage backend (0 row, 1 a
+   columnar mirror of the row store), the second a deferred-evaluation
+   mode (0) and the fourth a selection criterion (0 largest, 1 first
+   found).  The row store, evaluation on arrival and the largest
+   selection are now the only ones: new files carry 0, 1 and 0 there,
+   and a reader checks each byte's range as before, then ignores it.
+   Replay never evaluates, so files with the old values recover the
+   same state. *)
+let encode_meta b ~consume =
   Enc.u8 b 0;
-  Enc.u8 b (Bool.to_int m.m_eager);
-  Enc.u8 b (Bool.to_int m.m_consume);
-  Enc.u8 b
-    (match m.m_selection with
-    | Scc_algo.Largest -> 0
-    | First_found -> 1
-    | Preferred _ ->
-      invalid_arg "Durable: Preferred selection holds a closure (not journalable)")
+  Enc.u8 b 1;
+  Enc.u8 b (Bool.to_int consume);
+  Enc.u8 b 0
 
 let decode_meta d =
   if Dec.u8 d > 1 then raise (Decode_error "bad backend");
-  let eager = Dec.u8 d <> 0 in
+  ignore (Dec.u8 d : int);
   let consume = Dec.u8 d <> 0 in
-  let selection =
-    match Dec.u8 d with
-    | 0 -> Scc_algo.Largest
-    | 1 -> Scc_algo.First_found
-    | _ -> raise (Decode_error "bad selection")
-  in
-  { m_eager = eager; m_consume = consume; m_selection = selection }
+  if Dec.u8 d > 1 then raise (Decode_error "bad selection");
+  consume
 
 type record =
-  | Meta of meta
+  | Meta of { consume : bool }
   | Submit of { id : int; src : string }
   | Reject of { id : int }
   | Retire of { ids : int list }
@@ -197,8 +187,8 @@ let encode_record r =
   let b = Buffer.create 64 in
   let kind =
     match r with
-    | Meta m ->
-      encode_meta b m;
+    | Meta { consume } ->
+      encode_meta b ~consume;
       0
     | Submit { id; src } ->
       Enc.u32 b id;
@@ -236,7 +226,7 @@ let decode_record kind payload =
   let d = Dec.make payload in
   let r =
     match kind with
-    | 0 -> Meta (decode_meta d)
+    | 0 -> Meta { consume = decode_meta d }
     | 1 ->
       let id = Dec.u32 d in
       Submit { id; src = Dec.str d }
@@ -382,7 +372,6 @@ type t = {
   mutable group : (int * string) list;  (* buffered records, newest first *)
   mutable groups_since_sync : int;
   mutable groups_since_snapshot : int;
-  meta : meta;  (* captured once, when the engine is built *)
   db : Database.t;
   mutable engine : engine;
   mutable closed : bool;
@@ -499,18 +488,22 @@ let commit_group t =
    the store as a snapshot-local value dictionary plus per-table tuples
    of dictionary references, then the pool as (id, query source).  The
    dictionary makes tuples compact. *)
-let encode_snapshot ~meta ~(db : Database.t) engine =
-  let next_id, satisfied, pool =
+let encode_snapshot ~(db : Database.t) engine =
+  let consume, next_id, satisfied, pool =
     match engine with
     | Sequential e ->
-      (Online.next_id e, Online.total_coordinated e, Online.pending_entries e)
+      ( Online.consume e,
+        Online.next_id e,
+        Online.total_coordinated e,
+        Online.pending_entries e )
     | Sharded e ->
-      ( Online_sharded.next_id e,
+      ( Online_sharded.consume e,
+        Online_sharded.next_id e,
         Online_sharded.total_coordinated e,
         Online_sharded.pending_entries e )
   in
   let b = Buffer.create 4096 in
-  encode_meta b meta;
+  encode_meta b ~consume;
   Enc.u32 b next_id;
   Enc.u32 b satisfied;
   let dict = Hashtbl.create 256 in
@@ -554,7 +547,7 @@ let encode_snapshot ~meta ~(db : Database.t) engine =
   Buffer.contents b
 
 type snapshot_state = {
-  s_meta : meta;
+  s_consume : bool;
   s_next_id : int;
   s_satisfied : int;
   s_tables : (string * string list * Value.t array list) list;
@@ -563,7 +556,7 @@ type snapshot_state = {
 
 let decode_snapshot payload =
   let d = Dec.make payload in
-  let meta = decode_meta d in
+  let consume = decode_meta d in
   let next_id = Dec.u32 d in
   let satisfied = Dec.u32 d in
   let dict = Array.of_list (Dec.list d Dec.value) in
@@ -590,18 +583,11 @@ let decode_snapshot payload =
   in
   if not (Dec.at_end d) then raise (Decode_error "trailing snapshot bytes");
   {
-    s_meta = meta;
+    s_consume = consume;
     s_next_id = next_id;
     s_satisfied = satisfied;
     s_tables = tables;
     s_pool = pool;
-  }
-
-let meta_of_engine engine =
-  {
-    m_eager = Online.eager engine;
-    m_consume = Online.consume engine;
-    m_selection = Online.selection engine;
   }
 
 (* Keep the newest [keep] snapshots and every segment still needed to
@@ -707,7 +693,7 @@ let snapshot t =
     let lsn = last_lsn t in
     match
       try_write_snapshot ~dirname:t.cfg.dir ~lsn
-        (encode_snapshot ~meta:t.meta ~db:t.db t.engine)
+        (encode_snapshot ~db:t.db t.engine)
     with
     | Error why ->
       (* The snapshot never made it to disk, so the journal it was to
@@ -824,15 +810,14 @@ let has_wal_files dir =
        (fun n -> segment_lsn n <> None || snapshot_lsn n <> None)
        (list_dir dir)
 
-let create_engine ?selection ?eager ?consume cfg =
+let create_engine ?(consume = false) cfg =
   mkdir_p cfg.dir;
   if has_wal_files cfg.dir then
     invalid_arg
       (Printf.sprintf
          "Durable.create_engine: %s already holds a WAL (use recover)" cfg.dir);
   let db = Database.create () in
-  let engine = Online.create ?selection ?eager ?consume db in
-  let meta = meta_of_engine engine in
+  let engine = Online.create ~consume db in
   let path, oc = open_segment ~dir:cfg.dir ~first_lsn:1L in
   let t =
     {
@@ -845,14 +830,13 @@ let create_engine ?selection ?eager ?consume cfg =
       group = [];
       groups_since_sync = 0;
       groups_since_snapshot = 0;
-      meta;
       db;
       engine = Sequential engine;
       closed = false;
       failed = None;
     }
   in
-  buffer_record t (Meta meta);
+  buffer_record t (Meta { consume });
   commit_group t;
   if t.cfg.fsync = Never then do_fsync t;  (* the meta record must survive *)
   attach t;
@@ -1067,18 +1051,16 @@ let recover cfg =
         entries
       |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
     in
-    let fresh_engine (m : meta) =
+    let fresh_engine consume =
       let db = Database.create () in
-      ( db,
-        Online.create ~selection:m.m_selection ~eager:m.m_eager
-          ~consume:m.m_consume db )
+      (db, Online.create ~consume db)
     in
     (* A checksummed snapshot can still fail to restore: a pool query
        that does not parse, a repeated id or table, a tuple of the wrong
        arity.  Restoring into a fresh store and engine turns that into
        a reason to skip it, like any other corrupt snapshot. *)
     let restore (s : snapshot_state) =
-      let db, engine = fresh_engine s.s_meta in
+      let db, engine = fresh_engine s.s_consume in
       match
         List.iter
           (fun (name, attrs, tuples) ->
@@ -1092,7 +1074,7 @@ let recover cfg =
         Online.restore_counters engine ~satisfied:s.s_satisfied
           ~next_id:s.s_next_id
       with
-      | () -> Ok (db, engine, s.s_meta)
+      | () -> Ok (db, engine, s.s_consume)
       | exception
           (( Parser.Syntax_error _ | Invalid_argument _ | Not_found
            | Failure _ ) as e) ->
@@ -1117,20 +1099,20 @@ let recover cfg =
       match snapshot_pick with Some (_, lsn, _) -> lsn | None -> 0L
     in
     let state = ref (Option.map (fun (_, _, r) -> r) snapshot_pick) in
-    let ensure_engine (m : meta) =
+    let ensure_engine consume =
       match !state with
       | Some (db, engine, stored) ->
-        if stored <> m then Error Bad_payload else Ok (db, engine)
+        if stored <> consume then Error Bad_payload else Ok (db, engine)
       | None ->
-        let db, engine = fresh_engine m in
-        state := Some (db, engine, m);
+        let db, engine = fresh_engine consume in
+        state := Some (db, engine, consume);
         Ok (db, engine)
     in
     let records_replayed = ref 0 in
     let groups_replayed = ref 0 in
     let last_applied = ref snap_lsn in
     let apply_record = function
-      | Meta m -> Result.map (fun _ -> ()) (ensure_engine m)
+      | Meta { consume } -> Result.map (fun _ -> ()) (ensure_engine consume)
       | r -> (
         match !state with
         | None ->
@@ -1269,7 +1251,7 @@ let recover cfg =
                (corruption_to_string tr.reason)
                (Filename.basename tr.t_segment)
            | None -> ""))
-    | Some (db, engine, meta) ->
+    | Some (db, engine, _) ->
       (match !truncation with
       | None -> ()
       | Some tr ->
@@ -1297,7 +1279,7 @@ let recover cfg =
       let lsn = !last_applied in
       let checkpoint =
         try_write_snapshot ~dirname:cfg.dir ~lsn
-          (encode_snapshot ~meta ~db (Sequential engine))
+          (encode_snapshot ~db (Sequential engine))
       in
       (match (checkpoint, (!truncation, !segments_dropped)) with
       | Error why, ((Some _, _) | (_, _ :: _)) ->
@@ -1324,7 +1306,6 @@ let recover cfg =
             group = [];
             groups_since_sync = 0;
             groups_since_snapshot = 0;
-            meta;
             db;
             engine = Sequential engine;
             closed = false;
@@ -1357,12 +1338,12 @@ let recover cfg =
         Result.Ok (t, db, engine, report))
   end
 
-let open_or_recover ?selection ?eager ?consume cfg =
+let open_or_recover ?consume cfg =
   if has_wal_files cfg.dir then
     Result.map
       (fun (t, db, engine, report) -> (t, db, engine, Some report))
       (recover cfg)
   else
-    match create_engine ?selection ?eager ?consume cfg with
+    match create_engine ?consume cfg with
     | t, db, engine -> Result.Ok (t, db, engine, None)
     | exception Invalid_argument msg -> Result.Error msg

@@ -26,10 +26,15 @@
     only then does the WAL rotate to a fresh segment and prune history
     (the latest two snapshots and the segments they need are kept).
 
-    The meta record and the snapshot header start with a byte that
-    once named a storage backend (0 row, 1 row plus a columnar mirror).
-    It is always written as 0; 0 and 1 both recover onto the row store,
-    and any other value is a payload decode error.
+    The meta record and the snapshot header carry four bytes: a
+    storage backend (0 row, 1 row plus a columnar mirror), an
+    evaluate-on-arrival flag, the consume flag and a selection
+    criterion (0 largest, 1 first found).  Only consume still
+    configures the engine; the others are always written as 0, 1 and
+    0.  A backend or selection byte above 1 is a payload decode error;
+    otherwise they are ignored, so a journal written with a deferred
+    or first-found engine recovers onto today's engine with the same
+    pool, ids, satisfied count and store.
 
     {2 Recovery and truncation}
 
@@ -77,21 +82,14 @@ val config : ?fsync:fsync_policy -> ?snapshot_every:int -> string -> config
 
 type t
 
-val create_engine :
-  ?selection:Scc_algo.selection ->
-  ?eager:bool ->
-  ?consume:bool ->
-  config ->
-  t * Database.t * Online.t
+val create_engine : ?consume:bool -> config -> t * Database.t * Online.t
 (** Create a fresh durable engine: an empty database and
     {!Coordination.Online} engine whose operations journal through the
-    WAL in [config.dir].  The engine meta (eager, consume, selection) is
-    the WAL's first record, so {!recover} can rebuild an equivalent
-    engine without being told.
+    WAL in [config.dir].  The engine meta ([consume]) is the WAL's
+    first record, so {!recover} can rebuild an equivalent engine
+    without being told.
     @raise Invalid_argument if the directory already holds WAL files
-    (use {!recover} or {!open_or_recover}), or if [selection] is
-    [Preferred _] — a closure cannot be journaled, so a durable engine
-    cannot carry one. *)
+    (use {!recover} or {!open_or_recover}). *)
 
 exception Wal_failed of string
 (** The journal could not be written: an I/O error while appending,
@@ -221,13 +219,11 @@ val recover :
     directory holds no recoverable state at all. *)
 
 val open_or_recover :
-  ?selection:Scc_algo.selection ->
-  ?eager:bool ->
   ?consume:bool ->
   config ->
   (t * Database.t * Online.t * recovery_report option, string) result
-(** {!recover} when [config.dir] already holds WAL files (the creation
-    options are then ignored in favour of the journaled meta), else
+(** {!recover} when [config.dir] already holds WAL files ([consume] is
+    then ignored in favour of the journaled meta), else
     {!create_engine}. *)
 
 (** {1 Wire-format internals, exposed for tests} *)

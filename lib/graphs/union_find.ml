@@ -1,44 +1,12 @@
-type t = {
-  mutable parent : int array;
-  mutable rank : int array;
-  mutable length : int;  (* valid ids are 0 .. length - 1 *)
-}
+type t = { parent : int array; rank : int array }
 
-let create ?(capacity = 16) () =
-  let capacity = max 1 capacity in
-  { parent = Array.make capacity 0; rank = Array.make capacity 0; length = 0 }
-
-let cardinal t = t.length
-
-let grow t wanted =
-  let cap = Array.length t.parent in
-  if wanted > cap then begin
-    let cap' = ref (max 1 cap) in
-    while !cap' < wanted do
-      cap' := 2 * !cap'
-    done;
-    let parent = Array.make !cap' 0 in
-    let rank = Array.make !cap' 0 in
-    Array.blit t.parent 0 parent 0 t.length;
-    Array.blit t.rank 0 rank 0 t.length;
-    t.parent <- parent;
-    t.rank <- rank
-  end
-
-let ensure t id =
-  if id < 0 then invalid_arg "Union_find.ensure: negative id";
-  if id >= t.length then begin
-    grow t (id + 1);
-    for i = t.length to id do
-      t.parent.(i) <- i;
-      t.rank.(i) <- 0
-    done;
-    t.length <- id + 1
-  end
+let create n =
+  if n < 0 then invalid_arg "Union_find.create: negative size";
+  { parent = Array.init n Fun.id; rank = Array.make n 0 }
 
 let check t id =
-  if id < 0 || id >= t.length then
-    invalid_arg (Printf.sprintf "Union_find: id %d not ensured" id)
+  if id < 0 || id >= Array.length t.parent then
+    invalid_arg (Printf.sprintf "Union_find: id %d out of range" id)
 
 (* Iterative find with path halving: every node on the walk is pointed
    at its grandparent, so chains shorten without a second pass and

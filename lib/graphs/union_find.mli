@@ -1,4 +1,4 @@
-(** Growable union-find (disjoint sets) over dense integer ids.
+(** Union-find (disjoint sets) over the dense integer ids [0 .. n-1].
 
     The component-sharded batch executor groups a condensation's nodes
     into weakly-connected components with one of these: every
@@ -7,20 +7,13 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** An empty structure.  [capacity] pre-sizes the backing arrays. *)
-
-val ensure : t -> int -> unit
-(** [ensure t id] makes every id in [0..id] valid, new ones as
-    singletons.  Ids already present are untouched.
-    @raise Invalid_argument on a negative id. *)
-
-val cardinal : t -> int
-(** Number of valid ids (one past the largest ever ensured). *)
+val create : int -> t
+(** [create n]: the ids [0 .. n-1], each a singleton.
+    @raise Invalid_argument if [n] is negative. *)
 
 val find : t -> int -> int
 (** Representative of [id]'s set, with path compression.
-    @raise Invalid_argument on an id never ensured. *)
+    @raise Invalid_argument on an id outside [0 .. n-1]. *)
 
 val union : t -> int -> int -> int
 (** Merge the two sets; returns the representative of the merged set

@@ -82,6 +82,27 @@ let relations db =
 
 let insert db rel vs = ignore (Relation.insert (relation db rel) (Tuple.make vs))
 
+type schema_error =
+  | No_table of string
+  | Bad_arity of { rel : string; expected : int; got : int }
+
+let schema_error db rel arity =
+  match relation_opt db rel with
+  | None -> Some (No_table rel)
+  | Some r when Relation.arity r <> arity ->
+    Some (Bad_arity { rel; expected = Relation.arity r; got = arity })
+  | Some _ -> None
+
+let body_schema_error db (q : Cq.t) =
+  List.find_map
+    (fun (a : Cq.atom) -> schema_error db a.rel (Array.length a.args))
+    q.atoms
+
+let pp_schema_error ppf = function
+  | No_table rel -> Format.fprintf ppf "no table %s" rel
+  | Bad_arity { rel; expected; got } ->
+    Format.fprintf ppf "%s has arity %d, got %d" rel expected got
+
 let active_domain db =
   List.fold_left
     (fun acc r -> Value.Set.union acc (Relation.active_domain r))

@@ -49,6 +49,23 @@ val insert : t -> string -> Value.t list -> unit
     @raise Not_found when [rel] does not exist.
     @raise Invalid_argument on an arity mismatch. *)
 
+type schema_error =
+  | No_table of string
+  | Bad_arity of { rel : string; expected : int; got : int }
+
+val schema_error : t -> string -> int -> schema_error option
+(** Why reading or writing [rel] with [arity] values would fail: no
+    such table, or a table of another arity.  [None] when it would
+    not. *)
+
+val body_schema_error : t -> Cq.t -> schema_error option
+(** The first body atom {!schema_error} refuses.  A query whose body
+    passes can be planned ({!Plan}): none of its probes raises
+    {!Plan.Unknown_relation} or {!Plan.Arity_mismatch}. *)
+
+val pp_schema_error : Format.formatter -> schema_error -> unit
+(** ["no table R"] or ["R has arity 2, got 1"]. *)
+
 val active_domain : t -> Value.Set.t
 (** Union of the active domains of all relations. *)
 

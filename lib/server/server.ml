@@ -320,22 +320,18 @@ let error_frame ?(fields = []) id code =
   Json.Obj
     (("id", id) :: ("ok", Json.Bool false) :: ("error", Json.Str code) :: fields)
 
-(* The error frame for reading or writing [rel] at [arity] when the
-   store has no such table or the table has another arity.  Inserts
-   and submitted query bodies share it, so a body the evaluator could
-   not plan is refused with the same codes and fields as a bad insert. *)
-let schema_error db rel arity =
-  match Database.relation_opt db rel with
-  | None -> Some ("no_table", [ ("rel", Json.Str rel) ])
-  | Some r when Relation.arity r <> arity ->
-    Some
-      ( "bad_arity",
-        [
-          ("rel", Json.Str rel);
-          ("expected", Json.Int (Relation.arity r));
-          ("got", Json.Int arity);
-        ] )
-  | Some _ -> None
+(* The error frame for a {!Database.schema_error}.  Inserts and
+   submitted query bodies share it, so a body the evaluator could not
+   plan is refused with the same codes and fields as a bad insert. *)
+let schema_error_frame = function
+  | Database.No_table rel -> ("no_table", [ ("rel", Json.Str rel) ])
+  | Database.Bad_arity { rel; expected; got } ->
+    ( "bad_arity",
+      [
+        ("rel", Json.Str rel);
+        ("expected", Json.Int expected);
+        ("got", Json.Int got);
+      ] )
 
 let handle_request t s req =
   let respond fields =
@@ -364,12 +360,11 @@ let handle_request t s req =
               [ ("detail", Json.Str (Printf.sprintf "%d: %s" pos msg)) ]
         | q -> (
           match
-            List.find_map
-              (fun (a : Cq.atom) ->
-                schema_error t.binding.db a.Cq.rel (Array.length a.Cq.args))
-              q.Entangled.Query.body.Cq.atoms
+            Database.body_schema_error t.binding.db q.Entangled.Query.body
           with
-          | Some (code, fields) -> err code ~fields
+          | Some e ->
+            let code, fields = schema_error_frame e in
+            err code ~fields
           | None when eng_pending_count t.binding.engine >= t.cfg.max_pending
             ->
             (* Typed admission-control refusal instead of unbounded
@@ -459,8 +454,10 @@ let handle_request t s req =
           | Some (Json.Arr items) -> List.map value_of_json items
           | _ -> raise (Bad_request "missing_tuple")
         in
-        match schema_error t.binding.db rel (List.length tuple) with
-        | Some (code, fields) -> err code ~fields
+        match Database.schema_error t.binding.db rel (List.length tuple) with
+        | Some e ->
+          let code, fields = schema_error_frame e in
+          err code ~fields
         | None ->
           Database.insert t.binding.db rel tuple;
           Option.iter

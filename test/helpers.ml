@@ -216,6 +216,29 @@ let seed_facts = [ (101, "Zurich"); (102, "Zurich"); (200, "Paris") ]
 let fired_names (c : Online.coordinated) =
   List.map (fun q -> q.Query.name) c.Online.queries
 
+(* A query over [dest] flights whose postconditions and head are R atoms
+   on the given constants. *)
+let rq ?(dest = "Zurich") name ~post ~head =
+  Query.make ~name
+    ~post:(List.map (fun c -> atom "R" [ cs c; var "y" ]) post)
+    ~head:[ atom "R" [ cs head; var "x" ] ]
+    [ atom "F" [ var "x"; cs dest ] ]
+
+(* Query [i] of a Figure 4 list chain over Zurich flights: it wants
+   query [i + 1], unless it is the [last]. *)
+let chain_query ?(prefix = "u") i ~last =
+  let name k = Printf.sprintf "%s%d" prefix k in
+  rq (name i) ~post:(if last then [] else [ name (i + 1) ]) ~head:(name i)
+
+(* A query over [dest] flights on relation S, which no seeded workload
+   names: it is its own component and fires alone.  The differentials
+   close every run with it in a batch, so each consume mode fires a set
+   through its flush path in every run, whatever the seed. *)
+let closing_query dest =
+  Query.make ~name:"closing" ~post:[]
+    ~head:[ atom "S" [ cs "done"; var "x" ] ]
+    [ atom "F" [ var "x"; cs dest ] ]
+
 let submission_repr = function
   | Online.Coordinated c -> "fired " ^ String.concat "," (fired_names c)
   | Online.Pending -> "pending"

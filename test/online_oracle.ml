@@ -18,14 +18,12 @@ module Scc_algo = Coordination.Scc_algo
 
 type t = {
   db : Database.t;
-  eager : bool;
   consume : bool;
   mutable rev_pool : Query.t list;  (* pending queries, newest first *)
   mutable satisfied : int;
 }
 
-let create ?(eager = true) ?(consume = false) db =
-  { db; eager; consume; rev_pool = []; satisfied = 0 }
+let create ?(consume = false) db = { db; consume; rev_pool = []; satisfied = 0 }
 
 let pending t = List.rev t.rev_pool
 let total_coordinated t = t.satisfied
@@ -134,16 +132,14 @@ let flush t =
 
 let submit t q =
   t.rev_pool <- q :: t.rev_pool;
-  if not t.eager then Online.Pending
-  else
-    let last = List.length t.rev_pool - 1 in
-    match evaluate t (List.find (List.mem last) (components t)) with
-    | `Fired f -> Online.Coordinated f
-    | `Quiet -> Online.Pending
-    | `Unsafe ws ->
-      (* The arrival made its component unsafe: it is not admitted. *)
-      remove t [ last ];
-      Online.Rejected_unsafe ws
+  let last = List.length t.rev_pool - 1 in
+  match evaluate t (List.find (List.mem last) (components t)) with
+  | `Fired f -> Online.Coordinated f
+  | `Quiet -> Online.Pending
+  | `Unsafe ws ->
+    (* The arrival made its component unsafe: it is not admitted. *)
+    remove t [ last ];
+    Online.Rejected_unsafe ws
 
 let submit_all t queries =
   t.rev_pool <- List.rev_append queries t.rev_pool;

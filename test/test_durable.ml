@@ -6,15 +6,14 @@
    crash — copy the WAL directory aside — and later recover from the
    copy: the recovered pool (ids and names), component partition,
    satisfied count and store contents must equal the reference's state
-   at exactly that boundary, for every eager/consume mode.  Torn, partial and bit-flipped tails
-   (seeded through Resilient.Disk_fault) must recover to the previous
-   boundary with a typed truncation report — never an exception, never
-   a double-spent tuple.  CHAOS_SEED sweeps the trace seed in CI;
-   CHAOS_WAL_DIR relocates the scratch space (failures leave it behind
-   for artifact upload). *)
+   at exactly that boundary, with and without consume.  Torn, partial
+   and bit-flipped tails (seeded through Resilient.Disk_fault) must
+   recover to the previous boundary with a typed truncation report —
+   never an exception, never a double-spent tuple.  CHAOS_SEED sweeps
+   the trace seed in CI; CHAOS_WAL_DIR relocates the scratch space
+   (failures leave it behind for artifact upload). *)
 
 open Relational
-open Entangled
 open Helpers
 module Online = Coordination.Online
 
@@ -43,9 +42,9 @@ let apply_op ?wal db engine = function
     | Some t -> Durable.journal_insert t "F" [ vi fid; vs dest ]
     | None -> ())
 
-let mk_reference ~eager ~consume =
+let mk_reference ~consume =
   let db = Database.create () in
-  let engine = Online.create ~eager ~consume db in
+  let engine = Online.create ~consume db in
   seed_store db;
   (db, engine)
 
@@ -60,16 +59,16 @@ let recover_exn ?(ctx = "") dir =
    the reference, copying the WAL directory at every operation
    boundary; then recover every copy and demand state equality with the
    reference at that boundary. *)
-let run_crash_points ~seed ~eager ~consume () =
-  let tag = Printf.sprintf "cp-%b-%b" eager consume in
+let run_crash_points ~seed ~consume () =
+  let tag = Printf.sprintf "cp-%b" consume in
   let dir = fresh_dir tag in
   let trace = gen_trace (Prng.create seed) 12 in
   let wal, db, engine =
-    Durable.create_engine ~eager ~consume
+    Durable.create_engine ~consume
       (Durable.config ~fsync:Durable.Always ~snapshot_every:4 dir)
   in
   seed_store ~wal db;
-  let rdb, rengine = mk_reference ~eager ~consume in
+  let rdb, rengine = mk_reference ~consume in
   let copies = ref [] in
   let states = ref [] in
   let checkpoint k =
@@ -125,13 +124,12 @@ let run_crash_points ~seed ~eager ~consume () =
   rm_rf final;
   rm_rf dir
 
-(* The eager/consume grid both differentials run over. *)
-let modes = [ (true, false); (true, true); (false, true) ]
+(* The consume modes both differentials run over. *)
+let modes = [ false; true ]
 
 let test_crash_points () =
   List.iter
-    (fun (eager, consume) ->
-      run_crash_points ~seed:chaos_seed ~eager ~consume ())
+    (fun consume -> run_crash_points ~seed:chaos_seed ~consume ())
     modes
 
 (* --------------------- torn and corrupt tails --------------------- *)
@@ -142,16 +140,16 @@ let test_crash_points () =
    write / lost tail / bit flip) and recover: the result must be the
    state one boundary earlier, reported as a truncation, never an
    exception. *)
-let run_torn_tails ~seed ~eager ~consume () =
-  let tag = Printf.sprintf "torn-%b-%b" eager consume in
+let run_torn_tails ~seed ~consume () =
+  let tag = Printf.sprintf "torn-%b" consume in
   let dir = fresh_dir tag in
   let trace = gen_trace (Prng.create seed) 12 in
   let wal, db, engine =
-    Durable.create_engine ~eager ~consume
+    Durable.create_engine ~consume
       (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
   in
   seed_store ~wal db;
-  let rdb, rengine = mk_reference ~eager ~consume in
+  let rdb, rengine = mk_reference ~consume in
   let states = ref [ (0, observe rdb rengine) ] in
   let offsets = ref [ (0, Durable.wal_offset wal) ] in
   List.iteri
@@ -212,23 +210,17 @@ let run_torn_tails ~seed ~eager ~consume () =
 
 let test_torn_tails () =
   List.iter
-    (fun (eager, consume) -> run_torn_tails ~seed:chaos_seed ~eager ~consume ())
+    (fun consume -> run_torn_tails ~seed:chaos_seed ~consume ())
     modes
 
 (* A deterministic two-query coordination: q1 waits, q2 closes the
    cycle and fires the pair. *)
 let cycle_pair () =
-  let q name mine theirs =
-    Query.make ~name
-      ~post:[ atom "R" [ cs theirs; var "y" ] ]
-      ~head:[ atom "R" [ cs mine; var "x" ] ]
-      [ atom "F" [ var "x"; cs "Zurich" ] ]
-  in
-  (q "q1" "g0" "g1", q "q2" "g1" "g0")
+  (rq "q1" ~post:[ "g1" ] ~head:"g0", rq "q2" ~post:[ "g0" ] ~head:"g1")
 
 let setup_cycle dir =
   let wal, db, engine =
-    Durable.create_engine ~eager:true
+    Durable.create_engine
       (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
   in
   seed_store ~wal db;
@@ -327,11 +319,11 @@ let test_snapshot_fallback () =
   let dir = fresh_dir "snap-fallback" in
   let trace = gen_trace (Prng.create chaos_seed) 15 in
   let wal, db, engine =
-    Durable.create_engine ~eager:true ~consume:true
+    Durable.create_engine ~consume:true
       (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
   in
   seed_store ~wal db;
-  let rdb, rengine = mk_reference ~eager:true ~consume:true in
+  let rdb, rengine = mk_reference ~consume:true in
   List.iteri
     (fun i op ->
       apply_op ~wal db engine op;
@@ -376,13 +368,11 @@ let test_snapshot_failure_retains_journal () =
   let dir = fresh_dir "snap-fail" in
   let trace = gen_trace (Prng.create chaos_seed) 12 in
   let wal, db, engine =
-    Durable.create_engine ~eager:true ~consume:true
+    Durable.create_engine ~consume:true
       (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
   in
   seed_store ~wal db;
-  let rdb, rengine =
-    mk_reference ~eager:true ~consume:true
-  in
+  let rdb, rengine = mk_reference ~consume:true in
   let run ops =
     List.iter
       (fun op ->
@@ -476,7 +466,7 @@ let test_checkpoint_failure_torn_tail () =
 let test_withdraw_durable () =
   let dir = fresh_dir "withdraw" in
   let wal, db, engine =
-    Durable.create_engine ~eager:true
+    Durable.create_engine
       (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
   in
   seed_store ~wal db;
@@ -570,13 +560,10 @@ let test_fsync_policies_recover () =
       let dir = fresh_dir "policy" in
       let trace = gen_trace (Prng.create chaos_seed) 8 in
       let wal, db, engine =
-        Durable.create_engine ~eager:true
-          (Durable.config ~fsync ~snapshot_every:3 dir)
+        Durable.create_engine (Durable.config ~fsync ~snapshot_every:3 dir)
       in
       seed_store ~wal db;
-      let rdb, rengine =
-        mk_reference ~eager:true ~consume:false
-      in
+      let rdb, rengine = mk_reference ~consume:false in
       List.iter
         (fun op ->
           apply_op ~wal db engine op;
@@ -615,11 +602,11 @@ let test_open_or_recover () =
   | Error msg -> Alcotest.fail msg);
   rm_rf dir
 
-(* Files written when a WAL could name a storage backend carry 0 or 1
-   in the first payload byte of the Meta record and of each snapshot.
-   [set_backend_byte dir v] rewrites that byte to [v] in every file of
+(* The engine meta is the first four payload bytes of the Meta record
+   and of each snapshot: backend, eager, consume, selection.
+   [set_meta_byte dir ~at v] rewrites byte [at] to [v] in every file of
    [dir] and re-checksums what it touched. *)
-let set_backend_byte dir v =
+let set_meta_byte dir ~at v =
   Array.iter
     (fun name ->
       let path = Filename.concat dir name in
@@ -631,7 +618,7 @@ let set_backend_byte dir v =
       if Filename.check_suffix name ".img" then begin
         (* magic 8 | lsn 8 | payload_len 4 | payload | crc 4 *)
         let len = Bytes.length data - 24 in
-        Bytes.set_uint8 data 20 v;
+        Bytes.set_uint8 data (20 + at) v;
         set_crc (20 + len) ~from:20 ~len
       end
       else begin
@@ -642,7 +629,7 @@ let set_backend_byte dir v =
           let len = Int32.to_int (Bytes.get_int32_le data !pos) in
           let body = !pos + 4 in
           if Bytes.get_uint8 data (body + 8) land 0x7f = 0 then begin
-            Bytes.set_uint8 data (body + 9) v;
+            Bytes.set_uint8 data (body + 9 + at) v;
             set_crc (body + 9 + len) ~from:body ~len:(9 + len)
           end;
           pos := body + 9 + len + 4
@@ -653,17 +640,21 @@ let set_backend_byte dir v =
       close_out oc)
     (Sys.readdir dir)
 
-(* A WAL and a snapshot whose backend byte says "columnar" recover onto
-   the row store with the same pool, ids, satisfied count and store; a
-   byte no writer ever produced is a typed decode failure. *)
+(* Today's writers put backend 0, eager 1 and selection 0 (largest).
+   Files written by earlier engines carry backend 1 (a columnar mirror
+   of the row store), or eager 0 and selection 1 (evaluation deferred
+   to [flush], first-found selection).  A Meta record or a snapshot
+   with either recovers to the same pool, ids, satisfied count and
+   store, since replay never evaluates; a backend byte no writer ever
+   produced is a typed decode failure. *)
 let test_backend_byte_compat () =
   let dir = fresh_dir "compat" in
   let wal, db, engine =
-    Durable.create_engine ~eager:true ~consume:true
+    Durable.create_engine ~consume:true
       (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
   in
   seed_store ~wal db;
-  let rdb, rengine = mk_reference ~eager:true ~consume:true in
+  let rdb, rengine = mk_reference ~consume:true in
   let q1, q2 = cycle_pair () in
   List.iter
     (fun op ->
@@ -681,17 +672,28 @@ let test_backend_byte_compat () =
   | Ok () -> ()
   | Error why -> Alcotest.fail why);
   Durable.close wal;
+  (* segment header 16 | payload_len 4 | lsn 8 | kind 1 | Meta payload *)
+  Alcotest.(check string)
+    "fresh meta: backend 0, eager 1, consume 1, selection 0"
+    "\000\001\001\000"
+    (String.sub (read_file (Filename.concat bad (Sys.readdir bad).(0))) 29 4);
   List.iter
-    (fun (label, d) ->
-      set_backend_byte d 1;
-      let t, rdb', rengine', report = recover_exn ~ctx:label d in
-      Alcotest.(check bool) (label ^ ": clean tail") true
-        (report.Durable.truncation = None);
-      Alcotest.check obs_t (label ^ ": recovered == original") expected
-        (observe rdb' rengine');
-      Durable.close t)
-    [ ("meta record", wal_only); ("snapshot", dir) ];
-  set_backend_byte bad 2;
+    (fun flips ->
+      List.iter
+        (fun (label, src) ->
+          let d = fresh_dir "compat-old" in
+          copy_dir src d;
+          List.iter (fun (at, v) -> set_meta_byte d ~at v) flips;
+          let t, rdb', rengine', report = recover_exn ~ctx:label d in
+          Alcotest.(check bool) (label ^ ": clean tail") true
+            (report.Durable.truncation = None);
+          Alcotest.check obs_t (label ^ ": recovered == original") expected
+            (observe rdb' rengine');
+          Durable.close t;
+          rm_rf d)
+        [ ("meta record", wal_only); ("snapshot", dir) ])
+    [ [ (0, 1) ]; [ (1, 0); (3, 1) ] ];
+  set_meta_byte bad ~at:0 2;
   (match Durable.recover (Durable.config bad) with
   | Ok _ -> Alcotest.fail "backend byte 2 must not recover"
   | Error msg ->

@@ -10,15 +10,6 @@ module Cquery = Coordination.Consistent_query
 
 (* ------------------------------ Online ---------------------------- *)
 
-let chain_query i ~last =
-  Query.make
-    ~name:(Printf.sprintf "u%d" i)
-    ~post:
-      (if last then []
-       else [ atom "R" [ cs (Printf.sprintf "u%d" (i + 1)); var "y" ] ])
-    ~head:[ atom "R" [ cs (Printf.sprintf "u%d" i); var "x" ] ]
-    [ atom "F" [ var "x"; cs "Zurich" ] ]
-
 let test_online_pair () =
   let db = flights_db () in
   let engine = Coordination.Online.create db in
@@ -29,11 +20,7 @@ let test_online_pair () =
       ~head:[ atom "R" [ cs "Gwyneth"; var "x" ] ]
       [ atom "F" [ var "x"; cs "Zurich" ] ]
   in
-  let chris =
-    Query.make ~name:"chris" ~post:[]
-      ~head:[ atom "R" [ cs "Chris"; var "y" ] ]
-      [ atom "F" [ var "y"; cs "Zurich" ] ]
-  in
+  let chris = rq "chris" ~post:[] ~head:"Chris" in
   (match Coordination.Online.submit engine gwyneth with
   | Pending -> ()
   | _ -> Alcotest.fail "gwyneth must pend");
@@ -59,11 +46,7 @@ let test_online_unrelated_component_untouched () =
   in
   ignore (Coordination.Online.submit engine stuck);
   (* ...does not block an unrelated self-sufficient query. *)
-  let solo =
-    Query.make ~name:"solo" ~post:[]
-      ~head:[ atom "R" [ cs "solo"; var "x" ] ]
-      [ atom "F" [ var "x"; cs "Paris" ] ]
-  in
+  let solo = rq ~dest:"Paris" "solo" ~post:[] ~head:"solo" in
   (match Coordination.Online.submit engine solo with
   | Coordinated c ->
     Alcotest.(check (list string)) "solo fires" [ "solo" ]
@@ -75,11 +58,7 @@ let test_online_unrelated_component_untouched () =
 let test_online_rejects_unsafe () =
   let db = flights_db () in
   let engine = Coordination.Online.create db in
-  let provider name =
-    Query.make ~name ~post:[]
-      ~head:[ atom "R" [ cs "C"; var "y" ] ]
-      [ atom "F" [ var "y"; cs "Nowhere" ] ]
-  in
+  let provider name = rq ~dest:"Nowhere" name ~post:[] ~head:"C" in
   ignore (Coordination.Online.submit engine (provider "c1"));
   ignore (Coordination.Online.submit engine (provider "c2"));
   let wanter =
@@ -94,23 +73,6 @@ let test_online_rejects_unsafe () =
   (* The rejected query was not admitted. *)
   Alcotest.(check int) "pool unchanged" 2
     (Coordination.Online.pending_count engine)
-
-let test_online_deferred_flush () =
-  let db = flights_db () in
-  let engine = Coordination.Online.create ~eager:false db in
-  let n = 6 in
-  List.iteri
-    (fun i q ->
-      match Coordination.Online.submit engine q with
-      | Pending -> ()
-      | _ -> Alcotest.failf "deferred submit %d must pend" i)
-    (List.init n (fun i -> chain_query i ~last:(i = n - 1)));
-  Alcotest.(check int) "all pending" n (Coordination.Online.pending_count engine);
-  let fired = Coordination.Online.flush engine in
-  Alcotest.(check int) "one component fires" 1 (List.length fired);
-  Alcotest.(check int) "whole chain" n
-    (List.length (List.hd fired).Coordination.Online.queries);
-  Alcotest.(check int) "pool drained" 0 (Coordination.Online.pending_count engine)
 
 let test_online_stream_matches_batch_components () =
   (* Streaming the chain front-to-back: nothing fires until the last
@@ -130,7 +92,7 @@ let test_online_stream_matches_batch_components () =
 
 let test_online_flush_multiple_components () =
   let db = flights_db () in
-  let engine = Coordination.Online.create ~eager:false db in
+  let engine = Coordination.Online.create db in
   (* Two independent pairs plus one doomed query. *)
   let pair tag dest =
     [
@@ -152,10 +114,10 @@ let test_online_flush_multiple_components () =
       ~head:[ atom "R" [ cs "doomed"; var "z" ] ]
       [ atom "F" [ var "z"; cs "Zurich" ] ]
   in
-  List.iter
-    (fun q -> ignore (Coordination.Online.submit engine q))
-    (pair "p" "Zurich" @ [ doomed ] @ pair "q" "Paris");
-  let fired = Coordination.Online.flush engine in
+  let fired =
+    Coordination.Online.submit_all engine
+      (pair "p" "Zurich" @ [ doomed ] @ pair "q" "Paris")
+  in
   Alcotest.(check int) "two sets fire" 2 (List.length fired);
   Alcotest.(check (list string)) "doomed remains" [ "doomed" ]
     (List.map
@@ -444,7 +406,6 @@ let suite =
       test_online_unrelated_component_untouched;
     Alcotest.test_case "online: unsafe submission rejected" `Quick
       test_online_rejects_unsafe;
-    Alcotest.test_case "online: deferred + flush" `Quick test_online_deferred_flush;
     Alcotest.test_case "online: stream fires when chain completes" `Quick
       test_online_stream_matches_batch_components;
     Alcotest.test_case "online: consumes inventory" `Quick

@@ -118,9 +118,7 @@ let graph_arb =
     gen_graph
 
 let test_union_find_basics () =
-  let uf = Union_find.create () in
-  Union_find.ensure uf 5;
-  Alcotest.(check int) "cardinal" 6 (Union_find.cardinal uf);
+  let uf = Union_find.create 6 in
   Alcotest.(check bool) "singletons" false (Union_find.same uf 0 1);
   ignore (Union_find.union uf 0 1);
   ignore (Union_find.union uf 1 2);
@@ -129,16 +127,15 @@ let test_union_find_basics () =
   let r = Union_find.union uf 0 2 in
   Alcotest.(check int) "idempotent union returns root" r
     (Union_find.find uf 1);
-  Alcotest.check_raises "unensured id"
-    (Invalid_argument "Union_find: id 6 not ensured") (fun () ->
+  Alcotest.check_raises "id out of range"
+    (Invalid_argument "Union_find: id 6 out of range") (fun () ->
       ignore (Union_find.find uf 6))
 
 let test_union_find_deep () =
   (* A long union chain must not recurse: find is iterative with path
      halving. *)
   let n = 200_000 in
-  let uf = Union_find.create () in
-  Union_find.ensure uf (n - 1);
+  let uf = Union_find.create n in
   for i = 0 to n - 2 do
     ignore (Union_find.union uf i (i + 1))
   done;

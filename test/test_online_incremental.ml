@@ -5,11 +5,11 @@
    the coordination graph of the whole pool on every evaluation: same
    coordinated sets, same pool, same component partition, same
    satisfied counts, same database contents — for any interleaving of
-   submissions, flushes and external inserts.  The differential driver
-   below checks exactly that on seeded random interleavings; the
-   remaining cases pin the incremental machinery (dirty-component
-   skipping, deep-chain traversal, inventory conflict reporting, stats
-   folding) individually. *)
+   submissions, batches, flushes and external inserts.  The
+   differential driver below checks exactly that on seeded random
+   interleavings; the remaining cases pin the incremental machinery
+   (dirty-component skipping, deep-chain traversal, inventory conflict
+   reporting, stats folding) individually. *)
 
 open Relational
 open Entangled
@@ -18,11 +18,11 @@ module Online = Coordination.Online
 
 (* ------------------------ differential driver --------------------- *)
 
-let run_differential ~query ~seed ~eager ~consume =
+let run_differential ~query ~seed ~consume =
   let rng = Prng.create seed in
   let db_full = mk_db () and db_inc = mk_db () in
-  let full = Online_oracle.create ~eager ~consume db_full in
-  let inc = Online.create ~eager ~consume db_inc in
+  let full = Online_oracle.create ~consume db_full in
+  let inc = Online.create ~consume db_inc in
   let check_sync step =
     let ctx m = Printf.sprintf "seed %d step %d: %s" seed step m in
     Alcotest.(check (list string))
@@ -37,10 +37,15 @@ let run_differential ~query ~seed ~eager ~consume =
       (Online_oracle.total_coordinated full)
       (Online.total_coordinated inc)
   in
+  let check_fired label ff fi =
+    Alcotest.(check (list (list string)))
+      (Printf.sprintf "seed %d %s" seed label)
+      (List.map fired_names ff) (List.map fired_names fi)
+  in
   let next_fid = ref 1000 in
   for step = 1 to 40 do
     let roll = Prng.int rng 10 in
-    if roll < 7 then begin
+    if roll < 6 then begin
       let q = query rng step in
       let rf = Online_oracle.submit full q in
       let ri = Online.submit inc q in
@@ -48,13 +53,19 @@ let run_differential ~query ~seed ~eager ~consume =
         (Printf.sprintf "seed %d step %d: submission" seed step)
         (submission_repr rf) (submission_repr ri)
     end
-    else if roll < 9 then begin
-      let ff = Online_oracle.flush full in
-      let fi = Online.flush inc in
-      Alcotest.(check (list (list string)))
-        (Printf.sprintf "seed %d step %d: flush" seed step)
-        (List.map fired_names ff) (List.map fired_names fi)
+    else if roll < 7 then begin
+      let batch =
+        List.init (1 + Prng.int rng 3) (fun j -> query rng ((1000 * step) + j))
+      in
+      check_fired
+        (Printf.sprintf "step %d: submit_all" step)
+        (Online_oracle.submit_all full batch)
+        (Online.submit_all inc batch)
     end
+    else if roll < 9 then
+      check_fired
+        (Printf.sprintf "step %d: flush" step)
+        (Online_oracle.flush full) (Online.flush inc)
     else begin
       (* An external insert: both stores move, and every cached
          component verdict in the incremental engine must be dropped. *)
@@ -65,11 +76,18 @@ let run_differential ~query ~seed ~eager ~consume =
     end;
     check_sync step
   done;
-  let ff = Online_oracle.flush full in
-  let fi = Online.flush inc in
-  Alcotest.(check (list (list string)))
-    (Printf.sprintf "seed %d: final flush" seed)
-    (List.map fired_names ff) (List.map fired_names fi);
+  List.iter
+    (fun db -> Database.insert db "F" [ vi 999; vs "Lisbon" ])
+    [ db_full; db_inc ];
+  let closing = [ closing_query "Lisbon" ] in
+  List.iter
+    (fun fired ->
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "seed %d: closing batch fires" seed)
+        [ [ "closing" ] ]
+        (List.map fired_names fired))
+    [ Online_oracle.submit_all full closing; Online.submit_all inc closing ];
+  check_fired "final flush" (Online_oracle.flush full) (Online.flush inc);
   check_sync 1000;
   let tuples db =
     List.sort Tuple.compare (Relation.to_list (Database.relation db "F"))
@@ -82,12 +100,11 @@ let test_differential_oracle () =
   List.iter
     (fun seed ->
       List.iter
-        (fun (eager, consume) ->
-          run_differential ~query:random_query ~seed ~eager ~consume)
-        [ (true, false); (false, false); (true, true); (false, true) ])
+        (fun consume -> run_differential ~query:random_query ~seed ~consume)
+        [ false; true ])
     [ 1; 2; 3; 4; 5 ]
 
-(* The arrivals eager submission can prove quiet, and the ones it must
+(* The arrivals submission can prove quiet, and the ones it must
    not: a third of them carry a postcondition no head ever matches, and
    one in six a variable-first postcondition that can make the
    component it joins unsafe (a rejection leaves its survivors due). *)
@@ -107,35 +124,30 @@ let test_differential_unmatched () =
     (fun seed ->
       List.iter
         (fun consume ->
-          run_differential ~query:unmatched_query ~seed ~eager:true ~consume)
+          run_differential ~query:unmatched_query ~seed ~consume)
         [ false; true ])
     (List.init 20 (fun k -> k + 1))
 
 (* --------------------------- submit_all --------------------------- *)
 
-let chain_query ?(prefix = "u") i ~last =
-  Query.make
-    ~name:(Printf.sprintf "%s%d" prefix i)
-    ~post:
-      (if last then []
-       else [ atom "R" [ cs (Printf.sprintf "%s%d" prefix (i + 1)); var "y" ] ])
-    ~head:[ atom "R" [ cs (Printf.sprintf "%s%d" prefix i); var "x" ] ]
-    [ atom "F" [ var "x"; cs "Zurich" ] ]
-
-let test_submit_all_matches_deferred_flush () =
+let test_submit_all_matches_enqueue_flush () =
   let n = 8 in
   let queries = List.init n (fun i -> chain_query i ~last:(i = n - 1)) in
   let incremental =
     let engine = Online.create (flights_db ()) in
     List.map fired_names (Online.submit_all engine queries)
   in
-  let deferred =
-    let engine = Online.create ~eager:false (flights_db ()) in
+  (* No arrival can fire before F holds a Zurich flight. *)
+  let enqueued =
+    let db = Database.create () in
+    ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
+    let engine = Online.create db in
     List.iter (fun q -> ignore (Online.submit engine q)) queries;
+    Database.insert db "F" [ vi 101; vs "Zurich" ];
     List.map fired_names (Online.flush engine)
   in
   Alcotest.(check (list (list string)))
-    "batch == enqueue-then-flush" deferred incremental;
+    "batch == enqueue-then-flush" enqueued incremental;
   Alcotest.(check (list (list string)))
     "batch: incremental == oracle"
     (List.map fired_names
@@ -147,12 +159,12 @@ let test_submit_all_matches_deferred_flush () =
 (* ------------------------- dirty tracking ------------------------- *)
 
 (* A pair whose bodies are unsatisfiable grounds nothing but costs a
-   database probe per evaluation.  A second flush with no intervening
-   change must skip the (clean) component entirely — no new probes —
-   while an external insert dirties it again. *)
+   database probe per evaluation.  A flush with no intervening change
+   must skip the (clean) component entirely — no new probes — while an
+   external insert dirties it again. *)
 let test_flush_skips_clean_components () =
   let db = flights_db () in
-  let engine = Online.create ~eager:false db in
+  let engine = Online.create db in
   let pair =
     [
       Query.make ~name:"a"
@@ -166,19 +178,18 @@ let test_flush_skips_clean_components () =
     ]
   in
   List.iter (fun q -> ignore (Online.submit engine q)) pair;
+  let probes_after_pair = (Online.stats engine).Coordination.Stats.db_probes in
+  Alcotest.(check bool) "the pair was probed" true (probes_after_pair > 0);
   Alcotest.(check (list (list string))) "nothing fires" []
     (List.map fired_names (Online.flush engine));
-  let probes_after_first = (Online.stats engine).Coordination.Stats.db_probes in
-  Alcotest.(check bool) "first flush probed" true (probes_after_first > 0);
-  ignore (Online.flush engine);
   Alcotest.(check int) "clean component skipped: no new probes"
-    probes_after_first
+    probes_after_pair
     (Online.stats engine).Coordination.Stats.db_probes;
   (* Any store mutation invalidates cached verdicts. *)
   Database.insert db "F" [ vi 999; vs "Paris" ];
   ignore (Online.flush engine);
   Alcotest.(check bool) "store change re-evaluates" true
-    ((Online.stats engine).Coordination.Stats.db_probes > probes_after_first)
+    ((Online.stats engine).Coordination.Stats.db_probes > probes_after_pair)
 
 (* --------------------------- deep chains -------------------------- *)
 
@@ -188,14 +199,12 @@ let test_flush_skips_clean_components () =
    one. *)
 let test_components_deep_chain () =
   let n = 50_000 in
-  let queries = List.init n (fun i -> chain_query i ~last:(i = n - 1)) in
-  let oracle = Online_oracle.create ~eager:false (Database.create ()) in
-  let engine = Online.create ~eager:false (Database.create ()) in
-  List.iter
-    (fun q ->
-      ignore (Online_oracle.submit oracle q);
-      ignore (Online.submit engine q))
-    queries;
+  let queries = List.init n (fun i -> chain_query i ~last:false) in
+  let oracle = Online_oracle.create (Database.create ()) in
+  let engine = Online.create (Database.create ()) in
+  Alcotest.(check (pair int int)) "the batch fires nothing" (0, 0)
+    ( List.length (Online_oracle.submit_all oracle queries),
+      List.length (Online.submit_all engine queries) );
   let full = Online_oracle.components oracle in
   Alcotest.(check int) "one component" 1 (List.length full);
   Alcotest.(check int) "all members" n (List.length (List.hd full));
@@ -361,7 +370,7 @@ let test_stats_merge () =
    for a stale-flag bug — the flag used to survive the recovery). *)
 let test_degradation_flag_cleared_on_recovery () =
   let db = mk_db () in
-  let engine = Online.create ~eager:false db in
+  let engine = Online.create db in
   let qa =
     Query.make ~name:"qa"
       ~post:[ atom "R" [ cs "C"; var "x" ] ]
@@ -372,17 +381,15 @@ let test_degradation_flag_cleared_on_recovery () =
       ~head:[ atom "R" [ cs "C"; var "y" ] ]
       [ atom "F" [ var "y"; cs "Zurich" ] ]
   in
-  (match (Online.submit engine qa, Online.submit engine qb) with
-  | Online.Pending, Online.Pending -> ()
-  | _ -> Alcotest.fail "lazy submissions must enqueue");
-  (* An exhausted probe budget degrades the flush and fires nothing. *)
+  Alcotest.(check string) "qa waits for its partner" "pending"
+    (submission_repr (Online.submit engine qa));
+  (* An exhausted probe budget degrades qb's evaluation: nothing fires. *)
   let guard =
     Resilient.arm { Resilient.default_config with max_probes = Some 0 }
   in
   Database.set_guard db (Some guard);
-  Alcotest.(check int)
-    "degraded flush fires nothing" 0
-    (List.length (Online.flush engine));
+  Alcotest.(check string) "degraded arrival fires nothing" "pending"
+    (submission_repr (Online.submit engine qb));
   Alcotest.(check bool)
     "degradation reported" true
     (Online.last_degradation engine <> None);
@@ -396,13 +403,6 @@ let test_degradation_flag_cleared_on_recovery () =
 
 (* ---------------------- proven-quiet arrivals --------------------- *)
 
-(* A query over F: posts and head are R atoms on the given constants. *)
-let rq name ~posts ~head dest =
-  Query.make ~name
-    ~post:(List.map (fun c -> atom "R" [ cs c; var "y" ]) posts)
-    ~head:[ atom "R" [ cs head; var "x" ] ]
-    [ atom "F" [ var "x"; cs dest ] ]
-
 let probes engine = (Online.stats engine).Coordination.Stats.db_probes
 
 (* A flush caches an unsafe component's verdict (it is clean), but the
@@ -412,12 +412,12 @@ let probes engine = (Online.stats engine).Coordination.Stats.db_probes
 let test_quiet_unsafe_component_still_rejects () =
   let pool =
     [
-      rq "p" ~posts:[ "k" ] ~head:"a" "Zurich";
-      rq "h1" ~posts:[] ~head:"k" "Zurich";
-      rq "h2" ~posts:[] ~head:"k" "Zurich";
+      rq "p" ~post:[ "k" ] ~head:"a";
+      rq "h1" ~post:[] ~head:"k";
+      rq "h2" ~post:[] ~head:"k";
     ]
   in
-  let arrival = rq "z" ~posts:[ "nowhere" ] ~head:"k" "Zurich" in
+  let arrival = rq "z" ~post:[ "nowhere" ] ~head:"k" in
   let expected =
     match Coordination.Scc_algo.solve (flights_db ()) (pool @ [ arrival ]) with
     | Error (Coordination.Scc_algo.Not_safe ws) -> ws
@@ -441,27 +441,27 @@ let test_quiet_never_after_degraded () =
   Database.set_guard db
     (Some (Resilient.arm { Resilient.default_config with max_probes = Some 0 }));
   Alcotest.(check string) "partner pending under the guard" "pending"
-    (submission_repr (Online.submit engine (rq "b" ~posts:[] ~head:"b0" "Zurich")));
+    (submission_repr (Online.submit engine (rq "b" ~post:[] ~head:"b0")));
   Alcotest.(check bool) "its evaluation degraded" true
     (Online.last_degradation engine <> None);
   Database.set_guard db None;
   Alcotest.(check string) "arrival re-evaluates the component" "fired b"
     (submission_repr
        (Online.submit engine
-          (rq "z" ~posts:[ "b0"; "nowhere" ] ~head:"z0" "Zurich")))
+          (rq "z" ~post:[ "b0"; "nowhere" ] ~head:"z0")))
 
 (* Quiet verdicts hold for one store: an external insert sends the next
    arrival down the full path, which probes again. *)
 let test_quiet_dropped_by_external_insert () =
   let db = flights_db () in
   let engine = Online.create db in
-  ignore (Online.submit engine (rq "b" ~posts:[] ~head:"b0" "Nowhere"));
+  ignore (Online.submit engine (rq ~dest:"Nowhere" "b" ~post:[] ~head:"b0"));
   let after_b = probes engine in
   Alcotest.(check bool) "the partner was probed" true (after_b > 0);
   let arrival i =
     rq (Printf.sprintf "z%d" i)
-      ~posts:[ "b0"; Printf.sprintf "nowhere%d" i ]
-      ~head:(Printf.sprintf "z%d" i) "Zurich"
+      ~post:[ "b0"; Printf.sprintf "nowhere%d" i ]
+      ~head:(Printf.sprintf "z%d" i)
   in
   Alcotest.(check string) "quiet arrival pending" "pending"
     (submission_repr (Online.submit engine (arrival 1)));
@@ -518,7 +518,7 @@ let suite =
     Alcotest.test_case "differential: unmatched and ambiguous posts" `Quick
       test_differential_unmatched;
     Alcotest.test_case "submit_all == enqueue + flush == oracle" `Quick
-      test_submit_all_matches_deferred_flush;
+      test_submit_all_matches_enqueue_flush;
     Alcotest.test_case "flush skips clean components" `Quick
       test_flush_skips_clean_components;
     Alcotest.test_case "components survive deep chains" `Quick

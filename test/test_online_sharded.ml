@@ -110,11 +110,11 @@ let seeded_op rng ~ctx ~oracle ~sharded ~insert step =
        component verdicts must be dropped, like the oracle's. *)
     insert (1000 + step, dests.(Prng.int rng 3))
 
-let run_differential ~seed ~domains ~eager ~consume ~chaos =
+let run_differential ~seed ~domains ~consume ~chaos =
   let rng = Prng.create seed in
   let db_seq = mk_db () and db_sh = mk_db () in
-  let oracle = Online.create ~eager ~consume db_seq in
-  let sharded = Sharded.create ~eager ~consume ~domains db_sh in
+  let oracle = Online.create ~consume db_seq in
+  let sharded = Sharded.create ~consume ~domains db_sh in
   if chaos then begin
     Database.set_guard db_seq (Some (Resilient.arm chaos_config));
     Database.set_guard db_sh (Some (Resilient.arm chaos_config))
@@ -130,6 +130,16 @@ let run_differential ~seed ~domains ~eager ~consume ~chaos =
     seeded_op rng ~ctx:(ctx step) ~oracle ~sharded ~insert step;
     check_sync ~ctx:(ctx step) oracle sharded
   done;
+  (* The closing batch fires through [flush_sequential] in consume
+     mode and through [flush_parallel] otherwise. *)
+  insert (999, "Lisbon");
+  let closing = [ closing_query "Lisbon" ] in
+  List.iter
+    (fun fired ->
+      Alcotest.(check (list (list string)))
+        (ctx 999 "closing batch fires") [ [ "closing" ] ]
+        (List.map fired_names fired))
+    [ Online.submit_all oracle closing; Sharded.submit_all sharded closing ];
   Alcotest.(check (list (list string)))
     (ctx 1000 "final flush")
     (List.map fired_names (Online.flush oracle))
@@ -144,17 +154,15 @@ let run_differential ~seed ~domains ~eager ~consume ~chaos =
   Database.set_guard db_seq None;
   Database.set_guard db_sh None
 
-let grid = [ (true, false); (false, false); (true, true); (false, true) ]
-
 let test_differential () =
   List.iter
     (fun domains ->
       List.iter
         (fun seed ->
           List.iter
-            (fun (eager, consume) ->
-              run_differential ~seed ~domains ~eager ~consume ~chaos:false)
-            grid)
+            (fun consume ->
+              run_differential ~seed ~domains ~consume ~chaos:false)
+            [ false; true ])
         [ chaos_seed; chaos_seed + 1; chaos_seed + 2 ])
     domain_counts
 
@@ -162,49 +170,48 @@ let test_differential_chaos () =
   List.iter
     (fun domains ->
       List.iter
-        (fun (eager, consume) ->
-          run_differential ~seed:chaos_seed ~domains ~eager ~consume
-            ~chaos:true)
-        grid)
+        (fun consume ->
+          run_differential ~seed:chaos_seed ~domains ~consume ~chaos:true)
+        [ false; true ])
     domain_counts
 
 (* --------------------------- migration ---------------------------- *)
 
-(* A query over F whose posts and head are R atoms on the given
-   constants. *)
-let rq ?(dest = "Zurich") name ~post ~head =
-  Query.make ~name
-    ~post:(List.map (fun c -> atom "R" [ cs c; var "y" ]) post)
-    ~head:[ atom "R" [ cs head; var "x" ] ]
-    [ atom "F" [ var "x"; cs dest ] ]
-
 (* Two entries with no edge between them land on different shards; a
    third with an edge to each must migrate one component into the
-   other's shard, after which the fused component coordinates exactly
-   as the oracle says. *)
+   other's shard.  None can fire before its flight exists; once it is
+   inserted, the fused component coordinates exactly as the oracle
+   says. *)
 let test_migration_merges_components () =
+  let dest = "Lisbon" in
   let qs =
     [
-      rq "a" ~post:[] ~head:"u1";
-      rq "b" ~post:[] ~head:"u2";
-      rq "link" ~post:[ "u1"; "u2" ] ~head:"u3";
+      rq ~dest "a" ~post:[] ~head:"u1";
+      rq ~dest "b" ~post:[] ~head:"u2";
+      rq ~dest "link" ~post:[ "u1"; "u2" ] ~head:"u3";
     ]
   in
-  let db_sh = mk_db () in
-  let sharded = Sharded.create ~eager:false ~domains:2 db_sh in
-  List.iter (fun q -> ignore (Sharded.submit sharded q)) qs;
+  let db_sh = mk_db () and db_seq = mk_db () in
+  let sharded = Sharded.create ~domains:2 db_sh in
+  let oracle = Online.create db_seq in
+  List.iter
+    (fun q ->
+      ignore (Online.submit oracle q);
+      ignore (Sharded.submit sharded q))
+    qs;
   Alcotest.(check bool)
     "distinct components were sharded apart then merged" true
     (Sharded.migrations sharded > 0);
-  let oracle = Online.create ~eager:false (mk_db ()) in
-  List.iter (fun q -> ignore (Online.submit oracle q)) qs;
+  List.iter (fun db -> Database.insert db "F" [ vi 500; vs dest ]) [ db_seq; db_sh ];
   Alcotest.(check (list (list int)))
     "fused partition agrees" (Online.components oracle)
     (Sharded.components sharded);
+  let fired = List.map fired_names (Sharded.flush sharded) in
   Alcotest.(check (list (list string)))
     "fused component fires identically"
     (List.map fired_names (Online.flush oracle))
-    (List.map fired_names (Sharded.flush sharded))
+    fired;
+  Alcotest.(check int) "all three fired" 3 (List.length (List.concat fired))
 
 (* A migrated component keeps its quiet verdict.  [a] and [b] evaluate
    quiet on different shards; [link] reaches both and has an unmatched
@@ -248,8 +255,9 @@ let test_migration_keeps_quiet () =
    queries renamed by position: the same extended edges and targets, and
    the same adjacency order (so the same SCC numbering).  Pools come
    from [random_query] — 4 constants, var-first posts, self-compatible
-   atoms — and withdrawals and flushes make the engine drop edges and
-   re-fuse the survivors. *)
+   atoms — admitted by one-query batches, which keep unsafe components
+   pending; fires, withdrawals and flushes make the engine drop edges
+   and re-fuse the survivors. *)
 let test_component_graph_matches_build () =
   let edge_repr (e : Coordination_graph.edge) =
     Printf.sprintf "%d.%d->%d.%d" e.src e.post_index e.dst e.head_index
@@ -263,7 +271,7 @@ let test_component_graph_matches_build () =
   List.iter
     (fun seed ->
       let rng = Prng.create seed in
-      let engine = Online.create ~eager:false (mk_db ()) in
+      let engine = Online.create (mk_db ()) in
       for step = 1 to 60 do
         (match Prng.int rng 10 with
         | 0 -> ignore (Online.flush engine)
@@ -271,7 +279,7 @@ let test_component_graph_matches_build () =
           match Online.pending_entries engine with
           | [] -> ()
           | live -> ignore (Online.withdraw engine (fst (Prng.pick rng live))))
-        | _ -> ignore (Online.submit engine (random_query rng step)));
+        | _ -> ignore (Online.submit_all engine [ random_query rng step ]));
         let entries = Array.of_list (Online.pending_entries engine) in
         List.iter
           (fun comp ->
@@ -304,15 +312,6 @@ let test_component_graph_matches_build () =
    not by requests served. *)
 let test_tables_follow_live_pool () =
   let chains = 2_000 and len = 4 in
-  let chain_query c i =
-    let name k = Printf.sprintf "c%du%d" c k in
-    Query.make ~name:(name i)
-      ~post:
-        (if i = len - 1 then []
-         else [ atom "R" [ cs (name (i + 1)); var "y" ] ])
-      ~head:[ atom "R" [ cs (name i); var "x" ] ]
-      [ atom "F" [ var "x"; cs "Zurich" ] ]
-  in
   let check_bounded ~engine ~live sizes =
     List.iter
       (fun (table, n) ->
@@ -325,7 +324,9 @@ let test_tables_follow_live_pool () =
   let sharded = Sharded.create ~domains:2 (mk_db ()) in
   for c = 0 to chains - 1 do
     for i = 0 to len - 1 do
-      let q = chain_query c i in
+      let q =
+        chain_query ~prefix:(Printf.sprintf "c%du" c) i ~last:(i = len - 1)
+      in
       ignore (Online.submit online q);
       ignore (Sharded.submit sharded q);
       check_bounded ~engine:"online" ~live:(Online.pending_count online)
@@ -343,9 +344,9 @@ let test_tables_follow_live_pool () =
 
 (* ------------------------- degraded flush ------------------------- *)
 
-(* Under an exhausted probe budget every shard degrades rather than
-   fires; degraded components stay dirty, so disarming and flushing
-   again must converge to exactly the oracle's result. *)
+(* Under an exhausted probe budget a batch degrades rather than fires;
+   degraded components stay dirty, so disarming and flushing again must
+   converge to exactly the oracle's result. *)
 let test_degraded_flush_converges () =
   let pool =
     [
@@ -358,20 +359,19 @@ let test_degraded_flush_converges () =
         [ atom "F" [ var "y"; cs "Zurich" ] ];
     ]
   in
-  let db_sh = mk_db () in
-  let sharded = Sharded.create ~eager:false ~domains:2 db_sh in
-  List.iter (fun q -> ignore (Sharded.submit sharded q)) pool;
+  let db_sh = mk_db () and db_seq = mk_db () in
+  let sharded = Sharded.create ~domains:2 db_sh in
+  let oracle = Online.create db_seq in
   let guard =
-    Resilient.arm { Resilient.default_config with max_probes = Some 0 }
+    Some (Resilient.arm { Resilient.default_config with max_probes = Some 0 })
   in
-  Database.set_guard db_sh (Some guard);
-  Alcotest.(check int) "degraded flush fires nothing" 0
-    (List.length (Sharded.flush sharded));
+  List.iter (fun db -> Database.set_guard db guard) [ db_seq; db_sh ];
+  Alcotest.(check (pair int int)) "degraded batches fire nothing" (0, 0)
+    ( List.length (Online.submit_all oracle pool),
+      List.length (Sharded.submit_all sharded pool) );
   Alcotest.(check bool) "degradation reported" true
     (Sharded.last_degradation sharded <> None);
-  Database.set_guard db_sh None;
-  let oracle = Online.create ~eager:false (mk_db ()) in
-  List.iter (fun q -> ignore (Online.submit oracle q)) pool;
+  List.iter (fun db -> Database.set_guard db None) [ db_seq; db_sh ];
   Alcotest.(check (list (list string)))
     "disarmed flush converges to the oracle"
     (List.map fired_names (Online.flush oracle))
@@ -436,15 +436,13 @@ let snapshot_files dir =
   |> List.sort compare
   |> List.map (fun n -> (n, read_file (Filename.concat dir n)))
 
-let run_sharded_wal ~seed ~domains ~eager ~consume =
-  let tag = Printf.sprintf "sharded-d%d-%b-%b" domains eager consume in
+let run_sharded_wal ~seed ~domains ~consume =
+  let tag = Printf.sprintf "sharded-d%d-%b" domains consume in
   let ctx step m = Printf.sprintf "%s seed %d step %d: %s" tag seed step m in
   let cfg dir = Durable.config ~fsync:Durable.Never ~snapshot_every:3 dir in
   let seq_dir = fresh_dir (tag ^ "-seq") and sh_dir = fresh_dir (tag ^ "-sh") in
-  let wal_seq, db_seq, oracle =
-    Durable.create_engine ~eager ~consume (cfg seq_dir)
-  in
-  let wal_sh, db_sh, _ = Durable.create_engine ~eager ~consume (cfg sh_dir) in
+  let wal_seq, db_seq, oracle = Durable.create_engine ~consume (cfg seq_dir) in
+  let wal_sh, db_sh, _ = Durable.create_engine ~consume (cfg sh_dir) in
   let sharded = Durable.shard ~domains wal_sh in
   let insert_into (wal, db) (fid, dest) =
     Database.insert db "F" [ vi fid; vs dest ];
@@ -501,9 +499,8 @@ let test_sharded_wal () =
   List.iter
     (fun domains ->
       List.iter
-        (fun (eager, consume) ->
-          run_sharded_wal ~seed:chaos_seed ~domains ~eager ~consume)
-        grid)
+        (fun consume -> run_sharded_wal ~seed:chaos_seed ~domains ~consume)
+        [ false; true ])
     domain_counts
 
 let suite =

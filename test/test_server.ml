@@ -126,7 +126,7 @@ let seed_reference rdb =
 
 let mk_reference ~consume () =
   let rdb = Database.create () in
-  let rengine = Online.create ~eager:true ~consume rdb in
+  let rengine = Online.create ~consume rdb in
   seed_reference rdb;
   (rdb, rengine)
 
@@ -135,7 +135,7 @@ let mk_reference ~consume () =
 let run_differential ~seed ~nclients ~consume () =
   let ctx = Printf.sprintf "diff-%d-%b" nclients consume in
   let db = Database.create () in
-  let engine = Online.create ~eager:true ~consume db in
+  let engine = Online.create ~consume db in
   let srv = mk_server db (Server.Sequential engine) in
   let conns = Array.init nclients (fun _ -> connect srv) in
   let rdb, rengine = mk_reference ~consume () in
@@ -171,7 +171,7 @@ let test_differential () =
 let test_kill_and_restart () =
   let dir = fresh_dir "kill" in
   let wal, db, engine =
-    Durable.create_engine ~eager:true
+    Durable.create_engine
       (Durable.config ~fsync:Durable.Always ~snapshot_every:5 dir)
   in
   let srv = mk_server ~durable:wal db (Server.Sequential engine) in
@@ -235,7 +235,7 @@ let abnormal_count () =
 let test_client_dies_mid_frame () =
   Obs.set_metrics true;
   let db = Database.create () in
-  let engine = Online.create ~eager:true db in
+  let engine = Online.create db in
   let srv = mk_server db (Server.Sequential engine) in
   let survivor = connect srv in
   seed_over_wire srv survivor;
@@ -271,7 +271,7 @@ let test_client_dies_mid_frame () =
 let test_subscriber_dies_before_notify () =
   Obs.set_metrics true;
   let db = Database.create () in
-  let engine = Online.create ~eager:true db in
+  let engine = Online.create db in
   let srv = mk_server db (Server.Sequential engine) in
   let submitter = connect srv in
   seed_over_wire srv submitter;
@@ -312,7 +312,7 @@ let test_subscriber_dies_before_notify () =
 
 let test_overloaded () =
   let db = Database.create () in
-  let engine = Online.create ~eager:true db in
+  let engine = Online.create db in
   let srv = mk_server ~max_pending:1 db (Server.Sequential engine) in
   let conn = connect srv in
   seed_over_wire srv conn;
@@ -342,7 +342,7 @@ let test_overloaded () =
 
 let test_protocol_errors () =
   let db = Database.create () in
-  let engine = Online.create ~eager:true db in
+  let engine = Online.create db in
   let srv = mk_server db (Server.Sequential engine) in
   let conn = connect srv in
   let expect_error ctx req code =
@@ -634,7 +634,7 @@ let test_wal_failure_stops () =
    in another is one value: the pair unifies and coordinates. *)
 let test_escaped_constant_coordinates () =
   let db = Database.create () in
-  let engine = Online.create ~eager:true db in
+  let engine = Online.create db in
   let srv = mk_server db (Server.Sequential engine) in
   let conn = connect srv in
   seed_over_wire srv conn;
@@ -712,12 +712,12 @@ let suite =
       test_protocol_errors;
     Alcotest.test_case "one-frame crashes become typed error frames" `Quick
       (test_killer_frames (fun db ->
-           Server.Sequential (Online.create ~eager:true db)));
+           Server.Sequential (Online.create db)));
     Alcotest.test_case "sharded: one-frame crashes become typed error frames"
       `Quick
       (test_killer_frames (fun db ->
            Server.Sharded
-             (Coordination.Online_sharded.create ~eager:true ~domains:2 db)));
+             (Coordination.Online_sharded.create ~domains:2 db)));
     Alcotest.test_case "an unknown exception is an internal_error frame"
       `Quick test_internal_error;
     Alcotest.test_case "a WAL write failure stops the server" `Quick
