@@ -994,15 +994,6 @@ let serve_cmd =
              serve forever).  Scripted tests use this to terminate \
              deterministically.")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int_conv 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Shard the online engine across $(docv) OCaml domains, routing \
-             arrivals by coordination-graph component.  Observationally \
-             identical to the sequential engine at every domain count.")
-  in
   let verbose =
     Arg.(
       value & flag
@@ -1016,19 +1007,11 @@ let serve_cmd =
             "Enable the metrics registry (per-request latency histogram, \
              session/overload counters).")
   in
-  let run socket host port open_session max_pending max_sessions domains
-      verbose metrics make_guard =
+  let run socket host port open_session max_pending max_sessions verbose
+      metrics make_guard =
     let listen = listen_of_flags socket host port in
     if metrics then Obs.set_metrics true;
     let durable, db, engine = open_session () in
-    let engine =
-      if domains = 1 then Server.Sequential engine
-      else
-        Server.Sharded
-          (match durable with
-          | Some t -> Durable.shard ~domains t
-          | None -> Coordination.Online_sharded.of_online ~domains db engine)
-    in
     let guard = make_guard None in
     Database.set_guard db guard;
     let cfg =
@@ -1039,7 +1022,10 @@ let serve_cmd =
         verbose;
       }
     in
-    let srv = Server.create cfg { Server.db; engine; durable; guard } in
+    let srv =
+      Server.create cfg
+        { Server.db; engine = Server.Sequential engine; durable; guard }
+    in
     (match listen with
     | Server.Unix_socket path -> Printf.printf "serving on unix:%s\n%!" path
     | Server.Tcp (host, _) ->
@@ -1050,19 +1036,10 @@ let serve_cmd =
        wal_failed why);
     Server.stop srv;
     Option.iter Durable.close durable;
-    let coordinated, still_pending =
-      match engine with
-      | Server.Sequential e ->
-        ( Coordination.Online.total_coordinated e,
-          Coordination.Online.pending_count e )
-      | Server.Sharded e ->
-        ( Coordination.Online_sharded.total_coordinated e,
-          Coordination.Online_sharded.pending_count e )
-    in
-    Printf.printf "served %d sessions; %d coordinated, %d still pending%s\n"
+    Printf.printf "served %d sessions; %d coordinated, %d still pending\n"
       (Server.sessions_served srv)
-      coordinated still_pending
-      (if domains > 1 then Printf.sprintf " (domains=%d)" domains else "")
+      (Coordination.Online.total_coordinated engine)
+      (Coordination.Online.pending_count engine)
   in
   let doc =
     "Coordination as a service: a long-lived socket server multiplexing \
@@ -1076,7 +1053,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Cmdliner.Term.(
       const run $ socket_arg $ host_arg $ port_arg $ session_term
-      $ max_pending $ max_sessions $ domains $ verbose $ metrics $ guard_term)
+      $ max_pending $ max_sessions $ verbose $ metrics $ guard_term)
 
 (* ------------------------------ client ----------------------------- *)
 
@@ -1131,7 +1108,12 @@ let client_cmd =
                await ())
          end
        done
-     with End_of_file -> ());
+     with
+     | End_of_file -> ()
+     | Server.Client.Bad_frame why ->
+       Printf.printf "client: bad frame: %s\n%!" why;
+       Server.Client.close conn;
+       exit 1);
     if not !aborted then Server.Client.close conn
   in
   let doc =

@@ -238,7 +238,10 @@ val set_journal : t -> Journal.sink option -> unit
 (** Install (or remove) the journal sink.  Records are emitted at the
     points where the engine commits state: after an admission, after a
     fired set's retirement, after the consume pass resolves its
-    deletion list, and once per public operation as {!Journal.Op_end}. *)
+    deletion list, and once per public operation as {!Journal.Op_end}.
+    [lib/durable] installs the WAL's sink; {!Online_sharded} installs
+    one on a shard around each operation it commits on the calling
+    domain, to drop retired and rejected ids from its routing table. *)
 
 val restore_submit : t -> id:int -> Query.t -> unit
 (** Re-admit a journaled entry under its original id.  Ids must be

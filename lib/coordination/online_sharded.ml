@@ -9,11 +9,8 @@ type t = {
   views : Database.t array;
   entry_shard : (int, int) Hashtbl.t;  (* live id -> shard *)
   mutable next_id : int;
-  mutable base_satisfied : int;  (* satisfied before this engine took over *)
   mutable migrations : int;
   mutable last_degradation : Resilient.degradation option;
-  mutable last_conflict : Online.inventory_conflict option;
-  mutable journal : Online.Journal.sink option;
 }
 
 let create ?(consume = false) ?(domains = Executor.default_domains ()) db =
@@ -31,22 +28,11 @@ let create ?(consume = false) ?(domains = Executor.default_domains ()) db =
     views;
     entry_shard = Hashtbl.create 256;
     next_id = 0;
-    base_satisfied = 0;
     migrations = 0;
     last_degradation = None;
-    last_conflict = None;
-    journal = None;
   }
 
-let domains t = t.domains
-let consume t = t.consume
 let migrations t = t.migrations
-let set_journal t sink = t.journal <- sink
-
-let emit t record =
-  match t.journal with None -> () | Some sink -> sink record
-
-let shard_sizes t = Array.map Online.pending_count t.shards
 
 let table_sizes t =
   let sum name =
@@ -117,7 +103,6 @@ let arrival id q =
    governed like the oracle's. *)
 let prepare_all t =
   t.last_degradation <- None;
-  t.last_conflict <- None;
   let g = Database.guard t.db in
   Array.iter (fun v -> Database.set_guard v g) t.views;
   Array.iter Online.prepare_op t.shards
@@ -133,26 +118,18 @@ let note_degradation t s =
   | Some d -> t.last_degradation <- Some d
   | None -> ()
 
-let note_conflict t s =
-  match Online.last_inventory_conflict t.shards.(s) with
-  | Some c -> t.last_conflict <- Some c
-  | None -> ()
-
-(* Journal tee for sequentially-committed shard operations: forward
-   retirements, consume deletions and evictions to the sharded sink
-   (updating routing state), drop the shard's own [Submitted]/[Op_end]
-   — the sharded engine emits those itself, so the record stream is
-   byte-equivalent to the sequential engine's. *)
+(* Routing tee for sequentially-committed shard operations: the
+   shard's journal reports every id that leaves its pool (fired or
+   rejected), and the tee releases it from [entry_shard].  The tee is
+   installed only around operations on the calling domain, never inside
+   [flush_parallel]'s workers, because [entry_shard] is unsynchronised. *)
 let with_tee t s f =
   let tee : Online.Journal.sink = function
-    | Online.Journal.Submitted _ | Online.Journal.Op_end _ -> ()
-    | Online.Journal.Retired { ids } as r ->
-      release_ids t ids;
-      emit t r
-    | Online.Journal.Rejected { id } as r ->
-      release_ids t [ id ];
-      emit t r
-    | Online.Journal.Consumed _ as r -> emit t r
+    | Online.Journal.Retired { ids } -> release_ids t ids
+    | Online.Journal.Rejected { id } -> release_ids t [ id ]
+    | Online.Journal.Submitted _ | Online.Journal.Consumed _
+    | Online.Journal.Op_end _ ->
+      ()
   in
   Online.set_journal t.shards.(s) (Some tee);
   Fun.protect
@@ -166,7 +143,7 @@ let with_tee t s f =
    sequential flush to fixpoint concurrently.  Each shard's fire stream
    is non-decreasing in [f_key] (Online.fired), so a stable merge by
    key reproduces the sequential engine's fire order exactly; the
-   retirement records are journaled post-hoc in that order.  Guards are
+   fired ids leave the routing table post-hoc in that order.  Guards are
    split per shard and re-absorbed, as the batch executor does. *)
 let flush_parallel t =
   Database.warm_indexes t.db;
@@ -199,11 +176,7 @@ let flush_parallel t =
     |> List.stable_sort (fun (a : Online.fired) b ->
            Int.compare a.f_key b.f_key)
   in
-  List.iter
-    (fun (fr : Online.fired) ->
-      release_ids t fr.f_ids;
-      emit t (Online.Journal.Retired { ids = fr.f_ids }))
-    fired;
+  List.iter (fun (fr : Online.fired) -> release_ids t fr.f_ids) fired;
   for s = 0 to t.domains - 1 do
     note_degradation t s
   done;
@@ -237,7 +210,6 @@ let flush_sequential t =
            | `Fired fr ->
              fired := fr :: !fired;
              note_degradation t s;
-             note_conflict t s;
              progress := true;
              raise Exit
            | `Quiet | `Unsafe -> note_degradation t s)
@@ -263,19 +235,8 @@ let submit t query =
   let id = t.next_id in
   t.next_id <- id + 1;
   let s = route t ~id query in
-  emit t (Online.Journal.Submitted { id; query });
   let result = with_tee t s (fun () -> Online.submit ~id t.shards.(s) query) in
   note_degradation t s;
-  note_conflict t s;
-  emit t
-    (Online.Journal.Op_end
-       {
-         op = Online.Journal.Submit_op;
-         fired =
-           (match result with
-           | Online.Coordinated c -> List.length c.Online.queries
-           | _ -> 0);
-       });
   finish_all t;
   result
 
@@ -290,8 +251,6 @@ let withdraw t id =
   | Some s ->
     let ok = with_tee t s (fun () -> Online.withdraw t.shards.(s) id) in
     assert ok;
-    emit t
-      (Online.Journal.Op_end { op = Online.Journal.Withdraw_op; fired = 0 });
     finish_all t;
     true
 
@@ -306,9 +265,6 @@ let flush t =
   @@ fun () ->
   prepare_all t;
   let fired = flush_fired t in
-  emit t
-    (Online.Journal.Op_end
-       { op = Online.Journal.Flush_op; fired = List.length fired });
   finish_all t;
   List.map (fun (fr : Online.fired) -> fr.f_set) fired
 
@@ -331,13 +287,9 @@ let submit_all t queries =
       let id = t.next_id in
       t.next_id <- id + 1;
       let s = route t ~id q in
-      emit t (Online.Journal.Submitted { id; query = q });
       Online.attach t.shards.(s) [ arrival id q ])
     queries;
   let fired = flush_fired t in
-  emit t
-    (Online.Journal.Op_end
-       { op = Online.Journal.Submit_all_op; fired = List.length fired });
   finish_all t;
   List.map (fun (fr : Online.fired) -> fr.f_set) fired
 
@@ -348,15 +300,13 @@ let pending_entries t =
   |> List.concat_map Online.pending_entries
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let pending t = List.map snd (pending_entries t)
 let next_id t = t.next_id
 
 let pending_count t =
   Array.fold_left (fun acc e -> acc + Online.pending_count e) 0 t.shards
 
 let total_coordinated t =
-  t.base_satisfied
-  + Array.fold_left (fun acc e -> acc + Online.total_coordinated e) 0 t.shards
+  Array.fold_left (fun acc e -> acc + Online.total_coordinated e) 0 t.shards
 
 let stats t =
   let s = Stats.create () in
@@ -364,7 +314,6 @@ let stats t =
   s
 
 let last_degradation t = t.last_degradation
-let last_inventory_conflict t = t.last_conflict
 
 let components t =
   let position = Hashtbl.create 64 in
@@ -377,16 +326,3 @@ let components t =
              List.map (fun p -> Hashtbl.find position (fst local.(p))) comp)
            (Online.components e))
   |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
-
-(* ----------------------------- re-sharding ---------------------------- *)
-
-let of_online ~domains db src =
-  let t = create ~consume:(Online.consume src) ~domains db in
-  t.next_id <- Online.next_id src;
-  t.base_satisfied <- Online.total_coordinated src;
-  List.iter
-    (fun (id, q) ->
-      let s = route t ~id q in
-      Online.attach t.shards.(s) [ arrival id q ])
-    (Online.pending_entries src);
-  t

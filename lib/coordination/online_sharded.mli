@@ -1,5 +1,14 @@
 (** The online engine, sharded by component across OCaml 5 domains.
 
+    A library engine: [entangle serve], [Server] and the WAL hold the
+    sequential {!Online} engine only.  This one is exercised by its
+    differential suite and the [online-sharded] bench ablation, where
+    batched submits overlap emulated probe latency.  On served traffic
+    it brings no gain: {!submit} runs one {!Online.touched} probe per
+    shard and then evaluates on a single shard on the calling domain,
+    so only the non-consume flush rounds of {!flush} and {!submit_all}
+    run in parallel.
+
     Distinct weakly-connected components of the coordination graph
     never interact — the coordination-avoidance principle that made the
     batch executor embarrassingly parallel — so the live pool can be
@@ -36,8 +45,7 @@
     commit one component at a time in that same canonical order through
     the owning shard, because inventory deletions couple components
     through the shared store.  Fired sets, assignments, the pending
-    pool, the satisfied count, the journal record stream and all
-    deterministic {!Stats} counters (folded with {!Stats.merge})
+    pool, the satisfied count and all deterministic {!Stats} counters (folded with {!Stats.merge})
     therefore equal the sequential engine's at {e every} domain count;
     the differential suite in [test/test_online_sharded.ml] asserts
     this per operation.
@@ -60,22 +68,8 @@ val create : ?consume:bool -> ?domains:int -> Database.t -> t
     {!Executor.default_domains}).
     @raise Invalid_argument if [domains < 1]. *)
 
-val of_online : domains:int -> Database.t -> Online.t -> t
-(** Re-shard a live (typically just-recovered) sequential engine's pool
-    across [domains] shards: every pending entry is routed and attached
-    under its original id, and the id allocator and lifetime satisfied
-    count carry over.  [src] is read, not modified; the caller drops it
-    afterwards (a durable session does so in [Durable.shard]).  The
-    database must be [src]'s. *)
-
-val domains : t -> int
-val consume : t -> bool
-
 val migrations : t -> int
 (** Cross-shard component migrations performed so far (diagnostics). *)
-
-val shard_sizes : t -> int array
-(** Live entries per shard (diagnostics). *)
 
 val table_sizes : t -> (string * int) list
 (** ["entry_shard"] (the live-id routing table), then each of
@@ -86,7 +80,6 @@ val submit : t -> Query.t -> Online.submission
 val submit_all : t -> Query.t list -> Online.coordinated list
 val flush : t -> Online.coordinated list
 val withdraw : t -> int -> bool
-val pending : t -> Query.t list
 val pending_entries : t -> (int * Query.t) list
 val next_id : t -> int
 val pending_count : t -> int
@@ -103,17 +96,3 @@ val last_degradation : t -> Resilient.degradation option
     (submit, withdraw, consume-mode flush) report exactly the oracle's
     degradation; after a parallel flush the reported value is one
     representative of the shards that degraded this operation. *)
-
-val last_inventory_conflict : t -> Online.inventory_conflict option
-
-val set_journal : t -> Online.Journal.sink option -> unit
-(** Install the journal sink.  The record stream — admissions in
-    arrival order, retirements in the canonical fire order, consume
-    deletions, one {!Online.Journal.Op_end} per public operation — is
-    byte-equivalent to the sequential engine's, so [lib/durable] can
-    log a sharded engine without knowing it is sharded, and a recovery
-    can replay into a sequential engine and re-shard at any domain
-    count.  At each {!Online.Journal.Op_end} the readers below
-    ({!next_id}, {!total_coordinated}, {!pending_entries}) already
-    report the post-operation state, so a WAL snapshots the sharded
-    engine directly. *)

@@ -355,13 +355,6 @@ let config ?(fsync = Always) ?(snapshot_every = 512) dir =
 
 (* --------------------------- Live handle --------------------------- *)
 
-(* The engine the WAL journals and snapshots: the sequential engine
-   [create_engine]/[recover] build, or the sharded engine [shard]
-   re-partitions it into.  Both emit the same record stream and expose
-   the post-operation id allocator, satisfied count and pool at every
-   [Op_end], which is all a snapshot reads. *)
-type engine = Sequential of Online.t | Sharded of Online_sharded.t
-
 type t = {
   cfg : config;
   mutable oc : out_channel;
@@ -373,7 +366,7 @@ type t = {
   mutable groups_since_sync : int;
   mutable groups_since_snapshot : int;
   db : Database.t;
-  mutable engine : engine;
+  engine : Online.t;
   mutable closed : bool;
   mutable failed : string option;  (* why the journal stopped taking writes *)
 }
@@ -489,23 +482,10 @@ let commit_group t =
    of dictionary references, then the pool as (id, query source).  The
    dictionary makes tuples compact. *)
 let encode_snapshot ~(db : Database.t) engine =
-  let consume, next_id, satisfied, pool =
-    match engine with
-    | Sequential e ->
-      ( Online.consume e,
-        Online.next_id e,
-        Online.total_coordinated e,
-        Online.pending_entries e )
-    | Sharded e ->
-      ( Online_sharded.consume e,
-        Online_sharded.next_id e,
-        Online_sharded.total_coordinated e,
-        Online_sharded.pending_entries e )
-  in
   let b = Buffer.create 4096 in
-  encode_meta b ~consume;
-  Enc.u32 b next_id;
-  Enc.u32 b satisfied;
+  encode_meta b ~consume:(Online.consume engine);
+  Enc.u32 b (Online.next_id engine);
+  Enc.u32 b (Online.total_coordinated engine);
   let dict = Hashtbl.create 256 in
   let dict_order = ref [] in
   let intern v =
@@ -543,7 +523,7 @@ let encode_snapshot ~(db : Database.t) engine =
     (fun b (id, query) ->
       Enc.u32 b id;
       Enc.str b (Parser.query_to_string query))
-    pool;
+    (Online.pending_entries engine);
   Buffer.contents b
 
 type snapshot_state = {
@@ -774,28 +754,12 @@ let journal_create_table t name attrs =
   buffer_record t (Create_table { name; attrs });
   commit_group_and_snapshot t
 
-let set_journal engine sink =
-  match engine with
-  | Sequential e -> Online.set_journal e sink
-  | Sharded e -> Online_sharded.set_journal e sink
-
-let attach t = set_journal t.engine (Some (journal_sink t))
-
-let shard ~domains t =
-  if t.closed then invalid_arg "Durable.shard: closed";
-  match t.engine with
-  | Sharded _ -> invalid_arg "Durable.shard: already sharded"
-  | Sequential e ->
-    let sharded = Online_sharded.of_online ~domains t.db e in
-    Online.set_journal e None;
-    t.engine <- Sharded sharded;
-    attach t;
-    sharded
+let attach t = Online.set_journal t.engine (Some (journal_sink t))
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    set_journal t.engine None;
+    Online.set_journal t.engine None;
     Fun.protect ~finally:(fun () -> close_out_noerr t.oc) @@ fun () ->
     (* A failed handle has nothing left it may write. *)
     if t.failed = None then
@@ -831,7 +795,7 @@ let create_engine ?(consume = false) cfg =
       groups_since_sync = 0;
       groups_since_snapshot = 0;
       db;
-      engine = Sequential engine;
+      engine;
       closed = false;
       failed = None;
     }
@@ -1279,7 +1243,7 @@ let recover cfg =
       let lsn = !last_applied in
       let checkpoint =
         try_write_snapshot ~dirname:cfg.dir ~lsn
-          (encode_snapshot ~db (Sequential engine))
+          (encode_snapshot ~db engine)
       in
       (match (checkpoint, (!truncation, !segments_dropped)) with
       | Error why, ((Some _, _) | (_, _ :: _)) ->
@@ -1307,7 +1271,7 @@ let recover cfg =
             groups_since_sync = 0;
             groups_since_snapshot = 0;
             db;
-            engine = Sequential engine;
+            engine;
             closed = false;
             failed = None;
           }

@@ -128,18 +128,6 @@ val journal_insert : t -> string -> Value.t list -> unit
 val journal_create_table : t -> string -> string list -> unit
 (** Journal an external table creation; see {!journal_insert}. *)
 
-val shard : domains:int -> t -> Online_sharded.t
-(** Re-shard the engine [t] journals across [domains] shards
-    ({!Coordination.Online_sharded.of_online}) and journal the sharded
-    engine instead.  The sequential engine {!create_engine} or
-    {!recover} returned is detached and must not be used afterwards.
-    The sharded engine's record stream is byte-equivalent to a
-    sequential engine's, and snapshots encode the sharded engine's own
-    pool, id allocator and satisfied count, so the WAL and its
-    snapshots are exactly what a sequential session would have written:
-    a later {!recover} can re-shard at any domain count.
-    @raise Invalid_argument if [t] is closed or already sharded. *)
-
 val dir : t -> string
 
 val current_segment : t -> string
@@ -215,8 +203,10 @@ val recover :
     engine observes — pool, ids, components, satisfied count, store
     contents — exactly as a never-crashed engine after the same
     committed operations; solver statistics do not survive, and every
-    recovered component is conservatively dirty.  [Error _] when the
-    directory holds no recoverable state at all. *)
+    recovered component is conservatively dirty.  The engine is the
+    sequential {!Coordination.Online}: the WAL journals and snapshots
+    that engine only.  [Error _] when the directory holds no
+    recoverable state at all. *)
 
 val open_or_recover :
   ?consume:bool ->

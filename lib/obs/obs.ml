@@ -639,32 +639,6 @@ let memory_sink () =
   in
   (sink, fun () -> List.rev !items)
 
-let pp_arg ppf = function
-  | Str s -> Format.pp_print_string ppf s
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%.3f" f
-  | Bool v -> Format.pp_print_bool ppf v
-
-let pp_args ppf args =
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_arg v) args
-
-(* Human-readable lines, indented by nesting depth.  Spans are emitted
-   when they close, so children print before their parent. *)
-let text_sink ppf =
-  let indent d = String.make (2 * d) ' ' in
-  {
-    on_span =
-      (fun s ->
-        Format.fprintf ppf "%s[%s] %.3fms%a@." (indent s.depth) s.name
-          (Int64.to_float s.dur_ns /. 1e6)
-          pp_args s.args);
-    on_event =
-      (fun e ->
-        Format.fprintf ppf "%s* %s%a@." (indent e.ev_depth) e.ev_name pp_args
-          e.ev_args);
-    on_close = (fun () -> Format.pp_print_flush ppf ());
-  }
-
 (* One JSON object per line; timestamps in microseconds since the sink
    was installed. *)
 let jsonl_sink write =

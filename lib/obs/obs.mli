@@ -2,8 +2,8 @@
 
     A process-wide, zero-dependency observability layer: monotonic-clock
     spans with parent/child nesting, typed events, log2-bucketed
-    histograms and labeled counters, and pluggable sinks (human-readable
-    text, JSONL, Chrome [trace_event] JSON loadable in
+    histograms and labeled counters, and pluggable sinks (JSONL,
+    Chrome [trace_event] JSON loadable in
     [chrome://tracing] / Perfetto, and an in-memory sink for tests and
     {!Coordination.Explain}).
 
@@ -249,10 +249,6 @@ val exclusive : sink -> (unit -> 'a) -> 'a
     deterministic {!replay}; and the captured depths would be relative
     to the orchestrator's span nesting instead of starting at 0 like a
     freshly spawned domain's. *)
-
-val text_sink : Format.formatter -> sink
-(** Human-readable lines, indented by depth.  Spans print when they
-    close, i.e. children before their parents. *)
 
 val jsonl_sink : (string -> unit) -> sink
 (** One JSON object per line through the writer:

@@ -16,7 +16,6 @@
 
 open Relational
 module Online = Coordination.Online
-module Online_sharded = Coordination.Online_sharded
 
 (* perfbench/ names the codec Server.Json throughout; the alias keeps
    that spelling compiling.  New code calls Json directly. *)
@@ -81,14 +80,9 @@ let default_config listen =
     verbose = false;
   }
 
-(* One engine shape per binding; every request dispatches through the
-   eng_* helpers so the protocol layer never cares which.  The sharded
-   engine's operations and journal stream are observationally identical
-   to the sequential one's, so the differential suite can compare a
-   sharded server against a sequential reference verbatim. *)
-type engine =
-  | Sequential of Online.t
-  | Sharded of Online_sharded.t
+(* One constructor: [perfbench/] spells [Server.Sequential], so the
+   variant stays even though the service holds one engine type. *)
+type engine = Sequential of Online.t
 
 type binding = {
   db : Database.t;
@@ -96,38 +90,6 @@ type binding = {
   durable : Durable.t option;
   guard : Resilient.t option;
 }
-
-let eng_submit = function
-  | Sequential e -> Online.submit e
-  | Sharded e -> Online_sharded.submit e
-
-let eng_withdraw = function
-  | Sequential e -> Online.withdraw e
-  | Sharded e -> Online_sharded.withdraw e
-
-let eng_flush = function
-  | Sequential e -> Online.flush e
-  | Sharded e -> Online_sharded.flush e
-
-let eng_pending_count = function
-  | Sequential e -> Online.pending_count e
-  | Sharded e -> Online_sharded.pending_count e
-
-let eng_next_id = function
-  | Sequential e -> Online.next_id e
-  | Sharded e -> Online_sharded.next_id e
-
-let eng_total_coordinated = function
-  | Sequential e -> Online.total_coordinated e
-  | Sharded e -> Online_sharded.total_coordinated e
-
-let eng_last_degradation = function
-  | Sequential e -> Online.last_degradation e
-  | Sharded e -> Online_sharded.last_degradation e
-
-let eng_domains = function
-  | Sequential _ -> 1
-  | Sharded e -> Online_sharded.domains e
 
 type session = {
   sid : int;
@@ -141,6 +103,7 @@ type session = {
 type t = {
   cfg : config;
   binding : binding;
+  engine : Online.t;
   mutable listen_fd : Unix.file_descr option;
   bound_port : int;
   sessions : (int, session) Hashtbl.t;
@@ -164,7 +127,7 @@ let resolve_addr = function
     in
     (Unix.PF_INET, Unix.ADDR_INET (addr, port))
 
-let create cfg binding =
+let create cfg (binding : binding) =
   (* A client hanging up between our select and our write must surface
      as EPIPE on that one session, not as a fatal signal. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -185,9 +148,11 @@ let create cfg binding =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> -1
   in
+  let (Sequential engine) = binding.engine in
   {
     cfg;
     binding;
+    engine;
     listen_fd = Some fd;
     bound_port;
     sessions = Hashtbl.create 16;
@@ -365,7 +330,7 @@ let handle_request t s req =
           | Some e ->
             let code, fields = schema_error_frame e in
             err code ~fields
-          | None when eng_pending_count t.binding.engine >= t.cfg.max_pending
+          | None when Online.pending_count t.engine >= t.cfg.max_pending
             ->
             (* Typed admission-control refusal instead of unbounded
                queueing: the client backs off, the pool stays bounded. *)
@@ -374,14 +339,14 @@ let handle_request t s req =
             err "overloaded"
               ~fields:
                 [
-                  ("pending", Json.Int (eng_pending_count t.binding.engine));
+                  ("pending", Json.Int (Online.pending_count t.engine));
                   ("max_pending", Json.Int t.cfg.max_pending);
                 ]
           | None -> (
             Option.iter Resilient.start_solve t.binding.guard;
-            let pool_id = eng_next_id t.binding.engine in
-            let r = eng_submit t.binding.engine q in
-            let degraded = eng_last_degradation t.binding.engine in
+            let pool_id = Online.next_id t.engine in
+            let r = Online.submit t.engine q in
+            let degraded = Online.last_degradation t.engine in
             (* Notifications are enqueued BEFORE the response, so a
                subscribed requester reads its own match/degradation
                push frames first and the echoed response last — a
@@ -408,13 +373,13 @@ let handle_request t s req =
                 :: degraded_fields degraded))))
       | "retire" ->
         let pool_id = require Json.int_mem "pool_id" in
-        if eng_withdraw t.binding.engine pool_id then
+        if Online.withdraw t.engine pool_id then
           respond [ ("result", Json.Str "withdrawn") ]
         else err "not_found" ~fields:[ ("pool_id", Json.Int pool_id) ]
       | "flush" ->
         Option.iter Resilient.start_solve t.binding.guard;
-        let fired = eng_flush t.binding.engine in
-        let degraded = eng_last_degradation t.binding.engine in
+        let fired = Online.flush t.engine in
+        let degraded = Online.last_degradation t.engine in
         notify_matched t fired;
         notify_degraded t degraded;
         respond
@@ -436,10 +401,9 @@ let handle_request t s req =
         respond
           [
             ("result", Json.Str "status");
-            ("pending", Json.Int (eng_pending_count t.binding.engine));
-            ("satisfied", Json.Int (eng_total_coordinated t.binding.engine));
-            ("next_id", Json.Int (eng_next_id t.binding.engine));
-            ("domains", Json.Int (eng_domains t.binding.engine));
+            ("pending", Json.Int (Online.pending_count t.engine));
+            ("satisfied", Json.Int (Online.total_coordinated t.engine));
+            ("next_id", Json.Int (Online.next_id t.engine));
             ("sessions", Json.Int (live_sessions t));
             ("served", Json.Int t.accepted);
             ("wal", wal);
@@ -659,6 +623,10 @@ let stop t =
 module Client = struct
   type conn = { fd : Unix.file_descr; mutable inb : string }
 
+  exception Bad_frame of string
+
+  let max_frame = 64 lsl 20
+
   let connect ?(retries = 40) listen =
     let domain, addr = resolve_addr listen in
     let rec go n =
@@ -689,11 +657,15 @@ module Client = struct
     if len < 4 then None
     else
       let n = Int32.to_int (String.get_int32_be conn.inb 0) in
-      if len < 4 + n then None
+      if n < 0 || n > max_frame then
+        raise (Bad_frame (Printf.sprintf "length prefix %d" n))
+      else if len < 4 + n then None
       else begin
         let payload = String.sub conn.inb 4 n in
         conn.inb <- String.sub conn.inb (4 + n) (len - 4 - n);
-        match Json.parse payload with Ok j -> Some j | Error _ -> None
+        match Json.parse payload with
+        | Ok j -> Some j
+        | Error why -> raise (Bad_frame ("payload is not JSON: " ^ why))
       end
 
   let buf = Bytes.create 8192

@@ -95,16 +95,11 @@ val default_config : listen -> config
 (** [max_pending 1024], [max_sessions 0], [max_frame 1 MiB],
     [max_buffered 4 MiB], quiet. *)
 
-(** The engine a server multiplexes onto: the sequential incremental
-    engine, or the domain-sharded one ({!Coordination.Online_sharded})
-    when [serve --domains N] asked for parallelism.  Both are
-    observationally identical — the protocol layer dispatches blindly;
-    [status] reports ["domains"] ([1] for [Sequential]).  A durable
-    sharded server gets its engine from {!Durable.shard}, so the WAL
-    journals and snapshots the sharded engine itself. *)
-type engine =
-  | Sequential of Coordination.Online.t
-  | Sharded of Coordination.Online_sharded.t
+(** The engine a server multiplexes onto: always the sequential
+    incremental engine ({!Coordination.Online}), the one a durable
+    binding's WAL journals.  The one-constructor variant stays only
+    because [perfbench/] spells [Server.Sequential]. *)
+type engine = Sequential of Coordination.Online.t
 
 (** What the server serves: one engine, its database, optionally the
     WAL handle journaling it and a {!Resilient} guard armed on the
@@ -159,6 +154,15 @@ val sessions_served : t -> int
 module Client : sig
   type conn
 
+  exception Bad_frame of string
+  (** The server's byte stream cannot be read as frames: a length
+      prefix that is negative or above 64 MiB (far above any frame a
+      server's [max_buffered] cap lets through), or a complete frame
+      whose payload is not JSON; the payload says which.  A bad length
+      loses framing, so the connection is unusable afterwards; a
+      non-JSON frame is consumed, and the next {!recv} reads the frame
+      after it. *)
+
   val connect : ?retries:int -> listen -> conn
   (** Retries [ECONNREFUSED]/[ENOENT] with a 50 ms pause, [retries]
       times (default 40 — two seconds for a server still starting). *)
@@ -166,12 +170,14 @@ module Client : sig
   val send : conn -> Json.t -> unit
   val recv : ?timeout:float -> conn -> Json.t option
   (** Next frame, blocking up to [timeout] seconds (default 5).
-      [None] on timeout or EOF. *)
+      [None] on timeout or EOF.
+      @raise Bad_frame on a bad length prefix or a non-JSON payload. *)
 
   val try_recv : conn -> Json.t option
   (** Non-blocking: a frame if one is already buffered/readable.  Used
       by in-process tests that interleave {!step} calls with client
-      reads on one thread. *)
+      reads on one thread.
+      @raise Bad_frame as {!recv}. *)
 
   val close : conn -> unit
 

@@ -216,6 +216,53 @@ let seed_facts = [ (101, "Zurich"); (102, "Zurich"); (200, "Paris") ]
 let fired_names (c : Online.coordinated) =
   List.map (fun q -> q.Query.name) c.Online.queries
 
+(* Definition 1 for a set the online engine fired.  Member [id]'s
+   variables carry the prefix "q<id>." in the assignment and members
+   come in pool order, so the prefixes sorted by id pair up with the
+   members that have variables (one without variables needs no
+   renaming).  [db] must hold every tuple the set may have used; a
+   consume-mode engine deleted them, so its caller passes a shadow store
+   of every tuple ever inserted. *)
+let check_fired ~ctx db (c : Online.coordinated) =
+  let id_of prefix =
+    int_of_string (String.sub prefix 1 (String.length prefix - 2))
+  in
+  let prefixes =
+    Eval.Binding.fold
+      (fun v _ acc ->
+        match String.index_opt v '.' with
+        | Some k -> String.sub v 0 (k + 1) :: acc
+        | None -> acc)
+      c.Online.assignment []
+    |> List.sort_uniq (fun a b -> Int.compare (id_of a) (id_of b))
+  in
+  let unmatched () =
+    Alcotest.failf "%s: fired set %s has unmatched variables" ctx
+      (String.concat "," (fired_names c))
+  in
+  let renamed, rest =
+    List.fold_left
+      (fun (acc, prefixes) q ->
+        match (Query.variables q, prefixes) with
+        | [], _ -> (q :: acc, prefixes)
+        | _, prefix :: prefixes -> (Query.rename ~prefix q :: acc, prefixes)
+        | _, [] -> unmatched ())
+      ([], prefixes) c.Online.queries
+  in
+  if rest <> [] then unmatched ();
+  let qs = Array.of_list (List.rev renamed) in
+  match
+    Solution.validate db qs
+      (Solution.make
+         ~members:(List.init (Array.length qs) Fun.id)
+         ~assignment:c.Online.assignment)
+  with
+  | Ok () -> ()
+  | Error why ->
+    Alcotest.failf "%s: fired set %s fails Definition 1: %s" ctx
+      (String.concat "," (fired_names c))
+      why
+
 (* A query over [dest] flights whose postconditions and head are R atoms
    on the given constants. *)
 let rq ?(dest = "Zurich") name ~post ~head =

@@ -23,6 +23,16 @@ let run_differential ~query ~seed ~consume =
   let db_full = mk_db () and db_inc = mk_db () in
   let full = Online_oracle.create ~consume db_full in
   let inc = Online.create ~consume db_inc in
+  (* Every tuple ever inserted: the store a consume-mode fire used. *)
+  let shadow = if consume then mk_db () else db_inc in
+  let insert fid dest =
+    List.iter
+      (fun db -> Database.insert db "F" [ vi fid; vs dest ])
+      (db_full :: db_inc :: (if consume then [ shadow ] else []))
+  in
+  let valid step c =
+    check_fired ~ctx:(Printf.sprintf "seed %d step %d" seed step) shadow c
+  in
   let check_sync step =
     let ctx m = Printf.sprintf "seed %d step %d: %s" seed step m in
     Alcotest.(check (list string))
@@ -37,10 +47,11 @@ let run_differential ~query ~seed ~consume =
       (Online_oracle.total_coordinated full)
       (Online.total_coordinated inc)
   in
-  let check_fired label ff fi =
+  let check_same_fired step label ff fi =
     Alcotest.(check (list (list string)))
       (Printf.sprintf "seed %d %s" seed label)
-      (List.map fired_names ff) (List.map fired_names fi)
+      (List.map fired_names ff) (List.map fired_names fi);
+    List.iter (valid step) fi
   in
   let next_fid = ref 1000 in
   for step = 1 to 40 do
@@ -51,19 +62,22 @@ let run_differential ~query ~seed ~consume =
       let ri = Online.submit inc q in
       Alcotest.(check string)
         (Printf.sprintf "seed %d step %d: submission" seed step)
-        (submission_repr rf) (submission_repr ri)
+        (submission_repr rf) (submission_repr ri);
+      match ri with
+      | Online.Coordinated c -> valid step c
+      | Online.Pending | Online.Rejected_unsafe _ -> ()
     end
     else if roll < 7 then begin
       let batch =
         List.init (1 + Prng.int rng 3) (fun j -> query rng ((1000 * step) + j))
       in
-      check_fired
+      check_same_fired step
         (Printf.sprintf "step %d: submit_all" step)
         (Online_oracle.submit_all full batch)
         (Online.submit_all inc batch)
     end
     else if roll < 9 then
-      check_fired
+      check_same_fired step
         (Printf.sprintf "step %d: flush" step)
         (Online_oracle.flush full) (Online.flush inc)
     else begin
@@ -71,23 +85,22 @@ let run_differential ~query ~seed ~consume =
          component verdict in the incremental engine must be dropped. *)
       incr next_fid;
       let dest = dests.(Prng.int rng 3) in
-      Database.insert db_full "F" [ vi !next_fid; vs dest ];
-      Database.insert db_inc "F" [ vi !next_fid; vs dest ]
+      insert !next_fid dest
     end;
     check_sync step
   done;
-  List.iter
-    (fun db -> Database.insert db "F" [ vi 999; vs "Lisbon" ])
-    [ db_full; db_inc ];
+  insert 999 "Lisbon";
   let closing = [ closing_query "Lisbon" ] in
-  List.iter
-    (fun fired ->
-      Alcotest.(check (list (list string)))
-        (Printf.sprintf "seed %d: closing batch fires" seed)
-        [ [ "closing" ] ]
-        (List.map fired_names fired))
-    [ Online_oracle.submit_all full closing; Online.submit_all inc closing ];
-  check_fired "final flush" (Online_oracle.flush full) (Online.flush inc);
+  let fired = Online.submit_all inc closing in
+  Alcotest.(check (list (list string)))
+    (Printf.sprintf "seed %d: closing batch fires" seed)
+    [ [ "closing" ] ]
+    (List.map fired_names fired);
+  check_same_fired 1000 "closing batch"
+    (Online_oracle.submit_all full closing)
+    fired;
+  check_same_fired 1000 "final flush" (Online_oracle.flush full)
+    (Online.flush inc);
   check_sync 1000;
   let tuples db =
     List.sort Tuple.compare (Relation.to_list (Database.relation db "F"))

@@ -7,10 +7,8 @@
    count, fired sets in order, the final store, and every deterministic
    stats counter — for any interleaving of submissions, batches,
    flushes, withdrawals and external inserts, with and without seeded
-   chaos faults.  A durable sharded session must write the same WAL
-   snapshots as a durable sequential one, and its WAL must recover and
-   re-shard at any domain count.  CI sweeps SHARDED_DOMAINS ×
-   CHAOS_SEED; locally the driver sweeps domains 1/2/4 itself. *)
+   chaos faults.  CI sweeps SHARDED_DOMAINS × CHAOS_SEED; locally the
+   suite sweeps domains 1/2/4 itself. *)
 
 open Relational
 open Entangled
@@ -379,130 +377,6 @@ let test_degraded_flush_converges () =
   Alcotest.(check bool) "degradation cleared" true
     (Sharded.last_degradation sharded = None)
 
-(* ----------------------- journal equivalence ---------------------- *)
-
-(* The sharded journal record stream must be byte-equivalent to the
-   sequential engine's, so lib/durable can log a sharded engine without
-   knowing it is sharded. *)
-let record_repr = function
-  | Online.Journal.Submitted { id; query } ->
-    Printf.sprintf "submitted %d %s" id query.Query.name
-  | Online.Journal.Rejected { id } -> Printf.sprintf "rejected %d" id
-  | Online.Journal.Retired { ids } ->
-    "retired " ^ String.concat "," (List.map string_of_int ids)
-  | Online.Journal.Consumed { deletions } ->
-    "consumed "
-    ^ String.concat ","
-        (List.map
-           (fun (r, t) -> Format.asprintf "%s:%a" r Tuple.pp t)
-           deletions)
-  | Online.Journal.Op_end { fired; _ } -> Printf.sprintf "op_end %d" fired
-
-let test_journal_stream_equivalent () =
-  List.iter
-    (fun domains ->
-      let rng = Prng.create 7 in
-      let db_seq = mk_db () and db_sh = mk_db () in
-      let oracle = Online.create ~consume:true db_seq in
-      let sharded = Sharded.create ~consume:true ~domains db_sh in
-      let log_seq = ref [] and log_sh = ref [] in
-      Online.set_journal oracle (Some (fun r -> log_seq := r :: !log_seq));
-      Sharded.set_journal sharded (Some (fun r -> log_sh := r :: !log_sh));
-      for step = 1 to 30 do
-        let q = random_query rng step in
-        ignore (Online.submit oracle q);
-        ignore (Sharded.submit sharded q)
-      done;
-      ignore (Online.flush oracle);
-      ignore (Sharded.flush sharded);
-      Alcotest.(check (list string))
-        (Printf.sprintf "domains %d: identical journal streams" domains)
-        (List.rev_map record_repr !log_seq)
-        (List.rev_map record_repr !log_sh))
-    domain_counts
-
-(* ----------------------- sharded durability ----------------------- *)
-
-(* A durable sharded session and a durable sequential session get the
-   same seeded op stream.  The sharded WAL snapshots the sharded engine
-   itself — there is no mirrored sequential engine — so after every
-   operation both WAL directories must hold byte-equal snapshot files.
-   Recovering a crash copy of the sharded WAL and re-sharding it at a
-   different domain count must then reproduce the sequential session's
-   pool, ids, satisfied count and store, and keep agreeing with it. *)
-let snapshot_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun n -> Filename.check_suffix n ".img")
-  |> List.sort compare
-  |> List.map (fun n -> (n, read_file (Filename.concat dir n)))
-
-let run_sharded_wal ~seed ~domains ~consume =
-  let tag = Printf.sprintf "sharded-d%d-%b" domains consume in
-  let ctx step m = Printf.sprintf "%s seed %d step %d: %s" tag seed step m in
-  let cfg dir = Durable.config ~fsync:Durable.Never ~snapshot_every:3 dir in
-  let seq_dir = fresh_dir (tag ^ "-seq") and sh_dir = fresh_dir (tag ^ "-sh") in
-  let wal_seq, db_seq, oracle = Durable.create_engine ~consume (cfg seq_dir) in
-  let wal_sh, db_sh, _ = Durable.create_engine ~consume (cfg sh_dir) in
-  let sharded = Durable.shard ~domains wal_sh in
-  let insert_into (wal, db) (fid, dest) =
-    Database.insert db "F" [ vi fid; vs dest ];
-    Durable.journal_insert wal "F" [ vi fid; vs dest ]
-  in
-  List.iter
-    (fun side ->
-      ignore (Database.create_table' (snd side) "F" [ "fid"; "dest" ]);
-      Durable.journal_create_table (fst side) "F" [ "fid"; "dest" ];
-      List.iter (insert_into side)
-        [ (101, "Zurich"); (102, "Zurich"); (200, "Paris"); (300, "Athens") ])
-    [ (wal_seq, db_seq); (wal_sh, db_sh) ];
-  let insert side fact =
-    insert_into (wal_seq, db_seq) fact;
-    insert_into side fact
-  in
-  let rng = Prng.create seed in
-  let snapshots_seen = Hashtbl.create 8 in
-  for step = 1 to 40 do
-    seeded_op rng ~ctx:(ctx step) ~oracle ~sharded
-      ~insert:(insert (wal_sh, db_sh)) step;
-    let files = snapshot_files sh_dir in
-    List.iter (fun (n, _) -> Hashtbl.replace snapshots_seen n ()) files;
-    Alcotest.(check (list (pair string string)))
-      (ctx step "snapshot files byte-equal")
-      (snapshot_files seq_dir) files
-  done;
-  Alcotest.(check bool) (ctx 40 "several snapshots taken") true
-    (Hashtbl.length snapshots_seen >= 3);
-  (* Crash the sharded session (no close), recover the copy, re-shard. *)
-  let crash = fresh_dir (tag ^ "-crash") in
-  copy_dir sh_dir crash;
-  let wal_rec, db_rec, _, _ =
-    match Durable.recover (Durable.config ~fsync:Durable.Never crash) with
-    | Ok r -> r
-    | Error why -> Alcotest.failf "%s: recover failed: %s" tag why
-  in
-  let resharded = Durable.shard ~domains:((domains mod 4) + 1) wal_rec in
-  let check_recovered step =
-    check_sync ~ctx:(ctx step) oracle resharded;
-    Alcotest.(check (list tuple_t)) (ctx step "store") (tuples db_seq)
-      (tuples db_rec)
-  in
-  check_recovered 40;
-  for step = 41 to 50 do
-    seeded_op rng ~ctx:(ctx step) ~oracle ~sharded:resharded
-      ~insert:(insert (wal_rec, db_rec)) step
-  done;
-  check_recovered 50;
-  List.iter Durable.close [ wal_seq; wal_sh; wal_rec ];
-  List.iter rm_rf [ seq_dir; sh_dir; crash ]
-
-let test_sharded_wal () =
-  List.iter
-    (fun domains ->
-      List.iter
-        (fun consume -> run_sharded_wal ~seed:chaos_seed ~domains ~consume)
-        [ false; true ])
-    domain_counts
-
 let suite =
   [
     Alcotest.test_case "differential: sharded == sequential oracle" `Quick
@@ -519,8 +393,4 @@ let suite =
       test_tables_follow_live_pool;
     Alcotest.test_case "degraded flush stays dirty and converges" `Quick
       test_degraded_flush_converges;
-    Alcotest.test_case "journal streams byte-equivalent" `Quick
-      test_journal_stream_equivalent;
-    Alcotest.test_case "sharded WAL snapshots == sequential, re-shards"
-      `Quick test_sharded_wal;
   ]

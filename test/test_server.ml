@@ -88,12 +88,31 @@ let req_of_op id = function
         ("tuple", Json.Arr [ Json.Int fid; Json.Str dest ]);
       ]
 
+(* Apply one op to the reference; returns the sets it fired. *)
 let apply_ref rdb rengine = function
-  | Submit q ->
+  | Submit q -> (
     (* The reference submits what the server parses off the wire. *)
-    ignore (Online.submit rengine (Parser.parse_query (Parser.query_to_string q)))
-  | Flush -> ignore (Online.flush rengine)
-  | Insert (fid, dest) -> Database.insert rdb "F" [ vi fid; vs dest ]
+    match
+      Online.submit rengine (Parser.parse_query (Parser.query_to_string q))
+    with
+    | Online.Coordinated c -> [ c ]
+    | Online.Pending | Online.Rejected_unsafe _ -> [])
+  | Flush -> Online.flush rengine
+  | Insert (fid, dest) ->
+    Database.insert rdb "F" [ vi fid; vs dest ];
+    []
+
+(* The sets a submit or flush response reports fired, by member name. *)
+let fired_in_response resp =
+  let names = function
+    | Json.Arr qs ->
+      List.filter_map (function Json.Str n -> Some n | _ -> None) qs
+    | _ -> []
+  in
+  match (Json.mem "queries" resp, Json.mem "sets" resp) with
+  | Some qs, _ -> [ names qs ]
+  | None, Some (Json.Arr sets) -> List.map names sets
+  | None, _ -> []
 
 (* Seed the schema over the wire on the server side (journaled when a
    WAL is attached) and directly on the reference side. *)
@@ -139,18 +158,37 @@ let run_differential ~seed ~nclients ~consume () =
   let srv = mk_server db (Server.Sequential engine) in
   let conns = Array.init nclients (fun _ -> connect srv) in
   let rdb, rengine = mk_reference ~consume () in
+  (* Every tuple ever inserted: the store a consume-mode fire used. *)
+  let shadow =
+    if consume then begin
+      let d = Database.create () in
+      seed_reference d;
+      d
+    end
+    else rdb
+  in
   seed_over_wire srv conns.(0);
   let trace = gen_trace (Prng.create seed) 40 in
   List.iteri
     (fun i op ->
       let conn = conns.(i mod nclients) in
-      let resp, _ =
-        rpc ~ctx:(Printf.sprintf "%s op %d" ctx i) srv conn (req_of_op i op)
-      in
+      let op_ctx = Printf.sprintf "%s op %d" ctx i in
+      let resp, _ = rpc ~ctx:op_ctx srv conn (req_of_op i op) in
       (match Json.mem "ok" resp with
       | Some (Json.Bool _) -> ()
-      | _ -> Alcotest.failf "%s op %d: malformed response" ctx i);
-      apply_ref rdb rengine op;
+      | _ -> Alcotest.failf "%s: malformed response" op_ctx);
+      let fired = apply_ref rdb rengine op in
+      (match op with
+      | Insert (fid, dest) when consume ->
+        Database.insert shadow "F" [ vi fid; vs dest ]
+      | Submit _ | Flush | Insert _ -> ());
+      (* The served sets are the reference's, and each one meets
+         Definition 1. *)
+      Alcotest.(check (list (list string)))
+        (op_ctx ^ ": fired sets")
+        (List.map fired_names fired)
+        (fired_in_response resp);
+      List.iter (check_fired ~ctx:op_ctx shadow) fired;
       if i mod 10 = 0 then
         Alcotest.check obs_t
           (Printf.sprintf "%s after op %d" ctx i)
@@ -188,7 +226,7 @@ let test_kill_and_restart () =
       ignore
         (rpc ~ctx:(Printf.sprintf "kill op %d" i) srv
            conns.(i mod nclients) (req_of_op i op));
-      apply_ref rdb rengine op)
+      ignore (apply_ref rdb rengine op))
     first;
   (* Kill: sockets die, the WAL handle is NOT cleanly closed — the
      crash discipline the durable suite establishes, now driven from
@@ -211,7 +249,7 @@ let test_kill_and_restart () =
       ignore
         (rpc ~ctx:(Printf.sprintf "restart op %d" i) srv2
            conns2.(i mod nclients) (req_of_op (100 + i) op));
-      apply_ref rdb rengine op)
+      ignore (apply_ref rdb rengine op))
     rest;
   Alcotest.check obs_t "restarted service converges to the reference"
     (observe rdb rengine) (observe db2 engine2);
@@ -456,9 +494,9 @@ let raw_rpc ~ctx srv fd payload =
   | Ok j -> j
   | Error why -> Alcotest.failf "%s: unparsable response: %s" ctx why
 
-let test_killer_frames make_engine () =
+let test_killer_frames () =
   let db = Database.create () in
-  let srv = mk_server db (make_engine db) in
+  let srv = mk_server db (Server.Sequential (Online.create db)) in
   let bystander = connect srv in
   seed_over_wire srv bystander;
   let fd = raw_connect srv in
@@ -507,6 +545,41 @@ let test_killer_frames make_engine () =
   Server.Client.close bystander;
   pump srv;
   Server.stop srv
+
+(* A bare listening socket plays a broken server.  The client must
+   raise [Bad_frame] on a bad length prefix and on a well-framed
+   non-JSON payload: never [Invalid_argument], never a timeout while a
+   valid frame sits in its buffer. *)
+let test_client_bad_frames () =
+  let expect_bad_frame ~ctx bytes ~after =
+    let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_of_string loopback, 0));
+    Unix.listen lfd 1;
+    let port =
+      match Unix.getsockname lfd with
+      | Unix.ADDR_INET (_, p) -> p
+      | Unix.ADDR_UNIX _ -> assert false
+    in
+    let conn = Server.Client.connect (Server.Tcp (loopback, port)) in
+    let fd, _ = Unix.accept lfd in
+    ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+    (match Server.Client.recv ~timeout:2.0 conn with
+    | exception Server.Client.Bad_frame _ -> ()
+    | Some j -> Alcotest.failf "%s: decoded %s" ctx (Json.to_string j)
+    | None -> Alcotest.failf "%s: timed out" ctx);
+    after conn;
+    Server.Client.close conn;
+    Unix.close fd;
+    Unix.close lfd
+  in
+  expect_bad_frame ~ctx:"negative length" "\xff\xff\xff\xfb" ~after:ignore;
+  expect_bad_frame ~ctx:"oversized length" "\x7f\xff\xff\xff" ~after:ignore;
+  expect_bad_frame ~ctx:"non-JSON payload"
+    (raw_frame "not json" ^ raw_frame {|{"ok":true}|})
+    ~after:(fun conn ->
+      Alcotest.(check (option string))
+        "the frame after it is still read" (Some {|{"ok":true}|})
+        (Option.map Json.to_string (Server.Client.recv ~timeout:2.0 conn)))
 
 let incidents () =
   Option.fold ~none:0 ~some:Obs.Counter.value
@@ -711,13 +784,9 @@ let suite =
     Alcotest.test_case "protocol errors keep the session alive" `Quick
       test_protocol_errors;
     Alcotest.test_case "one-frame crashes become typed error frames" `Quick
-      (test_killer_frames (fun db ->
-           Server.Sequential (Online.create db)));
-    Alcotest.test_case "sharded: one-frame crashes become typed error frames"
-      `Quick
-      (test_killer_frames (fun db ->
-           Server.Sharded
-             (Coordination.Online_sharded.create ~domains:2 db)));
+      test_killer_frames;
+    Alcotest.test_case "client: bad frames raise Bad_frame" `Quick
+      test_client_bad_frames;
     Alcotest.test_case "an unknown exception is an internal_error frame"
       `Quick test_internal_error;
     Alcotest.test_case "a WAL write failure stops the server" `Quick
