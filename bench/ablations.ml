@@ -563,147 +563,6 @@ let parallel_scaling ?(rows = 2_000) ?(pools = [ 1_000; 10_000 ])
         [ 1; 2; 4; 8 ])
     pools
 
-(* ------------------------- Sharded online ------------------------- *)
-
-(* The domain-sharded ONLINE engine under the same client-server regime
-   as [parallel_scaling]: every probe pays an emulated blocking round
-   trip, so per-shard flushes overlap their waits across domains even
-   on one core.  The stream is pairgen reordered all-firsts-then-all-
-   seconds — the pending pool peaks at pool/2 entries before any pair
-   can fire, so routing, migration bookkeeping and flush all run at
-   full pool size.  Submissions go through [submit_all] in batches (the
-   service regime: a server drains a socket backlog per round).
-
-   Two series feed the gate:
-   - [ablation_online_sharded]: the (domains x pool) grid with
-     amortized per-submit p50/p95, total wall time and throughput.
-   - [ablation_online_sharded_gate]: one row per pool carrying
-     [sharded_submit_speedup], the 4-domain/1-domain aggregate submit
-     throughput ratio.  The bench gate holds it above 2.5x at 100k
-     pool. *)
-let online_sharded ?(rows = 2_000) ?(pools = [ 100_000; 300_000 ])
-    ?(domain_counts = [ 1; 2; 4; 8 ]) ?(probe_latency = 0.0001)
-    ?(batch = 1_024) () =
-  Printf.printf "\n== Ablation: domain-sharded online engine ==\n";
-  Printf.printf
-    "(independent coordination pairs streamed firsts-then-seconds in \
-     batches of %d,\n\
-    \ %.2f ms emulated round trip per probe; pool = total submissions, \
-     pending\n\
-    \ peaks at pool/2; speedup is against the 1-domain run of the same \
-     pool)\n"
-    batch (probe_latency *. 1e3);
-  Series.start "ablation_online_sharded"
-    [
-      (* total_wall carries no unit suffix on purpose: it is wall time
-         dominated by emulated probe sleeps, too load-sensitive for the
-         gate's timing tolerance — the gated signal is the speedup
-         ratio in ablation_online_sharded_gate. *)
-      "domains"; "pool"; "migrations"; "p50_us"; "p95_us"; "total_wall";
-      "throughput_per_s";
-    ];
-  Series.start "ablation_online_sharded_gate"
-    [ "pool"; "sharded_submit_speedup" ];
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int (n - 1)))))
-  in
-  let rec chunks n = function
-    | [] -> []
-    | l ->
-      let rec take k acc rest =
-        match rest with
-        | [] -> (List.rev acc, [])
-        | _ when k = 0 -> (List.rev acc, rest)
-        | x :: tl -> take (k - 1) (x :: acc) tl
-      in
-      let c, rest = take n [] l in
-      c :: chunks n rest
-  in
-  List.iter
-    (fun pool ->
-      let pairs = pool / 2 in
-      let baseline = ref None in
-      let reference = ref None in
-      let gate_speedup = ref None in
-      List.iter
-        (fun domains ->
-          let db, queries = Workload.Pairgen.make ~rows ~seed:11 pairs in
-          (* All pair-firsts, then all pair-seconds: nothing fires
-             until the second phase, so the pool peaks at [pairs]. *)
-          let firsts, seconds =
-            List.partition
-              (fun q -> q.Entangled.Query.name.[0] = 'a')
-              queries
-          in
-          Database.set_probe_latency db probe_latency;
-          let engine = Coordination.Online_sharded.create ~domains db in
-          let samples = ref [] in
-          let t0 = Coordination.Stats.now_ns () in
-          List.iter
-            (fun qs ->
-              let s0 = Coordination.Stats.now_ns () in
-              ignore (Coordination.Online_sharded.submit_all engine qs);
-              let per_submit_us =
-                Int64.to_float
-                  (Int64.sub (Coordination.Stats.now_ns ()) s0)
-                /. 1e3
-                /. float_of_int (List.length qs)
-              in
-              samples := per_submit_us :: !samples)
-            (chunks batch firsts @ chunks batch seconds);
-          ignore (Coordination.Online_sharded.flush engine);
-          let total = ms (Int64.sub (Coordination.Stats.now_ns ()) t0) in
-          let satisfied =
-            Coordination.Online_sharded.total_coordinated engine
-          in
-          let pending = Coordination.Online_sharded.pending_count engine in
-          (match !reference with
-          | None -> reference := Some (satisfied, pending)
-          | Some (s, p) ->
-            if s <> satisfied || p <> pending then
-              Printf.printf "  !! domains=%d disagrees with 1-domain run\n"
-                domains);
-          let speedup =
-            match !baseline with
-            | None ->
-              baseline := Some total;
-              1.0
-            | Some b -> b /. total
-          in
-          if domains = 4 then gate_speedup := Some speedup;
-          let lat = Array.of_list !samples in
-          Array.sort compare lat;
-          let p50 = percentile lat 0.5 and p95 = percentile lat 0.95 in
-          let throughput = float_of_int pool /. (total /. 1e3) in
-          let migrations =
-            Coordination.Online_sharded.migrations engine
-          in
-          Printf.printf
-            "  %d domain(s)   pool %7d:  p50 %8.2f us   p95 %8.2f us   \
-             total %10.3f ms   %9.0f submits/s   speedup %5.2fx   (%d \
-             coordinated, %d migrations)\n"
-            domains pool p50 p95 total throughput speedup satisfied
-            migrations;
-          Series.row "ablation_online_sharded"
-            [
-              string_of_int domains;
-              string_of_int pool;
-              string_of_int migrations;
-              Printf.sprintf "%.2f" p50;
-              Printf.sprintf "%.2f" p95;
-              Printf.sprintf "%.3f" total;
-              Printf.sprintf "%.0f" throughput;
-            ])
-        domain_counts;
-      match !gate_speedup with
-      | None -> ()
-      | Some s ->
-        Series.row "ablation_online_sharded_gate"
-          [ string_of_int pool; Printf.sprintf "%.2f" s ])
-    pools
-
 (* ------------------------------ Durability ------------------------ *)
 
 (* The price of the write-ahead log: the online_scaling pool-growth
@@ -994,33 +853,3 @@ let service ?(rows = 2_000) ?(requests = 512) ?(clients = [ 1; 8; 64 ]) () =
           end)
         [ ("no-wal", None); ("wal-nofsync", Some Durable.Never) ])
     clients
-
-let run_all ?(fast = false) () =
-  if fast then begin
-    preprocess ~rows:5_000 ~n:15 ();
-    selection ~rows:5_000 ~n:20 ();
-    minimize ~rows:5_000 ~n:12 ();
-    realistic ~rows:100 ~users:20 ();
-    parallel ~rows:150 ~users:40 ();
-    online ~rows:5_000 ~n:20 ();
-    online_scaling ~rows:1_000 ~pools:[ 200; 1_000 ] ();
-    parallel_scaling ~rows:1_000 ();
-    observability ~rows:5_000 ~n:15 ~repeats:3 ();
-    resilience ~rows:5_000 ~n:15 ~repeats:3 ();
-    durability ~rows:1_000 ~pools:[ 200; 1_000 ] ();
-    service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
-  end
-  else begin
-    preprocess ();
-    selection ();
-    minimize ();
-    realistic ();
-    parallel ();
-    online ();
-    online_scaling ();
-    parallel_scaling ();
-    observability ();
-    resilience ();
-    durability ();
-    service ()
-  end

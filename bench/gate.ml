@@ -4,20 +4,17 @@
    baseline (BENCH_eval.json).  Every column is judged by its median
    over the series' rows, under the first rule in [rules] whose suffix
    it ends with; columns no rule names are not gated.  A rule has one
-   of three limits:
+   of two limits:
 
    - [Slack t], for timings: fail when the fresh median is more than
      [t] slower than the baseline's.  Baseline medians below the rule's
      noise floor are skipped — a 25% "regression" of 40 microseconds is
      scheduler jitter, not a slowdown.
-   - [Floor x]: fail when the fresh median drops below [x].
    - [Cap x]: fail when the fresh median exceeds [x].
 
-   Floors and caps are absolute because the columns they judge are
-   ratios of two same-machine timings, which port across hardware where
-   raw timings do not:
-   - the 4-domain sharded submit speedup must beat 2.5x, or sharding is
-     not pulling its weight;
+   Caps are absolute because the columns they judge are ratios of two
+   same-machine timings, which port across hardware where raw timings
+   do not:
    - armed-vs-disarmed telemetry overhead must stay under the
      observability layer's <5% promise;
    - a page-cache-bound journaling submit stream may cost at most 3x
@@ -73,7 +70,6 @@ let column_median series name =
 
 type limit =
   | Slack of float  (* fresh <= baseline * (1 + t) *)
-  | Floor of float  (* fresh >= x *)
   | Cap of float    (* fresh <= x *)
 
 (* (column suffix, limit, noise floor of the baseline median).  The
@@ -83,7 +79,6 @@ let rules =
     ("service_overhead_x", Cap 5.0, 0.0);
     ("wal_overhead_x", Cap 3.0, 0.0);
     ("overhead_ratio", Cap 1.05, 0.0);
-    ("sharded_submit_speedup", Floor 2.5, 0.0);
     ("_ms", Slack 0.25, 1.0);
     ("_us", Slack 0.25, 1000.0);
     ("_ns", Slack 0.25, 1_000_000.0);
@@ -100,15 +95,12 @@ let violation limit ~b ~f =
     Some
       (Printf.sprintf "slowed down %.1f%% (median %.3f -> %.3f, tolerance %.0f%%)"
          ((f /. b -. 1.0) *. 100.0) b f (t *. 100.0))
-  | Floor x when f < x ->
-    Some (Printf.sprintf "median %.3f is below the %.2f floor (baseline %.3f)" f x b)
   | Cap x when f > x ->
     Some (Printf.sprintf "median %.3f exceeds the %.2f cap (baseline %.3f)" f x b)
-  | Slack _ | Floor _ | Cap _ -> None
+  | Slack _ | Cap _ -> None
 
 let describe = function
   | Slack t -> Printf.sprintf "slack %.0f%%" (t *. 100.0)
-  | Floor x -> Printf.sprintf "floor %.2f" x
   | Cap x -> Printf.sprintf "cap %.2f" x
 
 let () =

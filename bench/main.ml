@@ -9,27 +9,121 @@
      dune exec bench/main.exe -- --bechamel
      dune exec bench/main.exe -- --fast        (reduced sizes, for CI) *)
 
+(* Every ablation by its [--ablation] name, in run order, with its
+   [--fast] and full-size runs. *)
+let ablations =
+  [
+    ( "preprocess",
+      fun fast ->
+        if fast then Ablations.preprocess ~rows:5_000 ~n:15 ()
+        else Ablations.preprocess () );
+    ( "selection",
+      fun fast ->
+        if fast then Ablations.selection ~rows:5_000 ~n:20 ()
+        else Ablations.selection () );
+    ( "minimize",
+      fun fast ->
+        if fast then Ablations.minimize ~rows:5_000 ~n:12 ()
+        else Ablations.minimize () );
+    ( "realistic",
+      fun fast ->
+        if fast then Ablations.realistic ~rows:100 ~users:20 ()
+        else Ablations.realistic () );
+    ( "parallel",
+      fun fast ->
+        if fast then Ablations.parallel ~rows:150 ~users:40 ()
+        else Ablations.parallel () );
+    ( "online",
+      fun fast ->
+        if fast then Ablations.online ~rows:5_000 ~n:20 ()
+        else Ablations.online () );
+    ( "online-scaling",
+      fun fast ->
+        if fast then
+          Ablations.online_scaling ~rows:1_000 ~pools:[ 200; 1_000 ] ()
+        else Ablations.online_scaling () );
+    ( "parallel-scaling",
+      fun fast ->
+        if fast then Ablations.parallel_scaling ~rows:1_000 ()
+        else Ablations.parallel_scaling () );
+    ( "observability",
+      fun fast ->
+        if fast then
+          Ablations.observability ~rows:5_000 ~n:15 ~repeats:13 ~iters:50 ()
+        else Ablations.observability () );
+    ( "resilience",
+      fun fast ->
+        if fast then Ablations.resilience ~rows:5_000 ~n:15 ~repeats:3 ()
+        else Ablations.resilience () );
+    ( "durability",
+      fun fast ->
+        if fast then Ablations.durability ~rows:1_000 ~pools:[ 200; 1_000 ] ()
+        else Ablations.durability () );
+    ( "service",
+      fun fast ->
+        if fast then
+          Ablations.service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
+        else Ablations.service () );
+  ]
+
+let figures =
+  [
+    ( 4,
+      fun fast ->
+        if fast then Figures.figure4 ~rows:10_000 ~sizes:[ 10; 30; 50 ] ()
+        else Figures.figure4 () );
+    ( 5,
+      fun fast ->
+        if fast then
+          Figures.figure5 ~rows:10_000 ~seeds:3 ~sizes:[ 10; 30; 50 ] ()
+        else Figures.figure5 () );
+    ( 6,
+      fun fast ->
+        if fast then Figures.figure6 ~seeds:3 ~sizes:[ 100; 300 ] ()
+        else Figures.figure6 () );
+    ( 7,
+      fun fast ->
+        if fast then Figures.figure7 ~sizes:[ 100; 300 ] ()
+        else Figures.figure7 () );
+    ( 8,
+      fun fast ->
+        if fast then Figures.figure8 ~sizes:[ 10; 30; 50 ] ()
+        else Figures.figure8 () );
+  ]
+
 let usage =
-  "main.exe [--fast] [--figure N]... [--ablation \
-   preprocess|selection|minimize|realistic|parallel|online|\
-   online-scaling|parallel-scaling|observability|resilience|\
-   durability|service]... \
-   [--bechamel] \
+  "main.exe [--fast] [--figure N]... [--ablation NAME]... [--bechamel] \
    [--figures-only] [--json FILE]"
 
+(* Names are checked as they are parsed, so a stale name fails the run
+   (usage on stderr, exit 2) before anything is measured. *)
 let () =
-  let figures = ref [] in
-  let ablations = ref [] in
+  let chosen_figures = ref [] in
+  let chosen_ablations = ref [] in
   let bechamel_only = ref false in
   let figures_only = ref false in
   let fast = ref false in
   let json_path = ref None in
   let spec =
     [
-      ("--figure", Arg.Int (fun n -> figures := n :: !figures),
+      ("--figure",
+       Arg.Int
+         (fun n ->
+           match List.assoc_opt n figures with
+           | Some run -> chosen_figures := run :: !chosen_figures
+           | None ->
+             raise
+               (Arg.Bad
+                  (Printf.sprintf "no figure %d (the paper has figures 4-8)"
+                     n))),
        "N  run only figure N (4..8); repeatable");
-      ("--ablation", Arg.String (fun s -> ablations := s :: !ablations),
-       "NAME  run only this ablation (preprocess|selection|...)");
+      ("--ablation",
+       Arg.Symbol
+         ( List.map fst ablations,
+           fun name ->
+             chosen_ablations := List.assoc name ablations :: !chosen_ablations
+         ),
+       "  run only this ablation; repeatable");
       ("--bechamel", Arg.Set bechamel_only, " run only the micro-benchmarks");
       ("--figures-only", Arg.Set figures_only, " skip ablations and bechamel");
       ("--fast", Arg.Set fast, " reduced sizes (CI-friendly)");
@@ -49,77 +143,13 @@ let () =
      `observability` ablation toggles this itself to measure overhead. *)
   Obs.set_metrics true;
   let fast = !fast in
-  let ran_something = ref false in
-  List.iter
-    (fun n ->
-      ran_something := true;
-      match n with
-      | 4 -> if fast then Figures.figure4 ~rows:10_000 ~sizes:[ 10; 30; 50 ] () else Figures.figure4 ()
-      | 5 -> if fast then Figures.figure5 ~rows:10_000 ~seeds:3 ~sizes:[ 10; 30; 50 ] () else Figures.figure5 ()
-      | 6 -> if fast then Figures.figure6 ~seeds:3 ~sizes:[ 100; 300 ] () else Figures.figure6 ()
-      | 7 -> if fast then Figures.figure7 ~sizes:[ 100; 300 ] () else Figures.figure7 ()
-      | 8 -> if fast then Figures.figure8 ~sizes:[ 10; 30; 50 ] () else Figures.figure8 ()
-      | n -> Printf.eprintf "no figure %d (the paper has figures 4-8)\n" n)
-    (List.rev !figures);
-  List.iter
-    (fun name ->
-      ran_something := true;
-      match name with
-      | "preprocess" ->
-        if fast then Ablations.preprocess ~rows:5_000 ~n:15 ()
-        else Ablations.preprocess ()
-      | "selection" ->
-        if fast then Ablations.selection ~rows:5_000 ~n:20 ()
-        else Ablations.selection ()
-      | "minimize" ->
-        if fast then Ablations.minimize ~rows:5_000 ~n:12 ()
-        else Ablations.minimize ()
-      | "realistic" ->
-        if fast then Ablations.realistic ~rows:100 ~users:20 ()
-        else Ablations.realistic ()
-      | "parallel" ->
-        if fast then Ablations.parallel ~rows:150 ~users:40 ()
-        else Ablations.parallel ()
-      | "online" ->
-        if fast then Ablations.online ~rows:5_000 ~n:20 ()
-        else Ablations.online ()
-      | "online-scaling" ->
-        if fast then
-          Ablations.online_scaling ~rows:1_000 ~pools:[ 200; 1_000 ] ()
-        else Ablations.online_scaling ()
-      | "parallel-scaling" ->
-        if fast then Ablations.parallel_scaling ~rows:1_000 ()
-        else Ablations.parallel_scaling ()
-      | "online-sharded" ->
-        (* 100k pool even in fast mode: the sharded-throughput gate is
-           only meaningful at the acceptance pool size. *)
-        if fast then
-          Ablations.online_sharded ~rows:1_000 ~pools:[ 100_000 ]
-            ~domain_counts:[ 1; 2; 4 ] ()
-        else Ablations.online_sharded ()
-      | "observability" ->
-        if fast then Ablations.observability ~rows:5_000 ~n:15 ~repeats:13 ~iters:50 ()
-        else Ablations.observability ()
-      | "resilience" ->
-        if fast then Ablations.resilience ~rows:5_000 ~n:15 ~repeats:3 ()
-        else Ablations.resilience ()
-      | "durability" ->
-        if fast then Ablations.durability ~rows:1_000 ~pools:[ 200; 1_000 ] ()
-        else Ablations.durability ()
-      | "service" ->
-        if fast then
-          Ablations.service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
-        else Ablations.service ()
-      | s -> Printf.eprintf "unknown ablation %s\n" s)
-    (List.rev !ablations);
-  if !bechamel_only then begin
-    ran_something := true;
-    Micro.run_all ()
-  end;
-  if not !ran_something then begin
+  let chosen = List.rev_append !chosen_figures (List.rev !chosen_ablations) in
+  List.iter (fun run -> run fast) chosen;
+  if !bechamel_only then Micro.run_all ();
+  if List.is_empty chosen && not !bechamel_only then begin
     Figures.run_all ~fast ();
     if not !figures_only then begin
-      Ablations.run_all ~fast ();
+      List.iter (fun (_, run) -> run fast) ablations;
       Micro.run_all ()
     end
   end;

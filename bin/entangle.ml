@@ -1076,6 +1076,9 @@ let client_cmd =
           ~doc:"Seconds to wait for each response frame.")
   in
   let run socket host port abort_after timeout =
+    (* A server that hangs up must surface as [Client.Closed] on the
+       next write, not as a SIGPIPE that kills the client silently. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let listen = listen_of_flags socket host port in
     let conn = Server.Client.connect listen in
     let sent = ref 0 in
@@ -1112,6 +1115,10 @@ let client_cmd =
      | End_of_file -> ()
      | Server.Client.Bad_frame why ->
        Printf.printf "client: bad frame: %s\n%!" why;
+       Server.Client.close conn;
+       exit 1
+     | Server.Client.Closed ->
+       Printf.printf "client: connection closed\n%!";
        Server.Client.close conn;
        exit 1);
     if not !aborted then Server.Client.close conn

@@ -50,8 +50,8 @@ val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()], floored at 1 — what
     [?domains:None] resolves to. *)
 
-(** The underlying domain pool, exposed for the online flush path and
-    for tests. *)
+(** The underlying domain pool the sharded solvers below run on,
+    exposed for tests. *)
 module Pool : sig
   val map :
     domains:int -> weights:int array -> (int -> 'a) -> ('a, exn) result array
@@ -64,14 +64,6 @@ module Pool : sig
       sibling deques.  All spawned domains are joined before returning,
       whatever the tasks do. *)
 end
-
-val raise_first_crash : ('a, exn) result array -> unit
-(** Surface the first trapped worker exception from a {!Pool.map}
-    result array as {!Worker_crashed}, after recording a
-    flight-recorder incident so every domain's final moments are
-    dumped.  Call it only after the pool has returned — i.e. after
-    every sibling domain was joined — so one shard's crash never
-    leaves another detached.  No-op when every slot is [Ok]. *)
 
 val solve_scc :
   ?selection:Scc_algo.selection ->

@@ -12,14 +12,6 @@ type submission =
   | Pending
   | Rejected_unsafe of (int * int) list
 
-(* A fired set together with the identity a sharded orchestrator needs
-   to merge per-shard fire streams deterministically: [f_key] is the
-   smallest live member id of the component that was EVALUATED (not of
-   the subset that fired — a remnant can refire under the same key),
-   which is exactly the order the sequential flush tries components
-   in. *)
-type fired = { f_key : int; f_ids : int list; f_set : coordinated }
-
 type inventory_conflict = {
   double_spent : (string * Tuple.t) list;
   missing : (string * Tuple.t) list;
@@ -58,7 +50,9 @@ end
    holds when the component's last complete evaluation, with its
    current members and the current store, was safe and fired nothing;
    a component is quiet iff every member is.  Ids are submission order
-   and never reused; an id is live iff it is present in [entries]. *)
+   and never reused; an id is live iff it is present in [entries].
+   [quiet] changes only through [set_quiet], which keeps the owning
+   component's [unquiet] count in step. *)
 type entry = {
   id : int;
   query : Query.t;
@@ -67,6 +61,11 @@ type entry = {
   mutable comp : int;
   mutable quiet : bool;
 }
+
+(* One weakly connected component: its live member ids and how many of
+   them are not quiet, so "is the component quiet" is [unquiet = 0]
+   without walking the members. *)
+type comp = { mutable members : int list; mutable unquiet : int }
 
 type t = {
   db : Database.t;
@@ -78,12 +77,12 @@ type t = {
      arrival probes its posts against pooled heads and its heads against
      pooled posts to discover its coordination edges without re-unifying
      against the whole pool.  [comps] maps each component key to the
-     component's live member ids; [dirty] is the set of live ids whose
-     component must be re-evaluated (a component is dirty iff any member
-     is).  Every table is keyed by live ids or live atoms only. *)
+     component; [dirty] is the set of live ids whose component must be
+     re-evaluated (a component is dirty iff any member is).  Every
+     table is keyed by live ids or live atoms only. *)
   posts_index : (int * int) Atom_index.t;
   heads_index : (int * int) Atom_index.t;
-  comps : (int, int list) Hashtbl.t;
+  comps : (int, comp) Hashtbl.t;
   dirty : (int, unit) Hashtbl.t;
   mutable db_version : int;
   mutable satisfied : int;
@@ -148,8 +147,15 @@ let last_degradation engine = engine.last_degradation
 
 let last_inventory_conflict engine = engine.last_conflict
 
+let set_quiet engine e quiet =
+  if e.quiet <> quiet then begin
+    let c = Hashtbl.find engine.comps e.comp in
+    c.unquiet <- (c.unquiet + if quiet then -1 else 1);
+    e.quiet <- quiet
+  end
+
 let mark_dirty engine id =
-  (Hashtbl.find engine.entries id).quiet <- false;
+  set_quiet engine (Hashtbl.find engine.entries id) false;
   Hashtbl.replace engine.dirty id ()
 
 (* Cache a verdict that lets [ids] skip the next flush; [quiet] only
@@ -157,7 +163,7 @@ let mark_dirty engine id =
 let mark_clean engine ~quiet ids =
   List.iter
     (fun id ->
-      (Hashtbl.find engine.entries id).quiet <- quiet;
+      set_quiet engine (Hashtbl.find engine.entries id) quiet;
       Hashtbl.remove engine.dirty id)
     ids
 
@@ -239,19 +245,29 @@ let probe_edges engine ~id (q : Query.t) =
     q.Query.head;
   (!out, !inc)
 
+(* A component of one member, keyed by its id. *)
+let singleton engine e =
+  e.comp <- e.id;
+  Hashtbl.replace engine.comps e.id
+    { members = [ e.id ]; unquiet = (if e.quiet then 0 else 1) }
+
 (* Fuse the components of [a] and [b]: the smaller member list takes the
    larger one's key, so an entry is relabelled O(log pool) times. *)
 let fuse engine a b =
   if a.comp <> b.comp then begin
-    let ma = Hashtbl.find engine.comps a.comp in
-    let mb = Hashtbl.find engine.comps b.comp in
+    let ca = Hashtbl.find engine.comps a.comp in
+    let cb = Hashtbl.find engine.comps b.comp in
     let key, gone, small, large =
-      if List.compare_lengths ma mb < 0 then (b.comp, a.comp, ma, mb)
-      else (a.comp, b.comp, mb, ma)
+      if List.compare_lengths ca.members cb.members < 0 then
+        (b.comp, a.comp, ca, cb)
+      else (a.comp, b.comp, cb, ca)
     in
-    List.iter (fun id -> (Hashtbl.find engine.entries id).comp <- key) small;
+    List.iter
+      (fun id -> (Hashtbl.find engine.entries id).comp <- key)
+      small.members;
     Hashtbl.remove engine.comps gone;
-    Hashtbl.replace engine.comps key (List.rev_append small large)
+    large.members <- List.rev_append small.members large.members;
+    large.unquiet <- large.unquiet + small.unquiet
   end
 
 let fuse_out engine e =
@@ -283,7 +299,7 @@ let admit engine ~id query =
     }
   in
   Hashtbl.replace engine.entries id e;
-  Hashtbl.replace engine.comps id [ id ];
+  singleton engine e;
   List.iter
     (fun (ed : Coordination_graph.edge) ->
       let src = Hashtbl.find engine.entries ed.src in
@@ -310,7 +326,9 @@ let retire engine ids =
     List.sort_uniq Int.compare
       (List.map (fun id -> (Hashtbl.find engine.entries id).comp) ids)
   in
-  let members = List.concat_map (Hashtbl.find engine.comps) keys in
+  let members =
+    List.concat_map (fun k -> (Hashtbl.find engine.comps k).members) keys
+  in
   List.iter (Hashtbl.remove engine.comps) keys;
   List.iter
     (fun id ->
@@ -326,8 +344,7 @@ let retire engine ids =
         Hashtbl.mem engine.entries ed.dst
       in
       e.out <- List.filter live e.out;
-      e.comp <- e.id;
-      Hashtbl.replace engine.comps e.id [ e.id ])
+      singleton engine e)
     survivors;
   List.iter
     (fun e ->
@@ -335,28 +352,14 @@ let retire engine ids =
       mark_dirty engine e.id)
     survivors
 
-(* The live ids of every component the query would join, ascending:
-   the same probe admission runs, without admitting. *)
-let touched engine query =
-  let out, inc = probe_edges engine ~id:(-1) query in
-  let keys =
-    List.filter_map
-      (fun (ed : Coordination_graph.edge) ->
-        let partner = if ed.dst < 0 then ed.src else ed.dst in
-        if partner < 0 then None
-        else Some (Hashtbl.find engine.entries partner).comp)
-      (List.rev_append out inc)
-    |> List.sort_uniq Int.compare
-  in
-  List.sort Int.compare (List.concat_map (Hashtbl.find engine.comps) keys)
-
 let components engine =
   let live = live_entries engine in
   let position = Hashtbl.create (2 * List.length live) in
   List.iteri (fun i e -> Hashtbl.replace position e.id i) live;
   Hashtbl.fold
-    (fun _ ids acc ->
-      List.sort Int.compare (List.map (Hashtbl.find position) ids) :: acc)
+    (fun _ c acc ->
+      List.sort Int.compare (List.map (Hashtbl.find position) c.members)
+      :: acc)
     engine.comps []
   |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
 
@@ -515,24 +518,19 @@ let evaluate engine ids =
       emit engine (Journal.Retired { ids = member_ids });
       if engine.consume then consume_inventory engine outcome.queries solution;
       Ok
-        (Some
-           {
-             f_key = List.hd ids;
-             f_ids = member_ids;
-             f_set =
-               { queries = satisfied_queries; assignment = solution.assignment };
-           }))
+        (Some { queries = satisfied_queries; assignment = solution.assignment }))
 
 (* The ids of the component containing [e], ascending. *)
 let component_of engine (e : entry) =
-  List.sort Int.compare (Hashtbl.find engine.comps e.comp)
+  List.sort Int.compare (Hashtbl.find engine.comps e.comp).members
 
 (* Whether the just-admitted [e] provably leaves its component quiet
    (DESIGN.md §2c, "Proven-quiet arrivals"): some postcondition of [e]
    has no out-edge, self-loops included, so pruning removes [e] first
    and leaves every other member's status alone; if every other member
    is quiet, every candidate of the fused component was already probed
-   and failed against this store. *)
+   and failed against this store.  O(posts x out-edges of [e]): the
+   component's [unquiet] count answers for the other members. *)
 let proven_quiet engine (e : entry) =
   let rec has_out pi = function
     | [] -> false
@@ -543,15 +541,10 @@ let proven_quiet engine (e : entry) =
     | [] -> false
     | _ :: posts -> (not (has_out pi e.out)) || unmatched (pi + 1) posts
   in
-  let rec others_quiet = function
-    | [] -> true
-    | id :: rest ->
-      (id = e.id || (Hashtbl.find engine.entries id).quiet) && others_quiet rest
-  in
   unmatched 0 e.query.Query.post
-  && others_quiet (Hashtbl.find engine.comps e.comp)
+  && (Hashtbl.find engine.comps e.comp).unquiet = if e.quiet then 0 else 1
 
-let submit ?id engine query =
+let submit engine query =
   Obs.with_span
     ~args:(fun () ->
       [
@@ -561,18 +554,7 @@ let submit ?id engine query =
     "online.submit"
   @@ fun () ->
   begin_op engine;
-  let e =
-    match id with
-    | None -> add_entry engine query
-    | Some id ->
-      (* A sharded orchestrator allocates ids globally and forces them
-         here, so per-shard pools share one id space. *)
-      if id < engine.next_id then
-        invalid_arg
-          (Printf.sprintf "Online.submit: forced id %d below next_id %d" id
-             engine.next_id);
-      admit engine ~id query
-  in
+  let e = add_entry engine query in
   emit engine (Journal.Submitted { id = e.id; query });
   let result =
     if proven_quiet engine e then begin
@@ -587,7 +569,7 @@ let submit ?id engine query =
         emit engine (Journal.Rejected { id = e.id });
         Rejected_unsafe ws
       | Ok None -> Pending
-      | Ok (Some fr) -> Coordinated fr.f_set
+      | Ok (Some c) -> Coordinated c
   in
   emit engine
     (Journal.Op_end
@@ -638,14 +620,14 @@ let due_components engine =
     engine.dirty;
   Hashtbl.fold
     (fun key () acc ->
-      List.sort Int.compare (Hashtbl.find engine.comps key) :: acc)
+      List.sort Int.compare (Hashtbl.find engine.comps key).members :: acc)
     keys []
   |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
 
 (* Evaluate the dirty components in order of their smallest member id,
    restarting after every fire, until a fixpoint: removing one satisfied
    set can newly enable another among the remainder. *)
-let flush_fired engine =
+let flush_dirty engine =
   let results = ref [] in
   let progress = ref true in
   while !progress do
@@ -676,11 +658,11 @@ let flush engine =
     "online.flush"
   @@ fun () ->
   begin_op engine;
-  let fired = flush_fired engine in
+  let fired = flush_dirty engine in
   emit engine
     (Journal.Op_end { op = Journal.Flush_op; fired = List.length fired });
   sync_db_version engine;
-  List.map (fun fr -> fr.f_set) fired
+  fired
 
 let submit_all engine queries =
   Obs.with_span
@@ -697,11 +679,11 @@ let submit_all engine queries =
       let e = add_entry engine q in
       emit engine (Journal.Submitted { id = e.id; query = q }))
     queries;
-  let fired = flush_fired engine in
+  let fired = flush_dirty engine in
   emit engine
     (Journal.Op_end { op = Journal.Submit_all_op; fired = List.length fired });
   sync_db_version engine;
-  List.map (fun fr -> fr.f_set) fired
+  fired
 
 (* Recovery replay (lib/durable).  These re-apply journaled effects to
    a fresh engine without evaluating anything: the journal already says
@@ -735,62 +717,3 @@ let restore_counters engine ~satisfied ~next_id =
     invalid_arg "Online.restore_counters: next_id below an admitted id";
   engine.satisfied <- satisfied;
   engine.next_id <- next_id
-
-(* Orchestrator hooks (lib/coordination/online_sharded).  A sharded
-   engine runs one of these engines per shard and manages the public
-   operation boundary itself: it brackets every operation with
-   [prepare_op]/[finish_op] on every shard, moves whole components
-   between shards with [detach]/[attach], and drives flush rounds
-   through [flush_fired]/[due_components]/[evaluate_due] so it can
-   merge per-shard fire streams into the sequential order.  None of
-   these emit [Journal.Op_end] — the orchestrator owns the commit
-   boundary. *)
-
-let prepare_op = begin_op
-let finish_op = sync_db_version
-
-let evaluate_due engine ids =
-  match evaluate engine ids with
-  | Error _ -> `Unsafe
-  | Ok None -> `Quiet
-  | Ok (Some fr) -> `Fired fr
-
-type moved = {
-  mv_id : int;
-  mv_query : Query.t;
-  mv_dirty : bool;
-  mv_quiet : bool;
-}
-
-let detach engine ids =
-  let ids = List.sort_uniq Int.compare ids in
-  let moved =
-    List.map
-      (fun id ->
-        match Hashtbl.find_opt engine.entries id with
-        | None ->
-          invalid_arg (Printf.sprintf "Online.detach: id %d not live" id)
-        | Some e ->
-          {
-            mv_id = id;
-            mv_query = e.query;
-            mv_dirty = Hashtbl.mem engine.dirty id;
-            mv_quiet = e.quiet;
-          })
-      ids
-  in
-  retire engine ids;
-  moved
-
-let attach engine moved =
-  List.iter
-    (fun m ->
-      if Hashtbl.mem engine.entries m.mv_id then
-        invalid_arg
-          (Printf.sprintf "Online.attach: id %d already live" m.mv_id);
-      ignore (admit engine ~id:m.mv_id m.mv_query);
-      (* [admit] marks the new entry dirty; preserve the source shard's
-         verdict instead — migration alone re-evaluates nothing, exactly
-         as the sequential engine would not. *)
-      if not m.mv_dirty then mark_clean engine ~quiet:m.mv_quiet [ m.mv_id ])
-    moved

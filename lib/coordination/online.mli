@@ -81,7 +81,7 @@ type submission =
   | Rejected_unsafe of (int * int) list
       (** the component became unsafe; the new query was NOT admitted *)
 
-val submit : ?id:int -> t -> Query.t -> submission
+val submit : t -> Query.t -> submission
 (** Submit one query.  The arrival's component is evaluated, except
     when the arrival is {e proven quiet}: one of its postconditions has
     no coordination edge (not even a self-loop), and every other member
@@ -89,12 +89,9 @@ val submit : ?id:int -> t -> Query.t -> submission
     evaluation, with the same members and store, was safe and fired
     nothing.  Pruning then removes the
     arrival first and leaves every other candidate as it was, so the
-    answer is [Pending] without a solve (DESIGN.md §2c).  The journal
-    is the same either way.  [?id] forces the admitted entry's pool id
-    — the hook a sharded orchestrator ({!Online_sharded}) uses to keep
-    one global id space across per-shard pools; it must be at least
-    {!next_id}.
-    @raise Invalid_argument if [id] is below {!next_id}. *)
+    answer is [Pending] without a solve (DESIGN.md §2c).  The check
+    costs O(1) in the component's size: each component counts its
+    members that are not quiet.  The journal is the same either way. *)
 
 val submit_all : t -> Query.t list -> coordinated list
 (** Batched submission: admit the whole batch, then evaluate pending
@@ -108,8 +105,7 @@ val flush : t -> coordinated list
 (** Evaluate the pending pool's weakly connected components that were
     touched since their last evaluation, in order of their smallest
     member, until no set fires; satisfied sets leave the pool.  Returns
-    them in discovery order.  {!Online_sharded} is the parallel
-    counterpart. *)
+    them in discovery order. *)
 
 val withdraw : t -> int -> bool
 (** [withdraw engine id] removes the pending entry with pool id [id]
@@ -145,11 +141,6 @@ val table_sizes : t -> (string * int) list
     {!Entangled.Coordination_graph.Atom_index.key_count}),
     ["components"], ["entries"] and ["dirty"].  Each is bounded by the
     live pool: a retired or fired entry's keys leave with it. *)
-
-val touched : t -> Query.t -> int list
-(** The live ids, ascending, of every component the query has a
-    coordination edge with — found by the index probe admission runs,
-    without admitting it.  {!Online_sharded} routes arrivals by it. *)
 
 val component_graph : t -> int list -> Coordination_graph.t
 (** The coordination graph evaluation hands to
@@ -239,9 +230,7 @@ val set_journal : t -> Journal.sink option -> unit
     points where the engine commits state: after an admission, after a
     fired set's retirement, after the consume pass resolves its
     deletion list, and once per public operation as {!Journal.Op_end}.
-    [lib/durable] installs the WAL's sink; {!Online_sharded} installs
-    one on a shard around each operation it commits on the calling
-    domain, to drop retired and rejected ids from its routing table. *)
+    [lib/durable] installs the WAL's sink. *)
 
 val restore_submit : t -> id:int -> Query.t -> unit
 (** Re-admit a journaled entry under its original id.  Ids must be
@@ -263,82 +252,3 @@ val restore_counters : t -> satisfied:int -> next_id:int -> unit
     snapshot (retired ids may exceed every live id, so neither can be
     derived from the restored pool).
     @raise Invalid_argument if [next_id] would re-issue an admitted id. *)
-
-(** {2 Sharding hooks}
-
-    {!Online_sharded} runs one incremental engine per shard over
-    {!Relational.Database.worker_view}s and owns the public-operation
-    boundary itself.  These hooks expose exactly the internal steps it
-    orchestrates; none of them journal an {!Journal.Op_end}. *)
-
-type fired = {
-  f_key : int;
-      (** smallest live member id of the component that was {e
-          evaluated} at fire time (not of the fired subset — a remnant
-          can refire under the same key).  Per-engine fire streams are
-          non-decreasing in [f_key] when the store does not move during
-          the flush, so a stable merge by key across shards reproduces
-          the sequential fire order. *)
-  f_ids : int list;  (** pool ids of the fired set's members *)
-  f_set : coordinated;
-}
-
-val prepare_op : t -> unit
-(** The start-of-operation step every public entry point performs:
-    clear the previous operation's degradation/conflict verdicts and
-    absorb external database mutations into the dirty set.  An
-    orchestrator calls it on {e every} shard before an operation, so a
-    mutation between operations dirties each shard's pool exactly as it
-    would dirty the sequential engine's whole pool. *)
-
-val finish_op : t -> unit
-(** The end-of-operation step: absorb the operation's own inventory
-    deletions (monotone, so cached "cannot fire" verdicts survive).
-    Call on every shard after an operation — other shards' deletions
-    must not re-dirty this shard's pool, just as the sequential
-    engine's own deletions do not re-dirty its pool. *)
-
-val flush_fired : t -> fired list
-(** {!flush} without the operation bracket: evaluate due components to
-    fixpoint and return the fired sets with their merge keys.  The
-    caller is responsible for {!prepare_op}/{!finish_op} and the
-    journal boundary. *)
-
-val due_components : t -> int list list
-(** The components the next flush round must (re-)evaluate, as
-    ascending id lists ordered by smallest member — the order the
-    sequential flush tries them in. *)
-
-val evaluate_due : t -> int list -> [ `Fired of fired | `Quiet | `Unsafe ]
-(** Evaluate one due component (an ascending id list from
-    {!due_components}), committing retirement/consumption on a fire and
-    caching quiescent and unsafe verdicts exactly as the sequential
-    flush would.  The consume-mode sharded flush uses this to commit
-    components one at a time in the global canonical order, because
-    inventory deletions couple components across shards. *)
-
-type moved = {
-  mv_id : int;
-  mv_query : Query.t;
-  mv_dirty : bool;  (** its component was awaiting re-evaluation *)
-  mv_quiet : bool;
-      (** its component's last complete evaluation was safe and fired
-          nothing (see {!submit}); a record built for a fresh arrival
-          passes [false] *)
-}
-(** A detached entry: its pool id, query and cached verdict. *)
-
-val detach : t -> int list -> moved list
-(** Remove the given live ids from this engine and return them for
-    re-admission elsewhere, preserving their dirtiness.  The ids must
-    cover whole components (a migration moves components, never splits
-    them); nothing is journaled and the satisfied count is unchanged.
-    @raise Invalid_argument if any id is not live. *)
-
-val attach : t -> moved list -> unit
-(** Re-admit detached entries under their original ids (pass them in
-    ascending id order).  Coordination edges among the attached entries
-    and the existing pool are rediscovered from the atom indexes;
-    entries that were clean stay clean — migration alone re-evaluates
-    nothing.  Nothing is journaled.
-    @raise Invalid_argument if an id is already live. *)

@@ -203,10 +203,8 @@ val recover :
     engine observes — pool, ids, components, satisfied count, store
     contents — exactly as a never-crashed engine after the same
     committed operations; solver statistics do not survive, and every
-    recovered component is conservatively dirty.  The engine is the
-    sequential {!Coordination.Online}: the WAL journals and snapshots
-    that engine only.  [Error _] when the directory holds no
-    recoverable state at all. *)
+    recovered component is conservatively dirty.  [Error _] when the
+    directory holds no recoverable state at all. *)
 
 val open_or_recover :
   ?consume:bool ->

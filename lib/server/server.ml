@@ -624,6 +624,7 @@ module Client = struct
   type conn = { fd : Unix.file_descr; mutable inb : string }
 
   exception Bad_frame of string
+  exception Closed
 
   let max_frame = 64 lsl 20
 
@@ -649,6 +650,8 @@ module Client = struct
         match Unix.write_substring conn.fd data off (len - off) with
         | n -> w (off + n)
         | exception Unix.Unix_error (EINTR, _, _) -> w off
+        | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
+          raise Closed
     in
     w 0
 
@@ -670,6 +673,13 @@ module Client = struct
 
   let buf = Bytes.create 8192
 
+  (* Append what one read returns to [inb]; EOF or a reset peer is
+     [Closed]. *)
+  let fill conn =
+    match Unix.read conn.fd buf 0 (Bytes.length buf) with
+    | 0 | (exception Unix.Unix_error (ECONNRESET, _, _)) -> raise Closed
+    | n -> conn.inb <- conn.inb ^ Bytes.sub_string buf 0 n
+
   let try_recv conn =
     match take_frame conn with
     | Some j -> Some j
@@ -679,11 +689,8 @@ module Client = struct
         ~finally:(fun () ->
           try Unix.clear_nonblock conn.fd with Unix.Unix_error _ -> ())
         (fun () ->
-          match Unix.read conn.fd buf 0 (Bytes.length buf) with
-          | 0 -> None
-          | n ->
-            conn.inb <- conn.inb ^ Bytes.sub_string buf 0 n;
-            take_frame conn
+          match fill conn with
+          | () -> take_frame conn
           | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
             ->
             None))
@@ -700,11 +707,8 @@ module Client = struct
           match Unix.select [ conn.fd ] [] [] remaining with
           | [], _, _ -> None
           | _ -> (
-            match Unix.read conn.fd buf 0 (Bytes.length buf) with
-            | 0 -> None
-            | n ->
-              conn.inb <- conn.inb ^ Bytes.sub_string buf 0 n;
-              go ()
+            match fill conn with
+            | () -> go ()
             | exception Unix.Unix_error (EINTR, _, _) -> go ())
           | exception Unix.Unix_error (EINTR, _, _) -> go ())
     in

@@ -95,9 +95,9 @@ val default_config : listen -> config
 (** [max_pending 1024], [max_sessions 0], [max_frame 1 MiB],
     [max_buffered 4 MiB], quiet. *)
 
-(** The engine a server multiplexes onto: always the sequential
-    incremental engine ({!Coordination.Online}), the one a durable
-    binding's WAL journals.  The one-constructor variant stays only
+(** The engine a server multiplexes onto: the incremental engine
+    ({!Coordination.Online}), the one a durable binding's WAL
+    journals.  The one-constructor variant stays only
     because [perfbench/] spells [Server.Sequential]. *)
 type engine = Sequential of Coordination.Online.t
 
@@ -163,21 +163,32 @@ module Client : sig
       non-JSON frame is consumed, and the next {!recv} reads the frame
       after it. *)
 
+  exception Closed
+  (** The server closed (or reset) the connection: a read hit EOF, or
+      a write hit [EPIPE]/[ECONNRESET].  Distinct from a timeout, which
+      {!recv} reports as [None].  A write raises it only when the
+      process ignores [SIGPIPE]; otherwise the signal kills it first. *)
+
   val connect : ?retries:int -> listen -> conn
   (** Retries [ECONNREFUSED]/[ENOENT] with a 50 ms pause, [retries]
       times (default 40 — two seconds for a server still starting). *)
 
   val send : conn -> Json.t -> unit
+  (** @raise Closed if the server has closed the connection. *)
+
   val recv : ?timeout:float -> conn -> Json.t option
   (** Next frame, blocking up to [timeout] seconds (default 5).
-      [None] on timeout or EOF.
-      @raise Bad_frame on a bad length prefix or a non-JSON payload. *)
+      [None] on timeout.
+      @raise Bad_frame on a bad length prefix or a non-JSON payload.
+      @raise Closed when the server closed the connection before a
+      whole frame arrived. *)
 
   val try_recv : conn -> Json.t option
   (** Non-blocking: a frame if one is already buffered/readable.  Used
       by in-process tests that interleave {!step} calls with client
       reads on one thread.
-      @raise Bad_frame as {!recv}. *)
+      @raise Bad_frame as {!recv}.
+      @raise Closed as {!recv}. *)
 
   val close : conn -> unit
 

@@ -11,7 +11,6 @@ let () =
       ("single-connected", Test_single_connected.suite);
       ("extensions", Test_extensions.suite);
       ("online-incremental", Test_online_incremental.suite);
-      ("online-sharded", Test_online_sharded.suite);
       ("containment", Test_containment.suite);
       ("proposition-1", Test_prop1.suite);
       ("sat", Test_sat.suite);

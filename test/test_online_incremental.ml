@@ -206,18 +206,26 @@ let test_flush_skips_clean_components () =
 
 (* --------------------------- deep chains -------------------------- *)
 
-(* A chain-shaped pool tens of thousands of queries long: component
-   discovery must not recurse (a recursive DFS overflowed the call stack
-   here) and the incremental partition must agree with the rebuilt
-   one. *)
+(* A chain-shaped pool tens of thousands of queries long, arriving head
+   first: every arrival has an unmatched postcondition and joins a
+   quiet component, so each is answered [Pending] without a solve — and
+   the quiet check must not walk the component, or the stream costs
+   O(n^2).  Component discovery must not recurse (a recursive DFS
+   overflowed the call stack here) and the incremental partition must
+   agree with the rebuilt one. *)
 let test_components_deep_chain () =
   let n = 50_000 in
   let queries = List.init n (fun i -> chain_query i ~last:false) in
   let oracle = Online_oracle.create (Database.create ()) in
   let engine = Online.create (Database.create ()) in
-  Alcotest.(check (pair int int)) "the batch fires nothing" (0, 0)
-    ( List.length (Online_oracle.submit_all oracle queries),
-      List.length (Online.submit_all engine queries) );
+  Alcotest.(check int) "the oracle's batch fires nothing" 0
+    (List.length (Online_oracle.submit_all oracle queries));
+  List.iteri
+    (fun i q ->
+      match Online.submit engine q with
+      | Online.Pending -> ()
+      | other -> Alcotest.failf "arrival %d: %s" i (submission_repr other))
+    queries;
   let full = Online_oracle.components oracle in
   Alcotest.(check int) "one component" 1 (List.length full);
   Alcotest.(check int) "all members" n (List.length (List.hd full));
@@ -227,20 +235,49 @@ let test_components_deep_chain () =
 (* ---------------------- bounded atom indexes ---------------------- *)
 
 (* Every chain names fresh partner constants, as a long-running serve
-   sees them.  Even chains fire; odd chains never get their tail and
-   are withdrawn.  Once every entry is gone, both atom indexes hold no
-   key at all: their size follows the live pool, not requests served. *)
-let test_index_keys_follow_live_pool () =
+   sees them.  [run_chains] submits [chains] chains of [chain_len] queries,
+   leaving off the tail of each chain [c] with [not (tail c)], and checks
+   after every submission that each internal table is bounded by the
+   live pool. *)
+let chain_len = 4
+
+let run_chains ~chains ~tail =
   let engine = Online.create (flights_db ()) in
-  let chains = 200 and len = 4 in
   for c = 0 to chains - 1 do
-    List.init (len - (c mod 2)) (fun i ->
-        chain_query ~prefix:(Printf.sprintf "c%du" c) i ~last:(i = len - 1))
-    |> List.iter (fun q -> ignore (Online.submit engine q))
+    List.init
+      (if tail c then chain_len else chain_len - 1)
+      (fun i ->
+        chain_query ~prefix:(Printf.sprintf "c%du" c) i ~last:(i = chain_len - 1))
+    |> List.iter (fun q ->
+           ignore (Online.submit engine q);
+           let live = Online.pending_count engine in
+           List.iter
+             (fun (table, n) ->
+               if n > 2 * (live + 1) then
+                 Alcotest.failf "table %s holds %d with %d live entries" table
+                   n live)
+             (Online.table_sizes engine))
   done;
-  Alcotest.(check int) "even chains fired" (chains / 2 * len)
+  engine
+
+(* 2,000 chains that each fire when their tail arrives: every table
+   stays within the live pool and is empty once the pool is. *)
+let test_tables_follow_live_pool () =
+  let engine = run_chains ~chains:2_000 ~tail:(fun _ -> true) in
+  Alcotest.(check int) "every chain fired" (2_000 * chain_len)
     (Online.total_coordinated engine);
-  let pending = chains / 2 * (len - 1) in
+  Alcotest.(check bool) "tables empty with the pool" true
+    (List.for_all (fun (_, n) -> n = 0) (Online.table_sizes engine))
+
+(* Even chains fire; odd chains never get their tail and are withdrawn.
+   Once every entry is gone, both atom indexes hold no key at all: their
+   size follows the live pool, not requests served. *)
+let test_index_keys_follow_live_pool () =
+  let chains = 200 in
+  let engine = run_chains ~chains ~tail:(fun c -> c mod 2 = 0) in
+  Alcotest.(check int) "even chains fired" (chains / 2 * chain_len)
+    (Online.total_coordinated engine);
+  let pending = chains / 2 * (chain_len - 1) in
   let index_keys () =
     let size name = List.assoc name (Online.table_sizes engine) in
     (size "posts_index_keys", size "heads_index_keys")
@@ -252,6 +289,79 @@ let test_index_keys_follow_live_pool () =
     (Online.pending_entries engine);
   Alcotest.(check (pair int int)) "no key outlives its entries" (0, 0)
     (index_keys ())
+
+(* -------------------------- graph handoff ------------------------- *)
+
+(* Six arrivals in ten carry a postcondition over 4 constants, one in
+   ten a var-first one — compatible with every R head, its owner's own
+   included — and the rest none. *)
+let var_first_query rng i =
+  let g k = cs (Printf.sprintf "g%d" k) in
+  let post =
+    let roll = Prng.int rng 10 in
+    if roll < 6 then [ atom "R" [ g (Prng.int rng 4); var "y" ] ]
+    else if roll < 7 then [ atom "R" [ var "w"; var "y" ] ]
+    else []
+  in
+  Query.make
+    ~name:(Printf.sprintf "q%d" i)
+    ~post
+    ~head:[ atom "R" [ g (Prng.int rng 4); var "x" ] ]
+    [ atom "F" [ var "x"; cs dests.(Prng.int rng (Array.length dests)) ] ]
+
+(* The graph an engine hands [Scc_algo] for a component, assembled from
+   the edges stored at admission, must be the one
+   [Coordination_graph.build] derives from scratch over the component's
+   queries renamed by position: the same extended edges and targets, and
+   the same adjacency order (so the same SCC numbering).  Pools come
+   from [var_first_query] — 4 constants, var-first posts, self-compatible
+   atoms — admitted by one-query batches, which keep unsafe components
+   pending; fires, withdrawals and flushes make the engine drop edges
+   and re-fuse the survivors. *)
+let test_component_graph_matches_build () =
+  let edge_repr (e : Coordination_graph.edge) =
+    Printf.sprintf "%d.%d->%d.%d" e.src e.post_index e.dst e.head_index
+  in
+  let shape (g : Coordination_graph.t) =
+    ( List.map edge_repr g.extended,
+      Array.to_list (Array.map Array.to_list g.targets),
+      List.map (Graphs.Digraph.successors g.graph)
+        (Graphs.Digraph.nodes g.graph) )
+  in
+  List.iter
+    (fun seed ->
+      let rng = Prng.create seed in
+      let engine = Online.create (mk_db ()) in
+      for step = 1 to 60 do
+        (match Prng.int rng 10 with
+        | 0 -> ignore (Online.flush engine)
+        | 1 -> (
+          match Online.pending_entries engine with
+          | [] -> ()
+          | live -> ignore (Online.withdraw engine (fst (Prng.pick rng live))))
+        | _ -> ignore (Online.submit_all engine [ var_first_query rng step ]));
+        let entries = Array.of_list (Online.pending_entries engine) in
+        List.iter
+          (fun comp ->
+            let ctx =
+              Printf.sprintf "seed %d step %d: component graph" seed step
+            in
+            let handed =
+              Online.component_graph engine
+                (List.map (fun p -> fst entries.(p)) comp)
+            in
+            let rebuilt =
+              Coordination_graph.build
+                (Query.rename_set (List.map (fun p -> snd entries.(p)) comp))
+            in
+            let e1, t1, s1 = shape rebuilt and e2, t2, s2 = shape handed in
+            Alcotest.(check (list string)) (ctx ^ " edges") e1 e2;
+            Alcotest.(check (list (list (list (pair int int)))))
+              (ctx ^ " targets") t1 t2;
+            Alcotest.(check (list (list int))) (ctx ^ " adjacency") s1 s2)
+          (Online.components engine)
+      done)
+    (List.init 10 (fun k -> chaos_seed + k))
 
 (* ---------------------------- self-loops -------------------------- *)
 
@@ -555,4 +665,8 @@ let suite =
       test_quiet_dropped_by_external_insert;
     Alcotest.test_case "quiet: a 32-chain runs one solve" `Quick
       test_quiet_chain_runs_one_solve;
+    Alcotest.test_case "handed-over graph == Coordination_graph.build"
+      `Quick test_component_graph_matches_build;
+    Alcotest.test_case "internal tables follow the live pool" `Quick
+      test_tables_follow_live_pool;
   ]

@@ -546,31 +546,38 @@ let test_killer_frames () =
   pump srv;
   Server.stop srv
 
-(* A bare listening socket plays a broken server.  The client must
-   raise [Bad_frame] on a bad length prefix and on a well-framed
-   non-JSON payload: never [Invalid_argument], never a timeout while a
-   valid frame sits in its buffer. *)
+(* A bare listening socket plays a broken server: [f conn fd] runs
+   with the client's connection and the accepted peer socket. *)
+let with_bare_peer f =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_of_string loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let conn = Server.Client.connect (Server.Tcp (loopback, port)) in
+  let fd, _ = Unix.accept lfd in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Client.close conn;
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Unix.close lfd)
+    (fun () -> f conn fd)
+
+(* The client must raise [Bad_frame] on a bad length prefix and on a
+   well-framed non-JSON payload: never [Invalid_argument], never a
+   timeout while a valid frame sits in its buffer. *)
 let test_client_bad_frames () =
   let expect_bad_frame ~ctx bytes ~after =
-    let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_of_string loopback, 0));
-    Unix.listen lfd 1;
-    let port =
-      match Unix.getsockname lfd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> assert false
-    in
-    let conn = Server.Client.connect (Server.Tcp (loopback, port)) in
-    let fd, _ = Unix.accept lfd in
-    ignore (Unix.write_substring fd bytes 0 (String.length bytes));
-    (match Server.Client.recv ~timeout:2.0 conn with
-    | exception Server.Client.Bad_frame _ -> ()
-    | Some j -> Alcotest.failf "%s: decoded %s" ctx (Json.to_string j)
-    | None -> Alcotest.failf "%s: timed out" ctx);
-    after conn;
-    Server.Client.close conn;
-    Unix.close fd;
-    Unix.close lfd
+    with_bare_peer (fun conn fd ->
+        ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+        (match Server.Client.recv ~timeout:2.0 conn with
+        | exception Server.Client.Bad_frame _ -> ()
+        | Some j -> Alcotest.failf "%s: decoded %s" ctx (Json.to_string j)
+        | None -> Alcotest.failf "%s: timed out" ctx);
+        after conn)
   in
   expect_bad_frame ~ctx:"negative length" "\xff\xff\xff\xfb" ~after:ignore;
   expect_bad_frame ~ctx:"oversized length" "\x7f\xff\xff\xff" ~after:ignore;
@@ -580,6 +587,39 @@ let test_client_bad_frames () =
       Alcotest.(check (option string))
         "the frame after it is still read" (Some {|{"ok":true}|})
         (Option.map Json.to_string (Server.Client.recv ~timeout:2.0 conn)))
+
+(* A peer that reads one request and closes: the client's next read
+   raises [Closed] at once instead of waiting out its timeout, and with
+   SIGPIPE ignored (as [entangle client] runs) further requests raise
+   [Closed] too instead of killing the process. *)
+let test_client_peer_closes () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  with_bare_peer (fun conn fd ->
+      let req = Json.Obj [ ("op", Json.Str "status") ] in
+      Server.Client.send conn req;
+      let frame = raw_frame (Json.to_string req) in
+      let got = Bytes.create (String.length frame) in
+      let rec read_all off =
+        if off < Bytes.length got then
+          read_all (off + Unix.read fd got off (Bytes.length got - off))
+      in
+      read_all 0;
+      Unix.close fd;
+      let t0 = Unix.gettimeofday () in
+      (match Server.Client.recv ~timeout:5.0 conn with
+      | exception Server.Client.Closed -> ()
+      | Some j -> Alcotest.failf "decoded %s" (Json.to_string j)
+      | None -> Alcotest.fail "EOF read as a timeout");
+      Alcotest.(check bool) "EOF is reported at once" true
+        (Unix.gettimeofday () -. t0 < 2.0);
+      let rec send_until_closed n =
+        if n = 0 then Alcotest.fail "writes to a closed peer kept succeeding"
+        else
+          match Server.Client.send conn req with
+          | () -> send_until_closed (n - 1)
+          | exception Server.Client.Closed -> ()
+      in
+      send_until_closed 100)
 
 let incidents () =
   Option.fold ~none:0 ~some:Obs.Counter.value
@@ -787,6 +827,8 @@ let suite =
       test_killer_frames;
     Alcotest.test_case "client: bad frames raise Bad_frame" `Quick
       test_client_bad_frames;
+    Alcotest.test_case "client: a peer that closes raises Closed" `Quick
+      test_client_peer_closes;
     Alcotest.test_case "an unknown exception is an internal_error frame"
       `Quick test_internal_error;
     Alcotest.test_case "a WAL write failure stops the server" `Quick
