@@ -112,43 +112,6 @@ let minimize ?(rows = 82_168) ?(n = 30) () =
   run false "as unified";
   run true "minimized cores"
 
-(* ---------------------------- Parallel ---------------------------- *)
-
-let parallel ?(rows = 600) ?(users = 150) () =
-  Printf.printf "\n== Ablation: parallel value loop (Section 6.2 future work) ==\n";
-  Printf.printf
-    "(cascade instance: %d values, %d chained queries; cleaning dominates.\n\
-    \ total = whole solve; loop = the parallelisable per-value phase.\n\
-    \ this machine reports %d usable core(s): with a single core, extra\n\
-    \ domains can only add synchronisation overhead — correctness of the\n\
-    \ parallel path is what this ablation checks there)\n"
-    rows users
-    (Domain.recommended_domain_count ());
-  let db = Relational.Database.create () in
-  ignore (Workload.Flights.install_flights db ~rows);
-  ignore (Workload.Flights.install_complete_friends db ~users);
-  let queries = Workload.Flights.cascade_queries ~users in
-  let seq =
-    match Coordination.Consistent.solve db Workload.Flights.config queries with
-    | Ok o -> o
-    | Error _ -> failwith "sequential failed"
-  in
-  Printf.printf "  sequential            total %9.3f ms   loop %9.3f ms   (%d members)\n"
-    (ms seq.stats.total_ns) (ms seq.stats.unify_ns)
-    (List.length seq.members);
-  List.iter
-    (fun domains ->
-      match
-        Coordination.Executor.solve_consistent ~domains db Workload.Flights.config queries
-      with
-      | Error _ -> ()
-      | Ok par ->
-        Printf.printf
-          "  %d domain(s)           total %9.3f ms   loop %9.3f ms   (agrees: %b)\n"
-          domains (ms par.stats.total_ns) (ms par.stats.unify_ns)
-          (par.chosen_value = seq.chosen_value && par.members = seq.members))
-    [ 1; 2; 4; 8 ]
-
 (* ---------------------------- Realistic --------------------------- *)
 
 (* The paper closes Section 6.2 arguing that its two stress tests are
@@ -495,72 +458,6 @@ let online_scaling ?(rows = 2_000) ?(pools = [ 1_000; 10_000 ]) () =
           Printf.sprintf "%.2f" p95;
           Printf.sprintf "%.3f" total;
         ])
-    pools
-
-(* ------------------------- Parallel scaling ----------------------- *)
-
-(* The component-sharded batch executor, under the paper's client-server
-   regime: every probe pays an emulated round trip (a true blocking
-   sleep), so independent components on different domains overlap their
-   waits even on a single core — exactly the headroom the executor is
-   built to exploit.  Each run re-solves the same pairgen batch and is
-   checked against the 1-domain answer. *)
-let parallel_scaling ?(rows = 2_000) ?(pools = [ 1_000; 10_000 ])
-    ?(probe_latency = 0.0002) () =
-  Printf.printf "\n== Ablation: component-sharded executor scaling ==\n";
-  Printf.printf
-    "(independent coordination pairs, %.1f ms emulated round trip per \
-     probe;\n\
-    \ pool = query count, one 2-query component per pair; speedup is \
-     against\n\
-    \ the 1-domain run of the same pool)\n"
-    (probe_latency *. 1e3);
-  Series.start "ablation_parallel_scaling"
-    [ "domains"; "pool"; "candidates"; "total_ms"; "speedup" ];
-  List.iter
-    (fun pool ->
-      let pairs = pool / 2 in
-      let baseline = ref None in
-      let reference = ref None in
-      List.iter
-        (fun domains ->
-          let db, queries = Workload.Pairgen.make ~rows ~seed:11 pairs in
-          Database.set_probe_latency db probe_latency;
-          match Coordination.Executor.solve_scc ~domains db queries with
-          | Error _ -> failwith "parallel_scaling: unsafe workload?"
-          | Ok outcome ->
-            let total = ms outcome.stats.total_ns in
-            let members =
-              match outcome.solution with
-              | Some s -> s.Entangled.Solution.members
-              | None -> []
-            in
-            (match !reference with
-            | None -> reference := Some (outcome.stats.candidates, members)
-            | Some (c, m) ->
-              if c <> outcome.stats.candidates || m <> members then
-                Printf.printf "  !! domains=%d disagrees with 1-domain run\n"
-                  domains);
-            let speedup =
-              match !baseline with
-              | None ->
-                baseline := Some total;
-                1.0
-              | Some b -> b /. total
-            in
-            Printf.printf
-              "  %d domain(s)   pool %6d:  total %10.3f ms   speedup \
-               %5.2fx   (%d candidates)\n"
-              domains pool total speedup outcome.stats.candidates;
-            Series.row "ablation_parallel_scaling"
-              [
-                string_of_int domains;
-                string_of_int pool;
-                string_of_int outcome.stats.candidates;
-                Printf.sprintf "%.3f" total;
-                Printf.sprintf "%.2f" speedup;
-              ])
-        [ 1; 2; 4; 8 ])
     pools
 
 (* ------------------------------ Durability ------------------------ *)

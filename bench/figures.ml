@@ -239,19 +239,3 @@ let figure8 ?(rows = 100) ?(sizes = List.init 10 (fun i -> 10 * (i + 1))) () =
           ])
     sizes;
   csv_finish "fig8"
-
-let run_all ?(fast = false) () =
-  if fast then begin
-    figure4 ~rows:10_000 ~sizes:[ 10; 30; 50 ] ();
-    figure5 ~rows:10_000 ~seeds:3 ~sizes:[ 10; 30; 50 ] ();
-    figure6 ~seeds:3 ~sizes:[ 100; 300; 500 ] ();
-    figure7 ~sizes:[ 100; 300; 500 ] ();
-    figure8 ~sizes:[ 10; 30; 50 ] ()
-  end
-  else begin
-    figure4 ();
-    figure5 ();
-    figure6 ();
-    figure7 ();
-    figure8 ()
-  end

@@ -29,10 +29,6 @@ let ablations =
       fun fast ->
         if fast then Ablations.realistic ~rows:100 ~users:20 ()
         else Ablations.realistic () );
-    ( "parallel",
-      fun fast ->
-        if fast then Ablations.parallel ~rows:150 ~users:40 ()
-        else Ablations.parallel () );
     ( "online",
       fun fast ->
         if fast then Ablations.online ~rows:5_000 ~n:20 ()
@@ -42,10 +38,6 @@ let ablations =
         if fast then
           Ablations.online_scaling ~rows:1_000 ~pools:[ 200; 1_000 ] ()
         else Ablations.online_scaling () );
-    ( "parallel-scaling",
-      fun fast ->
-        if fast then Ablations.parallel_scaling ~rows:1_000 ()
-        else Ablations.parallel_scaling () );
     ( "observability",
       fun fast ->
         if fast then
@@ -66,6 +58,8 @@ let ablations =
         else Ablations.service () );
   ]
 
+(* Every figure by its [--figure] number, in run order, with its
+   [--fast] and full-size runs. *)
 let figures =
   [
     ( 4,
@@ -147,7 +141,7 @@ let () =
   List.iter (fun run -> run fast) chosen;
   if !bechamel_only then Micro.run_all ();
   if List.is_empty chosen && not !bechamel_only then begin
-    Figures.run_all ~fast ();
+    List.iter (fun (_, run) -> run fast) figures;
     if not !figures_only then begin
       List.iter (fun (_, run) -> run fast) ablations;
       Micro.run_all ()

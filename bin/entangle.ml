@@ -202,23 +202,19 @@ let print_degraded = function
   | Some d ->
     Format.printf "DEGRADED: %a@." Resilient.pp_degradation d
 
-let print_stats ?domains stats =
-  match domains with
-  | None -> Format.printf "stats: %a@." Coordination.Stats.pp stats
-  | Some d ->
-    Format.printf "stats: %a domains=%d@." Coordination.Stats.pp stats d
+let print_stats stats = Format.printf "stats: %a@." Coordination.Stats.pp stats
 
-let print_solution ?domains db queries solution stats show_stats =
+let print_solution db queries solution stats show_stats =
   match solution with
   | None ->
     print_endline "no coordinating set exists";
-    if show_stats then print_stats ?domains stats
+    if show_stats then print_stats stats
   | Some s ->
     Format.printf "%a@." (Entangled.Solution.pp queries) s;
     (match Entangled.Solution.validate db queries s with
     | Ok () -> ()
     | Error m -> Format.printf "WARNING: solution failed validation: %s@." m);
-    if show_stats then print_stats ?domains stats
+    if show_stats then print_stats stats
 
 let solve_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
@@ -239,25 +235,6 @@ let solve_cmd =
       value & flag
       & info [ "first" ]
           ~doc:"Return the first coordinating set found instead of a largest one.")
-  in
-  let parallel =
-    Arg.(
-      value & flag
-      & info [ "parallel" ]
-          ~doc:
-            "Shard the batch across its coordination-graph components and \
-             solve them on a pool of domains (algorithms $(b,scc), \
-             $(b,gupta) and $(b,consistent)); output is identical to the \
-             sequential run.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some pos_int_conv) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Domain-pool size for $(b,--parallel); defaults to the \
-             machine's recommended domain count.")
   in
   let stats =
     Arg.(value & flag & info [ "stats" ] ~doc:"Print probe counts and timings.")
@@ -305,11 +282,11 @@ let solve_cmd =
       & opt (some string) None
       & info [ "flight-recorder" ] ~docv:"FILE"
           ~doc:
-            "Arm the always-on flight recorder: every domain keeps a \
-             fixed-size ring of its most recent observability items, and \
-             on the first incident (degraded solve, typed abort, worker \
-             crash) the merged window is dumped to $(docv) — Chrome \
-             trace_event JSON, or JSONL when $(docv) ends in $(b,.jsonl).")
+            "Arm the always-on flight recorder: a fixed-size ring keeps \
+             the most recent observability items, and on the first \
+             incident (degraded solve, typed abort) the window is dumped \
+             to $(docv) — Chrome trace_event JSON, or JSONL when $(docv) \
+             ends in $(b,.jsonl).")
   in
   let trace =
     Arg.(
@@ -355,22 +332,12 @@ let solve_cmd =
   (* The solver body computes an exit code instead of exiting so an
      installed trace sink always writes its trailer (a Chrome trace
      without the closing bracket is not valid JSON). *)
-  let run file algorithm first parallel domains stats dot explain
+  let run file algorithm first stats dot explain
       explain_analyze metrics_out flight_recorder trace trace_format metrics
       make_guard fault_rate fault_seed =
     handle_syntax @@ fun () ->
     let db, input = load file in
     Option.iter arm_flight_recorder flight_recorder;
-    (* The resolved pool size, for the stats line; [None] when running
-       sequentially so the line matches the sequential run exactly. *)
-    let pool_domains =
-      if not parallel then None
-      else
-        Some
-          (match domains with
-          | Some d -> max 1 d
-          | None -> Coordination.Executor.default_domains ())
-    in
     if metrics || metrics_out <> None then Obs.set_metrics true;
     let guard =
       make_guard
@@ -411,13 +378,7 @@ let solve_cmd =
             if first then Coordination.Scc_algo.First_found
             else Coordination.Scc_algo.Largest
           in
-          let result =
-            match pool_domains with
-            | None -> Coordination.Scc_algo.solve ~selection db input
-            | Some d ->
-              Coordination.Executor.solve_scc ~selection ~domains:d db input
-          in
-          match result with
+          match Coordination.Scc_algo.solve ~selection db input with
           | Error (Coordination.Scc_algo.Not_safe ws) ->
             Printf.eprintf
               "the query set is not safe (%d ambiguous postconditions); try \
@@ -431,25 +392,20 @@ let solve_cmd =
               | None -> false
             in
             write_dot outcome.queries outcome.graph in_solution;
-            print_solution ?domains:pool_domains db outcome.queries
-              outcome.solution outcome.stats stats;
+            print_solution db outcome.queries outcome.solution outcome.stats
+              stats;
             print_degraded outcome.degraded;
             0)
         | Gupta -> (
-          let result =
-            match pool_domains with
-            | None -> Coordination.Gupta.solve db input
-            | Some d -> Coordination.Executor.solve_gupta ~domains:d db input
-          in
-          match result with
+          match Coordination.Gupta.solve db input with
           | Error e ->
             Format.eprintf "baseline not applicable: %a@."
               (Coordination.Gupta.pp_error (Entangled.Query.rename_set input))
               e;
             1
           | Ok outcome ->
-            print_solution ?domains:pool_domains db outcome.queries
-              outcome.solution outcome.stats stats;
+            print_solution db outcome.queries outcome.solution outcome.stats
+              stats;
             print_degraded outcome.degraded;
             0)
         | Consistent -> (
@@ -459,13 +415,7 @@ let solve_cmd =
               "not a Section 5 consistent-coordination program: %s\n" m;
             1
           | Ok (config, qs) -> (
-            let result =
-              match pool_domains with
-              | None -> Coordination.Consistent.solve db config qs
-              | Some d ->
-                Coordination.Executor.solve_consistent ~domains:d db config qs
-            in
-            match result with
+            match Coordination.Consistent.solve db config qs with
             | Error e ->
               Format.eprintf "consistent coordination failed: %a@."
                 Coordination.Consistent.pp_error e;
@@ -473,21 +423,10 @@ let solve_cmd =
             | Ok outcome ->
               (match Coordination.Consistent.to_solution db outcome with
               | Some (queries, s) ->
-                print_solution ?domains:pool_domains db queries (Some s)
-                  outcome.stats stats
-              | None ->
-                print_solution ?domains:pool_domains db [||] None
-                  outcome.stats stats);
+                print_solution db queries (Some s) outcome.stats stats
+              | None -> print_solution db [||] None outcome.stats stats);
               print_degraded outcome.degraded;
               0))
-        | Single_connected when parallel ->
-          Printf.eprintf
-            "--parallel supports scc, gupta and consistent only\n";
-          1
-        | Brute when parallel ->
-          Printf.eprintf
-            "--parallel supports scc, gupta and consistent only\n";
-          1
         | Single_connected -> (
           match Coordination.Single_connected.solve db input with
           | Error e ->
@@ -575,7 +514,7 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve" ~doc)
     Cmdliner.Term.(
-      const run $ file $ algorithm $ first $ parallel $ domains $ stats $ dot
+      const run $ file $ algorithm $ first $ stats $ dot
       $ explain $ explain_analyze $ metrics_out $ flight_recorder $ trace
       $ trace_format $ metrics $ guard_term $ fault_rate $ fault_seed)
 

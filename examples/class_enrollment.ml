@@ -6,9 +6,8 @@
    slot) is personal.  Alice insists on TWO friends in the same course —
    the k-of-friends requirement of Section 5's Generalizations, which is
    not even expressible as an entangled query; the consistent algorithm
-   handles it anyway.  We solve once sequentially and once with the
-   parallel value loop (the Section 6.2 future-work enhancement), then
-   replay the flight scenario through the online engine (Section 7). *)
+   handles it anyway.  We solve it, then replay the flight scenario
+   through the online engine (Section 7). *)
 
 open Relational
 module Cquery = Coordination.Consistent_query
@@ -73,16 +72,6 @@ let () =
           Format.printf "  %-6s -> section %s@." (Value.to_string user)
             (Value.to_string key))
         outcome.choices));
-
-  (* The same instance through the parallel value loop. *)
-  (match Coordination.Executor.solve_consistent ~domains:4 db config queries with
-  | Error e -> Format.printf "error: %a@." Coordination.Consistent.pp_error e
-  | Ok outcome ->
-    Format.printf "@.Parallel solve (4 domains) agrees: %s, %d members@."
-      (match outcome.chosen_value with
-      | Some value -> Value.to_string value.(0)
-      | None -> "-")
-      (List.length outcome.members));
 
   (* Online coordination: queries trickle in; sets fire as soon as they
      can (Section 6.1's system flow / Section 7's online setting). *)

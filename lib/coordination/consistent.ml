@@ -4,15 +4,12 @@ type error =
   | Duplicate_user of Value.t
   | Missing_relation of string
   | Bad_k of Value.t * int
-  | Worker_crashed of string
 
 let pp_error ppf = function
   | Duplicate_user u -> Format.fprintf ppf "duplicate query for user %a" Value.pp u
   | Missing_relation r -> Format.fprintf ppf "relation %s missing" r
   | Bad_k (u, k) ->
     Format.fprintf ppf "user %a asks for %d friends (need k >= 1)" Value.pp u k
-  | Worker_crashed msg ->
-    Format.fprintf ppf "a parallel worker domain crashed: %s" msg
 
 type outcome = {
   config : Consistent_query.config;
@@ -204,10 +201,8 @@ let values p =
        (fun acc o -> Tuple.Set.union acc o)
        Tuple.Set.empty p.p_options)
 
-(* Step 4 kernel: restrict to Gv and clean to a fixpoint.  Pure — safe
-   to run from multiple domains — and written allocation-free in the hot
-   loop: with OCaml 5's stop-the-world minor collections, an allocating
-   kernel would serialise the parallel value loop on GC syncs. *)
+(* Step 4 kernel: restrict to Gv and clean to a fixpoint.  Pure, and
+   allocation-free in the hot loop. *)
 let requirement_holds present = function
   | Named_member j -> present.(j)
   | Named_absent -> false
@@ -318,8 +313,7 @@ let finalize db p ~candidates ~best stats =
   }
 
 (* What a solve degrades to when the guard aborts inside [prepare]: no
-   option list was completed, so nothing downstream can run.  Shared
-   with {!Executor.solve_consistent}. *)
+   option list was completed, so nothing downstream can run. *)
 let degraded_outcome config input stats reason =
   let queries = Array.of_list input in
   let n = Array.length queries in
@@ -366,10 +360,6 @@ let solve ?(selection = `Largest) db config input =
     stats.graph_ns <- Int64.sub (Stats.now_ns ()) t_graph;
     let candidates = ref [] in
     let best = ref None in
-    (* The value loop's duration is recorded in [unify_ns] (the slot is
-       otherwise unused by this algorithm) so the parallel ablation can
-       report the parallelisable fraction. *)
-    let t_loop = Stats.now_ns () in
     Obs.with_span
       ~args:(fun () ->
         [
@@ -393,7 +383,6 @@ let solve ?(selection = `Largest) db config input =
               if selection = `First && size > 0 then raise Exit)
             (values p)
         with Exit -> ());
-    stats.unify_ns <- Int64.sub (Stats.now_ns ()) t_loop;
     let best = Option.map (fun (v, members, _) -> (v, members)) !best in
     finish
       (Obs.with_span "consistent.ground" (fun () ->

@@ -32,9 +32,6 @@ type error =
   | Missing_relation of string
   | Bad_k of Value.t * int
       (** a [K_friends k] partner with [k < 1] *)
-  | Worker_crashed of string
-      (** a {!Executor.solve_consistent} worker domain raised; the message is the
-          printed exception.  All sibling domains were still joined. *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -65,11 +62,9 @@ val solve :
 
 (** {2 Staged interface}
 
-    The value loop is embarrassingly parallel (each [v] is independent —
-    the parallelisation the paper leaves as future work, implemented in
-    {!Executor.solve_consistent}).  [prepare] performs all database work
-    up front; {!survivors} is pure and safe to call from multiple
-    domains. *)
+    The stages {!solve} runs, exposed for tests: [prepare] performs all
+    database work up front; each value's cleaning ({!survivors}) is then
+    independent and pure. *)
 
 type prepared
 
@@ -87,27 +82,6 @@ val values : prepared -> Tuple.t list
 val survivors : prepared -> Tuple.t -> int list * int
 (** [survivors p v] is the cleaned member set of [Gv] (sorted query
     indexes) and the number of cleaning rounds used.  Pure. *)
-
-val finalize :
-  Database.t ->
-  prepared ->
-  candidates:(Tuple.t * int) list ->
-  best:(Tuple.t * int list) option ->
-  Stats.t ->
-  outcome
-(** Step 5: grounds the winning set (one probe per member) and packages
-    the outcome.  [candidates] is recorded verbatim.  A guard abort
-    mid-grounding is caught and recorded as the outcome's
-    [degraded]. *)
-
-val degraded_outcome :
-  Consistent_query.config ->
-  Consistent_query.t list ->
-  Stats.t ->
-  Resilient.error ->
-  outcome
-(** The empty outcome a solve degrades to when {!prepare} is aborted by
-    an armed guard (shared with {!Executor.solve_consistent}). *)
 
 val to_solution :
   Database.t ->

@@ -77,9 +77,7 @@ type analysis = {
 
 (* Preprocessing, safety check and SCC condensation of an already-built
    graph (Figure 6 measures these together with the graph's
-   construction).  Pure with respect to the database, so the executor
-   runs it once on the orchestrating domain and shares the result
-   read-only with every shard. *)
+   construction).  Touches no database. *)
 let analyze ?(preprocess = true) (graph : Coordination_graph.t) =
   let queries = graph.queries in
   let n = Array.length queries in
@@ -119,10 +117,8 @@ type ctx = {
   cx_db : Database.t;
   cx_minimize : bool;
   cx_stats : Stats.t;
-  (* Failure/coverage state keyed by SCC id.  Sound under sharding
-     because condensation edges never cross weakly-connected components:
-     a shard's context sees every predecessor-relevant entry.  A covered
-     SCC keeps its whole candidate: the witness seeds its predecessors. *)
+  (* Failure/coverage state keyed by SCC id.  A covered SCC keeps its
+     whole candidate: the witness seeds its predecessors. *)
   cx_failed : (int, unit) Hashtbl.t;
   cx_covered : (int, candidate) Hashtbl.t;
 }

@@ -109,56 +109,3 @@ val solve_graph :
     {!solve}.  [stats.graph_ns] covers the analysis only, and no
     [scc.solve]/[scc.graph] span is emitted: both belong to the caller
     that built the graph. *)
-
-(** {2 Component-level execution}
-
-    The solver split open for {!Executor}: a database-free analysis
-    phase shared by every shard, and a per-component probing step.  The
-    sequential {!solve} is [analyze] followed by [probe_component] over
-    components in ascending SCC id (reverse topological) order; a shard
-    runs the same step over its own component list with a private
-    {!ctx}, which is sound because condensation edges never cross
-    weakly-connected components. *)
-
-type analysis = {
-  an_graph : Coordination_graph.t;  (** over renamed-apart queries *)
-  an_alive : bool array;       (** [false] for preprocessing-pruned queries *)
-  an_scc : Graphs.Scc.result;
-  an_cond : Graphs.Digraph.t;  (** condensation; ids sinks-first *)
-}
-
-val analyze :
-  ?preprocess:bool -> Coordination_graph.t -> (analysis, error) result
-(** Optional preprocessing, safety check and SCC condensation of a
-    graph over already-renamed queries.  Emits the same
-    [scc.preprocess]/[scc.condense] spans and [scc.pruned] event as
-    {!solve}; touches no database.  Building the graph (and its
-    [scc.graph] span) is the caller's. *)
-
-type ctx
-(** Mutable per-run probing state: failure and coverage maps keyed by
-    SCC id (a covered SCC keeps its candidate, whose witness seeds its
-    predecessors), plus the database handle and the {!Stats.t} that
-    [probe_component] charges unify/ground time and candidate counts
-    to. *)
-
-val make_ctx : ?minimize:bool -> stats:Stats.t -> Database.t -> ctx
-
-val probe_component : ctx -> analysis -> int -> candidate option
-(** [probe_component ctx a c] processes SCC [c]: skip if a successor
-    failed, otherwise unify and ground the candidate set R(q), updating
-    [ctx] and emitting the [scc.skipped]/[scc.unify_failed]/[scc.probed]
-    events.  When every successor is covered and [c]'s constraints only
-    read the successors' values, only [c]'s own postconditions are
-    unified and only its own bodies grounded, seeded from the
-    successors' witnesses; the verdict is the full search's either way,
-    and each candidate is one database probe.  Must be called in ascending SCC id order relative to the
-    other components handled through the same [ctx].  A guard abort
-    ({!Resilient.Abort}) propagates to the caller. *)
-
-val select : selection -> Query.t array -> candidate list -> candidate option
-(** The selection criterion applied to candidates in discovery order:
-    first for [First_found], otherwise the highest-scoring candidate
-    with ties broken towards earliest discovery.  Exposed so the
-    executor's deterministically merged candidate list goes through
-    exactly the sequential tie-breaking. *)

@@ -51,15 +51,6 @@ let add_counters stats (d : Relational.Counters.t) =
   stats.plan_misses <- stats.plan_misses + d.plan_misses;
   stats.tuples_scanned <- stats.tuples_scanned + d.tuples_scanned
 
-let same_counters a b =
-  a.db_probes = b.db_probes
-  && a.candidates = b.candidates
-  && a.grounded_members = b.grounded_members
-  && a.cleaning_rounds = b.cleaning_rounds
-  && a.plan_hits = b.plan_hits
-  && a.plan_misses = b.plan_misses
-  && a.tuples_scanned = b.tuples_scanned
-
 (* Delegates to the observability subsystem's CLOCK_MONOTONIC stub:
    gettimeofday is not monotonic, so spans could go negative under
    clock adjustment. *)

@@ -34,12 +34,6 @@ val add_counters : t -> Relational.Counters.t -> unit
     (typically [Counters.diff] of two {!Relational.Database.snapshot_counters})
     into the solver's record: probes, plan hits/misses, tuples scanned. *)
 
-val same_counters : t -> t -> bool
-(** Equality on every deterministic (non-timing) field: probes,
-    candidates, grounded members, cleaning rounds, plan hits/misses, tuples scanned.  The
-    executor's differential tests compare parallel and sequential runs
-    with this — timing spans necessarily differ. *)
-
 val now_ns : unit -> int64
 (** Monotonic timestamp in nanoseconds (delegates to {!Obs.now_ns}, i.e.
     [CLOCK_MONOTONIC]); differences are durations, immune to wall-clock

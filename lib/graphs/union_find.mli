@@ -1,9 +1,4 @@
-(** Union-find (disjoint sets) over the dense integer ids [0 .. n-1].
-
-    The component-sharded batch executor groups a condensation's nodes
-    into weakly-connected components with one of these: every
-    condensation edge unions its two ends, so each component becomes
-    one shard's work item. *)
+(** Union-find (disjoint sets) over the dense integer ids [0 .. n-1]. *)
 
 type t
 

@@ -56,10 +56,6 @@ type sink = {
 (* Registry of metrics                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Metric updates are plain mutations: the engine instruments the
-   orchestrating domain only (the parallel value loop's workers are
-   pure), so no synchronisation is bought where none is needed. *)
-
 module Histogram = struct
   (* Log2-bucketed: bucket 0 counts values <= 0, bucket i >= 1 counts
      values in [2^(i-1), 2^i).  63 value buckets cover every positive
@@ -245,10 +241,7 @@ let reset_metrics () =
 (* Flight-recorder ring buffers                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A fixed-capacity drop-oldest buffer of items.  One per domain,
-   written only by its owning domain (no synchronisation on the push
-   path); read by the dumping domain, which tolerates torn snapshots —
-   a flight recorder is a diagnostic, not a ledger.
+(* A fixed-capacity drop-oldest buffer of items.
 
    An array of preallocated mutable slot records, not an [item array]
    and not parallel scalar arrays: a push overwrites the fields of one
@@ -260,7 +253,7 @@ let reset_metrics () =
    the [item] view is only materialised at dump time. *)
 type fslot = {
   mutable s_kind : int;   (* 0 span, 1 event *)
-  mutable s_name : string; (* "" marks a slot never written *)
+  mutable s_name : string;
   mutable s_ts : int;     (* span start / event timestamp, ns *)
   mutable s_dur : int;    (* span duration, ns; 0 for events *)
   mutable s_depth : int;
@@ -273,7 +266,6 @@ type fring = {
   fr_slots : fslot array;
   mutable fr_head : int;  (* index of the oldest item *)
   mutable fr_len : int;
-  fr_dom : int;           (* owning domain id *)
 }
 
 let ring_slot r =
@@ -304,37 +296,32 @@ let ring_push_event r ~name ~ts_ns ~depth ~args ~payload =
   s.s_args <- args;
   s.s_payload <- payload
 
-(* Oldest-first snapshot, materialising [item]s from the slots.
-   Defensive about concurrently mutated slots: an unwritten (or
-   mid-push) slot still holding the empty name is skipped rather than
-   crashing the dump. *)
+(* Oldest-first snapshot, materialising [item]s from the slots. *)
 let ring_items r =
   let acc = ref [] in
   for k = r.fr_len - 1 downto 0 do
     let s = r.fr_slots.((r.fr_head + k) mod r.fr_cap) in
-    let name = s.s_name in
-    if name <> "" then
-      let it =
-        if s.s_kind = 0 then
-          Span
-            {
-              name;
-              start_ns = Int64.of_int s.s_ts;
-              dur_ns = Int64.of_int s.s_dur;
-              depth = s.s_depth;
-              args = s.s_args;
-            }
-        else
-          Event
-            {
-              ev_name = name;
-              ev_ts_ns = Int64.of_int s.s_ts;
-              ev_depth = s.s_depth;
-              ev_args = s.s_args;
-              ev_payload = s.s_payload;
-            }
-      in
-      acc := it :: !acc
+    let it =
+      if s.s_kind = 0 then
+        Span
+          {
+            name = s.s_name;
+            start_ns = Int64.of_int s.s_ts;
+            dur_ns = Int64.of_int s.s_dur;
+            depth = s.s_depth;
+            args = s.s_args;
+          }
+      else
+        Event
+          {
+            ev_name = s.s_name;
+            ev_ts_ns = Int64.of_int s.s_ts;
+            ev_depth = s.s_depth;
+            ev_args = s.s_args;
+            ev_payload = s.s_payload;
+          }
+    in
+    acc := it :: !acc
   done;
   !acc
 
@@ -342,43 +329,26 @@ let ring_items r =
 (* Arming                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Arming state is domain-local: each OCaml 5 domain carries its own
-   sink list, nesting depth and metrics flag.  A freshly spawned domain
-   is disarmed (no sinks, metrics off), so uninstrumented workers keep
-   the near-zero disarmed cost; a worker that wants its work traced
-   installs a local memory sink and the orchestrating domain merges the
-   captured items back with [replay].  Nothing is shared, so no
-   instrumentation path needs synchronisation. *)
-(* [ring] is deliberately not a sink: {!tracing} (and therefore the
-   executor's capture-and-replay machinery) must stay false when only
-   the flight recorder is armed, and {!exclusive} must suspend sinks
-   without suspending the recorder — a worker's ring keeps recording
-   through a capture, which is exactly the per-domain isolation the
-   recorder exists for. *)
-type dstate = {
+(* [ring] is deliberately not a sink: {!tracing} must stay false when
+   only the flight recorder is armed, so arming it never switches on the
+   work solvers do only for a sink (building explain payloads, forcing
+   args). *)
+type state = {
   mutable sinks : sink list;
   mutable depth : int;
   mutable metrics_enabled : bool;
   mutable ring : fring option;
 }
 
-let dstate_key =
-  Domain.DLS.new_key (fun () ->
-      { sinks = []; depth = 0; metrics_enabled = false; ring = None })
+let st = { sinks = []; depth = 0; metrics_enabled = false; ring = None }
 
-let dstate () = Domain.DLS.get dstate_key
+let enabled () = st.sinks <> [] || st.metrics_enabled || st.ring != None
 
-let enabled () =
-  let st = dstate () in
-  st.sinks <> [] || st.metrics_enabled || st.ring != None
+let tracing () = st.sinks <> []
 
-let tracing () = (dstate ()).sinks <> []
+let metrics_on () = st.metrics_enabled
 
-let metrics_on () = (dstate ()).metrics_enabled
-
-let set_metrics b = (dstate ()).metrics_enabled <- b
-
-let depth () = (dstate ()).depth
+let set_metrics b = st.metrics_enabled <- b
 
 (* ------------------------------------------------------------------ *)
 (* Spans and events                                                   *)
@@ -391,7 +361,7 @@ let force_args = function Some f -> f () | None -> []
    recorder always armed this closes around every span in the engine,
    so the epilogue allocates only when a sink or the metrics registry
    asks for boxed values. *)
-let close_span st ?args ?hist name ~t0 ~d =
+let close_span ?args ?hist name ~t0 ~d =
   let dur = now_ns_i () - t0 in
   st.depth <- d;
   (match hist with
@@ -424,33 +394,30 @@ let close_span st ?args ?hist name ~t0 ~d =
   dur
 
 (* A span is live if a sink wants it, or if it feeds a histogram and
-   metrics are on; otherwise it must cost one domain-local load and a
-   branch. *)
-let[@inline] span_live st hist =
+   metrics are on; otherwise it must cost one load and a branch. *)
+let[@inline] span_live hist =
   match hist with
   | None -> st.sinks <> [] || st.ring != None
   | Some _ -> st.sinks <> [] || st.metrics_enabled || st.ring != None
 
 let with_span ?args ?hist name f =
-  let st = dstate () in
-  if not (span_live st hist) then f ()
+  if not (span_live hist) then f ()
   else begin
     let d = st.depth in
     st.depth <- d + 1;
     let t0 = now_ns_i () in
     match f () with
     | v ->
-      ignore (close_span st ?args ?hist name ~t0 ~d);
+      ignore (close_span ?args ?hist name ~t0 ~d);
       v
     | exception e ->
-      ignore (close_span st ?args ?hist name ~t0 ~d);
+      ignore (close_span ?args ?hist name ~t0 ~d);
       raise e
   end
 
 let timed_span ?args name f =
-  let st = dstate () in
   let t0 = now_ns_i () in
-  if not (span_live st None) then begin
+  if not (span_live None) then begin
     let v = f () in
     (v, Int64.of_int (now_ns_i () - t0))
   end
@@ -458,14 +425,13 @@ let timed_span ?args name f =
     let d = st.depth in
     st.depth <- d + 1;
     match f () with
-    | v -> (v, Int64.of_int (close_span st ?args name ~t0 ~d))
+    | v -> (v, Int64.of_int (close_span ?args name ~t0 ~d))
     | exception e ->
-      ignore (close_span st ?args name ~t0 ~d);
+      ignore (close_span ?args name ~t0 ~d);
       raise e
   end
 
 let event ?args ?(payload = No_payload) name =
-  let st = dstate () in
   match (st.sinks, st.ring) with
   | [], None -> ()
   | [], Some r ->
@@ -493,47 +459,13 @@ let event ?args ?(payload = No_payload) name =
     in
     List.iter (fun k -> k.on_event e) sinks
 
-(* Replay feeds sinks only, never the ring: every replayed item was
-   already recorded by the emitting domain's own ring at emission time
-   ({!exclusive} suspends sinks, not the recorder), so pushing it here
-   would double-record it. *)
-let replay ?(depth_offset = 0) items =
-  match (dstate ()).sinks with
-  | [] -> ()
-  | sinks ->
-    List.iter
-      (fun item ->
-        match item with
-        | Span s ->
-          let s = { s with depth = s.depth + depth_offset } in
-          List.iter (fun k -> k.on_span s) sinks
-        | Event e ->
-          let e = { e with ev_depth = e.ev_depth + depth_offset } in
-          List.iter (fun k -> k.on_event e) sinks)
-      items
-
 (* ------------------------------------------------------------------ *)
 (* Sink management                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let install sink =
-  let st = dstate () in
-  st.sinks <- sink :: st.sinks
+let install sink = st.sinks <- sink :: st.sinks
 
-let remove sink =
-  let st = dstate () in
-  st.sinks <- List.filter (fun s -> s != sink) st.sinks
-
-let exclusive sink f =
-  let st = dstate () in
-  let saved_sinks = st.sinks and saved_depth = st.depth in
-  st.sinks <- [ sink ];
-  st.depth <- 0;
-  Fun.protect
-    ~finally:(fun () ->
-      st.sinks <- saved_sinks;
-      st.depth <- saved_depth)
-    f
+let remove sink = st.sinks <- List.filter (fun s -> s != sink) st.sinks
 
 let close sink = sink.on_close ()
 
@@ -573,9 +505,8 @@ let json_args b args =
 
 let us_of_ns ns = Int64.to_float ns /. 1e3
 
-(* One JSONL line for [item], timestamps in microseconds after [t0];
-   [dom] tags the recording domain (flight-recorder dumps). *)
-let add_jsonl_line b ~t0 ?dom item =
+(* One JSONL line for [item], timestamps in microseconds after [t0]. *)
+let add_jsonl_line b ~t0 item =
   let kind, name, ts_ns, dur_ns, depth, args =
     match item with
     | Span s -> ("span", s.name, s.start_ns, Some s.dur_ns, s.depth, s.args)
@@ -593,15 +524,13 @@ let add_jsonl_line b ~t0 ?dom item =
       json_float b (us_of_ns d))
     dur_ns;
   Printf.bprintf b ", \"depth\": %d" depth;
-  Option.iter (Printf.bprintf b ", \"dom\": %d") dom;
   Buffer.add_string b ", \"args\": ";
   json_args b args;
   Buffer.add_string b "}\n"
 
-(* One Chrome trace_event object for [item] on lane [tid]: a complete
-   event [ph = "X"] for a span, an instant event [ph = "i"] for an
-   event. *)
-let add_chrome_entry b ~t0 ~tid item =
+(* One Chrome trace_event object for [item]: a complete event
+   [ph = "X"] for a span, an instant event [ph = "i"] for an event. *)
+let add_chrome_entry b ~t0 item =
   let name, ph, ts_ns =
     match item with
     | Span s -> (s.name, "X", s.start_ns)
@@ -611,7 +540,7 @@ let add_chrome_entry b ~t0 ~tid item =
   Json.add_string b name;
   Buffer.add_string b ", \"ph\": ";
   Json.add_string b ph;
-  Printf.bprintf b ", \"pid\": 1, \"tid\": %d, \"ts\": " tid;
+  Buffer.add_string b ", \"pid\": 1, \"tid\": 1, \"ts\": ";
   json_float b (us_of_ns (Int64.sub ts_ns t0));
   (match item with
   | Span s ->
@@ -663,7 +592,7 @@ let chrome_sink write =
     let b = Buffer.create 128 in
     Buffer.add_string b (if !first then "[\n" else ",\n");
     first := false;
-    add_chrome_entry b ~t0 ~tid:1 item;
+    add_chrome_entry b ~t0 item;
     write (Buffer.contents b)
   in
   {
@@ -678,49 +607,36 @@ let chrome_sink write =
 (* ------------------------------------------------------------------ *)
 
 module Flight_recorder = struct
-  let armed_flag = Atomic.make false
-
-  (* 1024 items x ~48 bytes of scalar slots keeps a ring's write
+  (* 1024 items x ~48 bytes of scalar slots keeps the ring's write
      footprint around 50KB — inside L2, so the always-on recorder's
      round-robin writes do not evict the evaluator's working set the
      way a multi-hundred-KB ring measurably does (observability
      ablation).  At ~50 items per solve that is still ~20 solves of
-     post-mortem history per domain. *)
+     post-mortem history. *)
   let default_capacity = 1024
-
-  let cap = Atomic.make default_capacity
-
-  (* Protects [rings], [dump_path] and [dumped]; never taken on the
-     push path (rings are written lock-free by their owning domain). *)
-  let lock = Mutex.create ()
-
-  let rings : fring list ref = ref []
 
   let dump_path : string option ref = ref None
 
   let dumped = ref false
 
-  (* Pre-registered at [arm] time (on the arming domain) so [incident]
-     never mutates the registry hashtable from a worker domain. *)
   let c_incidents =
     lazy
       (Counter.make ~help:"flight-recorder incidents (aborts, crashes)"
          "flight.incidents")
 
-  let armed () = Atomic.get armed_flag
+  let armed () = st.ring != None
 
-  let arm_domain () =
-    if Atomic.get armed_flag then begin
-      let st = dstate () in
-      match st.ring with
-      | Some _ -> ()
-      | None ->
-        let c = Atomic.get cap in
-        let r =
+  let arm ?(capacity = default_capacity) () =
+    if capacity < 1 then invalid_arg "Flight_recorder.arm: capacity < 1";
+    ignore (Lazy.force c_incidents);
+    dumped := false;
+    if Option.is_none st.ring then
+      st.ring <-
+        Some
           {
-            fr_cap = c;
+            fr_cap = capacity;
             fr_slots =
-              Array.init c (fun _ ->
+              Array.init capacity (fun _ ->
                   {
                     s_kind = 0;
                     s_name = "";
@@ -732,84 +648,41 @@ module Flight_recorder = struct
                   });
             fr_head = 0;
             fr_len = 0;
-            fr_dom = (Domain.self () :> int);
           }
-        in
-        Mutex.lock lock;
-        rings := r :: !rings;
-        Mutex.unlock lock;
-        st.ring <- Some r
-    end
 
-  let arm ?capacity () =
-    (match capacity with
-    | Some c when c < 1 -> invalid_arg "Flight_recorder.arm: capacity < 1"
-    | Some c -> Atomic.set cap c
-    | None -> Atomic.set cap default_capacity);
-    ignore (Lazy.force c_incidents);
-    Mutex.lock lock;
-    dumped := false;
-    Mutex.unlock lock;
-    Atomic.set armed_flag true;
-    arm_domain ()
+  let disarm () = st.ring <- None
 
-  let disarm () =
-    Atomic.set armed_flag false;
-    (dstate ()).ring <- None;
-    Mutex.lock lock;
-    rings := [];
-    Mutex.unlock lock
+  let set_dump_path p = dump_path := p
 
-  let set_dump_path p =
-    Mutex.lock lock;
-    dump_path := p;
-    Mutex.unlock lock
-
-  let local_items () =
-    match (dstate ()).ring with None -> [] | Some r -> ring_items r
-
-  let domains () =
-    Mutex.lock lock;
-    let rs = !rings in
-    Mutex.unlock lock;
-    List.map (fun r -> (r.fr_dom, ring_items r)) rs
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  let items () = match st.ring with None -> [] | Some r -> ring_items r
 
   let item_ts = function Span s -> s.start_ns | Event e -> e.ev_ts_ns
 
-  (* All rings merged into one (domain, item) stream, oldest first. *)
-  let merged () =
-    domains ()
-    |> List.concat_map (fun (d, items) -> List.map (fun it -> (d, it)) items)
-    |> List.stable_sort (fun (_, a) (_, b) -> Int64.compare (item_ts a) (item_ts b))
-
-  (* Chrome trace_event JSON with one [tid] lane per recording domain;
-     timestamps rebased to the earliest recorded item. *)
+  (* Chrome trace_event JSON over time-sorted [items], timestamps
+     rebased to the earliest. *)
   let write_chrome write items =
-    let t0 =
-      List.fold_left
-        (fun acc (_, it) ->
-          let t = item_ts it in
-          if Int64.compare t acc < 0 then t else acc)
-        Int64.max_int items
-    in
+    let t0 = match items with [] -> 0L | it :: _ -> item_ts it in
     let b = Buffer.create 4096 in
     Buffer.add_string b "[";
     List.iteri
-      (fun i (dom, it) ->
+      (fun i it ->
         Buffer.add_string b (if i = 0 then "\n" else ",\n");
-        add_chrome_entry b ~t0 ~tid:dom it)
+        add_chrome_entry b ~t0 it)
       items;
     Buffer.add_string b "\n]\n";
     write (Buffer.contents b)
 
   let write_jsonl write items =
     let b = Buffer.create 4096 in
-    List.iter (fun (dom, it) -> add_jsonl_line b ~t0:0L ~dom it) items;
+    List.iter (add_jsonl_line b ~t0:0L) items;
     write (Buffer.contents b)
 
   let dump_to_file path =
-    let items = merged () in
+    let items =
+      List.stable_sort
+        (fun a b -> Int64.compare (item_ts a) (item_ts b))
+        (items ())
+    in
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
@@ -818,32 +691,25 @@ module Flight_recorder = struct
           write_jsonl (output_string oc) items
         else write_chrome (output_string oc) items)
 
-  (* Called on the failure paths (typed Abort, degraded solve, worker
-     crash).  Marks the trigger in the local ring, counts it, and dumps
-     the merged window once per arm — the first incident's window is
-     the one that explains the failure; later incidents in the same run
-     (e.g. each per-shard abort of one degraded solve) only count. *)
+  (* Called on the failure paths (typed Abort, degraded solve, WAL
+     failure).  Marks the trigger in the ring, counts it, and dumps the
+     window once per arm — the first incident's window is the one that
+     explains the failure; later incidents in the same run only
+     count. *)
   let incident reason =
-    if Atomic.get armed_flag then begin
+    match st.ring with
+    | None -> ()
+    | Some r -> (
       Counter.incr (Lazy.force c_incidents);
-      (match (dstate ()).ring with
-      | Some r ->
-        ring_push_event r ~name:"flight.incident" ~ts_ns:(now_ns_i ())
-          ~depth:(dstate ()).depth
-          ~args:[ ("reason", Str reason) ]
-          ~payload:No_payload
-      | None -> ());
-      let path =
-        Mutex.lock lock;
-        let p = if !dumped then None else !dump_path in
-        (match p with Some _ -> dumped := true | None -> ());
-        Mutex.unlock lock;
-        p
-      in
-      match path with
-      | None -> ()
-      | Some p -> ( try dump_to_file p with Sys_error _ -> ())
-    end
+      ring_push_event r ~name:"flight.incident" ~ts_ns:(now_ns_i ())
+        ~depth:st.depth
+        ~args:[ ("reason", Str reason) ]
+        ~payload:No_payload;
+      match !dump_path with
+      | Some p when not !dumped -> (
+        dumped := true;
+        try dump_to_file p with Sys_error _ -> ())
+      | Some _ | None -> ())
 end
 
 (* ------------------------------------------------------------------ *)

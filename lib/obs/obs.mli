@@ -8,18 +8,14 @@
     {!Coordination.Explain}).
 
     When nothing is armed — no sink installed, metrics off — every
-    instrumentation site reduces to one domain-local load and a branch,
-    so the engine can stay instrumented permanently (verified by the
+    instrumentation site reduces to one load and a branch, so the
+    engine can stay instrumented permanently (verified by the
     [observability] ablation in [bench/ablations.ml]).
 
-    Arming state (sinks, nesting depth, metrics flag) is domain-local:
-    a freshly spawned domain starts disarmed, so worker domains pay the
-    disarmed cost unless they install their own (typically memory)
-    sink.  {!Coordination.Executor} uses this to capture each shard's
-    items on the worker and {!replay} them deterministically on the
-    orchestrating domain.  The {!Histogram} and {!Counter} registries
-    remain process-wide and are not synchronised — record metrics from
-    one domain at a time (the executor keeps worker metrics off). *)
+    The process runs on one OCaml domain: the arming state (sinks,
+    nesting depth, metrics flag, flight-recorder ring) and the
+    {!Histogram} and {!Counter} registries are plain module-level
+    state. *)
 
 val now_ns : unit -> int64
 (** Monotonic timestamp in nanoseconds ([CLOCK_MONOTONIC]): differences
@@ -59,14 +55,14 @@ type item = Span of span | Event of event
 
 val enabled : unit -> bool
 (** Anything armed at all (sink installed, metrics on, or the
-    {!Flight_recorder} recording on this domain).  The guard for
+    {!Flight_recorder} recording).  The guard for
     instrumentation whose cost must vanish otherwise. *)
 
 val tracing : unit -> bool
 (** At least one sink is installed.  Deliberately {e false} when only
-    the {!Flight_recorder} is armed: capture-and-replay machinery keyed
-    on this (the parallel executor) must not engage for the recorder,
-    whose whole point is per-domain in-place recording. *)
+    the {!Flight_recorder} is armed, so arming the recorder never
+    switches on the work solvers do only for a sink (building explain
+    payloads, forcing args). *)
 
 val metrics_on : unit -> bool
 
@@ -209,19 +205,7 @@ val timed_span :
 val event :
   ?args:(unit -> (string * arg) list) -> ?payload:payload -> string -> unit
 (** Instant event at the current nesting depth; dropped unless a sink
-    is installed or the {!Flight_recorder} is recording on this domain
-    (ring-only, args stay unforced — see the recorder's docs). *)
-
-val depth : unit -> int
-(** Current span nesting depth on the calling domain (0 outside any
-    span).  Used as the [depth_offset] when {!replay}ing items captured
-    on a worker domain, whose depth starts at 0. *)
-
-val replay : ?depth_offset:int -> item list -> unit
-(** Re-emit captured items (from a {!memory_sink} drain, typically on
-    another domain) to the calling domain's sinks, in list order, with
-    every depth shifted by [depth_offset].  Timestamps are preserved
-    verbatim.  No-op when no sink is installed. *)
+    is installed or the {!Flight_recorder} is recording (ring-only, args stay unforced — see the recorder's docs). *)
 
 (** {1 Sinks} *)
 
@@ -237,18 +221,6 @@ val close : sink -> unit
 
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** Install around [f], then remove and {!close} (also on exception). *)
-
-val exclusive : sink -> (unit -> 'a) -> 'a
-(** Run [f] with [sink] as the calling domain's {e only} sink and the
-    span depth reset to 0, restoring the previous sinks and depth
-    afterwards (also on exception).  This is how an orchestrator
-    captures a thunk's emissions in isolation when the thunk runs on a
-    domain that already has live sinks — a pool worker scheduled on the
-    orchestrator's own domain.  A plain {!install} would double-deliver
-    every item: once live, in execution order, and once again in the
-    deterministic {!replay}; and the captured depths would be relative
-    to the orchestrator's span nesting instead of starting at 0 like a
-    freshly spawned domain's. *)
 
 val jsonl_sink : (string -> unit) -> sink
 (** One JSON object per line through the writer:
@@ -266,9 +238,9 @@ val memory_sink : unit -> sink * (unit -> item list)
 
 (** {1 Flight recorder}
 
-    A fixed-capacity, drop-oldest ring buffer of {!item}s per domain,
-    recording every span and event the domain emits whether or not any
-    sink is installed.  The ring is an array of preallocated mutable
+    A fixed-capacity, drop-oldest ring buffer of {!item}s, recording
+    every span and event the process emits whether or not any sink is
+    installed.  The ring is an array of preallocated mutable
     slot records and a push overwrites one slot's fields in place, so
     recording allocates nothing and dirties one cache line;
     to keep that cost (~100ns/item), ring-only recording stores names,
@@ -276,57 +248,44 @@ val memory_sink : unit -> sink * (unit -> item list)
     appear whenever a sink is also installed, and {!incident} pushes
     its [reason] arg explicitly so aborts keep their cause.  Disarmed
     it adds one load and branch to the instrumentation guard.  Unlike a
-    sink, the recorder survives {!exclusive} (the executor's capture)
-    and does not make {!tracing} true, so arming it never changes
-    solver/executor behaviour.
+    sink, the recorder does not make {!tracing} true, so arming it never
+    changes solver behaviour.
 
     On an {!Flight_recorder.incident} — reported by the resilience
-    layer on a typed [Abort], by the executor on [Worker_crashed] — the
-    merged window of all rings is written once to the configured dump
-    path (Chrome trace_event JSON, or JSONL when the path ends in
+    layer on a typed [Abort], by the durable layer on a WAL failure,
+    by the server on a failed session — the ring's window is
+    written once to the configured dump path (Chrome trace_event JSON, or JSONL when the path ends in
     [.jsonl]), giving a post-hoc view of the moments preceding the
     failure. *)
 module Flight_recorder : sig
   val arm : ?capacity:int -> unit -> unit
-  (** Arm the recorder process-wide and attach a ring (default capacity
-      1024 items — about 50KB of slots, small enough to live in L2
-      under the evaluator's working set) to the calling domain.
-      Re-arming resets the dumped-once latch.
+  (** Arm the recorder with a ring of [capacity] items (default 1024 —
+      about 50KB of slots, small enough to live in L2 under the
+      evaluator's working set).  Re-arming keeps the current ring and
+      resets the dumped-once latch.
       @raise Invalid_argument if [capacity < 1]. *)
 
-  val arm_domain : unit -> unit
-  (** Attach a ring to the calling domain if the recorder is armed
-      process-wide; no-op otherwise.  Worker domains call this on
-      entry. *)
-
   val disarm : unit -> unit
-  (** Disarm process-wide, detach the calling domain's ring and drop
-      every registered ring. *)
+  (** Disarm and drop the ring. *)
 
   val armed : unit -> bool
 
   val set_dump_path : string option -> unit
-  (** Where {!incident} writes the merged window ([None] disables
+  (** Where {!incident} writes the window ([None] disables
       dumping; incidents are still counted and marked in the ring). *)
 
   val incident : string -> unit
   (** Report a failure worth a flight dump.  Counts
       [flight.incidents], appends a ["flight.incident"] event (carrying
-      [reason]) to the calling domain's ring, and — first incident
-      since arming only — dumps the merged window to the dump path.
+      [reason]) to the ring, and — first incident since arming only —
+      dumps the window to the dump path.
       No-op when disarmed. *)
 
-  val local_items : unit -> item list
-  (** The calling domain's ring, oldest first (empty when detached). *)
-
-  val domains : unit -> (int * item list) list
-  (** Every registered ring as [(domain id, items oldest first)],
-      sorted by domain id.  Rings of still-running domains are
-      snapshot racily — fine for diagnostics and tests that quiesce
-      first. *)
+  val items : unit -> item list
+  (** The ring, oldest first (empty when disarmed). *)
 
   val dump_to_file : string -> unit
-  (** Write the merged window of all rings now (Chrome trace_event
-      JSON; JSONL when the path ends in [.jsonl]), one [tid] lane per
-      domain, timestamps rebased to the earliest recorded item. *)
+  (** Write the ring's window now (Chrome trace_event JSON; JSONL when
+      the path ends in [.jsonl]), items in timestamp order, timestamps
+      rebased to the earliest recorded item. *)
 end

@@ -2,15 +2,12 @@ type t = {
   tables : (string, Relation.t) Hashtbl.t;
   counters : Counters.t;
   plan_cache : (string, Plan.t) Hashtbl.t;
-  plan_lock : Mutex.t;
-      (* serialises plan_cache lookup+compile+insert; shared (like the
-         cache itself) between a database and its worker views *)
-  version : int Atomic.t;
+  version : int ref;
       (* per-database content version: passed into every relation this
          database creates (each successful insert/delete bumps it) and
-         bumped directly on structural changes.  Shared with worker
-         views.  Unlike [Relation.mutation_count] this stamp moves only
-         when *this* database's contents move. *)
+         bumped directly on structural changes.  Unlike
+         [Relation.mutation_count] this stamp moves only when *this*
+         database's contents move. *)
   mutable probe_latency : float;  (* seconds added per probe *)
   mutable guard : Resilient.t option;  (* resilience middleware, if armed *)
 }
@@ -20,25 +17,9 @@ let create () =
     tables = Hashtbl.create 16;
     counters = Counters.create ();
     plan_cache = Hashtbl.create 64;
-    plan_lock = Mutex.create ();
-    version = Atomic.make 0;
+    version = ref 0;
     probe_latency = 0.0;
     guard = None;
-  }
-
-(* A worker view shares the parent's tables, plan cache and lock — so
-   concurrent solves see one store and one compile-once cache — but has
-   private counters (merged by the caller afterwards) and its own guard
-   slot (one shard's budget, not the parent's). *)
-let worker_view ?guard db =
-  {
-    tables = db.tables;
-    counters = Counters.create ();
-    plan_cache = db.plan_cache;
-    plan_lock = db.plan_lock;
-    version = db.version;
-    probe_latency = db.probe_latency;
-    guard;
   }
 
 (* Plans bake in join orders chosen against the schema (and, for
@@ -53,7 +34,7 @@ let create_table db schema =
   let r = Relation.create ~version:db.version schema in
   Hashtbl.add db.tables name r;
   invalidate_plans db;
-  Atomic.incr db.version;
+  incr db.version;
   Relation.note_mutation ();
   r
 
@@ -63,7 +44,7 @@ let drop_table db name =
   if Hashtbl.mem db.tables name then begin
     Hashtbl.remove db.tables name;
     invalidate_plans db;
-    Atomic.incr db.version;
+    incr db.version;
     Relation.note_mutation ()
   end
 
@@ -111,7 +92,7 @@ let active_domain db =
 let total_tuples db =
   List.fold_left (fun acc r -> acc + Relation.cardinal r) 0 (relations db)
 
-let data_version db = Atomic.get db.version
+let data_version db = !(db.version)
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache                                                         *)
@@ -119,46 +100,32 @@ let data_version db = Atomic.get db.version
 
 let prepare db q =
   let key, shape, binding = Plan.canonicalize q in
-  (* Held across lookup+compile+insert so parallel shards sharing the
-     cache compile each shape exactly once — keeping plan hit/miss
-     totals identical to a sequential run. *)
-  Mutex.lock db.plan_lock;
   let plan =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock db.plan_lock)
-      (fun () ->
-        match Hashtbl.find_opt db.plan_cache key with
-        | Some plan ->
-          db.counters.plan_hits <- db.counters.plan_hits + 1;
-          (* Stamp how current the data was when the plan last served a
-             hit — rendered by EXPLAIN ANALYZE as the drift window
-             against [compiled_version]. *)
-          Plan.note_seen plan ~version:(Atomic.get db.version);
-          plan
-        | None ->
-          db.counters.plan_misses <- db.counters.plan_misses + 1;
-          let plan =
-            Plan.compile
-              ~version:(Atomic.get db.version)
-              (relation_opt db) ~key shape
-          in
-          Hashtbl.add db.plan_cache key plan;
-          plan)
+    match Hashtbl.find_opt db.plan_cache key with
+    | Some plan ->
+      db.counters.plan_hits <- db.counters.plan_hits + 1;
+      (* Stamp how current the data was when the plan last served a
+         hit — rendered by EXPLAIN ANALYZE as the drift window against
+         [compiled_version]. *)
+      Plan.note_seen plan ~version:!(db.version);
+      plan
+    | None ->
+      db.counters.plan_misses <- db.counters.plan_misses + 1;
+      let plan =
+        Plan.compile ~version:!(db.version) (relation_opt db) ~key shape
+      in
+      Hashtbl.add db.plan_cache key plan;
+      plan
   in
   (plan, binding)
 
 let plan_cache_size db = Hashtbl.length db.plan_cache
 
 (* Snapshot of the plan cache for EXPLAIN ANALYZE, key-sorted so the
-   rendering order is deterministic.  Taken under the plan lock: the
-   executor's shards may be compiling concurrently. *)
+   rendering order is deterministic. *)
 let cached_plans db =
-  Mutex.lock db.plan_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock db.plan_lock)
-    (fun () ->
-      Hashtbl.fold (fun key plan acc -> (key, plan) :: acc) db.plan_cache []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+  Hashtbl.fold (fun key plan acc -> (key, plan) :: acc) db.plan_cache []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                           *)
@@ -172,13 +139,7 @@ let reset_counters db = Counters.reset db.counters
 
 let count_probe db =
   db.counters.probes <- db.counters.probes + 1;
-  if db.probe_latency > 0.0 then
-    (* A true blocking sleep, not a busy-wait: the emulated round trip
-       must release the core so that concurrent shards overlap their
-       in-flight probes the way the paper's client-server setup does. *)
-    Unix.sleepf db.probe_latency
-
-let warm_indexes db = List.iter Relation.warm_indexes (relations db)
+  if db.probe_latency > 0.0 then Unix.sleepf db.probe_latency
 
 let set_probe_latency db seconds =
   if seconds < 0.0 then invalid_arg "Database.set_probe_latency: negative";

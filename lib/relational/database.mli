@@ -13,16 +13,6 @@ type t
 val create : unit -> t
 (** [create ()] makes an empty instance. *)
 
-val worker_view : ?guard:Resilient.t -> t -> t
-(** [worker_view db] is a database handle for one parallel shard: it
-    shares [db]'s relations and compiled-plan cache (and the lock that
-    serialises cache fills), but carries fresh zeroed counters — merged
-    back by the executor so totals equal the sequential run — and its
-    own guard slot ([?guard], default unguarded) holding that shard's
-    split budget rather than the parent's.  Views must treat the store
-    as read-only; call {!warm_indexes} before sharing a store across
-    domains so no lazy index build races. *)
-
 val create_table : t -> Schema.t -> Relation.t
 (** @raise Invalid_argument if a relation with the same name exists.
     Invalidates the plan cache. *)
@@ -75,11 +65,10 @@ val data_version : t -> int
 (** A stamp that moves whenever {e this} database's contents change —
     any successful insert or delete into one of its relations, any
     table created or dropped.  Per-database: mutations of other
-    databases in the process never move it (each instance owns an
-    atomic stamp, shared into its relations at {!create_table} and with
-    its {!worker_view}s).  Callers use it to invalidate content-derived
-    caches and to measure plan staleness
-    ({!Plan.stats}[.compiled_version]). *)
+    databases in the process never move it (each instance owns a
+    stamp, shared into its relations at {!create_table}).  Callers use
+    it to invalidate content-derived caches and to measure plan
+    staleness ({!Plan.stats}[.compiled_version]). *)
 
 (** {2 Plan cache}
 
@@ -100,9 +89,9 @@ val plan_cache_size : t -> int
 
 val cached_plans : t -> (string * Plan.t) list
 (** Snapshot of the plan cache, sorted by shape key (deterministic
-    order), taken under the plan lock.  The plans are the live cached
-    objects — their {!Plan.stats} keep accruing after the snapshot.
-    What [solve --explain-analyze] renders. *)
+    order).  The plans are the live cached objects — their
+    {!Plan.stats} keep accruing after the snapshot.  What
+    [solve --explain-analyze] renders. *)
 
 (** {2 Counters} *)
 
@@ -119,18 +108,11 @@ val count_probe : t -> unit
 (** Record that one conjunctive query was issued against this instance.
     If a probe latency is configured, also stalls for that long. *)
 
-val warm_indexes : t -> unit
-(** {!Relation.warm_indexes} on every relation: force all lazy hash
-    indexes to exist so concurrent readers never mutate the store. *)
-
 val set_probe_latency : t -> float -> unit
 (** [set_probe_latency db seconds] makes every probe cost an additional
     [seconds] of wall-clock time, emulating the client–server round trip
     of the paper's MySQL/JDBC setup (where per-query latency, not join
-    work, dominates).  The stall is a true blocking sleep, so probes
-    issued by concurrent domains overlap — the regime the
-    [parallel-scaling] ablation measures.  Zero (the default) disables
-    the stall. *)
+    work, dominates).  Zero (the default) disables the stall. *)
 
 val probe_latency : t -> float
 

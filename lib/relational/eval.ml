@@ -63,9 +63,7 @@ let rels_label (q : Cq.t) =
    hashed on a hit.  Each new template appends once; past
    [max_label_memo] distinct templates the overflow path rebuilds the
    label per probe, which only prices workloads the plan cache already
-   handles badly.  A plain ref is fine across domains: workers run with
-   metrics off, and a racy append costs at most a duplicate entry for
-   the same registry counter. *)
+   handles badly. *)
 let rec same_rels (atoms : Cq.atom list) rels =
   match (atoms, rels) with
   | [], [] -> true

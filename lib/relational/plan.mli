@@ -32,9 +32,7 @@ type step_stat = {
   mutable s_ns : int64;     (** inclusive time; only under {!set_analyze} *)
 }
 (** Per-step observed statistics.  Always on: plain int increments,
-    allocation-free.  On plans shared across executor domains the
-    updates are advisory (lossy, racy); they never affect query
-    results. *)
+    allocation-free.  They never affect query results. *)
 
 type stats = {
   mutable executions : int;

@@ -19,10 +19,10 @@ type t = {
      first lookup of column c. *)
   mutable indexes : posting Value.Hashtbl.t option array;
   (* Content-version stamp, shared with the owning database (every
-     relation of one database bumps the same atomic) so that
+     relation of one database bumps the same counter) so that
      [Database.data_version] moves exactly when *that* database's
      contents move.  Standalone relations get a private stamp. *)
-  version : int Atomic.t;
+  version : int ref;
   (* Observed mutation statistics for the query-intelligence layer. *)
   mutable n_inserts : int;
   mutable n_deletes : int;
@@ -33,15 +33,12 @@ type t = {
    that cache anything derived from database contents — the online
    engine's per-component evaluation cache — snapshot this and
    invalidate when it moves.  A monotone counter shared across stores
-   can only over-invalidate, never miss a change.  Atomic because the
-   multicore batch executor mutates per-component tables from several
-   domains at once; a plain [ref]'s lost updates could freeze a stale
-   cache stamp forever. *)
-let mutations = Atomic.make 0
+   can only over-invalidate, never miss a change. *)
+let mutations = ref 0
 
-let mutation_count () = Atomic.get mutations
+let mutation_count () = !mutations
 
-let note_mutation () = Atomic.incr mutations
+let note_mutation () = incr mutations
 
 let create ?version schema =
   let r =
@@ -52,7 +49,7 @@ let create ?version schema =
       present = Tuple.Hashtbl.create 64;
       dead_count = 0;
       indexes = Array.make (Schema.arity schema) None;
-      version = (match version with Some v -> v | None -> Atomic.make 0);
+      version = (match version with Some v -> v | None -> ref 0);
       n_inserts = 0;
       n_deletes = 0;
     }
@@ -103,7 +100,7 @@ let insert r t =
         match idx with None -> () | Some idx -> index_row idx row t c)
       r.indexes;
     r.n_inserts <- r.n_inserts + 1;
-    Atomic.incr r.version;
+    incr r.version;
     note_mutation ();
     true
   end
@@ -167,7 +164,7 @@ let delete r t =
       r.indexes;
     if r.dead_count > Vec.length r.tuples / 2 then compact r;
     r.n_deletes <- r.n_deletes + 1;
-    Atomic.incr r.version;
+    incr r.version;
     note_mutation ();
     true
 
@@ -197,11 +194,6 @@ let ensure_index r col =
       r.tuples;
     r.indexes.(col) <- Some idx;
     idx
-
-let warm_indexes r =
-  for col = 0 to arity r - 1 do
-    ignore (ensure_index r col)
-  done
 
 let lookup r ~col v =
   let idx = ensure_index r col in
@@ -253,7 +245,7 @@ let posting_length r ~col v =
   | None -> 0
   | Some p -> Vec.length p.ids
 
-let version r = Atomic.get r.version
+let version r = !(r.version)
 
 let inserts r = r.n_inserts
 

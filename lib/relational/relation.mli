@@ -11,7 +11,7 @@
 
 type t
 
-val create : ?version:int Atomic.t -> Schema.t -> t
+val create : ?version:int ref -> Schema.t -> t
 (** [create ?version schema] makes an empty relation.
 
     [version] is the content-version stamp the relation bumps on every
@@ -65,13 +65,6 @@ val find_matching : t -> col:int -> Value.t -> Tuple.t option
 (** First (insertion-order) live tuple whose [col]-th field equals [v],
     without materialising the match list.  The point-lookup companion to
     {!iter_matching}. *)
-
-val warm_indexes : t -> unit
-(** Force-build the hash index of every column now.  Lazy index
-    construction mutates the relation on first lookup, which is unsafe
-    once several domains read the same store concurrently; warming on
-    the orchestrating domain before spawning makes all subsequent
-    index reads pure. *)
 
 val iter_matching : t -> col:int -> Value.t -> (Tuple.t -> unit) -> unit
 (** Like {!lookup} but without materialising the matching list — the

@@ -187,57 +187,6 @@ let pp_usage ppf u =
 let elapsed_ns g =
   Int64.add (Int64.sub (Obs.now_ns ()) g.start_ns) g.virtual_ns
 
-(* ------------------------- Shard splitting ------------------------ *)
-
-let split g n =
-  if n < 1 then invalid_arg "Resilient.split: n must be >= 1";
-  let share total i =
-    match total with
-    | None -> None
-    | Some t ->
-      (* Divide evenly; the remainder goes to the earliest shards, so
-         shares sum exactly to the parent budget. *)
-      let q = t / n and r = t mod n in
-      Some (q + if i < r then 1 else 0)
-  in
-  let remaining_deadline =
-    match g.cfg.deadline_ns with
-    | None -> None
-    | Some d ->
-      (* Every shard gets the parent's remaining wall budget: shards run
-         concurrently, so time is the one budget that is not divided. *)
-      Some (Int64.max 0L (Int64.sub d (elapsed_ns g)))
-  in
-  Array.init n (fun i ->
-      arm
-        {
-          g.cfg with
-          max_probes = share g.cfg.max_probes i;
-          max_tuples = share g.cfg.max_tuples i;
-          deadline_ns = remaining_deadline;
-          faults =
-            (* Distinct seeds give each shard its own deterministic
-               fault schedule, independent of sibling progress. *)
-            Option.map
-              (fun f -> { f with fault_seed = f.fault_seed + i })
-              g.cfg.faults;
-        })
-
-let absorb g children =
-  Array.iter
-    (fun c ->
-      g.acc.a_attempts <- g.acc.a_attempts + c.acc.a_attempts;
-      g.acc.a_probes_ok <- g.acc.a_probes_ok + c.acc.a_probes_ok;
-      g.acc.a_retries <- g.acc.a_retries + c.acc.a_retries;
-      g.acc.a_transient <- g.acc.a_transient + c.acc.a_transient;
-      g.acc.a_permanent <- g.acc.a_permanent + c.acc.a_permanent;
-      g.acc.a_injected_timeouts <-
-        g.acc.a_injected_timeouts + c.acc.a_injected_timeouts;
-      g.acc.a_backoff_ns <- Int64.add g.acc.a_backoff_ns c.acc.a_backoff_ns;
-      g.acc.a_injected_latency_ns <-
-        Int64.add g.acc.a_injected_latency_ns c.acc.a_injected_latency_ns)
-    children
-
 (* ---------------------------- Metrics ----------------------------- *)
 
 (* Registered lazily — on the first armed increment — so unguarded runs

@@ -101,27 +101,6 @@ val start_solve : t -> unit
     same fault schedule.  Call once before handing the database to a
     solver; nested solver calls share the enclosing budget. *)
 
-val split : t -> int -> t array
-(** [split g n] derives [n] freshly-armed child guards, one per parallel
-    shard: probe and tuple budgets are divided evenly (remainder to the
-    earliest shards, so they sum exactly to the parent's), the deadline
-    becomes the parent's {e remaining} time — shards run concurrently,
-    so wall time is not divided — and each child's fault injector is
-    seeded [fault_seed + i], giving every shard a deterministic schedule
-    independent of sibling progress.  The parent's accounting is
-    untouched; fold the children back with {!absorb}.  Note the split
-    changes {e where} budgets bite: a sequential run spends one shared
-    budget in component order, while shards spend their slice locally —
-    per-shard degradation is the intended semantics, not an emulation of
-    the sequential cut-off.
-    @raise Invalid_argument when [n < 1]. *)
-
-val absorb : t -> t array -> unit
-(** [absorb g children] adds the children's accounting (attempts,
-    successes, retries, faults, backoff, injected latency) into [g] so
-    {!usage}/{!pp_usage} report the whole solve.  Budgets and clocks are
-    not altered. *)
-
 (** Cumulative accounting since the last {!start_solve}. *)
 type usage = {
   attempts : int;          (** probe attempts, including failed ones *)

@@ -53,18 +53,6 @@ let make_worst_case ~rows ~users =
   ignore (install_complete_friends db ~users);
   (db, worst_case_queries ~users)
 
-let cascade_queries ~users =
-  List.init users (fun i ->
-      let dest =
-        if i = users - 1 then Cquery.Exact (Value.Str "D0") else Cquery.Any
-      in
-      let partners =
-        if i = users - 1 then [] else [ Cquery.Named (user (i + 1)) ]
-      in
-      Cquery.make config ~user:(user i)
-        ~own:[ dest; Cquery.Any; Cquery.Any; Cquery.Any ]
-        ~partners)
-
 let constrained_queries rng ~users ~rows ~constrain_fraction =
   List.init users (fun i ->
       let pin () = Prng.float rng < constrain_fraction in

@@ -33,13 +33,6 @@ val make_worst_case :
   rows:int -> users:int -> Database.t * Coordination.Consistent_query.t list
 (** Figures 7 and 8 instance. *)
 
-val cascade_queries : users:int -> Coordination.Consistent_query.t list
-(** A Named-partner chain (user i needs user i+1) whose last user pins
-    destination ["D0"]: for every other value the cleaning phase
-    cascades one removal per round, making the value loop the dominant
-    cost — the adversarial case for cleaning, used by the parallel
-    ablation. *)
-
 val constrained_queries :
   Prng.t ->
   users:int ->

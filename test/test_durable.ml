@@ -33,14 +33,32 @@ let seed_store ?wal db =
       | None -> ())
     seed_facts
 
-let apply_op ?wal db engine = function
-  | Submit q -> ignore (Online.submit engine q)
-  | Flush -> ignore (Online.flush engine)
-  | Insert (fid, dest) ->
-    Database.insert db "F" [ vi fid; vs dest ];
-    (match wal with
-    | Some t -> Durable.journal_insert t "F" [ vi fid; vs dest ]
-    | None -> ())
+(* [shadow] is [(ctx, store)] where the store holds every tuple ever
+   inserted, seed facts included: an [Insert] lands there too, and every
+   set the op fires must satisfy Definition 1 against it
+   ({!Helpers.check_fired}).  Under consume the live store has lost the
+   tuples earlier fires booked; the shadow still holds them. *)
+let apply_op ?wal ?shadow db engine op =
+  let fired =
+    match op with
+    | Submit q -> (
+      match Online.submit engine q with
+      | Online.Coordinated c -> [ c ]
+      | Online.Pending | Online.Rejected_unsafe _ -> [])
+    | Flush -> Online.flush engine
+    | Insert (fid, dest) ->
+      Database.insert db "F" [ vi fid; vs dest ];
+      Option.iter
+        (fun (_, store) -> Database.insert store "F" [ vi fid; vs dest ])
+        shadow;
+      (match wal with
+      | Some t -> Durable.journal_insert t "F" [ vi fid; vs dest ]
+      | None -> ());
+      []
+  in
+  Option.iter
+    (fun (ctx, store) -> List.iter (check_fired ~ctx store) fired)
+    shadow
 
 let mk_reference ~consume =
   let db = Database.create () in
@@ -58,7 +76,8 @@ let recover_exn ?(ctx = "") dir =
 (* Run a trace on a durable engine (periodic snapshots armed) next to
    the reference, copying the WAL directory at every operation
    boundary; then recover every copy and demand state equality with the
-   reference at that boundary. *)
+   reference at that boundary.  Every set the durable engine fires,
+   live or after recovery, is checked against Definition 1. *)
 let run_crash_points ~seed ~consume () =
   let tag = Printf.sprintf "cp-%b" consume in
   let dir = fresh_dir tag in
@@ -69,6 +88,7 @@ let run_crash_points ~seed ~consume () =
   in
   seed_store ~wal db;
   let rdb, rengine = mk_reference ~consume in
+  let shadow = mk_db () in
   let copies = ref [] in
   let states = ref [] in
   let checkpoint k =
@@ -83,7 +103,9 @@ let run_crash_points ~seed ~consume () =
   checkpoint 0;
   List.iteri
     (fun i op ->
-      apply_op ~wal db engine op;
+      apply_op ~wal
+        ~shadow:(Printf.sprintf "%s step %d" tag (i + 1), shadow)
+        db engine op;
       apply_op rdb rengine op;
       checkpoint (i + 1))
     trace;
@@ -111,9 +133,11 @@ let run_crash_points ~seed ~consume () =
   copy_dir dir final;
   let t, rdb', rengine', _ = recover_exn ~ctx:(tag ^ " final") final in
   let more = gen_trace (Prng.create (seed + 1)) 6 in
-  List.iter
-    (fun op ->
-      apply_op ~wal:t rdb' rengine' op;
+  List.iteri
+    (fun i op ->
+      apply_op ~wal:t
+        ~shadow:(Printf.sprintf "%s continuation step %d" tag (i + 1), shadow)
+        rdb' rengine' op;
       apply_op rdb rengine op)
     more;
   Alcotest.check obs_t

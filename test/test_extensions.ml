@@ -1,7 +1,6 @@
 (* Extensions beyond the paper's core algorithms: the online engine
-   (Section 7 future work / Section 6.1 system flow), the parallel value
-   loop (Section 6.2 closing remark), the generalized partner kinds of
-   Section 5, and SQL rendering of combined queries. *)
+   (Section 7 future work / Section 6.1 system flow), the generalized
+   partner kinds of Section 5, and SQL rendering of combined queries. *)
 
 open Relational
 open Entangled
@@ -178,44 +177,6 @@ let test_online_consumes_inventory () =
   | _ -> Alcotest.fail "second pair must find no inventory");
   Alcotest.(check int) "second pair stuck" 2
     (Coordination.Online.pending_count engine)
-
-(* ----------------------------- Parallel --------------------------- *)
-
-let test_parallel_matches_sequential () =
-  let db, queries = Workload.Flights.make_worst_case ~rows:60 ~users:12 in
-  let seq =
-    match Coordination.Consistent.solve db Workload.Flights.config queries with
-    | Ok o -> o
-    | Error _ -> Alcotest.fail "sequential solves"
-  in
-  List.iter
-    (fun domains ->
-      match
-        Coordination.Executor.solve_consistent ~domains db Workload.Flights.config queries
-      with
-      | Error _ -> Alcotest.fail "parallel solves"
-      | Ok par ->
-        Alcotest.(check (option tuple_t))
-          (Printf.sprintf "same value (%d domains)" domains)
-          seq.chosen_value par.chosen_value;
-        Alcotest.(check (list int))
-          (Printf.sprintf "same members (%d domains)" domains)
-          seq.members par.members;
-        Alcotest.(check int)
-          (Printf.sprintf "same candidate count (%d domains)" domains)
-          (List.length seq.candidates)
-          (List.length par.candidates))
-    [ 1; 2; 4; 7 ]
-
-let test_parallel_movies () =
-  let db, queries = Workload.Movies.make () in
-  match Coordination.Executor.solve_consistent ~domains:3 db Workload.Movies.config queries with
-  | Error e -> Alcotest.failf "error: %a" Coordination.Consistent.pp_error e
-  | Ok outcome -> (
-    Alcotest.(check int) "three members" 3 (List.length outcome.members);
-    match Coordination.Consistent.to_solution db outcome with
-    | None -> Alcotest.fail "has solution"
-    | Some (compiled, solution) -> check_validates db compiled solution)
 
 (* --------------------- Generalized partners ----------------------- *)
 
@@ -414,10 +375,6 @@ let suite =
       test_online_flush_multiple_components;
     Alcotest.test_case "deep chain stack safety (n=2000)" `Slow
       test_deep_chain_stack_safety;
-    Alcotest.test_case "parallel = sequential (1/2/4/7 domains)" `Quick
-      test_parallel_matches_sequential;
-    Alcotest.test_case "parallel: movies example validates" `Quick
-      test_parallel_movies;
     Alcotest.test_case "k-friends coordination" `Quick test_k_friends;
     Alcotest.test_case "k-friends insufficient" `Quick test_k_friends_insufficient;
     Alcotest.test_case "k=0 rejected" `Quick test_bad_k_rejected;
@@ -431,26 +388,4 @@ let suite =
       test_sqlgen_exists_and_literals;
     Alcotest.test_case "sqlgen errors" `Quick test_sqlgen_errors;
     Alcotest.test_case "sqlgen combined query" `Quick test_sqlgen_combined_query;
-    qtest ~count:30 "parallel equals sequential on random instances"
-      QCheck.(int_range 0 10_000)
-      (fun seed ->
-        let rng = Prng.create seed in
-        let rows = 5 + Prng.int rng 20 in
-        let users = 2 + Prng.int rng 8 in
-        let db = Database.create () in
-        ignore (Workload.Flights.install_flights db ~rows);
-        ignore (Workload.Flights.install_complete_friends db ~users);
-        let queries =
-          Workload.Flights.constrained_queries rng ~users ~rows
-            ~constrain_fraction:0.4
-        in
-        let seq = Coordination.Consistent.solve db Workload.Flights.config queries in
-        let par =
-          Coordination.Executor.solve_consistent ~domains:3 db Workload.Flights.config queries
-        in
-        match (seq, par) with
-        | Ok s, Ok p ->
-          s.chosen_value = p.chosen_value && s.members = p.members
-          && List.length s.candidates = List.length p.candidates
-        | _ -> false);
   ]

@@ -24,5 +24,4 @@ let () =
       ("csv-fuzz", Test_csv_fuzz.suite);
       ("frame-fuzz", Test_frame_fuzz.suite);
       ("server", Test_server.suite);
-      ("executor", Test_executor.suite);
     ]

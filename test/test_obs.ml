@@ -295,8 +295,8 @@ let item_name = function
   | Obs.Event e -> e.Obs.ev_name
 
 (* Every flight-recorder test disarms on the way out: the recorder is
-   process-global and later suites (executor determinism) must start
-   from the disarmed state. *)
+   process-global and later suites must start from the disarmed
+   state. *)
 let with_recorder ?capacity f =
   Obs.Flight_recorder.arm ?capacity ();
   Fun.protect
@@ -313,92 +313,26 @@ let test_ring_drop_oldest () =
       Alcotest.(check (list string))
         "ring keeps the newest [capacity] items, oldest first"
         [ "e6"; "e7"; "e8"; "e9" ]
-        (List.map item_name (Obs.Flight_recorder.local_items ())));
+        (List.map item_name (Obs.Flight_recorder.items ())));
   Alcotest.(check bool) "disarmed after" false (Obs.Flight_recorder.armed ());
   Alcotest.(check (list string))
-    "detached ring reads empty" []
-    (List.map item_name (Obs.Flight_recorder.local_items ()))
+    "disarmed recorder reads empty" []
+    (List.map item_name (Obs.Flight_recorder.items ()))
 
 let test_ring_capacity_one () =
   with_recorder ~capacity:1 (fun () ->
       Obs.event "first";
       Alcotest.(check (list string))
         "single slot holds the only item" [ "first" ]
-        (List.map item_name (Obs.Flight_recorder.local_items ()));
+        (List.map item_name (Obs.Flight_recorder.items ()));
       Obs.event "second";
       Obs.event "third";
       Alcotest.(check (list string))
         "single slot holds the newest item" [ "third" ]
-        (List.map item_name (Obs.Flight_recorder.local_items ())));
+        (List.map item_name (Obs.Flight_recorder.items ())));
   Alcotest.check_raises "capacity must be positive"
     (Invalid_argument "Flight_recorder.arm: capacity < 1") (fun () ->
       Obs.Flight_recorder.arm ~capacity:0 ())
-
-let test_ring_records_through_capture () =
-  (* The executor captures worker items with [exclusive]; the recorder
-     must keep recording through it, and [replay] must not re-record. *)
-  with_recorder (fun () ->
-      let sink, drain = Obs.memory_sink () in
-      Obs.exclusive sink (fun () -> Obs.event "inside-capture");
-      let captured = drain () in
-      Alcotest.(check int) "capture saw the item" 1 (List.length captured);
-      Obs.replay captured;
-      Alcotest.(check (list string))
-        "ring recorded the item once, at emission"
-        [ "inside-capture" ]
-        (List.map item_name (Obs.Flight_recorder.local_items ())))
-
-let test_ring_per_domain_isolation () =
-  List.iter
-    (fun domains ->
-      with_recorder (fun () ->
-          let tasks = 16 in
-          let results =
-            Coordination.Executor.Pool.map ~domains
-              ~weights:(Array.make tasks 1) (fun i ->
-                (* Record which domain actually ran the task in the
-                   event NAME (ring-only recording keeps names but not
-                   args); the ring the item lands in must be that same
-                   domain's. *)
-                Obs.event
-                  (Printf.sprintf "task%d@dom%d" i (Domain.self () :> int));
-                i)
-          in
-          Array.iter
-            (function
-              | Ok _ -> ()
-              | Error e -> raise e)
-            results;
-          let rings = Obs.Flight_recorder.domains () in
-          let total = ref 0 in
-          List.iter
-            (fun (dom, items) ->
-              List.iter
-                (fun item ->
-                  match item with
-                  | Obs.Event { Obs.ev_name = name; _ } ->
-                    incr total;
-                    let d =
-                      match String.index_opt name '@' with
-                      | Some at ->
-                        int_of_string
-                          (String.sub name (at + 4)
-                             (String.length name - at - 4))
-                      | None -> Alcotest.fail ("unexpected event " ^ name)
-                    in
-                    Alcotest.(check int)
-                      (Printf.sprintf
-                         "(domains=%d) item emitted on domain %d is in ring %d"
-                         domains d dom)
-                      dom d
-                  | _ -> Alcotest.fail "unexpected item in ring")
-                items)
-            rings;
-          Alcotest.(check int)
-            (Printf.sprintf "(domains=%d) every task recorded exactly once"
-               domains)
-            tasks !total))
-    [ 1; 2; 4 ]
 
 let test_incident_dump_latch () =
   let path = Filename.temp_file "entangle-flight" ".jsonl" in
@@ -601,9 +535,6 @@ let suite =
     ("chrome empty trace is valid", `Quick, test_chrome_empty_is_valid);
     ("flight ring drops oldest", `Quick, test_ring_drop_oldest);
     ("flight ring capacity one", `Quick, test_ring_capacity_one);
-    ("flight ring records through capture", `Quick,
-     test_ring_records_through_capture);
-    ("flight rings are per-domain", `Quick, test_ring_per_domain_isolation);
     ("incident dumps once and counts", `Quick, test_incident_dump_latch);
     ("guard abort triggers the flight dump", `Quick,
      test_abort_triggers_incident);

@@ -4,8 +4,7 @@
    if one exists in which all tuples agree on the coordination
    attributes (what the Consistent Coordination Algorithm searches).
 
-   Also covers the staged prepare/values/survivors API directly, and
-   error propagation through the parallel driver. *)
+   Also covers the staged prepare/values/survivors API directly. *)
 
 open Relational
 open Helpers
@@ -100,16 +99,6 @@ let test_staged_api () =
     (* survivors is pure: same input, same answer. *)
     Alcotest.(check (list int)) "pure" (survivors "Regal") (survivors "Regal")
 
-let test_parallel_error_propagation () =
-  let db, queries = Workload.Movies.make () in
-  match
-    Coordination.Executor.solve_consistent db Workload.Movies.config
-      (queries @ [ List.hd queries ])
-  with
-  | Error (Coordination.Consistent.Duplicate_user u) ->
-    Alcotest.check value_t "chris" Workload.Movies.chris u
-  | _ -> Alcotest.fail "duplicate user must propagate"
-
 let test_gupta_unification_clash () =
   (* Safe and unique, but the mutual unification clashes on a repeated
      variable: the baseline must report Unification_failed. *)
@@ -137,8 +126,6 @@ let test_gupta_unification_clash () =
 let suite =
   [
     Alcotest.test_case "staged prepare/values/survivors" `Quick test_staged_api;
-    Alcotest.test_case "parallel propagates errors" `Quick
-      test_parallel_error_propagation;
     Alcotest.test_case "gupta reports unification clashes" `Quick
       test_gupta_unification_clash;
     qtest ~count:120 "proposition 1: existence matches brute force"

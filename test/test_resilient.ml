@@ -221,17 +221,6 @@ let test_differential_consistent () =
       | Error _ -> Alcotest.fail "flights workload solves"
       | Ok o -> (o.members, o.stats.db_probes, o.degraded <> None))
 
-let test_differential_parallel () =
-  check_differential "parallel" (fun cfg ->
-      let db, queries = Workload.Flights.make_worst_case ~rows:40 ~users:8 in
-      guarded db cfg @@ fun () ->
-      match
-        Coordination.Executor.solve_consistent ~domains:3 db Workload.Flights.config
-          queries
-      with
-      | Error _ -> Alcotest.fail "flights workload solves"
-      | Ok o -> (o.members, o.stats.db_probes, o.degraded <> None))
-
 let test_differential_brute () =
   check_differential "brute" (fun cfg ->
       let db = Database.create () in
@@ -300,13 +289,11 @@ let test_budget_prefix_consistent () =
         (is_prefix (covered partial) (covered full)))
     [ 1; 2; 4 ]
 
-let test_parallel_degrades_on_prepare_abort () =
+let test_consistent_degrades_on_prepare_abort () =
   let db, queries = Workload.Flights.make_worst_case ~rows:40 ~users:8 in
   with_guard db { Resilient.default_config with max_probes = Some 0 }
   @@ fun _ ->
-  match
-    Coordination.Executor.solve_consistent ~domains:2 db Workload.Flights.config queries
-  with
+  match Coordination.Consistent.solve db Workload.Flights.config queries with
   | Error e -> Alcotest.failf "typed abort expected: %a" Coordination.Consistent.pp_error e
   | Ok o ->
     Alcotest.(check bool) "degraded" true (o.degraded <> None);
@@ -454,16 +441,14 @@ let suite =
       test_differential_single_connected;
     Alcotest.test_case "chaos == fault-free: consistent" `Quick
       test_differential_consistent;
-    Alcotest.test_case "chaos == fault-free: parallel" `Quick
-      test_differential_parallel;
     Alcotest.test_case "chaos == fault-free: brute" `Quick
       test_differential_brute;
     Alcotest.test_case "chaos == fault-free: online" `Quick
       test_differential_online;
     Alcotest.test_case "budget abort keeps a prefix of candidates" `Quick
       test_budget_prefix_consistent;
-    Alcotest.test_case "parallel degrades on prepare abort" `Quick
-      test_parallel_degrades_on_prepare_abort;
+    Alcotest.test_case "consistent degrades on prepare abort" `Quick
+      test_consistent_degrades_on_prepare_abort;
     Alcotest.test_case "consume: abort leaves the store untouched" `Quick
       test_online_consume_abort_keeps_store;
     Alcotest.test_case "consume: chaos books the same inventory" `Quick
