@@ -944,7 +944,8 @@ let serve_cmd =
       & info [ "metrics" ]
           ~doc:
             "Enable the metrics registry (per-request latency histogram, \
-             session/overload counters).")
+             session/overload counters, WAL and snapshot timings) and \
+             print it on exit.")
   in
   let run socket host port open_session max_pending max_sessions verbose
       metrics make_guard =
@@ -978,7 +979,8 @@ let serve_cmd =
     Printf.printf "served %d sessions; %d coordinated, %d still pending\n"
       (Server.sessions_served srv)
       (Coordination.Online.total_coordinated engine)
-      (Coordination.Online.pending_count engine)
+      (Coordination.Online.pending_count engine);
+    if metrics then Format.printf "-- metrics --@.%a@?" Obs.pp_metrics ()
   in
   let doc =
     "Coordination as a service: a long-lived socket server multiplexing \

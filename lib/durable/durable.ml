@@ -29,21 +29,53 @@ open Coordination
 (* ------------------------------ CRC32 ------------------------------ *)
 
 module Crc32 = struct
-  let table =
+  (* Slicing by eight: [tables.(k * 256 + b)] is the CRC of byte [b]
+     followed by [k] zero bytes, so one step folds eight bytes with
+     eight independent lookups instead of a chain of eight. *)
+  let tables =
     lazy
-      (Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-             else c := !c lsr 1
-           done;
-           !c))
+      (let t = Array.make (8 * 256) 0 in
+       for n = 0 to 255 do
+         let c = ref n in
+         for _ = 0 to 7 do
+           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+           else c := !c lsr 1
+         done;
+         t.(n) <- !c
+       done;
+       for k = 1 to 7 do
+         for n = 0 to 255 do
+           let p = t.(((k - 1) * 256) + n) in
+           t.((k * 256) + n) <- (p lsr 8) lxor t.(p land 0xff)
+         done
+       done;
+       t)
 
   let bytes ?(crc = 0) b off len =
-    let t = Lazy.force table in
+    let t = Lazy.force tables in
+    if off < 0 || len < 0 || off > Bytes.length b - len then
+      invalid_arg "Durable.Crc32.bytes";
     let c = ref (crc lxor 0xFFFFFFFF) in
-    for i = off to off + len - 1 do
-      c := t.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+    let i = ref off and stop = off + len in
+    while !i + 8 <= stop do
+      let lo = !c lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) in
+      let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xFFFFFFFF in
+      c :=
+        Array.unsafe_get t ((7 * 256) + (lo land 0xff))
+        lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xff))
+        lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xff))
+        lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
+        lxor Array.unsafe_get t ((3 * 256) + (hi land 0xff))
+        lxor Array.unsafe_get t ((2 * 256) + ((hi lsr 8) land 0xff))
+        lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
+        lxor Array.unsafe_get t (hi lsr 24);
+      i := !i + 8
+    done;
+    while !i < stop do
+      c :=
+        Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b !i)) land 0xff)
+        lxor (!c lsr 8);
+      incr i
     done;
     !c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
@@ -308,6 +340,16 @@ let c_groups = lazy (Obs.Counter.make ~help:"WAL groups committed" "wal.groups")
 let c_fsyncs = lazy (Obs.Counter.make ~help:"WAL fsyncs issued" "wal.fsyncs")
 let c_snapshots = lazy (Obs.Counter.make ~help:"snapshots written" "wal.snapshots")
 
+let h_snapshot_encode =
+  lazy
+    (Obs.Histogram.make ~help:"snapshot time on the request thread: encode and rotation"
+       "wal.snapshot_encode_ns")
+
+let h_snapshot_write =
+  lazy
+    (Obs.Histogram.make ~help:"snapshot time on the writer: fsyncs, write, rename, prune"
+       "wal.snapshot_write_ns")
+
 let c_snapshot_failures =
   lazy
     (Obs.Counter.make ~help:"snapshot writes that failed (journal retained)"
@@ -355,6 +397,155 @@ let config ?(fsync = Always) ?(snapshot_every = 512) dir =
 
 (* --------------------------- Live handle --------------------------- *)
 
+(* The snapshot dictionary: each value to its index in order of first
+   use, by linear probing.  A live handle keeps one from snapshot to
+   snapshot, with its buffers (see [encoder]), so a periodic encode
+   allocates little beyond the payload itself.  [slots.(i)] packs the
+   stamp of the encode that filled slot [i] (above bit 32) and its
+   key's index; a slot with an older stamp is empty.  The [Int] hash is
+   mixed here rather than through [caml_hash].  The hash only places
+   keys, so the bytes do not depend on it. *)
+module Dict = struct
+  type t = {
+    mutable keys : Value.t array;
+    mutable slots : int array;
+    mutable stamp : int;
+    mutable count : int;
+  }
+
+  let create () =
+    { keys = Array.make 64 (Value.Int 0); slots = Array.make 64 0; stamp = 0; count = 0 }
+
+  let hash = function
+    | Value.Int x ->
+      let h = (x lxor (x lsr 29)) * 0x1b873593 in
+      h lxor (h lsr 32)
+    | Value.Str s -> Hashtbl.hash s
+    | Value.Bool b -> Bool.to_int b
+
+  let equal a b =
+    match (a, b) with
+    | Value.Int x, Value.Int y -> Int.equal x y
+    | Value.Str x, Value.Str y -> String.equal x y
+    | Value.Bool x, Value.Bool y -> Bool.equal x y
+    | _ -> false
+
+  let reset d =
+    (* The stamp must stay below 2^30 to fit above the 32 index bits. *)
+    if d.stamp >= (1 lsl 30) - 1 then begin
+      Array.fill d.slots 0 (Array.length d.slots) 0;
+      d.stamp <- 0
+    end;
+    d.stamp <- d.stamp + 1;
+    d.count <- 0
+
+  (* [v]'s slot, or the empty slot where it goes.  A loop, not a local
+     closure: this runs once per stored value. *)
+  let find d v =
+    let mask = Array.length d.keys - 1 in
+    let i = ref (hash v land mask) in
+    while d.slots.(!i) lsr 32 = d.stamp && not (equal d.keys.(!i) v) do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  (* Double the table, keeping this encode's keys. *)
+  let grow d =
+    let keys = d.keys and slots = d.slots in
+    d.keys <- Array.make (2 * Array.length keys) (Value.Int 0);
+    d.slots <- Array.make (2 * Array.length keys) 0;
+    Array.iteri
+      (fun i s ->
+        if s lsr 32 = d.stamp then begin
+          let j = find d keys.(i) in
+          d.keys.(j) <- keys.(i);
+          d.slots.(j) <- s
+        end)
+      slots
+
+  (* The index of [v], calling [fresh v] when it is new. *)
+  let intern d v ~fresh =
+    let i = find d v in
+    if d.slots.(i) lsr 32 = d.stamp then d.slots.(i) land 0xffff_ffff
+    else begin
+      let id = d.count in
+      d.keys.(i) <- v;
+      d.slots.(i) <- (d.stamp lsl 32) lor id;
+      d.count <- id + 1;
+      fresh v;
+      if 2 * d.count > Array.length d.keys then grow d;
+      id
+    end
+end
+
+type encoder = {
+  dict : Dict.t;
+  values : Buffer.t;  (* the dictionary's values, in order *)
+  store : Buffer.t;  (* the tables, as dictionary references *)
+}
+
+let encoder () =
+  { dict = Dict.create (); values = Buffer.create 4096; store = Buffer.create 16384 }
+
+(* A snapshot's blocking I/O, as steps.  The request thread encodes the
+   image, where the state is consistent, and hands it off; the steps
+   then run on a writer thread (durable_io.c), or on the calling thread
+   (a forced snapshot, the recovery checkpoint, and tests one step at a
+   time through [writer_step]).  Nothing is deleted before the image is
+   renamed, the directory is fsynced and the WAL prefix it covers is
+   durable, and the WAL stays authoritative until the request thread
+   rotates, so a crash between any two steps recovers exactly. *)
+type step =
+  | Sync_wal  (* fsync the segment, when the hand-off offset is beyond [synced] *)
+  | Write_tmp  (* write and fsync [snap-<lsn>.img.tmp] *)
+  | Rename  (* install it under its real name *)
+  | Sync_dir  (* fsync the directory, making the rename durable *)
+  | Prune  (* delete what the image supersedes *)
+  | Done
+
+let step_name = function
+  | Sync_wal -> "wal-fsync"
+  | Write_tmp -> "write-tmp"
+  | Rename -> "rename"
+  | Sync_dir -> "fsync-dir"
+  | Prune -> "prune"
+  | Done -> "done"
+
+(* durable_io.c numbers the steps in this order. *)
+let steps = [| Sync_wal; Write_tmp; Rename; Sync_dir; Prune; Done |]
+
+(* A job's paths, bytes and progress, in C memory (durable_io.c). *)
+type cjob
+
+external job_create :
+  string ->
+  string ->
+  string ->
+  string list ->
+  Unix.file_descr option ->
+  string list option ->
+  (step * Unix.error) option ->
+  cjob = "entangle_durable_job_create_bytecode" "entangle_durable_job_create"
+
+external job_step : cjob -> unit = "entangle_durable_job_step"
+external job_start : cjob -> bool = "entangle_durable_job_start"
+external job_started : cjob -> bool = "entangle_durable_job_started" [@@noalloc]
+external job_poll : cjob -> bool = "entangle_durable_job_poll"
+external job_wait : cjob -> unit = "entangle_durable_job_wait"
+external job_next : cjob -> int = "entangle_durable_job_next" [@@noalloc]
+external job_failed : cjob -> int = "entangle_durable_job_failed" [@@noalloc]
+
+let next_step j = steps.(job_next j)
+external job_write_ns : cjob -> int = "entangle_durable_job_write_ns" [@@noalloc]
+external job_raise : cjob -> unit = "entangle_durable_job_raise"
+
+type job = {
+  j_c : cjob;
+  j_lsn : int64;
+  j_offset : int;  (* segment bytes the image covers *)
+  mutable j_encode_ns : int64;  (* the request thread's encode, set at hand-off *)
+}
+
 type t = {
   cfg : config;
   mutable oc : out_channel;
@@ -369,6 +560,8 @@ type t = {
   engine : Online.t;
   mutable closed : bool;
   mutable failed : string option;  (* why the journal stopped taking writes *)
+  mutable writer : job option;  (* at most one snapshot in flight *)
+  enc : encoder;
 }
 
 let dir t = t.cfg.dir
@@ -480,51 +673,61 @@ let commit_group t =
 (* Snapshot payload: engine meta, id allocator, satisfied count, then
    the store as a snapshot-local value dictionary plus per-table tuples
    of dictionary references, then the pool as (id, query source).  The
-   dictionary makes tuples compact. *)
-let encode_snapshot ~(db : Database.t) engine =
-  let b = Buffer.create 4096 in
-  encode_meta b ~consume:(Online.consume engine);
-  Enc.u32 b (Online.next_id engine);
-  Enc.u32 b (Online.total_coordinated engine);
-  let dict = Hashtbl.create 256 in
-  let dict_order = ref [] in
-  let intern v =
-    match Hashtbl.find_opt dict v with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length dict in
-      Hashtbl.add dict v i;
-      dict_order := v :: !dict_order;
-      i
-  in
-  let tables =
-    List.map
-      (fun r ->
-        let schema = Relation.schema r in
-        let tuples =
-          List.sort Tuple.compare (Relation.to_list r)
-          |> List.map (fun tuple -> Array.map intern tuple)
-        in
-        (Schema.name schema, Array.to_list (Schema.attributes schema), tuples))
-      (Database.relations db)
-  in
-  Enc.list b Enc.value (List.rev !dict_order);
-  Enc.list b
-    (fun b (name, attrs, tuples) ->
-      Enc.str b name;
-      Enc.list b Enc.str attrs;
-      Enc.list b
-        (fun b refs ->
-          Enc.u32 b (Array.length refs);
-          Array.iter (Enc.u32 b) refs)
-        tuples)
-    tables;
-  Enc.list b
+   dictionary makes tuples compact.  Tables come in database order,
+   tuples in [Tuple.compare] order, and the dictionary in order of
+   first use, so the bytes are a function of the engine state.  The
+   tables are written in one pass, interning as it goes, and follow the
+   dictionary they filled. *)
+let encode_snapshot enc ~(db : Database.t) engine =
+  let { dict; values; store } = enc in
+  Buffer.clear values;
+  Buffer.clear store;
+  Dict.reset dict;
+  let fresh = Enc.value values in
+  Enc.list store
+    (fun store r ->
+      let schema = Relation.schema r in
+      Enc.str store (Schema.name schema);
+      Enc.list store Enc.str (Array.to_list (Schema.attributes schema));
+      Enc.u32 store (Relation.cardinal r);
+      let arity = Relation.arity r in
+      let ids = Array.make arity 0 and last = ref [||] in
+      Relation.iter_sorted
+        (fun t ->
+          Enc.u32 store arity;
+          let l = !last in
+          for i = 0 to arity - 1 do
+            (* Sorted neighbours share leading values: reuse their ids. *)
+            if Array.length l = 0 || not (Dict.equal l.(i) t.(i)) then
+              ids.(i) <- Dict.intern dict t.(i) ~fresh;
+            Enc.u32 store ids.(i)
+          done;
+          last := t)
+        r)
+    (Database.relations db);
+  let head = Buffer.create 16 and pool = Buffer.create 1024 in
+  encode_meta head ~consume:(Online.consume engine);
+  Enc.u32 head (Online.next_id engine);
+  Enc.u32 head (Online.total_coordinated engine);
+  Enc.u32 head dict.count;
+  Enc.list pool
     (fun b (id, query) ->
       Enc.u32 b id;
       Enc.str b (Parser.query_to_string query))
     (Online.pending_entries engine);
-  Buffer.contents b
+  (* One payload-sized allocation, not a growing buffer and its copy:
+     the store is large, and each such block is major-heap work. *)
+  let parts = [ head; values; store; pool ] in
+  let payload =
+    Bytes.create (List.fold_left (fun n b -> n + Buffer.length b) 0 parts)
+  in
+  let at = ref 0 in
+  List.iter
+    (fun b ->
+      Buffer.blit b 0 payload !at (Buffer.length b);
+      at := !at + Buffer.length b)
+    parts;
+  Bytes.unsafe_to_string payload
 
 type snapshot_state = {
   s_consume : bool;
@@ -570,26 +773,18 @@ let decode_snapshot payload =
     s_pool = pool;
   }
 
-(* Keep the newest [keep] snapshots and every segment still needed to
-   replay past the oldest kept one; delete the rest. *)
-let prune ~keep dirname =
-  let entries = list_dir dirname in
+(* The files of a directory holding [entries] that are superseded once
+   it keeps only its newest [keep] snapshots: the older snapshots, then
+   every segment not needed to replay past the oldest kept one. *)
+let superseded ~keep entries =
   let snaps =
     List.filter_map
       (fun n -> Option.map (fun l -> (l, n)) (snapshot_lsn n))
       entries
     |> List.sort (fun (a, _) (b, _) -> Int64.compare b a)
   in
-  let kept, old_snaps =
-    let rec split i = function
-      | [] -> ([], [])
-      | x :: rest ->
-        let k, o = split (i + 1) rest in
-        if i < keep then (x :: k, o) else (k, x :: o)
-    in
-    split 0 snaps
-  in
-  List.iter (fun (_, n) -> Sys.remove (Filename.concat dirname n)) old_snaps;
+  let kept = List.filteri (fun i _ -> i < keep) snaps in
+  let old_snaps = List.filteri (fun i _ -> i >= keep) snaps in
   let horizon =
     match List.rev kept with (l, _) :: _ -> l | [] -> 0L
   in
@@ -604,98 +799,183 @@ let prune ~keep dirname =
   let rec drop = function
     | (_, name) :: ((next_first, _) :: _ as rest)
       when Int64.compare next_first (Int64.add horizon 1L) <= 0 ->
-      Sys.remove (Filename.concat dirname name);
-      drop rest
-    | _ -> ()
+      name :: drop rest
+    | _ -> []
   in
-  drop segs
+  List.map snd old_snaps @ drop segs
 
-(* Test-only fault injection: when set, [write_snapshot_file] raises
-   the given exception instead of writing — the moral equivalent of an
-   EACCES or ENOSPC from the filesystem, which the test harness cannot
-   provoke for real (suites run as root, where chmod is advisory). *)
-let snapshot_fault : exn option ref = ref None
+let prune ~keep dirname =
+  List.iter
+    (fun n -> Sys.remove (Filename.concat dirname n))
+    (superseded ~keep (list_dir dirname))
+
+(* ------------------------- Snapshot writer ------------------------- *)
+
+(* Test-only fault injection: when set, the [Write_tmp] step of every
+   job made fails with the given error instead of writing — the moral
+   equivalent of an EACCES or ENOSPC from the filesystem, which the
+   test harness cannot provoke for real (suites run as root, where
+   chmod is advisory).  [wal_sync_fault] fails [Sync_wal] the same way.
+   The failure is part of the job, so it takes the same path on the
+   writer thread as on the calling thread. *)
+let snapshot_fault : Unix.error option ref = ref None
 let inject_snapshot_failure e = snapshot_fault := e
+let wal_sync_fault : Unix.error option ref = ref None
+let inject_wal_sync_failure e = wal_sync_fault := e
 
-let write_snapshot_file ~dirname ~lsn payload =
-  (match !snapshot_fault with Some e -> raise e | None -> ());
-  let name = snapshot_name lsn in
-  let path = Filename.concat dirname name in
-  let tmp = path ^ ".tmp" in
-  let oc =
-    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
+(* The job writing [payload] as the snapshot at [lsn] into [dir]: the
+   checksum and header are computed here, on the caller's thread, so
+   the writer runs no OCaml code between its system calls.  [wal] is
+   the segment to fsync first; [victims] the names to delete last. *)
+let make_job ~dir ~lsn ~payload ?wal ?(offset = 0) ?victims () =
+  let header = Buffer.create 20 and trailer = Buffer.create 4 in
+  Buffer.add_string header snapshot_magic;
+  Buffer.add_int64_le header lsn;
+  Enc.u32 header (String.length payload);
+  Enc.u32 trailer (Crc32.string payload);
+  let path = Filename.concat dir (snapshot_name lsn) in
+  let fault =
+    match (!wal_sync_fault, !snapshot_fault) with
+    | Some e, _ when wal <> None -> Some (Sync_wal, e)
+    | _, Some e -> Some (Write_tmp, e)
+    | _ -> None
   in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let b = Buffer.create (String.length payload + 24) in
-      Buffer.add_string b snapshot_magic;
-      Buffer.add_int64_le b lsn;
-      Enc.u32 b (String.length payload);
-      Buffer.add_string b payload;
-      Enc.u32 b (Crc32.string payload);
-      Buffer.output_buffer oc b;
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp path;
-  fsync_dir dirname;
-  path
+  {
+    j_c =
+      job_create dir (path ^ ".tmp") path
+        [ Buffer.contents header; payload; Buffer.contents trailer ]
+        wal
+        (Option.map (List.map (Filename.concat dir)) victims)
+        fault;
+    j_lsn = lsn;
+    j_offset = offset;
+    j_encode_ns = 0L;
+  }
 
-(* Write a snapshot, turning filesystem failures (full disk, EACCES,
-   a vanished directory) into [Error] instead of an exception — and
-   never leaving a half-written [.tmp] behind to confuse a later
-   recovery's accounting.  Failures are surfaced on the metrics
-   registry and the event stream: a daemon that silently stops
-   snapshotting replays an ever-growing journal at the next restart. *)
-let try_write_snapshot ~dirname ~lsn payload =
-  match write_snapshot_file ~dirname ~lsn payload with
-  | path -> Ok path
-  | exception ((Unix.Unix_error _ | Sys_error _) as e) ->
-    let tmp = Filename.concat dirname (snapshot_name lsn ^ ".tmp") in
-    (try if Sys.file_exists tmp then Sys.remove tmp
-     with Sys_error _ | Unix.Unix_error _ -> ());
+(* Run what is left of the job on the calling thread. *)
+let run_job j =
+  while next_step j.j_c <> Done do
+    job_step j.j_c
+  done
+
+(* How a finished job ends for its caller: [Error why] for a snapshot
+   file that could not be written, counted and emitted like any
+   snapshot failure — a daemon that silently stops snapshotting
+   replays an ever-growing journal at the next restart.  A failed
+   WAL-prefix fsync is raised. *)
+let outcome j =
+  match job_raise j.j_c with
+  | () -> Ok ()
+  | exception e when steps.(job_failed j.j_c) = Sync_wal -> raise e
+  | exception e ->
     let why = io_error_to_string e in
     Obs.Counter.incr (Lazy.force c_snapshot_failures);
     Obs.event
-      ~args:(fun () -> [ ("lsn", Obs.Int (Int64.to_int lsn)); ("error", Obs.Str why) ])
+      ~args:(fun () ->
+        [ ("lsn", Obs.Int (Int64.to_int j.j_lsn)); ("error", Obs.Str why) ])
       "durable.snapshot_failure";
     Error why
+
+(* Test-only: when set, a periodic hand-off starts no thread; its steps
+   run through [writer_step], or to the end when a caller waits. *)
+let step_writer = ref false
+let set_step_writer b = step_writer := b
+
+let writer_step t =
+  match t.writer with
+  | Some j when not (job_started j.j_c) -> (
+    match next_step j.j_c with
+    | Done -> None
+    | step ->
+      job_step j.j_c;
+      Some (step_name step))
+  | _ -> None
+
+(* Wait for the job to end: join its writer thread, or run what is left
+   of it on the calling thread. *)
+let await j = if job_started j.j_c then job_wait j.j_c else run_job j
+
+(* Hand the current state's image to the writer.  The caller has just
+   committed a group, so the image sits on a group boundary at
+   [last_lsn]. *)
+let hand_off t ~spawn =
+  let t0 = Obs.now_ns () in
+  let lsn = last_lsn t in
+  let payload = encode_snapshot t.enc ~db:t.db t.engine in
+  (* Only this handle's writer changes the directory, so what the new
+     image supersedes is known now. *)
+  let victims = superseded ~keep:2 (snapshot_name lsn :: list_dir t.cfg.dir) in
+  let job =
+    make_job ~dir:t.cfg.dir ~lsn ~payload
+      ?wal:
+        (if t.synced < t.offset then Some (Unix.descr_of_out_channel t.oc)
+         else None)
+      ~offset:t.offset ~victims ()
+  in
+  job.j_encode_ns <- Int64.sub (Obs.now_ns ()) t0;
+  t.groups_since_snapshot <- 0;
+  t.writer <- Some job;
+  (* Without a thread to spare, the write happens on the calling thread. *)
+  if spawn && (not !step_writer) && not (job_start job.j_c) then run_job job
+
+let rotate t =
+  (* Groups committed while the image was written are in the old
+     segment: under a syncing policy they must be durable before later
+     fsyncs cover only the new one. *)
+  if t.cfg.fsync <> Never && t.synced < t.offset then do_fsync t;
+  close_out_noerr t.oc;
+  let path, oc = open_segment ~dir:t.cfg.dir ~first_lsn:t.next_lsn in
+  t.seg_path <- path;
+  t.oc <- oc;
+  t.offset <- segment_header_len;
+  t.synced <- segment_header_len;
+  t.groups_since_sync <- 0
+
+(* The request thread's half, once the job [j] has ended: on success
+   rotate to a fresh segment (the writer has pruned); on a
+   snapshot-file failure keep appending to the current segment, with
+   nothing pruned.  A failed WAL-prefix fsync is raised for [fail_stop]
+   to make sticky. *)
+let settle t j ~rotate:do_rotate =
+  t.writer <- None;
+  let result = outcome j in
+  t.synced <- max t.synced j.j_offset;
+  let t0 = Obs.now_ns () in
+  if result = Ok () && do_rotate then rotate t;
+  if Obs.metrics_on () then begin
+    Obs.Histogram.observe
+      (Lazy.force h_snapshot_encode)
+      (Int64.add j.j_encode_ns (Int64.sub (Obs.now_ns ()) t0));
+    Obs.Histogram.observe_i (Lazy.force h_snapshot_write) (job_write_ns j.j_c);
+    if result = Ok () then Obs.Counter.incr (Lazy.force c_snapshots)
+  end;
+  result
+
+(* Wait for the snapshot in flight, if any, and settle it. *)
+let finish t =
+  Option.map
+    (fun j ->
+      await j;
+      settle t j ~rotate:true)
+    t.writer
+
+let poll t =
+  match t.writer with
+  (* A writer thread that has ended is joined here. *)
+  | Some j when job_poll j.j_c ->
+    ignore (settle t j ~rotate:true : (unit, string) result)
+  | _ -> ()
 
 let snapshot t =
   if t.closed then invalid_arg "Durable.snapshot: closed";
   fail_stop t @@ fun () ->
+  (* At most one snapshot in flight: settle a periodic one first. *)
+  ignore (finish t : (unit, string) result option);
   commit_group t;
   if Int64.compare t.next_lsn 1L <= 0 then Ok ()
   else begin
-    (* The WAL prefix a snapshot supersedes must be durable before
-       pruning may delete it. *)
-    if t.cfg.fsync <> Never || t.synced < t.offset then do_fsync t;
-    let lsn = last_lsn t in
-    match
-      try_write_snapshot ~dirname:t.cfg.dir ~lsn
-        (encode_snapshot ~db:t.db t.engine)
-    with
-    | Error why ->
-      (* The snapshot never made it to disk, so the journal it was to
-         supersede stays the only durable copy: keep appending to the
-         current segment and prune NOTHING.  Resetting the cadence
-         counter turns the periodic trigger into a retry after another
-         full interval instead of an O(store) encode on every subsequent
-         group. *)
-      t.groups_since_snapshot <- 0;
-      Error why
-    | Ok _path ->
-      close_out_noerr t.oc;
-      let path, oc = open_segment ~dir:t.cfg.dir ~first_lsn:t.next_lsn in
-      t.seg_path <- path;
-      t.oc <- oc;
-      t.offset <- segment_header_len;
-      t.synced <- segment_header_len;
-      t.groups_since_sync <- 0;
-      t.groups_since_snapshot <- 0;
-      prune ~keep:2 t.cfg.dir;
-      if Obs.metrics_on () then Obs.Counter.incr (Lazy.force c_snapshots);
-      Ok ()
+    hand_off t ~spawn:false;
+    Option.get (finish t)
   end
 
 let maybe_snapshot t =
@@ -703,11 +983,10 @@ let maybe_snapshot t =
     t.cfg.snapshot_every > 0
     && t.groups_since_snapshot >= t.cfg.snapshot_every
   then
-    (* A failed periodic snapshot has no caller to report to; it is
-       already surfaced (counter + event) and the journal remains
-       authoritative, so the session carries on and retries after the
-       next interval. *)
-    match snapshot t with Ok () | Error _ -> ()
+    if t.writer <> None then
+      (* At most one snapshot in flight: this cadence is skipped. *)
+      t.groups_since_snapshot <- 0
+    else hand_off t ~spawn:true
 
 (* ------------------------- Journal binding ------------------------- *)
 
@@ -719,6 +998,7 @@ let op_tag = function
 
 let commit_group_and_snapshot t =
   fail_stop t @@ fun () ->
+  poll t;
   commit_group t;
   maybe_snapshot t
 
@@ -761,9 +1041,16 @@ let close t =
     t.closed <- true;
     Online.set_journal t.engine None;
     Fun.protect ~finally:(fun () -> close_out_noerr t.oc) @@ fun () ->
+    (* The writer may still be syncing the segment: wait for it before
+       the descriptor closes. *)
+    let inflight = t.writer in
+    Option.iter await inflight;
     (* A failed handle has nothing left it may write. *)
     if t.failed = None then
       fail_stop t (fun () ->
+          Option.iter
+            (fun j -> ignore (settle t j ~rotate:false : (unit, string) result))
+            inflight;
           commit_group t;
           if t.cfg.fsync <> Never then do_fsync t)
   end
@@ -798,6 +1085,8 @@ let create_engine ?(consume = false) cfg =
       engine;
       closed = false;
       failed = None;
+      writer = None;
+      enc = encoder ();
     }
   in
   buffer_record t (Meta { consume });
@@ -1141,16 +1430,29 @@ let recover cfg =
     let segments_dropped = ref [] in
     let expected_lsn = ref (Int64.add snap_lsn 1L) in
     let segments_scanned = ref 0 in
-    List.iter
-      (fun (first_lsn, name) ->
+    let rec walk = function
+      | [] -> ()
+      | (first_lsn, name) :: rest ->
         let path = Filename.concat cfg.dir name in
         if !truncation <> None then segments_dropped := path :: !segments_dropped
         else begin
-          (* Segments fully below the snapshot horizon need no replay;
-             their corruption (if any) is irrelevant history. *)
+          (* A segment starting at or below the snapshot horizon replays
+             only its groups beyond it.  It is history, and its
+             corruption (if any) irrelevant, when the next segment
+             starts at or below the horizon too.  Otherwise it may run
+             past the horizon — the live handle rotates only once the
+             writer has installed the image — and a fault in it loses
+             groups like a fault anywhere else. *)
           let covered =
             Int64.compare first_lsn snap_lsn <= 0
             && Int64.compare !expected_lsn (Int64.add snap_lsn 1L) = 0
+          in
+          let history =
+            covered
+            &&
+            match rest with
+            | (next, _) :: _ -> Int64.compare next (Int64.add snap_lsn 1L) <= 0
+            | [] -> false
           in
           let start_lsn =
             if covered then ref first_lsn else expected_lsn
@@ -1173,7 +1475,7 @@ let recover cfg =
             incr segments_scanned;
             match read_file path with
             | exception Sys_error _ ->
-              if not covered then
+              if not history then
                 truncation :=
                   Some
                     {
@@ -1187,13 +1489,11 @@ let recover cfg =
                 scan_segment ~first_lsn ~expected_lsn:start_lsn
                   ~apply:apply_group data
               with
-              | Ok () -> ()
+              | Ok () ->
+                if Int64.compare !start_lsn !expected_lsn > 0 then
+                  expected_lsn := !start_lsn
               | Error (reason, valid_bytes) ->
-                (* Segments ending at or below the snapshot horizon are
-                   redundant — snapshots rotate the WAL, so such a
-                   segment holds nothing past its covering snapshot and
-                   its corruption is irrelevant history. *)
-                if not covered then
+                if not history then
                   truncation :=
                     Some
                       {
@@ -1203,8 +1503,10 @@ let recover cfg =
                         reason;
                       })
           end
-        end)
-      segments;
+        end;
+        walk rest
+    in
+    walk segments;
     match !state with
     | None ->
       Result.Error
@@ -1242,8 +1544,13 @@ let recover cfg =
          from the same inputs. *)
       let lsn = !last_applied in
       let checkpoint =
-        try_write_snapshot ~dirname:cfg.dir ~lsn
-          (encode_snapshot ~db engine)
+        let job =
+          make_job ~dir:cfg.dir ~lsn
+            ~payload:(encode_snapshot (encoder ()) ~db engine)
+            ()
+        in
+        run_job job;
+        outcome job
       in
       (match (checkpoint, (!truncation, !segments_dropped)) with
       | Error why, ((Some _, _) | (_, _ :: _)) ->
@@ -1274,6 +1581,8 @@ let recover cfg =
             engine;
             closed = false;
             failed = None;
+            writer = None;
+            enc = encoder ();
           }
         in
         (* A failed (but tolerable — clean tail) checkpoint leaves the

@@ -23,8 +23,33 @@
     pool, satisfied count, store contents via a snapshot-local value
     dictionary) and are written to a temporary
     file, fsynced, atomically renamed, and fsynced into the directory;
-    only then does the WAL rotate to a fresh segment and prune history
-    (the latest two snapshots and the segments they need are kept).
+    only then is history pruned (the latest two snapshots and the
+    segments they need are kept) and the WAL rotated to a fresh
+    segment.  The bytes of a snapshot are a function of the engine
+    state: tables in database order, tuples in {!Relational.Tuple.compare}
+    order, dictionary values in order of first use.
+
+    {2 Snapshots off the request path}
+
+    The request thread only encodes.  The operation that commits the
+    [snapshot_every]-th group encodes the image and its checksum, lists
+    what it will supersede, and hands the bytes, its LSN and the
+    segment's descriptor to a writer thread, then returns.  The writer
+    fsyncs the WAL prefix the image covers (unless already synced),
+    writes, fsyncs and renames the image, fsyncs the directory and
+    prunes; then it ends.  It is a POSIX thread that never enters the
+    OCaml runtime, so it never takes the runtime lock the request
+    thread runs under (the process still runs OCaml on one domain).
+    The next journaled operation learns that it has ended: on success
+    the request thread rotates to a fresh segment; on a snapshot-file
+    failure it keeps appending, with nothing pruned; on a failed
+    WAL-prefix fsync the handle fails ({!Wal_failed}).  At most one
+    snapshot is in flight: a cadence reached while one is written is
+    skipped.  Until the rotation the current segment runs past the
+    image's LSN, and {!recover} replays that tail from it.  The
+    [wal.snapshot_encode_ns] histogram times the request thread's part
+    (encode, checksum and rotation), [wal.snapshot_write_ns] the
+    writer's.
 
     The meta record and the snapshot header carry four bytes: a
     storage backend (0 row, 1 row plus a columnar mirror), an
@@ -70,8 +95,10 @@ type config = {
   dir : string;  (** the WAL directory (created if missing) *)
   fsync : fsync_policy;
   snapshot_every : int;
-      (** take a snapshot after this many committed groups;
-          [0] disables periodic snapshots *)
+      (** hand a snapshot to the writer thread after this many
+          committed groups; [0] disables periodic snapshots.  At most
+          one is in flight: a cadence reached while one is written is
+          skipped, and the count starts again. *)
 }
 
 val config : ?fsync:fsync_policy -> ?snapshot_every:int -> string -> config
@@ -101,20 +128,27 @@ exception Wal_failed of string
     must stop; a restart recovers exactly what the WAL holds. *)
 
 val close : t -> unit
-(** Flush, fsync (unless the policy is [Never]) and close the current
-    segment, detaching the journal sink.  A failed handle is closed
-    without writing.  Idempotent.
-    @raise Wal_failed if the final flush or fsync fails. *)
+(** Wait for a snapshot in flight, then flush, fsync (unless the policy
+    is [Never]) and close the current segment, detaching the journal
+    sink.  The waited-for snapshot is settled like any other (counted,
+    or surfaced as a failure) but not followed by a rotation.  A failed
+    handle is closed without writing.  Idempotent.
+    @raise Wal_failed if the final flush or fsync fails, or the
+    snapshot in flight could not fsync the WAL prefix. *)
 
 val snapshot : t -> (unit, string) result
-(** Force a snapshot + segment rotation + prune now (the same protocol
-    periodic snapshots use).  [Error why] when the snapshot file could
-    not be written (full disk, permissions): the failure is counted on
-    [wal.snapshot_failures] and emitted as a [durable.snapshot_failure]
-    event, the current segment keeps growing, and {e nothing is
-    pruned} — the journal the snapshot would have superseded remains
-    the only durable copy, so recovery still replays it.  Periodic
-    snapshots retry after another [snapshot_every] interval.
+(** Take a snapshot now through the same writer steps periodic
+    snapshots use, and wait for it: a snapshot already in flight is
+    settled first (at most one is in flight), then the current state is
+    encoded, written, installed and pruned, and the WAL rotates.
+    [Error why] when the snapshot file could not be written (full disk,
+    permissions): the failure is counted on [wal.snapshot_failures]
+    and emitted as a [durable.snapshot_failure] event, the current
+    segment keeps growing, and {e nothing is pruned} — the journal the
+    snapshot would have superseded remains the only durable copy, so
+    recovery still replays it.  A failed periodic snapshot surfaces the
+    same way at the next journaled operation, and periodic snapshots
+    retry after another [snapshot_every] interval.
     @raise Wal_failed if the journal itself cannot be synced or its
     next segment cannot be opened. *)
 
@@ -216,16 +250,37 @@ val open_or_recover :
 
 (** {1 Wire-format internals, exposed for tests} *)
 
-val inject_snapshot_failure : exn option -> unit
-(** Test-only: make the next snapshot writes raise [e] (e.g. a
-    [Unix.Unix_error (EACCES, _, _)]) instead of touching the
+val inject_snapshot_failure : Unix.error option -> unit
+(** Test-only: make the image write of every snapshot started while it
+    is set fail with [e] (e.g. [EACCES]) instead of touching the
     filesystem, simulating a full disk or permission failure the test
-    harness cannot provoke for real.  [None] clears the fault. *)
+    harness cannot provoke for real.  The failure runs where the
+    snapshot's other steps run, on the writer thread included.  [None]
+    clears the fault. *)
+
+val inject_wal_sync_failure : Unix.error option -> unit
+(** Test-only: make the WAL-prefix fsync of every snapshot started while
+    it is set fail with [e] (e.g. [EIO]), which the next journaled
+    operation turns into {!Wal_failed}.  A snapshot whose prefix is
+    already synced makes no such fsync.  [None] clears the fault. *)
 
 val inject_journal_failure : exn option -> unit
 (** Test-only: make the next journal group writes raise [e] (e.g. a
     [Unix.Unix_error (EIO, _, _)]) in place of the write, so a test can
     drive the {!Wal_failed} path.  [None] clears the fault. *)
+
+val set_step_writer : bool -> unit
+(** Test-only: when set, a periodic hand-off starts no writer thread.
+    Its steps run one at a time on the calling thread through
+    {!writer_step}, or to the end when {!snapshot} or {!close} waits
+    for them, so a test can stop between any two. *)
+
+val writer_step : t -> string option
+(** Test-only, with {!set_step_writer}: run the next step of the
+    snapshot in flight on the calling thread and name it
+    (["wal-fsync"], ["write-tmp"], ["rename"], ["fsync-dir"],
+    ["prune"]); [None] when no step is left.  The next journaled
+    operation settles a finished snapshot. *)
 
 module Crc32 : sig
   val string : string -> int

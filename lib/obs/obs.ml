@@ -746,8 +746,11 @@ let pp_metrics ppf () =
     (fun (h : Histogram.t) ->
       if Histogram.count h > 0 then
         Format.fprintf ppf
-          "histogram %s count=%d p50=%.1fus p95=%.1fus p99=%.1fus max=%.1fus@,"
+          "histogram %s count=%d mean=%.1fus p50=%.1fus p95=%.1fus p99=%.1fus \
+           max=%.1fus@,"
           h.Histogram.h_name (Histogram.count h)
+          (Int64.to_float (Histogram.sum h) /. float_of_int (Histogram.count h)
+          /. 1e3)
           (Histogram.percentile h 0.50 /. 1e3)
           (Histogram.percentile h 0.95 /. 1e3)
           (Histogram.percentile h 0.99 /. 1e3)

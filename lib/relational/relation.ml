@@ -26,6 +26,11 @@ type t = {
   (* Observed mutation statistics for the query-intelligence layer. *)
   mutable n_inserts : int;
   mutable n_deletes : int;
+  (* Row ids of the live tuples in [Tuple.compare] order as of the last
+     [iter_sorted], which saw rows [0, sorted_upto); compaction
+     renumbers rows and drops both. *)
+  mutable sorted_rows : int array;
+  mutable sorted_upto : int;
 }
 
 (* Process-wide stamp of extensional mutations (successful inserts and
@@ -52,6 +57,8 @@ let create ?version schema =
       version = (match version with Some v -> v | None -> ref 0);
       n_inserts = 0;
       n_deletes = 0;
+      sorted_rows = [||];
+      sorted_upto = 0;
     }
   in
   (* The first-argument index is eager, not lazy: the coordination
@@ -125,6 +132,8 @@ let compact r =
   r.live <- live;
   r.present <- present;
   r.dead_count <- 0;
+  r.sorted_rows <- [||];
+  r.sorted_upto <- 0;
   r.indexes <- Array.make (arity r) None;
   (* Keep the first-argument bucket counters alive across compaction
      (the other indexes rebuild lazily as before). *)
@@ -181,6 +190,46 @@ let fold f init r =
   !acc
 
 let to_list r = List.rev (fold (fun acc t -> t :: acc) [] r)
+
+(* The previous answer's survivors keep their relative order (a delete
+   only tombstones its row), so only rows appended since then are
+   sorted, then merged in. *)
+let iter_sorted f r =
+  let tuple row = Vec.get r.tuples row in
+  let rows = Vec.length r.tuples in
+  let fresh = ref [] in
+  for row = rows - 1 downto r.sorted_upto do
+    if Vec.get r.live row then fresh := row :: !fresh
+  done;
+  let fresh =
+    Array.of_list
+      (List.stable_sort
+         (fun a b -> Tuple.compare (tuple a) (tuple b))
+         !fresh)
+  in
+  let merged = Array.make (cardinal r) 0 in
+  let k = ref 0 and j = ref 0 in
+  let emit row =
+    merged.(!k) <- row;
+    incr k
+  in
+  Array.iter
+    (fun row ->
+      if Vec.get r.live row then begin
+        while
+          !j < Array.length fresh
+          && Tuple.compare (tuple fresh.(!j)) (tuple row) < 0
+        do
+          emit fresh.(!j);
+          incr j
+        done;
+        emit row
+      end)
+    r.sorted_rows;
+  Array.iteri (fun i row -> if i >= !j then emit row) fresh;
+  r.sorted_rows <- merged;
+  r.sorted_upto <- rows;
+  Array.iter (fun row -> f (tuple row)) merged
 
 let ensure_index r col =
   if col < 0 || col >= arity r then

@@ -56,6 +56,14 @@ val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 
 val to_list : t -> Tuple.t list
 
+val iter_sorted : (Tuple.t -> unit) -> t -> unit
+(** [iter_sorted f r] applies [f] to the live tuples in {!Tuple.compare}
+    order.  The relation keeps the row ids of the previous call's
+    answer: their order is reused (dead rows dropped by their
+    tombstones), and only rows inserted since are sorted and merged
+    in, so a call after a few changes costs O(n) plus the sort of the
+    new rows.  A compaction drops the cache. *)
+
 val lookup : t -> col:int -> Value.t -> Tuple.t list
 (** [lookup r ~col v] is every tuple whose [col]-th field equals [v],
     served from a hash index (built on first use for that column), in

@@ -73,12 +73,24 @@ let recover_exn ?(ctx = "") dir =
 
 (* ---------------- crash points at every op boundary --------------- *)
 
+(* Run [f] with periodic snapshots handed to no thread: their steps run
+   only through [Durable.writer_step], or when a caller waits. *)
+let with_step_writer f =
+  Durable.set_step_writer true;
+  Fun.protect ~finally:(fun () -> Durable.set_step_writer false) f
+
 (* Run a trace on a durable engine (periodic snapshots armed) next to
    the reference, copying the WAL directory at every operation
    boundary; then recover every copy and demand state equality with the
-   reference at that boundary.  Every set the durable engine fires,
-   live or after recovery, is checked against Definition 1. *)
+   reference at that boundary.  A snapshot handed off is in flight for
+   the next few operations: its writer runs one step per boundary, the
+   directory is copied after each (the .tmp write, the rename, the
+   directory fsync, the prune), and the operations in between append
+   past the image's LSN until one of them settles it and rotates.
+   Every set the durable engine fires, live or after recovery, is
+   checked against Definition 1. *)
 let run_crash_points ~seed ~consume () =
+  with_step_writer @@ fun () ->
   let tag = Printf.sprintf "cp-%b" consume in
   let dir = fresh_dir tag in
   let trace = gen_trace (Prng.create seed) 12 in
@@ -91,14 +103,23 @@ let run_crash_points ~seed ~consume () =
   let shadow = mk_db () in
   let copies = ref [] in
   let states = ref [] in
-  let checkpoint k =
-    let copy = fresh_dir (Printf.sprintf "%s-k%d" tag k) in
+  let steps_seen = ref [] in
+  let copy_at k label =
+    let copy = fresh_dir (Printf.sprintf "%s-k%d%s" tag k label) in
     copy_dir dir copy;
-    copies := (k, copy) :: !copies;
+    copies := (k, label, copy) :: !copies
+  in
+  let checkpoint k =
+    copy_at k "";
     states := (k, observe rdb rengine) :: !states;
     Alcotest.check obs_t
       (Printf.sprintf "%s step %d: live == reference" tag k)
-      (observe rdb rengine) (observe db engine)
+      (observe rdb rengine) (observe db engine);
+    match Durable.writer_step wal with
+    | Some step ->
+      steps_seen := step :: !steps_seen;
+      copy_at k ("-" ^ step)
+    | None -> ()
   in
   checkpoint 0;
   List.iteri
@@ -109,19 +130,22 @@ let run_crash_points ~seed ~consume () =
       apply_op rdb rengine op;
       checkpoint (i + 1))
     trace;
+  List.iter
+    (fun step ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: a crash after %s was taken" tag step)
+        true (List.mem step !steps_seen))
+    [ "write-tmp"; "rename"; "fsync-dir"; "prune" ];
   (* Recover every crash point; the recovered state must sit exactly on
      that operation boundary. *)
   List.iter
-    (fun (k, copy) ->
-      let t, rdb', rengine', report =
-        recover_exn ~ctx:(Printf.sprintf "%s k%d" tag k) copy
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s k%d: clean tail" tag k)
-        true
+    (fun (k, label, copy) ->
+      let ctx = Printf.sprintf "%s k%d%s" tag k label in
+      let t, rdb', rengine', report = recover_exn ~ctx copy in
+      Alcotest.(check bool) (ctx ^ ": clean tail") true
         (report.Durable.truncation = None);
       Alcotest.check obs_t
-        (Printf.sprintf "%s k%d: recovered == reference" tag k)
+        (ctx ^ ": recovered == reference")
         (List.assoc k !states) (observe rdb' rengine');
       Durable.close t;
       rm_rf copy)
@@ -381,7 +405,7 @@ let test_snapshot_fallback () =
 
 (* ---------------- snapshot-write failure injection ---------------- *)
 
-let eacces = Unix.Unix_error (Unix.EACCES, "open", "snap")
+let eacces = Unix.EACCES
 let sorted_files dir = Sys.readdir dir |> Array.to_list |> List.sort String.compare
 
 (* A failed snapshot write (full disk, EACCES) must surface as [Error],
@@ -421,6 +445,21 @@ let test_snapshot_failure_retains_journal () =
   Alcotest.(check string)
     "segment unrotated" seg_after_good
     (Durable.current_segment wal);
+  (* A real failure from the writer's system calls: the image's .tmp
+     name is taken by a directory, so opening it fails. *)
+  let tmp =
+    Filename.concat dir
+      (Printf.sprintf "snap-%020Ld.img.tmp" (Durable.last_lsn wal))
+  in
+  Unix.mkdir tmp 0o755;
+  (match Durable.snapshot wal with
+  | Error why ->
+    Alcotest.(check bool) ("open error reported: " ^ why) true
+      (contains why "open")
+  | Ok () -> Alcotest.fail "a .tmp that cannot be opened must surface as Error");
+  Unix.rmdir tmp;
+  Alcotest.(check (list string))
+    "no rotation, no prune after a real failure" before (sorted_files dir);
   (* The session keeps journaling; recovery replays the retained
      segments exactly. *)
   run (gen_trace (Prng.create (chaos_seed + 3)) 4);
@@ -537,11 +576,332 @@ let test_tmp_cleanup () =
   Durable.close t;
   rm_rf dir
 
+(* ------------------------ snapshot in flight ---------------------- *)
+
+let eio = Unix.EIO
+
+let counter name =
+  Option.fold ~none:0 ~some:Obs.Counter.value (Obs.Counter.find name)
+
+(* A durable engine whose only groups after set-up are single inserts:
+   the meta record, the table and the three seed facts are five groups,
+   so with [snapshot_every = 8] the third insert hands a snapshot off,
+   and every eighth insert after that. *)
+let every = 8
+
+let insert_engine ~fsync dir =
+  let wal, db, engine =
+    Durable.create_engine ~consume:true
+      (Durable.config ~fsync ~snapshot_every:every dir)
+  in
+  seed_store ~wal db;
+  (wal, db, engine, mk_reference ~consume:true)
+
+let insert_both wal db engine (rdb, rengine) i =
+  let op = Insert (5000 + i, "Paris") in
+  apply_op ~wal db engine op;
+  apply_op rdb rengine op
+
+(* Insert until a snapshot is handed off, which [Durable.writer_step]
+   reveals by running its first step; [arm] wraps each insert and that
+   call, so a fault it injects is part of the snapshot handed off.  The
+   step's name, and the next insert's index. *)
+let until_hand_off ?(arm = fun f -> f ()) wal db engine refs i =
+  let rec go i =
+    if i > 100 then Alcotest.fail "no snapshot was handed off";
+    match
+      arm (fun () ->
+          insert_both wal db engine refs i;
+          Durable.writer_step wal)
+    with
+    | Some step -> (step, i + 1)
+    | None -> go (i + 1)
+  in
+  go i
+
+let snapshots_in dir =
+  List.filter (fun n -> Filename.check_suffix n ".img") (sorted_files dir)
+
+(* A periodic snapshot whose file cannot be written: the writer stops
+   at the .tmp write and leaves no file behind; the next journaled
+   operation counts the failure and keeps the segment, with nothing
+   pruned.  The retry comes a full interval after the failed hand-off,
+   succeeds and rotates, and recovery is exact. *)
+let test_writer_failure_retries () =
+  with_step_writer @@ fun () ->
+  let dir = fresh_dir "writer-fail" in
+  let wal, db, engine, refs = insert_engine ~fsync:Durable.Always dir in
+  let before = sorted_files dir and seg = Durable.current_segment wal in
+  let failures = counter "wal.snapshot_failures" in
+  let step, i =
+    until_hand_off wal db engine refs 1 ~arm:(fun f ->
+        Durable.inject_snapshot_failure (Some eacces);
+        Fun.protect ~finally:(fun () -> Durable.inject_snapshot_failure None) f)
+  in
+  Alcotest.(check string) "the write step failed" "write-tmp" step;
+  Alcotest.(check (option string)) "the job ended" None (Durable.writer_step wal);
+  Alcotest.(check (list string)) "no file written" before (sorted_files dir);
+  insert_both wal db engine refs i;
+  Alcotest.(check int) "failure counted when settled" (failures + 1)
+    (counter "wal.snapshot_failures");
+  Alcotest.(check string) "segment unrotated" seg (Durable.current_segment wal);
+  Alcotest.(check (list string)) "no rotation, no prune" before (sorted_files dir);
+  let step, j = until_hand_off wal db engine refs (i + 1) in
+  Alcotest.(check int) "retried a full interval after the hand-off" every
+    (j - i);
+  Alcotest.(check string) "retry writes" "write-tmp" step;
+  while Durable.writer_step wal <> None do () done;
+  insert_both wal db engine refs j;
+  Alcotest.(check bool) "retry rotated" true (Durable.current_segment wal <> seg);
+  Alcotest.(check int) "retry installed its image" 1
+    (List.length (snapshots_in dir));
+  Durable.close wal;
+  let t, rdb', rengine', report = recover_exn ~ctx:"writer-fail" dir in
+  Alcotest.(check bool) "clean tail" true (report.Durable.truncation = None);
+  Alcotest.check obs_t "recovered == reference" (observe (fst refs) (snd refs))
+    (observe rdb' rengine');
+  Durable.close t;
+  rm_rf dir
+
+(* The writer's fsync of the WAL prefix fails: nothing is written, and
+   the next journaled operation fails with [Wal_failed], as does every
+   one after it.  The WAL still holds every group committed before. *)
+let test_wal_sync_failure () =
+  with_step_writer @@ fun () ->
+  let dir = fresh_dir "wal-sync-fail" in
+  let wal, db, engine, refs = insert_engine ~fsync:Durable.Never dir in
+  let before = sorted_files dir in
+  let step, i =
+    until_hand_off wal db engine refs 1 ~arm:(fun f ->
+        Durable.inject_wal_sync_failure (Some eio);
+        Fun.protect ~finally:(fun () -> Durable.inject_wal_sync_failure None) f)
+  in
+  Alcotest.(check string) "the prefix fsync failed" "wal-fsync" step;
+  Alcotest.(check (option string)) "the job ended" None (Durable.writer_step wal);
+  Alcotest.(check (list string)) "no file written" before (sorted_files dir);
+  let committed = observe (fst refs) (snd refs) in
+  List.iter
+    (fun k ->
+      match Durable.journal_insert wal "F" [ vi (9000 + k); vs "Paris" ] with
+      | () -> Alcotest.failf "journaled op %d after a failed WAL fsync" k
+      | exception Durable.Wal_failed _ -> ())
+    [ i; i + 1 ];
+  (match Durable.snapshot wal with
+  | _ -> Alcotest.fail "snapshot on a failed handle"
+  | exception Durable.Wal_failed _ -> ());
+  Durable.close wal;
+  let t, rdb', rengine', _ = recover_exn ~ctx:"wal-sync-fail" dir in
+  Alcotest.check obs_t "the WAL holds what was committed" committed
+    (observe rdb' rengine');
+  Durable.close t;
+  rm_rf dir
+
+(* The failure of a periodic snapshot on the writer thread itself:
+   directories squat on the .tmp names of the next images, so the
+   thread's open fails.  The journaled operation after the thread has
+   ended counts the failure and keeps the segment, with nothing pruned;
+   once the squatters are gone a later cadence installs an image and
+   rotates, and recovery loads it. *)
+let test_writer_thread_failure () =
+  let dir = fresh_dir "writer-thread-fail" in
+  let wal, db, engine, refs = insert_engine ~fsync:Durable.Always dir in
+  let before = sorted_files dir and seg = Durable.current_segment wal in
+  let failures = counter "wal.snapshot_failures" in
+  let squatters =
+    List.init 16 (fun k ->
+        Filename.concat dir
+          (Printf.sprintf "snap-%020Ld.img.tmp"
+             (Int64.add (Durable.last_lsn wal) (Int64.of_int (k + 1)))))
+  in
+  List.iter (fun p -> Unix.mkdir p 0o755) squatters;
+  (* Insert, giving the thread time between inserts, until [cond]. *)
+  let rec insert_until what cond i =
+    if i > 400 then Alcotest.failf "writer thread: %s never happened" what;
+    insert_both wal db engine refs i;
+    if cond () then i + 1
+    else begin
+      Unix.sleepf 0.001;
+      insert_until what cond (i + 1)
+    end
+  in
+  let i =
+    insert_until "a failure counted"
+      (fun () -> counter "wal.snapshot_failures" > failures)
+      1
+  in
+  Alcotest.(check string) "segment unrotated" seg (Durable.current_segment wal);
+  Alcotest.(check (list string))
+    "no image, no prune" before
+    (List.filter
+       (fun n -> not (Filename.check_suffix n ".tmp"))
+       (sorted_files dir));
+  List.iter Unix.rmdir squatters;
+  ignore
+    (insert_until "a rotation"
+       (fun () -> Durable.current_segment wal <> seg)
+       i
+      : int);
+  Alcotest.(check bool) "an image installed" true (snapshots_in dir <> []);
+  Durable.close wal;
+  let t, rdb', rengine', report = recover_exn ~ctx:"writer-thread-fail" dir in
+  Alcotest.(check bool) "clean tail" true (report.Durable.truncation = None);
+  Alcotest.(check bool) "recovered from an image" true
+    (report.Durable.snapshot_loaded <> None);
+  Alcotest.check obs_t "recovered == reference" (observe (fst refs) (snd refs))
+    (observe rdb' rengine');
+  Durable.close t;
+  rm_rf dir
+
+(* [close] with a snapshot in flight waits for it: the image is
+   installed, nothing rotates, and recovery loads it and replays the
+   groups committed after its hand-off from the same segment. *)
+let test_close_in_flight () =
+  with_step_writer @@ fun () ->
+  let dir = fresh_dir "close-in-flight" in
+  let wal, db, engine, refs = insert_engine ~fsync:Durable.Always dir in
+  let step, i = until_hand_off wal db engine refs 1 in
+  Alcotest.(check string) "hand-off wrote the tmp" "write-tmp" step;
+  let lsn = Durable.last_lsn wal in
+  insert_both wal db engine refs i;
+  insert_both wal db engine refs (i + 1);
+  let seg = Durable.current_segment wal in
+  Durable.close wal;
+  Alcotest.(check (list string))
+    "image installed, segment kept"
+    [ Printf.sprintf "snap-%020Ld.img" lsn;
+      Filename.basename (Durable.current_segment wal) ]
+    (sorted_files dir);
+  Alcotest.(check string) "no rotation" seg (Durable.current_segment wal);
+  let t, rdb', rengine', report = recover_exn ~ctx:"close-in-flight" dir in
+  Alcotest.(check bool) "clean tail" true (report.Durable.truncation = None);
+  Alcotest.(check (option int64)) "the image is loaded" (Some lsn)
+    (Option.map snd report.Durable.snapshot_loaded);
+  Alcotest.(check int) "groups past it replayed" 2
+    report.Durable.groups_replayed;
+  Alcotest.check obs_t "recovered == reference" (observe (fst refs) (snd refs))
+    (observe rdb' rengine');
+  Durable.close t;
+  rm_rf dir
+
+(* ------------------------- snapshot bytes -------------------------- *)
+
+(* Every snapshot file's payload equals the reference encoder's
+   (test/snapshot_oracle.ml) on seeded stores: values of all three
+   kinds mixed within one column, deletes, re-inserts of deleted
+   tuples, compactions and an empty table, beside a pool of pending
+   queries.  Deletes go to the store directly, unjournaled, so this
+   case checks bytes and recovers nothing.  After every operation,
+   [Relation.iter_sorted] must list each table as
+   [List.sort Tuple.compare] does. *)
+let test_snapshot_bytes () =
+  let dir = fresh_dir "snap-bytes" in
+  let wal, db, engine =
+    Durable.create_engine
+      (Durable.config ~fsync:Durable.Never ~snapshot_every:0 dir)
+  in
+  seed_store ~wal db;
+  List.iter
+    (fun (name, attrs) ->
+      ignore (Database.create_table' db name attrs);
+      Durable.journal_create_table wal name attrs)
+    [ ("A", [ "x"; "y" ]); ("B", [ "x" ]); ("E", [ "x"; "y"; "z" ]) ];
+  let rng = Prng.create chaos_seed in
+  let value () =
+    match Prng.int rng 3 with
+    | 0 -> Value.Int (Prng.int rng 40 - 10)
+    | 1 -> Value.Str (Prng.pick rng [ "a"; "b"; "Zurich"; "two words"; ""; "O'Brien" ])
+    | _ -> Value.Bool (Prng.bool rng)
+  in
+  let rel name = Database.relation db name in
+  let deleted = ref [] in
+  let delete name t =
+    if Relation.delete (rel name) t then deleted := (name, t) :: !deleted
+  in
+  let check_sorted ctx =
+    List.iter
+      (fun r ->
+        let got = ref [] in
+        Relation.iter_sorted (fun t -> got := t :: !got) r;
+        Alcotest.(check (list tuple_t))
+          (Printf.sprintf "%s: %s in Tuple.compare order" ctx (Relation.name r))
+          (List.sort Tuple.compare (Relation.to_list r))
+          (List.rev !got))
+      (Database.relations db)
+  in
+  let snapshots = ref 0 in
+  let check_bytes ctx =
+    (match Durable.snapshot wal with
+    | Ok () -> ()
+    | Error why -> Alcotest.failf "%s: snapshot failed: %s" ctx why);
+    incr snapshots;
+    let file =
+      Filename.concat dir (Printf.sprintf "snap-%020Ld.img" (Durable.last_lsn wal))
+    in
+    let got = Snapshot_oracle.payload_of_file (read_file file) in
+    let want = Snapshot_oracle.encode ~db engine in
+    if got <> want then
+      Alcotest.failf "%s: %d payload bytes differ from the reference's %d" ctx
+        (String.length got) (String.length want)
+  in
+  for i = 1 to 400 do
+    let ctx = Printf.sprintf "op %d" i in
+    let name = Prng.pick rng [ "A"; "B" ] in
+    (match Prng.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+      let t = if name = "A" then [ value (); value () ] else [ value () ] in
+      Database.insert db name t;
+      Durable.journal_insert wal name t
+    | 4 | 5 | 6 -> (
+      match Relation.to_list (rel name) with
+      | [] -> ()
+      | ts -> delete name (Prng.pick rng ts))
+    | 7 | 8 -> (
+      match !deleted with
+      | [] -> ()
+      | ds ->
+        let name, t = Prng.pick rng ds in
+        Database.insert db name (Array.to_list t);
+        Durable.journal_insert wal name (Array.to_list t))
+    | _ -> ignore (Online.submit engine (random_query rng i)));
+    (* Most of a table at once: the store compacts. *)
+    if i mod 150 = 0 then
+      List.iteri (fun k t -> if k > 0 then delete "A" t) (Relation.to_list (rel "A"));
+    check_sorted ctx;
+    if i mod 20 = 0 then check_bytes ctx
+  done;
+  Alcotest.(check bool) "the pool was snapshotted" true
+    (Online.pending_entries engine <> []);
+  Alcotest.(check int) "E stays empty" 0 (Relation.cardinal (rel "E"));
+  Alcotest.(check int) "snapshots checked" 20 !snapshots;
+  Durable.close wal;
+  rm_rf dir
+
 (* ------------------------ unit-level checks ----------------------- *)
 
 let test_crc32_vector () =
   Alcotest.(check int) "check value" 0xCBF43926 (Durable.Crc32.string "123456789");
-  Alcotest.(check int) "empty" 0 (Durable.Crc32.string "")
+  Alcotest.(check int) "empty" 0 (Durable.Crc32.string "");
+  (* Eight bytes a step must agree with the textbook byte at a time, at
+     every alignment and length, continued or not. *)
+  let bytewise ?(crc = 0) b off len =
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    for i = off to off + len - 1 do
+      c := !c lxor Char.code (Bytes.get b i);
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done
+    done;
+    !c lxor 0xFFFFFFFF
+  in
+  let rng = Prng.create chaos_seed in
+  let b = Bytes.init 300 (fun _ -> Char.chr (Prng.int rng 256)) in
+  for off = 0 to 9 do
+    for len = 0 to 290 do
+      let crc = if len mod 3 = 0 then 0 else Prng.int rng 0xFFFFFFFF in
+      if bytewise ~crc b off len <> Durable.Crc32.bytes ~crc b off len then
+        Alcotest.failf "crc32 off %d len %d differs from the bytewise one" off len
+    done
+  done
 
 let test_fsync_policy_strings () =
   List.iter
@@ -760,4 +1120,14 @@ let suite =
       test_withdraw_durable;
     Alcotest.test_case "interrupted snapshot tmp is cleaned" `Quick
       test_tmp_cleanup;
+    Alcotest.test_case "failed periodic snapshot: no rotation, retried later"
+      `Quick test_writer_failure_retries;
+    Alcotest.test_case "failed WAL-prefix fsync fails the next journaled op"
+      `Quick test_wal_sync_failure;
+    Alcotest.test_case "failed periodic snapshot on the writer thread" `Quick
+      test_writer_thread_failure;
+    Alcotest.test_case "close waits for the snapshot in flight" `Quick
+      test_close_in_flight;
+    Alcotest.test_case "snapshot bytes equal the reference encoder's" `Quick
+      test_snapshot_bytes;
   ]

@@ -117,35 +117,9 @@ let graph_arb =
         (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) es)))
     gen_graph
 
-let test_union_find_basics () =
-  let uf = Union_find.create 6 in
-  Alcotest.(check bool) "singletons" false (Union_find.same uf 0 1);
-  ignore (Union_find.union uf 0 1);
-  ignore (Union_find.union uf 1 2);
-  Alcotest.(check bool) "united transitively" true (Union_find.same uf 0 2);
-  Alcotest.(check bool) "others untouched" false (Union_find.same uf 0 3);
-  let r = Union_find.union uf 0 2 in
-  Alcotest.(check int) "idempotent union returns root" r
-    (Union_find.find uf 1);
-  Alcotest.check_raises "id out of range"
-    (Invalid_argument "Union_find: id 6 out of range") (fun () ->
-      ignore (Union_find.find uf 6))
-
-let test_union_find_deep () =
-  (* A long union chain must not recurse: find is iterative with path
-     halving. *)
-  let n = 200_000 in
-  let uf = Union_find.create n in
-  for i = 0 to n - 2 do
-    ignore (Union_find.union uf i (i + 1))
-  done;
-  Alcotest.(check bool) "ends connected" true (Union_find.same uf 0 (n - 1))
-
 let suite =
   [
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
-    Alcotest.test_case "union-find basics" `Quick test_union_find_basics;
-    Alcotest.test_case "union-find deep chain" `Quick test_union_find_deep;
     Alcotest.test_case "transpose" `Quick test_transpose;
     Alcotest.test_case "induced subgraph" `Quick test_induced;
     Alcotest.test_case "scc cycle" `Quick test_scc_cycle;

@@ -207,6 +207,13 @@ let test_differential () =
 (* ------------- differential: kill the server mid-stream ----------- *)
 
 let test_kill_and_restart () =
+  (* A killed process takes its snapshot writer with it.  With no writer
+     thread, each snapshot is written on this thread right after the
+     request that hands it off, instead of racing the restart's
+     recovery of the same directory. *)
+  Durable.set_step_writer true;
+  Fun.protect ~finally:(fun () -> Durable.set_step_writer false) @@ fun () ->
+  let drain wal = while Durable.writer_step wal <> None do () done in
   let dir = fresh_dir "kill" in
   let wal, db, engine =
     Durable.create_engine
@@ -226,6 +233,7 @@ let test_kill_and_restart () =
       ignore
         (rpc ~ctx:(Printf.sprintf "kill op %d" i) srv
            conns.(i mod nclients) (req_of_op i op));
+      drain wal;
       ignore (apply_ref rdb rengine op))
     first;
   (* Kill: sockets die, the WAL handle is NOT cleanly closed — the
@@ -240,6 +248,9 @@ let test_kill_and_restart () =
   Alcotest.(check bool)
     "clean tail after kill" true
     (report.Durable.truncation = None);
+  Alcotest.(check bool)
+    "recovered from a snapshot and its tail" true
+    (report.Durable.snapshot_loaded <> None);
   Alcotest.check obs_t "recovered state sits on the kill boundary"
     (observe rdb rengine) (observe db2 engine2);
   let srv2 = mk_server ~durable:wal2 db2 (Server.Sequential engine2) in
@@ -249,6 +260,7 @@ let test_kill_and_restart () =
       ignore
         (rpc ~ctx:(Printf.sprintf "restart op %d" i) srv2
            conns2.(i mod nclients) (req_of_op (100 + i) op));
+      drain wal2;
       ignore (apply_ref rdb rengine op))
     rest;
   Alcotest.check obs_t "restarted service converges to the reference"

@@ -18,8 +18,14 @@ let mutants_per_seed = 2_000
 let cfg dir = Durable.config ~fsync:Durable.Never ~snapshot_every:4 dir
 
 (* The session: a table, its facts and a stream of submissions, some of
-   which fire and book inventory, with a snapshot every 4 groups. *)
-let write_session dir =
+   which fire and book inventory, with a snapshot every 4 groups.  With
+   [in_flight] the writer runs one step at a time: the session stops
+   one submission after a hand-off, once that writer has finished but
+   before any operation rotates, so the last segment runs past the
+   newest image's LSN. *)
+let write_session ?(in_flight = false) dir =
+  Durable.set_step_writer in_flight;
+  Fun.protect ~finally:(fun () -> Durable.set_step_writer false) @@ fun () ->
   let wal, db, engine = Durable.create_engine ~consume:true (cfg dir) in
   ignore (Relational.Database.create_table' db "F" [ "fid"; "dest" ]);
   Durable.journal_create_table wal "F" [ "fid"; "dest" ];
@@ -29,8 +35,16 @@ let write_session dir =
       Durable.journal_insert wal "F" [ vi f; vs d ])
     seed_facts;
   let rng = Prng.create 5 in
-  for step = 1 to 14 do
-    ignore (Online.submit engine (random_query rng step))
+  let handed_off = ref None in
+  let step = ref 1 in
+  while !step <= 14 && not (in_flight && !handed_off = Some (!step - 2)) do
+    ignore (Online.submit engine (random_query rng !step));
+    if in_flight && !handed_off = None && Durable.writer_step wal <> None then
+      handed_off := Some !step;
+    incr step
+  done;
+  while Durable.writer_step wal <> None do
+    ()
   done;
   let expected = observe db engine in
   Durable.close wal;
@@ -146,41 +160,80 @@ let recover_mutant ~seed ~mutant ~what dir =
     Alcotest.failf "seed %d mutant %d (%s): recover raised %s" seed mutant
       what (Printexc.to_string e)
 
-let test_recover_never_raises () =
-  let src = fresh_dir "fuzz-src" in
-  let expected = write_session src in
-  let files = files_of src in
-  Alcotest.(check bool) "session wrote a snapshot" true
-    (List.exists (fun (n, _) -> Filename.check_suffix n ".img") files);
+(* Recovering [files] unmutated must reproduce [expected]; then
+   [mutants] seeded mutants of it must recover or report. *)
+let fuzz ~label ~mutants (expected, files, check) =
   let dir = fresh_dir "fuzz-ref" in
   write_files dir files;
   (match Durable.recover (cfg dir) with
   | Ok (wal, db, engine, report) ->
-    Alcotest.(check bool) "clean tail" true (report.truncation = None);
-    Alcotest.(check bool) "snapshot loaded" true
+    Alcotest.(check bool) (label ^ ": clean tail") true (report.truncation = None);
+    Alcotest.(check bool) (label ^ ": snapshot loaded") true
       (report.snapshot_loaded <> None);
-    Alcotest.check obs_t "unmutated recovery is exact" expected
+    check report;
+    Alcotest.check obs_t (label ^ ": unmutated recovery is exact") expected
       (observe db engine);
     Durable.close wal
-  | Error why -> Alcotest.failf "unmutated recovery failed: %s" why);
+  | Error why -> Alcotest.failf "%s: unmutated recovery failed: %s" label why);
   rm_rf dir;
   List.iter
     (fun seed ->
       let rng = Prng.create seed in
-      for mutant = 1 to mutants_per_seed do
+      for mutant = 1 to mutants do
         let dir = fresh_dir "fuzz" in
         let target, data = Prng.pick rng files in
         let what, data' = mutate rng target data in
         write_files dir
           (List.map (fun (n, d) -> (n, if n = target then data' else d)) files);
-        recover_mutant ~seed ~mutant ~what:(what ^ " of " ^ target) dir;
+        recover_mutant ~seed ~mutant
+          ~what:(Printf.sprintf "%s: %s of %s" label what target)
+          dir;
         rm_rf dir
       done)
-    seeds;
-  rm_rf src
+    seeds
+
+let session ?in_flight () =
+  let src = fresh_dir "fuzz-src" in
+  let expected = write_session ?in_flight src in
+  let files = files_of src in
+  rm_rf src;
+  Alcotest.(check bool) "session wrote a snapshot" true
+    (List.exists (fun (n, _) -> Filename.check_suffix n ".img") files);
+  (expected, files)
+
+let test_recover_never_raises () =
+  let expected, files = session () in
+  fuzz ~label:"settled" ~mutants:mutants_per_seed
+    (expected, files, fun _ -> ())
+
+(* A directory captured with a snapshot installed but not yet rotated
+   past: recovery loads the image and replays the rest of its segment.
+   Its mutants must recover or report like any other. *)
+let test_in_flight_never_raises () =
+  let expected, files = session ~in_flight:true () in
+  let newest prefix =
+    List.fold_left
+      (fun acc (n, _) ->
+        if String.starts_with ~prefix n then
+          max acc (Int64.of_string (String.sub n (String.length prefix) 20))
+        else acc)
+      0L files
+  in
+  Alcotest.(check bool) "the last segment starts at or below the image" true
+    (Int64.compare (newest "wal-") (newest "snap-") <= 0);
+  fuzz ~label:"in flight" ~mutants:(mutants_per_seed / 2)
+    ( expected,
+      files,
+      fun report ->
+        Alcotest.(check bool) "groups past the image replayed" true
+          (report.Durable.groups_replayed > 0);
+        Alcotest.(check int) "from the image's own segment" 1
+          report.Durable.segments_scanned )
 
 let suite =
   [
     Alcotest.test_case "mutated WAL and snapshots recover or report" `Quick
       test_recover_never_raises;
+    Alcotest.test_case "mutants of a snapshot in flight recover or report"
+      `Quick test_in_flight_never_raises;
   ]
