@@ -49,10 +49,13 @@ end
    connected component by the id of one of its live members.  [quiet]
    holds when the component's last complete evaluation, with its
    current members and the current store, was safe and fired nothing;
-   a component is quiet iff every member is.  Ids are submission order
-   and never reused; an id is live iff it is present in [entries].
-   [quiet] changes only through [set_quiet], which keeps the owning
-   component's [unquiet] count in step. *)
+   a component is quiet iff every member is.  [store_free] holds when
+   the entry's cached verdict (clean, quiet or not) depends on the pool
+   alone, so no store write can change it; otherwise the verdict read
+   the store through the entry's body (see [reads]).  Ids are
+   submission order and never reused; an id is live iff it is present
+   in [entries].  [quiet] changes only through [set_quiet], which keeps
+   the owning component's [unquiet] count in step. *)
 type entry = {
   id : int;
   query : Query.t;
@@ -60,6 +63,7 @@ type entry = {
   mutable out : Coordination_graph.edge list;
   mutable comp : int;
   mutable quiet : bool;
+  mutable store_free : bool;
 }
 
 (* One weakly connected component: its live member ids and how many of
@@ -159,24 +163,67 @@ let mark_dirty engine id =
   Hashtbl.replace engine.dirty id ()
 
 (* Cache a verdict that lets [ids] skip the next flush; [quiet] only
-   for a safe, complete evaluation that fired nothing. *)
-let mark_clean engine ~quiet ids =
+   for a safe, complete evaluation that fired nothing, [store_free]
+   only for one no store write can change. *)
+let mark_clean engine ~quiet ~store_free ids =
   List.iter
     (fun id ->
-      set_quiet engine (Hashtbl.find engine.entries id) quiet;
+      let e = Hashtbl.find engine.entries id in
+      set_quiet engine e quiet;
+      e.store_free <- store_free;
       Hashtbl.remove engine.dirty id)
     ids
 
-(* If the database moved since the engine last looked (external inserts
-   or deletes — e.g. repl [fact] statements), every cached "this
-   component cannot fire" verdict is stale: mark the whole pool dirty.
-   The stamp is per-database, so only mutations of *this* engine's
-   database trigger a refresh. *)
+(* Whether an evaluation can read relation [rel] through [q]: [q]'s
+   body names it.  A fired set unifies every postcondition with a
+   member's head, so only a head variable outside its own body can be
+   left unbound by the body answers; {!Ground.solve} then takes a value
+   from the store's active domain, and fails on an empty store.  Such a
+   query reads every relation: an insert anywhere can end an empty
+   store.  Asked only of clean, store-dependent entries when a relation
+   grows, never on the admission path. *)
+let reads (q : Query.t) rel =
+  List.exists (fun (a : Cq.atom) -> a.Cq.rel = rel) q.Query.body.Cq.atoms
+  ||
+  let body = Cq.variables q.Query.body in
+  not
+    (List.for_all
+       (fun a -> List.for_all (fun x -> List.mem x body) (Cq.atom_variables a))
+       q.Query.head)
+
+let c_store_redirty =
+  lazy
+    (Obs.Counter.make ~help:"pool entries a store write re-dirtied"
+       "online.store_redirty")
+
+(* Absorb the store writes made since the engine last looked (repl
+   [fact] statements, the protocol's inserts), re-dirtying exactly the
+   cached verdicts they can change (DESIGN.md §2c): a store-free verdict
+   survives every write; deletes re-dirty nothing, as conjunctive
+   queries are monotone; an insert into (or the creation of) a relation
+   re-dirties a verdict that read the store only if it read that
+   relation.  The stamp is per-database, so only writes to *this*
+   engine's database are seen. *)
 let refresh_db_version engine =
   let v = Database.data_version engine.db in
   if v <> engine.db_version then begin
+    let grown = Database.grown_since engine.db engine.db_version in
     engine.db_version <- v;
-    Hashtbl.iter (fun id _ -> mark_dirty engine id) engine.entries
+    if grown <> [] then begin
+      let redirtied = ref 0 in
+      Hashtbl.iter
+        (fun id e ->
+          if
+            (not (e.store_free || Hashtbl.mem engine.dirty id))
+            && List.exists (reads e.query) grown
+          then begin
+            mark_dirty engine id;
+            incr redirtied
+          end)
+        engine.entries;
+      if Obs.metrics_on () then
+        Obs.Counter.add (Lazy.force c_store_redirty) !redirtied
+    end
   end
 
 (* Absorb the engine's own inventory deletions at the end of an
@@ -296,6 +343,7 @@ let admit engine ~id query =
       out;
       comp = id;
       quiet = false;
+      store_free = false;
     }
   in
   Hashtbl.replace engine.entries id e;
@@ -484,11 +532,11 @@ let evaluate engine ids =
   in
   match solved with
   | Error (Scc_algo.Not_safe ws) ->
-    (* An unsafe component cannot fire until its membership or the
-       database changes — both mark it dirty again — so its verdict
-       caches like a quiescent one, without being quiet: it must still
-       reject an arrival. *)
-    mark_clean engine ~quiet:false ids;
+    (* Safety is a property of the graph: an unsafe component cannot
+       fire until its membership changes, which marks it dirty again, so
+       its verdict caches like a quiescent one and survives every store
+       write — without being quiet: it must still reject an arrival. *)
+    mark_clean engine ~quiet:false ~store_free:true ids;
     Error ws
   | Ok outcome -> (
     Stats.merge ~into:engine.stats outcome.stats;
@@ -497,11 +545,16 @@ let evaluate engine ids =
     match outcome.solution with
     | None ->
       (* A complete (non-degraded) quiescent evaluation is cachable: the
-         component cannot fire until its membership or the database
-         changes, and both of those mark it dirty again.  A degraded
-         evaluation proves nothing — some candidate was never probed —
-         so it must stay dirty for the next flush. *)
-      if outcome.degraded = None then mark_clean engine ~quiet:true ids;
+         component cannot fire until its membership changes or a store
+         write it read grows the answers, and both mark it dirty again.
+         With no probe at all, every candidate was pruned or failed to
+         unify: the verdict is the pool's alone.  A degraded evaluation
+         proves nothing — some candidate was never probed — so it must
+         stay dirty for the next flush. *)
+      if outcome.degraded = None then
+        mark_clean engine ~quiet:true
+          ~store_free:(outcome.stats.db_probes = 0)
+          ids;
       Ok None
     | Some solution ->
       (* Commit the pool/satisfied bookkeeping BEFORE consuming
@@ -558,7 +611,9 @@ let submit engine query =
   emit engine (Journal.Submitted { id = e.id; query });
   let result =
     if proven_quiet engine e then begin
-      mark_clean engine ~quiet:true [ e.id ];
+      (* The arrival is pruned whatever the store holds; the other
+         members keep the verdicts, store-free or not, they had. *)
+      mark_clean engine ~quiet:true ~store_free:true [ e.id ];
       Pending
     end
     else

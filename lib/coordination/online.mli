@@ -40,12 +40,21 @@
       relabels the smaller member list, and a retirement re-fuses only
       the survivors along their stored edges;
     - {b dirty-component tracking}: {!flush} and {!submit_all}
-      re-evaluate only components touched since their last evaluation —
-      a new member, a retirement, or any database mutation
-      ({!Relational.Database.data_version}) marks a component dirty;
-      untouched components provably cannot fire (evaluation is
-      deterministic and already found nothing), so their cached outcome
-      stands.  Degraded evaluations (see {!Resilient}) stay dirty.
+      re-evaluate only components whose cached verdict may have
+      changed since their last evaluation.  A new member or a
+      retirement marks a component dirty.  A store write marks it
+      dirty only when it can change the verdict (DESIGN.md §2c): an
+      unsafe verdict, or a "no fire" whose evaluation issued no probe,
+      depends on the pool alone and survives every write; deletes
+      never re-dirty, as conjunctive queries are monotone; an insert
+      into (or the creation of) a table re-dirties only components
+      whose verdict read the store and whose member bodies read that
+      table ({!Relational.Database.grown_since}).  Untouched
+      components provably cannot fire (evaluation is deterministic and
+      already found nothing), so their cached outcome stands.
+      Degraded evaluations (see {!Resilient}) stay dirty.  With the
+      metrics registry on, the counter [online.store_redirty] counts
+      the entries store writes re-dirtied.
 
     Per-submission cost is O(edges touched), not O(pool²), and every
     table is bounded by the live pool ({!table_sizes}).  The test

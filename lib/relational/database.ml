@@ -31,10 +31,12 @@ let create_table db schema =
   let name = Schema.name schema in
   if Hashtbl.mem db.tables name then
     invalid_arg (Printf.sprintf "Database.create_table: %s already exists" name);
+  (* Bump first, so the new relation's [grown] stamp is the version its
+     creation made: creating a table counts as growing it. *)
+  incr db.version;
   let r = Relation.create ~version:db.version schema in
   Hashtbl.add db.tables name r;
   invalidate_plans db;
-  incr db.version;
   Relation.note_mutation ();
   r
 
@@ -93,6 +95,11 @@ let total_tuples db =
   List.fold_left (fun acc r -> acc + Relation.cardinal r) 0 (relations db)
 
 let data_version db = !(db.version)
+
+let grown_since db version =
+  Hashtbl.fold
+    (fun name r acc -> if Relation.grown r > version then name :: acc else acc)
+    db.tables []
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache                                                         *)

@@ -70,6 +70,14 @@ val data_version : t -> int
     it to invalidate content-derived caches and to measure plan
     staleness ({!Plan.stats}[.compiled_version]). *)
 
+val grown_since : t -> int -> string list
+(** [grown_since db v]: the relations that gained a tuple, or were
+    created, after {!data_version} read [v] (any order).  Deletes and
+    drops never list a relation: they only shrink what a conjunctive
+    query can answer.  A cache of "no answer" verdicts keyed by
+    [data_version] drops only the verdicts that read these relations
+    ({!Relation.grown}). *)
+
 (** {2 Plan cache}
 
     Compiled plans ({!Plan.t}) are cached per database instance, keyed

@@ -23,6 +23,10 @@ type t = {
      [Database.data_version] moves exactly when *that* database's
      contents move.  Standalone relations get a private stamp. *)
   version : int ref;
+  (* The stamp's value at the last successful insert, or at creation:
+     what a cache of "no answer" verdicts compares to learn whether this
+     relation can answer more than it could. *)
+  mutable grown : int;
   (* Observed mutation statistics for the query-intelligence layer. *)
   mutable n_inserts : int;
   mutable n_deletes : int;
@@ -34,11 +38,9 @@ type t = {
 }
 
 (* Process-wide stamp of extensional mutations (successful inserts and
-   deletes, plus table creation/removal via [note_mutation]).  Consumers
-   that cache anything derived from database contents — the online
-   engine's per-component evaluation cache — snapshot this and
-   invalidate when it moves.  A monotone counter shared across stores
-   can only over-invalidate, never miss a change. *)
+   deletes, plus table creation/removal via [note_mutation]), counted
+   per operation by benchmarks.  Caches of one database's contents key
+   on its own stamp instead ([version], [grown]). *)
 let mutations = ref 0
 
 let mutation_count () = !mutations
@@ -46,6 +48,7 @@ let mutation_count () = !mutations
 let note_mutation () = incr mutations
 
 let create ?version schema =
+  let version = match version with Some v -> v | None -> ref 0 in
   let r =
     {
       schema;
@@ -54,7 +57,8 @@ let create ?version schema =
       present = Tuple.Hashtbl.create 64;
       dead_count = 0;
       indexes = Array.make (Schema.arity schema) None;
-      version = (match version with Some v -> v | None -> ref 0);
+      version;
+      grown = !version;
       n_inserts = 0;
       n_deletes = 0;
       sorted_rows = [||];
@@ -108,6 +112,7 @@ let insert r t =
       r.indexes;
     r.n_inserts <- r.n_inserts + 1;
     incr r.version;
+    r.grown <- !(r.version);
     note_mutation ();
     true
   end
@@ -295,6 +300,8 @@ let posting_length r ~col v =
   | Some p -> Vec.length p.ids
 
 let version r = !(r.version)
+
+let grown r = r.grown
 
 let inserts r = r.n_inserts
 

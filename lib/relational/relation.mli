@@ -96,6 +96,12 @@ val version : t -> int
 (** Current value of the relation's content-version stamp (see
     {!create}). *)
 
+val grown : t -> int
+(** The content-version stamp as of the relation's last successful
+    {!insert}, or as of its creation if it never had one.  Deletes leave
+    it alone, so [grown r > v] says exactly whether [r] gained a tuple
+    (or came into being) since the stamp read [v]. *)
+
 val inserts : t -> int
 (** Successful inserts since creation (monotone; unaffected by
     compaction). *)

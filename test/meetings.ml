@@ -1,3 +1,17 @@
+(* Meeting scheduling — the introduction's "professionals scheduling
+   joint meetings".
+
+   A [Slots(slotId, day, hour, room)] table lists bookable meeting
+   slots; professionals coordinate on the day and hour (the room is
+   personal — video links exist).  A {e committee} is a group whose
+   members must all meet: each member names every other member as a
+   coordination partner, so the committee forms a clique in the
+   coordination graph.  When committees share a member, their cliques
+   connect and the whole component must settle on one (day, hour).
+
+   A test fixture: only the consistent-coordination cases in
+   test_workload.ml use it. *)
+
 open Relational
 module Cquery = Coordination.Consistent_query
 

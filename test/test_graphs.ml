@@ -1,5 +1,5 @@
-(* The graph substrate: digraph, Tarjan SCC + condensation, topological
-   order, reachability, DOT export — unit cases plus qcheck invariants. *)
+(* The graph substrate: digraph, Tarjan SCC + condensation,
+   reachability, DOT export — unit cases plus qcheck invariants. *)
 
 open Graphs
 
@@ -61,25 +61,17 @@ let test_condensation () =
   let c = Scc.condensation g r in
   Alcotest.(check int) "three components" 3 r.count;
   Alcotest.(check int) "condensed edges" 2 (Digraph.edge_count c);
-  (* Condensation is a DAG: topological sort succeeds. *)
-  Alcotest.(check int) "topo length" 3 (List.length (Topo.sort c))
+  (* Condensation is a DAG: every edge runs from a higher component id
+     to a lower one (sinks first). *)
+  Digraph.iter_edges
+    (fun u v -> Alcotest.(check bool) "edge to a lower id" true (u > v))
+    c
 
 let test_scc_masked () =
   let g = Digraph.of_edges 4 [ (0, 1); (1, 0); (2, 3) ] in
   let r = Scc.compute_masked g ~alive:(fun v -> v < 2) in
   Alcotest.(check int) "one live component" 1 r.count;
   Alcotest.(check int) "dead marker" (-1) r.component.(2)
-
-let test_topo () =
-  let g = Digraph.of_edges 4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
-  let order = Topo.sort g in
-  Alcotest.(check bool) "valid order" true (Topo.is_topological_order g order);
-  Alcotest.(check (list int)) "reverse" (List.rev order) (Topo.reverse_sort g)
-
-let test_topo_cycle () =
-  let g = Digraph.of_edges 2 [ (0, 1); (1, 0) ] in
-  let raised = try ignore (Topo.sort g); false with Topo.Cycle _ -> true in
-  Alcotest.(check bool) "cycle detected" true raised
 
 let test_reach () =
   let g = Digraph.of_edges 5 [ (0, 1); (1, 2); (3, 4) ] in
@@ -126,8 +118,6 @@ let suite =
     Alcotest.test_case "scc deep chain (iterative)" `Quick test_scc_chain_deep;
     Alcotest.test_case "condensation" `Quick test_condensation;
     Alcotest.test_case "scc masked" `Quick test_scc_masked;
-    Alcotest.test_case "topological sort" `Quick test_topo;
-    Alcotest.test_case "topo cycle" `Quick test_topo_cycle;
     Alcotest.test_case "reachability" `Quick test_reach;
     Alcotest.test_case "simple path counting" `Quick test_simple_paths;
     Alcotest.test_case "dot export" `Quick test_dot;
@@ -146,9 +136,7 @@ let suite =
         (* Edges go from higher to lower component ids (sinks-first). *)
         let ok = ref true in
         Digraph.iter_edges (fun u v -> if u <= v then ok := false) c;
-        !ok
-        &&
-        match Topo.sort c with _ -> true);
+        !ok);
     Helpers.qtest ~count:300 "mutual reachability iff same component" graph_arb
       (fun (n, es) ->
         let g = Digraph.of_edges n es in
@@ -163,10 +151,4 @@ let suite =
           done
         done;
         !ok);
-    Helpers.qtest ~count:200 "topo order valid on condensations" graph_arb
-      (fun (n, es) ->
-        let g = Digraph.of_edges n es in
-        let r = Scc.compute g in
-        let c = Scc.condensation g r in
-        Topo.is_topological_order c (Topo.sort c));
   ]

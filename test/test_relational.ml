@@ -309,13 +309,17 @@ let test_csv_header_mismatch () =
   Alcotest.(check bool) "parse error" true raised
 
 (* data_version is a per-database stamp: two live databases must move
-   independently, and only actual content changes move it. *)
+   independently, and only actual content changes move it.
+   [grown_since] lists the relations created or inserted into since a
+   stamp, never one that only lost tuples. *)
 let test_data_version_per_database () =
   let a = Database.create () in
   let b = Database.create () in
   let a0 = Database.data_version a and b0 = Database.data_version b in
   ignore (Database.create_table' a "F" [ "fid"; "dest" ]);
   Alcotest.(check bool) "create bumps a" true (Database.data_version a > a0);
+  Alcotest.(check (list string)) "creation grows F" [ "F" ]
+    (Database.grown_since a a0);
   Alcotest.(check int) "create leaves b alone" b0 (Database.data_version b);
   let a1 = Database.data_version a in
   Database.insert a "F" [ vi 1; vs "Zurich" ];
@@ -328,8 +332,16 @@ let test_data_version_per_database () =
   Alcotest.(check int) "no-op mutations don't bump" a2 (Database.data_version a);
   ignore (Relation.delete (Database.relation a "F") (tup [ vi 1; vs "Zurich" ]));
   Alcotest.(check bool) "delete bumps a" true (Database.data_version a > a2);
+  Alcotest.(check (list string)) "a delete grows nothing" []
+    (Database.grown_since a a2);
+  ignore (Database.create_table' a "H" [ "x" ]);
+  Alcotest.(check (list string)) "an insert into F grew it since a1"
+    [ "F"; "H" ]
+    (List.sort String.compare (Database.grown_since a a1));
   (* the other direction: mutating b never moves a *)
   let a3 = Database.data_version a in
+  Alcotest.(check (list string)) "nothing grew since now" []
+    (Database.grown_since a a3);
   ignore (Database.create_table' b "G" [ "x" ]);
   Database.insert b "G" [ vi 7 ];
   Alcotest.(check bool) "b moved" true (Database.data_version b > b0);

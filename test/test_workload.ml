@@ -142,17 +142,17 @@ let test_flights_worst_case () =
 
 let test_meetings_committee () =
   let db = Database.create () in
-  ignore (Workload.Meetings.install_slots db ~days:3 ~hours:2 ~rooms:2);
+  ignore (Meetings.install_slots db ~days:3 ~hours:2 ~rooms:2);
   let u name = Value.str name in
   (* Two committees sharing Bea; Ann (chair of the first) is only free on
      day 1. *)
   let queries =
-    Workload.Meetings.committee_queries
+    Meetings.committee_queries
       ~pins:[ (u "ann", 1) ]
       [ [ u "ann"; u "bea"; u "cid" ]; [ u "bea"; u "dan" ] ]
   in
   Alcotest.(check int) "four professionals" 4 (List.length queries);
-  match Coordination.Consistent.solve db Workload.Meetings.config queries with
+  match Coordination.Consistent.solve db Meetings.config queries with
   | Error e -> Alcotest.failf "error: %a" Coordination.Consistent.pp_error e
   | Ok outcome -> (
     (* Everyone meets: the shared member chains both committees onto the
@@ -167,23 +167,23 @@ let test_meetings_committee () =
 
 let test_meetings_unsatisfiable_pins () =
   let db = Database.create () in
-  ignore (Workload.Meetings.install_slots db ~days:2 ~hours:1 ~rooms:1);
+  ignore (Meetings.install_slots db ~days:2 ~hours:1 ~rooms:1);
   let u name = Value.str name in
   (* Two members of one committee pin different days: the committee can
      never meet, and because each names the other, both are cleaned
      away at every value. *)
   let queries =
-    Workload.Meetings.committee_queries
+    Meetings.committee_queries
       ~pins:[ (u "ann", 0); (u "bea", 1) ]
       [ [ u "ann"; u "bea" ] ]
   in
-  match Coordination.Consistent.solve db Workload.Meetings.config queries with
+  match Coordination.Consistent.solve db Meetings.config queries with
   | Error e -> Alcotest.failf "error: %a" Coordination.Consistent.pp_error e
   | Ok outcome ->
     Alcotest.(check (list int)) "nobody meets" [] outcome.members;
     (* Brute force agrees on the compiled instance. *)
     let compiled =
-      Coordination.Consistent_query.compile_set Workload.Meetings.config queries
+      Coordination.Consistent_query.compile_set Meetings.config queries
     in
     Alcotest.(check bool) "brute agrees" false
       (Coordination.Brute.exists_coordinating_set db compiled)
@@ -192,7 +192,7 @@ let test_meetings_guards () =
   Alcotest.check_raises "tiny committee"
     (Invalid_argument "Meetings.committee_queries: committee needs >= 2 members")
     (fun () ->
-      ignore (Workload.Meetings.committee_queries [ [ Value.str "solo" ] ]))
+      ignore (Meetings.committee_queries [ [ Value.str "solo" ] ]))
 
 let test_movies_generator () =
   let db, queries = Workload.Movies.make () in
