@@ -1,0 +1,71 @@
+(* Minor-heap allocation and latency of chain fires, in process.
+
+     dune exec --profile release bench/chain_fires.exe
+
+   Submits 32-query Listgen chains head first to one [Online] engine
+   over the Slashdot-sized Posts table, the query shape of perfbench's
+   [chains] workload, and measures only the submit that completes each
+   chain (the fire): its minor words, whether a minor collection ran
+   inside it, and its wall time.  Every chain's other members arrive
+   proven quiet and are not measured; a chain fires before the next
+   starts, so all chains can reuse Listgen's user names.  Reports
+   medians over 1,024 fires after 64 warm-up fires. *)
+
+let len = 32
+let warmup = 64
+let fires = 1024
+
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  if Array.length a = 0 then nan else a.(Array.length a / 2)
+
+let () =
+  let db = Relational.Database.create () in
+  ignore (Workload.Social.install_posts db);
+  let engine = Coordination.Online.create db in
+  let rng = Prng.create 1 in
+  let words = Array.make fires 0. and us = Array.make fires 0. in
+  let collected = Array.make fires false in
+  for c = 0 to warmup + fires - 1 do
+    let rec go = function
+      | [ last ] ->
+        let gcs0 = (Gc.quick_stat ()).minor_collections in
+        let w0 = Gc.minor_words () in
+        let t0 = Obs.now_ns () in
+        let fired = Coordination.Online.submit engine last in
+        let t1 = Obs.now_ns () in
+        let w1 = Gc.minor_words () in
+        let gcs1 = (Gc.quick_stat ()).minor_collections in
+        (match fired with
+        | Coordination.Online.Coordinated _ -> ()
+        | _ -> failwith "chain_fires: the last arrival did not fire");
+        let k = c - warmup in
+        if k >= 0 then begin
+          words.(k) <- w1 -. w0;
+          us.(k) <- Int64.to_float (Int64.sub t1 t0) /. 1e3;
+          collected.(k) <- gcs1 > gcs0
+        end
+      | q :: rest ->
+        ignore (Coordination.Online.submit engine q);
+        go rest
+      | [] -> ()
+    in
+    go (Workload.Listgen.queries rng ~n:len)
+  done;
+  let pick want =
+    Array.of_list
+      (List.filteri (fun k _ -> collected.(k) = want) (Array.to_list us))
+  in
+  let with_gc = pick true and without_gc = pick false in
+  Printf.printf
+    "%d fires of a %d-chain: minor words per fire %.0f (median), %.0f \
+     (mean)\n"
+    fires len (median words)
+    (Array.fold_left ( +. ) 0. words /. float fires);
+  Printf.printf
+    "fires with a minor collection: %d (%.1f%%); fire us median %.1f, with a \
+     collection %.1f, without %.1f\n"
+    (Array.length with_gc)
+    (100. *. float (Array.length with_gc) /. float fires)
+    (median us) (median with_gc) (median without_gc)

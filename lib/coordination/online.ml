@@ -562,6 +562,7 @@ let evaluate engine ids =
          the engine would stay coherent (the set genuinely fired); the
          reverse order could delete tuples for a set never recorded as
          satisfied. *)
+      let t_commit = Stats.now_ns () in
       let member_ids = List.map (fun i -> id_of_position.(i)) solution.members in
       let satisfied_queries =
         List.map (fun id -> (Hashtbl.find engine.entries id).query) member_ids
@@ -570,6 +571,9 @@ let evaluate engine ids =
       engine.satisfied <- engine.satisfied + List.length satisfied_queries;
       emit engine (Journal.Retired { ids = member_ids });
       if engine.consume then consume_inventory engine outcome.queries solution;
+      engine.stats.commit_ns <-
+        Int64.add engine.stats.commit_ns
+          (Int64.sub (Stats.now_ns ()) t_commit);
       Ok
         (Some { queries = satisfied_queries; assignment = solution.assignment }))
 

@@ -5,6 +5,7 @@ type error = Not_safe of (int * int) list
 
 type candidate = {
   covered : int list;
+  size : int;
   assignment : Eval.valuation;
 }
 
@@ -47,7 +48,7 @@ let emit name args e = Obs.event ~args ~payload:(Scc_event e) name
 let select selection queries candidates =
   let score =
     match selection with
-    | Largest -> fun c -> List.length c.covered
+    | Largest -> fun c -> c.size
     | First_found -> fun _ -> 0
     | Preferred f -> f queries
   in
@@ -142,13 +143,16 @@ type unified =
     }
   | Full of (Subst.t, Combine.failure) result
 
+exception Disagree
+exception Coupled
+
 (* The successors' witnesses as one valuation; [None] when two of them
    give a shared variable different values (a diamond one side of which
    took the full search), which leaves the verdict to the full search. *)
 let merge_witnesses = function
   | [] -> None
+  | [ (w : candidate) ] -> Some w.assignment
   | (w : candidate) :: ws -> (
-    let exception Disagree in
     let agree _ u v = if Value.equal u v then Some u else raise Disagree in
     try
       Some
@@ -183,24 +187,24 @@ let seed a c ~own ~successors witnesses =
   with
   | None, _ | _, Error _ -> None
   | Some merged, Ok subst -> (
-    let exception Coupled in
-    (* class representative -> the one successor variable in its class *)
-    let links = Hashtbl.create 8 in
+    (* class representative -> the one successor variable in its class;
+       one entry per successor variable in [c]'s posts, a handful *)
+    let links = ref [] in
     let link = function
       | Term.Const _ -> ()
-      | Term.Var y -> (
-        match Subst.resolve subst (Term.Var y) with
+      | Term.Var y as t -> (
+        match Subst.resolve subst t with
         | Term.Const _ -> raise Coupled
         | Term.Var r -> (
-          match Hashtbl.find_opt links r with
-          | Some y' when y' <> y -> raise Coupled
-          | _ -> Hashtbl.replace links r y))
+          match List.assoc r !links with
+          | y' -> if not (String.equal y' y) then raise Coupled
+          | exception Not_found -> links := (r, y) :: !links))
     in
     let unlinked = function
       | Term.Const _ -> ()
-      | Term.Var v -> (
-        match Subst.resolve subst (Term.Var v) with
-        | Term.Var r when Hashtbl.mem links r -> raise Coupled
+      | Term.Var _ as t -> (
+        match Subst.resolve subst t with
+        | Term.Var r when List.mem_assoc r !links -> raise Coupled
         | _ -> ())
     in
     try
@@ -223,12 +227,31 @@ let seed a c ~own ~successors witnesses =
             g.queries.(q).Query.body.Cq.atoms)
         own;
       let fixed =
-        Hashtbl.fold
-          (fun r y acc -> Eval.Binding.add r (Eval.Binding.find y merged) acc)
-          links Eval.Binding.empty
+        List.fold_left
+          (fun acc (r, y) -> Eval.Binding.add r (Eval.Binding.find y merged) acc)
+          Eval.Binding.empty !links
       in
       Some (Seeded { merged; subst; fixed })
     with Coupled | Not_found -> None)
+
+(* The union of two strictly ascending lists, strictly ascending;
+   [dups] counts the elements both hold.  The walk stops as soon as
+   either list runs out and shares the other's rest, so merging an SCC's
+   own members into a successor's cover that starts after them costs
+   O(own), not O(cover). *)
+let union dups xs ys =
+  let rec go xs ys =
+    match (xs, ys) with
+    | [], l | l, [] -> l
+    | (x : int) :: xs', y :: ys' ->
+      if x < y then x :: go xs' ys
+      else if y < x then y :: go xs ys'
+      else begin
+        incr dups;
+        x :: go xs' ys'
+      end
+  in
+  go xs ys
 
 (* One component, in reverse topological order relative to its
    predecessors in the same ctx: probe the candidate set R(q), record
@@ -255,9 +278,18 @@ let probe_component ctx a c =
     let witnesses =
       List.filter_map (Hashtbl.find_opt ctx.cx_covered) successors
     in
+    let dups = ref 0 in
     let members =
-      List.sort_uniq Int.compare
-        (own @ List.concat_map (fun (w : candidate) -> w.covered) witnesses)
+      List.fold_left
+        (fun acc (w : candidate) -> union dups acc w.covered)
+        (List.sort Int.compare own) witnesses
+    in
+    (* |R(c)| without walking it: every element a merge finds twice
+       was counted in both inputs' sizes. *)
+    let size =
+      List.fold_left
+        (fun n (w : candidate) -> n + w.size)
+        (List.length own - !dups) witnesses
     in
     let args ms () = [ ("members", Obs.Str (names queries ms)) ] in
     let unify f =
@@ -292,7 +324,7 @@ let probe_component ctx a c =
         Hashtbl.replace ctx.cx_failed c ();
         None
       | Some assignment ->
-        let cand = { covered = members; assignment } in
+        let cand = { covered = members; size; assignment } in
         Hashtbl.replace ctx.cx_covered c cand;
         Some cand
     in

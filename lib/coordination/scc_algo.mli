@@ -20,7 +20,11 @@ open Entangled
 type error = Not_safe of (int * int) list
 
 type candidate = {
-  covered : int list;            (** query indexes, sorted *)
+  covered : int list;
+      (** query indexes, strictly ascending (no duplicates): a
+          predecessor's cover is merged from its successors' in one
+          linear pass that relies on it *)
+  size : int;                    (** [List.length covered] *)
   assignment : Eval.valuation;
 }
 

@@ -11,6 +11,10 @@ type t = {
   mutable unify_ns : int64;      (** unification work *)
   mutable ground_ns : int64;     (** database evaluation *)
   mutable total_ns : int64;      (** whole solver call *)
+  mutable commit_ns : int64;
+      (** the online engine's fire commits: retiring the fired set,
+          its journal records and the inventory it consumes; outside
+          [total_ns], and never charged by a submit that fires nothing *)
   mutable candidates : int;      (** candidate sets considered *)
   mutable grounded_members : int;
       (** member bodies the SCC algorithm sent to the evaluator,

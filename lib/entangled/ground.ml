@@ -1,30 +1,43 @@
 open Relational
 
+exception Unbound
+
+(* Every variable of every member (postconditions, heads, bodies) is
+   bound once, walking the atoms in place: a variable met again is
+   already in the accumulator, so no per-query variable list is built.
+   [Unbound]: a free variable and an empty active domain. *)
 let assignment_of db queries ~members subst body_valuation =
   let default_value =
     lazy
       (let dom = Database.active_domain db in
-       if Value.Set.is_empty dom then None else Some (Value.Set.min_elt dom))
+       if Value.Set.is_empty dom then raise Unbound else Value.Set.min_elt dom)
   in
-  let extend acc x =
-    if Eval.Binding.mem x acc then Some acc
-    else
-      match Subst.resolve subst (Term.Var x) with
-      | Term.Const v -> Some (Eval.Binding.add x v acc)
-      | Term.Var rep -> (
-        match Eval.Binding.find_opt rep body_valuation with
-        | Some v -> Some (Eval.Binding.add x v acc)
-        | None -> (
-          match Lazy.force default_value with
-          | None -> None
-          | Some v -> Some (Eval.Binding.add x v acc)))
+  let bind acc = function
+    | Term.Const _ -> acc
+    | Term.Var x as t ->
+      if Eval.Binding.mem x acc then acc
+      else
+        Eval.Binding.add x
+          (match Subst.resolve subst t with
+          | Term.Const v -> v
+          | Term.Var rep -> (
+            match Eval.Binding.find rep body_valuation with
+            | v -> v
+            | exception Not_found -> Lazy.force default_value))
+          acc
   in
-  let vars =
-    List.concat_map (fun q -> Query.variables queries.(q)) members
+  let atoms acc =
+    List.fold_left (fun acc (a : Cq.atom) -> Array.fold_left bind acc a.args) acc
   in
-  List.fold_left
-    (fun acc x -> match acc with None -> None | Some acc -> extend acc x)
-    (Some Eval.Binding.empty) vars
+  match
+    List.fold_left
+      (fun acc m ->
+        let q = queries.(m) in
+        atoms (atoms (atoms acc q.Query.post) q.head) q.body.Cq.atoms)
+      Eval.Binding.empty members
+  with
+  | valuation -> Some valuation
+  | exception Unbound -> None
 
 let solve ?(minimize = false) ?(fixed = Eval.Binding.empty) db queries
     ~members subst =

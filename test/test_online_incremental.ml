@@ -500,10 +500,12 @@ let test_stats_merge () =
   b.unify_ns <- 2L;
   b.cleaning_rounds <- 1;
   b.plan_misses <- 6;
+  b.commit_ns <- 9L;
   merge ~into:a b;
   Alcotest.(check int) "probes" 7 a.db_probes;
   Alcotest.(check int64) "graph" 15L a.graph_ns;
   Alcotest.(check int64) "unify" 2L a.unify_ns;
+  Alcotest.(check int64) "commit" 9L a.commit_ns;
   Alcotest.(check int) "candidates" 2 a.candidates;
   Alcotest.(check int) "cleaning" 1 a.cleaning_rounds;
   Alcotest.(check int) "hits" 1 a.plan_hits;
@@ -658,6 +660,22 @@ let test_quiet_chain_runs_one_solve () =
   | other -> Alcotest.failf "tail: %s" (submission_repr other));
   Alcotest.(check int) "one candidate per member" n
     (Online.stats engine).Coordination.Stats.candidates
+
+(* [commit_ns] charges fires only: the head of a 2-chain arrives proven
+   quiet and reads no clock for it, the tail fires and commits. *)
+let test_commit_time_charges_fires_only () =
+  let db, chain = Workload.Listgen.make ~rows:100 ~topics:10 ~seed:5 2 in
+  let engine = Online.create db in
+  let stats = Online.stats engine in
+  Alcotest.(check string) "head pending" "pending"
+    (submission_repr (Online.submit engine (List.hd chain)));
+  Alcotest.(check int64) "no commit for a quiet arrival" 0L
+    stats.Coordination.Stats.commit_ns;
+  (match Online.submit engine (List.nth chain 1) with
+  | Online.Coordinated _ -> ()
+  | other -> Alcotest.failf "tail: %s" (submission_repr other));
+  Alcotest.(check bool) "the fire's commit is timed" true
+    (stats.Coordination.Stats.commit_ns > 0L)
 
 (* --------------------- store writes re-dirty --------------------- *)
 
@@ -817,4 +835,6 @@ let suite =
       `Quick test_store_writes_redirty_only_readers;
     Alcotest.test_case "store writes: an unbound head variable reads every table"
       `Quick test_unbound_head_variable_reads_every_table;
+    Alcotest.test_case "stats: only a fire is charged commit time" `Quick
+      test_commit_time_charges_fires_only;
   ]

@@ -46,8 +46,13 @@ let full_groundings verdicts =
       | Skipped | Unify_failed _ -> acc)
     0 verdicts
 
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | _ -> true
+
 (* Checks one pool on both sides and returns (engine, oracle) member
-   groundings. *)
+   groundings.  Every candidate's cover must be strictly ascending, as
+   predecessors merge it linearly, and equal the oracle's sorted one. *)
 let check_pool ?(minimize = false) label db input =
   let queries = Query.rename_set input in
   let before = Database.snapshot_counters db in
@@ -82,18 +87,25 @@ let check_pool ?(minimize = false) label db input =
                 (function _, Scc_oracle.Probed _ -> true | _ -> false)
                 expected))
           o.stats.candidates;
+        Alcotest.(check (list (list int)))
+          (label ^ ": covered sets")
+          (List.filter_map
+             (function
+               | _, Scc_oracle.Probed { members; witness = Some _ } ->
+                 Some members
+               | _ -> None)
+             expected)
+          (List.map (fun (c : Scc_algo.candidate) -> c.covered) o.candidates);
         List.iter
           (fun (c : Scc_algo.candidate) ->
+            if not (strictly_ascending c.covered) then
+              Alcotest.failf "%s: cover not strictly ascending" label;
+            Alcotest.(check int)
+              (label ^ ": size") (List.length c.covered) c.size;
             check_validates db queries
               (Solution.make ~members:c.covered ~assignment:c.assignment))
           o.candidates)
       [ outcome; untraced ];
-    Alcotest.(check (list (list int)))
-      (label ^ ": untraced covered sets")
-      (List.map (fun (c : Scc_algo.candidate) -> c.covered) outcome.candidates)
-      (List.map
-         (fun (c : Scc_algo.candidate) -> c.covered)
-         untraced.candidates);
     if Array.length queries <= 8 then begin
       let subsets = Coordination.Brute.all_coordinating_subsets db queries in
       match outcome.solution with
@@ -168,18 +180,36 @@ let random_pool ?(dangling = false) rng ~n =
 
 let seeds = List.init 3 (fun k -> chaos_seed + k)
 
-(* A Listgen chain is all independent: one own body per candidate. *)
-let test_chains () =
-  List.iter
-    (fun n ->
-      let db, input =
-        Workload.Listgen.make ~rows:200 ~topics:10 ~seed:chaos_seed n
-      in
-      let engine, oracle = check_pool (Printf.sprintf "chain %d" n) db input in
-      Alcotest.(check (pair int int))
-        (Printf.sprintf "chain %d: groundings" n)
-        (n, n * (n + 1) / 2) (engine, oracle))
-    [ 1; 2; 7; 32 ]
+(* A Listgen chain is all independent: one own body per candidate.
+   The candidates, sink first, cover suffixes of sizes 1..n, and the
+   largest is the whole chain. *)
+let check_chain n =
+  let label = Printf.sprintf "chain %d" n in
+  let db, input =
+    Workload.Listgen.make ~rows:200 ~topics:10 ~seed:chaos_seed n
+  in
+  let engine, oracle = check_pool label db input in
+  Alcotest.(check (pair int int))
+    (label ^ ": groundings")
+    (n, n * (n + 1) / 2) (engine, oracle);
+  let o = Result.get_ok (Scc_algo.solve db input) in
+  Alcotest.(check (list int))
+    (label ^ ": candidate sizes")
+    (List.init n (fun i -> i + 1))
+    (List.map (fun (c : Scc_algo.candidate) -> c.size) o.candidates);
+  Alcotest.(check (option (list int)))
+    (label ^ ": largest selects the chain")
+    (Some (List.init n Fun.id))
+    (Option.map (fun (s : Solution.t) -> s.members) o.solution);
+  Alcotest.(check int) (label ^ ": grounded members") n
+    o.stats.grounded_members
+
+let test_chains () = List.iter check_chain [ 1; 2; 7; 32 ]
+
+(* Each node merges its own member into its successor's cover in O(1).
+   Slow only because the oracle grounds every suffix in full: O(n^2)
+   atoms, and a plan per suffix length. *)
+let test_long_chain () = check_chain 1_000
 
 (* Figure 1 is coupled: qJ's postconditions bind its own body variable,
    so seeding must not engage and the probe count stays 2. *)
@@ -214,6 +244,29 @@ let test_diamond () =
   Alcotest.(check (option int))
     "diamond: all four coordinate" (Some 4)
     (Option.map Solution.size o.solution)
+
+(* The diamond c -> {a, b} -> d with independent posts: every SCC is
+   seeded, a's and b's witnesses agree on d's variable, and c's cover
+   merges {a, d} with {b, d}, dropping d's second copy. *)
+let test_overlapping_diamond () =
+  let db, input =
+    program
+      {|
+      table P(v).
+      fact P(1). fact P(2).
+      query d: { } R(D, x) :- P(x).
+      query a: { R(D, z) } R(A, w) :- P(w).
+      query b: { R(D, z) } R(B, w) :- P(w).
+      query c: { R(A, p), R(B, r) } R(C, s) :- P(s).
+      |}
+  in
+  let engine, oracle = check_pool "overlapping diamond" db input in
+  Alcotest.(check (pair int int))
+    "overlapping diamond: one grounding per SCC" (4, 9) (engine, oracle);
+  let o = Result.get_ok (Scc_algo.solve db input) in
+  Alcotest.(check (option (list int)))
+    "overlapping diamond: all four coordinate" (Some [ 0; 1; 2; 3 ])
+    (Option.map (fun (s : Solution.t) -> s.members) o.solution)
 
 (* A postcondition constant pins the successor's variable: {R(A, 5)}
    against the head R(A, u).  s's own witness is u = 1, so seeding would
@@ -336,4 +389,8 @@ let suite =
     Alcotest.test_case "online 32-chain grounds 32 members" `Quick
       test_online_chain;
     Alcotest.test_case "worklist prune = rescanning prune" `Quick test_prune;
+    Alcotest.test_case "diamond with overlapping seeded covers" `Quick
+      test_overlapping_diamond;
+    Alcotest.test_case "1,000-query chain: covers merged, not re-sorted" `Slow
+      test_long_chain;
   ]
