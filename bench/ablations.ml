@@ -1,7 +1,8 @@
 (* Ablation benchmarks for the design choices DESIGN.md calls out: the
    preprocessing step of the SCC algorithm, its selection criterion,
-   and the online, parallel, observability, resilience, durability and
-   service layers. *)
+   and the online, observability and resilience layers.  What a served
+   request costs end to end is perfbench's question (BENCHMARK.json),
+   not this file's. *)
 
 open Relational
 
@@ -393,360 +394,3 @@ let online ?(rows = 20_000) ?(n = 60) () =
     "  online (%3d submits):   %10.3f ms   (%d queries satisfied, %d pending)\n"
     n online_ms !fired
     (Coordination.Online.pending_count engine)
-
-(* Pool-growth scaling: a stream of mutually independent queries — each
-   one's postcondition names a partner that never arrives, so nothing
-   ever fires and the pool only grows.  Per-submit latency then isolates
-   the engine's own maintenance cost: each submission probes the
-   persistent atom index and touches one union-find entry, so latency
-   should stay flat as the pool grows. *)
-let online_scaling ?(rows = 2_000) ?(pools = [ 1_000; 10_000 ]) () =
-  Printf.printf "\n== Ablation: online engine scaling ==\n";
-  Printf.printf
-    "(independent queries streamed eagerly: nothing fires, the pool only \
-     grows; per-submit latency isolates engine maintenance)\n";
-  Series.start "ablation_online_scaling"
-    [ "pool"; "p50_us"; "p95_us"; "total_ms" ];
-  let topics = 50 in
-  let query i =
-    let const fmt j = Term.Const (Value.Str (Printf.sprintf fmt j)) in
-    Entangled.Query.make
-      ~name:(Printf.sprintf "s%d" i)
-      ~post:[ { Cq.rel = "R"; args = [| const "p%d" i; Term.Var "y" |] } ]
-      ~head:[ { Cq.rel = "R"; args = [| const "u%d" i; Term.Var "x" |] } ]
-      [
-        {
-          Cq.rel = "Posts";
-          args =
-            [|
-              Term.Var "x";
-              Term.Const (Value.Str (Workload.Social.topic (i mod topics)));
-            |];
-        };
-      ]
-  in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int (n - 1)))))
-  in
-  List.iter
-    (fun n ->
-      let db = Database.create () in
-      ignore (Workload.Social.install_posts ~rows ~topics db);
-      let engine = Coordination.Online.create db in
-      let lat = Array.make (max n 1) 0.0 in
-      let t0 = Coordination.Stats.now_ns () in
-      for i = 0 to n - 1 do
-        let s0 = Coordination.Stats.now_ns () in
-        ignore (Coordination.Online.submit engine (query i));
-        lat.(i) <-
-          Int64.to_float (Int64.sub (Coordination.Stats.now_ns ()) s0) /. 1e3
-      done;
-      let total = ms (Int64.sub (Coordination.Stats.now_ns ()) t0) in
-      Array.sort compare lat;
-      let p50 = percentile lat 0.5 and p95 = percentile lat 0.95 in
-      Printf.printf
-        "  pool %6d:  p50 %8.2f us   p95 %8.2f us   total %10.3f ms   (%d \
-         pending)\n"
-        n p50 p95 total
-        (Coordination.Online.pending_count engine);
-      Series.row "ablation_online_scaling"
-        [
-          string_of_int n;
-          Printf.sprintf "%.2f" p50;
-          Printf.sprintf "%.2f" p95;
-          Printf.sprintf "%.3f" total;
-        ])
-    pools
-
-(* ------------------------------ Durability ------------------------ *)
-
-(* The price of the write-ahead log: the online_scaling pool-growth
-   stream (independent queries, nothing fires, per-submit latency
-   isolates maintenance cost) run against the durable engine under
-   each fsync policy.  Snapshots are disabled so the measurement is
-   pure journaling.  The committed acceptance number is the
-   page-cache-bound ratio wal-nofsync / no-wal, emitted as its own
-   series for the bench gate to cap — only for pools large enough to
-   amortize first-submit warmup (small-pool ratios are plan-cache
-   noise).  A fsync-bound variant's cost belongs to the disk, not to
-   the engine, so wal-fsync is reported but not gated. *)
-let durability ?(rows = 2_000) ?(pools = [ 500; 2_000 ]) () =
-  Printf.printf "\n== Ablation: durability (WAL append + fsync policy) ==\n";
-  Printf.printf
-    "(pool-growth submit stream; wal variants journal every admission; \
-     snapshots off)\n";
-  Series.start "ablation_durability"
-    [ "variant"; "pool"; "p50_us"; "p95_us"; "total_ms" ];
-  Series.start "ablation_durability_overhead"
-    [ "pool"; "nofsync_wal_overhead_x" ];
-  let topics = 50 in
-  let query i =
-    let const fmt j = Term.Const (Value.Str (Printf.sprintf fmt j)) in
-    Entangled.Query.make
-      ~name:(Printf.sprintf "s%d" i)
-      ~post:[ { Cq.rel = "R"; args = [| const "p%d" i; Term.Var "y" |] } ]
-      ~head:[ { Cq.rel = "R"; args = [| const "u%d" i; Term.Var "x" |] } ]
-      [
-        {
-          Cq.rel = "Posts";
-          args =
-            [|
-              Term.Var "x";
-              Term.Const (Value.Str (Workload.Social.topic (i mod topics)));
-            |];
-        };
-      ]
-  in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int (n - 1)))))
-  in
-  let wal_dir =
-    let k = ref 0 in
-    fun () ->
-      incr k;
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "entangle-bench-wal-%d-%d" (Unix.getpid ()) !k)
-  in
-  let rm_rf d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      Sys.rmdir d
-    end
-  in
-  List.iter
-    (fun n ->
-      let baseline_total = ref 0.0 in
-      List.iter
-        (fun (label, wal) ->
-          let db, engine, cleanup =
-            match wal with
-            | None ->
-              let db = Database.create () in
-              (db, Coordination.Online.create db, fun () -> ())
-            | Some fsync ->
-              let dir = wal_dir () in
-              let t, db, engine =
-                Durable.create_engine
-                  (Durable.config ~fsync ~snapshot_every:0 dir)
-              in
-              ( db,
-                engine,
-                fun () ->
-                  Durable.close t;
-                  rm_rf dir )
-          in
-          ignore (Workload.Social.install_posts ~rows ~topics db);
-          let lat = Array.make (max n 1) 0.0 in
-          let t0 = Coordination.Stats.now_ns () in
-          for i = 0 to n - 1 do
-            let s0 = Coordination.Stats.now_ns () in
-            ignore (Coordination.Online.submit engine (query i));
-            lat.(i) <-
-              Int64.to_float (Int64.sub (Coordination.Stats.now_ns ()) s0)
-              /. 1e3
-          done;
-          let total = ms (Int64.sub (Coordination.Stats.now_ns ()) t0) in
-          cleanup ();
-          Array.sort compare lat;
-          let p50 = percentile lat 0.5 and p95 = percentile lat 0.95 in
-          Printf.printf
-            "  %-13s pool %6d:  p50 %8.2f us   p95 %8.2f us   total \
-             %10.3f ms\n"
-            label n p50 p95 total;
-          Series.row "ablation_durability"
-            [
-              label;
-              string_of_int n;
-              Printf.sprintf "%.2f" p50;
-              Printf.sprintf "%.2f" p95;
-              Printf.sprintf "%.3f" total;
-            ];
-          if label = "no-wal" then baseline_total := total
-          else if label = "wal-nofsync" && !baseline_total > 0.0 && n >= 1_000
-          then begin
-            let ratio = total /. !baseline_total in
-            Printf.printf "  %-13s pool %6d:  %.2fx the no-wal run\n"
-              "(overhead)" n ratio;
-            Series.row "ablation_durability_overhead"
-              [ string_of_int n; Printf.sprintf "%.3f" ratio ]
-          end)
-        [
-          ("no-wal", None);
-          ("wal-nofsync", Some Durable.Never);
-          ("wal-group-64", Some (Durable.Every_n 64));
-          ("wal-fsync", Some Durable.Always);
-        ])
-    pools
-
-(* ------------------------------ Service --------------------------- *)
-
-(* The price of the wire: the durability ablation's independent-query
-   submit stream, re-run through `entangle serve`'s frame protocol —
-   JSON encode, length-prefixed frame, socket round trip, JSON decode —
-   with the requests fanned in from 1, 8 or 64 concurrent sessions.
-   Server and clients share one thread (the server's step loop is
-   public), so the latency numbers include the full protocol path but
-   no scheduler handoff; what the fan-in axis isolates is the cost of
-   session multiplexing itself.  The committed acceptance number is the
-   ratio wal-nofsync / no-wal of total service time — the service-layer
-   analogue of the durability gate, capped loosely because it stacks
-   journaling on top of protocol cost.  The raw columns are
-   deliberately kept out of the gate's timing families (percentiles
-   sit under the microsecond noise floor; the wall total is unsuffixed)
-   — socket syscall wall clock swings well past the gate's tolerance
-   run to run, and the portable number is the ratio. *)
-let service ?(rows = 2_000) ?(requests = 512) ?(clients = [ 1; 8; 64 ]) () =
-  Printf.printf "\n== Ablation: service (frame protocol, session fan-in) ==\n";
-  Printf.printf
-    "(independent submit stream over the socket; %d requests round-robined \
-     across the sessions; wal variant journals every admission)\n"
-    requests;
-  Series.start "ablation_service"
-    [
-      "variant"; "clients"; "requests"; "p50_us"; "p95_us"; "p99_us";
-      "total_wall";
-    ];
-  Series.start "ablation_service_overhead"
-    [ "clients"; "nofsync_service_overhead_x" ];
-  let topics = 50 in
-  let query_src i =
-    let const fmt j = Term.Const (Value.Str (Printf.sprintf fmt j)) in
-    Entangled.Parser.query_to_string
-      (Entangled.Query.make
-         ~name:(Printf.sprintf "s%d" i)
-         ~post:[ { Cq.rel = "R"; args = [| const "p%d" i; Term.Var "y" |] } ]
-         ~head:[ { Cq.rel = "R"; args = [| const "u%d" i; Term.Var "x" |] } ]
-         [
-           {
-             Cq.rel = "Posts";
-             args =
-               [|
-                 Term.Var "x";
-                 Term.Const (Value.Str (Workload.Social.topic (i mod topics)));
-               |];
-           };
-         ])
-  in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int (n - 1)))))
-  in
-  let wal_dir =
-    let k = ref 0 in
-    fun () ->
-      incr k;
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "entangle-bench-srv-%d-%d" (Unix.getpid ()) !k)
-  in
-  let rm_rf d =
-    if Sys.file_exists d then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-      Sys.rmdir d
-    end
-  in
-  List.iter
-    (fun nclients ->
-      let baseline_total = ref 0.0 in
-      List.iter
-        (fun (label, wal) ->
-          let db, engine, durable, cleanup =
-            match wal with
-            | None ->
-              let db = Database.create () in
-              (db, Coordination.Online.create db, None, fun () -> ())
-            | Some fsync ->
-              let dir = wal_dir () in
-              let t, db, engine =
-                Durable.create_engine
-                  (Durable.config ~fsync ~snapshot_every:0 dir)
-              in
-              ( db,
-                engine,
-                Some t,
-                fun () ->
-                  Durable.close t;
-                  rm_rf dir )
-          in
-          ignore (Workload.Social.install_posts ~rows ~topics db);
-          let cfg =
-            {
-              (Server.default_config (Server.Tcp ("127.0.0.1", 0))) with
-              Server.max_pending = requests + 1;
-            }
-          in
-          let srv =
-            Server.create cfg
-              { Server.db; engine = Server.Sequential engine; durable; guard = None }
-          in
-          let conns =
-            Array.init nclients (fun _ ->
-                Server.Client.connect
-                  (Server.Tcp ("127.0.0.1", Server.port srv)))
-          in
-          let lat = Array.make (max requests 1) 0.0 in
-          let t0 = Coordination.Stats.now_ns () in
-          for i = 0 to requests - 1 do
-            let conn = conns.(i mod nclients) in
-            let s0 = Coordination.Stats.now_ns () in
-            Server.Client.send conn
-              (Json.Obj
-                 [
-                   ("id", Json.Int i);
-                   ("op", Json.Str "submit");
-                   ("query", Json.Str (query_src i));
-                 ]);
-            let rec await () =
-              match Server.Client.try_recv conn with
-              | Some f when Json.str_mem "notify" f = None -> f
-              | Some _ -> await ()
-              | None ->
-                ignore (Server.step ~timeout:0.01 srv);
-                await ()
-            in
-            ignore (await ());
-            lat.(i) <-
-              Int64.to_float (Int64.sub (Coordination.Stats.now_ns ()) s0)
-              /. 1e3
-          done;
-          let total = ms (Int64.sub (Coordination.Stats.now_ns ()) t0) in
-          Array.iter Server.Client.close conns;
-          for _ = 1 to 3 do
-            ignore (Server.step ~timeout:0.0 srv)
-          done;
-          Server.stop srv;
-          cleanup ();
-          Array.sort compare lat;
-          let p50 = percentile lat 0.5
-          and p95 = percentile lat 0.95
-          and p99 = percentile lat 0.99 in
-          Printf.printf
-            "  %-13s %3d clients:  p50 %8.2f us   p95 %8.2f us   p99 \
-             %8.2f us   total %10.3f ms\n"
-            label nclients p50 p95 p99 total;
-          Series.row "ablation_service"
-            [
-              label;
-              string_of_int nclients;
-              string_of_int requests;
-              Printf.sprintf "%.2f" p50;
-              Printf.sprintf "%.2f" p95;
-              Printf.sprintf "%.2f" p99;
-              Printf.sprintf "%.3f" total;
-            ];
-          if label = "no-wal" then baseline_total := total
-          else if label = "wal-nofsync" && !baseline_total > 0.0 then begin
-            let ratio = total /. !baseline_total in
-            Printf.printf "  %-13s %3d clients:  %.2fx the no-wal run\n"
-              "(overhead)" nclients ratio;
-            Series.row "ablation_service_overhead"
-              [ string_of_int nclients; Printf.sprintf "%.3f" ratio ]
-          end)
-        [ ("no-wal", None); ("wal-nofsync", Some Durable.Never) ])
-    clients

@@ -1,32 +1,29 @@
-(* Bench regression gate.
+(* Bench regression gate.  It reads one of two input forms, told apart
+   by the content of the baseline file.
 
-   Compares a fresh `entangle-bench --json` dump against the committed
-   baseline (BENCH_eval.json).  Every column is judged by its median
-   over the series' rows, under the first rule in [rules] whose suffix
-   it ends with; columns no rule names are not gated.  A rule has one
-   of two limits:
+   Series form: a fresh `entangle-bench --json` dump against the
+   committed baseline (BENCH_eval.json).  Every column whose name ends
+   with "overhead_ratio" is judged by its median over the series' rows:
+   fail when the fresh median exceeds the 1.05 cap.  Such a column is
+   armed-vs-disarmed telemetry overhead, a ratio of two same-machine
+   timings, which ports across hardware where raw timings do not; the
+   cap is the observability layer's <5% promise.  Other columns are not
+   gated.
 
-   - [Slack t], for timings: fail when the fresh median is more than
-     [t] slower than the baseline's.  Baseline medians below the rule's
-     noise floor are skipped — a 25% "regression" of 40 microseconds is
-     scheduler jitter, not a slowdown.
-   - [Cap x]: fail when the fresh median exceeds [x].
+   Perfbench A/B form: each file holds the last stdout line of several
+   `perfbench/run.py --trace 0` runs, one JSON object a line — the
+   baseline file the parent's runs, the fresh file the change's,
+   alternated run by run (bench/perf_ab.sh makes them, and runs the
+   gate in the parent's checkout).  Every `end_to_end` metric of
+   BENCHMARK.json in the working directory is judged by its median over
+   each side's runs, under that metric's own `better` direction and
+   `bound`: fail when the change's median is worse than the parent's by
+   more than the bound.  The gate also fails when any run is not
+   `correct`; run.py marks a run with failed operations not correct, so
+   this also keeps the failed share at 0.
 
-   Caps are absolute because the columns they judge are ratios of two
-   same-machine timings, which port across hardware where raw timings
-   do not:
-   - armed-vs-disarmed telemetry overhead must stay under the
-     observability layer's <5% promise;
-   - a page-cache-bound journaling submit stream may cost at most 3x
-     the plain engine (fsync-bound variants are the disk's cost and are
-     not gated);
-   - a journaling submit stream through the frame protocol may cost at
-     most 5x the plain one — looser than the WAL cap, because a socket
-     round trip amplifies small absolute regressions into large ratios.
-
-     gate.exe --baseline BENCH_eval.json --fresh bench.json [--tolerance T]
-
-   [--tolerance T] replaces every timing rule's slack. *)
+     gate.exe --baseline BENCH_eval.json --fresh bench.json
+     gate.exe --baseline parent.jsonl --fresh change.jsonl *)
 
 (* ------------------------- Series access -------------------------- *)
 
@@ -68,83 +65,28 @@ let column_median series name =
            Option.bind (List.nth_opt row !idx) Json.number)
     |> median
 
-type limit =
-  | Slack of float  (* fresh <= baseline * (1 + t) *)
-  | Cap of float    (* fresh <= x *)
+let cap_suffix = "overhead_ratio"
+let cap = 1.05
 
-(* (column suffix, limit, noise floor of the baseline median).  The
-   first matching suffix wins, so longer suffixes come first. *)
-let rules =
-  [
-    ("service_overhead_x", Cap 5.0, 0.0);
-    ("wal_overhead_x", Cap 3.0, 0.0);
-    ("overhead_ratio", Cap 1.05, 0.0);
-    ("_ms", Slack 0.25, 1.0);
-    ("_us", Slack 0.25, 1000.0);
-    ("_ns", Slack 0.25, 1_000_000.0);
-  ]
-
-let rule_of_column col =
-  List.find_opt (fun (suffix, _, _) -> String.ends_with ~suffix col) rules
-
-(* [Some why] when the fresh median [f] breaks [limit] against the
-   baseline median [b]. *)
-let violation limit ~b ~f =
-  match limit with
-  | Slack t when f > b *. (1.0 +. t) ->
-    Some
-      (Printf.sprintf "slowed down %.1f%% (median %.3f -> %.3f, tolerance %.0f%%)"
-         ((f /. b -. 1.0) *. 100.0) b f (t *. 100.0))
-  | Cap x when f > x ->
-    Some (Printf.sprintf "median %.3f exceeds the %.2f cap (baseline %.3f)" f x b)
-  | Slack _ | Cap _ -> None
-
-let describe = function
-  | Slack t -> Printf.sprintf "slack %.0f%%" (t *. 100.0)
-  | Cap x -> Printf.sprintf "cap %.2f" x
-
-let () =
-  let baseline_path = ref "BENCH_eval.json" in
-  let fresh_path = ref "" in
-  let tolerance = ref None in
-  let spec =
-    [
-      ("--baseline", Arg.Set_string baseline_path, "FILE  committed baseline");
-      ("--fresh", Arg.Set_string fresh_path, "FILE  freshly generated dump");
-      ("--tolerance", Arg.Float (fun t -> tolerance := Some t),
-       "T  fail when a timing median(fresh) > median(baseline) * (1+T)  \
-        (default 0.25)");
-    ]
-  in
-  Arg.parse spec
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "gate.exe --baseline BENCH_eval.json --fresh bench.json [--tolerance T]";
-  if !fresh_path = "" then (
-    prerr_endline "gate.exe: --fresh is required";
-    exit 2);
-  let baseline = load !baseline_path and fresh = load !fresh_path in
+(* The failures of a series-form comparison; prints every checked
+   column on the way. *)
+let gate_series ~baseline_path ~fresh_path =
+  let baseline = load baseline_path and fresh = load fresh_path in
   let failures = ref [] in
   let checked = ref 0 in
   let check name base_series fresh_series col =
-    match
-      ( rule_of_column col,
-        column_median base_series col,
-        column_median fresh_series col )
-    with
-    | None, _, _ | _, None, _ | _, _, None -> ()
-    | Some (_, _, noise), Some b, Some _ when b < noise ->
-      Printf.printf "  %-32s %-30s base %12.3f  (below noise floor, skipped)\n"
-        name col b
-    | Some (_, limit, _), Some b, Some f ->
-      let limit =
-        match (limit, !tolerance) with Slack _, Some t -> Slack t | l, _ -> l
-      in
-      incr checked;
-      Printf.printf "  %-32s %-30s base %12.3f  fresh %12.3f  (%s)\n" name col
-        b f (describe limit);
-      Option.iter
-        (fun why -> failures := Printf.sprintf "%s.%s %s" name col why :: !failures)
-        (violation limit ~b ~f)
+    if String.ends_with ~suffix:cap_suffix col then
+      match (column_median base_series col, column_median fresh_series col) with
+      | Some b, Some f ->
+        incr checked;
+        Printf.printf "  %-32s %-30s base %12.3f  fresh %12.3f  (cap %.2f)\n"
+          name col b f cap;
+        if f > cap then
+          failures :=
+            Printf.sprintf "%s.%s median %.3f exceeds the %.2f cap (baseline %.3f)"
+              name col f cap b
+            :: !failures
+      | _ -> ()
   in
   List.iter
     (fun (name, base_series) ->
@@ -156,8 +98,119 @@ let () =
         List.iter (check name base_series fresh_series) (columns_of base_series))
     baseline;
   Printf.printf "bench gate: %d column medians checked against %s\n" !checked
-    !baseline_path;
-  match List.rev !failures with
+    baseline_path;
+  List.rev !failures
+
+(* ----------------------- Perfbench A/B form ----------------------- *)
+
+(* A perfbench result line is an object with a "correct" member; the
+   series form's top level never has one. *)
+let result_of line =
+  match Json.parse line with
+  | Ok (Json.Obj _ as r) when Json.mem "correct" r <> None -> Some r
+  | Ok _ | Error _ -> None
+
+let lines_of path =
+  read_file path |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+
+let is_perfbench path =
+  match lines_of path with first :: _ -> result_of first <> None | [] -> false
+
+let load_runs path =
+  List.mapi
+    (fun i line ->
+      match result_of line with
+      | Some r -> r
+      | None ->
+        failwith (Printf.sprintf "%s:%d: not a perfbench result line" path (i + 1)))
+    (lines_of path)
+
+(* (name, better, bound) of every BENCHMARK.json end_to_end metric;
+   [better] is "lower" or "higher". *)
+let end_to_end path =
+  let spec = match Json.parse (read_file path) with
+    | Ok spec -> spec
+    | Error why -> failwith (path ^ ": " ^ why)
+  in
+  match Json.mem "end_to_end" spec with
+  | Some (Json.Arr ms) ->
+    List.map
+      (fun m ->
+        match
+          (Json.str_mem "name" m, Json.str_mem "better" m,
+           Option.bind (Json.mem "bound" m) Json.number)
+        with
+        | Some name, Some ("lower" | "higher" as better), Some bound ->
+          (name, better, bound)
+        | _ -> failwith (path ^ ": malformed end_to_end entry"))
+      ms
+  | _ -> failwith (path ^ ": no end_to_end list")
+
+let metric name run =
+  Option.bind (Json.mem "metrics" run) (fun ms ->
+      Option.bind (Json.mem name ms) (fun m ->
+          Option.bind (Json.mem "value" m) Json.number))
+
+(* The failures of a perfbench A/B comparison; prints every judged
+   metric on the way. *)
+let gate_perfbench ~baseline_path ~fresh_path =
+  let benchmark = "BENCHMARK.json" in
+  let metrics = end_to_end benchmark in
+  let parent = load_runs baseline_path and change = load_runs fresh_path in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  List.iter
+    (fun (side, runs) ->
+      List.iteri
+        (fun i r ->
+          if Json.mem "correct" r <> Some (Json.Bool true) then
+            fail "%s run %d is not correct" side (i + 1))
+        runs)
+    [ ("parent", parent); ("change", change) ];
+  List.iter
+    (fun (name, better, bound) ->
+      match
+        (median (List.filter_map (metric name) parent),
+         median (List.filter_map (metric name) change))
+      with
+      | Some p, Some c ->
+        (* How much worse the change is, as a share of the parent. *)
+        let worse = if better = "lower" then (c -. p) /. p else (p -. c) /. p in
+        Printf.printf "  %-20s parent %12.3f  change %12.3f  (%+.1f%%, %s is better, bound %.0f%%)\n"
+          name p c ((c /. p -. 1.0) *. 100.0) better (bound *. 100.0);
+        if worse > bound then
+          fail "%s worse by %.1f%% (median %.3f -> %.3f, %s is better, bound %.0f%%)"
+            name (worse *. 100.0) p c better (bound *. 100.0)
+      | _ -> fail "%s: missing from the parent's or the change's runs" name)
+    metrics;
+  Printf.printf "bench gate: %d metrics of %s judged over %d parent and %d change runs\n"
+    (List.length metrics) benchmark (List.length parent) (List.length change);
+  List.rev !failures
+
+let () =
+  let baseline_path = ref "BENCH_eval.json" in
+  let fresh_path = ref "" in
+  let spec =
+    [
+      ("--baseline", Arg.Set_string baseline_path,
+       "FILE  committed baseline, or the parent's perfbench result lines");
+      ("--fresh", Arg.Set_string fresh_path,
+       "FILE  freshly generated dump, or the change's perfbench result lines");
+    ]
+  in
+  Arg.parse spec
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "gate.exe --baseline BENCH_eval.json|parent.jsonl --fresh bench.json|change.jsonl";
+  if !fresh_path = "" then (
+    prerr_endline "gate.exe: --fresh is required";
+    exit 2);
+  let baseline_path = !baseline_path and fresh_path = !fresh_path in
+  let failures =
+    if is_perfbench baseline_path then gate_perfbench ~baseline_path ~fresh_path
+    else gate_series ~baseline_path ~fresh_path
+  in
+  match failures with
   | [] -> print_endline "bench gate: OK"
   | fs ->
     List.iter (fun f -> Printf.eprintf "bench gate: FAIL %s\n" f) fs;

@@ -33,11 +33,6 @@ let ablations =
       fun fast ->
         if fast then Ablations.online ~rows:5_000 ~n:20 ()
         else Ablations.online () );
-    ( "online-scaling",
-      fun fast ->
-        if fast then
-          Ablations.online_scaling ~rows:1_000 ~pools:[ 200; 1_000 ] ()
-        else Ablations.online_scaling () );
     ( "observability",
       fun fast ->
         if fast then
@@ -47,15 +42,6 @@ let ablations =
       fun fast ->
         if fast then Ablations.resilience ~rows:5_000 ~n:15 ~repeats:3 ()
         else Ablations.resilience () );
-    ( "durability",
-      fun fast ->
-        if fast then Ablations.durability ~rows:1_000 ~pools:[ 200; 1_000 ] ()
-        else Ablations.durability () );
-    ( "service",
-      fun fast ->
-        if fast then
-          Ablations.service ~rows:1_000 ~requests:256 ~clients:[ 1; 8 ] ()
-        else Ablations.service () );
   ]
 
 (* Every figure by its [--figure] number, in run order, with its

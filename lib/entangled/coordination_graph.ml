@@ -171,9 +171,6 @@ let build queries =
 
 let post_targets g ~src ~post_index = g.targets.(src).(post_index)
 
-let post_count g =
-  Array.fold_left (fun acc q -> acc + List.length q.Query.post) 0 g.queries
-
 (* A worklist greatest fixpoint: [live] counts, per (src, post), the
    edges into live queries; each query that dies walks its incoming
    edges once, so the whole pass is O(E) however long the chain of

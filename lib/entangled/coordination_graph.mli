@@ -85,7 +85,4 @@ val prune_unsatisfiable : t -> alive:bool array -> unit
     Section 6.1; it reaches the greatest fixpoint with a worklist, in
     time linear in the number of edges. *)
 
-val post_count : t -> int
-(** Total number of postcondition atoms across all queries. *)
-
 val pp : Format.formatter -> t -> unit

@@ -45,10 +45,6 @@ val value_to_syntax : Value.t -> string
     string single-quoted (in particular lowercase identifiers, which
     would otherwise lex as variables). *)
 
-val term_to_syntax : Term.t -> string
-(** Variables print bare (they must be lowercase identifiers to round
-    trip), constants via {!value_to_syntax}. *)
-
 val query_to_string : Query.t -> string
 (** Renders a query back into parsable syntax (modulo variable-name
     conventions: variables must be lowercase for a round trip). *)

@@ -37,8 +37,6 @@ let unify_atoms s (a : Cq.atom) (b : Cq.atom) =
     loop s 0
   end
 
-let apply_term s t = resolve s t
-
 let apply_atom s (a : Cq.atom) = { a with args = Array.map (resolve s) a.args }
 
 let apply_cq s (q : Cq.t) = { Cq.atoms = List.map (apply_atom s) q.atoms }
@@ -50,8 +48,6 @@ let bindings s =
       if Term.equal t (Term.Var x) then acc else (x, t) :: acc)
     s []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let domain_size s = M.cardinal s
 
 let equal a b =
   List.equal

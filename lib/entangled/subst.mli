@@ -26,8 +26,6 @@ val unify_atoms : t -> Cq.atom -> Cq.atom -> t option
 (** Positionwise unification; [None] when the relations or arities differ
     or some position clashes. *)
 
-val apply_term : t -> Term.t -> Term.t
-
 val apply_atom : t -> Cq.atom -> Cq.atom
 
 val apply_cq : t -> Cq.t -> Cq.t
@@ -36,8 +34,6 @@ val bindings : t -> (string * Term.t) list
 (** Fully-resolved bindings [x -> resolve s (Var x)] for every variable
     mentioned by the substitution, sorted by name.  Identity bindings
     (a representative mapping to itself) are omitted. *)
-
-val domain_size : t -> int
 
 val equal : t -> t -> bool
 (** Equality of the induced (resolved) bindings.  Substitutions that

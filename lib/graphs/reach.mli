@@ -7,8 +7,6 @@
 val from : Digraph.t -> int -> bool array
 (** [from g s] marks every node reachable from [s] (including [s]). *)
 
-val from_set : Digraph.t -> int list -> bool array
-
 val reachable_list : Digraph.t -> int -> int list
 (** Reachable nodes in ascending id order. *)
 

@@ -283,9 +283,4 @@ module Flight_recorder : sig
 
   val items : unit -> item list
   (** The ring, oldest first (empty when disarmed). *)
-
-  val dump_to_file : string -> unit
-  (** Write the ring's window now (Chrome trace_event JSON; JSONL when
-      the path ends in [.jsonl]), items in timestamp order, timestamps
-      rebased to the earliest recorded item. *)
 end

@@ -9,8 +9,6 @@ let atom rel args = { rel; args = Array.of_list args }
 
 let make atoms = { atoms }
 
-let conjoin a b = { atoms = a.atoms @ b.atoms }
-
 let atom_variables a =
   Array.fold_left
     (fun acc t -> match t with Term.Var x -> x :: acc | Term.Const _ -> acc)

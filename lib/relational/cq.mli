@@ -17,8 +17,6 @@ val atom : string -> Term.t list -> atom
 
 val make : atom list -> t
 
-val conjoin : t -> t -> t
-
 val variables : t -> string list
 (** Distinct variables, in first-occurrence order. *)
 
@@ -28,9 +26,6 @@ val is_ground : t -> bool
 
 val rename_variables : (string -> string) -> t -> t
 
-val substitute_atom : (string -> Term.t option) -> atom -> atom
-(** Replace each variable [x] by [f x] when [f x] is [Some _]. *)
-
 val substitute : (string -> Term.t option) -> t -> t
 
 val pp_atom : Format.formatter -> atom -> unit
@@ -39,5 +34,3 @@ val pp : Format.formatter -> t -> unit
 (** Prints as [R(x, 1), S(y)]; the empty query prints as [true]. *)
 
 val equal_atom : atom -> atom -> bool
-
-val compare_atom : atom -> atom -> int

@@ -10,8 +10,6 @@ exception Parse_error of int * string
 val parse_string : string -> string list list
 (** Rows of fields.  Empty trailing line is ignored. *)
 
-val load_file : string -> string list list
-
 val load_relation : Database.t -> schema:Schema.t -> path:string -> Relation.t
 (** Creates [schema]'s table in the database and fills it from the file,
     converting fields with {!Value.of_string}.  The first row must be a

@@ -272,10 +272,6 @@ let compile ?(version = 0) lookup ~key (shape : shape) =
       };
   }
 
-let compile_query ?version lookup q =
-  let key, shape, binding = canonicalize q in
-  (compile ?version lookup ~key shape, binding)
-
 (* ------------------------------------------------------------------ *)
 (* Execution                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -290,8 +286,6 @@ exception Stop
 let analyze_mode = ref false
 
 let set_analyze b = analyze_mode := b
-
-let analyze_enabled () = !analyze_mode
 
 let execute plan lookup (counters : Counters.t) (binding : binding) ~on_frame =
   if Array.length binding.params <> plan.nparams then
@@ -394,8 +388,6 @@ let execute plan lookup (counters : Counters.t) (binding : binding) ~on_frame =
 (* ------------------------------------------------------------------ *)
 
 let nslots plan = plan.nslots
-
-let plan_key plan = plan.key
 
 let stats plan = plan.obs
 

@@ -38,7 +38,7 @@ type stats = {
   mutable executions : int;
   mutable exec_ns : int64;
       (** whole-plan time, accumulated only while {!Obs.tracing} or
-          {!analyze_enabled} — never under the always-on telemetry,
+          {!set_analyze} — never under the always-on telemetry,
           whose probe path stays allocation-free *)
   est_rows : int array;
       (** compile-time per-step cardinality estimate (average index
@@ -85,10 +85,6 @@ val compile :
     against.
     @raise Unknown_relation, Arity_mismatch as {!Eval} would. *)
 
-val compile_query :
-  ?version:int -> (string -> Relation.t option) -> Cq.t -> t * binding
-(** One-shot [canonicalize] + [compile]. *)
-
 val execute :
   t ->
   (string -> Relation.t option) ->
@@ -108,8 +104,6 @@ val execute :
 
 val nslots : t -> int
 
-val plan_key : t -> string
-
 (** {1 Observed statistics} *)
 
 val stats : t -> stats
@@ -126,8 +120,6 @@ val set_analyze : bool -> unit
     clock reads per step entry).  Process-global; meant to bracket one
     [solve --explain-analyze].  The always-on counters do not depend on
     it. *)
-
-val analyze_enabled : unit -> bool
 
 val max_drift : t -> float
 (** Largest per-step ratio between the compile-time cardinality

@@ -7,7 +7,6 @@ let const v = Const v
 let int n = Const (Value.Int n)
 let str s = Const (Value.Str s)
 
-let is_var = function Var _ -> true | Const _ -> false
 let is_const = function Const _ -> true | Var _ -> false
 
 let compare a b =

@@ -13,7 +13,6 @@ val const : Value.t -> t
 val int : int -> t
 val str : string -> t
 
-val is_var : t -> bool
 val is_const : t -> bool
 
 val compare : t -> t -> int

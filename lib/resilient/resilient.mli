@@ -119,10 +119,6 @@ val pp_usage : Format.formatter -> usage -> unit
 (** One line: attempts, successes, retries, fault counts, total
     (simulated) backoff. *)
 
-val elapsed_ns : t -> int64
-(** Time charged against the deadline since {!start_solve}: monotonic
-    wall clock plus simulated backoff and injected latency. *)
-
 val probe : t -> tuples_scanned:(unit -> int) -> (unit -> 'a) -> 'a
 (** [probe t ~tuples_scanned f] runs one guarded probe: budget checks,
     fault injection, retries with backoff, timeout accounting.  [f] runs

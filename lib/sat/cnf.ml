@@ -15,8 +15,6 @@ let lit v =
   if v > 0 then { var = v; positive = true }
   else { var = -v; positive = false }
 
-let neg l = { l with positive = not l.positive }
-
 let make ~num_vars clauses =
   let convert c =
     List.map

@@ -16,8 +16,6 @@ val lit : int -> literal
 (** [lit v] for [v > 0] is the positive literal of variable [v]; for
     [v < 0] the negative literal of [-v].  @raise Invalid_argument on 0. *)
 
-val neg : literal -> literal
-
 val make : num_vars:int -> int list list -> t
 (** Clauses in DIMACS style: nonzero integers, sign is polarity.
     @raise Invalid_argument when a literal mentions a variable outside

@@ -5,8 +5,6 @@ val random_3sat : Prng.t -> num_vars:int -> num_clauses:int -> Cnf.t
     coin per polarity.
     @raise Invalid_argument when [num_vars < 3]. *)
 
-val random_ksat : Prng.t -> k:int -> num_vars:int -> num_clauses:int -> Cnf.t
-
 val planted_3sat : Prng.t -> num_vars:int -> num_clauses:int -> Cnf.t * Cnf.assignment
 (** Like {!random_3sat} but each clause is re-polarised to be satisfied
     by a hidden planted assignment, so the instance is guaranteed

@@ -25,10 +25,6 @@ val install_complete_friends : Database.t -> users:int -> Relation.t
 
 val user : int -> Value.t
 
-val worst_case_queries : users:int -> Coordination.Consistent_query.t list
-(** One query per user, all attributes "don't care", one any-friend
-    partner — the paper's stress-test shape. *)
-
 val make_worst_case :
   rows:int -> users:int -> Database.t * Coordination.Consistent_query.t list
 (** Figures 7 and 8 instance. *)

@@ -9,9 +9,6 @@
 val slashdot_row_count : int
 (** 82168, the size reported in Section 6.1. *)
 
-val posts_schema : Relational.Schema.t
-(** [Posts(pid, topic)]. *)
-
 val install_posts :
   ?rows:int -> ?topics:int -> Relational.Database.t -> Relational.Relation.t
 (** Creates and fills the table ([rows] defaults to
