@@ -1022,38 +1022,62 @@ let client_cmd =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let listen = listen_of_flags socket host port in
     let conn = Server.Client.connect listen in
-    let sent = ref 0 in
+    let sent = ref 0 and unanswered = ref 0 in
     let aborted = ref false in
-    (try
-       while not !aborted do
-         let line = String.trim (input_line stdin) in
-         if line <> "" then begin
-           match Json.parse line with
-           | Error why -> Printf.printf "client: bad request json: %s\n" why
-           | Ok req ->
-             Server.Client.send conn req;
-             incr sent;
-             (match abort_after with
-             | Some k when !sent >= k ->
-               Server.Client.abort conn;
-               aborted := true;
-               Printf.printf "client: aborted after %d requests\n" k
-             | _ ->
-               (* Print every frame up to and including the echoed
-                  response; subscribed notifications precede it. *)
-               let rec await () =
-                 match Server.Client.recv ~timeout conn with
-                 | None -> Printf.printf "client: timeout\n"
-                 | Some frame ->
-                   print_endline (Json.to_string frame);
-                   if Json.str_mem "notify" frame <> None then
-                     await ()
-               in
-               await ())
-         end
-       done
-     with
-     | End_of_file -> ()
+    (* Print every frame up to and including the echoed response of the
+       oldest unanswered request; subscribed notifications precede it. *)
+    let rec await () =
+      match Server.Client.recv ~timeout conn with
+      | None -> Printf.printf "client: timeout\n"
+      | Some frame ->
+        print_endline (Json.to_string frame);
+        if Json.str_mem "notify" frame <> None then await ()
+    in
+    let await_all () =
+      while !unanswered > 0 do
+        await ();
+        decr unanswered
+      done
+    in
+    let request line =
+      let line = String.trim line in
+      if line <> "" && not !aborted then
+        match Json.parse line with
+        | Error why ->
+          await_all ();
+          Printf.printf "client: bad request json: %s\n" why
+        | Ok req -> (
+          match abort_after with
+          | Some k when !sent + 1 >= k ->
+            await_all ();
+            Server.Client.send conn req;
+            Server.Client.abort conn;
+            aborted := true;
+            Printf.printf "client: aborted after %d requests\n" k
+          | _ ->
+            Server.Client.send conn req;
+            incr sent;
+            incr unanswered)
+    in
+    (* The lines of one read of stdin are sent together before their
+       responses are read: a script or a replayed trace is pipelined,
+       as a client of a served workload would send it, while a line
+       typed at a terminal is answered before the next. *)
+    let chunk = Bytes.create 65536 in
+    let rec loop carry =
+      match input stdin chunk 0 (Bytes.length chunk) with
+      | 0 ->
+        request carry;
+        await_all ()
+      | n ->
+        let data = carry ^ Bytes.sub_string chunk 0 n in
+        let cut = try String.rindex data '\n' + 1 with Not_found -> 0 in
+        List.iter request (String.split_on_char '\n' (String.sub data 0 cut));
+        await_all ();
+        if not !aborted then
+          loop (String.sub data cut (String.length data - cut))
+    in
+    (try loop "" with
      | Server.Client.Bad_frame why ->
        Printf.printf "client: bad frame: %s\n%!" why;
        Server.Client.close conn;
@@ -1067,8 +1091,11 @@ let client_cmd =
   let doc =
     "Scripted client for $(b,entangle serve): reads one JSON request per \
      stdin line, sends it as a frame, and prints the response (and any \
-     notification frames preceding it).  The workhorse of the cram \
-     socket sessions and the mid-stream disconnect test."
+     notification frames preceding it).  The lines of one read of stdin \
+     are sent together before their responses are read, so a script or \
+     a replayed trace is pipelined; responses print in request order.  \
+     The workhorse of the cram socket sessions and the mid-stream \
+     disconnect test."
   in
   Cmd.v
     (Cmd.info "client" ~doc)

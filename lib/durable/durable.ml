@@ -16,11 +16,13 @@
      crash mid-write leaves only a [.tmp], never a half snapshot under
      the real name.
 
-   Group atomicity: the journal sink buffers every record of one engine
-   operation in memory and writes them as a single append when the
-   operation's [Op_end] arrives, flagging the last record.  Recovery
-   applies whole committed groups only, so replayed state always sits
-   on an operation boundary. *)
+   Group atomicity: the journal sink encodes every record of one engine
+   operation into an in-memory buffer and commits them when the
+   operation's [Op_end] arrives, flagging the last record.  A committed
+   group is written at once, or, inside a [batch], with the batch's
+   other groups in one append when it ends.  Recovery applies whole
+   committed groups only, so replayed state always sits on an operation
+   boundary. *)
 
 open Relational
 open Entangled
@@ -29,97 +31,87 @@ open Coordination
 (* ------------------------------ CRC32 ------------------------------ *)
 
 module Crc32 = struct
-  (* Slicing by eight: [tables.(k * 256 + b)] is the CRC of byte [b]
-     followed by [k] zero bytes, so one step folds eight bytes with
-     eight independent lookups instead of a chain of eight. *)
-  let tables =
-    lazy
-      (let t = Array.make (8 * 256) 0 in
-       for n = 0 to 255 do
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         t.(n) <- !c
-       done;
-       for k = 1 to 7 do
-         for n = 0 to 255 do
-           let p = t.(((k - 1) * 256) + n) in
-           t.((k * 256) + n) <- (p lsr 8) lxor t.(p land 0xff)
-         done
-       done;
-       t)
+  (* durable_io.c: the writer thread checksums snapshot images with the
+     same function. *)
+  external update : int -> Bytes.t -> int -> int -> int
+    = "entangle_durable_crc32"
+  [@@noalloc]
 
   let bytes ?(crc = 0) b off len =
-    let t = Lazy.force tables in
     if off < 0 || len < 0 || off > Bytes.length b - len then
       invalid_arg "Durable.Crc32.bytes";
-    let c = ref (crc lxor 0xFFFFFFFF) in
-    let i = ref off and stop = off + len in
-    while !i + 8 <= stop do
-      let lo = !c lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) in
-      let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xFFFFFFFF in
-      c :=
-        Array.unsafe_get t ((7 * 256) + (lo land 0xff))
-        lxor Array.unsafe_get t ((6 * 256) + ((lo lsr 8) land 0xff))
-        lxor Array.unsafe_get t ((5 * 256) + ((lo lsr 16) land 0xff))
-        lxor Array.unsafe_get t ((4 * 256) + (lo lsr 24))
-        lxor Array.unsafe_get t ((3 * 256) + (hi land 0xff))
-        lxor Array.unsafe_get t ((2 * 256) + ((hi lsr 8) land 0xff))
-        lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
-        lxor Array.unsafe_get t (hi lsr 24);
-      i := !i + 8
-    done;
-    while !i < stop do
-      c :=
-        Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b !i)) land 0xff)
-        lxor (!c lsr 8);
-      incr i
-    done;
-    !c lxor 0xFFFFFFFF land 0xFFFFFFFF
-
-  let string s = bytes (Bytes.unsafe_of_string s) 0 (String.length s)
+    update crc b off len
 
   let sub s off len = bytes (Bytes.unsafe_of_string s) off len
+  let string s = sub s 0 (String.length s)
 end
 
 (* ------------------------- Binary encoding ------------------------- *)
 
 let u32_max = 0xFFFFFFFF
 
+(* A growable byte buffer the encoders write into in place.  Unlike a
+   [Buffer.t], bytes already written can be patched: a record's length
+   prefix, commit flag and checksum are set once its payload is in. *)
+module Buf = struct
+  type t = { mutable b : Bytes.t; mutable len : int }
+
+  let create n = { b = Bytes.create n; len = 0 }
+
+  let reserve w n =
+    if w.len + n > Bytes.length w.b then begin
+      let b = Bytes.create (max (w.len + n) (2 * Bytes.length w.b)) in
+      Bytes.blit w.b 0 b 0 w.len;
+      w.b <- b
+    end
+
+  let clear w = w.len <- 0
+end
+
 module Enc = struct
-  let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+  let u8 (w : Buf.t) v =
+    Buf.reserve w 1;
+    Bytes.unsafe_set w.b w.len (Char.unsafe_chr (v land 0xff));
+    w.len <- w.len + 1
 
-  let u32 b v =
+  let u32 (w : Buf.t) v =
     if v < 0 || v > u32_max then invalid_arg "Durable.Enc.u32";
-    Buffer.add_int32_le b (Int32.of_int v)
+    Buf.reserve w 4;
+    Bytes.set_int32_le w.b w.len (Int32.of_int v);
+    w.len <- w.len + 4
 
-  let i64 b v = Buffer.add_int64_le b v
-  let int b v = i64 b (Int64.of_int v)
+  let i64 (w : Buf.t) v =
+    Buf.reserve w 8;
+    Bytes.set_int64_le w.b w.len v;
+    w.len <- w.len + 8
 
-  let str b s =
-    u32 b (String.length s);
-    Buffer.add_string b s
+  let int w v = i64 w (Int64.of_int v)
 
-  let value b = function
+  let str (w : Buf.t) s =
+    let n = String.length s in
+    u32 w n;
+    Buf.reserve w n;
+    Bytes.blit_string s 0 w.b w.len n;
+    w.len <- w.len + n
+
+  let value w = function
     | Value.Int n ->
-      u8 b 0;
-      int b n
+      u8 w 0;
+      int w n
     | Value.Str s ->
-      u8 b 1;
-      str b s
+      u8 w 1;
+      str w s
     | Value.Bool v ->
-      u8 b 2;
-      u8 b (if v then 1 else 0)
+      u8 w 2;
+      u8 w (if v then 1 else 0)
 
-  let values b vs =
-    u32 b (List.length vs);
-    List.iter (value b) vs
+  let values w vs =
+    u32 w (List.length vs);
+    List.iter (value w) vs
 
-  let list b f xs =
-    u32 b (List.length xs);
-    List.iter (f b) xs
+  let list w f xs =
+    u32 w (List.length xs);
+    List.iter (f w) xs
 end
 
 exception Decode_error of string
@@ -215,44 +207,60 @@ type record =
   | Insert of { rel : string; tuple : Value.t list }
   | Create_table of { name : string; attrs : string list }
 
-let encode_record r =
-  let b = Buffer.create 64 in
-  let kind =
-    match r with
-    | Meta { consume } ->
-      encode_meta b ~consume;
-      0
-    | Submit { id; src } ->
-      Enc.u32 b id;
-      Enc.str b src;
-      1
-    | Reject { id } ->
-      Enc.u32 b id;
-      2
-    | Retire { ids } ->
-      Enc.list b Enc.u32 ids;
-      3
-    | Consume { deletions } ->
-      Enc.list b
-        (fun b (rel, tuple) ->
-          Enc.str b rel;
-          Enc.values b tuple)
-        deletions;
-      4
-    | Commit { op; fired } ->
-      Enc.u8 b op;
-      Enc.u32 b fired;
-      5
-    | Insert { rel; tuple } ->
-      Enc.str b rel;
-      Enc.values b tuple;
-      6
-    | Create_table { name; attrs } ->
-      Enc.str b name;
-      Enc.list b Enc.str attrs;
-      7
-  in
-  (kind, Buffer.contents b)
+let record_kind = function
+  | Meta _ -> 0
+  | Submit _ -> 1
+  | Reject _ -> 2
+  | Retire _ -> 3
+  | Consume _ -> 4
+  | Commit _ -> 5
+  | Insert _ -> 6
+  | Create_table _ -> 7
+
+let encode_payload w = function
+  | Meta { consume } -> encode_meta w ~consume
+  | Submit { id; src } ->
+    Enc.u32 w id;
+    Enc.str w src
+  | Reject { id } -> Enc.u32 w id
+  | Retire { ids } -> Enc.list w Enc.u32 ids
+  | Consume { deletions } ->
+    Enc.list w
+      (fun w (rel, tuple) ->
+        Enc.str w rel;
+        Enc.values w tuple)
+      deletions
+  | Commit { op; fired } ->
+    Enc.u8 w op;
+    Enc.u32 w fired
+  | Insert { rel; tuple } ->
+    Enc.str w rel;
+    Enc.values w tuple
+  | Create_table { name; attrs } ->
+    Enc.str w name;
+    Enc.list w Enc.str attrs
+
+(* Append [r] to [w] as the record [lsn], with its checksum's four
+   bytes reserved at the end: the checksum covers the flag byte, and
+   whether the record ends its group is known only later.  Returns the
+   record's offset in [w]. *)
+let encode_record (w : Buf.t) ~lsn r =
+  let at = w.len in
+  Enc.u32 w 0;
+  Enc.i64 w lsn;
+  Enc.u8 w (record_kind r);
+  encode_payload w r;
+  Bytes.set_int32_le w.b at (Int32.of_int (w.len - at - 13));
+  Enc.u32 w 0;
+  at
+
+(* Take the checksum of the record at [at], the last one in [w],
+   flagging it first as the end of its group when [commit]. *)
+let seal_record (w : Buf.t) at ~commit =
+  if commit then
+    Bytes.set_uint8 w.b (at + 12) (Bytes.get_uint8 w.b (at + 12) lor 0x80);
+  Bytes.set_int32_le w.b (w.len - 4)
+    (Int32.of_int (Crc32.bytes w.b (at + 4) (w.len - at - 8)))
 
 let decode_record kind payload =
   let d = Dec.make payload in
@@ -333,7 +341,8 @@ let list_dir dir =
 
 (* ----------------------------- Metrics ----------------------------- *)
 
-let h_append = lazy (Obs.Histogram.make ~help:"WAL group append" "wal.append_ns")
+let h_append =
+  lazy (Obs.Histogram.make ~help:"WAL segment write, with its fsync" "wal.append_ns")
 let h_fsync = lazy (Obs.Histogram.make ~help:"WAL fsync" "wal.fsync_ns")
 let c_records = lazy (Obs.Counter.make ~help:"WAL records written" "wal.records")
 let c_groups = lazy (Obs.Counter.make ~help:"WAL groups committed" "wal.groups")
@@ -480,12 +489,20 @@ end
 
 type encoder = {
   dict : Dict.t;
-  values : Buffer.t;  (* the dictionary's values, in order *)
-  store : Buffer.t;  (* the tables, as dictionary references *)
+  values : Buf.t;  (* the dictionary's values, in order *)
+  store : Buf.t;  (* the tables, as dictionary references *)
+  head : Buf.t;  (* meta, counters and the dictionary's size *)
+  pool : Buf.t;
 }
 
 let encoder () =
-  { dict = Dict.create (); values = Buffer.create 4096; store = Buffer.create 16384 }
+  {
+    dict = Dict.create ();
+    values = Buf.create 4096;
+    store = Buf.create 16384;
+    head = Buf.create 16;
+    pool = Buf.create 1024;
+  }
 
 (* A snapshot's blocking I/O, as steps.  The request thread encodes the
    image, where the state is consistent, and hands it off; the steps
@@ -521,7 +538,8 @@ external job_create :
   string ->
   string ->
   string ->
-  string list ->
+  string ->
+  string ->
   Unix.file_descr option ->
   string list option ->
   (step * Unix.error) option ->
@@ -548,12 +566,16 @@ type job = {
 
 type t = {
   cfg : config;
-  mutable oc : out_channel;
+  mutable fd : Unix.file_descr;  (* the current segment *)
   mutable seg_path : string;
-  mutable next_lsn : int64;
+  mutable next_lsn : int64;  (* of the open group's first record *)
   mutable offset : int;  (* bytes written to the current segment *)
   mutable synced : int;  (* prefix of [offset] known fsynced *)
-  mutable group : (int * string) list;  (* buffered records, newest first *)
+  out : Buf.t;  (* records not yet written: committed groups, then the open group *)
+  mutable committed : int;  (* prefix of [out] that ends a committed group *)
+  mutable open_records : int;  (* records of the open group *)
+  mutable last_record : int;  (* offset in [out] of the open group's last record *)
+  mutable batching : bool;  (* inside [batch]: committed groups wait for its end *)
   mutable groups_since_sync : int;
   mutable groups_since_snapshot : int;
   db : Database.t;
@@ -572,7 +594,7 @@ let last_lsn t = Int64.pred t.next_lsn
 
 let do_fsync t =
   let t0 = if Obs.metrics_on () then Obs.now_ns () else 0L in
-  Unix.fsync (Unix.descr_of_out_channel t.oc);
+  Unix.fsync t.fd;
   t.synced <- t.offset;
   t.groups_since_sync <- 0;
   if Obs.metrics_on () then begin
@@ -580,20 +602,63 @@ let do_fsync t =
     Obs.Histogram.observe (Lazy.force h_fsync) (Int64.sub (Obs.now_ns ()) t0)
   end
 
+let rec write_all fd b off n =
+  if n > 0 then
+    match Unix.single_write fd b off n with
+    | k -> write_all fd b (off + k) (n - k)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off n
+
+(* A segment that cannot be created fails like [open_out] would, with
+   [Sys_error]. *)
 let open_segment ~dir ~first_lsn =
   let path = Filename.concat dir (segment_name first_lsn) in
-  let oc =
-    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path
+  let header = Bytes.create segment_header_len in
+  Bytes.blit_string segment_magic 0 header 0 8;
+  Bytes.set_int64_le header 8 first_lsn;
+  let fail e = raise (Sys_error (path ^ ": " ^ Unix.error_message e)) in
+  let fd =
+    try Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    with Unix.Unix_error (e, _, _) -> fail e
   in
-  let b = Buffer.create segment_header_len in
-  Buffer.add_string b segment_magic;
-  Buffer.add_int64_le b first_lsn;
-  Buffer.output_buffer oc b;
-  flush oc;
+  (try write_all fd header 0 segment_header_len
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close fd;
+     fail e);
   fsync_dir dir;
-  (path, oc)
+  (path, fd)
 
-let buffer_record t r = t.group <- (encode_record r) :: t.group
+let handle cfg ~db ~engine ~first_lsn =
+  let seg_path, fd = open_segment ~dir:cfg.dir ~first_lsn in
+  {
+    cfg;
+    fd;
+    seg_path;
+    next_lsn = first_lsn;
+    offset = segment_header_len;
+    synced = segment_header_len;
+    out = Buf.create 4096;
+    committed = 0;
+    open_records = 0;
+    last_record = 0;
+    batching = false;
+    groups_since_sync = 0;
+    groups_since_snapshot = 0;
+    db;
+    engine;
+    closed = false;
+    failed = None;
+    writer = None;
+    enc = encoder ();
+  }
+
+(* Encode [r] into the open group, in place.  LSNs follow the committed
+   ones, so the open group moves whole into a fresh segment when one is
+   opened before it commits. *)
+let buffer_record t r =
+  if t.open_records > 0 then seal_record t.out t.last_record ~commit:false;
+  t.last_record <-
+    encode_record t.out ~lsn:(Int64.add t.next_lsn (Int64.of_int t.open_records)) r;
+  t.open_records <- t.open_records + 1
 
 exception Wal_failed of string
 
@@ -603,7 +668,7 @@ let io_error_to_string = function
   | Sys_error msg -> msg
   | e -> Printexc.to_string e
 
-(* Test-only fault injection for the journal: when set, [commit_group]
+(* Test-only fault injection for the journal: when set, [write_groups]
    raises the given exception in place of its write, as an EIO or
    ENOSPC from the log device would. *)
 let journal_fault : exn option ref = ref None
@@ -613,8 +678,9 @@ let inject_journal_failure e = journal_fault := e
    journal leaves the engine past what the WAL holds, and after a
    failed fsync the kernel may already have dropped the dirty pages, so
    a later fsync that succeeds proves nothing.  The handle therefore
-   refuses every later write as well, and the caller must stop: a
-   restart recovers exactly what the WAL holds. *)
+   refuses every later write as well, drops what it had not written,
+   and the caller must stop: a restart recovers exactly what the WAL
+   holds. *)
 let fail_stop t f =
   match t.failed with
   | Some why -> raise (Wal_failed why)
@@ -623,50 +689,68 @@ let fail_stop t f =
     with (Unix.Unix_error _ | Sys_error _) as e ->
       let why = io_error_to_string e in
       t.failed <- Some why;
+      Buf.clear t.out;
+      t.committed <- 0;
+      t.open_records <- 0;
       Obs.Flight_recorder.incident ("WAL write failed: " ^ why);
       raise (Wal_failed why))
 
-(* Append the buffered group as one write, flagging its last record,
-   then apply the fsync policy. *)
-let commit_group t =
-  match t.group with
-  | [] -> ()
-  | recs ->
-    let recs = List.rev recs in
-    let n = List.length recs in
+(* Write the committed groups in one append, keeping the open group's
+   records, then apply the fsync policy. *)
+let write_groups t =
+  let n = t.committed in
+  if n > 0 then begin
     let t0 = if Obs.metrics_on () then Obs.now_ns () else 0L in
-    let b = Buffer.create 256 in
-    List.iteri
-      (fun i (kind, payload) ->
-        let flag = if i = n - 1 then kind lor 0x80 else kind in
-        let lsn = t.next_lsn in
-        t.next_lsn <- Int64.succ t.next_lsn;
-        Enc.u32 b (String.length payload);
-        let body = Buffer.create (9 + String.length payload) in
-        Enc.i64 body lsn;
-        Enc.u8 body flag;
-        Buffer.add_string body payload;
-        let body = Buffer.contents body in
-        Buffer.add_string b body;
-        Enc.u32 b (Crc32.string body))
-      recs;
-    t.group <- [];
     (match !journal_fault with Some e -> raise e | None -> ());
-    Buffer.output_buffer t.oc b;
-    flush t.oc;
-    t.offset <- t.offset + Buffer.length b;
-    t.groups_since_sync <- t.groups_since_sync + 1;
-    t.groups_since_snapshot <- t.groups_since_snapshot + 1;
+    write_all t.fd t.out.b 0 n;
+    t.offset <- t.offset + n;
+    Bytes.blit t.out.b n t.out.b 0 (t.out.len - n);
+    t.out.len <- t.out.len - n;
+    t.last_record <- t.last_record - n;
+    t.committed <- 0;
     (match t.cfg.fsync with
     | Always -> do_fsync t
     | Every_n k -> if t.groups_since_sync >= k then do_fsync t
     | Never -> t.synced <- max t.synced segment_header_len);
+    if Obs.metrics_on () then
+      Obs.Histogram.observe (Lazy.force h_append) (Int64.sub (Obs.now_ns ()) t0)
+  end
+
+(* Close the open group, flagging its last record, and write it unless
+   a batch defers the write to its end. *)
+let commit_group t =
+  if t.open_records > 0 then begin
+    seal_record t.out t.last_record ~commit:true;
+    t.committed <- t.out.len;
+    t.next_lsn <- Int64.add t.next_lsn (Int64.of_int t.open_records);
     if Obs.metrics_on () then begin
-      Obs.Counter.add (Lazy.force c_records) n;
-      Obs.Counter.incr (Lazy.force c_groups);
-      Obs.Histogram.observe (Lazy.force h_append)
-        (Int64.sub (Obs.now_ns ()) t0)
-    end
+      Obs.Counter.add (Lazy.force c_records) t.open_records;
+      Obs.Counter.incr (Lazy.force c_groups)
+    end;
+    t.open_records <- 0;
+    t.groups_since_sync <- t.groups_since_sync + 1;
+    t.groups_since_snapshot <- t.groups_since_snapshot + 1;
+    if not t.batching then write_groups t
+  end
+
+let write_deferred t = if t.committed > 0 then fail_stop t (fun () -> write_groups t)
+
+let batch t f =
+  if t.batching then f ()
+  else begin
+    t.batching <- true;
+    match f () with
+    | v ->
+      t.batching <- false;
+      write_deferred t;
+      v
+    | exception e ->
+      (* Groups committed before the failure are still part of the
+         engine's state. *)
+      t.batching <- false;
+      (try write_deferred t with Wal_failed _ -> ());
+      raise e
+  end
 
 (* --------------------------- Snapshots ----------------------------- *)
 
@@ -679,9 +763,8 @@ let commit_group t =
    tables are written in one pass, interning as it goes, and follow the
    dictionary they filled. *)
 let encode_snapshot enc ~(db : Database.t) engine =
-  let { dict; values; store } = enc in
-  Buffer.clear values;
-  Buffer.clear store;
+  let { dict; values; store; head; pool } = enc in
+  List.iter Buf.clear [ values; store; head; pool ];
   Dict.reset dict;
   let fresh = Enc.value values in
   Enc.list store
@@ -705,7 +788,6 @@ let encode_snapshot enc ~(db : Database.t) engine =
           last := t)
         r)
     (Database.relations db);
-  let head = Buffer.create 16 and pool = Buffer.create 1024 in
   encode_meta head ~consume:(Online.consume engine);
   Enc.u32 head (Online.next_id engine);
   Enc.u32 head (Online.total_coordinated engine);
@@ -719,13 +801,13 @@ let encode_snapshot enc ~(db : Database.t) engine =
      the store is large, and each such block is major-heap work. *)
   let parts = [ head; values; store; pool ] in
   let payload =
-    Bytes.create (List.fold_left (fun n b -> n + Buffer.length b) 0 parts)
+    Bytes.create (List.fold_left (fun n (w : Buf.t) -> n + w.len) 0 parts)
   in
   let at = ref 0 in
   List.iter
-    (fun b ->
-      Buffer.blit b 0 payload !at (Buffer.length b);
-      at := !at + Buffer.length b)
+    (fun (w : Buf.t) ->
+      Bytes.blit w.b 0 payload !at w.len;
+      at := !at + w.len)
     parts;
   Bytes.unsafe_to_string payload
 
@@ -824,15 +906,15 @@ let wal_sync_fault : Unix.error option ref = ref None
 let inject_wal_sync_failure e = wal_sync_fault := e
 
 (* The job writing [payload] as the snapshot at [lsn] into [dir]: the
-   checksum and header are computed here, on the caller's thread, so
-   the writer runs no OCaml code between its system calls.  [wal] is
-   the segment to fsync first; [victims] the names to delete last. *)
+   header is built here, on the caller's thread, and the job's write
+   step appends the payload's checksum, so the writer runs no OCaml code
+   between its system calls.  [wal] is the segment to fsync first;
+   [victims] the names to delete last. *)
 let make_job ~dir ~lsn ~payload ?wal ?(offset = 0) ?victims () =
-  let header = Buffer.create 20 and trailer = Buffer.create 4 in
-  Buffer.add_string header snapshot_magic;
-  Buffer.add_int64_le header lsn;
-  Enc.u32 header (String.length payload);
-  Enc.u32 trailer (Crc32.string payload);
+  let header = Bytes.create 20 in
+  Bytes.blit_string snapshot_magic 0 header 0 8;
+  Bytes.set_int64_le header 8 lsn;
+  Bytes.set_int32_le header 16 (Int32.of_int (String.length payload));
   let path = Filename.concat dir (snapshot_name lsn) in
   let fault =
     match (!wal_sync_fault, !snapshot_fault) with
@@ -843,8 +925,8 @@ let make_job ~dir ~lsn ~payload ?wal ?(offset = 0) ?victims () =
   {
     j_c =
       job_create dir (path ^ ".tmp") path
-        [ Buffer.contents header; payload; Buffer.contents trailer ]
-        wal
+        (Bytes.unsafe_to_string header)
+        payload wal
         (Option.map (List.map (Filename.concat dir)) victims)
         fault;
     j_lsn = lsn;
@@ -899,6 +981,7 @@ let await j = if job_started j.j_c then job_wait j.j_c else run_job j
    committed a group, so the image sits on a group boundary at
    [last_lsn]. *)
 let hand_off t ~spawn =
+  write_groups t;
   let t0 = Obs.now_ns () in
   let lsn = last_lsn t in
   let payload = encode_snapshot t.enc ~db:t.db t.engine in
@@ -908,8 +991,7 @@ let hand_off t ~spawn =
   let job =
     make_job ~dir:t.cfg.dir ~lsn ~payload
       ?wal:
-        (if t.synced < t.offset then Some (Unix.descr_of_out_channel t.oc)
-         else None)
+        (if t.synced < t.offset then Some t.fd else None)
       ~offset:t.offset ~victims ()
   in
   job.j_encode_ns <- Int64.sub (Obs.now_ns ()) t0;
@@ -918,15 +1000,19 @@ let hand_off t ~spawn =
   (* Without a thread to spare, the write happens on the calling thread. *)
   if spawn && (not !step_writer) && not (job_start job.j_c) then run_job job
 
+let close_segment t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+
 let rotate t =
-  (* Groups committed while the image was written are in the old
+  (* Groups committed while the image was written belong in the old
      segment: under a syncing policy they must be durable before later
-     fsyncs cover only the new one. *)
+     fsyncs cover only the new one.  The open group, if any, moves to
+     the new one. *)
+  write_groups t;
   if t.cfg.fsync <> Never && t.synced < t.offset then do_fsync t;
-  close_out_noerr t.oc;
-  let path, oc = open_segment ~dir:t.cfg.dir ~first_lsn:t.next_lsn in
+  close_segment t;
+  let path, fd = open_segment ~dir:t.cfg.dir ~first_lsn:t.next_lsn in
   t.seg_path <- path;
-  t.oc <- oc;
+  t.fd <- fd;
   t.offset <- segment_header_len;
   t.synced <- segment_header_len;
   t.groups_since_sync <- 0
@@ -1015,7 +1101,7 @@ let journal_sink t : Online.Journal.sink = function
              List.map (fun (rel, tup) -> (rel, Array.to_list tup)) deletions;
          })
   | Online.Journal.Op_end { op; fired } ->
-    if t.group <> [] then begin
+    if t.open_records > 0 then begin
       (match op with
       (* A submit's or withdraw's group is self-delimiting (one effect,
          at most one eviction); only the batched operations need an
@@ -1040,7 +1126,7 @@ let close t =
   if not t.closed then begin
     t.closed <- true;
     Online.set_journal t.engine None;
-    Fun.protect ~finally:(fun () -> close_out_noerr t.oc) @@ fun () ->
+    Fun.protect ~finally:(fun () -> close_segment t) @@ fun () ->
     (* The writer may still be syncing the segment: wait for it before
        the descriptor closes. *)
     let inflight = t.writer in
@@ -1052,6 +1138,7 @@ let close t =
             (fun j -> ignore (settle t j ~rotate:false : (unit, string) result))
             inflight;
           commit_group t;
+          write_groups t;
           if t.cfg.fsync <> Never then do_fsync t)
   end
 
@@ -1069,26 +1156,7 @@ let create_engine ?(consume = false) cfg =
          "Durable.create_engine: %s already holds a WAL (use recover)" cfg.dir);
   let db = Database.create () in
   let engine = Online.create ~consume db in
-  let path, oc = open_segment ~dir:cfg.dir ~first_lsn:1L in
-  let t =
-    {
-      cfg;
-      oc;
-      seg_path = path;
-      next_lsn = 1L;
-      offset = segment_header_len;
-      synced = segment_header_len;
-      group = [];
-      groups_since_sync = 0;
-      groups_since_snapshot = 0;
-      db;
-      engine;
-      closed = false;
-      failed = None;
-      writer = None;
-      enc = encoder ();
-    }
-  in
+  let t = handle cfg ~db ~engine ~first_lsn:1L in
   buffer_record t (Meta { consume });
   commit_group t;
   if t.cfg.fsync = Never then do_fsync t;  (* the meta record must survive *)
@@ -1564,27 +1632,7 @@ let recover cfg =
               tail, but the snapshot write failed: %s"
              cfg.dir why)
       | (Ok _ | Error _), _ ->
-        let next = Int64.add lsn 1L in
-        let path, oc = open_segment ~dir:cfg.dir ~first_lsn:next in
-        let t =
-          {
-            cfg;
-            oc;
-            seg_path = path;
-            next_lsn = next;
-            offset = segment_header_len;
-            synced = segment_header_len;
-            group = [];
-            groups_since_sync = 0;
-            groups_since_snapshot = 0;
-            db;
-            engine;
-            closed = false;
-            failed = None;
-            writer = None;
-            enc = encoder ();
-          }
-        in
+        let t = handle cfg ~db ~engine ~first_lsn:(Int64.add lsn 1L) in
         (* A failed (but tolerable — clean tail) checkpoint leaves the
            old snapshot + segments as the only durable copy of the
            replayed prefix: they must survive, so skip the prune. *)

@@ -32,14 +32,15 @@
     {2 Snapshots off the request path}
 
     The request thread only encodes.  The operation that commits the
-    [snapshot_every]-th group encodes the image and its checksum, lists
-    what it will supersede, and hands the bytes, its LSN and the
-    segment's descriptor to a writer thread, then returns.  The writer
-    fsyncs the WAL prefix the image covers (unless already synced),
-    writes, fsyncs and renames the image, fsyncs the directory and
-    prunes; then it ends.  It is a POSIX thread that never enters the
-    OCaml runtime, so it never takes the runtime lock the request
-    thread runs under (the process still runs OCaml on one domain).
+    [snapshot_every]-th group writes the groups a {!batch} deferred,
+    encodes the image, lists what it will supersede, and hands the
+    bytes, its LSN and the segment's descriptor to a writer thread, then
+    returns.  The writer fsyncs the WAL prefix the image covers (unless
+    already synced), checksums the image, writes, fsyncs and renames it,
+    fsyncs the directory and prunes; then it ends.  It is a POSIX
+    thread that never enters the OCaml runtime, so it never takes the
+    runtime lock the request thread runs under (the process still runs
+    OCaml on one domain).
     The next journaled operation learns that it has ended: on success
     the request thread rotates to a fresh segment; on a snapshot-file
     failure it keeps appending, with nothing pruned; on a failed
@@ -48,8 +49,10 @@
     skipped.  Until the rotation the current segment runs past the
     image's LSN, and {!recover} replays that tail from it.  The
     [wal.snapshot_encode_ns] histogram times the request thread's part
-    (encode, checksum and rotation), [wal.snapshot_write_ns] the
-    writer's.
+    (encode and rotation), [wal.snapshot_write_ns] the writer's.
+    [wal.append_ns] times each segment write (with its fsync, when the
+    policy asks for one): its count is the number of writes, against
+    [wal.groups] committed groups.
 
     The meta record and the snapshot header carry four bytes: a
     storage backend (0 row, 1 row plus a columnar mirror), an
@@ -82,8 +85,8 @@ open Coordination
     operation group (no committed operation can be lost); [Every_n n]
     fsyncs every [n] groups and on snapshot/close (bounded loss window,
     much cheaper); [Never] leaves flushing to the OS page cache (data
-    survives process crashes but not power loss).  The [durability]
-    bench ablation measures the per-submit cost of each. *)
+    survives process crashes but not power loss).  Inside a {!batch}
+    the policy applies once, to the batch's one write. *)
 type fsync_policy = Always | Every_n of int | Never
 
 val fsync_policy_to_string : fsync_policy -> string
@@ -152,6 +155,26 @@ val snapshot : t -> (unit, string) result
     @raise Wal_failed if the journal itself cannot be synced or its
     next segment cannot be opened. *)
 
+val batch : t -> (unit -> 'a) -> 'a
+(** [batch t f] runs [f] as one group commit: each group [f] commits is
+    encoded with its own commit flag, as outside a batch, but the
+    groups are written in one append, and fsynced under the policy,
+    when [f] returns (or raises).  A snapshot hand-off, {!snapshot},
+    {!close} and {!write_deferred} write them earlier.  Outside a
+    batch every group is written when it commits.  Nested batches are
+    one batch.
+
+    A caller that answers requests must let no response leave before
+    the group it acknowledges is written: [Server.step] runs its reads
+    and dispatch inside a batch and sends responses only after it.
+    @raise Wal_failed when the write or fsync fails. *)
+
+val write_deferred : t -> unit
+(** Write the groups a {!batch} has committed so far, now, as its end
+    would: for a caller that must send a response before the batch
+    ends.
+    @raise Wal_failed when the write or fsync fails. *)
+
 val journal_insert : t -> string -> Value.t list -> unit
 (** Journal an external tuple insert (e.g. a repl [fact] statement) as
     its own committed group.  The caller performs the actual
@@ -168,8 +191,9 @@ val current_segment : t -> string
 (** Path of the segment currently appended to. *)
 
 val wal_offset : t -> int
-(** Bytes written to the current segment (committed groups only — the
-    in-flight group buffers in memory until its [Op_end]). *)
+(** Bytes of written groups in the current segment.  The open group
+    (until its [Op_end]) and, inside a {!batch}, the groups committed
+    since the batch began are in memory, not counted. *)
 
 val synced_offset : t -> int
 (** Bytes of the current segment known fsynced ([<= wal_offset];
@@ -288,5 +312,7 @@ module Crc32 : sig
       ["123456789"] hashes to [0xCBF43926]. *)
 
   val bytes : ?crc:int -> Bytes.t -> int -> int -> int
-  (** [bytes ~crc b off len] continues a running checksum. *)
+  (** [bytes ~crc b off len] continues a running checksum.  One C
+      function, which the snapshot writer thread also uses.
+      @raise Invalid_argument when the range is outside [b]. *)
 end

@@ -1,9 +1,11 @@
 /* The snapshot writer: a job's system calls, and the thread that makes
-   them.
+   them; and the CRC-32 of WAL records and snapshot images.
 
    A job lives here, in C memory: the image's bytes, its paths, the
    segment to fsync first, the files to delete last and a test's
-   injected failure.  Its steps run one at a time on the calling thread
+   injected failure.  The image's checksum is taken by the step that
+   writes it, so the request thread only copies the bytes.  Its steps
+   run one at a time on the calling thread
    ([entangle_durable_job_step]), or on a writer thread of their own
    ([entangle_durable_job_start]); both run the same [step].
    That thread is a plain POSIX thread that never enters the OCaml
@@ -32,13 +34,72 @@
 #include <time.h>
 #include <unistd.h>
 
+/* ------------------------------ CRC32 ------------------------------ */
+
+/* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) by slicing by
+   eight: [crc_table[k][b]] is the CRC of byte [b] followed by [k] zero
+   bytes, so one step folds eight bytes with eight independent lookups
+   instead of a chain of eight.  The writer thread and the request
+   thread both use it, so the table is built once under [pthread_once]. */
+static uint32_t crc_table[8][256];
+static pthread_once_t crc_once = PTHREAD_ONCE_INIT;
+
+static void crc_init(void)
+{
+  for (uint32_t n = 0; n < 256; n++) {
+    uint32_t c = n;
+    for (int k = 0; k < 8; k++) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    crc_table[0][n] = c;
+  }
+  for (int k = 1; k < 8; k++)
+    for (int n = 0; n < 256; n++) {
+      uint32_t p = crc_table[k - 1][n];
+      crc_table[k][n] = (p >> 8) ^ crc_table[0][p & 0xff];
+    }
+}
+
+static uint32_t le32(const unsigned char *p)
+{
+  return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16
+         | (uint32_t)p[3] << 24;
+}
+
+/* Continue the checksum [crc] over [n] bytes at [p]. */
+static uint32_t crc32_update(uint32_t crc, const unsigned char *p, size_t n)
+{
+  pthread_once(&crc_once, crc_init);
+  uint32_t c = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = c ^ le32(p), hi = le32(p + 4);
+    c = crc_table[7][lo & 0xff] ^ crc_table[6][(lo >> 8) & 0xff]
+        ^ crc_table[5][(lo >> 16) & 0xff] ^ crc_table[4][lo >> 24]
+        ^ crc_table[3][hi & 0xff] ^ crc_table[2][(hi >> 8) & 0xff]
+        ^ crc_table[1][(hi >> 16) & 0xff] ^ crc_table[0][hi >> 24];
+  }
+  while (n-- > 0) c = crc_table[0][(c ^ *p++) & 0xff] ^ (c >> 8);
+  return ~c;
+}
+
+/* [entangle_durable_crc32 crc b off len]: [crc] continued over
+   [len] bytes of [b] from [off].  The caller checks the bounds; no
+   allocation, so OCaml calls it [@@noalloc]. */
+CAMLprim value entangle_durable_crc32(value v_crc, value v_b, value v_off,
+                                      value v_len)
+{
+  return Val_long(crc32_update((uint32_t)Long_val(v_crc),
+                               Bytes_val(v_b) + Long_val(v_off),
+                               (size_t)Long_val(v_len)));
+}
+
+/* ------------------------------- Jobs ------------------------------ */
+
 /* The steps, in order; the OCaml [step] type numbers them the same. */
 enum { SYNC_WAL, WRITE_TMP, RENAME, SYNC_DIR, PRUNE, DONE };
 
 struct job {
   char *dir, *tmp, *path;
-  char *image;  /* the snapshot file's bytes */
-  size_t len;
+  char *image;  /* the snapshot file's bytes: header, payload, CRC */
+  size_t len, header_len;
   int wal_fd;   /* the segment to fsync first, or -1 */
   char **victims;  /* paths [PRUNE] deletes; NULL skips the step */
   int nvictims;
@@ -80,18 +141,20 @@ static struct custom_operations job_ops = {
   custom_compare_ext_default, custom_fixed_length_default
 };
 
-/* [entangle_durable_job_create dir tmp path image wal victims fault]:
-   the job that writes the concatenated strings of [image] to [tmp],
-   renames it to [path] and fsyncs [dir]; first fsyncs [wal] when given,
-   and last deletes the paths of [victims] when given.  [fault], when
-   given, is a step and a [Unix.error]: that step fails with that error
-   in place of its system calls. */
+/* [entangle_durable_job_create dir tmp path header payload wal victims
+   fault]: the job that writes [header], [payload] and the payload's
+   CRC-32 (four bytes, little-endian) to [tmp], renames it to [path] and
+   fsyncs [dir]; first fsyncs [wal] when given, and last deletes the
+   paths of [victims] when given.  [fault], when given, is a step and a
+   [Unix.error]: that step fails with that error in place of its system
+   calls. */
 CAMLprim value entangle_durable_job_create(value v_dir, value v_tmp, value v_path,
-                                           value v_image, value v_wal,
-                                           value v_victims, value v_fault)
+                                           value v_header, value v_payload,
+                                           value v_wal, value v_victims,
+                                           value v_fault)
 {
-  CAMLparam5(v_dir, v_tmp, v_path, v_image, v_wal);
-  CAMLxparam2(v_victims, v_fault);
+  CAMLparam5(v_dir, v_tmp, v_path, v_header, v_payload);
+  CAMLxparam3(v_wal, v_victims, v_fault);
   CAMLlocal2(l, res);
   struct job *j = caml_stat_calloc_noexc(1, sizeof *j);
   if (j == NULL) caml_raise_out_of_memory();
@@ -104,15 +167,12 @@ CAMLprim value entangle_durable_job_create(value v_dir, value v_tmp, value v_pat
   j->dir = caml_stat_strdup(String_val(v_dir));
   j->tmp = caml_stat_strdup(String_val(v_tmp));
   j->path = caml_stat_strdup(String_val(v_path));
-  for (l = v_image; l != Val_emptylist; l = Field(l, 1))
-    j->len += caml_string_length(Field(l, 0));
-  j->image = caml_stat_alloc(j->len > 0 ? j->len : 1);
-  size_t off = 0;
-  for (l = v_image; l != Val_emptylist; l = Field(l, 1)) {
-    size_t n = caml_string_length(Field(l, 0));
-    memcpy(j->image + off, String_val(Field(l, 0)), n);
-    off += n;
-  }
+  j->header_len = caml_string_length(v_header);
+  size_t plen = caml_string_length(v_payload);
+  j->len = j->header_len + plen + 4;
+  j->image = caml_stat_alloc(j->len);
+  memcpy(j->image, String_val(v_header), j->header_len);
+  memcpy(j->image + j->header_len, String_val(v_payload), plen);
   j->wal_fd = Is_block(v_wal) ? Int_val(Field(v_wal, 0)) : -1;
   if (Is_block(v_victims)) {
     int n = 0;
@@ -134,11 +194,14 @@ CAMLprim value entangle_durable_job_create_bytecode(value *argv, int argn)
 {
   (void)argn;
   return entangle_durable_job_create(argv[0], argv[1], argv[2], argv[3],
-                                     argv[4], argv[5], argv[6]);
+                                     argv[4], argv[5], argv[6], argv[7]);
 }
 
 static int write_file(struct job *j)
 {
+  size_t n = j->len - j->header_len - 4;
+  uint32_t crc = crc32_update(0, (unsigned char *)j->image + j->header_len, n);
+  for (int k = 0; k < 4; k++) j->image[j->len - 4 + k] = (char)(crc >> (8 * k));
   int fd = open(j->tmp, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
     j->fn = "open";

@@ -338,8 +338,7 @@ let is_bare_constant s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
-let quote_string s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_quoted buf s =
   Buffer.add_char buf '\'';
   String.iter
     (fun c ->
@@ -350,29 +349,55 @@ let quote_string s =
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.add_char buf '\'';
+  Buffer.add_char buf '\''
+
+let add_value buf = function
+  | Value.Int n -> Buffer.add_string buf (Int.to_string n)
+  | Value.Bool b -> Buffer.add_string buf (Bool.to_string b)
+  | Value.Str s ->
+    if is_bare_constant s then Buffer.add_string buf s else add_quoted buf s
+
+let value_to_syntax v =
+  let buf = Buffer.create 16 in
+  add_value buf v;
   Buffer.contents buf
 
-let value_to_syntax = function
-  | Value.Int n -> string_of_int n
-  | Value.Bool b -> string_of_bool b
-  | Value.Str s -> if is_bare_constant s then s else quote_string s
+let add_atoms buf atoms =
+  List.iteri
+    (fun i (a : Cq.atom) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Buffer.add_string buf a.rel;
+      Buffer.add_char buf '(';
+      Array.iteri
+        (fun j t ->
+          if j > 0 then Buffer.add_string buf ", ";
+          match t with
+          | Term.Var x -> Buffer.add_string buf x
+          | Term.Const v -> add_value buf v)
+        a.args;
+      Buffer.add_char buf ')')
+    atoms
 
-let term_to_syntax = function
-  | Term.Var x -> x
-  | Term.Const v -> value_to_syntax v
-
-let atom_to_syntax (a : Cq.atom) =
-  Printf.sprintf "%s(%s)" a.rel
-    (String.concat ", " (Array.to_list (Array.map term_to_syntax a.args)))
+(* The journal prints every submitted query, so the printer reuses one
+   buffer. *)
+let printer = Buffer.create 256
 
 let query_to_string q =
-  let atoms atoms = String.concat ", " (List.map atom_to_syntax atoms) in
-  let body =
-    match q.Query.body.Cq.atoms with
-    | [] -> ""
-    | bs -> " :- " ^ atoms bs
-  in
-  let name = if q.Query.name = "" then "" else q.Query.name ^ ": " in
-  Printf.sprintf "query %s{ %s } %s%s." name (atoms q.Query.post)
-    (atoms q.Query.head) body
+  let buf = printer in
+  Buffer.clear buf;
+  Buffer.add_string buf "query ";
+  if q.Query.name <> "" then begin
+    Buffer.add_string buf q.Query.name;
+    Buffer.add_string buf ": "
+  end;
+  Buffer.add_string buf "{ ";
+  add_atoms buf q.Query.post;
+  Buffer.add_string buf " } ";
+  add_atoms buf q.Query.head;
+  (match q.Query.body.Cq.atoms with
+  | [] -> ()
+  | body ->
+    Buffer.add_string buf " :- ";
+    add_atoms buf body);
+  Buffer.add_char buf '.';
+  Buffer.contents buf

@@ -174,6 +174,17 @@ let estimate rel access =
       max_int cols
   | Full_scan -> Relation.cardinal rel
 
+(* Unplaced atoms in the order the greedy join order takes them: cost
+   class, then relation cardinality, then the larger atom index. *)
+module Pick = Set.Make (struct
+  type t = int * int * int  (* class, cardinality, atom index *)
+
+  let compare (c1, n1, i1) (c2, n2, i2) =
+    if c1 <> c2 then Int.compare c1 c2
+    else if n1 <> n2 then Int.compare n1 n2
+    else Int.compare i2 i1
+end)
+
 let compile ?(version = 0) lookup ~key (shape : shape) =
   let atoms = Array.of_list shape.sh_atoms in
   let rels =
@@ -182,40 +193,58 @@ let compile ?(version = 0) lookup ~key (shape : shape) =
   let n = Array.length atoms in
   let bound = Array.make shape.sh_nslots false in
   let placed = Array.make n false in
+  (* Per atom, its columns bound so far (constants from the start), and
+     per slot the atoms with a column on it, once per column: binding a
+     slot updates only those, so a k-atom shape is ordered in
+     O(k log k), not O(k^2). *)
+  let nbound =
+    Array.map
+      (fun (_, args) ->
+        Array.fold_left
+          (fun k a -> match a with Param _ -> k + 1 | Slot _ -> k)
+          0 args)
+      atoms
+  in
+  let users = Array.make shape.sh_nslots [] in
+  Array.iteri
+    (fun i (_, args) ->
+      Array.iter
+        (function Slot s -> users.(s) <- i :: users.(s) | Param _ -> ())
+        args)
+    atoms;
   (* Static cost class of atom [i] under the current bound-slot set:
      fully bound beats constant-indexed beats slot-indexed beats scan;
      relation cardinality (a compile-time statistic — constants are
      abstracted, so per-value counts are unavailable) breaks ties. *)
-  let assess i =
+  let rank i =
     let _, args = atoms.(i) in
-    let total = Array.length args in
-    let bound_cols = ref 0 and has_param = ref false in
-    Array.iter
-      (fun a ->
-        match a with
-        | Param _ ->
-          incr bound_cols;
-          has_param := true
-        | Slot s -> if bound.(s) then incr bound_cols)
-      args;
     let card = Relation.cardinal rels.(i) in
-    if !bound_cols = total then (0, 0)
-    else if !bound_cols > 0 then ((if !has_param then 1 else 2), card)
-    else (3, card)
+    if nbound.(i) = Array.length args then (0, 0, i)
+    else if nbound.(i) > 0 then
+      ( (if Array.exists (function Param _ -> true | Slot _ -> false) args
+         then 1
+         else 2),
+        card,
+        i )
+    else (3, card, i)
+  in
+  let unplaced = ref (Pick.of_list (List.init n rank)) in
+  let bind s =
+    bound.(s) <- true;
+    List.iter
+      (fun j ->
+        if not placed.(j) then begin
+          unplaced := Pick.remove (rank j) !unplaced;
+          nbound.(j) <- nbound.(j) + 1;
+          unplaced := Pick.add (rank j) !unplaced
+        end)
+      users.(s)
   in
   let steps = ref [] in
   let ests = ref [] in
   for _stage = 0 to n - 1 do
-    let best = ref None in
-    for i = n - 1 downto 0 do
-      if not placed.(i) then begin
-        let w = assess i in
-        match !best with
-        | Some (bw, _) when bw <= w -> ()
-        | _ -> best := Some (w, i)
-      end
-    done;
-    let i = match !best with Some (_, i) -> i | None -> assert false in
+    let ((_, _, i) as best) = Pick.min_elt !unplaced in
+    unplaced := Pick.remove best !unplaced;
     placed.(i) <- true;
     let rel, args = atoms.(i) in
     (* Access path from the slots bound *before* this stage. *)
@@ -245,7 +274,7 @@ let compile ?(version = 0) lookup ~key (shape : shape) =
           | Slot s ->
             if bound.(s) then Check_slot s
             else begin
-              bound.(s) <- true;
+              bind s;
               Bind s
             end)
         args

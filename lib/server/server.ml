@@ -491,9 +491,11 @@ let drain_frames t s =
       let n = Int32.to_int (String.get_int32_be s.inb 0) in
       if n < 0 || n > t.cfg.max_frame then begin
         (* Framing is no longer trustworthy past an insane length;
-           answer once, then drop the session. *)
+           answer once, then drop the session.  The answer leaves now,
+           so the groups of the responses before it are written first. *)
         enqueue t s
           (error_frame Json.Null "frame_too_large");
+        Option.iter Durable.write_deferred t.binding.durable;
         (try
            ignore
              (Unix.write_substring s.fd s.out 0 (String.length s.out))
@@ -591,9 +593,21 @@ let step ?(timeout = 0.05) t =
       List.iter
         (fun s -> if (not s.dead) && List.mem s.fd wr then write_session t s)
         sess;
-      List.iter
-        (fun s -> if (not s.dead) && List.mem s.fd rd then read_session t s)
-        sess;
+      (* One group commit for the round: no response leaves before the
+         groups it acknowledges are written.  When they cannot be, the
+         server stops with no unsent response leaving. *)
+      let read () =
+        List.iter
+          (fun s -> if (not s.dead) && List.mem s.fd rd then read_session t s)
+          sess
+      in
+      (match t.binding.durable with
+      | None -> read ()
+      | Some d -> (
+        try Durable.batch d read
+        with Durable.Wal_failed _ as e ->
+          List.iter (fun s -> s.out <- "") sess;
+          raise e));
       (* Push responses produced this round without waiting for the
          next select — interactive latency, and frames reach a client
          that disconnects right after its request. *)

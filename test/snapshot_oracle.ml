@@ -75,7 +75,7 @@ let encode ~(db : Database.t) engine =
   list b
     (fun b (id, query) ->
       u32 b id;
-      str b (Entangled.Parser.query_to_string query))
+      str b (Printer_oracle.query_to_string query))
     (Online.pending_entries engine);
   Buffer.contents b
 

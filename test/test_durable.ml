@@ -837,11 +837,22 @@ let test_snapshot_bytes () =
     let file =
       Filename.concat dir (Printf.sprintf "snap-%020Ld.img" (Durable.last_lsn wal))
     in
-    let got = Snapshot_oracle.payload_of_file (read_file file) in
+    let data = read_file file in
+    let got = Snapshot_oracle.payload_of_file data in
     let want = Snapshot_oracle.encode ~db engine in
     if got <> want then
       Alcotest.failf "%s: %d payload bytes differ from the reference's %d" ctx
-        (String.length got) (String.length want)
+        (String.length got) (String.length want);
+    (* The writer thread took the image's checksum in C. *)
+    let payload = Bytes.of_string got in
+    Alcotest.(check int)
+      (ctx ^ ": stored checksum is the reference CRC")
+      (Crc32_oracle.bytes payload 0 (Bytes.length payload))
+      (Int32.to_int (String.get_int32_le data (String.length data - 4))
+      land 0xFFFFFFFF);
+    Alcotest.(check int) (ctx ^ ": Crc32 on the image")
+      (Crc32_oracle.bytes payload 0 (Bytes.length payload))
+      (Durable.Crc32.string got)
   in
   for i = 1 to 400 do
     let ctx = Printf.sprintf "op %d" i in
@@ -902,6 +913,25 @@ let test_crc32_vector () =
         Alcotest.failf "crc32 off %d len %d differs from the bytewise one" off len
     done
   done
+
+(* The C checksum against the OCaml slicing-by-8 it replaced, on random
+   ranges of random bytes, continued from a random running value. *)
+let crc32_matches_oracle =
+  qtest ~count:2000 "crc32 equals the OCaml reference"
+    QCheck.(
+      make
+        ~print:(fun (s, off, len, crc) ->
+          Printf.sprintf "%S off %d len %d crc %d" s off len crc)
+        Gen.(
+          let* len = int_range 0 300 in
+          let* off = int_range 0 9 in
+          let* slack = int_range 0 3 in
+          let* s = string_size ~gen:char (return (off + len + slack)) in
+          let* crc = oneof [ return 0; int_range 0 0xFFFFFFFF ] in
+          return (s, off, len, crc)))
+    (fun (s, off, len, crc) ->
+      let b = Bytes.of_string s in
+      Durable.Crc32.bytes ~crc b off len = Crc32_oracle.bytes ~crc b off len)
 
 let test_fsync_policy_strings () =
   List.iter
@@ -1130,4 +1160,5 @@ let suite =
       test_close_in_flight;
     Alcotest.test_case "snapshot bytes equal the reference encoder's" `Quick
       test_snapshot_bytes;
+    crc32_matches_oracle;
   ]

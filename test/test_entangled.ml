@@ -548,6 +548,40 @@ let suite =
       (fun q ->
         let q' = Parser.parse_query (Parser.query_to_string q) in
         Query.equal q q');
+    qtest ~count:1000 "printer equals the reference printer"
+      (let gen_str =
+         QCheck.Gen.(
+           oneof
+             [
+               oneofl [ ""; "Zurich"; "t4"; "New York"; "O'Hare"; "a\\b"; "x\ny"; "Z_9" ];
+               string_size ~gen:(oneofl [ 'a'; 'Q'; '\''; '\\'; '\n'; ' '; '_'; '7' ])
+                 (int_range 0 5);
+             ])
+       in
+       let gen_term =
+         QCheck.Gen.(
+           oneof
+             [
+               map Term.var (oneofl [ "x"; "y"; "w1" ]);
+               map Term.int (oneof [ int_range (-1000) 1000; oneofl [ min_int; max_int ] ]);
+               map (fun b -> Term.Const (Relational.Value.bool b)) bool;
+               map Term.str gen_str;
+             ])
+       in
+       let gen_atom =
+         QCheck.Gen.(
+           let* rel = oneofl [ "R"; "Flights"; "F_2" ] in
+           let* args = list_size (int_range 0 3) gen_term in
+           return { Cq.rel; args = Array.of_list args })
+       in
+       QCheck.make ~print:Printer_oracle.query_to_string
+         QCheck.Gen.(
+           let* name = oneofl [ ""; "g"; "q_1" ] in
+           let* post = list_size (int_range 0 2) gen_atom in
+           let* head = list_size (int_range 1 2) gen_atom in
+           let* body = list_size (int_range 0 3) gen_atom in
+           return (Query.make ~name ~post ~head body)))
+      (fun q -> Parser.query_to_string q = Printer_oracle.query_to_string q);
     qtest ~count:400 "apply is idempotent" QCheck.(pair atom_arb atom_arb)
       (fun (a, b) ->
         match Subst.unify_atoms Subst.empty a b with

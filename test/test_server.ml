@@ -710,49 +710,122 @@ let test_internal_error () =
   Alcotest.check obs_t "the WAL holds the live state" (observe db engine)
     (recovered_state dir)
 
-(* A WAL write failure is fail-stop, not an [internal_error]: [step]
-   raises [Durable.Wal_failed] and the request gets no response.  The
-   handle stays failed, so no later mutating request — from any session,
-   after the fault itself has cleared — is answered either, and the
-   WAL still recovers to the state before the failed write. *)
-let test_wal_failure_stops () =
-  with_durable_server "walfail" @@ fun dir db engine srv conn bystander ->
-  let last_good = observe db engine in
-  let expect_stop ctx c req =
-    Server.Client.send c req;
-    let rec go tries =
-      if tries > 200 then Alcotest.failf "%s: the server kept running" ctx
-      else
-        match Server.step ~timeout:0.01 srv with
-        | _ -> go (tries + 1)
-        | exception Durable.Wal_failed _ -> ()
-    in
-    go 0;
-    List.iter
-      (fun c ->
-        Option.iter
-          (fun fr -> Alcotest.failf "%s: answered %s" ctx (Json.to_string fr))
-          (Server.Client.try_recv c))
-      [ conn; bystander ]
+(* A pipelined restock as perfbench's market sends it: 32 inserts and a
+   flush in one write. *)
+let restock_bytes () =
+  String.concat ""
+    (List.init 32 (fun i ->
+         raw_frame
+           (Printf.sprintf
+              {|{"id":%d,"op":"insert","rel":"F","tuple":[%d,"Oslo"]}|} i
+              (500 + i)))
+    @ [ raw_frame {|{"id":32,"op":"flush"}|} ])
+
+let send_raw fd data =
+  ignore (Unix.write_substring fd data 0 (String.length data) : int)
+
+let readable fd =
+  match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
+let wal_writes () =
+  Option.fold ~none:0 ~some:Obs.Histogram.count
+    (Obs.Histogram.find "wal.append_ns")
+
+let wal_groups () =
+  Option.fold ~none:0 ~some:Obs.Counter.value (Obs.Counter.find "wal.groups")
+
+(* Group commit per step: the restock's 33 groups (the flush fires a
+   pair waiting for an Oslo flight) are committed one by one but
+   written in one append, and a response leaves only after it: when the
+   first one can be read, the segment already holds all 33, so a
+   restart recovers the live state. *)
+let test_group_commit_per_step () =
+  with_durable_server "batch" @@ fun dir db engine srv conn _ ->
+  List.iter
+    (fun q ->
+      ignore
+        (rpc_ok ~ctx:"waiting pair" srv conn
+           (Json.Obj [ ("op", Json.Str "submit"); ("query", Json.Str q) ])))
+    [
+      "qa: { R(G1, y) } R(G0, x) :- F(x, Oslo).";
+      "qb: { R(G0, y) } R(G1, x) :- F(x, Oslo).";
+    ];
+  let fd = raw_connect srv in
+  let groups0 = wal_groups () and writes0 = wal_writes () in
+  send_raw fd (restock_bytes ());
+  let rec go tries =
+    if tries > 200 then Alcotest.fail "no response to the restock"
+    else if not (readable fd) then begin
+      ignore (Server.step ~timeout:0.01 srv);
+      go (tries + 1)
+    end
   in
-  let before = incidents () in
-  Durable.inject_journal_failure (Some (Unix.Unix_error (Unix.EIO, "write", "")));
-  expect_stop "insert under EIO" conn
-    (Json.Obj
-       [ ("op", Json.Str "insert"); ("rel", Json.Str "F");
-         ("tuple", Json.Arr [ Json.Int 300; Json.Str "Oslo" ]) ]);
-  Durable.inject_journal_failure None;
-  Alcotest.(check int) "one incident recorded" (before + 1) (incidents ());
-  expect_stop "submit after the fault cleared" bystander
-    (Json.Obj
-       [ ("op", Json.Str "submit");
-         ("query", Json.Str "qa: { } R(A, x) :- F(x, Zurich).") ]);
-  expect_stop "create_table after the fault cleared" conn
-    (Json.Obj
-       [ ("op", Json.Str "create_table"); ("name", Json.Str "G");
-         ("attrs", Json.Arr [ Json.Str "a" ]) ]);
-  Alcotest.check obs_t "the WAL recovers the state before the failure"
-    last_good (recovered_state dir)
+  go 0;
+  Alcotest.(check int) "33 groups committed" 33 (wal_groups () - groups0);
+  Alcotest.(check int) "one segment write" 1 (wal_writes () - writes0);
+  Alcotest.check obs_t "the segment holds every group of the batch"
+    (observe db engine) (recovered_state dir);
+  Alcotest.(check int) "the flush fired the pair" 2
+    (Online.total_coordinated engine);
+  Unix.close fd
+
+(* A WAL write failure is fail-stop, not an [internal_error]: [step]
+   raises [Durable.Wal_failed] and no request of the failed write gets
+   a response — a single insert, or each frame of a pipelined batch.
+   The handle stays failed, so no later mutating request — from any
+   session, after the fault itself has cleared — is answered either,
+   and the WAL still recovers to the state before the failed write. *)
+let test_wal_failure_stops () =
+  let scenario tag ctx send_first =
+    with_durable_server tag @@ fun dir db engine srv conn bystander ->
+    let fd = raw_connect srv in
+    let last_good = observe db engine in
+    let expect_stop ctx send =
+      send ();
+      let rec go tries =
+        if tries > 200 then Alcotest.failf "%s: the server kept running" ctx
+        else
+          match Server.step ~timeout:0.01 srv with
+          | _ -> go (tries + 1)
+          | exception Durable.Wal_failed _ -> ()
+      in
+      go 0;
+      pump srv;
+      List.iter
+        (fun c ->
+          Option.iter
+            (fun fr -> Alcotest.failf "%s: answered %s" ctx (Json.to_string fr))
+            (Server.Client.try_recv c))
+        [ conn; bystander ];
+      if readable fd then Alcotest.failf "%s: answered the raw session" ctx
+    in
+    let before = incidents () in
+    Durable.inject_journal_failure
+      (Some (Unix.Unix_error (Unix.EIO, "write", "")));
+    expect_stop ctx (fun () -> send_first conn fd);
+    Durable.inject_journal_failure None;
+    Alcotest.(check int) "one incident recorded" (before + 1) (incidents ());
+    expect_stop "submit after the fault cleared" (fun () ->
+        Server.Client.send bystander
+          (Json.Obj
+             [ ("op", Json.Str "submit");
+               ("query", Json.Str "qa: { } R(A, x) :- F(x, Zurich).") ]));
+    expect_stop "create_table after the fault cleared" (fun () ->
+        Server.Client.send conn
+          (Json.Obj
+             [ ("op", Json.Str "create_table"); ("name", Json.Str "G");
+               ("attrs", Json.Arr [ Json.Str "a" ]) ]));
+    Alcotest.check obs_t "the WAL recovers the state before the failure"
+      last_good (recovered_state dir);
+    Unix.close fd
+  in
+  scenario "walfail" "insert under EIO" (fun conn _ ->
+      Server.Client.send conn
+        (Json.Obj
+           [ ("op", Json.Str "insert"); ("rel", Json.Str "F");
+             ("tuple", Json.Arr [ Json.Int 300; Json.Str "Oslo" ]) ]));
+  scenario "walfail-batch" "pipelined restock under EIO" (fun _ fd ->
+      send_raw fd (restock_bytes ()))
 
 (* A \u-escaped surrogate pair decodes to the same UTF-8 bytes as the
    raw character, so a constant spelled escaped in one request and raw
@@ -843,6 +916,8 @@ let suite =
       test_client_peer_closes;
     Alcotest.test_case "an unknown exception is an internal_error frame"
       `Quick test_internal_error;
+    Alcotest.test_case "a pipelined batch is one WAL write" `Quick
+      test_group_commit_per_step;
     Alcotest.test_case "a WAL write failure stops the server" `Quick
       test_wal_failure_stops;
     Alcotest.test_case "escaped and raw spellings of a constant coordinate"
