@@ -40,8 +40,9 @@ module Journal = struct
 end
 
 (* One pooled query.  [query] is the query as submitted (journaled and
-   reported); [renamed] is the same query renamed apart once, at
-   admission, by its pool id ({!Query.rename_apart}).  [out] holds the
+   reported); an evaluation renames it apart by its pool id
+   ({!Query.rename_apart}) when it builds the component's graph, so
+   a pending entry keeps one copy of the query.  [out] holds the
    entry's outgoing extended coordination edges, [src] = its own id and
    [dst] a live pool id (itself for a self-loop): together the entries'
    out-lists are the pool's coordination graph, discovered once at
@@ -59,7 +60,6 @@ end
 type entry = {
   id : int;
   query : Query.t;
-  renamed : Query.t;
   mutable out : Coordination_graph.edge list;
   mutable comp : int;
   mutable quiet : bool;
@@ -339,7 +339,6 @@ let admit engine ~id query =
     {
       id;
       query;
-      renamed = Query.rename_apart id query;
       out;
       comp = id;
       quiet = false;
@@ -499,7 +498,8 @@ let component_graph engine ids =
   in
   let members = List.map (Hashtbl.find engine.entries) ids in
   Coordination_graph.of_edges
-    (Array.of_list (List.map (fun e -> e.renamed) members))
+    (Array.of_list
+       (List.map (fun e -> Query.rename_apart e.id e.query) members))
     (List.concat_map
        (fun e ->
          List.map

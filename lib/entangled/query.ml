@@ -37,21 +37,35 @@ let answer_relations q = distinct_rels (q.post @ q.head)
 
 let body_relations q = distinct_rels q.body.atoms
 
+(* Each distinct variable is renamed once, and its occurrences share
+   the renamed term: an evaluation renames every member of the
+   component it solves. *)
 let rename ~prefix q =
-  let f x = prefix ^ x in
-  let rename_atom (a : Cq.atom) =
-    { a with args = Array.map (Term.rename f) a.args }
+  let renamed = ref [] in
+  let term = function
+    | Term.Const _ as t -> t
+    | Term.Var x ->
+      let rec find = function
+        | (y, t) :: rest -> if String.equal x y then t else find rest
+        | [] ->
+          let t = Term.Var (prefix ^ x) in
+          renamed := (x, t) :: !renamed;
+          t
+      in
+      find !renamed
   in
+  let rename_atom (a : Cq.atom) = { a with args = Array.map term a.args } in
   {
     q with
     post = List.map rename_atom q.post;
     head = List.map rename_atom q.head;
-    body = Cq.rename_variables f q.body;
+    body = { Cq.atoms = List.map rename_atom q.body.Cq.atoms };
   }
 
 let rename_apart i q =
-  let q = rename ~prefix:(Printf.sprintf "q%d." i) q in
-  if q.name = "" then { q with name = Printf.sprintf "q%d" i } else q
+  let name = "q" ^ string_of_int i in
+  let q = rename ~prefix:(name ^ ".") q in
+  if q.name = "" then { q with name } else q
 
 let rename_set qs = Array.of_list (List.mapi rename_apart qs)
 

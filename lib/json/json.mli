@@ -19,7 +19,18 @@ val parse : string -> (t, string) result
     escape, an unpaired surrogate and trailing bytes are all [Error]
     with the byte offset.  A [\u]-escaped surrogate pair decodes to the
     same UTF-8 bytes as the raw character.  A number token that is an
-    OCaml [int] becomes [Int], any other number [Float]. *)
+    OCaml [int] becomes [Int], any other number [Float].  The scanner
+    reads by index: a string without escapes is one [String.sub] and
+    an integer of at most 18 digits is read in place. *)
+
+val parse_slice : string -> int -> int -> (t, string) result
+(** [parse_slice s off len] is [parse (String.sub s off len)] without
+    the copy: error offsets count from [off].  The server parses each
+    frame in place in its session buffer this way.
+    @raise Invalid_argument if [off] and [len] are not a range of [s]. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** [to_buffer b v] appends [to_string v] to [b]. *)
 
 val to_string : t -> string
 (** Compact rendering, no whitespace.  Floats print with [%.12g]; a

@@ -35,12 +35,6 @@ let is_ground q =
     (fun a -> Array.for_all Term.is_const a.args)
     q.atoms
 
-let rename_variables f q =
-  {
-    atoms =
-      List.map (fun a -> { a with args = Array.map (Term.rename f) a.args }) q.atoms;
-  }
-
 let substitute_atom f a =
   let subst_term = function
     | Term.Var x as t -> Option.value ~default:t (f x)

@@ -106,7 +106,7 @@ let grown_since db version =
 (* ------------------------------------------------------------------ *)
 
 let prepare db q =
-  let key, shape, binding = Plan.canonicalize q in
+  let key, binding = Plan.canonicalize q in
   let plan =
     match Hashtbl.find_opt db.plan_cache key with
     | Some plan ->
@@ -118,9 +118,7 @@ let prepare db q =
       plan
     | None ->
       db.counters.plan_misses <- db.counters.plan_misses + 1;
-      let plan =
-        Plan.compile ~version:!(db.version) (relation_opt db) ~key shape
-      in
+      let plan = Plan.compile ~version:!(db.version) (relation_opt db) q in
       Hashtbl.add db.plan_cache key plan;
       plan
   in

@@ -88,65 +88,86 @@ type shape = {
   sh_nparams : int;
 }
 
+(* [canonicalize] runs on every probe, so it reuses one key buffer and
+   one slot table (it is not reentrant) and builds no shape: a plan-cache
+   hit needs only the key and the binding. *)
+let key_buf = Buffer.create 64
+
+let slot_table : (string, int) Hashtbl.t = Hashtbl.create 16
+
 let canonicalize (q : Cq.t) =
-  let var_ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let var_names = ref [] in
-  let params = ref [] in
+  let buf = key_buf and slots = slot_table in
+  Buffer.clear buf;
+  if Hashtbl.length slots > 64 then Hashtbl.reset slots else Hashtbl.clear slots;
   let nparams = ref 0 in
-  let buf = Buffer.create 64 in
-  let catoms =
+  List.iter
+    (fun (a : Cq.atom) ->
+      Buffer.add_string buf a.rel;
+      Buffer.add_char buf '(';
+      Array.iter
+        (function
+          | Term.Const _ ->
+            incr nparams;
+            Buffer.add_string buf "p,"
+          | Term.Var x ->
+            let s =
+              match Hashtbl.find_opt slots x with
+              | Some s -> s
+              | None ->
+                let s = Hashtbl.length slots in
+                Hashtbl.add slots x s;
+                s
+            in
+            Buffer.add_char buf 's';
+            if s < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + s))
+            else Buffer.add_string buf (string_of_int s);
+            Buffer.add_char buf ',')
+        a.args;
+      Buffer.add_string buf ");")
+    q.atoms;
+  let params = Array.make !nparams (Value.Int 0) in
+  let k = ref 0 in
+  List.iter
+    (fun (a : Cq.atom) ->
+      Array.iter
+        (function
+          | Term.Const v ->
+            params.(!k) <- v;
+            incr k
+          | Term.Var _ -> ())
+        a.args)
+    q.atoms;
+  let var_names = Array.make (Hashtbl.length slots) "" in
+  Hashtbl.iter (fun x s -> var_names.(s) <- x) slots;
+  (Buffer.contents buf, { params; var_names })
+
+let key q = fst (canonicalize q)
+
+(* The shape [binding] is the residue of: each variable takes the slot
+   [binding] names it in, each constant the next parameter position. *)
+let shape_of (q : Cq.t) (binding : binding) =
+  let slot = Hashtbl.create 16 in
+  Array.iteri (fun s x -> Hashtbl.replace slot x s) binding.var_names;
+  let nparams = ref 0 in
+  let atoms =
     List.map
       (fun (a : Cq.atom) ->
-        Buffer.add_string buf a.rel;
-        Buffer.add_char buf '(';
-        let args =
+        ( a.rel,
           Array.map
-            (fun t ->
-              match t with
-              | Term.Const v ->
+            (function
+              | Term.Const _ ->
                 let j = !nparams in
                 incr nparams;
-                params := v :: !params;
-                Buffer.add_string buf "p,";
                 Param j
-              | Term.Var x ->
-                let s =
-                  match Hashtbl.find_opt var_ids x with
-                  | Some s -> s
-                  | None ->
-                    let s = Hashtbl.length var_ids in
-                    Hashtbl.add var_ids x s;
-                    var_names := x :: !var_names;
-                    s
-                in
-                Buffer.add_char buf 's';
-                Buffer.add_string buf (string_of_int s);
-                Buffer.add_char buf ',';
-                Slot s)
-            a.args
-        in
-        Buffer.add_string buf ");";
-        (a.rel, args))
+              | Term.Var x -> Slot (Hashtbl.find slot x))
+            a.args ))
       q.atoms
   in
-  let shape =
-    {
-      sh_atoms = catoms;
-      sh_nslots = Hashtbl.length var_ids;
-      sh_nparams = !nparams;
-    }
-  in
-  let binding =
-    {
-      params = Array.of_list (List.rev !params);
-      var_names = Array.of_list (List.rev !var_names);
-    }
-  in
-  (Buffer.contents buf, shape, binding)
-
-let key q =
-  let k, _, _ = canonicalize q in
-  k
+  {
+    sh_atoms = atoms;
+    sh_nslots = Array.length binding.var_names;
+    sh_nparams = !nparams;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                        *)
@@ -185,7 +206,9 @@ module Pick = Set.Make (struct
     else Int.compare i2 i1
 end)
 
-let compile ?(version = 0) lookup ~key (shape : shape) =
+let compile ?(version = 0) lookup q =
+  let key, binding = canonicalize q in
+  let shape = shape_of q binding in
   let atoms = Array.of_list shape.sh_atoms in
   let rels =
     Array.map (fun (rel, args) -> resolve lookup rel (Array.length args)) atoms

@@ -1,8 +1,8 @@
 (** Compile-once conjunctive-query plans.
 
-    {!canonicalize} lowers a {!Cq.t} to a *shape*: variables become
+    {!canonicalize} lowers a {!Cq.t} to a *shape* key: variables become
     integer slots (numbered in first-occurrence order) and constants
-    become positional parameters.  The shape's {e key} identifies every
+    become positional parameters.  The {e key} identifies every
     query isomorphic to it — same relation symbols and term pattern,
     constants abstracted — so a per-database table keyed on it serves as
     a plan cache for the thousands of isomorphic probes the coordination
@@ -63,20 +63,19 @@ type binding = {
 (** The per-instance residue of canonicalization — what distinguishes a
     specific query from the shared shape. *)
 
-type shape
-
-val canonicalize : Cq.t -> string * shape * binding
-(** [canonicalize q] is [(key, shape, binding)].  Two queries get equal
-    keys iff they are isomorphic (equal up to variable renaming and
-    constant values); such queries can execute the same compiled plan
-    under their own [binding]. *)
+val canonicalize : Cq.t -> string * binding
+(** [canonicalize q] is [(key, binding)].  Two queries get equal keys
+    iff they are isomorphic (equal up to variable renaming and constant
+    values); such queries can execute the same compiled plan under their
+    own [binding].  Every probe runs it, so it builds no shape (that is
+    {!compile}'s, on a cache miss) and reuses one buffer and one table
+    across calls. *)
 
 val key : Cq.t -> string
 (** Just the cache key of {!canonicalize}. *)
 
-val compile :
-  ?version:int -> (string -> Relation.t option) -> key:string -> shape -> t
-(** [compile ?version lookup ~key shape] chooses the join order and
+val compile : ?version:int -> (string -> Relation.t option) -> Cq.t -> t
+(** [compile ?version lookup q] chooses the join order and
     access paths.  Relation cardinalities (from [lookup]) break ties;
     per-constant selectivities cannot be used — constants are
     abstracted — which is what makes the result safely shareable across

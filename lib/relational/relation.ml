@@ -32,7 +32,7 @@ type t = {
   mutable n_deletes : int;
   (* Row ids of the live tuples in [Tuple.compare] order as of the last
      [iter_sorted], which saw rows [0, sorted_upto); compaction
-     renumbers rows and drops both. *)
+     renumbers both through its old-to-new row map. *)
   mutable sorted_rows : int array;
   mutable sorted_upto : int;
 }
@@ -120,25 +120,42 @@ let insert r t =
 let insert_list r ts = List.iter (fun t -> ignore (insert r t)) ts
 
 (* Rebuild the store with only live rows; indexes are dropped and will
-   be rebuilt lazily on next use. *)
+   be rebuilt lazily on next use.  Live rows keep their relative order,
+   so the sorted order of the last [iter_sorted] survives renumbered:
+   its live rows map to their new ids, and the rows it saw are the
+   live rows below its old mark. *)
 let compact r =
   let tuples = Vec.create () in
   let live = Vec.create () in
   let present = Tuple.Hashtbl.create (max 64 (cardinal r)) in
+  let renumbered = Array.make (Vec.length r.tuples) (-1) in
+  let sorted_upto = ref 0 in
   Vec.iteri
     (fun row t ->
       if Vec.get r.live row then begin
-        Tuple.Hashtbl.add present t (Vec.length tuples);
+        let fresh = Vec.length tuples in
+        renumbered.(row) <- fresh;
+        if row < r.sorted_upto then incr sorted_upto;
+        Tuple.Hashtbl.add present t fresh;
         Vec.push tuples t;
         Vec.push live true
       end)
     r.tuples;
+  let sorted = Array.make !sorted_upto 0 and k = ref 0 in
+  Array.iter
+    (fun row ->
+      let fresh = renumbered.(row) in
+      if fresh >= 0 then begin
+        sorted.(!k) <- fresh;
+        incr k
+      end)
+    r.sorted_rows;
   r.tuples <- tuples;
   r.live <- live;
   r.present <- present;
   r.dead_count <- 0;
-  r.sorted_rows <- [||];
-  r.sorted_upto <- 0;
+  r.sorted_rows <- sorted;
+  r.sorted_upto <- !sorted_upto;
   r.indexes <- Array.make (arity r) None;
   (* Keep the first-argument bucket counters alive across compaction
      (the other indexes rebuild lazily as before). *)

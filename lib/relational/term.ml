@@ -22,8 +22,6 @@ let pp ppf = function
   | Var x -> Format.pp_print_string ppf x
   | Const v -> Value.pp ppf v
 
-let rename f = function Var x -> Var (f x) | Const _ as t -> t
-
 module Ordered = struct
   type nonrec t = t
 

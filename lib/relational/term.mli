@@ -21,9 +21,5 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 (** Variables print bare; constants print via {!Value.pp}. *)
 
-val rename : (string -> string) -> t -> t
-(** [rename f t] applies [f] to the name of a variable, leaves constants
-    unchanged. *)
-
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

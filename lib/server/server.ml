@@ -23,13 +23,96 @@ module Json = Json
 
 (* ----------------------------- framing ---------------------------- *)
 
-let frame json =
-  let payload = Json.to_string json in
-  let n = String.length payload in
-  let b = Bytes.create (4 + n) in
-  Bytes.set_int32_be b 0 (Int32.of_int n);
-  Bytes.blit_string payload 0 b 4 n;
-  Bytes.unsafe_to_string b
+(* A session's inbound or outbound bytes, live in [bytes.[off, len)]:
+   reads and frames append at [len], frames and writes take from [off].
+   Once [off] passes half the capacity the live bytes move to the
+   front, and a buffer grown past 64 KiB by a large frame shrinks back
+   to its first capacity when it empties. *)
+module Buf = struct
+  type t = {
+    mutable bytes : Bytes.t;
+    mutable off : int;
+    mutable len : int;
+    base : int;  (* the first capacity *)
+  }
+
+  let create base = { bytes = Bytes.create base; off = 0; len = 0; base }
+
+  let length b = b.len - b.off
+
+  let is_empty b = b.off = b.len
+
+  let clear b =
+    b.off <- 0;
+    b.len <- 0;
+    if Bytes.length b.bytes > 65536 then b.bytes <- Bytes.create b.base
+
+  let move_live b bytes =
+    let live = length b in
+    Bytes.blit b.bytes b.off bytes 0 live;
+    b.bytes <- bytes;
+    b.off <- 0;
+    b.len <- live
+
+  (* Room for [n] more bytes at [len]: the live bytes move to the front
+     when that makes the room, else to a buffer twice as large.  Only
+     consumed bytes leave room at the front, so the live bytes move at
+     most once between two consumes. *)
+  let reserve b n =
+    let cap = Bytes.length b.bytes in
+    if b.len + n > cap then
+      if length b + n <= cap then move_live b b.bytes
+      else move_live b (Bytes.create (max (2 * cap) (length b + n)))
+
+  let consume b n =
+    b.off <- b.off + n;
+    if b.off = b.len then clear b
+    else if b.off > Bytes.length b.bytes / 2 then move_live b b.bytes
+
+  (* One [read] of up to the free space, at least 8 KiB of it: the byte
+     count, 0 at EOF. *)
+  let read fd b =
+    reserve b 8192;
+    let n = Unix.read fd b.bytes b.len (Bytes.length b.bytes - b.len) in
+    b.len <- b.len + n;
+    n
+
+  (* One [write] of the live bytes; what it took is consumed. *)
+  let write fd b = consume b (Unix.write fd b.bytes b.off (length b))
+
+  (* Responses are printed into one reused buffer, then copied behind
+     their length prefix. *)
+  let printer = Buffer.create 256
+
+  let add_frame b json =
+    Buffer.clear printer;
+    Json.to_buffer printer json;
+    let n = Buffer.length printer in
+    reserve b (4 + n);
+    Bytes.set_int32_be b.bytes b.len (Int32.of_int n);
+    Buffer.blit printer 0 b.bytes (b.len + 4) n;
+    b.len <- b.len + 4 + n;
+    if n > 65536 then Buffer.reset printer
+
+  (* The next frame's payload length, once its 4-byte prefix is in. *)
+  let has_prefix b = length b >= 4
+
+  let prefix b = Int32.to_int (Bytes.get_int32_be b.bytes b.off)
+
+  (* Parse the [n]-byte payload behind the prefix in place, then consume
+     the frame.  The parser copies what it keeps, so the bytes may be
+     reused once it returns. *)
+  let take_frame b n =
+    let r = Json.parse_slice (Bytes.unsafe_to_string b.bytes) (b.off + 4) n in
+    consume b (4 + n);
+    r
+end
+
+(* First capacities: an inbound buffer takes reads of 8 KiB with a
+   partial frame left over. *)
+let inbound = 16384
+
+let outbound = 4096
 
 (* ---------------------------- metrics ----------------------------- *)
 
@@ -94,8 +177,8 @@ type binding = {
 type session = {
   sid : int;
   fd : Unix.file_descr;
-  mutable inb : string;  (* inbound bytes not yet framed *)
-  mutable out : string;  (* outbound bytes not yet written *)
+  inb : Buf.t;  (* inbound bytes not yet framed *)
+  out : Buf.t;  (* outbound bytes not yet written *)
   mutable subscribed : bool;
   mutable dead : bool;
 }
@@ -214,8 +297,8 @@ let sweep t =
 
 let enqueue t s json =
   if not s.dead then begin
-    s.out <- s.out ^ frame json;
-    if String.length s.out > t.cfg.max_buffered then
+    Buf.add_frame s.out json;
+    if Buf.length s.out > t.cfg.max_buffered then
       (* The client stopped draining its socket; buffering without
          bound would let one slow consumer take the server down. *)
       teardown t s ~abnormal:true ~reason:"slow consumer"
@@ -454,9 +537,10 @@ let handle_request t s req =
       | other -> err "bad_op" ~fields:[ ("op", Json.Str other) ]
     with Bad_request code -> err code)
 
-let handle_frame t s payload =
+(* The frame of [n] payload bytes at the front of [s.inb]. *)
+let handle_frame t s n =
   let t0 = Obs.now_ns () in
-  (match Json.parse payload with
+  (match Buf.take_frame s.inb n with
   | Error why ->
     enqueue t s
       (error_frame Json.Null "bad_json" ~fields:[ ("detail", Json.Str why) ])
@@ -485,10 +569,9 @@ let handle_frame t s payload =
 let drain_frames t s =
   let continue = ref true in
   while !continue && not s.dead do
-    let len = String.length s.inb in
-    if len < 4 then continue := false
+    if not (Buf.has_prefix s.inb) then continue := false
     else begin
-      let n = Int32.to_int (String.get_int32_be s.inb 0) in
+      let n = Buf.prefix s.inb in
       if n < 0 || n > t.cfg.max_frame then begin
         (* Framing is no longer trustworthy past an insane length;
            answer once, then drop the session.  The answer leaves now,
@@ -496,43 +579,32 @@ let drain_frames t s =
         enqueue t s
           (error_frame Json.Null "frame_too_large");
         Option.iter Durable.write_deferred t.binding.durable;
-        (try
-           ignore
-             (Unix.write_substring s.fd s.out 0 (String.length s.out))
-         with Unix.Unix_error _ -> ());
+        (try Buf.write s.fd s.out with Unix.Unix_error _ -> ());
         teardown t s ~abnormal:true ~reason:"oversized frame";
         continue := false
       end
-      else if len < 4 + n then continue := false
-      else begin
-        let payload = String.sub s.inb 4 n in
-        s.inb <- String.sub s.inb (4 + n) (len - 4 - n);
-        handle_frame t s payload
-      end
+      else if Buf.length s.inb < 4 + n then continue := false
+      else handle_frame t s n
     end
   done
 
-let read_buf = Bytes.create 8192
-
 let read_session t s =
-  match Unix.read s.fd read_buf 0 (Bytes.length read_buf) with
+  match Buf.read s.fd s.inb with
   | 0 ->
     (* EOF mid-frame, or with responses still undelivered, is an
        abnormal end; a bare EOF between frames is the clean goodbye. *)
-    if s.inb <> "" || s.out <> "" then
+    if not (Buf.is_empty s.inb && Buf.is_empty s.out) then
       teardown t s ~abnormal:true ~reason:"eof mid-stream"
     else teardown t s ~abnormal:false ~reason:"eof"
-  | n ->
-    s.inb <- s.inb ^ Bytes.sub_string read_buf 0 n;
-    drain_frames t s
+  | _ -> drain_frames t s
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
     teardown t s ~abnormal:true ~reason:"connection reset"
 
 let write_session t s =
-  if s.out <> "" && not s.dead then
-    match Unix.write_substring s.fd s.out 0 (String.length s.out) with
-    | n -> s.out <- String.sub s.out n (String.length s.out - n)
+  if (not (Buf.is_empty s.out)) && not s.dead then
+    match Buf.write s.fd s.out with
+    | () -> ()
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
       teardown t s ~abnormal:true ~reason:"broken pipe"
@@ -550,8 +622,8 @@ let rec accept_loop t =
         {
           sid = t.next_sid;
           fd;
-          inb = "";
-          out = "";
+          inb = Buf.create inbound;
+          out = Buf.create outbound;
           subscribed = false;
           dead = false;
         }
@@ -581,7 +653,8 @@ let step ?(timeout = 0.05) t =
     in
     let wrs =
       List.filter_map
-        (fun s -> if (not s.dead) && s.out <> "" then Some s.fd else None)
+        (fun s ->
+          if (not s.dead) && not (Buf.is_empty s.out) then Some s.fd else None)
         sess
     in
     (match Unix.select rds wrs [] timeout with
@@ -606,7 +679,7 @@ let step ?(timeout = 0.05) t =
       | Some d -> (
         try Durable.batch d read
         with Durable.Wal_failed _ as e ->
-          List.iter (fun s -> s.out <- "") sess;
+          List.iter (fun s -> Buf.clear s.out) sess;
           raise e));
       (* Push responses produced this round without waiting for the
          next select — interactive latency, and frames reach a client
@@ -635,7 +708,7 @@ let stop t =
 (* ----------------------------- client ----------------------------- *)
 
 module Client = struct
-  type conn = { fd : Unix.file_descr; mutable inb : string }
+  type conn = { fd : Unix.file_descr; inb : Buf.t; out : Buf.t }
 
   exception Bad_frame of string
   exception Closed
@@ -654,45 +727,40 @@ module Client = struct
         Unix.sleepf 0.05;
         go (n - 1)
     in
-    { fd = go retries; inb = "" }
+    { fd = go retries; inb = Buf.create inbound; out = Buf.create outbound }
 
   let send conn json =
-    let data = frame json in
-    let len = String.length data in
-    let rec w off =
-      if off < len then
-        match Unix.write_substring conn.fd data off (len - off) with
-        | n -> w (off + n)
-        | exception Unix.Unix_error (EINTR, _, _) -> w off
+    (* Bytes a raising send left behind are dropped. *)
+    Buf.clear conn.out;
+    Buf.add_frame conn.out json;
+    let rec w () =
+      if not (Buf.is_empty conn.out) then
+        match Buf.write conn.fd conn.out with
+        | () -> w ()
+        | exception Unix.Unix_error (EINTR, _, _) -> w ()
         | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) ->
           raise Closed
     in
-    w 0
+    w ()
 
   let take_frame conn =
-    let len = String.length conn.inb in
-    if len < 4 then None
+    if not (Buf.has_prefix conn.inb) then None
     else
-      let n = Int32.to_int (String.get_int32_be conn.inb 0) in
+      let n = Buf.prefix conn.inb in
       if n < 0 || n > max_frame then
         raise (Bad_frame (Printf.sprintf "length prefix %d" n))
-      else if len < 4 + n then None
-      else begin
-        let payload = String.sub conn.inb 4 n in
-        conn.inb <- String.sub conn.inb (4 + n) (len - 4 - n);
-        match Json.parse payload with
+      else if Buf.length conn.inb < 4 + n then None
+      else
+        match Buf.take_frame conn.inb n with
         | Ok j -> Some j
         | Error why -> raise (Bad_frame ("payload is not JSON: " ^ why))
-      end
-
-  let buf = Bytes.create 8192
 
   (* Append what one read returns to [inb]; EOF or a reset peer is
      [Closed]. *)
   let fill conn =
-    match Unix.read conn.fd buf 0 (Bytes.length buf) with
+    match Buf.read conn.fd conn.inb with
     | 0 | (exception Unix.Unix_error (ECONNRESET, _, _)) -> raise Closed
-    | n -> conn.inb <- conn.inb ^ Bytes.sub_string buf 0 n
+    | _ -> ()
 
   let try_recv conn =
     match take_frame conn with

@@ -5,7 +5,11 @@
    both choose the same steps, access paths and estimates.
 
    [render db body] prints the plan the way [Plan.pp] does, and
-   [estimates db body] lists the per-step row estimates. *)
+   [estimates db body] lists the per-step row estimates.
+
+   [canonicalize] is the key and binding [Plan.canonicalize] first
+   built with a fresh table and buffer per call, before it reused one of
+   each and left the shape to [Plan.compile]. *)
 
 open Relational
 
@@ -38,6 +42,38 @@ let shape (body : Cq.t) =
           a.args ))
     body.atoms
   |> Array.of_list
+
+let canonicalize (body : Cq.t) =
+  let slots = Hashtbl.create 16 and names = ref [] and params = ref [] in
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun (a : Cq.atom) ->
+      Buffer.add_string buf a.rel;
+      Buffer.add_char buf '(';
+      Array.iter
+        (function
+          | Term.Const v ->
+            params := v :: !params;
+            Buffer.add_string buf "p,"
+          | Term.Var x ->
+            let s =
+              match Hashtbl.find_opt slots x with
+              | Some s -> s
+              | None ->
+                let s = Hashtbl.length slots in
+                Hashtbl.add slots x s;
+                names := x :: !names;
+                s
+            in
+            Buffer.add_string buf (Printf.sprintf "s%d," s))
+        a.args;
+      Buffer.add_string buf ");")
+    body.atoms;
+  ( Buffer.contents buf,
+    {
+      Plan.params = Array.of_list (List.rev !params);
+      var_names = Array.of_list (List.rev !names);
+    } )
 
 let plan db body =
   let atoms = shape body in

@@ -1,8 +1,12 @@
 (* Seeded mutation fuzzing of the one JSON codec.  Valid request frames
    and real Obs sink output are mutated by byte flips, truncations,
    insertions and duplicated escapes; for every mutant [Json.parse]
-   must return [Ok] or [Error] without raising, and every [Ok v] must
-   print stably: [to_string (parse (to_string v)) = to_string v]. *)
+   must return [Ok] or [Error] without raising, the same value or the
+   same error message as the reference parser (test/json_oracle.ml),
+   also when the mutant is parsed as a slice of a larger string, and
+   every [Ok v] must print stably:
+   [to_string (parse (to_string v)) = to_string v].  Seeds 1-3 always
+   run, and three more follow CHAOS_SEED. *)
 
 let frames =
   [
@@ -15,6 +19,9 @@ let frames =
     (* Floats %.12g alone would not print back: overflow to infinity
        prints as null, negative zero as -0.0. *)
     {|[1e999,-1e999,-0.0,-1e-400,-0]|};
+    (* Integers at and past the edges of the in-place read: 18 digits,
+       19, max_int and min_int, one past each, leading zeros, a sign. *)
+    {|[123456789012345678,-999999999999999999,9999999999999999999,4611686018427387903,4611686018427387904,-4611686018427387904,-4611686018427387905,0000000000000000000042,+5]|};
   ]
 
 (* Spans and events whose args carry every escape class the sinks
@@ -72,11 +79,26 @@ let mutate rng s =
       let len = min (n - i) (1 + Prng.int rng 6) in
       String.sub s 0 (i + len) ^ String.sub s i (n - i))
 
+let show = function
+  | Ok v -> "Ok " ^ Json_oracle.to_string v
+  | Error m -> "Error " ^ m
+
 let check_mutant ~seed mutant =
-  match Json.parse mutant with
+  let parsed = Json.parse mutant in
+  (match parsed with
   | exception e ->
     Alcotest.failf "seed %d: parse raised %s on %S" seed (Printexc.to_string e)
       mutant
+  | _ -> ());
+  let reference = Json_oracle.parse mutant in
+  if parsed <> reference then
+    Alcotest.failf "seed %d: %S parses as %s, the reference as %s" seed mutant
+      (show parsed) (show reference);
+  (* The same bytes between other bytes: offsets count from the slice. *)
+  let framed = "\"[" ^ mutant ^ "]\"" in
+  if Json.parse_slice framed 2 (String.length mutant) <> parsed then
+    Alcotest.failf "seed %d: %S parses differently as a slice" seed mutant;
+  match parsed with
   | Error _ -> false
   | Ok v ->
     let printed = Json.to_string v in
@@ -107,10 +129,56 @@ let test_mutants () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: some mutants parse" seed)
         true (!accepted > 0))
-    [ 1; 2; 3 ]
+    ([ 1; 2; 3 ] @ List.init 3 (fun k -> Helpers.chaos_seed + k))
+
+(* Values with every escape class, integers at both ends of the range
+   and floats that print specially (infinities, nan, negative zero). *)
+let gen_value =
+  QCheck.Gen.(
+    let str =
+      oneof
+        [
+          oneofl [ ""; "Zurich"; "a\"b"; "\\"; "\n\r\t"; "\001\031\127\255" ];
+          string_size ~gen:char (int_range 0 8);
+        ]
+    in
+    let scalar =
+      oneof
+        [
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun i -> Json.Int i)
+            (oneof [ int_range (-1000) 1000; int; oneofl [ min_int; max_int ] ]);
+          map (fun f -> Json.Float f)
+            (oneof
+               [ float; oneofl [ infinity; neg_infinity; nan; -0.0; 0.0; 1e300 ] ]);
+          map (fun s -> Json.Str s) str;
+        ]
+    in
+    sized_size (int_range 0 4)
+    @@ fix (fun self depth ->
+           if depth = 0 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (depth - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_range 0 4) (pair str (self (depth - 1)))) );
+               ]))
 
 let suite =
   [
     Alcotest.test_case "mutated frames and sink lines never raise" `Quick
       test_mutants;
+    Helpers.qtest ~count:2000 "printer equals the reference printer"
+      (QCheck.make ~print:Json_oracle.to_string gen_value)
+      (fun v ->
+        let b = Buffer.create 16 in
+        Buffer.add_string b "prefix";
+        Json.to_buffer b v;
+        let reference = Json_oracle.to_string v in
+        Json.to_string v = reference && Buffer.contents b = "prefix" ^ reference);
   ]

@@ -2,7 +2,11 @@
    submitted frame goes through.  Real query texts (Listgen chains,
    market seat bookings, Figure 1) are mutated by byte flips,
    truncations, insertions and duplicated tokens; for every mutant the
-   parser must return a query or raise [Syntax_error], nothing else. *)
+   parser must return a query or raise [Syntax_error], nothing else,
+   and [parse_query] and [parse_program] must each return a value equal
+   to the reference parser's (test/parser_oracle.ml) or raise the same
+   [Syntax_error (line, msg)].  Seeds 1-3 always run, and three more
+   follow CHAOS_SEED. *)
 
 open Entangled
 
@@ -38,19 +42,60 @@ let inputs () =
     @ [
         "q: { } R(-7, 'it s', true) :- .";
         "{R(a, b)} S(c) :- T(c), U(d, 12).";
+        "query m:\n-- a buyer\n{ R(B, y) }\n  R(A, x) :- Seats(F17, 'W\\'', x),\n\
+         \  T(\"two\nlines\", -4611686018427387904).";
       ])
 
 let alphabet = "{}(),.:-' _\"\\09azAZ\n\t"
 
-let check_mutant ~seed mutant =
-  match Parser.parse_query mutant with
-  | exception Parser.Syntax_error _ -> false
+type 'a outcome = Parsed of 'a | Failed of int * string
+
+let outcome ~seed name parse mutant =
+  match parse mutant with
+  | v -> Parsed v
+  | exception Parser.Syntax_error (line, msg) -> Failed (line, msg)
   | exception e ->
-    Alcotest.failf "seed %d: parse_query raised %s on %S" seed
+    Alcotest.failf "seed %d: %s raised %s on %S" seed name
       (Printexc.to_string e) mutant
-  | (_ : Query.t) -> true
+
+let show = function
+  | Parsed _ -> "a value"
+  | Failed (line, msg) -> Printf.sprintf "Syntax_error (%d, %S)" line msg
+
+let same ~seed name parse reference mutant =
+  let got = outcome ~seed name parse mutant
+  and want = outcome ~seed ("reference " ^ name) reference mutant in
+  if got <> want then
+    Alcotest.failf "seed %d: %s gives %s on %S, the reference %s" seed name
+      (show got) mutant (show want);
+  got
+
+let check_mutant ~seed mutant =
+  ignore
+    (same ~seed "parse_program" Parser.parse_program Parser_oracle.parse_program
+       mutant);
+  match
+    same ~seed "parse_query" Parser.parse_query Parser_oracle.parse_query mutant
+  with
+  | Failed _ -> false
+  | Parsed (_ : Query.t) -> true
+
+(* Integer literals at and past the edges of the in-place read, and
+   errors after a lexical error or before one. *)
+let edge_cases =
+  [
+    "q: { } R(123456789012345678, -999999999999999999).";
+    "q: { } R(9999999999999999999).";
+    "q: { } R(4611686018427387903, -4611686018427387904).";
+    "q: { } R(4611686018427387904).";
+    "q: { } R(-4611686018427387905).";
+    "q: { } R(x) :- F(x).\n@";
+    "q: { } R(x) F(x).\n'open";
+    "q R(x).";
+  ]
 
 let test_mutants () =
+  List.iter (fun s -> ignore (check_mutant ~seed:0 s)) edge_cases;
   let inputs = inputs () in
   Array.iter
     (fun s ->
@@ -72,7 +117,7 @@ let test_mutants () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: some mutants parse" seed)
         true (!accepted > 0))
-    [ 1; 2; 3 ]
+    ([ 1; 2; 3 ] @ List.init 3 (fun k -> Helpers.chaos_seed + k))
 
 let suite =
   [

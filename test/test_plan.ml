@@ -351,10 +351,35 @@ let plan_matches_oracle =
        QCheck.Gen.(list_size (int_range 1 14) gen_atom))
     (fun atoms ->
       let body = q atoms in
-      let key, shape, _ = Plan.canonicalize body in
-      let plan = Plan.compile (Database.relation_opt db) ~key shape in
+      let plan = Plan.compile (Database.relation_opt db) body in
       Format.asprintf "%a" Plan.pp plan = Plan_oracle.render db body
       && Array.to_list (Plan.stats plan).est_rows = Plan_oracle.estimates db body)
+
+(* [Plan.canonicalize] gives the reference key and binding, including
+   slots past 9 (two-digit slot numbers in the key) and bodies of more
+   than 64 variables (the reused slot table shrinks back). *)
+let canonicalize_matches_oracle =
+  let gen_atom =
+    QCheck.Gen.(
+      let* rel = oneofl [ "A"; "B"; "Cq" ] in
+      let* args =
+        list_size (int_range 0 4)
+          (frequency
+             [
+               (4, map (fun i -> Term.Var (Printf.sprintf "v%d" i)) (int_range 0 90));
+               (1, map Term.int (int_range 0 3));
+               (1, map Term.str (oneofl [ "Zurich"; "" ]));
+             ])
+      in
+      return { Cq.rel; args = Array.of_list args })
+  in
+  qtest ~count:500 "key: canonical key and binding equal the reference"
+    (QCheck.make
+       ~print:(fun atoms -> Format.asprintf "%a" Cq.pp (q atoms))
+       QCheck.Gen.(list_size (int_range 0 40) gen_atom))
+    (fun atoms ->
+      let body = q atoms in
+      Plan.canonicalize body = Plan_oracle.canonicalize body)
 
 let suite =
   [
@@ -378,4 +403,5 @@ let suite =
       test_analyze_mode_times_steps;
     Alcotest.test_case "stats: pp_analyze renders the table" `Quick
       test_pp_analyze_renders;
+    canonicalize_matches_oracle;
   ]

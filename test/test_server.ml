@@ -891,6 +891,151 @@ let test_json_roundtrip () =
       "\xf0\x9f\x98\x80" s
   | _ -> Alcotest.fail "a surrogate pair must parse"
 
+(* Step the server and read [fd] until [n] whole response frames are
+   in: their bytes, length prefixes included. *)
+let collect ~ctx srv fd n =
+  let inb = Buffer.create 256 and chunk = Bytes.create 4096 in
+  (* Whether [got] holds [n - k] more whole frames from [off] on. *)
+  let rec whole got off k =
+    k = n
+    || off + 4 <= String.length got
+       &&
+       let next = off + 4 + Int32.to_int (String.get_int32_be got off) in
+       next <= String.length got && whole got next (k + 1)
+  in
+  let rec go tries =
+    let got = Buffer.contents inb in
+    if whole got 0 0 then got
+    else if tries > 20_000 then Alcotest.failf "%s: %d responses not back" ctx n
+    else begin
+      ignore (Server.step ~timeout:0.0 srv);
+      (match Unix.select [ fd ] [] [] 0.001 with
+      | [], _, _ -> ()
+      | _ -> Buffer.add_subbytes inb chunk 0 (Unix.read fd chunk 0 4096));
+      go (tries + 1)
+    end
+  in
+  go 0
+
+(* Requests whose responses depend on the request alone: refusals of
+   every kind and a non-JSON payload. *)
+let stateless_payloads =
+  [
+    {|{"id":1,"op":"nope"}|};
+    {|{"id":2,"op":"retire","pool_id":-1}|};
+    {|{"id":3,"op":"submit","query":"b: { } broken"}|};
+    {|not json|};
+    {|{"id":4,"op":"insert","rel":"Nope","tuple":[1,"é"]}|};
+    {|{"id":6,"op":"create_table","name":"","attrs":["a"]}|};
+  ]
+
+(* An unknown op of 70,000 bytes, echoed back: the frame outgrows a
+   session's first buffer in each direction (16 KiB in, 4 KiB out) and
+   past the 64 KiB after which an emptied buffer shrinks back. *)
+let huge_payload = Printf.sprintf {|{"id":5,"op":"%s"}|} (String.make 70_000 'x')
+
+(* Pipelined frames arrive however the stream is cut: split at every
+   byte boundary (inside a length prefix too), all in one write, and in
+   chunks of several sizes, including cuts through a frame that spans
+   the middle of a session's 16 KiB inbound buffer, past which consumed
+   bytes are compacted away.  Each session's response bytes equal
+   those of delivering one frame per write. *)
+let test_split_delivery () =
+  let dir = fresh_dir "split" in
+  let path = Filename.concat dir "s.sock" in
+  let db = Database.create () in
+  let srv =
+    Server.create
+      (Server.default_config (Server.Unix_socket path))
+      { Server.db; engine = Server.Sequential (Online.create db);
+        durable = None; guard = None }
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  let reference payloads =
+    let fd = connect () in
+    let out =
+      String.concat ""
+        (List.map
+           (fun p ->
+             send_raw fd (raw_frame p);
+             collect ~ctx:p srv fd 1)
+           payloads)
+    in
+    Unix.close fd;
+    out
+  in
+  let deliver ~ctx payloads cuts =
+    let stream = String.concat "" (List.map raw_frame payloads) in
+    let fd = connect () in
+    let rec go off = function
+      | [] -> send_raw fd (String.sub stream off (String.length stream - off))
+      | cut :: rest ->
+        send_raw fd (String.sub stream off (cut - off));
+        for _ = 1 to 2 do
+          ignore (Server.step ~timeout:0.0 srv)
+        done;
+        go cut rest
+    in
+    go 0 cuts;
+    let got = collect ~ctx srv fd (List.length payloads) in
+    Unix.close fd;
+    got
+  in
+  let check ~ctx ~want payloads cuts =
+    Alcotest.(check string) ctx want (deliver ~ctx payloads cuts)
+  in
+  (* The huge frame is answered in full, not with an internal error. *)
+  (let got = reference [ huge_payload ] in
+   match Json.parse (String.sub got 4 (String.length got - 4)) with
+   | Ok resp ->
+     Alcotest.(check (option string)) "huge op refused" (Some "bad_op")
+       (Json.str_mem "error" resp);
+     Alcotest.(check (option int)) "huge op echoed whole" (Some 70_000)
+       (Option.map String.length (Json.str_mem "op" resp))
+   | Error why -> Alcotest.failf "huge response: %s" why);
+  (* Every two-way cut of a short pipelined stream. *)
+  let short = [ List.nth stateless_payloads 0; List.nth stateless_payloads 2 ] in
+  let want = reference short in
+  let len = String.length (String.concat "" (List.map raw_frame short)) in
+  for cut = 0 to len do
+    check ~ctx:(Printf.sprintf "cut at byte %d" cut) ~want short [ cut ]
+  done;
+  (* Many frames in one read. *)
+  let many =
+    List.init 60 (fun i -> List.nth stateless_payloads (i mod 3))
+  in
+  check ~ctx:"60 frames in one write" ~want:(reference many) many [];
+  (* A long stream in fixed-size chunks: frames cross byte 8,192 (half
+     the first inbound buffer), and the huge frame forces growth, then
+     a shrink once it is consumed, with frames still behind it. *)
+  let long =
+    List.concat (List.init 60 (fun _ -> stateless_payloads))
+    @ (huge_payload :: stateless_payloads)
+  in
+  let want = reference long in
+  let total = String.length (String.concat "" (List.map raw_frame long)) in
+  List.iter
+    (fun chunk ->
+      check
+        ~ctx:(Printf.sprintf "chunks of %d bytes" chunk)
+        ~want long
+        (List.init ((total - 1) / chunk) (fun k -> (k + 1) * chunk)))
+    [ 61; 1000; 8193; 16384 ];
+  (* Cuts around the compaction point: the frames before byte 8,192 are
+     consumed, and the frame that spans it is still arriving. *)
+  let small = List.init 400 (fun i -> List.nth stateless_payloads (i mod 3)) in
+  let want = reference small in
+  for cut = 8150 to 8250 do
+    check ~ctx:(Printf.sprintf "compaction cut at byte %d" cut) ~want small [ cut ]
+  done;
+  pump srv;
+  Server.stop srv;
+  rm_rf dir
+
 let suite =
   [
     Alcotest.test_case "json frames round-trip" `Quick test_json_roundtrip;
@@ -922,4 +1067,6 @@ let suite =
       test_wal_failure_stops;
     Alcotest.test_case "escaped and raw spellings of a constant coordinate"
       `Quick test_escaped_constant_coordinates;
+    Alcotest.test_case "pipelined frames split anywhere answer as one per write"
+      `Quick test_split_delivery;
   ]
