@@ -1,6 +1,6 @@
 (* Ablation benchmarks for the design choices DESIGN.md calls out: the
    preprocessing step of the SCC algorithm, its selection criterion,
-   and the online, observability and resilience layers.  What a served
+   and the online and observability layers.  What a served
    request costs end to end is perfbench's question (BENCHMARK.json),
    not this file's. *)
 
@@ -285,80 +285,6 @@ let observability ?(rows = 20_000) ?(n = 40) ?(repeats = 5) ?(iters = 25) () =
   Series.row "ablation_observability"
     [ "with_span ns/call"; Printf.sprintf "%.2f" ns_per_call; ""; "" ];
   Obs.set_metrics was_metrics
-
-(* --------------------------- Resilience --------------------------- *)
-
-(* The resilience layer promises the same near-zero disarmed cost as
-   Obs: an unguarded probe pays one option load and a branch.  Measure
-   the same SCC solve with no guard, with an armed-but-idle guard (no
-   limits, no faults — the pure middleware toll), and under seeded chaos
-   with enough retry budget that the answer is unchanged. *)
-let resilience ?(rows = 20_000) ?(n = 40) ?(repeats = 5) () =
-  Printf.printf "\n== Ablation: resilience guard (disarmed vs armed vs chaos) ==\n";
-  Printf.printf
-    "(chain of %d queries, table of %d rows; best of %d runs per variant)\n"
-    n rows repeats;
-  let db = Database.create () in
-  ignore (Workload.Social.install_posts ~rows db);
-  let rng = Prng.create 29 in
-  let input = Workload.Listgen.queries rng ~n in
-  (* Warm plan cache and indexes so every variant sees the same state. *)
-  ignore (Coordination.Scc_algo.solve db input);
-  let measure () =
-    let best = ref infinity in
-    for _ = 1 to repeats do
-      let _, t = time (fun () -> ignore (Coordination.Scc_algo.solve db input)) in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  Series.start "ablation_resilience"
-    [ "variant"; "time_ms"; "vs_baseline"; "attempts"; "retries" ];
-  let report label t base usage =
-    let attempts, retries =
-      match usage with
-      | None -> (0, 0)
-      | Some u -> (u.Resilient.attempts, u.Resilient.retries)
-    in
-    Printf.printf
-      "  %-18s %10.3f ms   (%+.1f%% vs no guard)   %6d attempts  %5d retries\n"
-      label t
-      ((t -. base) /. base *. 100.0)
-      attempts retries;
-    Series.row "ablation_resilience"
-      [
-        label;
-        Printf.sprintf "%.3f" t;
-        Printf.sprintf "%.3f" (t /. base);
-        string_of_int attempts;
-        string_of_int retries;
-      ]
-  in
-  Database.set_guard db None;
-  let base = measure () in
-  report "no guard" base base None;
-  let idle = Resilient.arm Resilient.default_config in
-  Database.set_guard db (Some idle);
-  let t_idle = measure () in
-  report "armed, idle" t_idle base (Some (Resilient.usage idle));
-  let chaos =
-    Resilient.arm
-      {
-        Resilient.default_config with
-        max_attempts = 1000;
-        faults =
-          Some
-            {
-              Resilient.fault_defaults with
-              fault_seed = 1;
-              transient_rate = 0.2;
-            };
-      }
-  in
-  Database.set_guard db (Some chaos);
-  let t_chaos = measure () in
-  report "chaos 20%" t_chaos base (Some (Resilient.usage chaos));
-  Database.set_guard db None
 
 (* ----------------------------- Online ----------------------------- *)
 

@@ -38,10 +38,6 @@ let ablations =
         if fast then
           Ablations.observability ~rows:5_000 ~n:15 ~repeats:13 ~iters:50 ()
         else Ablations.observability () );
-    ( "resilience",
-      fun fast ->
-        if fast then Ablations.resilience ~rows:5_000 ~n:15 ~repeats:3 ()
-        else Ablations.resilience () );
   ]
 
 (* Every figure by its [--figure] number, in run order, with its

@@ -27,19 +27,7 @@ let load path =
 (* Validated numeric converters: nonsense values are rejected at parse
    time with a message naming the constraint, instead of leaking into
    the solver (where a negative deadline silently means "already
-   expired" and a fault rate above 1 is just "always"). *)
-let probability_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | None -> Error (`Msg (Printf.sprintf "expected a number, got %S" s))
-    | Some p when p < 0.0 || p > 1.0 ->
-      Error
-        (`Msg
-           (Printf.sprintf "expected a probability in [0.0, 1.0], got %s" s))
-    | Some p -> Ok p
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
+   expired"). *)
 let nonneg_float_conv =
   let parse s =
     match float_of_string_opt s with
@@ -106,9 +94,7 @@ let arm_flight_recorder path =
   Obs.Flight_recorder.arm ()
 
 (* The evaluation budget flags [solve] and [serve] share.  The term
-   yields the guard they arm, given the fault injector ([solve]'s chaos
-   flags, or none): [None] when no limit is set and no fault is
-   injected. *)
+   yields the guard they arm: [None] when no budget is set. *)
 let guard_term =
   let deadline_ms =
     Arg.(
@@ -134,44 +120,15 @@ let guard_term =
       & info [ "max-tuples" ] ~docv:"N"
           ~doc:"Abort (degraded) after scanning $(docv) tuples.")
   in
-  let probe_timeout_ms =
-    Arg.(
-      value
-      & opt (some nonneg_float_conv) None
-      & info [ "probe-timeout-ms" ] ~docv:"MS"
-          ~doc:"Per-probe time limit; slow probes fail (and may retry).")
-  in
-  let max_attempts =
-    Arg.(
-      value & opt pos_int_conv 4
-      & info [ "max-attempts" ] ~docv:"N"
-          ~doc:
-            "Attempts per probe before a transient fault becomes fatal \
-             (exponential backoff between attempts).")
-  in
-  let guard deadline_ms max_probes max_tuples probe_timeout_ms max_attempts
-      faults =
-    if
-      deadline_ms = None && max_probes = None && max_tuples = None
-      && probe_timeout_ms = None && faults = None
-    then None
+  let guard deadline_ms max_probes max_tuples =
+    if deadline_ms = None && max_probes = None && max_tuples = None then None
     else
-      let ns_of_ms ms = Int64.of_float (ms *. 1e6) in
-      Some
-        (Resilient.arm
-           {
-             Resilient.default_config with
-             max_probes;
-             max_tuples;
-             deadline_ns = Option.map ns_of_ms deadline_ms;
-             probe_timeout_ns = Option.map ns_of_ms probe_timeout_ms;
-             max_attempts;
-             faults;
-           })
+      let deadline_ns =
+        Option.map (fun ms -> Int64.of_float (ms *. 1e6)) deadline_ms
+      in
+      Some (Resilient.arm ?max_probes ?max_tuples ?deadline_ns ())
   in
-  Cmdliner.Term.(
-    const guard $ deadline_ms $ max_probes $ max_tuples $ probe_timeout_ms
-    $ max_attempts)
+  Cmdliner.Term.(const guard $ deadline_ms $ max_probes $ max_tuples)
 
 (* ------------------------------ solve ----------------------------- *)
 
@@ -315,41 +272,16 @@ let solve_cmd =
             "Record latency histograms and counters during evaluation and \
              dump them (with p50/p95/p99) after the answer.")
   in
-  let fault_rate =
-    Arg.(
-      value & opt probability_conv 0.0
-      & info [ "fault-rate" ] ~docv:"P"
-          ~doc:
-            "Chaos mode: inject a transient probe failure with probability \
-             $(docv) per attempt (deterministic given $(b,--fault-seed)).")
-  in
-  let fault_seed =
-    Arg.(
-      value & opt int 0
-      & info [ "fault-seed" ] ~docv:"SEED"
-          ~doc:"Seed for the deterministic fault injector.")
-  in
   (* The solver body computes an exit code instead of exiting so an
      installed trace sink always writes its trailer (a Chrome trace
      without the closing bracket is not valid JSON). *)
   let run file algorithm first stats dot explain
       explain_analyze metrics_out flight_recorder trace trace_format metrics
-      make_guard fault_rate fault_seed =
+      guard =
     handle_syntax @@ fun () ->
     let db, input = load file in
     Option.iter arm_flight_recorder flight_recorder;
     if metrics || metrics_out <> None then Obs.set_metrics true;
-    let guard =
-      make_guard
-        (if fault_rate > 0.0 then
-           Some
-             {
-               Resilient.fault_defaults with
-               fault_seed;
-               transient_rate = fault_rate;
-             }
-         else None)
-    in
     Database.set_guard db guard;
     Option.iter Resilient.start_solve guard;
     let solve_it () =
@@ -483,16 +415,13 @@ let solve_cmd =
     in
     if explain_analyze then
       Format.printf "%a@." Coordination.Explain.pp_analyze db;
-    (match guard with
-    | Some g when stats ->
-      Format.printf "guard: %a@." Resilient.pp_usage (Resilient.usage g)
-    | Some _ | None -> ());
     if metrics then Format.printf "-- metrics --@.%a@?" Obs.pp_metrics ();
     (match metrics_out with
     | None -> ()
     | Some path ->
       (* Deterministic gauges describing the end state, so the snapshot
-         is meaningful (and testable) even for a fault-free solve. *)
+         is meaningful (and testable) even when the solve recorded
+         nothing else. *)
       let gauge name help v =
         Obs.Gauge.set (Obs.Gauge.make ~help name) (float_of_int v)
       in
@@ -516,7 +445,7 @@ let solve_cmd =
     Cmdliner.Term.(
       const run $ file $ algorithm $ first $ stats $ dot
       $ explain $ explain_analyze $ metrics_out $ flight_recorder $ trace
-      $ trace_format $ metrics $ guard_term $ fault_rate $ fault_seed)
+      $ trace_format $ metrics $ guard_term)
 
 (* ------------------------------ check ----------------------------- *)
 
@@ -948,11 +877,10 @@ let serve_cmd =
              print it on exit.")
   in
   let run socket host port open_session max_pending max_sessions verbose
-      metrics make_guard =
+      metrics guard =
     let listen = listen_of_flags socket host port in
     if metrics then Obs.set_metrics true;
     let durable, db, engine = open_session () in
-    let guard = make_guard None in
     Database.set_guard db guard;
     let cfg =
       {

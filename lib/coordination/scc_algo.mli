@@ -46,7 +46,7 @@ type outcome = {
   degraded : Resilient.degradation option;
       (** [Some _] when an armed {!Resilient.t} guard cut the solve
           short: [candidates] (and [solution]) hold everything probed
-          before the abort — a prefix of the fault-free run's discovery
+          before the abort — a prefix of the unguarded run's discovery
           order — and the degradation lists the components that went
           unprobed.  [None]: the solve ran to completion. *)
 }

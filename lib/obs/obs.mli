@@ -251,8 +251,8 @@ val memory_sink : unit -> sink * (unit -> item list)
     sink, the recorder does not make {!tracing} true, so arming it never
     changes solver behaviour.
 
-    On an {!Flight_recorder.incident} — reported by the resilience
-    layer on a typed [Abort], by the durable layer on a WAL failure,
+    On an {!Flight_recorder.incident} — reported by the budget
+    guard on a typed [Abort], by the durable layer on a WAL failure,
     by the server on a failed session — the ring's window is
     written once to the configured dump path (Chrome trace_event JSON, or JSONL when the path ends in
     [.jsonl]), giving a post-hoc view of the moments preceding the

@@ -9,7 +9,7 @@ type t = {
          [Relation.mutation_count] this stamp moves only when *this*
          database's contents move. *)
   mutable probe_latency : float;  (* seconds added per probe *)
-  mutable guard : Resilient.t option;  (* resilience middleware, if armed *)
+  mutable guard : Resilient.t option;  (* evaluation budgets, if armed *)
 }
 
 let create () =

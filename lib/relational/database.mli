@@ -124,15 +124,15 @@ val set_probe_latency : t -> float -> unit
 
 val probe_latency : t -> float
 
-(** {2 Resilience}
+(** {2 Evaluation budgets}
 
-    An armed {!Resilient.t} guard turns every evaluator probe into a
-    budgeted, fault-injectable, retried operation (see {!Resilient}).
-    With no guard armed — the default — the middleware costs one field
-    load and a branch per probe. *)
+    An armed {!Resilient.t} guard checks the per-solve budgets before
+    every evaluator probe (see {!Resilient}).  With no guard armed —
+    the default — the check costs one field load and a branch per
+    probe. *)
 
 val set_guard : t -> Resilient.t option -> unit
-(** Arm (or disarm, with [None]) the resilience middleware on this
+(** Arm (or disarm, with [None]) the budget guard on this
     instance.  Callers own the per-solve lifecycle: run
     {!Resilient.start_solve} before handing the database to a solver. *)
 

@@ -93,11 +93,10 @@ let probe_label_counter (q : Cq.t) =
   in
   find 0
 
-(* Resilience middleware: with a guard armed on the database, the probe
-   body runs under budget checks, fault injection and retries
-   ({!Resilient.probe}); transient faults strike before the body
-   executes, so a retried probe never re-delivers solver callbacks.
-   Disarmed, this is one field load and a branch. *)
+(* Evaluation budgets: with a guard armed on the database, the probe
+   body runs only if no budget has run out ({!Resilient.probe}), so an
+   aborted probe never delivers solver callbacks.  Disarmed, this is
+   one field load and a branch. *)
 let guarded db f =
   match Database.guard db with
   | None -> f ()
@@ -113,8 +112,8 @@ let guarded db f =
    and tuples-scanned delta, and feeds the probe-latency histogram.
    [Database.count_probe] runs inside the measured section so emulated
    round-trip latency shows up in the histogram, as it would over a
-   real connection.  The Obs span sits outside the guard so retried
-   attempts land inside one probe span. *)
+   real connection.  The Obs span sits outside the guard so a budget
+   abort lands inside the probe span it cut short. *)
 let probed db (q : Cq.t) ~kind f =
   if not (Obs.enabled ()) then
     guarded db (fun () ->

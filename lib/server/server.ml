@@ -616,6 +616,11 @@ let rec accept_loop t =
     match Unix.accept lfd with
     | fd, _ ->
       Unix.set_nonblock fd;
+      (* A response that leaves in a second small write must not wait
+         for the client's delayed ACK (Nagle). *)
+      (match t.cfg.listen with
+      | Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+      | Unix_socket _ -> ());
       t.next_sid <- t.next_sid + 1;
       t.accepted <- t.accepted + 1;
       let s =

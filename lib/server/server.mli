@@ -102,8 +102,9 @@ val default_config : listen -> config
 type engine = Sequential of Coordination.Online.t
 
 (** What the server serves: one engine, its database, optionally the
-    WAL handle journaling it and a {!Resilient} guard armed on the
-    database ({!Resilient.start_solve} is called per request). *)
+    WAL handle journaling it and the evaluation budgets
+    ({!Resilient.t}) armed on the database: each submit or flush
+    request starts a fresh budget ({!Resilient.start_solve}). *)
 type binding = {
   db : Relational.Database.t;
   engine : engine;

@@ -145,28 +145,6 @@ let chaos_seed =
   | Some s -> s
   | None -> 42
 
-let chaos_rate =
-  match
-    float_of_string_opt (try Sys.getenv "CHAOS_FAULT_RATE" with Not_found -> "")
-  with
-  | Some r when r >= 0.0 && r < 1.0 -> r
-  | Some _ | None -> 0.3
-
-(* Transient faults with effectively unlimited retries: every probe
-   eventually succeeds, so a chaos run must equal the fault-free one. *)
-let chaos_config =
-  {
-    Resilient.default_config with
-    max_attempts = 1000;
-    faults =
-      Some
-        {
-          Resilient.fault_defaults with
-          fault_seed = chaos_seed;
-          transient_rate = chaos_rate;
-        };
-  }
-
 (* -------------------- seeded online workloads ---------------------- *)
 
 open Entangled

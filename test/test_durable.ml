@@ -7,7 +7,7 @@
    copy: the recovered pool (ids and names), component partition,
    satisfied count and store contents must equal the reference's state
    at exactly that boundary, with and without consume.  Torn, partial
-   and bit-flipped tails (seeded through Resilient.Disk_fault) must
+   and bit-flipped tails (seeded through Disk_fault) must
    recover to the previous boundary with a typed truncation report —
    never an exception, never a double-spent tuple.  CHAOS_SEED sweeps
    the trace seed in CI; CHAOS_WAL_DIR relocates the scratch space
@@ -218,18 +218,18 @@ let run_torn_tails ~seed ~consume () =
       if after > before then begin
         let copy = fresh_dir (Printf.sprintf "%s-k%d" tag k) in
         copy_dir dir copy;
-        let fault = Resilient.Disk_fault.draw frng ~protect:before ~size:after in
-        Resilient.Disk_fault.apply ~path:(Filename.concat copy seg_name) fault;
+        let fault = Disk_fault.draw frng ~protect:before ~size:after in
+        Disk_fault.apply ~path:(Filename.concat copy seg_name) fault;
         let t, rdb', rengine', report =
           recover_exn ~ctx:(Printf.sprintf "%s k%d" tag k) copy
         in
         Alcotest.check obs_t
           (Format.asprintf "%s k%d (%a): recovered == previous boundary" tag k
-             Resilient.Disk_fault.pp fault)
+             Disk_fault.pp fault)
           (List.assoc (k - 1) !states)
           (observe rdb' rengine');
         (match fault with
-        | Resilient.Disk_fault.Lost_tail _ ->
+        | Disk_fault.Lost_tail _ ->
           (* Cut exactly on the boundary: a clean (shorter) tail. *)
           ()
         | _ ->
@@ -307,8 +307,8 @@ let test_uncommitted_group () =
   in
   let cut = b1 + 4 + 8 + 1 + payload_len + 4 in
   Alcotest.(check bool) "cut strictly inside the group" true (cut < b2);
-  Resilient.Disk_fault.apply ~path:seg
-    (Resilient.Disk_fault.Torn_write { keep = cut });
+  Disk_fault.apply ~path:seg
+    (Disk_fault.Torn_write { keep = cut });
   let t, rdb, rengine, report = recover_exn ~ctx:"uncommitted" dir in
   (match report.Durable.truncation with
   | Some tr ->
@@ -343,8 +343,8 @@ let test_garbage_length () =
 let test_bad_crc () =
   let dir = fresh_dir "bad-crc" in
   let seg, _, b1, b2, state1, _ = setup_cycle dir in
-  Resilient.Disk_fault.apply ~path:seg
-    (Resilient.Disk_fault.Bit_flip { offset = (b1 + b2) / 2; mask = 0x10 });
+  Disk_fault.apply ~path:seg
+    (Disk_fault.Bit_flip { offset = (b1 + b2) / 2; mask = 0x10 });
   let t, rdb, rengine, report = recover_exn ~ctx:"bad-crc" dir in
   (match report.Durable.truncation with
   | Some tr ->
@@ -389,8 +389,8 @@ let test_snapshot_fallback () =
   in
   Alcotest.(check int) "two snapshots retained" 2 (List.length snaps);
   let newest = Filename.concat dir (List.nth snaps 1) in
-  Resilient.Disk_fault.apply ~path:newest
-    (Resilient.Disk_fault.Bit_flip { offset = 40; mask = 0x01 });
+  Disk_fault.apply ~path:newest
+    (Disk_fault.Bit_flip { offset = 40; mask = 0x01 });
   let t, rdb', rengine', report = recover_exn ~ctx:"snap-fallback" dir in
   Alcotest.(check int)
     "corrupt snapshot skipped" 1
@@ -509,8 +509,8 @@ let test_checkpoint_failure_clean_tail () =
 let test_checkpoint_failure_torn_tail () =
   let dir = fresh_dir "ckpt-torn" in
   let seg, _, b1, b2, _, _ = setup_cycle dir in
-  Resilient.Disk_fault.apply ~path:seg
-    (Resilient.Disk_fault.Bit_flip { offset = (b1 + b2) / 2; mask = 0x10 });
+  Disk_fault.apply ~path:seg
+    (Disk_fault.Bit_flip { offset = (b1 + b2) / 2; mask = 0x10 });
   Durable.inject_snapshot_failure (Some eacces);
   (match Durable.recover (Durable.config dir) with
   | Error _ -> ()

@@ -378,7 +378,7 @@ let test_abort_triggers_incident () =
       let db = Database.create () in
       let queries = Helpers.figure1_queries db in
       let g =
-        Resilient.arm { Resilient.default_config with max_probes = Some 0 }
+        Resilient.arm ~max_probes:0 ()
       in
       Database.set_guard db (Some g);
       Resilient.start_solve g;

@@ -535,7 +535,7 @@ let test_degradation_flag_cleared_on_recovery () =
     (submission_repr (Online.submit engine qa));
   (* An exhausted probe budget degrades qb's evaluation: nothing fires. *)
   let guard =
-    Resilient.arm { Resilient.default_config with max_probes = Some 0 }
+    Resilient.arm ~max_probes:0 ()
   in
   Database.set_guard db (Some guard);
   Alcotest.(check string) "degraded arrival fires nothing" "pending"
@@ -600,7 +600,7 @@ let test_quiet_never_after_degraded () =
   let db = flights_db () in
   let engine = Online.create db in
   Database.set_guard db
-    (Some (Resilient.arm { Resilient.default_config with max_probes = Some 0 }));
+    (Some (Resilient.arm ~max_probes:0 ()));
   Alcotest.(check string) "partner pending under the guard" "pending"
     (submission_repr (Online.submit engine (rq "b" ~post:[] ~head:"b0")));
   Alcotest.(check bool) "its evaluation degraded" true

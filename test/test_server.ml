@@ -358,6 +358,115 @@ let test_subscriber_dies_before_notify () =
   Server.stop srv;
   Obs.set_metrics false
 
+(* A served request runs under the binding's evaluation budgets, each
+   submit or flush with a fresh one.  With no probe allowed, the
+   submit that would fire degrades instead: every subscriber, the
+   submitter included, reads the degraded notification, the submitter
+   before its response, and the response says so. *)
+let test_degraded_request () =
+  let q1 = "qa: { R(G1, y) } R(G0, x) :- F(x, Zurich)." in
+  let q2 = "qb: { R(G0, y) } R(G1, x) :- F(x, Zurich)." in
+  let submit id q =
+    Json.Obj
+      [ ("id", Json.Int id); ("op", Json.Str "submit"); ("query", Json.Str q) ]
+  in
+  let serve ~max_probes =
+    let db = Database.create () in
+    let guard = Resilient.arm ~max_probes () in
+    Database.set_guard db (Some guard);
+    let engine = Online.create db in
+    let srv = mk_server ~guard db (Server.Sequential engine) in
+    let conn = connect srv in
+    (* The schema and facts go in before the budget can bite: inserts
+       do not evaluate. *)
+    seed_over_wire srv conn;
+    (db, engine, srv, conn)
+  in
+  let db, engine, srv, submitter = serve ~max_probes:0 in
+  let subscriber = connect srv in
+  List.iter
+    (fun conn ->
+      ignore
+        (rpc_ok ~ctx:"subscribe" srv conn
+           (Json.Obj [ ("id", Json.Int 1); ("op", Json.Str "subscribe") ])))
+    [ submitter; subscriber ];
+  ignore (rpc_ok ~ctx:"pend" srv submitter (submit 2 q1));
+  let resp, notifies = rpc_ok ~ctx:"degrade" srv submitter (submit 3 q2) in
+  let degraded_note =
+    match notifies with
+    | [ n ] ->
+      Alcotest.(check (option string)) "notify kind" (Some "degraded")
+        (Json.str_mem "notify" n);
+      Alcotest.(check (option string)) "notify reason"
+        (Some "probe budget exhausted") (Json.str_mem "reason" n);
+      n
+    | _ ->
+      Alcotest.failf "submitter read %d notifications before its response"
+        (List.length notifies)
+  in
+  Alcotest.(check (option string)) "still pending" (Some "pending")
+    (Json.str_mem "result" resp);
+  Alcotest.(check bool) "response marked degraded" true
+    (Json.mem "degraded" resp = Some (Json.Bool true));
+  let rec await tries =
+    match Server.Client.try_recv subscriber with
+    | Some n -> n
+    | None when tries < 2000 ->
+      ignore (Server.step ~timeout:0.01 srv);
+      await (tries + 1)
+    | None -> Alcotest.fail "subscriber got no notification"
+  in
+  Alcotest.(check string) "subscriber reads the same notification"
+    (Json.to_string degraded_note)
+    (Json.to_string (await 0));
+  Alcotest.(check int) "nothing fired" 0 (Online.total_coordinated engine);
+  Alcotest.(check int) "no probe ran" 0 (Database.probes db);
+  List.iter Server.Client.close [ submitter; subscriber ];
+  pump srv;
+  Server.stop srv;
+  (* Fresh budgets: one firing submit's probes suffice for every
+     request, though the requests together probe more than that. *)
+  let pairs =
+    List.init 3 (fun i ->
+        ( Printf.sprintf "qa%d: { R(H%d, y) } R(G%d, x) :- F(x, Zurich)." i i i,
+          Printf.sprintf "qb%d: { R(G%d, y) } R(H%d, x) :- F(x, Zurich)." i i i ))
+  in
+  let db, _, srv, conn = serve ~max_probes:max_int in
+  let per_request =
+    List.concat_map
+      (fun (a, b) ->
+        List.map
+          (fun q ->
+            let before = Database.probes db in
+            ignore (rpc_ok ~ctx:"unbounded" srv conn (submit 4 q));
+            Database.probes db - before)
+          [ a; b ])
+      pairs
+  in
+  let budget = List.fold_left max 0 per_request in
+  let total = List.fold_left ( + ) 0 per_request in
+  Alcotest.(check bool) "requests together probe past one budget" true
+    (budget > 0 && total > budget);
+  Server.Client.close conn;
+  pump srv;
+  Server.stop srv;
+  let _, engine, srv, conn = serve ~max_probes:budget in
+  List.iter
+    (fun (a, b) ->
+      List.iter
+        (fun q ->
+          let resp, _ = rpc_ok ~ctx:"fresh budget" srv conn (submit 5 q) in
+          Alcotest.(check bool)
+            (Printf.sprintf "budget %d per request: %s not degraded" budget q)
+            true
+            (Json.mem "degraded" resp = None))
+        [ a; b ])
+    pairs;
+  Alcotest.(check int) "every pair fired" 6 (Online.total_coordinated engine);
+  Server.Client.close conn;
+  pump srv;
+  Server.stop srv
+
 (* ---------------------- protocol edge cases ----------------------- *)
 
 let test_overloaded () =
@@ -1036,6 +1145,37 @@ let test_split_delivery () =
   Server.stop srv;
   rm_rf dir
 
+(* A pipelined stream longer than one session read (16 KiB) over
+   loopback TCP: the server reads it in two steps, so its responses
+   leave in two writes while the client sends nothing.  With Nagle on,
+   the second write waits for the client's delayed ACK of the first
+   (about 40 ms); the server sets TCP_NODELAY on every accepted TCP
+   session, which makes a delivery take well under a millisecond.  The
+   bound sits far from both. *)
+let test_tcp_split_delivery () =
+  let db = Database.create () in
+  let srv = mk_server db (Server.Sequential (Online.create db)) in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+  let frames = List.init 600 (fun i -> List.nth stateless_payloads (i mod 3)) in
+  let stream = String.concat "" (List.map raw_frame frames) in
+  let times =
+    List.init 9 (fun i ->
+        let t0 = Unix.gettimeofday () in
+        send_raw fd stream;
+        ignore
+          (collect ~ctx:(Printf.sprintf "tcp delivery %d" i) srv fd
+             (List.length frames));
+        Unix.gettimeofday () -. t0)
+  in
+  Unix.close fd;
+  let median = List.nth (List.sort compare times) (List.length times / 2) in
+  if median > 0.008 then
+    Alcotest.failf "median delivery over TCP took %.1f ms (bound 8 ms)"
+      (median *. 1e3);
+  pump srv;
+  Server.stop srv
+
 let suite =
   [
     Alcotest.test_case "json frames round-trip" `Quick test_json_roundtrip;
@@ -1049,6 +1189,8 @@ let suite =
       `Quick test_client_dies_mid_frame;
     Alcotest.test_case "subscriber dying before notify is a session event"
       `Quick test_subscriber_dies_before_notify;
+    Alcotest.test_case "a request past its budget is answered degraded"
+      `Quick test_degraded_request;
     Alcotest.test_case "admission control returns typed overloaded" `Quick
       test_overloaded;
     Alcotest.test_case "protocol errors keep the session alive" `Quick
@@ -1069,4 +1211,6 @@ let suite =
       `Quick test_escaped_constant_coordinates;
     Alcotest.test_case "pipelined frames split anywhere answer as one per write"
       `Quick test_split_delivery;
+    Alcotest.test_case "a stream read in two steps over TCP is not held by Nagle"
+      `Quick test_tcp_split_delivery;
   ]
