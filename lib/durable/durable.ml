@@ -317,6 +317,7 @@ let parse_name ~prefix ~suffix name =
 
 let segment_lsn = parse_name ~prefix:"wal-" ~suffix:".log"
 let snapshot_lsn = parse_name ~prefix:"snap-" ~suffix:".img"
+let wal_file n = segment_lsn n <> None || snapshot_lsn n <> None
 
 let rec mkdir_p path =
   if path <> "/" && path <> "." && not (Sys.file_exists path) then begin
@@ -399,10 +400,47 @@ let fsync_policy_of_string s =
       | _ -> None
     else None
 
-type config = { dir : string; fsync : fsync_policy; snapshot_every : int }
+(* A snapshot's blocking I/O, as steps.  The request thread encodes the
+   image, where the state is consistent, and hands it off; the steps
+   then run on a writer thread (durable_io.c), or on the calling thread
+   (a forced snapshot, the recovery checkpoint, and tests one step at a
+   time through [writer_step]).  Nothing is deleted before the image is
+   renamed, the directory is fsynced and the WAL prefix it covers is
+   durable, and the WAL stays authoritative until the request thread
+   rotates, so a crash between any two steps recovers exactly.
+   [Sync_wal] runs when the hand-off offset is beyond [synced]. *)
+type step = Sync_wal | Write_tmp | Rename | Sync_dir | Prune
 
-let config ?(fsync = Always) ?(snapshot_every = 512) dir =
-  { dir; fsync; snapshot_every }
+let step_name = function
+  | Sync_wal -> "wal-fsync"
+  | Write_tmp -> "write-tmp"
+  | Rename -> "rename"
+  | Sync_dir -> "fsync-dir"
+  | Prune -> "prune"
+
+(* durable_io.c numbers the steps in this order; [None] is a job done. *)
+let steps = [| Some Sync_wal; Some Write_tmp; Some Rename; Some Sync_dir; Some Prune; None |]
+
+type io_call =
+  | Segment_create
+  | Segment_header
+  | Dir_sync
+  | Append
+  | Segment_sync
+  | Step of step
+
+type config = {
+  dir : string;
+  fsync : fsync_policy;
+  snapshot_every : int;
+  io : (io_call -> unit) option;
+}
+
+let config ?(fsync = Always) ?(snapshot_every = 512) ?io dir =
+  { dir; fsync; snapshot_every; io }
+
+(* The test seam, before a call that changes the WAL directory. *)
+let seam cfg call = match cfg.io with None -> () | Some io -> io call
 
 (* --------------------------- Live handle --------------------------- *)
 
@@ -504,32 +542,6 @@ let encoder () =
     pool = Buf.create 1024;
   }
 
-(* A snapshot's blocking I/O, as steps.  The request thread encodes the
-   image, where the state is consistent, and hands it off; the steps
-   then run on a writer thread (durable_io.c), or on the calling thread
-   (a forced snapshot, the recovery checkpoint, and tests one step at a
-   time through [writer_step]).  Nothing is deleted before the image is
-   renamed, the directory is fsynced and the WAL prefix it covers is
-   durable, and the WAL stays authoritative until the request thread
-   rotates, so a crash between any two steps recovers exactly. *)
-type step =
-  | Sync_wal  (* fsync the segment, when the hand-off offset is beyond [synced] *)
-  | Write_tmp  (* write and fsync [snap-<lsn>.img.tmp] *)
-  | Rename  (* install it under its real name *)
-  | Sync_dir  (* fsync the directory, making the rename durable *)
-  | Prune  (* delete what the image supersedes *)
-  | Done
-
-let step_name = function
-  | Sync_wal -> "wal-fsync"
-  | Write_tmp -> "write-tmp"
-  | Rename -> "rename"
-  | Sync_dir -> "fsync-dir"
-  | Prune -> "prune"
-  | Done -> "done"
-
-(* durable_io.c numbers the steps in this order. *)
-let steps = [| Sync_wal; Write_tmp; Rename; Sync_dir; Prune; Done |]
 
 (* A job's paths, bytes and progress, in C memory (durable_io.c). *)
 type cjob
@@ -542,10 +554,10 @@ external job_create :
   string ->
   Unix.file_descr option ->
   string list option ->
-  (step * Unix.error) option ->
   cjob = "entangle_durable_job_create_bytecode" "entangle_durable_job_create"
 
 external job_step : cjob -> unit = "entangle_durable_job_step"
+external job_fail : cjob -> Unix.error -> unit = "entangle_durable_job_fail"
 external job_start : cjob -> bool = "entangle_durable_job_start"
 external job_started : cjob -> bool = "entangle_durable_job_started" [@@noalloc]
 external job_poll : cjob -> bool = "entangle_durable_job_poll"
@@ -559,6 +571,7 @@ external job_raise : cjob -> unit = "entangle_durable_job_raise"
 
 type job = {
   j_c : cjob;
+  j_cfg : config;  (* its directory and seam *)
   j_lsn : int64;
   j_offset : int;  (* segment bytes the image covers *)
   mutable j_encode_ns : int64;  (* the request thread's encode, set at hand-off *)
@@ -594,6 +607,7 @@ let last_lsn t = Int64.pred t.next_lsn
 
 let do_fsync t =
   let t0 = if Obs.metrics_on () then Obs.now_ns () else 0L in
+  seam t.cfg Segment_sync;
   Unix.fsync t.fd;
   t.synced <- t.offset;
   t.groups_since_sync <- 0;
@@ -610,25 +624,30 @@ let rec write_all fd b off n =
 
 (* A segment that cannot be created fails like [open_out] would, with
    [Sys_error]. *)
-let open_segment ~dir ~first_lsn =
-  let path = Filename.concat dir (segment_name first_lsn) in
+let open_segment cfg ~first_lsn =
+  let path = Filename.concat cfg.dir (segment_name first_lsn) in
   let header = Bytes.create segment_header_len in
   Bytes.blit_string segment_magic 0 header 0 8;
   Bytes.set_int64_le header 8 first_lsn;
   let fail e = raise (Sys_error (path ^ ": " ^ Unix.error_message e)) in
   let fd =
-    try Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    try
+      seam cfg Segment_create;
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
     with Unix.Unix_error (e, _, _) -> fail e
   in
-  (try write_all fd header 0 segment_header_len
-   with Unix.Unix_error (e, _, _) ->
+  (try
+     seam cfg Segment_header;
+     write_all fd header 0 segment_header_len;
+     seam cfg Dir_sync;
+     fsync_dir cfg.dir
+   with e ->
      Unix.close fd;
-     fail e);
-  fsync_dir dir;
+     match e with Unix.Unix_error (e, _, _) -> fail e | e -> raise e);
   (path, fd)
 
 let handle cfg ~db ~engine ~first_lsn =
-  let seg_path, fd = open_segment ~dir:cfg.dir ~first_lsn in
+  let seg_path, fd = open_segment cfg ~first_lsn in
   {
     cfg;
     fd;
@@ -668,12 +687,6 @@ let io_error_to_string = function
   | Sys_error msg -> msg
   | e -> Printexc.to_string e
 
-(* Test-only fault injection for the journal: when set, [write_groups]
-   raises the given exception in place of its write, as an EIO or
-   ENOSPC from the log device would. *)
-let journal_fault : exn option ref = ref None
-let inject_journal_failure e = journal_fault := e
-
 (* Fail-stop.  An I/O error while appending, syncing or rotating the
    journal leaves the engine past what the WAL holds, and after a
    failed fsync the kernel may already have dropped the dirty pages, so
@@ -701,7 +714,7 @@ let write_groups t =
   let n = t.committed in
   if n > 0 then begin
     let t0 = if Obs.metrics_on () then Obs.now_ns () else 0L in
-    (match !journal_fault with Some e -> raise e | None -> ());
+    seam t.cfg Append;
     write_all t.fd t.out.b 0 n;
     t.offset <- t.offset + n;
     Bytes.blit t.out.b n t.out.b 0 (t.out.len - n);
@@ -856,17 +869,17 @@ let decode_snapshot payload =
   }
 
 (* The files of a directory holding [entries] that are superseded once
-   it keeps only its newest [keep] snapshots: the older snapshots, then
+   it keeps only its newest two snapshots: the older snapshots, then
    every segment not needed to replay past the oldest kept one. *)
-let superseded ~keep entries =
+let superseded entries =
   let snaps =
     List.filter_map
       (fun n -> Option.map (fun l -> (l, n)) (snapshot_lsn n))
       entries
     |> List.sort (fun (a, _) (b, _) -> Int64.compare b a)
   in
-  let kept = List.filteri (fun i _ -> i < keep) snaps in
-  let old_snaps = List.filteri (fun i _ -> i >= keep) snaps in
+  let kept = List.filteri (fun i _ -> i < 2) snaps in
+  let old_snaps = List.filteri (fun i _ -> i >= 2) snaps in
   let horizon =
     match List.rev kept with (l, _) :: _ -> l | [] -> 0L
   in
@@ -886,59 +899,41 @@ let superseded ~keep entries =
   in
   List.map snd old_snaps @ drop segs
 
-let prune ~keep dirname =
-  List.iter
-    (fun n -> Sys.remove (Filename.concat dirname n))
-    (superseded ~keep (list_dir dirname))
-
 (* ------------------------- Snapshot writer ------------------------- *)
 
-(* Test-only fault injection: when set, the [Write_tmp] step of every
-   job made fails with the given error instead of writing — the moral
-   equivalent of an EACCES or ENOSPC from the filesystem, which the
-   test harness cannot provoke for real (suites run as root, where
-   chmod is advisory).  [wal_sync_fault] fails [Sync_wal] the same way.
-   The failure is part of the job, so it takes the same path on the
-   writer thread as on the calling thread. *)
-let snapshot_fault : Unix.error option ref = ref None
-let inject_snapshot_failure e = snapshot_fault := e
-let wal_sync_fault : Unix.error option ref = ref None
-let inject_wal_sync_failure e = wal_sync_fault := e
-
-(* The job writing [payload] as the snapshot at [lsn] into [dir]: the
-   header is built here, on the caller's thread, and the job's write
-   step appends the payload's checksum, so the writer runs no OCaml code
-   between its system calls.  [wal] is the segment to fsync first;
-   [victims] the names to delete last. *)
-let make_job ~dir ~lsn ~payload ?wal ?(offset = 0) ?victims () =
+(* The job writing [payload] as the snapshot at [lsn] into [cfg.dir]:
+   the header is built here, on the caller's thread, and the job's
+   write step appends the payload's checksum, so the writer runs no
+   OCaml code between its system calls.  [wal] is the segment to fsync
+   first; [victims] the names to delete last. *)
+let make_job cfg ~lsn ~payload ?wal ?(offset = 0) ?victims () =
   let header = Bytes.create 20 in
   Bytes.blit_string snapshot_magic 0 header 0 8;
   Bytes.set_int64_le header 8 lsn;
   Bytes.set_int32_le header 16 (Int32.of_int (String.length payload));
-  let path = Filename.concat dir (snapshot_name lsn) in
-  let fault =
-    match (!wal_sync_fault, !snapshot_fault) with
-    | Some e, _ when wal <> None -> Some (Sync_wal, e)
-    | _, Some e -> Some (Write_tmp, e)
-    | _ -> None
-  in
+  let path = Filename.concat cfg.dir (snapshot_name lsn) in
   {
     j_c =
-      job_create dir (path ^ ".tmp") path
+      job_create cfg.dir (path ^ ".tmp") path
         (Bytes.unsafe_to_string header)
         payload wal
-        (Option.map (List.map (Filename.concat dir)) victims)
-        fault;
+        (Option.map (List.map (Filename.concat cfg.dir)) victims);
+    j_cfg = cfg;
     j_lsn = lsn;
     j_offset = offset;
     j_encode_ns = 0L;
   }
 
+(* Run the job's next step on the calling thread, after the seam: a
+   [Unix_error] from the seam fails the step as its system call would. *)
+let run_step j s =
+  match seam j.j_cfg (Step s) with
+  | () -> job_step j.j_c
+  | exception Unix.Unix_error (e, _, _) -> job_fail j.j_c e
+
 (* Run what is left of the job on the calling thread. *)
-let run_job j =
-  while next_step j.j_c <> Done do
-    job_step j.j_c
-  done
+let rec run_job j =
+  Option.iter (fun s -> run_step j s; run_job j) (next_step j.j_c)
 
 (* How a finished job ends for its caller: [Error why] for a snapshot
    file that could not be written, counted and emitted like any
@@ -948,7 +943,7 @@ let run_job j =
 let outcome j =
   match job_raise j.j_c with
   | () -> Ok ()
-  | exception e when steps.(job_failed j.j_c) = Sync_wal -> raise e
+  | exception e when steps.(job_failed j.j_c) = Some Sync_wal -> raise e
   | exception e ->
     let why = io_error_to_string e in
     Obs.Counter.incr (Lazy.force c_snapshot_failures);
@@ -958,19 +953,10 @@ let outcome j =
       "durable.snapshot_failure";
     Error why
 
-(* Test-only: when set, a periodic hand-off starts no thread; its steps
-   run through [writer_step], or to the end when a caller waits. *)
-let step_writer = ref false
-let set_step_writer b = step_writer := b
-
 let writer_step t =
   match t.writer with
-  | Some j when not (job_started j.j_c) -> (
-    match next_step j.j_c with
-    | Done -> None
-    | step ->
-      job_step j.j_c;
-      Some (step_name step))
+  | Some j when not (job_started j.j_c) ->
+    Option.map (fun s -> run_step j s; step_name s) (next_step j.j_c)
   | _ -> None
 
 (* Wait for the job to end: join its writer thread, or run what is left
@@ -987,9 +973,9 @@ let hand_off t ~spawn =
   let payload = encode_snapshot t.enc ~db:t.db t.engine in
   (* Only this handle's writer changes the directory, so what the new
      image supersedes is known now. *)
-  let victims = superseded ~keep:2 (snapshot_name lsn :: list_dir t.cfg.dir) in
+  let victims = superseded (snapshot_name lsn :: list_dir t.cfg.dir) in
   let job =
-    make_job ~dir:t.cfg.dir ~lsn ~payload
+    make_job t.cfg ~lsn ~payload
       ?wal:
         (if t.synced < t.offset then Some t.fd else None)
       ~offset:t.offset ~victims ()
@@ -997,8 +983,9 @@ let hand_off t ~spawn =
   job.j_encode_ns <- Int64.sub (Obs.now_ns ()) t0;
   t.groups_since_snapshot <- 0;
   t.writer <- Some job;
-  (* Without a thread to spare, the write happens on the calling thread. *)
-  if spawn && (not !step_writer) && not (job_start job.j_c) then run_job job
+  (* A handle with a seam starts no thread.  Without a thread to spare,
+     the write happens on the calling thread. *)
+  if spawn && Option.is_none t.cfg.io && not (job_start job.j_c) then run_job job
 
 let close_segment t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -1009,8 +996,8 @@ let rotate t =
      the new one. *)
   write_groups t;
   if t.cfg.fsync <> Never && t.synced < t.offset then do_fsync t;
+  let path, fd = open_segment t.cfg ~first_lsn:t.next_lsn in
   close_segment t;
-  let path, fd = open_segment ~dir:t.cfg.dir ~first_lsn:t.next_lsn in
   t.seg_path <- path;
   t.fd <- fd;
   t.offset <- segment_header_len;
@@ -1143,10 +1130,7 @@ let close t =
   end
 
 let has_wal_files dir =
-  Sys.file_exists dir
-  && List.exists
-       (fun n -> segment_lsn n <> None || snapshot_lsn n <> None)
-       (list_dir dir)
+  Sys.file_exists dir && List.exists wal_file (list_dir dir)
 
 let create_engine ?(consume = false) cfg =
   mkdir_p cfg.dir;
@@ -1356,10 +1340,7 @@ let recover cfg =
     let entries = list_dir cfg.dir in
     (* An interrupted snapshot leaves a .tmp that was never renamed —
        it is garbage by construction. *)
-    let tmp_cleaned =
-      List.filter (fun n -> Filename.check_suffix n ".tmp") entries
-    in
-    List.iter (fun n -> Sys.remove (Filename.concat cfg.dir n)) tmp_cleaned;
+    let tmps = List.filter (fun n -> Filename.check_suffix n ".tmp") entries in
     let snaps =
       List.filter_map
         (fun n -> Option.map (fun l -> (l, n)) (snapshot_lsn n))
@@ -1606,22 +1587,30 @@ let recover cfg =
       if Obs.metrics_on () then
         Obs.Counter.add (Lazy.force c_replayed) !records_replayed;
       (* Recovery checkpoint: make the recovered state durable in a
-         fresh snapshot + segment, then delete all older files —
-         including any torn bytes, whole-segment.  Nothing is patched
-         in place, so a crash during this checkpoint recovers again
-         from the same inputs. *)
+         fresh snapshot, then delete every other file the scan saw,
+         whatever its LSN (torn bytes whole-segment), and open a fresh
+         segment.  Nothing is patched in place, so a crash during this
+         checkpoint recovers again from the same inputs. *)
       let lsn = !last_applied in
+      let image = snapshot_name lsn in
       let checkpoint =
         let job =
-          make_job ~dir:cfg.dir ~lsn
+          make_job cfg ~lsn
             ~payload:(encode_snapshot (encoder ()) ~db engine)
+            ~victims:
+              (List.filter
+                 (fun n ->
+                   n <> image && n <> image ^ ".tmp"
+                   && (List.mem n tmps || wal_file n))
+                 entries)
             ()
         in
         run_job job;
         outcome job
       in
-      (match (checkpoint, (!truncation, !segments_dropped)) with
-      | Error why, ((Some _, _) | (_, _ :: _)) ->
+      (* Segments are dropped only after a truncation. *)
+      (match (checkpoint, !truncation) with
+      | Error why, Some _ ->
         (* The checkpoint could not quarantine the torn/dropped bytes.
            Appending a fresh segment anyway would put new committed
            groups behind bytes the NEXT recovery truncates away, so a
@@ -1632,31 +1621,32 @@ let recover cfg =
               tail, but the snapshot write failed: %s"
              cfg.dir why)
       | (Ok _ | Error _), _ ->
-        let t = handle cfg ~db ~engine ~first_lsn:(Int64.add lsn 1L) in
-        (* A failed (but tolerable — clean tail) checkpoint leaves the
-           old snapshot + segments as the only durable copy of the
-           replayed prefix: they must survive, so skip the prune. *)
-        (match checkpoint with
-        | Ok _ -> prune ~keep:1 cfg.dir
-        | Error _ -> ());
-        attach t;
-        let report =
-          {
-            snapshot_loaded =
-              Option.map (fun (n, l, _) -> (n, l)) snapshot_pick;
-            snapshots_skipped;
-            segments_scanned = !segments_scanned;
-            records_replayed = !records_replayed;
-            groups_replayed = !groups_replayed;
-            recovered_lsn = lsn;
-            truncation = !truncation;
-            segments_dropped = List.rev !segments_dropped;
-            tmp_cleaned;
-            checkpoint_failed =
-              (match checkpoint with Ok _ -> None | Error why -> Some why);
-          }
-        in
-        Result.Ok (t, db, engine, report))
+        (* A failed (but tolerable — clean tail) checkpoint deleted
+           nothing its image does not cover: the old snapshot +
+           segments stay a durable copy of the replayed prefix.  So a
+           segment that cannot be created is an [Error] a retry
+           recovers from, the image alone after a checkpoint. *)
+        match handle cfg ~db ~engine ~first_lsn:(Int64.add lsn 1L) with
+        | exception Sys_error why -> Result.Error why
+        | t ->
+          attach t;
+          let report =
+            {
+              snapshot_loaded =
+                Option.map (fun (n, l, _) -> (n, l)) snapshot_pick;
+              snapshots_skipped;
+              segments_scanned = !segments_scanned;
+              records_replayed = !records_replayed;
+              groups_replayed = !groups_replayed;
+              recovered_lsn = lsn;
+              truncation = !truncation;
+              segments_dropped = List.rev !segments_dropped;
+              tmp_cleaned = (if checkpoint = Ok () then tmps else []);
+              checkpoint_failed =
+                (match checkpoint with Ok _ -> None | Error why -> Some why);
+            }
+          in
+          Result.Ok (t, db, engine, report))
   end
 
 let open_or_recover ?consume cfg =
@@ -1667,4 +1657,4 @@ let open_or_recover ?consume cfg =
   else
     match create_engine ?consume cfg with
     | t, db, engine -> Result.Ok (t, db, engine, None)
-    | exception Invalid_argument msg -> Result.Error msg
+    | exception (Invalid_argument msg | Sys_error msg) -> Result.Error msg

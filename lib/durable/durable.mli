@@ -71,10 +71,10 @@
     stops at the first torn, short, bit-flipped or garbage record —
     reporting a typed {!truncation} rather than raising.  The valid
     prefix is then made durable again by a recovery checkpoint: a fresh
-    snapshot at the recovered LSN, a fresh segment, and deletion of all
-    older files including the torn bytes (truncation by checkpoint —
-    nothing is ever patched in place, so a crash during recovery is
-    itself recoverable). *)
+    snapshot at the recovered LSN, then deletion of every other
+    snapshot, segment and [.tmp] file, whatever its LSN (the torn bytes
+    included), and a fresh segment (nothing is ever patched in place,
+    so a crash during recovery is itself recoverable). *)
 
 open Relational
 open Coordination
@@ -94,6 +94,28 @@ val fsync_policy_to_string : fsync_policy -> string
 val fsync_policy_of_string : string -> fsync_policy option
 (** ["always"], ["never"], or ["every-n:<N>"] with [N >= 1]. *)
 
+(** A snapshot's steps, in order: fsync the WAL prefix the image
+    covers (when unsynced), write and fsync [snap-<lsn>.img.tmp], rename
+    it into place, fsync the directory, delete what it supersedes. *)
+type step = Sync_wal | Write_tmp | Rename | Sync_dir | Prune
+
+(** A call that changes the WAL directory.  With a test seam,
+    [config ~io dir], the handles made from that config run [io call]
+    before each such call, on the calling thread.  A [Unix.Unix_error]
+    from [io] stands in for the call's failure and takes a real one's
+    path: a journal write, fsync or segment open fails the handle
+    ({!Wal_failed}), a snapshot step ends that snapshot with [Error]
+    (the recovery checkpoint's with [checkpoint_failed]).  Any other
+    exception propagates, leaving the directory as a crash there
+    would.  A handle with a seam starts no writer thread. *)
+type io_call =
+  | Segment_create  (** create a segment *)
+  | Segment_header  (** write its header *)
+  | Dir_sync  (** fsync the directory after creating it *)
+  | Append  (** write committed groups *)
+  | Segment_sync  (** fsync the current segment *)
+  | Step of step  (** a snapshot step *)
+
 type config = {
   dir : string;  (** the WAL directory (created if missing) *)
   fsync : fsync_policy;
@@ -102,11 +124,14 @@ type config = {
           committed groups; [0] disables periodic snapshots.  At most
           one is in flight: a cadence reached while one is written is
           skipped, and the count starts again. *)
+  io : (io_call -> unit) option;  (** the test seam *)
 }
 
-val config : ?fsync:fsync_policy -> ?snapshot_every:int -> string -> config
-(** [config dir] with [fsync] defaulting to [Always] and
-    [snapshot_every] to [512]. *)
+val config :
+  ?fsync:fsync_policy -> ?snapshot_every:int -> ?io:(io_call -> unit) ->
+  string -> config
+(** [config dir] with [fsync] defaulting to [Always], [snapshot_every]
+    to [512] and no seam. *)
 
 (** {1 The live handle} *)
 
@@ -119,7 +144,8 @@ val create_engine : ?consume:bool -> config -> t * Database.t * Online.t
     first record, so {!recover} can rebuild an equivalent engine
     without being told.
     @raise Invalid_argument if the directory already holds WAL files
-    (use {!recover} or {!open_or_recover}). *)
+    (use {!recover} or {!open_or_recover}).
+    @raise Sys_error if the first segment cannot be created. *)
 
 exception Wal_failed of string
 (** The journal could not be written: an I/O error while appending,
@@ -241,14 +267,16 @@ type recovery_report = {
   segments_dropped : string list;
       (** segments after a truncation, discarded whole *)
   tmp_cleaned : string list;
-      (** leftover [.tmp] files from an interrupted snapshot *)
+      (** leftover [.tmp] files from an interrupted snapshot, deleted
+          by the checkpoint *)
   checkpoint_failed : string option;
       (** [Some why] when the post-recovery checkpoint snapshot could
-          not be written.  Recovery still succeeds when the tail was
-          clean — the pre-existing snapshot and segments are retained
-          (no prune) and stay authoritative — but fails with [Error _]
-          when a truncation needed quarantining, since appending behind
-          un-quarantined torn bytes would lose future groups. *)
+          not be written or could not delete what it supersedes.
+          Recovery still succeeds when the tail was clean — nothing the
+          image does not cover is deleted, so the old files stay
+          authoritative — but fails with [Error _] when a truncation
+          needed quarantining, since appending behind un-quarantined
+          torn bytes would lose future groups. *)
 }
 
 val pp_report : Format.formatter -> recovery_report -> unit
@@ -262,7 +290,8 @@ val recover :
     contents — exactly as a never-crashed engine after the same
     committed operations; solver statistics do not survive, and every
     recovered component is conservatively dirty.  [Error _] when the
-    directory holds no recoverable state at all. *)
+    directory holds no recoverable state at all, or when the fresh
+    segment cannot be created (a retry recovers). *)
 
 val open_or_recover :
   ?consume:bool ->
@@ -270,41 +299,16 @@ val open_or_recover :
   (t * Database.t * Online.t * recovery_report option, string) result
 (** {!recover} when [config.dir] already holds WAL files ([consume] is
     then ignored in favour of the journaled meta), else
-    {!create_engine}. *)
+    {!create_engine}, whose exceptions become [Error _]. *)
 
-(** {1 Wire-format internals, exposed for tests} *)
-
-val inject_snapshot_failure : Unix.error option -> unit
-(** Test-only: make the image write of every snapshot started while it
-    is set fail with [e] (e.g. [EACCES]) instead of touching the
-    filesystem, simulating a full disk or permission failure the test
-    harness cannot provoke for real.  The failure runs where the
-    snapshot's other steps run, on the writer thread included.  [None]
-    clears the fault. *)
-
-val inject_wal_sync_failure : Unix.error option -> unit
-(** Test-only: make the WAL-prefix fsync of every snapshot started while
-    it is set fail with [e] (e.g. [EIO]), which the next journaled
-    operation turns into {!Wal_failed}.  A snapshot whose prefix is
-    already synced makes no such fsync.  [None] clears the fault. *)
-
-val inject_journal_failure : exn option -> unit
-(** Test-only: make the next journal group writes raise [e] (e.g. a
-    [Unix.Unix_error (EIO, _, _)]) in place of the write, so a test can
-    drive the {!Wal_failed} path.  [None] clears the fault. *)
-
-val set_step_writer : bool -> unit
-(** Test-only: when set, a periodic hand-off starts no writer thread.
-    Its steps run one at a time on the calling thread through
-    {!writer_step}, or to the end when {!snapshot} or {!close} waits
-    for them, so a test can stop between any two. *)
+(** {1 Wire-format internals and the test seam, exposed for tests} *)
 
 val writer_step : t -> string option
-(** Test-only, with {!set_step_writer}: run the next step of the
-    snapshot in flight on the calling thread and name it
-    (["wal-fsync"], ["write-tmp"], ["rename"], ["fsync-dir"],
-    ["prune"]); [None] when no step is left.  The next journaled
-    operation settles a finished snapshot. *)
+(** On a handle with a seam, where a periodic snapshot's steps wait for
+    this or for {!snapshot} or {!close}: run the next step on the
+    calling thread and name it (["wal-fsync"], ["write-tmp"],
+    ["rename"], ["fsync-dir"], ["prune"]); [None] when no step is left.
+    The next journaled operation settles a finished snapshot. *)
 
 module Crc32 : sig
   val string : string -> int

@@ -2,12 +2,11 @@
    them; and the CRC-32 of WAL records and snapshot images.
 
    A job lives here, in C memory: the image's bytes, its paths, the
-   segment to fsync first, the files to delete last and a test's
-   injected failure.  The image's checksum is taken by the step that
-   writes it, so the request thread only copies the bytes.  Its steps
-   run one at a time on the calling thread
-   ([entangle_durable_job_step]), or on a writer thread of their own
-   ([entangle_durable_job_start]); both run the same [step].
+   segment to fsync first and the files to delete last.  The image's
+   checksum is taken by the step that writes it, so the request thread
+   only copies the bytes.  Its steps run one at a time on the calling
+   thread ([entangle_durable_job_step]), or on a writer thread of their
+   own ([entangle_durable_job_start]); both run the same [step].
    That thread is a plain POSIX thread that never enters the OCaml
    runtime.  An OCaml thread would share the runtime lock with the
    request thread, which then waits each time the writer starts, or
@@ -104,8 +103,6 @@ struct job {
   char **victims;  /* paths [PRUNE] deletes; NULL skips the step */
   int nvictims;
   int next;
-  int fault;    /* the step a test makes fail, or -1 */
-  int fault_err;
   int failed;   /* the step that failed, or -1 */
   const char *fn;  /* the system call that failed */
   int err;
@@ -141,27 +138,23 @@ static struct custom_operations job_ops = {
   custom_compare_ext_default, custom_fixed_length_default
 };
 
-/* [entangle_durable_job_create dir tmp path header payload wal victims
-   fault]: the job that writes [header], [payload] and the payload's
+/* [entangle_durable_job_create dir tmp path header payload wal
+   victims]: the job that writes [header], [payload] and the payload's
    CRC-32 (four bytes, little-endian) to [tmp], renames it to [path] and
    fsyncs [dir]; first fsyncs [wal] when given, and last deletes the
-   paths of [victims] when given.  [fault], when given, is a step and a
-   [Unix.error]: that step fails with that error in place of its system
-   calls. */
+   paths of [victims] when given. */
 CAMLprim value entangle_durable_job_create(value v_dir, value v_tmp, value v_path,
                                            value v_header, value v_payload,
-                                           value v_wal, value v_victims,
-                                           value v_fault)
+                                           value v_wal, value v_victims)
 {
   CAMLparam5(v_dir, v_tmp, v_path, v_header, v_payload);
-  CAMLxparam3(v_wal, v_victims, v_fault);
+  CAMLxparam2(v_wal, v_victims);
   CAMLlocal2(l, res);
   struct job *j = caml_stat_calloc_noexc(1, sizeof *j);
   if (j == NULL) caml_raise_out_of_memory();
   res = caml_alloc_custom(&job_ops, sizeof(struct job *), 0, 1);
   Job_val(res) = j;
   j->failed = -1;
-  j->fault = -1;
   j->next = DONE;
   pthread_mutex_init(&j->lock, NULL);
   j->dir = caml_stat_strdup(String_val(v_dir));
@@ -182,10 +175,6 @@ CAMLprim value entangle_durable_job_create(value v_dir, value v_tmp, value v_pat
     for (l = Field(v_victims, 0); l != Val_emptylist; l = Field(l, 1))
       j->victims[j->nvictims++] = caml_stat_strdup(String_val(Field(l, 0)));
   }
-  if (Is_block(v_fault)) {
-    j->fault = Int_val(Field(Field(v_fault, 0), 0));
-    j->fault_err = caml_unix_code_of_unix_error(Field(Field(v_fault, 0), 1));
-  }
   j->next = j->wal_fd >= 0 ? SYNC_WAL : WRITE_TMP;
   CAMLreturn(res);
 }
@@ -194,7 +183,7 @@ CAMLprim value entangle_durable_job_create_bytecode(value *argv, int argn)
 {
   (void)argn;
   return entangle_durable_job_create(argv[0], argv[1], argv[2], argv[3],
-                                     argv[4], argv[5], argv[6], argv[7]);
+                                     argv[4], argv[5], argv[6]);
 }
 
 static int write_file(struct job *j)
@@ -246,20 +235,21 @@ static int fsync_dir(const char *dir, const char **fn)
   return rc;
 }
 
-/* The system call each step makes first, which an injected fault
-   names. */
-static const char *const first_call[] = { "fsync", "open", "rename", "fsync",
-                                          "unlink" };
+/* End the job at its next step with [errno] from the call [j->fn]. */
+static void fail(struct job *j)
+{
+  j->err = errno;
+  j->failed = j->next;
+  /* Never leave a half-written image behind. */
+  if (j->next == WRITE_TMP || j->next == RENAME) unlink(j->tmp);
+  j->next = DONE;
+}
 
 /* Run the next step.  No runtime access: called with the lock released. */
 static void step(struct job *j)
 {
   int s = j->next, rc = 0;
-  if (s == j->fault) {
-    rc = -1;
-    errno = j->fault_err;
-    j->fn = first_call[s];
-  } else switch (s) {
+  switch (s) {
   case SYNC_WAL:
     rc = fsync(j->wal_fd);
     if (rc != 0) j->fn = "fsync";
@@ -283,14 +273,26 @@ static void step(struct job *j)
   default:
     return;
   }
-  if (rc != 0) {
-    j->err = errno;
-    j->failed = s;
-    j->next = DONE;
-    /* Never leave a half-written image behind. */
-    if (s == WRITE_TMP || s == RENAME) unlink(j->tmp);
-  } else
+  if (rc != 0)
+    fail(j);
+  else
     j->next = (s == SYNC_DIR && j->victims == NULL) ? DONE : s + 1;
+}
+
+/* The system call each step makes first, which a failure from the test
+   seam names. */
+static const char *const first_call[] = { "fsync", "open", "rename", "fsync",
+                                          "unlink" };
+
+/* [entangle_durable_job_fail job err]: the next step, which the caller
+   knows is not [DONE], fails with [err] in place of its system calls. */
+CAMLprim value entangle_durable_job_fail(value v_job, value v_err)
+{
+  struct job *j = Job_val(v_job);
+  errno = caml_unix_code_of_unix_error(v_err);
+  j->fn = first_call[j->next];
+  fail(j);
+  return Val_unit;
 }
 
 static int64_t now_ns(void)

@@ -665,9 +665,6 @@ let step ?(timeout = 0.05) t =
     (match Unix.select rds wrs [] timeout with
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | rd, wr, _ ->
-      (match t.listen_fd with
-      | Some lfd when List.mem lfd rd -> accept_loop t
-      | _ -> ());
       List.iter
         (fun s -> if (not s.dead) && List.mem s.fd wr then write_session t s)
         sess;
@@ -686,6 +683,11 @@ let step ?(timeout = 0.05) t =
         with Durable.Wal_failed _ as e ->
           List.iter (fun s -> Buf.clear s.out) sess;
           raise e));
+      (* Accept after the reads, so a session's end that is ready in
+         the same round as a new connection is logged first. *)
+      (match t.listen_fd with
+      | Some lfd when List.mem lfd rd -> accept_loop t
+      | _ -> ());
       (* Push responses produced this round without waiting for the
          next select — interactive latency, and frames reach a client
          that disconnects right after its request. *)

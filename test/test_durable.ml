@@ -2,16 +2,15 @@
 
    A durable engine journals every operation through a checksummed WAL
    (lib/durable); a never-crashed reference engine runs the same seeded
-   trace with no WAL at all.  At every operation boundary we simulate a
-   crash — copy the WAL directory aside — and later recover from the
-   copy: the recovered pool (ids and names), component partition,
-   satisfied count and store contents must equal the reference's state
-   at exactly that boundary, with and without consume.  Torn, partial
-   and bit-flipped tails (seeded through Disk_fault) must
-   recover to the previous boundary with a typed truncation report —
-   never an exception, never a double-spent tuple.  CHAOS_SEED sweeps
-   the trace seed in CI; CHAOS_WAL_DIR relocates the scratch space
-   (failures leave it behind for artifact upload). *)
+   trace with no WAL at all.  After a crash at any I/O call of the
+   trace, or of a recovery, the recovered pool (ids and names),
+   component partition, satisfied count and store contents must equal
+   the reference's after the operations written, with and without
+   consume.  Torn, partial and bit-flipped tails (seeded through
+   Disk_fault) must recover to the previous boundary with a typed
+   truncation report — never an exception, never a double-spent tuple.
+   CHAOS_SEED sweeps the trace seed in CI; CHAOS_WAL_DIR relocates the
+   scratch space (failures leave it behind for artifact upload). *)
 
 open Relational
 open Helpers
@@ -66,111 +65,131 @@ let mk_reference ~consume =
   seed_store db;
   (db, engine)
 
-let recover_exn ?(ctx = "") dir =
-  match Durable.recover (Durable.config dir) with
-  | Ok r -> r
-  | Error msg -> Alcotest.failf "%s: recover failed: %s" ctx msg
-
-(* ---------------- crash points at every op boundary --------------- *)
-
-(* Run [f] with periodic snapshots handed to no thread: their steps run
-   only through [Durable.writer_step], or when a caller waits. *)
-let with_step_writer f =
-  Durable.set_step_writer true;
-  Fun.protect ~finally:(fun () -> Durable.set_step_writer false) f
-
-(* Run a trace on a durable engine (periodic snapshots armed) next to
-   the reference, copying the WAL directory at every operation
-   boundary; then recover every copy and demand state equality with the
-   reference at that boundary.  A snapshot handed off is in flight for
-   the next few operations: its writer runs one step per boundary, the
-   directory is copied after each (the .tmp write, the rename, the
-   directory fsync, the prune), and the operations in between append
-   past the image's LSN until one of them settles it and rotates.
-   Every set the durable engine fires, live or after recovery, is
-   checked against Definition 1. *)
-let run_crash_points ~seed ~consume () =
-  with_step_writer @@ fun () ->
-  let tag = Printf.sprintf "cp-%b" consume in
-  let dir = fresh_dir tag in
-  let trace = gen_trace (Prng.create seed) 12 in
-  let wal, db, engine =
-    Durable.create_engine ~consume
-      (Durable.config ~fsync:Durable.Always ~snapshot_every:4 dir)
-  in
-  seed_store ~wal db;
-  let rdb, rengine = mk_reference ~consume in
-  let shadow = mk_db () in
-  let copies = ref [] in
-  let states = ref [] in
-  let steps_seen = ref [] in
-  let copy_at k label =
-    let copy = fresh_dir (Printf.sprintf "%s-k%d%s" tag k label) in
-    copy_dir dir copy;
-    copies := (k, label, copy) :: !copies
-  in
-  let checkpoint k =
-    copy_at k "";
-    states := (k, observe rdb rengine) :: !states;
-    Alcotest.check obs_t
-      (Printf.sprintf "%s step %d: live == reference" tag k)
-      (observe rdb rengine) (observe db engine);
-    match Durable.writer_step wal with
-    | Some step ->
-      steps_seen := step :: !steps_seen;
-      copy_at k ("-" ^ step)
-    | None -> ()
-  in
-  checkpoint 0;
-  List.iteri
-    (fun i op ->
-      apply_op ~wal
-        ~shadow:(Printf.sprintf "%s step %d" tag (i + 1), shadow)
-        db engine op;
-      apply_op rdb rengine op;
-      checkpoint (i + 1))
-    trace;
-  List.iter
-    (fun step ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: a crash after %s was taken" tag step)
-        true (List.mem step !steps_seen))
-    [ "write-tmp"; "rename"; "fsync-dir"; "prune" ];
-  (* Recover every crash point; the recovered state must sit exactly on
-     that operation boundary. *)
-  List.iter
-    (fun (k, label, copy) ->
-      let ctx = Printf.sprintf "%s k%d%s" tag k label in
-      let t, rdb', rengine', report = recover_exn ~ctx copy in
+(* Recover [dir]; with [clean], the tail must be clean too. *)
+let recover_exn ?(ctx = "") ?(clean = false) ?io dir =
+  match Durable.recover (Durable.config ?io dir) with
+  | Ok ((_, _, _, report) as r) ->
+    if clean then
       Alcotest.(check bool) (ctx ^ ": clean tail") true
         (report.Durable.truncation = None);
-      Alcotest.check obs_t
-        (ctx ^ ": recovered == reference")
-        (List.assoc k !states) (observe rdb' rengine');
-      Durable.close t;
-      rm_rf copy)
-    !copies;
-  (* Continuation equivalence: a recovered engine must behave like the
-     never-crashed reference from here on. *)
-  let n = List.length trace in
-  let final = fresh_dir (tag ^ "-final") in
-  copy_dir dir final;
-  let t, rdb', rengine', _ = recover_exn ~ctx:(tag ^ " final") final in
+    r
+  | Error msg -> Alcotest.failf "%s: recover failed: %s" ctx msg
+
+(* ------------------- a crash at every I/O call -------------------- *)
+
+exception Crash
+
+(* A seam that crashes at call [k] and every later one. *)
+let crash_at k =
+  let calls = ref 0 in
+  fun _ ->
+    incr calls;
+    if !calls >= k then raise Crash
+
+(* Count the I/O calls of a seeded trace (periodic snapshots armed, one
+   writer step after each operation, [close] at the end), then for
+   every k rerun it with a crash at call k and recover: the state must
+   be the reference's after the operations written before that call,
+   and the recovered engine must go on like the reference.  So must a
+   recovery after a crash at any call of a first one.  Every set the
+   durable engine fires is checked against Definition 1. *)
+let run_crash_points ~seed ~consume () =
+  let tag = Printf.sprintf "cp-%b" consume in
+  let trace = gen_trace (Prng.create seed) 12 in
   let more = gen_trace (Prng.create (seed + 1)) 6 in
+  let observe_after ops =
+    let db, engine = mk_reference ~consume in
+    List.iter (apply_op db engine) ops;
+    observe db engine
+  in
+  let prefix b = List.filteri (fun i _ -> i < b) trace in
+  let states = Array.init (List.length trace + 1) (fun b -> observe_after (prefix b)) in
+  (* A shadow store holding the tuples the operations [ops] inserted. *)
+  let shadow ctx ops =
+    let store = mk_db () in
+    let insert f d = Database.insert store "F" [ vi f; vs d ] in
+    List.iter (function Insert (f, d) -> insert f d | _ -> ()) ops;
+    (ctx, store)
+  in
+  (* [op] is the operation under way.  The seam sees the trace's calls
+     only; fsyncs every 8 groups leave the hand-offs after a rotation an
+     unsynced prefix, so their jobs start with a WAL fsync.  A [Crash]
+     closes the segment, every later call crashing too. *)
+  let op = ref 0 in
+  let run io dir =
+    let armed = ref false in
+    let wal, db, engine =
+      Durable.create_engine ~consume
+        (Durable.config ~fsync:(Durable.Every_n 8) ~snapshot_every:4
+           ~io:(fun c -> if !armed then io c) dir)
+    in
+    seed_store ~wal db;
+    armed := true;
+    let shadow = shadow tag [] in
+    match
+      List.iteri
+        (fun i o ->
+          op := i;
+          apply_op ~wal ~shadow db engine o;
+          ignore (Durable.writer_step wal : string option);
+          Alcotest.check obs_t (Printf.sprintf "%s op %d: live == reference" tag i)
+            states.(i + 1) (observe db engine))
+        trace
+    with
+    | () -> Durable.close wal
+    | exception Crash ->
+      (try Durable.close wal with Crash -> ());
+      raise Crash
+  in
+  (* Each call, with the operations written before it. *)
+  let calls = ref [] and appended = ref (-1) in
+  let dir = fresh_dir tag in
+  run
+    (fun call ->
+      calls := (call, if !appended = !op then !op + 1 else !op) :: !calls;
+      if call = Durable.Append then appended := !op)
+    dir;
+  rm_rf dir;
+  (* Five kinds of call, and the five snapshot steps. *)
+  Alcotest.(check int) (tag ^ ": the trace makes every kind of call") 10
+    (List.length (List.sort_uniq compare (List.map fst !calls)));
   List.iteri
-    (fun i op ->
-      apply_op ~wal:t
-        ~shadow:(Printf.sprintf "%s continuation step %d" tag (i + 1), shadow)
-        rdb' rengine' op;
-      apply_op rdb rengine op)
-    more;
-  Alcotest.check obs_t
-    (Printf.sprintf "%s: continuation after recovery (n=%d)" tag n)
-    (observe rdb rengine) (observe rdb' rengine');
-  Durable.close t;
-  Durable.close wal;
-  rm_rf final;
-  rm_rf dir
+    (fun i (call, b) ->
+      let ctx = Printf.sprintf "%s crash at call %d" tag (i + 1) in
+      let dir = fresh_dir tag and copy = fresh_dir tag in
+      (match run (crash_at (i + 1)) dir with
+      | () -> Alcotest.failf "%s: no crash" ctx
+      | exception Crash -> ());
+      (* Recover a copy of [dir], after a crash at call [j > 0] of one.
+         Only a crash at a segment's header write leaves a torn tail. *)
+      let recover ?io ?(torn = false) j =
+        rm_rf copy;
+        copy_dir dir copy;
+        if j > 0 then (
+          match Durable.recover (Durable.config ~io:(crash_at j) copy) with
+          | exception Crash -> ()
+          | _ -> Alcotest.failf "%s: recovery made no call %d" ctx j);
+        let ctx = Printf.sprintf "%s, recovery crashed at %d" ctx j in
+        let clean = not (torn || call = Durable.Segment_header) in
+        let t, db, engine, _ = recover_exn ~ctx ~clean ?io copy in
+        Alcotest.check obs_t (ctx ^ ": recovered == reference") states.(b)
+          (observe db engine);
+        (t, db, engine)
+      in
+      let rcalls = ref [] in
+      let t, db, engine = recover ~io:(fun c -> rcalls := c :: !rcalls) 0 in
+      let rcalls = List.rev !rcalls in
+      List.iter (apply_op ~wal:t ~shadow:(shadow ctx (prefix b)) db engine) more;
+      Alcotest.check obs_t (ctx ^ ": continuation after recovery")
+        (observe_after (prefix b @ more)) (observe db engine);
+      Durable.close t;
+      List.iteri
+        (fun j c ->
+          let t, _, _ = recover ~torn:(c = Durable.Segment_header) (j + 1) in
+          Durable.close t)
+        rcalls;
+      List.iter rm_rf [ copy; dir ])
+    (List.rev !calls)
 
 (* The consume modes both differentials run over. *)
 let modes = [ false; true ]
@@ -240,13 +259,9 @@ let run_torn_tails ~seed ~consume () =
         Durable.close t;
         (* Recovering a recovered directory must be stable: same state,
            clean tail (the checkpoint quarantined the torn bytes). *)
-        let t2, rdb2, rengine2, report2 =
-          recover_exn ~ctx:(Printf.sprintf "%s k%d again" tag k) copy
+        let t2, rdb2, rengine2, _ =
+          recover_exn ~ctx:(Printf.sprintf "%s k%d again" tag k) ~clean:true copy
         in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s k%d: second recovery clean" tag k)
-          true
-          (report2.Durable.truncation = None);
         Alcotest.check obs_t
           (Printf.sprintf "%s k%d: second recovery stable" tag k)
           (observe rdb' rengine') (observe rdb2 rengine2);
@@ -405,8 +420,58 @@ let test_snapshot_fallback () =
 
 (* ---------------- snapshot-write failure injection ---------------- *)
 
-let eacces = Unix.EACCES
 let sorted_files dir = Sys.readdir dir |> Array.to_list |> List.sort String.compare
+
+(* A seam failing [call] with [err] while [armed] holds. *)
+let fault ?(armed = ref true) err call c =
+  if !armed && c = call then raise (Unix.Unix_error (err, "seam", ""))
+
+(* Two faults: the newer of two snapshots fails validation and the
+   segment after the older one is torn.  Recovery loads the older
+   snapshot, truncates and checkpoints; then it must delete every other
+   file, the corrupt newer snapshot and the segment after the tear
+   included, and keep its image and the segment it appends to.  What
+   is journaled after it survives the next recovery. *)
+let test_double_fault () =
+  let dir = fresh_dir "double-fault" in
+  let wal, db, _ =
+    Durable.create_engine (Durable.config ~snapshot_every:0 dir)
+  in
+  ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
+  Durable.journal_create_table wal "F" [ "fid"; "dest" ];
+  let insert t db i =
+    Database.insert db "F" [ vi i; vs "Oslo" ];
+    Durable.journal_insert t "F" [ vi i; vs "Oslo" ]
+  in
+  for i = 1 to 30 do
+    insert wal db i;
+    if i mod 10 = 0 && i < 30 then ignore (Durable.snapshot wal)
+  done;
+  Durable.close wal;
+  Alcotest.(check (list string)) "two snapshots, two segments"
+    [ "snap-00000000000000000012.img"; "snap-00000000000000000022.img";
+      "wal-00000000000000000013.log"; "wal-00000000000000000023.log" ]
+    (sorted_files dir);
+  Disk_fault.apply ~path:(Filename.concat dir "snap-00000000000000000022.img")
+    (Disk_fault.Bit_flip { offset = 30; mask = 0x01 });
+  Disk_fault.apply ~path:(Filename.concat dir "wal-00000000000000000013.log")
+    (Disk_fault.Bit_flip { offset = 200; mask = 0x01 });
+  let t, db, engine, report = recover_exn ~ctx:"double-fault" dir in
+  Alcotest.(check bool) "newer snapshot skipped, tail truncated" true
+    (report.Durable.snapshots_skipped <> [] && report.Durable.truncation <> None);
+  let lsn = report.Durable.recovered_lsn in
+  Alcotest.(check (list string)) "only the checkpoint and its segment are left"
+    [ Printf.sprintf "snap-%020Ld.img" lsn;
+      Printf.sprintf "wal-%020Ld.log" (Int64.succ lsn) ]
+    (sorted_files dir);
+  for i = 31 to 35 do insert t db i done;
+  let kept = observe db engine in
+  Durable.close t;
+  let t, db, engine, _ = recover_exn ~ctx:"double-fault again" dir in
+  Alcotest.check obs_t "the second recovery keeps what was journaled" kept
+    (observe db engine);
+  Durable.close t;
+  rm_rf dir
 
 (* A failed snapshot write (full disk, EACCES) must surface as [Error],
    must not rotate the segment, and must not prune the journal it
@@ -415,9 +480,11 @@ let sorted_files dir = Sys.readdir dir |> Array.to_list |> List.sort String.comp
 let test_snapshot_failure_retains_journal () =
   let dir = fresh_dir "snap-fail" in
   let trace = gen_trace (Prng.create chaos_seed) 12 in
+  let armed = ref false in
+  let io = fault ~armed Unix.EACCES (Durable.Step Durable.Write_tmp) in
   let wal, db, engine =
     Durable.create_engine ~consume:true
-      (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
+      (Durable.config ~fsync:Durable.Always ~snapshot_every:0 ~io dir)
   in
   seed_store ~wal db;
   let rdb, rengine = mk_reference ~consume:true in
@@ -435,11 +502,11 @@ let test_snapshot_failure_retains_journal () =
   let seg_after_good = Durable.current_segment wal in
   run (List.filteri (fun i _ -> i >= 6) trace);
   let before = sorted_files dir in
-  Durable.inject_snapshot_failure (Some eacces);
+  armed := true;
   (match Durable.snapshot wal with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "injected snapshot failure must surface as Error");
-  Durable.inject_snapshot_failure None;
+  armed := false;
   Alcotest.(check (list string))
     "no rotation, no prune, no partial file" before (sorted_files dir);
   Alcotest.(check string)
@@ -464,10 +531,7 @@ let test_snapshot_failure_retains_journal () =
      segments exactly. *)
   run (gen_trace (Prng.create (chaos_seed + 3)) 4);
   Durable.close wal;
-  let t, rdb', rengine', report = recover_exn ~ctx:"snap-fail" dir in
-  Alcotest.(check bool)
-    "clean tail" true
-    (report.Durable.truncation = None);
+  let t, rdb', rengine', _ = recover_exn ~ctx:"snap-fail" ~clean:true dir in
   Alcotest.check obs_t "recovered == reference" (observe rdb rengine)
     (observe rdb' rengine');
   Durable.close t;
@@ -480,9 +544,8 @@ let test_checkpoint_failure_clean_tail () =
   let dir = fresh_dir "ckpt-fail" in
   let _, _, _, _, _, state2 = setup_cycle dir in
   let before = sorted_files dir in
-  Durable.inject_snapshot_failure (Some eacces);
-  let t, rdb, rengine, report = recover_exn ~ctx:"ckpt-clean" dir in
-  Durable.inject_snapshot_failure None;
+  let io = fault Unix.EACCES (Durable.Step Durable.Write_tmp) in
+  let t, rdb, rengine, report = recover_exn ~ctx:"ckpt-clean" ~io dir in
   (match report.Durable.checkpoint_failed with
   | Some _ -> ()
   | None -> Alcotest.fail "checkpoint failure must be reported");
@@ -511,11 +574,10 @@ let test_checkpoint_failure_torn_tail () =
   let seg, _, b1, b2, _, _ = setup_cycle dir in
   Disk_fault.apply ~path:seg
     (Disk_fault.Bit_flip { offset = (b1 + b2) / 2; mask = 0x10 });
-  Durable.inject_snapshot_failure (Some eacces);
-  (match Durable.recover (Durable.config dir) with
+  let io = fault Unix.EACCES (Durable.Step Durable.Write_tmp) in
+  (match Durable.recover (Durable.config ~io dir) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "torn tail + failed checkpoint must refuse");
-  Durable.inject_snapshot_failure None;
   let t, _, _, report = recover_exn ~ctx:"ckpt-torn-retry" dir in
   Alcotest.(check bool)
     "truncation quarantined on retry" true
@@ -552,10 +614,7 @@ let test_withdraw_durable () =
   Alcotest.(check int) "nothing fired" 0 (Online.total_coordinated engine);
   let live = observe db engine in
   Durable.close wal;
-  let t, rdb', rengine', report = recover_exn ~ctx:"withdraw" dir in
-  Alcotest.(check bool)
-    "clean tail" true
-    (report.Durable.truncation = None);
+  let t, rdb', rengine', _ = recover_exn ~ctx:"withdraw" ~clean:true dir in
   Alcotest.check obs_t "withdrawal replayed" live (observe rdb' rengine');
   Durable.close t;
   rm_rf dir
@@ -578,8 +637,6 @@ let test_tmp_cleanup () =
 
 (* ------------------------ snapshot in flight ---------------------- *)
 
-let eio = Unix.EIO
-
 let counter name =
   Option.fold ~none:0 ~some:Obs.Counter.value (Obs.Counter.find name)
 
@@ -589,10 +646,10 @@ let counter name =
    and every eighth insert after that. *)
 let every = 8
 
-let insert_engine ~fsync dir =
+let insert_engine ?io ~fsync dir =
   let wal, db, engine =
     Durable.create_engine ~consume:true
-      (Durable.config ~fsync ~snapshot_every:every dir)
+      (Durable.config ~fsync ~snapshot_every:every ?io dir)
   in
   seed_store ~wal db;
   (wal, db, engine, mk_reference ~consume:true)
@@ -603,19 +660,17 @@ let insert_both wal db engine (rdb, rengine) i =
   apply_op rdb rengine op
 
 (* Insert until a snapshot is handed off, which [Durable.writer_step]
-   reveals by running its first step; [arm] wraps each insert and that
-   call, so a fault it injects is part of the snapshot handed off.  The
-   step's name, and the next insert's index. *)
-let until_hand_off ?(arm = fun f -> f ()) wal db engine refs i =
+   reveals by running its first step; [armed] is set around each insert
+   and that call, so a seam it arms fails a step of the snapshot handed
+   off.  The step's name, and the next insert's index. *)
+let until_hand_off ?(armed = ref false) wal db engine refs i =
   let rec go i =
     if i > 100 then Alcotest.fail "no snapshot was handed off";
-    match
-      arm (fun () ->
-          insert_both wal db engine refs i;
-          Durable.writer_step wal)
-    with
-    | Some step -> (step, i + 1)
-    | None -> go (i + 1)
+    armed := true;
+    insert_both wal db engine refs i;
+    let step = Durable.writer_step wal in
+    armed := false;
+    match step with Some step -> (step, i + 1) | None -> go (i + 1)
   in
   go i
 
@@ -628,16 +683,13 @@ let snapshots_in dir =
    pruned.  The retry comes a full interval after the failed hand-off,
    succeeds and rotates, and recovery is exact. *)
 let test_writer_failure_retries () =
-  with_step_writer @@ fun () ->
   let dir = fresh_dir "writer-fail" in
-  let wal, db, engine, refs = insert_engine ~fsync:Durable.Always dir in
+  let armed = ref false in
+  let io = fault ~armed Unix.EACCES (Durable.Step Durable.Write_tmp) in
+  let wal, db, engine, refs = insert_engine ~io ~fsync:Durable.Always dir in
   let before = sorted_files dir and seg = Durable.current_segment wal in
   let failures = counter "wal.snapshot_failures" in
-  let step, i =
-    until_hand_off wal db engine refs 1 ~arm:(fun f ->
-        Durable.inject_snapshot_failure (Some eacces);
-        Fun.protect ~finally:(fun () -> Durable.inject_snapshot_failure None) f)
-  in
+  let step, i = until_hand_off ~armed wal db engine refs 1 in
   Alcotest.(check string) "the write step failed" "write-tmp" step;
   Alcotest.(check (option string)) "the job ended" None (Durable.writer_step wal);
   Alcotest.(check (list string)) "no file written" before (sorted_files dir);
@@ -656,8 +708,7 @@ let test_writer_failure_retries () =
   Alcotest.(check int) "retry installed its image" 1
     (List.length (snapshots_in dir));
   Durable.close wal;
-  let t, rdb', rengine', report = recover_exn ~ctx:"writer-fail" dir in
-  Alcotest.(check bool) "clean tail" true (report.Durable.truncation = None);
+  let t, rdb', rengine', _ = recover_exn ~ctx:"writer-fail" ~clean:true dir in
   Alcotest.check obs_t "recovered == reference" (observe (fst refs) (snd refs))
     (observe rdb' rengine');
   Durable.close t;
@@ -667,15 +718,12 @@ let test_writer_failure_retries () =
    the next journaled operation fails with [Wal_failed], as does every
    one after it.  The WAL still holds every group committed before. *)
 let test_wal_sync_failure () =
-  with_step_writer @@ fun () ->
   let dir = fresh_dir "wal-sync-fail" in
-  let wal, db, engine, refs = insert_engine ~fsync:Durable.Never dir in
+  let armed = ref false in
+  let io = fault ~armed Unix.EIO (Durable.Step Durable.Sync_wal) in
+  let wal, db, engine, refs = insert_engine ~io ~fsync:Durable.Never dir in
   let before = sorted_files dir in
-  let step, i =
-    until_hand_off wal db engine refs 1 ~arm:(fun f ->
-        Durable.inject_wal_sync_failure (Some eio);
-        Fun.protect ~finally:(fun () -> Durable.inject_wal_sync_failure None) f)
-  in
+  let step, i = until_hand_off ~armed wal db engine refs 1 in
   Alcotest.(check string) "the prefix fsync failed" "wal-fsync" step;
   Alcotest.(check (option string)) "the job ended" None (Durable.writer_step wal);
   Alcotest.(check (list string)) "no file written" before (sorted_files dir);
@@ -695,6 +743,43 @@ let test_wal_sync_failure () =
     (observe rdb' rengine');
   Durable.close t;
   rm_rf dir
+
+(* A segment that cannot be opened when the WAL rotates, after a
+   forced snapshot or a periodic one, fails the handle: [Wal_failed],
+   then again at every journaled operation.  The restart recovers
+   exactly what the WAL holds. *)
+let test_rotation_open_failure () =
+  List.iter
+    (fun forced ->
+      let dir = fresh_dir "rotate-fail" in
+      let armed = ref false in
+      let io = fault ~armed Unix.ENOSPC Durable.Segment_create in
+      let wal, db, engine, refs = insert_engine ~io ~fsync:Durable.Always dir in
+      let rotate () =
+        if forced then ignore (Durable.snapshot wal)
+        else begin
+          let _, i = until_hand_off wal db engine refs 1 in
+          while Durable.writer_step wal <> None do () done;
+          insert_both wal db engine refs i
+        end
+      in
+      insert_both wal db engine refs 0;
+      armed := true;
+      (match rotate () with
+      | () -> Alcotest.fail "a rotation without a segment went on"
+      | exception Durable.Wal_failed why ->
+        Alcotest.(check bool) ("the open is named: " ^ why) true (contains why "wal-"));
+      armed := false;
+      (match Durable.journal_insert wal "F" [ vi 1; vs "Oslo" ] with
+      | () -> Alcotest.fail "journaled after a failed rotation"
+      | exception Durable.Wal_failed _ -> ());
+      Durable.close wal;
+      let t, rdb', rengine', _ = recover_exn ~ctx:"rotate-fail" dir in
+      Alcotest.check obs_t "the WAL holds what was committed"
+        (observe (fst refs) (snd refs)) (observe rdb' rengine');
+      Durable.close t;
+      rm_rf dir)
+    [ true; false ]
 
 (* The failure of a periodic snapshot on the writer thread itself:
    directories squat on the .tmp names of the next images, so the
@@ -743,8 +828,9 @@ let test_writer_thread_failure () =
       : int);
   Alcotest.(check bool) "an image installed" true (snapshots_in dir <> []);
   Durable.close wal;
-  let t, rdb', rengine', report = recover_exn ~ctx:"writer-thread-fail" dir in
-  Alcotest.(check bool) "clean tail" true (report.Durable.truncation = None);
+  let t, rdb', rengine', report =
+    recover_exn ~ctx:"writer-thread-fail" ~clean:true dir
+  in
   Alcotest.(check bool) "recovered from an image" true
     (report.Durable.snapshot_loaded <> None);
   Alcotest.check obs_t "recovered == reference" (observe (fst refs) (snd refs))
@@ -756,9 +842,8 @@ let test_writer_thread_failure () =
    installed, nothing rotates, and recovery loads it and replays the
    groups committed after its hand-off from the same segment. *)
 let test_close_in_flight () =
-  with_step_writer @@ fun () ->
   let dir = fresh_dir "close-in-flight" in
-  let wal, db, engine, refs = insert_engine ~fsync:Durable.Always dir in
+  let wal, db, engine, refs = insert_engine ~io:ignore ~fsync:Durable.Always dir in
   let step, i = until_hand_off wal db engine refs 1 in
   Alcotest.(check string) "hand-off wrote the tmp" "write-tmp" step;
   let lsn = Durable.last_lsn wal in
@@ -772,8 +857,7 @@ let test_close_in_flight () =
       Filename.basename (Durable.current_segment wal) ]
     (sorted_files dir);
   Alcotest.(check string) "no rotation" seg (Durable.current_segment wal);
-  let t, rdb', rengine', report = recover_exn ~ctx:"close-in-flight" dir in
-  Alcotest.(check bool) "clean tail" true (report.Durable.truncation = None);
+  let t, rdb', rengine', report = recover_exn ~ctx:"close-in-flight" ~clean:true dir in
   Alcotest.(check (option int64)) "the image is loaded" (Some lsn)
     (Option.map snd report.Durable.snapshot_loaded);
   Alcotest.(check int) "groups past it replayed" 2
@@ -1016,6 +1100,32 @@ let test_open_or_recover () =
   | Error msg -> Alcotest.fail msg);
   rm_rf dir
 
+(* A segment that cannot be created is an [Error] from
+   [open_or_recover], for a fresh directory and after a recovery
+   checkpoint alike; the retry recovers from the checkpoint image. *)
+let test_segment_create_failure () =
+  let dir = fresh_dir "create-fail" in
+  let io = fault Unix.ENOSPC Durable.Segment_create in
+  let open_dir ?io () = Durable.open_or_recover (Durable.config ?io dir) in
+  let refused what =
+    match open_dir ~io () with
+    | Error why -> Alcotest.(check bool) ("named: " ^ why) true (contains why "wal-")
+    | Ok _ -> Alcotest.fail what
+  in
+  refused "a fresh engine without a segment";
+  (match open_dir () with
+  | Ok (t, db, _, None) ->
+    seed_store ~wal:t db;
+    Durable.close t
+  | _ -> Alcotest.fail "a fresh engine once the fault cleared");
+  refused "a recovery without a segment";
+  let t, db, engine, _ = recover_exn ~ctx:"create-fail retry" dir in
+  let rdb, rengine = mk_reference ~consume:false in
+  Alcotest.check obs_t "the retry recovers the store" (observe rdb rengine)
+    (observe db engine);
+  Durable.close t;
+  rm_rf dir
+
 (* The engine meta is the first four payload bytes of the Meta record
    and of each snapshot: backend, eager, consume, selection.
    [set_meta_byte dir ~at v] rewrites byte [at] to [v] in every file of
@@ -1098,9 +1208,7 @@ let test_backend_byte_compat () =
           let d = fresh_dir "compat-old" in
           copy_dir src d;
           List.iter (fun (at, v) -> set_meta_byte d ~at v) flips;
-          let t, rdb', rengine', report = recover_exn ~ctx:label d in
-          Alcotest.(check bool) (label ^ ": clean tail") true
-            (report.Durable.truncation = None);
+          let t, rdb', rengine', _ = recover_exn ~ctx:label ~clean:true d in
           Alcotest.check obs_t (label ^ ": recovered == original") expected
             (observe rdb' rengine');
           Durable.close t;
@@ -1140,6 +1248,8 @@ let suite =
     Alcotest.test_case "bit flip fails the checksum" `Quick test_bad_crc;
     Alcotest.test_case "corrupt snapshot falls back to the previous one"
       `Quick test_snapshot_fallback;
+    Alcotest.test_case "a checkpoint after two faults keeps the WAL" `Quick
+      test_double_fault;
     Alcotest.test_case "failed snapshot surfaces and retains the journal"
       `Quick test_snapshot_failure_retains_journal;
     Alcotest.test_case "failed recovery checkpoint keeps old files (clean tail)"
@@ -1154,6 +1264,10 @@ let suite =
       `Quick test_writer_failure_retries;
     Alcotest.test_case "failed WAL-prefix fsync fails the next journaled op"
       `Quick test_wal_sync_failure;
+    Alcotest.test_case "a segment open failing at rotation fails the handle"
+      `Quick test_rotation_open_failure;
+    Alcotest.test_case "a segment that cannot be created is an Error" `Quick
+      test_segment_create_failure;
     Alcotest.test_case "failed periodic snapshot on the writer thread" `Quick
       test_writer_thread_failure;
     Alcotest.test_case "close waits for the snapshot in flight" `Quick

@@ -207,17 +207,15 @@ let test_differential () =
 (* ------------- differential: kill the server mid-stream ----------- *)
 
 let test_kill_and_restart () =
-  (* A killed process takes its snapshot writer with it.  With no writer
-     thread, each snapshot is written on this thread right after the
-     request that hands it off, instead of racing the restart's
-     recovery of the same directory. *)
-  Durable.set_step_writer true;
-  Fun.protect ~finally:(fun () -> Durable.set_step_writer false) @@ fun () ->
+  (* A killed process takes its snapshot writer with it.  A handle with
+     a seam has no writer thread, so each snapshot is written on this
+     thread right after the request that hands it off, instead of
+     racing the restart's recovery of the same directory. *)
   let drain wal = while Durable.writer_step wal <> None do () done in
   let dir = fresh_dir "kill" in
   let wal, db, engine =
     Durable.create_engine
-      (Durable.config ~fsync:Durable.Always ~snapshot_every:5 dir)
+      (Durable.config ~fsync:Durable.Always ~snapshot_every:5 ~io:ignore dir)
   in
   let srv = mk_server ~durable:wal db (Server.Sequential engine) in
   let nclients = 3 in
@@ -241,7 +239,7 @@ let test_kill_and_restart () =
      the socket side. *)
   Server.stop srv;
   let wal2, db2, engine2, report =
-    match Durable.recover (Durable.config dir) with
+    match Durable.recover (Durable.config ~io:ignore dir) with
     | Ok r -> r
     | Error m -> Alcotest.failf "kill-restart: recover failed: %s" m
   in
@@ -763,11 +761,11 @@ exception Injected
 
 (* A durable server with two seeded sessions and the flight recorder
    armed, for the failure tests below. *)
-let with_durable_server tag f =
+let with_durable_server ?io tag f =
   Obs.set_metrics true;
   Obs.Flight_recorder.arm ();
   let dir = fresh_dir tag in
-  let wal, db, engine = Durable.create_engine (Durable.config dir) in
+  let wal, db, engine = Durable.create_engine (Durable.config ?io dir) in
   let srv = mk_server ~durable:wal db (Server.Sequential engine) in
   let conn = connect srv and bystander = connect srv in
   seed_over_wire srv conn;
@@ -886,7 +884,12 @@ let test_group_commit_per_step () =
    and the WAL still recovers to the state before the failed write. *)
 let test_wal_failure_stops () =
   let scenario tag ctx send_first =
-    with_durable_server tag @@ fun dir db engine srv conn bystander ->
+    let eio = ref false in
+    let io call =
+      if !eio && call = Durable.Append then
+        raise (Unix.Unix_error (Unix.EIO, "write", ""))
+    in
+    with_durable_server ~io tag @@ fun dir db engine srv conn bystander ->
     let fd = raw_connect srv in
     let last_good = observe db engine in
     let expect_stop ctx send =
@@ -909,10 +912,9 @@ let test_wal_failure_stops () =
       if readable fd then Alcotest.failf "%s: answered the raw session" ctx
     in
     let before = incidents () in
-    Durable.inject_journal_failure
-      (Some (Unix.Unix_error (Unix.EIO, "write", "")));
+    eio := true;
     expect_stop ctx (fun () -> send_first conn fd);
-    Durable.inject_journal_failure None;
+    eio := false;
     Alcotest.(check int) "one incident recorded" (before + 1) (incidents ());
     expect_stop "submit after the fault cleared" (fun () ->
         Server.Client.send bystander
@@ -1176,6 +1178,45 @@ let test_tcp_split_delivery () =
   pump srv;
   Server.stop srv
 
+(* A session's end and a new connection ready in the same round:
+   [step] reads before it accepts, so the end is logged first, the
+   order the verbose log in test/cli.t/run.t shows.  Over a Unix socket
+   both are ready once [close] and [connect] return. *)
+let test_end_before_accept () =
+  let dir = fresh_dir "order" in
+  let path = Filename.concat dir "s.sock" in
+  let db = Database.create () in
+  let srv =
+    Server.create
+      (Server.default_config (Server.Unix_socket path))
+      { Server.db; engine = Server.Sequential (Online.create db);
+        durable = None; guard = None }
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  let first = connect () in
+  ignore (Server.step ~timeout:1.0 srv);
+  Unix.close first;
+  let second = connect () in
+  let names = ref [] in
+  let sink =
+    Obs.jsonl_sink (fun line ->
+        match Result.map (Json.str_mem "name") (Json.parse line) with
+        | Ok (Some n) when String.starts_with ~prefix:"server.session" n ->
+          names := n :: !names
+        | _ -> ())
+  in
+  Obs.with_sink sink (fun () -> ignore (Server.step ~timeout:1.0 srv));
+  Alcotest.(check (list string)) "session 1 ends, then session 2 opens"
+    [ "server.session_close"; "server.session_open" ]
+    (List.rev !names);
+  Unix.close second;
+  Server.stop srv;
+  rm_rf dir
+
 let suite =
   [
     Alcotest.test_case "json frames round-trip" `Quick test_json_roundtrip;
@@ -1213,4 +1254,6 @@ let suite =
       `Quick test_split_delivery;
     Alcotest.test_case "a stream read in two steps over TCP is not held by Nagle"
       `Quick test_tcp_split_delivery;
+    Alcotest.test_case "a session's end is read before a new one is accepted"
+      `Quick test_end_before_accept;
   ]

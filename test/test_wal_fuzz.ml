@@ -2,31 +2,34 @@
 
    A short durable consume-mode session writes a WAL directory holding
    snapshots and a segment tail.  Each mutant copies that directory,
-   damages one file — bit flips, a truncation, inserted bytes, an
-   edited length field, or a payload edit whose checksum is recomputed
-   so the record and snapshot decoders themselves see the garbage —
-   and recovers it.  [Durable.recover] must return: a clean report, a
-   typed corruption, or [Error _], and never raise.  Recovering the
-   unmutated directory must reproduce the session exactly.  Seeds
-   follow CHAOS_SEED, so CI runs this suite over its seed matrix. *)
+   damages one file, or two — bit flips, a truncation, inserted bytes,
+   an edited length field, or a payload edit whose checksum is
+   recomputed so the record and snapshot decoders themselves see the
+   garbage — and recovers it.  [Durable.recover] must return: a clean
+   report, a typed corruption, or [Error _], and never raise.  A
+   recovered mutant must keep what it recovered: one more journaled
+   insert, a close and a second recovery give the same state plus that
+   insert.  Recovering the unmutated directory must reproduce the
+   session exactly.  Seeds follow CHAOS_SEED, so CI runs this suite
+   over its seed matrix. *)
 
 open Helpers
 module Online = Coordination.Online
 
 let seeds = List.init 3 (fun k -> chaos_seed + k)
 let mutants_per_seed = 2_000
-let cfg dir = Durable.config ~fsync:Durable.Never ~snapshot_every:4 dir
+let cfg ?io dir = Durable.config ~fsync:Durable.Never ~snapshot_every:4 ?io dir
 
 (* The session: a table, its facts and a stream of submissions, some of
    which fire and book inventory, with a snapshot every 4 groups.  With
-   [in_flight] the writer runs one step at a time: the session stops
-   one submission after a hand-off, once that writer has finished but
-   before any operation rotates, so the last segment runs past the
-   newest image's LSN. *)
+   [in_flight] the handle has a seam, so no writer thread starts and
+   the writer runs one step at a time: the session stops one submission
+   after a hand-off, once that writer has finished but before any
+   operation rotates, so the last segment runs past the newest image's
+   LSN. *)
 let write_session ?(in_flight = false) dir =
-  Durable.set_step_writer in_flight;
-  Fun.protect ~finally:(fun () -> Durable.set_step_writer false) @@ fun () ->
-  let wal, db, engine = Durable.create_engine ~consume:true (cfg dir) in
+  let io = if in_flight then Some ignore else None in
+  let wal, db, engine = Durable.create_engine ~consume:true (cfg ?io dir) in
   ignore (Relational.Database.create_table' db "F" [ "fid"; "dest" ]);
   Durable.journal_create_table wal "F" [ "fid"; "dest" ];
   List.iter
@@ -153,12 +156,24 @@ let mutate rng name data =
       ("checksummed payload edit", Bytes.to_string b))
 
 let recover_mutant ~seed ~mutant ~what dir =
+  let fail fmt = Alcotest.failf ("seed %d mutant %d (%s): " ^^ fmt) seed mutant what in
   match Durable.recover (cfg dir) with
-  | Ok (wal, _, _, _) -> Durable.close wal
+  | Ok (wal, db, engine, _) -> (
+    ignore (Relational.Database.create_table' db "Kept" [ "k" ]);
+    Durable.journal_create_table wal "Kept" [ "k" ];
+    Relational.Database.insert db "Kept" [ vi mutant ];
+    Durable.journal_insert wal "Kept" [ vi mutant ];
+    let kept = observe db engine in
+    Durable.close wal;
+    match Durable.recover (cfg dir) with
+    | Ok (wal, db, engine, _) ->
+      Durable.close wal;
+      if observe db engine <> kept then
+        fail "the second recovery lost what the first kept"
+    | Error why -> fail "the second recovery failed: %s" why
+    | exception e -> fail "the second recovery raised %s" (Printexc.to_string e))
   | Error _ -> ()
-  | exception e ->
-    Alcotest.failf "seed %d mutant %d (%s): recover raised %s" seed mutant
-      what (Printexc.to_string e)
+  | exception e -> fail "recover raised %s" (Printexc.to_string e)
 
 (* Recovering [files] unmutated must reproduce [expected]; then
    [mutants] seeded mutants of it must recover or report. *)
@@ -181,12 +196,29 @@ let fuzz ~label ~mutants (expected, files, check) =
       let rng = Prng.create seed in
       for mutant = 1 to mutants do
         let dir = fresh_dir "fuzz" in
-        let target, data = Prng.pick rng files in
-        let what, data' = mutate rng target data in
+        (* One mutant in four damages two files: a snapshot that fails
+           validation beside a torn segment is a fault recovery's own
+           checkpoint must survive. *)
+        let first = Prng.pick rng files in
+        let targets =
+          match List.filter (fun f -> f != first) files with
+          | _ :: _ as rest when Prng.int rng 4 = 0 -> [ first; Prng.pick rng rest ]
+          | _ -> [ first ]
+        in
+        let damaged =
+          List.map (fun (n, d) -> (n, mutate rng n d)) targets
+        in
         write_files dir
-          (List.map (fun (n, d) -> (n, if n = target then data' else d)) files);
+          (List.map
+             (fun (n, d) ->
+               (n, Option.fold ~none:d ~some:snd (List.assoc_opt n damaged)))
+             files);
         recover_mutant ~seed ~mutant
-          ~what:(Printf.sprintf "%s: %s of %s" label what target)
+          ~what:
+            (String.concat " + "
+               (List.map
+                  (fun (n, (what, _)) -> Printf.sprintf "%s: %s of %s" label what n)
+                  damaged))
           dir;
         rm_rf dir
       done)
