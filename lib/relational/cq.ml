@@ -35,15 +35,6 @@ let is_ground q =
     (fun a -> Array.for_all Term.is_const a.args)
     q.atoms
 
-let substitute_atom f a =
-  let subst_term = function
-    | Term.Var x as t -> Option.value ~default:t (f x)
-    | Term.Const _ as t -> t
-  in
-  { a with args = Array.map subst_term a.args }
-
-let substitute f q = { atoms = List.map (substitute_atom f) q.atoms }
-
 let pp_atom ppf a =
   Format.fprintf ppf "%s(%s)" a.rel
     (String.concat ", "

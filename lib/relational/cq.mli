@@ -24,8 +24,6 @@ val atom_variables : atom -> string list
 
 val is_ground : t -> bool
 
-val substitute : (string -> Term.t option) -> t -> t
-
 val pp_atom : Format.formatter -> atom -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -150,8 +150,6 @@ let set_probe_latency db seconds =
   if seconds < 0.0 then invalid_arg "Database.set_probe_latency: negative";
   db.probe_latency <- seconds
 
-let probe_latency db = db.probe_latency
-
 let set_guard db g = db.guard <- g
 
 let guard db = db.guard

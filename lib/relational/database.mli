@@ -122,8 +122,6 @@ val set_probe_latency : t -> float -> unit
     of the paper's MySQL/JDBC setup (where per-query latency, not join
     work, dominates).  Zero (the default) disables the stall. *)
 
-val probe_latency : t -> float
-
 (** {2 Evaluation budgets}
 
     An armed {!Resilient.t} guard checks the per-solve budgets before

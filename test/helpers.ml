@@ -139,11 +139,15 @@ let mutate ~alphabet rng s =
 
 (* ------------------------- chaos settings ------------------------- *)
 
+(* CHAOS_SEED, or 42 when it is unset.  A value that is not an integer
+   stops the run at start-up rather than repeating the seed-42 leg. *)
 let chaos_seed =
-  match int_of_string_opt (try Sys.getenv "CHAOS_SEED" with Not_found -> "")
-  with
-  | Some s -> s
+  match Sys.getenv_opt "CHAOS_SEED" with
   | None -> 42
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n -> n
+    | None -> failwith (Printf.sprintf "CHAOS_SEED=%S is not an integer" s))
 
 (* -------------------- seeded online workloads ---------------------- *)
 
@@ -152,47 +156,138 @@ module Online = Coordination.Online
 
 (* Heads and posts draw constants from a 4-value pool, so partners,
    multi-member components and ambiguous (unsafe) postconditions all
-   occur; "Nowhere" bodies keep some components pending forever. *)
+   occur; "Nowhere" bodies keep some components pending until a
+   Nowhere flight is inserted.  Six queries in ten carry a
+   postcondition over the pool, one in ten a var-first one (compatible
+   with every R head, its owner's own included) and the rest none; one
+   in six gains a postcondition no head ever matches (submission can
+   prove it quiet) and one in six a second var-first one.  [draw n] is
+   uniform in [0, n). *)
 let dests = [| "Zurich"; "Paris"; "Athens"; "Nowhere" |]
 
-let random_query rng i =
-  let g k = cs (Printf.sprintf "g%d" k) in
+let random_query draw i =
+  let g () = cs (Printf.sprintf "g%d" (draw 4)) in
   let post =
-    if Prng.int rng 4 < 3 then [ atom "R" [ g (Prng.int rng 4); var "y" ] ]
-    else []
+    match draw 10 with
+    | 0 | 1 | 2 | 3 | 4 | 5 -> [ atom "R" [ g (); var "y" ] ]
+    | 6 -> [ atom "R" [ var "w"; var "y" ] ]
+    | _ -> []
+  in
+  let extra =
+    match draw 6 with
+    | 0 -> [ atom "R" [ cs "nobody"; var "z" ] ]
+    | 1 -> [ atom "R" [ var "v"; var "z" ] ]
+    | _ -> []
   in
   Query.make
     ~name:(Printf.sprintf "q%d" i)
-    ~post
-    ~head:[ atom "R" [ g (Prng.int rng 4); var "x" ] ]
-    [ atom "F" [ var "x"; cs dests.(Prng.int rng (Array.length dests)) ] ]
+    ~post:(post @ extra)
+    ~head:[ atom "R" [ g (); var "x" ] ]
+    [ atom "F" [ var "x"; cs dests.(draw (Array.length dests)) ] ]
 
-type op = Submit of Query.t | Flush | Insert of int * string
+(* The facts every online store starts from. *)
+let seed_facts =
+  [ (101, "Zurich"); (102, "Zurich"); (200, "Paris"); (300, "Athens") ]
 
-let gen_trace rng n =
-  let next_fid = ref 1000 in
-  List.init n (fun i ->
-      let roll = Prng.int rng 10 in
-      if roll < 7 then Submit (random_query rng i)
-      else if roll < 9 then Flush
-      else begin
-        incr next_fid;
-        Insert (!next_fid, dests.(Prng.int rng 3))
-      end)
-
-(* The F table the online differentials start from. *)
 let mk_db () =
   let db = Database.create () in
   ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
-  List.iter
-    (fun (f, d) -> Database.insert db "F" [ vi f; vs d ])
-    [ (101, "Zurich"); (102, "Zurich"); (200, "Paris"); (300, "Athens") ];
+  List.iter (fun (f, d) -> Database.insert db "F" [ vi f; vs d ]) seed_facts;
   db
 
-let seed_facts = [ (101, "Zurich"); (102, "Zurich"); (200, "Paris") ]
+(* ----------------------------- op traces ---------------------------- *)
+
+(* One operation of an online session.  An insert into a table that
+   does not exist yet creates it, with F's attributes. *)
+type op =
+  | Submit of Query.t
+  | Submit_all of Query.t list
+  | Withdraw of int  (** a pool id *)
+  | Flush
+  | Insert of string * Value.t list
+  | Delete of string * Value.t list
+  | Crash  (** kill the process and recover its WAL *)
+
+type answer =
+  | Submitted of Online.submission
+  | Fired of Online.coordinated list
+  | Withdrew of bool
+  | Stored
+
+let table_attrs = [ "fid"; "dest" ]
+
+(* Apply a store write to [db], journaling it through [wal] if given. *)
+let write_store ?wal db = function
+  | Insert (rel, tuple) ->
+    if not (Database.mem_relation db rel) then begin
+      ignore (Database.create_table' db rel table_attrs);
+      Option.iter (fun t -> Durable.journal_create_table t rel table_attrs) wal
+    end;
+    Database.insert db rel tuple;
+    Option.iter (fun t -> Durable.journal_insert t rel tuple) wal
+  | Delete (rel, tuple) ->
+    Option.iter
+      (fun r -> ignore (Relation.delete r (Tuple.make tuple)))
+      (Database.relation_opt db rel)
+  | Submit _ | Submit_all _ | Withdraw _ | Flush | Crash -> ()
+
+let apply_op ?wal db engine = function
+  | Submit q -> Submitted (Online.submit engine q)
+  | Submit_all qs -> Fired (Online.submit_all engine qs)
+  | Withdraw id -> Withdrew (Online.withdraw engine id)
+  | Flush -> Fired (Online.flush engine)
+  | (Insert _ | Delete _ | Crash) as op ->
+    write_store ?wal db op;
+    Stored
+
+let seed_ops = List.map (fun (f, d) -> Insert ("F", [ vi f; vs d ])) seed_facts
+
+(* The request frames of each op, in the server's protocol: the first
+   insert into a table is preceded by its create_table.  Ops the
+   protocol lacks become frames it refuses with bad_op, and a crash a
+   status request. *)
+let frames ops =
+  let created = Hashtbl.create 4 in
+  let value = function
+    | Value.Int i -> Json.Int i
+    | Value.Str s -> Json.Str s
+    | Value.Bool b -> Json.Bool b
+  in
+  let strs l = Json.Arr (List.map (fun a -> Json.Str a) l) in
+  List.mapi
+    (fun i op ->
+      let req name fields =
+        Json.Obj (("id", Json.Int i) :: ("op", Json.Str name) :: fields)
+      in
+      let query q = Parser.query_to_string q in
+      let row rel t = [ ("rel", Json.Str rel); ("tuple", Json.Arr (List.map value t)) ] in
+      match op with
+      | Submit q -> [ req "submit" [ ("query", Json.Str (query q)) ] ]
+      | Submit_all qs -> [ req "submit_all" [ ("queries", strs (List.map query qs)) ] ]
+      | Withdraw id -> [ req "retire" [ ("pool_id", Json.Int id) ] ]
+      | Flush -> [ req "flush" [] ]
+      | Insert (rel, t) when Hashtbl.mem created rel -> [ req "insert" (row rel t) ]
+      | Insert (rel, t) ->
+        Hashtbl.add created rel ();
+        [
+          Json.Obj
+            [ ("op", Json.Str "create_table"); ("name", Json.Str rel);
+              ("attrs", strs table_attrs) ];
+          req "insert" (row rel t);
+        ]
+      | Delete (rel, t) -> [ req "delete" (row rel t) ]
+      | Crash -> [ req "status" [ ("then", Json.Str "crash") ] ])
+    ops
 
 let fired_names (c : Online.coordinated) =
   List.map (fun q -> q.Query.name) c.Online.queries
+
+let fired_sets = function
+  | Submitted (Online.Coordinated c) -> [ c ]
+  | Fired sets -> sets
+  | Submitted (Online.Pending | Online.Rejected_unsafe _)
+  | Withdrew _ | Stored ->
+    []
 
 (* Definition 1 for a set the online engine fired.  Member [id]'s
    variables carry the prefix "q<id>." in the assignment and members
@@ -200,11 +295,13 @@ let fired_names (c : Online.coordinated) =
    members that have variables (one without variables needs no
    renaming).  [db] must hold every tuple the set may have used; a
    consume-mode engine deleted them, so its caller passes a shadow store
-   of every tuple ever inserted. *)
+   of every tuple ever inserted.  A failure raises [Failure]. *)
 let check_fired ~ctx db (c : Online.coordinated) =
-  let id_of prefix =
-    int_of_string (String.sub prefix 1 (String.length prefix - 2))
+  let fail why =
+    Printf.ksprintf failwith "%s: fired set %s %s" ctx
+      (String.concat "," (fired_names c)) why
   in
+  let id_of p = int_of_string (String.sub p 1 (String.length p - 2)) in
   let prefixes =
     Eval.Binding.fold
       (fun v _ acc ->
@@ -213,22 +310,21 @@ let check_fired ~ctx db (c : Online.coordinated) =
         | None -> acc)
       c.Online.assignment []
     |> List.sort_uniq (fun a b -> Int.compare (id_of a) (id_of b))
+    |> ref
   in
-  let unmatched () =
-    Alcotest.failf "%s: fired set %s has unmatched variables" ctx
-      (String.concat "," (fired_names c))
+  let rename q =
+    match (Query.variables q, !prefixes) with
+    | [], _ -> q
+    | _, prefix :: rest ->
+      prefixes := rest;
+      Query.rename ~prefix q
+    | _, [] -> fail "has unmatched variables"
   in
-  let renamed, rest =
-    List.fold_left
-      (fun (acc, prefixes) q ->
-        match (Query.variables q, prefixes) with
-        | [], _ -> (q :: acc, prefixes)
-        | _, prefix :: prefixes -> (Query.rename ~prefix q :: acc, prefixes)
-        | _, [] -> unmatched ())
-      ([], prefixes) c.Online.queries
+  let qs =
+    List.fold_left (fun acc q -> rename q :: acc) [] c.Online.queries
+    |> List.rev |> Array.of_list
   in
-  if rest <> [] then unmatched ();
-  let qs = Array.of_list (List.rev renamed) in
+  if !prefixes <> [] then fail "has unmatched variables";
   match
     Solution.validate db qs
       (Solution.make
@@ -236,10 +332,7 @@ let check_fired ~ctx db (c : Online.coordinated) =
          ~assignment:c.Online.assignment)
   with
   | Ok () -> ()
-  | Error why ->
-    Alcotest.failf "%s: fired set %s fails Definition 1: %s" ctx
-      (String.concat "," (fired_names c))
-      why
+  | Error why -> fail ("fails Definition 1: " ^ why)
 
 (* A query over [dest] flights whose postconditions and head are R atoms
    on the given constants. *)
@@ -255,15 +348,6 @@ let chain_query ?(prefix = "u") i ~last =
   let name k = Printf.sprintf "%s%d" prefix k in
   rq (name i) ~post:(if last then [] else [ name (i + 1) ]) ~head:(name i)
 
-(* A query over [dest] flights on relation S, which no seeded workload
-   names: it is its own component and fires alone.  The differentials
-   close every run with it in a batch, so each consume mode fires a set
-   through its flush path in every run, whatever the seed. *)
-let closing_query dest =
-  Query.make ~name:"closing" ~post:[]
-    ~head:[ atom "S" [ cs "done"; var "x" ] ]
-    [ atom "F" [ var "x"; cs dest ] ]
-
 let submission_repr = function
   | Online.Coordinated c -> "fired " ^ String.concat "," (fired_names c)
   | Online.Pending -> "pending"
@@ -271,6 +355,34 @@ let submission_repr = function
     "rejected "
     ^ String.concat ","
         (List.map (fun (a, b) -> Printf.sprintf "%d/%d" a b) ws)
+
+(* The graph [Online] hands the solver for each component, assembled
+   from the edges stored at admission, must be the one
+   [Coordination_graph.build] derives from scratch over the
+   component's queries renamed by position: the same extended edges
+   and targets, and the same adjacency order (so the same SCC
+   numbering).  A failure raises [Failure]. *)
+let check_component_graphs engine =
+  let shape (g : Coordination_graph.t) =
+    ( g.extended,
+      g.targets,
+      List.map (Graphs.Digraph.successors g.graph) (Graphs.Digraph.nodes g.graph)
+    )
+  in
+  let entries = Array.of_list (Online.pending_entries engine) in
+  List.iter
+    (fun comp ->
+      let ids = List.map (fun p -> fst entries.(p)) comp in
+      let rebuilt =
+        Coordination_graph.build
+          (Query.rename_set (List.map (fun p -> snd entries.(p)) comp))
+      in
+      if shape (Online.component_graph engine ids) <> shape rebuilt then
+        Printf.ksprintf failwith
+          "the graph handed over for pool ids [%s] is not \
+           Coordination_graph.build's"
+          (String.concat "," (List.map string_of_int ids)))
+    (Online.components engine)
 
 (* ----------------------- observable state ------------------------- *)
 
@@ -282,6 +394,12 @@ type obs_state = {
   o_tables : (string * Tuple.t list) list;
 }
 
+(* Every table of [db], its tuples sorted. *)
+let tables db =
+  List.map
+    (fun r -> (Relation.name r, List.sort Tuple.compare (Relation.to_list r)))
+    (Database.relations db)
+
 let observe db engine =
   {
     o_pending =
@@ -291,21 +409,71 @@ let observe db engine =
     o_comps = Online.components engine;
     o_satisfied = Online.total_coordinated engine;
     o_next_id = Online.next_id engine;
-    o_tables =
-      List.map
-        (fun r ->
-          (Relation.name r, List.sort Tuple.compare (Relation.to_list r)))
-        (Database.relations db);
+    o_tables = tables db;
   }
 
 let pp_obs ppf s =
-  Format.fprintf ppf "pending=[%s] satisfied=%d next_id=%d tuples=[%s]"
-    (String.concat ";"
-       (List.map (fun (i, n) -> Printf.sprintf "%d:%s" i n) s.o_pending))
+  let list f l = String.concat ";" (List.map f l) in
+  Format.fprintf ppf
+    "pending=[%s] components=[%s] satisfied=%d next_id=%d tables=[%s]"
+    (list (fun (i, n) -> Printf.sprintf "%d:%s" i n) s.o_pending)
+    (list (fun c -> String.concat "," (List.map string_of_int c)) s.o_comps)
     s.o_satisfied s.o_next_id
-    (String.concat ";"
-       (List.map
-          (fun (n, tups) -> Printf.sprintf "%s:%d" n (List.length tups))
-          s.o_tables))
+    (list
+       (fun (n, tups) ->
+         Printf.sprintf "%s{%s}" n (list (Format.asprintf "%a" Tuple.pp) tups))
+       s.o_tables)
 
 let obs_t = Alcotest.testable pp_obs ( = )
+
+(* ------------------------ server plumbing ------------------------- *)
+
+let loopback = "127.0.0.1"
+
+let mk_server ?(max_pending = 1024) ?(max_sessions = 0) ?guard ?durable db
+    engine =
+  let cfg =
+    {
+      (Server.default_config (Server.Tcp (loopback, 0))) with
+      Server.max_pending;
+      max_sessions;
+    }
+  in
+  Server.create cfg { Server.db; engine; durable; guard }
+
+let connect srv = Server.Client.connect (Server.Tcp (loopback, Server.port srv))
+
+(* Pump the server until [conn] yields the echoed (non-notify)
+   response; notifications read along the way are returned too. *)
+let rpc ?(ctx = "") srv conn req =
+  Server.Client.send conn req;
+  let rec go tries notifies =
+    if tries > 2000 then Alcotest.failf "%s: no response after %d steps" ctx tries
+    else
+      match Server.Client.try_recv conn with
+      | Some frame ->
+        if Json.str_mem "notify" frame <> None then
+          go tries (frame :: notifies)
+        else (frame, List.rev notifies)
+      | None ->
+        ignore (Server.step ~timeout:0.01 srv);
+        go (tries + 1) notifies
+  in
+  go 0 []
+
+let rpc_ok ?ctx srv conn req =
+  let resp, notifies = rpc ?ctx srv conn req in
+  (match Json.mem "ok" resp with
+  | Some (Json.Bool true) -> ()
+  | _ ->
+    Alcotest.failf "%s: request failed: %s"
+      (Option.value ~default:"" ctx)
+      (Json.to_string resp));
+  (resp, notifies)
+
+(* Pump until the client observes its own teardown or the data is
+   drained; used after clean closes so sweep runs. *)
+let pump ?(rounds = 5) srv =
+  for _ = 1 to rounds do
+    ignore (Server.step ~timeout:0.01 srv)
+  done

@@ -1,14 +1,16 @@
 (* A rebuild-everything reference for the online engine.
 
-   [Coordination.Online] keeps an atom index, stored edges, a partition and
-   dirty-component tracking so that it never looks at the whole pool.
-   This oracle keeps none of them: it holds the pending pool as a plain
-   list and, on every evaluation, rebuilds the coordination graph of the
-   whole pool with [Coordination_graph.build], re-derives its weakly
-   connected components with an explicit work stack, and runs
-   [Scc_algo.solve] on each component in position order.  It shares no
-   code with the atom index or the stored edges — that independence is
-   its whole purpose — so the differential suites can hold the engine to
+   [Coordination.Online] keeps an atom index, stored edges, a partition
+   and dirty-component tracking so that it never looks at the whole
+   pool.  This oracle keeps none of them: it holds the pending pool as a
+   plain list of (pool id, query) pairs, ids handed out in submission
+   order as the engine does, and, on every evaluation, rebuilds the
+   coordination graph of the whole pool with [Coordination_graph.build],
+   re-derives its weakly connected components with an explicit work
+   stack, and runs [Scc_algo.solve] on each component in position order.
+   It shares no code with the atom index or the stored edges — that
+   independence is its whole purpose — so the differential harness
+   (test/test_differential.ml) can hold every engine configuration to
    it.  Cost is O(pool²) per evaluation; only tests use it. *)
 
 open Relational
@@ -19,14 +21,24 @@ module Scc_algo = Coordination.Scc_algo
 type t = {
   db : Database.t;
   consume : bool;
-  mutable rev_pool : Query.t list;  (* pending queries, newest first *)
+  mutable rev_pool : (int * Query.t) list;  (* pending entries, newest first *)
+  mutable next_id : int;
   mutable satisfied : int;
 }
 
-let create ?(consume = false) db = { db; consume; rev_pool = []; satisfied = 0 }
+let create ?(consume = false) db =
+  { db; consume; rev_pool = []; next_id = 0; satisfied = 0 }
 
-let pending t = List.rev t.rev_pool
+let pending_entries t = List.rev t.rev_pool
+let pending t = List.map snd (pending_entries t)
+let next_id t = t.next_id
 let total_coordinated t = t.satisfied
+
+(* Every admission takes the next id, an arrival that is then rejected
+   included. *)
+let admit t q =
+  t.rev_pool <- (t.next_id, q) :: t.rev_pool;
+  t.next_id <- t.next_id + 1
 
 (* Weakly connected components of the pool's coordination graph, as
    lists of positions into [pending] (each ascending, components ordered
@@ -70,7 +82,17 @@ let components t =
 let remove t positions =
   t.rev_pool <-
     List.rev
-      (List.filteri (fun i _ -> not (List.mem i positions)) (pending t))
+      (List.filteri
+         (fun i _ -> not (List.mem i positions))
+         (pending_entries t))
+
+(* Remove the entry with pool id [id], if it is pending. *)
+let withdraw t id =
+  List.mem_assoc id t.rev_pool
+  && begin
+       t.rev_pool <- List.remove_assoc id t.rev_pool;
+       true
+     end
 
 (* Delete each distinct grounded body tuple of the fired members once. *)
 let consume_inventory t (queries : Query.t array) (s : Solution.t) =
@@ -131,7 +153,7 @@ let flush t =
   rounds []
 
 let submit t q =
-  t.rev_pool <- q :: t.rev_pool;
+  admit t q;
   let last = List.length t.rev_pool - 1 in
   match evaluate t (List.find (List.mem last) (components t)) with
   | `Fired f -> Online.Coordinated f
@@ -142,5 +164,5 @@ let submit t q =
     Online.Rejected_unsafe ws
 
 let submit_all t queries =
-  t.rev_pool <- List.rev_append queries t.rev_pool;
+  List.iter (admit t) queries;
   flush t

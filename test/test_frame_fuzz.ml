@@ -42,16 +42,8 @@ let payloads_of bytes =
 let base_payloads () =
   let rng = Prng.create 11 in
   let submits =
-    List.init 6 (fun i ->
-        Json.to_string
-          (Json.Obj
-             [
-               ("id", Json.Int i);
-               ("op", Json.Str "submit");
-               ( "query",
-                 Json.Str
-                   (Entangled.Parser.query_to_string (random_query rng i)) );
-             ]))
+    List.init 6 (fun i -> Submit (random_query (Prng.int rng) i))
+    |> frames |> List.concat |> List.map Json.to_string
   in
   Array.of_list
     (submits
@@ -140,7 +132,7 @@ let fuzz_batch srv rng payloads tally =
 let run ~fuzz seed =
   let db = mk_db () in
   let srv =
-    Test_server.mk_server ~max_pending:max_int db
+    mk_server ~max_pending:max_int db
       (Server.Sequential (Online.create db))
   in
   let fd = Test_server.raw_connect srv in
@@ -156,7 +148,7 @@ let run ~fuzz seed =
     ask (script b)
   done;
   Unix.close fd;
-  Test_server.pump srv;
+  pump srv;
   Server.stop srv;
   (Buffer.contents out, tally)
 

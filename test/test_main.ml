@@ -24,4 +24,5 @@ let () =
       ("csv-fuzz", Test_csv_fuzz.suite);
       ("frame-fuzz", Test_frame_fuzz.suite);
       ("server", Test_server.suite);
+      ("differential", Test_differential.suite);
     ]

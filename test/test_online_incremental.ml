@@ -1,170 +1,18 @@
-(* The incremental online engine against a rebuild-everything oracle.
+(* The incremental online engine's machinery, case by case.
 
    The engine (persistent atom index, stored edges, dirty tracking) must
    be observationally equivalent to [Online_oracle], which re-derives
-   the coordination graph of the whole pool on every evaluation: same
-   coordinated sets, same pool, same component partition, same
-   satisfied counts, same database contents — for any interleaving of
-   submissions, batches, flushes and external store writes.  The
-   differential driver below checks exactly that on seeded random
-   interleavings; the remaining cases pin the incremental machinery
-   (dirty-component skipping, deep-chain traversal, inventory conflict
-   reporting, stats folding) individually. *)
+   the coordination graph of the whole pool on every evaluation; the
+   differential harness (test/test_differential.ml) checks that on
+   random traces.  The cases here pin the incremental machinery
+   (dirty-component skipping, deep-chain traversal, proven-quiet
+   arrivals, store-write re-dirtying, inventory conflict reporting,
+   stats folding) individually. *)
 
 open Relational
 open Entangled
 open Helpers
 module Online = Coordination.Online
-
-(* ------------------------ differential driver --------------------- *)
-
-let run_differential ~query ~seed ~consume =
-  let rng = Prng.create seed in
-  let db_full = mk_db () and db_inc = mk_db () in
-  let full = Online_oracle.create ~consume db_full in
-  let inc = Online.create ~consume db_inc in
-  (* Every tuple ever inserted: the store a consume-mode fire used. *)
-  let shadow = if consume then mk_db () else db_inc in
-  let insert ?(rel = "F") fid dest =
-    List.iter
-      (fun db ->
-        if not (Database.mem_relation db rel) then
-          ignore (Database.create_table' db rel [ "id"; "dest" ]);
-        Database.insert db rel [ vi fid; vs dest ])
-      (db_full :: db_inc :: (if consume then [ shadow ] else []))
-  in
-  let delete () =
-    match Relation.to_list (Database.relation db_full "F") with
-    | [] -> ()
-    | live ->
-      let t = Prng.pick rng (List.sort Tuple.compare live) in
-      List.iter
-        (fun db -> ignore (Relation.delete (Database.relation db "F") t))
-        [ db_full; db_inc ]
-  in
-  let valid step c =
-    check_fired ~ctx:(Printf.sprintf "seed %d step %d" seed step) shadow c
-  in
-  let check_sync step =
-    let ctx m = Printf.sprintf "seed %d step %d: %s" seed step m in
-    Alcotest.(check (list string))
-      (ctx "pending")
-      (List.map (fun q -> q.Query.name) (Online_oracle.pending full))
-      (List.map (fun q -> q.Query.name) (Online.pending inc));
-    Alcotest.(check (list (list int)))
-      (ctx "components")
-      (Online_oracle.components full)
-      (Online.components inc);
-    Alcotest.(check int) (ctx "satisfied")
-      (Online_oracle.total_coordinated full)
-      (Online.total_coordinated inc)
-  in
-  let check_same_fired step label ff fi =
-    Alcotest.(check (list (list string)))
-      (Printf.sprintf "seed %d %s" seed label)
-      (List.map fired_names ff) (List.map fired_names fi);
-    List.iter (valid step) fi
-  in
-  let next_fid = ref 1000 in
-  for step = 1 to 60 do
-    let roll = Prng.int rng 13 in
-    if roll < 6 then begin
-      let q = query rng step in
-      let rf = Online_oracle.submit full q in
-      let ri = Online.submit inc q in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d step %d: submission" seed step)
-        (submission_repr rf) (submission_repr ri);
-      match ri with
-      | Online.Coordinated c -> valid step c
-      | Online.Pending | Online.Rejected_unsafe _ -> ()
-    end
-    else if roll < 7 then begin
-      let batch =
-        List.init (1 + Prng.int rng 3) (fun j -> query rng ((1000 * step) + j))
-      in
-      check_same_fired step
-        (Printf.sprintf "step %d: submit_all" step)
-        (Online_oracle.submit_all full batch)
-        (Online.submit_all inc batch)
-    end
-    else if roll < 9 then
-      check_same_fired step
-        (Printf.sprintf "step %d: flush" step)
-        (Online_oracle.flush full) (Online.flush inc)
-    else begin
-      (* An external store write: both stores move, and the incremental
-         engine must drop every cached verdict the write can change.  A
-         flight to "Nowhere" enables a component that waits on the
-         store; the first write to U creates that table, which no query
-         reads. *)
-      incr next_fid;
-      match roll with
-      | 9 | 10 -> insert !next_fid dests.(Prng.int rng (Array.length dests))
-      | 11 -> delete ()
-      | _ -> insert ~rel:"U" !next_fid dests.(Prng.int rng 3)
-    end;
-    check_sync step
-  done;
-  (* The last steps may have enabled waiting components: settle them, so
-     the closing batch is all that fires. *)
-  check_same_fired 1000 "settling flush" (Online_oracle.flush full)
-    (Online.flush inc);
-  insert 999 "Lisbon";
-  let closing = [ closing_query "Lisbon" ] in
-  let fired = Online.submit_all inc closing in
-  Alcotest.(check (list (list string)))
-    (Printf.sprintf "seed %d: closing batch fires" seed)
-    [ [ "closing" ] ]
-    (List.map fired_names fired);
-  check_same_fired 1000 "closing batch"
-    (Online_oracle.submit_all full closing)
-    fired;
-  check_same_fired 1000 "final flush" (Online_oracle.flush full)
-    (Online.flush inc);
-  check_sync 1000;
-  let tuples db =
-    List.sort Tuple.compare (Relation.to_list (Database.relation db "F"))
-  in
-  Alcotest.(check (list tuple_t))
-    (Printf.sprintf "seed %d: final store" seed)
-    (tuples db_full) (tuples db_inc)
-
-(* The fixed seeds, and five more drawn from CHAOS_SEED. *)
-let differential_seeds =
-  [ 1; 2; 3; 4; 5 ] @ List.init 5 (fun k -> chaos_seed + k)
-
-let test_differential_oracle () =
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun consume -> run_differential ~query:random_query ~seed ~consume)
-        [ false; true ])
-    differential_seeds
-
-(* The arrivals submission can prove quiet, and the ones it must
-   not: a third of them carry a postcondition no head ever matches, and
-   one in six a variable-first postcondition that can make the
-   component it joins unsafe (a rejection leaves its survivors due). *)
-let unmatched_query rng i =
-  let q = random_query rng i in
-  let extra =
-    match Prng.int rng 6 with
-    | 0 | 1 -> [ atom "R" [ cs "nobody"; var "z" ] ]
-    | 2 -> [ atom "R" [ var "w"; var "z" ] ]
-    | _ -> []
-  in
-  Query.make ~name:q.Query.name ~post:(q.Query.post @ extra)
-    ~head:q.Query.head q.Query.body.Cq.atoms
-
-let test_differential_unmatched () =
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun consume ->
-          run_differential ~query:unmatched_query ~seed ~consume)
-        [ false; true ])
-    (List.init 20 (fun k -> k + 1))
 
 (* --------------------------- submit_all --------------------------- *)
 
@@ -317,76 +165,34 @@ let test_index_keys_follow_live_pool () =
 
 (* -------------------------- graph handoff ------------------------- *)
 
-(* Six arrivals in ten carry a postcondition over 4 constants, one in
-   ten a var-first one — compatible with every R head, its owner's own
-   included — and the rest none. *)
-let var_first_query rng i =
-  let g k = cs (Printf.sprintf "g%d" k) in
-  let post =
-    let roll = Prng.int rng 10 in
-    if roll < 6 then [ atom "R" [ g (Prng.int rng 4); var "y" ] ]
-    else if roll < 7 then [ atom "R" [ var "w"; var "y" ] ]
-    else []
-  in
-  Query.make
-    ~name:(Printf.sprintf "q%d" i)
-    ~post
-    ~head:[ atom "R" [ g (Prng.int rng 4); var "x" ] ]
-    [ atom "F" [ var "x"; cs dests.(Prng.int rng (Array.length dests)) ] ]
-
-(* The graph an engine hands [Scc_algo] for a component, assembled from
-   the edges stored at admission, must be the one
-   [Coordination_graph.build] derives from scratch over the component's
-   queries renamed by position: the same extended edges and targets, and
-   the same adjacency order (so the same SCC numbering).  Pools come
-   from [var_first_query] — 4 constants, var-first posts, self-compatible
-   atoms — admitted by one-query batches, which keep unsafe components
-   pending; fires, withdrawals and flushes make the engine drop edges
-   and re-fuse the survivors. *)
+(* Pools of var-first posts (compatible with every R head, their
+   owner's own included) and constant ones, admitted by one-query
+   batches, which keep unsafe components pending; a withdrawal and a
+   fire make the engine drop edges and re-fuse the survivors.  After
+   each step every component's graph must be [Coordination_graph.build]'s
+   ({!Helpers.check_component_graphs}); the differential harness runs
+   the same check on random traces. *)
 let test_component_graph_matches_build () =
-  let edge_repr (e : Coordination_graph.edge) =
-    Printf.sprintf "%d.%d->%d.%d" e.src e.post_index e.dst e.head_index
-  in
-  let shape (g : Coordination_graph.t) =
-    ( List.map edge_repr g.extended,
-      Array.to_list (Array.map Array.to_list g.targets),
-      List.map (Graphs.Digraph.successors g.graph)
-        (Graphs.Digraph.nodes g.graph) )
-  in
+  let q ?(dest = "Zurich") name post head =
+    Query.make ~name ~post ~head:[ atom "R" [ cs head; var "x" ] ]
+      [ atom "F" [ var "x"; cs dest ] ]
+  and r c = atom "R" [ c; var "y" ] in
+  let db = mk_db () in
+  let engine = Online.create db in
+  let step f = ignore (f ()); check_component_graphs engine in
   List.iter
-    (fun seed ->
-      let rng = Prng.create seed in
-      let engine = Online.create (mk_db ()) in
-      for step = 1 to 60 do
-        (match Prng.int rng 10 with
-        | 0 -> ignore (Online.flush engine)
-        | 1 -> (
-          match Online.pending_entries engine with
-          | [] -> ()
-          | live -> ignore (Online.withdraw engine (fst (Prng.pick rng live))))
-        | _ -> ignore (Online.submit_all engine [ var_first_query rng step ]));
-        let entries = Array.of_list (Online.pending_entries engine) in
-        List.iter
-          (fun comp ->
-            let ctx =
-              Printf.sprintf "seed %d step %d: component graph" seed step
-            in
-            let handed =
-              Online.component_graph engine
-                (List.map (fun p -> fst entries.(p)) comp)
-            in
-            let rebuilt =
-              Coordination_graph.build
-                (Query.rename_set (List.map (fun p -> snd entries.(p)) comp))
-            in
-            let e1, t1, s1 = shape rebuilt and e2, t2, s2 = shape handed in
-            Alcotest.(check (list string)) (ctx ^ " edges") e1 e2;
-            Alcotest.(check (list (list (list (pair int int)))))
-              (ctx ^ " targets") t1 t2;
-            Alcotest.(check (list (list int))) (ctx ^ " adjacency") s1 s2)
-          (Online.components engine)
-      done)
-    (List.init 10 (fun k -> chaos_seed + k))
+    (fun query -> step (fun () -> Online.submit_all engine [ query ]))
+    [ q "a" [ r (cs "g1") ] "g0"; q "b" [ r (var "w") ] "g1";
+      q ~dest:"Nowhere" "c" [ r (cs "g0") ] "g2"; q ~dest:"Nowhere" "d" [] "g1";
+      q "e" [ r (cs "g2"); r (var "v") ] "g3" ];
+  Alcotest.(check int) "the unsafe pool waits" 5 (Online.pending_count engine);
+  step (fun () -> Online.withdraw engine 1);
+  step (fun () -> Online.flush engine);
+  step (fun () -> Online.withdraw engine 4);
+  Database.insert db "F" [ vi 999; vs "Nowhere" ];
+  step (fun () -> Online.flush engine);
+  Alcotest.(check int) "a Nowhere flight fires the rest" 0
+    (Online.pending_count engine)
 
 (* ---------------------------- self-loops -------------------------- *)
 
@@ -796,10 +602,6 @@ let test_unbound_head_variable_reads_every_table () =
 
 let suite =
   [
-    Alcotest.test_case "differential: incremental == rebuild oracle" `Quick
-      test_differential_oracle;
-    Alcotest.test_case "differential: unmatched and ambiguous posts" `Quick
-      test_differential_unmatched;
     Alcotest.test_case "submit_all == enqueue + flush == oracle" `Quick
       test_submit_all_matches_enqueue_flush;
     Alcotest.test_case "flush skips clean components" `Quick

@@ -1,271 +1,83 @@
-(* The service layer's differential proof.
+(* The service layer, case by case.
 
-   A server multiplexing N interleaved scripted clients must leave its
-   engine in EXACTLY the state a sequential reference engine reaches
-   when the same operation sequence is applied directly — pool (ids and
-   names), component partition, satisfied count, next id and store
-   contents.  The server is a single-threaded select loop with a public
-   [step], so the tests drive server and in-process clients from one
-   thread: send a frame, pump [step] until the response arrives, apply
-   the same op to the reference, compare.  The same discipline covers a
-   mid-stream server kill + restart over a WAL (stop without
-   Durable.close, recover, continue over fresh sockets — the recovered
-   service must converge to the reference) and abnormal disconnects (a
+   The server is a single-threaded select loop with a public [step], so
+   the tests drive server and in-process clients from one thread: send
+   a frame, pump [step] until the response arrives.  The cases pin a
+   mid-stream kill + restart over a WAL (stop without Durable.close,
+   recover, continue over fresh sockets), abnormal disconnects (a
    client dying mid-frame or mid-notification must tear down exactly
-   one session while every other session keeps being served). *)
+   one session while every other session keeps being served), budgets,
+   admission control, protocol errors, framing and group commit.
+   Served random traces against the rebuild-everything oracle live in
+   the differential harness (test/test_differential.ml). *)
 
 open Relational
-open Entangled
 open Helpers
 module Online = Coordination.Online
 
-(* ------------------------ server plumbing ------------------------- *)
-
-let loopback = "127.0.0.1"
-
-let mk_server ?(max_pending = 1024) ?(max_sessions = 0) ?guard ?durable db
-    engine =
-  let cfg =
-    {
-      (Server.default_config (Server.Tcp (loopback, 0))) with
-      Server.max_pending;
-      max_sessions;
-    }
-  in
-  Server.create cfg { Server.db; engine; durable; guard }
-
-let connect srv = Server.Client.connect (Server.Tcp (loopback, Server.port srv))
-
-(* Pump the server until [conn] yields the echoed (non-notify)
-   response; notifications read along the way are returned too. *)
-let rpc ?(ctx = "") srv conn req =
-  Server.Client.send conn req;
-  let rec go tries notifies =
-    if tries > 2000 then Alcotest.failf "%s: no response after %d steps" ctx tries
-    else
-      match Server.Client.try_recv conn with
-      | Some frame ->
-        if Json.str_mem "notify" frame <> None then
-          go tries (frame :: notifies)
-        else (frame, List.rev notifies)
-      | None ->
-        ignore (Server.step ~timeout:0.01 srv);
-        go (tries + 1) notifies
-  in
-  go 0 []
-
-let rpc_ok ?ctx srv conn req =
-  let resp, notifies = rpc ?ctx srv conn req in
-  (match Json.mem "ok" resp with
-  | Some (Json.Bool true) -> ()
-  | _ ->
-    Alcotest.failf "%s: request failed: %s"
-      (Option.value ~default:"" ctx)
-      (Json.to_string resp));
-  (resp, notifies)
-
-(* Pump until the client observes its own teardown or the data is
-   drained; used after clean closes so sweep runs. *)
-let pump ?(rounds = 5) srv =
-  for _ = 1 to rounds do
-    ignore (Server.step ~timeout:0.01 srv)
-  done
-
-(* --------------------------- scripted ops ------------------------- *)
-
-let req_of_op id = function
-  | Submit q ->
-    Json.Obj
-      [ ("id", Json.Int id); ("op", Json.Str "submit");
-        ("query", Json.Str (Parser.query_to_string q)) ]
-  | Flush -> Json.Obj [ ("id", Json.Int id); ("op", Json.Str "flush") ]
-  | Insert (fid, dest) ->
-    Json.Obj
-      [
-        ("id", Json.Int id);
-        ("op", Json.Str "insert");
-        ("rel", Json.Str "F");
-        ("tuple", Json.Arr [ Json.Int fid; Json.Str dest ]);
-      ]
-
-(* Apply one op to the reference; returns the sets it fired. *)
-let apply_ref rdb rengine = function
-  | Submit q -> (
-    (* The reference submits what the server parses off the wire. *)
-    match
-      Online.submit rengine (Parser.parse_query (Parser.query_to_string q))
-    with
-    | Online.Coordinated c -> [ c ]
-    | Online.Pending | Online.Rejected_unsafe _ -> [])
-  | Flush -> Online.flush rengine
-  | Insert (fid, dest) ->
-    Database.insert rdb "F" [ vi fid; vs dest ];
-    []
-
-(* The sets a submit or flush response reports fired, by member name. *)
-let fired_in_response resp =
-  let names = function
-    | Json.Arr qs ->
-      List.filter_map (function Json.Str n -> Some n | _ -> None) qs
-    | _ -> []
-  in
-  match (Json.mem "queries" resp, Json.mem "sets" resp) with
-  | Some qs, _ -> [ names qs ]
-  | None, Some (Json.Arr sets) -> List.map names sets
-  | None, _ -> []
-
-(* Seed the schema over the wire on the server side (journaled when a
-   WAL is attached) and directly on the reference side. *)
+(* Seed the schema over the wire (journaled when a WAL is attached). *)
 let seed_over_wire srv conn =
-  ignore
-    (rpc_ok ~ctx:"seed table" srv conn
-       (Json.Obj
-          [
-            ("op", Json.Str "create_table");
-            ("name", Json.Str "F");
-            ("attrs", Json.Arr [ Json.Str "fid"; Json.Str "dest" ]);
-          ]));
   List.iter
-    (fun (f, d) ->
-      ignore
-        (rpc_ok ~ctx:"seed fact" srv conn
-           (Json.Obj
-              [
-                ("op", Json.Str "insert");
-                ("rel", Json.Str "F");
-                ("tuple", Json.Arr [ Json.Int f; Json.Str d ]);
-              ])))
-    seed_facts
+    (fun f -> ignore (rpc_ok ~ctx:"seed" srv conn f))
+    (List.concat (frames seed_ops))
 
-let seed_reference rdb =
-  ignore (Database.create_table' rdb "F" [ "fid"; "dest" ]);
-  List.iter
-    (fun (f, d) -> Database.insert rdb "F" [ vi f; vs d ])
-    seed_facts
+(* A submit request, with [id] echoed if given. *)
+let submit ?id q =
+  Json.Obj
+    ((match id with Some i -> [ ("id", Json.Int i) ] | None -> [])
+    @ [ ("op", Json.Str "submit"); ("query", Json.Str q) ])
 
-let mk_reference ~consume () =
-  let rdb = Database.create () in
-  let rengine = Online.create ~consume rdb in
-  seed_reference rdb;
-  (rdb, rengine)
+(* A pair over Zurich flights: [q1] waits for [q2]. *)
+let q1 = "qa: { R(G1, y) } R(G0, x) :- F(x, Zurich)."
+let q2 = "qb: { R(G0, y) } R(G1, x) :- F(x, Zurich)."
 
-(* ------------------ differential: interleaved clients ------------- *)
+(* ------------------- kill the server mid-stream ------------------- *)
 
-let run_differential ~seed ~nclients ~consume () =
-  let ctx = Printf.sprintf "diff-%d-%b" nclients consume in
-  let db = Database.create () in
-  let engine = Online.create ~consume db in
-  let srv = mk_server db (Server.Sequential engine) in
-  let conns = Array.init nclients (fun _ -> connect srv) in
-  let rdb, rengine = mk_reference ~consume () in
-  (* Every tuple ever inserted: the store a consume-mode fire used. *)
-  let shadow =
-    if consume then begin
-      let d = Database.create () in
-      seed_reference d;
-      d
-    end
-    else rdb
-  in
-  seed_over_wire srv conns.(0);
-  let trace = gen_trace (Prng.create seed) 40 in
-  List.iteri
-    (fun i op ->
-      let conn = conns.(i mod nclients) in
-      let op_ctx = Printf.sprintf "%s op %d" ctx i in
-      let resp, _ = rpc ~ctx:op_ctx srv conn (req_of_op i op) in
-      (match Json.mem "ok" resp with
-      | Some (Json.Bool _) -> ()
-      | _ -> Alcotest.failf "%s: malformed response" op_ctx);
-      let fired = apply_ref rdb rengine op in
-      (match op with
-      | Insert (fid, dest) when consume ->
-        Database.insert shadow "F" [ vi fid; vs dest ]
-      | Submit _ | Flush | Insert _ -> ());
-      (* The served sets are the reference's, and each one meets
-         Definition 1. *)
-      Alcotest.(check (list (list string)))
-        (op_ctx ^ ": fired sets")
-        (List.map fired_names fired)
-        (fired_in_response resp);
-      List.iter (check_fired ~ctx:op_ctx shadow) fired;
-      if i mod 10 = 0 then
-        Alcotest.check obs_t
-          (Printf.sprintf "%s after op %d" ctx i)
-          (observe rdb rengine) (observe db engine))
-    trace;
-  Alcotest.check obs_t (ctx ^ ": final state") (observe rdb rengine)
-    (observe db engine);
-  Array.iter Server.Client.close conns;
-  pump srv;
-  Server.stop srv
-
-let test_differential () =
-  run_differential ~seed:chaos_seed ~nclients:4 ~consume:false ();
-  run_differential ~seed:chaos_seed ~nclients:3 ~consume:true ()
-
-(* ------------- differential: kill the server mid-stream ----------- *)
-
+(* A fixed script over three sessions, killed mid-stream: the sockets
+   die and the WAL handle is never closed.  The restart recovers the
+   directory onto the state the killed server held, from a snapshot and
+   with a clean tail, and serves fresh sockets: the pair split across
+   the kill fires.  The differential harness (test/test_differential.ml)
+   kills and restarts served random traces against the oracle. *)
 let test_kill_and_restart () =
   (* A killed process takes its snapshot writer with it.  A handle with
      a seam has no writer thread, so each snapshot is written on this
      thread right after the request that hands it off, instead of
      racing the restart's recovery of the same directory. *)
-  let drain wal = while Durable.writer_step wal <> None do () done in
+  let serve (wal, db, engine) ops =
+    let srv = mk_server ~durable:wal db (Server.Sequential engine) in
+    let conns = Array.init 3 (fun _ -> connect srv) in
+    let said =
+      List.mapi
+        (fun i f ->
+          let resp, _ = rpc_ok ~ctx:"kill script" srv conns.(i mod 3) f in
+          while Durable.writer_step wal <> None do () done;
+          Option.value ~default:"" (Json.str_mem "result" resp))
+        (List.concat (frames ops))
+    in
+    Server.stop srv;
+    said
+  in
   let dir = fresh_dir "kill" in
-  let wal, db, engine =
-    Durable.create_engine
-      (Durable.config ~fsync:Durable.Always ~snapshot_every:5 ~io:ignore dir)
-  in
-  let srv = mk_server ~durable:wal db (Server.Sequential engine) in
-  let nclients = 3 in
-  let conns = Array.init nclients (fun _ -> connect srv) in
-  let rdb, rengine = mk_reference ~consume:false () in
-  seed_over_wire srv conns.(0);
-  let trace = gen_trace (Prng.create chaos_seed) 30 in
-  let first, rest =
-    (List.filteri (fun i _ -> i < 15) trace, List.filteri (fun i _ -> i >= 15) trace)
-  in
-  List.iteri
-    (fun i op ->
-      ignore
-        (rpc ~ctx:(Printf.sprintf "kill op %d" i) srv
-           conns.(i mod nclients) (req_of_op i op));
-      drain wal;
-      ignore (apply_ref rdb rengine op))
-    first;
-  (* Kill: sockets die, the WAL handle is NOT cleanly closed — the
-     crash discipline the durable suite establishes, now driven from
-     the socket side. *)
-  Server.stop srv;
-  let wal2, db2, engine2, report =
-    match Durable.recover (Durable.config ~io:ignore dir) with
-    | Ok r -> r
-    | Error m -> Alcotest.failf "kill-restart: recover failed: %s" m
-  in
-  Alcotest.(check bool)
-    "clean tail after kill" true
+  let cfg = Durable.config ~fsync:Durable.Always ~snapshot_every:5 ~io:ignore dir in
+  let ((wal, db, engine) as h) = Durable.create_engine cfg in
+  let q ?dest name post head = Submit (rq ?dest name ~post:[ post ] ~head) in
+  ignore
+    (serve h
+       (seed_ops
+       @ [ q "qa" "b" "a"; q "qb" "a" "b"; Insert ("F", [ vi 600; vs "Oslo" ]);
+           q ~dest:"Oslo" "qc" "d" "c"; Flush ]));
+  let killed = observe db engine in
+  let wal2, db2, engine2, report = Result.get_ok (Durable.recover cfg) in
+  Alcotest.(check bool) "clean tail after kill" true
     (report.Durable.truncation = None);
-  Alcotest.(check bool)
-    "recovered from a snapshot and its tail" true
+  Alcotest.(check bool) "recovered from a snapshot and its tail" true
     (report.Durable.snapshot_loaded <> None);
-  Alcotest.check obs_t "recovered state sits on the kill boundary"
-    (observe rdb rengine) (observe db2 engine2);
-  let srv2 = mk_server ~durable:wal2 db2 (Server.Sequential engine2) in
-  let conns2 = Array.init nclients (fun _ -> connect srv2) in
-  List.iteri
-    (fun i op ->
-      ignore
-        (rpc ~ctx:(Printf.sprintf "restart op %d" i) srv2
-           conns2.(i mod nclients) (req_of_op (100 + i) op));
-      drain wal2;
-      ignore (apply_ref rdb rengine op))
-    rest;
-  Alcotest.check obs_t "restarted service converges to the reference"
-    (observe rdb rengine) (observe db2 engine2);
-  Array.iter Server.Client.close conns2;
-  pump srv2;
-  Server.stop srv2;
+  Alcotest.check obs_t "recovered state sits on the kill boundary" killed
+    (observe db2 engine2);
+  Alcotest.(check (list string)) "the restarted service fires the pair"
+    [ "coordinated" ]
+    (serve (wal2, db2, engine2) [ q ~dest:"Oslo" "qd" "c" "d" ]);
   Durable.close wal2;
   Durable.close wal;
   rm_rf dir
@@ -330,19 +142,8 @@ let test_subscriber_dies_before_notify () =
   let before = abnormal_count () in
   (* The subscriber dies abruptly; the server has not noticed yet. *)
   Server.Client.abort subscriber;
-  let q1 = "qa: { R(G1, y) } R(G0, x) :- F(x, Zurich)." in
-  let q2 = "qb: { R(G0, y) } R(G1, x) :- F(x, Zurich)." in
-  ignore
-    (rpc_ok ~ctx:"pend" srv submitter
-       (Json.Obj
-          [ ("id", Json.Int 2); ("op", Json.Str "submit");
-            ("query", Json.Str q1) ]));
-  let resp, _ =
-    rpc_ok ~ctx:"fire" srv submitter
-      (Json.Obj
-         [ ("id", Json.Int 3); ("op", Json.Str "submit");
-           ("query", Json.Str q2) ])
-  in
+  ignore (rpc_ok ~ctx:"pend" srv submitter (submit ~id:2 q1));
+  let resp, _ = rpc_ok ~ctx:"fire" srv submitter (submit ~id:3 q2) in
   Alcotest.(check bool)
     "pair fired despite the dead subscriber" true
     (Json.str_mem "result" resp = Some "coordinated");
@@ -362,12 +163,6 @@ let test_subscriber_dies_before_notify () =
    submitter included, reads the degraded notification, the submitter
    before its response, and the response says so. *)
 let test_degraded_request () =
-  let q1 = "qa: { R(G1, y) } R(G0, x) :- F(x, Zurich)." in
-  let q2 = "qb: { R(G0, y) } R(G1, x) :- F(x, Zurich)." in
-  let submit id q =
-    Json.Obj
-      [ ("id", Json.Int id); ("op", Json.Str "submit"); ("query", Json.Str q) ]
-  in
   let serve ~max_probes =
     let db = Database.create () in
     let guard = Resilient.arm ~max_probes () in
@@ -388,8 +183,8 @@ let test_degraded_request () =
         (rpc_ok ~ctx:"subscribe" srv conn
            (Json.Obj [ ("id", Json.Int 1); ("op", Json.Str "subscribe") ])))
     [ submitter; subscriber ];
-  ignore (rpc_ok ~ctx:"pend" srv submitter (submit 2 q1));
-  let resp, notifies = rpc_ok ~ctx:"degrade" srv submitter (submit 3 q2) in
+  ignore (rpc_ok ~ctx:"pend" srv submitter (submit ~id:2 q1));
+  let resp, notifies = rpc_ok ~ctx:"degrade" srv submitter (submit ~id:3 q2) in
   let degraded_note =
     match notifies with
     | [ n ] ->
@@ -436,7 +231,7 @@ let test_degraded_request () =
         List.map
           (fun q ->
             let before = Database.probes db in
-            ignore (rpc_ok ~ctx:"unbounded" srv conn (submit 4 q));
+            ignore (rpc_ok ~ctx:"unbounded" srv conn (submit ~id:4 q));
             Database.probes db - before)
           [ a; b ])
       pairs
@@ -453,7 +248,7 @@ let test_degraded_request () =
     (fun (a, b) ->
       List.iter
         (fun q ->
-          let resp, _ = rpc_ok ~ctx:"fresh budget" srv conn (submit 5 q) in
+          let resp, _ = rpc_ok ~ctx:"fresh budget" srv conn (submit ~id:5 q) in
           Alcotest.(check bool)
             (Printf.sprintf "budget %d per request: %s not degraded" budget q)
             true
@@ -474,20 +269,10 @@ let test_overloaded () =
   let conn = connect srv in
   seed_over_wire srv conn;
   (* Two queries that cannot coordinate with each other. *)
-  ignore
-    (rpc_ok ~ctx:"first" srv conn
-       (Json.Obj
-          [
-            ("id", Json.Int 1); ("op", Json.Str "submit");
-            ("query", Json.Str "qa: { R(G1, y) } R(G0, x) :- F(x, Zurich).");
-          ]));
+  ignore (rpc_ok ~ctx:"first" srv conn (submit ~id:1 q1));
   let resp, _ =
     rpc ~ctx:"second" srv conn
-      (Json.Obj
-         [
-           ("id", Json.Int 2); ("op", Json.Str "submit");
-           ("query", Json.Str "qb: { R(G3, y) } R(G2, x) :- F(x, Paris).");
-         ])
+      (submit ~id:2 "qb: { R(G3, y) } R(G2, x) :- F(x, Paris).")
   in
   Alcotest.(check bool)
     "typed overloaded refusal" true
@@ -649,14 +434,7 @@ let test_killer_frames () =
   ignore
     (raw_rpc ~ctx:"submit qa" srv fd
        {|{"op":"submit","query":"qa: { R(G1, y) } R(G0, x) :- F(x, Zurich)."}|});
-  let resp, _ =
-    rpc_ok ~ctx:"submit qb" srv bystander
-      (Json.Obj
-         [
-           ("op", Json.Str "submit");
-           ("query", Json.Str "qb: { R(G0, y) } R(G1, x) :- F(x, Zurich).");
-         ])
-  in
+  let resp, _ = rpc_ok ~ctx:"submit qb" srv bystander (submit q2) in
   Alcotest.(check (option string))
     "pair coordinates across the sessions" (Some "coordinated")
     (Json.str_mem "result" resp);
@@ -799,10 +577,7 @@ let test_internal_error () =
   let before = incidents () in
   Obs.install faulty;
   let resp, _ =
-    rpc srv conn
-      (Json.Obj
-         [ ("id", Json.Int 9); ("op", Json.Str "submit");
-           ("query", Json.Str "boom: { R(Nobody, y) } R(Boom, x) :- F(x, Zurich).") ])
+    rpc srv conn (submit ~id:9 "boom: { R(Nobody, y) } R(Boom, x) :- F(x, Zurich).")
   in
   Obs.remove faulty;
   Alcotest.(check string) "typed internal_error frame"
@@ -851,8 +626,7 @@ let test_group_commit_per_step () =
   List.iter
     (fun q ->
       ignore
-        (rpc_ok ~ctx:"waiting pair" srv conn
-           (Json.Obj [ ("op", Json.Str "submit"); ("query", Json.Str q) ])))
+        (rpc_ok ~ctx:"waiting pair" srv conn (submit q)))
     [
       "qa: { R(G1, y) } R(G0, x) :- F(x, Oslo).";
       "qb: { R(G0, y) } R(G1, x) :- F(x, Oslo).";
@@ -917,10 +691,7 @@ let test_wal_failure_stops () =
     eio := false;
     Alcotest.(check int) "one incident recorded" (before + 1) (incidents ());
     expect_stop "submit after the fault cleared" (fun () ->
-        Server.Client.send bystander
-          (Json.Obj
-             [ ("op", Json.Str "submit");
-               ("query", Json.Str "qa: { } R(A, x) :- F(x, Zurich).") ]));
+        Server.Client.send bystander (submit "qa: { } R(A, x) :- F(x, Zurich)."));
     expect_stop "create_table after the fault cleared" (fun () ->
         Server.Client.send conn
           (Json.Obj
@@ -1220,9 +991,6 @@ let test_end_before_accept () =
 let suite =
   [
     Alcotest.test_case "json frames round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case
-      "differential: interleaved clients == sequential reference" `Quick
-      test_differential;
     Alcotest.test_case
       "differential: kill + restart over --wal converges" `Quick
       test_kill_and_restart;

@@ -30,18 +30,12 @@ let cfg ?io dir = Durable.config ~fsync:Durable.Never ~snapshot_every:4 ?io dir
 let write_session ?(in_flight = false) dir =
   let io = if in_flight then Some ignore else None in
   let wal, db, engine = Durable.create_engine ~consume:true (cfg ?io dir) in
-  ignore (Relational.Database.create_table' db "F" [ "fid"; "dest" ]);
-  Durable.journal_create_table wal "F" [ "fid"; "dest" ];
-  List.iter
-    (fun (f, d) ->
-      Relational.Database.insert db "F" [ vi f; vs d ];
-      Durable.journal_insert wal "F" [ vi f; vs d ])
-    seed_facts;
+  List.iter (write_store ~wal db) seed_ops;
   let rng = Prng.create 5 in
   let handed_off = ref None in
   let step = ref 1 in
   while !step <= 14 && not (in_flight && !handed_off = Some (!step - 2)) do
-    ignore (Online.submit engine (random_query rng !step));
+    ignore (Online.submit engine (random_query (Prng.int rng) !step));
     if in_flight && !handed_off = None && Durable.writer_step wal <> None then
       handed_off := Some !step;
     incr step
