@@ -6,10 +6,13 @@
    over the Slashdot-sized Posts table, the query shape of perfbench's
    [chains] workload, and measures only the submit that completes each
    chain (the fire): its minor words, whether a minor collection ran
-   inside it, and its wall time.  Every chain's other members arrive
-   proven quiet and are not measured; a chain fires before the next
-   starts, so all chains can reuse Listgen's user names.  Reports
-   medians over 1,024 fires after 64 warm-up fires. *)
+   inside it, its wall time, and the engine's own split of it
+   ([Online.stats] before and after): graph assembly and analysis,
+   unification, grounding, the rest of the solve, the commit and the
+   admission.  Every chain's other members arrive proven quiet and are
+   not measured; a chain fires before the next starts, so all chains
+   can reuse Listgen's user names.  Reports medians over 1,024 fires
+   after 64 warm-up fires. *)
 
 let len = 32
 let warmup = 64
@@ -20,16 +23,35 @@ let median a =
   Array.sort compare a;
   if Array.length a = 0 then nan else a.(Array.length a / 2)
 
+let us ns = Int64.to_float ns /. 1e3
+
+(* The engine's phases, as named in the report, from one [Stats.t]. *)
+let phases (s : Coordination.Stats.t) =
+  let rest =
+    Int64.sub s.total_ns
+      (Int64.add s.graph_ns (Int64.add s.unify_ns s.ground_ns))
+  in
+  [|
+    us s.graph_ns; us s.unify_ns; us s.ground_ns; us rest; us s.commit_ns;
+    us s.admit_ns;
+  |]
+
+let phase_names = [| "graph"; "unify"; "ground"; "rest"; "commit"; "admit" |]
+
 let () =
   let db = Relational.Database.create () in
   ignore (Workload.Social.install_posts db);
   let engine = Coordination.Online.create db in
   let rng = Prng.create 1 in
-  let words = Array.make fires 0. and us = Array.make fires 0. in
+  let words = Array.make fires 0. and us_fire = Array.make fires 0. in
   let collected = Array.make fires false in
+  let split =
+    Array.init (Array.length phase_names) (fun _ -> Array.make fires 0.)
+  in
   for c = 0 to warmup + fires - 1 do
     let rec go = function
       | [ last ] ->
+        let before = phases (Coordination.Online.stats engine) in
         let gcs0 = (Gc.quick_stat ()).minor_collections in
         let w0 = Gc.minor_words () in
         let t0 = Obs.now_ns () in
@@ -40,11 +62,13 @@ let () =
         (match fired with
         | Coordination.Online.Coordinated _ -> ()
         | _ -> failwith "chain_fires: the last arrival did not fire");
+        let after = phases (Coordination.Online.stats engine) in
         let k = c - warmup in
         if k >= 0 then begin
           words.(k) <- w1 -. w0;
-          us.(k) <- Int64.to_float (Int64.sub t1 t0) /. 1e3;
-          collected.(k) <- gcs1 > gcs0
+          us_fire.(k) <- us (Int64.sub t1 t0);
+          collected.(k) <- gcs1 > gcs0;
+          Array.iteri (fun p a -> a.(k) <- after.(p) -. before.(p)) split
         end
       | q :: rest ->
         ignore (Coordination.Online.submit engine q);
@@ -55,7 +79,7 @@ let () =
   done;
   let pick want =
     Array.of_list
-      (List.filteri (fun k _ -> collected.(k) = want) (Array.to_list us))
+      (List.filteri (fun k _ -> collected.(k) = want) (Array.to_list us_fire))
   in
   let with_gc = pick true and without_gc = pick false in
   Printf.printf
@@ -68,4 +92,10 @@ let () =
      collection %.1f, without %.1f\n"
     (Array.length with_gc)
     (100. *. float (Array.length with_gc) /. float fires)
-    (median us) (median with_gc) (median without_gc)
+    (median us_fire) (median with_gc) (median without_gc);
+  Printf.printf "engine split per fire, us median:%s\n"
+    (String.concat ""
+       (Array.to_list
+          (Array.mapi
+             (fun p name -> Printf.sprintf " %s %.1f" name (median split.(p)))
+             phase_names)))

@@ -2,6 +2,15 @@ open Relational
 open Entangled
 module Atom_index = Coordination_graph.Atom_index
 
+(* Tables keyed by pool id: ids are small non-negative ints, so they
+   hash to themselves, with no call into the polymorphic hash. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
 type coordinated = {
   queries : Query.t list;
   assignment : Eval.valuation;
@@ -74,7 +83,7 @@ type comp = { mutable members : int list; mutable unquiet : int }
 type t = {
   db : Database.t;
   consume : bool;
-  entries : (int, entry) Hashtbl.t;  (* the live pool, keyed by id *)
+  entries : entry Ids.t;  (* the live pool, keyed by id *)
   mutable next_id : int;
   (* Persistent indexing state.  The two atom indexes cover the post/head
      atoms of every live entry (payload = owner id, atom index): a new
@@ -86,32 +95,34 @@ type t = {
      table is keyed by live ids or live atoms only. *)
   posts_index : (int * int) Atom_index.t;
   heads_index : (int * int) Atom_index.t;
-  comps : (int, comp) Hashtbl.t;
-  dirty : (int, unit) Hashtbl.t;
+  comps : comp Ids.t;
+  dirty : unit Ids.t;
   mutable db_version : int;
   mutable satisfied : int;
   mutable last_degradation : Resilient.degradation option;
   mutable last_conflict : inventory_conflict option;
   mutable journal : Journal.sink option;
   stats : Stats.t;
+  mutable admit_ns : int;  (* [stats.admit_ns], kept unboxed *)
 }
 
 let create ?(consume = false) db =
   {
     db;
     consume;
-    entries = Hashtbl.create 64;
+    entries = Ids.create 64;
     next_id = 0;
     posts_index = Atom_index.create ();
     heads_index = Atom_index.create ();
-    comps = Hashtbl.create 64;
-    dirty = Hashtbl.create 64;
+    comps = Ids.create 64;
+    dirty = Ids.create 64;
     db_version = Database.data_version db;
     satisfied = 0;
     last_degradation = None;
     last_conflict = None;
     journal = None;
     stats = Stats.create ();
+    admit_ns = 0;
   }
 
 let consume engine = engine.consume
@@ -122,7 +133,7 @@ let emit engine record =
 
 (* Live entries in submission (= id) order. *)
 let live_entries engine =
-  Hashtbl.fold (fun _ e acc -> e :: acc) engine.entries []
+  Ids.fold (fun _ e acc -> e :: acc) engine.entries []
   |> List.sort (fun a b -> Int.compare a.id b.id)
 
 let pending engine = List.map (fun e -> e.query) (live_entries engine)
@@ -132,20 +143,22 @@ let pending_entries engine =
 
 let next_id engine = engine.next_id
 
-let pending_count engine = Hashtbl.length engine.entries
+let pending_count engine = Ids.length engine.entries
 
 let table_sizes engine =
   [
     ("posts_index_keys", Atom_index.key_count engine.posts_index);
     ("heads_index_keys", Atom_index.key_count engine.heads_index);
-    ("components", Hashtbl.length engine.comps);
-    ("entries", Hashtbl.length engine.entries);
-    ("dirty", Hashtbl.length engine.dirty);
+    ("components", Ids.length engine.comps);
+    ("entries", Ids.length engine.entries);
+    ("dirty", Ids.length engine.dirty);
   ]
 
 let total_coordinated engine = engine.satisfied
 
-let stats engine = engine.stats
+let stats engine =
+  engine.stats.admit_ns <- Int64.of_int engine.admit_ns;
+  engine.stats
 
 let last_degradation engine = engine.last_degradation
 
@@ -153,25 +166,25 @@ let last_inventory_conflict engine = engine.last_conflict
 
 let set_quiet engine e quiet =
   if e.quiet <> quiet then begin
-    let c = Hashtbl.find engine.comps e.comp in
+    let c = Ids.find engine.comps e.comp in
     c.unquiet <- (c.unquiet + if quiet then -1 else 1);
     e.quiet <- quiet
   end
 
 let mark_dirty engine id =
-  set_quiet engine (Hashtbl.find engine.entries id) false;
-  Hashtbl.replace engine.dirty id ()
+  set_quiet engine (Ids.find engine.entries id) false;
+  Ids.replace engine.dirty id ()
 
 (* Cache a verdict that lets [ids] skip the next flush; [quiet] only
    for a safe, complete evaluation that fired nothing, [store_free]
    only for one no store write can change. *)
 let mark_clean engine ~quiet ~store_free ids =
-  List.iter
+  Array.iter
     (fun id ->
-      let e = Hashtbl.find engine.entries id in
+      let e = Ids.find engine.entries id in
       set_quiet engine e quiet;
       e.store_free <- store_free;
-      Hashtbl.remove engine.dirty id)
+      Ids.remove engine.dirty id)
     ids
 
 (* Whether an evaluation can read relation [rel] through [q]: [q]'s
@@ -211,10 +224,10 @@ let refresh_db_version engine =
     engine.db_version <- v;
     if grown <> [] then begin
       let redirtied = ref 0 in
-      Hashtbl.iter
+      Ids.iter
         (fun id e ->
           if
-            (not (e.store_free || Hashtbl.mem engine.dirty id))
+            (not (e.store_free || Ids.mem engine.dirty id))
             && List.exists (reads e.query) grown
           then begin
             mark_dirty engine id;
@@ -275,9 +288,8 @@ let probe_edges engine ~id (q : Query.t) =
   let out = ref [] and inc = ref [] in
   List.iteri
     (fun pi p ->
-      List.iter
-        (fun (_, (dst, hi)) -> out := edge id pi dst hi :: !out)
-        (Atom_index.probe engine.heads_index p);
+      Atom_index.iter engine.heads_index p (fun (dst, hi) ->
+          out := edge id pi dst hi :: !out);
       List.iteri
         (fun hi h ->
           if Coordination_graph.compatible p h then
@@ -286,33 +298,32 @@ let probe_edges engine ~id (q : Query.t) =
     q.Query.post;
   List.iteri
     (fun hi h ->
-      List.iter
-        (fun (_, (src, pi)) -> inc := edge src pi id hi :: !inc)
-        (Atom_index.probe engine.posts_index h))
+      Atom_index.iter engine.posts_index h (fun (src, pi) ->
+          inc := edge src pi id hi :: !inc))
     q.Query.head;
   (!out, !inc)
 
 (* A component of one member, keyed by its id. *)
 let singleton engine e =
   e.comp <- e.id;
-  Hashtbl.replace engine.comps e.id
+  Ids.replace engine.comps e.id
     { members = [ e.id ]; unquiet = (if e.quiet then 0 else 1) }
 
 (* Fuse the components of [a] and [b]: the smaller member list takes the
    larger one's key, so an entry is relabelled O(log pool) times. *)
 let fuse engine a b =
   if a.comp <> b.comp then begin
-    let ca = Hashtbl.find engine.comps a.comp in
-    let cb = Hashtbl.find engine.comps b.comp in
+    let ca = Ids.find engine.comps a.comp in
+    let cb = Ids.find engine.comps b.comp in
     let key, gone, small, large =
       if List.compare_lengths ca.members cb.members < 0 then
         (b.comp, a.comp, ca, cb)
       else (a.comp, b.comp, cb, ca)
     in
     List.iter
-      (fun id -> (Hashtbl.find engine.entries id).comp <- key)
+      (fun id -> (Ids.find engine.entries id).comp <- key)
       small.members;
-    Hashtbl.remove engine.comps gone;
+    Ids.remove engine.comps gone;
     large.members <- List.rev_append small.members large.members;
     large.unquiet <- large.unquiet + small.unquiet
   end
@@ -320,18 +331,19 @@ let fuse engine a b =
 let fuse_out engine e =
   List.iter
     (fun (ed : Coordination_graph.edge) ->
-      fuse engine e (Hashtbl.find engine.entries ed.dst))
+      fuse engine e (Ids.find engine.entries ed.dst))
     e.out
 
 (* Admit a query into the pool.  This is where all persistent state is
    maintained: probe the indexes for the arrival's edges (before
    indexing its own atoms, whose self-loops come from its own post x
-   head pairs), store each edge with its source, fuse the components
-   the edges join, and mark the (possibly fused) component dirty.
+   head pairs), store each edge with its source, and fuse the
+   components the edges join.  The caller marks the arrival dirty, or
+   clean when it is proven quiet.
 
    [admit] takes the id explicitly so recovery replay (lib/durable) can
    re-admit entries under their journaled ids; live submissions go
-   through [add_entry], which allocates the next id. *)
+   through [admit_timed], which allocates the next id. *)
 let admit engine ~id query =
   if id >= engine.next_id then engine.next_id <- id + 1;
   let out, inc = probe_edges engine ~id query in
@@ -345,20 +357,17 @@ let admit engine ~id query =
       store_free = false;
     }
   in
-  Hashtbl.replace engine.entries id e;
+  Ids.replace engine.entries id e;
   singleton engine e;
   List.iter
     (fun (ed : Coordination_graph.edge) ->
-      let src = Hashtbl.find engine.entries ed.src in
+      let src = Ids.find engine.entries ed.src in
       src.out <- ed :: src.out;
       fuse engine src e)
     inc;
   fuse_out engine e;
   index_entry engine e;
-  mark_dirty engine id;
   e
-
-let add_entry engine query = admit engine ~id:engine.next_id query
 
 (* Remove [ids] from the pool, dissolving their components: every
    surviving member drops its edges into the retired ids and restarts
@@ -369,26 +378,31 @@ let add_entry engine query = admit engine ~id:engine.next_id query
    among the remainder (the fired set may have been what made a
    candidate unsafe or over-constrained). *)
 let retire engine ids =
+  (* A fired set lies in one component: its distinct keys are few. *)
   let keys =
-    List.sort_uniq Int.compare
-      (List.map (fun id -> (Hashtbl.find engine.entries id).comp) ids)
+    List.fold_left
+      (fun keys id ->
+        let k = (Ids.find engine.entries id).comp in
+        if List.mem k keys then keys else k :: keys)
+      [] ids
+    |> List.sort Int.compare
   in
   let members =
-    List.concat_map (fun k -> (Hashtbl.find engine.comps k).members) keys
+    List.concat_map (fun k -> (Ids.find engine.comps k).members) keys
   in
-  List.iter (Hashtbl.remove engine.comps) keys;
+  List.iter (Ids.remove engine.comps) keys;
   List.iter
     (fun id ->
-      let e = Hashtbl.find engine.entries id in
+      let e = Ids.find engine.entries id in
       unindex_entry engine e;
-      Hashtbl.remove engine.entries id;
-      Hashtbl.remove engine.dirty id)
+      Ids.remove engine.entries id;
+      Ids.remove engine.dirty id)
     ids;
-  let survivors = List.filter_map (Hashtbl.find_opt engine.entries) members in
+  let survivors = List.filter_map (Ids.find_opt engine.entries) members in
   List.iter
     (fun e ->
       let live (ed : Coordination_graph.edge) =
-        Hashtbl.mem engine.entries ed.dst
+        Ids.mem engine.entries ed.dst
       in
       e.out <- List.filter live e.out;
       singleton engine e)
@@ -401,11 +415,11 @@ let retire engine ids =
 
 let components engine =
   let live = live_entries engine in
-  let position = Hashtbl.create (2 * List.length live) in
-  List.iteri (fun i e -> Hashtbl.replace position e.id i) live;
-  Hashtbl.fold
+  let position = Ids.create (2 * List.length live) in
+  List.iteri (fun i e -> Ids.replace position e.id i) live;
+  Ids.fold
     (fun _ c acc ->
-      List.sort Int.compare (List.map (Hashtbl.find position) c.members)
+      List.sort Int.compare (List.map (Ids.find position) c.members)
       :: acc)
     engine.comps []
   |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
@@ -484,51 +498,57 @@ let consume_inventory engine (queries : Query.t array) (solution : Solution.t)
 (* The coordination graph of one component (live ids, ascending),
    assembled from the stored edges: the member with the [i]-th smallest
    id is query [i]. *)
-let component_graph engine ids =
-  let sorted = Array.of_list ids in
+let graph_of engine ids =
+  let members = Array.map (Ids.find engine.entries) ids in
   (* The position of a member id: binary search over the sorted ids. *)
-  let at id =
-    let rec go lo hi =
-      let mid = (lo + hi) / 2 in
-      if sorted.(mid) < id then go (mid + 1) hi
-      else if sorted.(mid) > id then go lo mid
-      else mid
-    in
-    go 0 (Array.length sorted)
+  let rec at id lo hi =
+    let mid = (lo + hi) / 2 in
+    let m = ids.(mid) in
+    if m < id then at id (mid + 1) hi else if m > id then at id lo mid else mid
   in
-  let members = List.map (Hashtbl.find engine.entries) ids in
+  let n = Array.length members in
+  let edges = ref [] in
+  for i = n - 1 downto 0 do
+    List.iter
+      (fun (ed : Coordination_graph.edge) ->
+        edges := { ed with src = i; dst = at ed.dst 0 n } :: !edges)
+      members.(i).out
+  done;
   Coordination_graph.of_edges
-    (Array.of_list
-       (List.map (fun e -> Query.rename_apart e.id e.query) members))
-    (List.concat_map
-       (fun e ->
-         List.map
-           (fun (ed : Coordination_graph.edge) ->
-             { ed with src = at ed.src; dst = at ed.dst })
-           e.out)
-       members)
+    (Array.map (fun e -> Query.rename_apart e.id e.query) members)
+    !edges
 
-(* Evaluate one component, given as a list of live ids in ascending
+let component_graph engine ids = graph_of engine (Array.of_list ids)
+
+(* Assemble and solve one component.  Assembling the graph is this
+   engine's graph construction: charge it where Scc_algo.solve charges
+   its rebuild. *)
+let solve_component engine ids =
+  let t0 = Obs.now_ns_int () in
+  let graph =
+    if Obs.enabled () then
+      Obs.with_span "scc.graph" (fun () -> graph_of engine ids)
+    else graph_of engine ids
+  in
+  let graph_ns = Int64.of_int (Obs.now_ns_int () - t0) in
+  let result = Scc_algo.solve_graph engine.db graph in
+  (match result with
+  | Ok o ->
+    o.stats.graph_ns <- Int64.add o.stats.graph_ns graph_ns;
+    o.stats.total_ns <- Int64.add o.stats.total_ns graph_ns
+  | Error _ -> ());
+  result
+
+(* Evaluate one component, given as an array of live ids in ascending
    order; on success retire the members and report them. *)
 let evaluate engine ids =
-  let id_of_position = Array.of_list ids in
   let solved =
-    Obs.with_span
-      ~args:(fun () -> [ ("queries", Obs.Int (List.length ids)) ])
-      "scc.solve"
-    @@ fun () ->
-    (* Assembling the graph is this engine's graph construction: charge
-       it where Scc_algo.solve charges its rebuild. *)
-    let graph, graph_ns =
-      Obs.timed_span "scc.graph" (fun () -> component_graph engine ids)
-    in
-    let result = Scc_algo.solve_graph engine.db graph in
-    Result.iter
-      (fun (o : Scc_algo.outcome) ->
-        o.stats.graph_ns <- Int64.add o.stats.graph_ns graph_ns;
-        o.stats.total_ns <- Int64.add o.stats.total_ns graph_ns)
-      result;
-    result
+    if Obs.enabled () then
+      Obs.with_span
+        ~args:(fun () -> [ ("queries", Obs.Int (Array.length ids)) ])
+        "scc.solve"
+        (fun () -> solve_component engine ids)
+    else solve_component engine ids
   in
   match solved with
   | Error (Scc_algo.Not_safe ws) ->
@@ -563,9 +583,9 @@ let evaluate engine ids =
          reverse order could delete tuples for a set never recorded as
          satisfied. *)
       let t_commit = Stats.now_ns () in
-      let member_ids = List.map (fun i -> id_of_position.(i)) solution.members in
+      let member_ids = List.map (Array.get ids) solution.members in
       let satisfied_queries =
-        List.map (fun id -> (Hashtbl.find engine.entries id).query) member_ids
+        List.map (fun id -> (Ids.find engine.entries id).query) member_ids
       in
       retire engine member_ids;
       engine.satisfied <- engine.satisfied + List.length satisfied_queries;
@@ -577,9 +597,11 @@ let evaluate engine ids =
       Ok
         (Some { queries = satisfied_queries; assignment = solution.assignment }))
 
-(* The ids of the component containing [e], ascending. *)
-let component_of engine (e : entry) =
-  List.sort Int.compare (Hashtbl.find engine.comps e.comp).members
+(* The ids of a component, ascending. *)
+let sorted_members (c : comp) =
+  let ids = Array.of_list c.members in
+  Array.sort Int.compare ids;
+  ids
 
 (* Whether the just-admitted [e] provably leaves its component quiet
    (DESIGN.md §2c, "Proven-quiet arrivals"): some postcondition of [e]
@@ -588,40 +610,44 @@ let component_of engine (e : entry) =
    is quiet, every candidate of the fused component was already probed
    and failed against this store.  O(posts x out-edges of [e]): the
    component's [unquiet] count answers for the other members. *)
-let proven_quiet engine (e : entry) =
-  let rec has_out pi = function
-    | [] -> false
-    | (ed : Coordination_graph.edge) :: rest ->
-      ed.post_index = pi || has_out pi rest
-  in
-  let rec unmatched pi = function
-    | [] -> false
-    | _ :: posts -> (not (has_out pi e.out)) || unmatched (pi + 1) posts
-  in
-  unmatched 0 e.query.Query.post
-  && (Hashtbl.find engine.comps e.comp).unquiet = if e.quiet then 0 else 1
+let rec has_out pi = function
+  | [] -> false
+  | (ed : Coordination_graph.edge) :: rest ->
+    ed.post_index = pi || has_out pi rest
 
-let submit engine query =
-  Obs.with_span
-    ~args:(fun () ->
-      [
-        ("query", Obs.Str query.Query.name);
-        ("pool", Obs.Int (Hashtbl.length engine.entries));
-      ])
-    "online.submit"
-  @@ fun () ->
-  begin_op engine;
-  let e = add_entry engine query in
+let rec unmatched out pi = function
+  | [] -> false
+  | _ :: posts -> (not (has_out pi out)) || unmatched out (pi + 1) posts
+
+let proven_quiet engine (e : entry) =
+  unmatched e.out 0 e.query.Query.post
+  && (Ids.find engine.comps e.comp).unquiet = if e.quiet then 0 else 1
+
+(* Admission, timed into [admit_ns]: index probes, edge discovery,
+   fuse and, for a submit, the proven-quiet check.  The arrival is left
+   dirty, or quiet and store-free when proven quiet. *)
+let admit_timed engine query ~check_quiet =
+  let t0 = Obs.now_ns_int () in
+  let e = admit engine ~id:engine.next_id query in
+  if check_quiet && proven_quiet engine e then begin
+    (* The arrival is pruned whatever the store holds; the other
+       members keep the verdicts, store-free or not, they had. *)
+    set_quiet engine e true;
+    e.store_free <- true
+  end
+  else mark_dirty engine e.id;
+  engine.admit_ns <- engine.admit_ns + (Obs.now_ns_int () - t0);
   emit engine (Journal.Submitted { id = e.id; query });
+  e
+
+let submit_op engine query =
+  begin_op engine;
+  let e = admit_timed engine query ~check_quiet:true in
   let result =
-    if proven_quiet engine e then begin
-      (* The arrival is pruned whatever the store holds; the other
-         members keep the verdicts, store-free or not, they had. *)
-      mark_clean engine ~quiet:true ~store_free:true [ e.id ];
-      Pending
-    end
+    (* A new entry is quiet only when it was proven quiet. *)
+    if e.quiet then Pending
     else
-      match evaluate engine (component_of engine e) with
+      match evaluate engine (sorted_members (Ids.find engine.comps e.comp)) with
       | Error ws ->
         (* Do not admit a query that makes its component unsafe. *)
         retire engine [ e.id ];
@@ -640,6 +666,18 @@ let submit engine query =
   sync_db_version engine;
   result
 
+let submit engine query =
+  if not (Obs.enabled ()) then submit_op engine query
+  else
+    Obs.with_span
+      ~args:(fun () ->
+        [
+          ("query", Obs.Str query.Query.name);
+          ("pool", Obs.Int (Ids.length engine.entries));
+        ])
+      "online.submit"
+      (fun () -> submit_op engine query)
+
 (* Withdraw a pending entry by pool id — the service layer's `retire`
    verb: a client takes an offer back before it coordinates.  Journaled
    as a [Rejected] effect (the replay semantics are identical to an
@@ -654,12 +692,12 @@ let withdraw engine id =
     ~args:(fun () ->
       [
         ("id", Obs.Int id);
-        ("pool", Obs.Int (Hashtbl.length engine.entries));
+        ("pool", Obs.Int (Ids.length engine.entries));
       ])
     "online.withdraw"
   @@ fun () ->
   begin_op engine;
-  if not (Hashtbl.mem engine.entries id) then false
+  if not (Ids.mem engine.entries id) then false
   else begin
     retire engine [ id ];
     emit engine (Journal.Rejected { id });
@@ -673,15 +711,14 @@ let withdraw engine id =
    evaluated (completely, to no fire) with exactly its current member set
    and database contents, so it provably cannot fire now. *)
 let due_components engine =
-  let keys = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun id () -> Hashtbl.replace keys (Hashtbl.find engine.entries id).comp ())
+  let keys = Ids.create 8 in
+  Ids.iter
+    (fun id () -> Ids.replace keys (Ids.find engine.entries id).comp ())
     engine.dirty;
-  Hashtbl.fold
-    (fun key () acc ->
-      List.sort Int.compare (Hashtbl.find engine.comps key).members :: acc)
+  Ids.fold
+    (fun key () acc -> sorted_members (Ids.find engine.comps key) :: acc)
     keys []
-  |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
+  |> List.sort (fun a b -> Int.compare a.(0) b.(0))
 
 (* Evaluate the dirty components in order of their smallest member id,
    restarting after every fire, until a fixpoint: removing one satisfied
@@ -707,12 +744,12 @@ let flush_dirty engine =
   List.rev !results
 
 let flush engine =
-  let pool0 = Hashtbl.length engine.entries in
+  let pool0 = Ids.length engine.entries in
   Obs.with_span
     ~args:(fun () ->
       [
         ("pool", Obs.Int pool0);
-        ("remaining", Obs.Int (Hashtbl.length engine.entries));
+        ("remaining", Obs.Int (Ids.length engine.entries));
       ])
     "online.flush"
   @@ fun () ->
@@ -728,15 +765,13 @@ let submit_all engine queries =
     ~args:(fun () ->
       [
         ("batch", Obs.Int (List.length queries));
-        ("pool", Obs.Int (Hashtbl.length engine.entries));
+        ("pool", Obs.Int (Ids.length engine.entries));
       ])
     "online.submit_all"
   @@ fun () ->
   begin_op engine;
   List.iter
-    (fun q ->
-      let e = add_entry engine q in
-      emit engine (Journal.Submitted { id = e.id; query = q }))
+    (fun q -> ignore (admit_timed engine q ~check_quiet:false))
     queries;
   let fired = flush_dirty engine in
   emit engine
@@ -755,19 +790,20 @@ let restore_submit engine ~id query =
     invalid_arg
       (Printf.sprintf "Online.restore_submit: id %d below next_id %d" id
          engine.next_id);
-  ignore (admit engine ~id query)
+  let e = admit engine ~id query in
+  mark_dirty engine e.id
 
 let restore_retire engine ids =
   List.iter
     (fun id ->
-      if not (Hashtbl.mem engine.entries id) then
+      if not (Ids.mem engine.entries id) then
         invalid_arg (Printf.sprintf "Online.restore_retire: id %d not live" id))
     ids;
   retire engine ids;
   engine.satisfied <- engine.satisfied + List.length ids
 
 let restore_evict engine id =
-  if not (Hashtbl.mem engine.entries id) then
+  if not (Ids.mem engine.entries id) then
     invalid_arg (Printf.sprintf "Online.restore_evict: id %d not live" id);
   retire engine [ id ]
 

@@ -76,39 +76,43 @@ type analysis = {
   an_cond : Graphs.Digraph.t;
 }
 
+(* [f x] inside span [name] when anything is armed; disarmed, no
+   closure is built. *)
+let spanned name f x =
+  if Obs.enabled () then Obs.with_span name (fun () -> f x) else f x
+
+let prune (graph : Coordination_graph.t) alive =
+  Coordination_graph.prune_unsatisfiable graph ~alive;
+  if Obs.enabled () && not (Array.for_all Fun.id alive) then begin
+    let queries = graph.queries in
+    let dead =
+      List.filter
+        (fun i -> not alive.(i))
+        (List.init (Array.length alive) Fun.id)
+    in
+    emit "scc.pruned"
+      (fun () -> [ ("dropped", Obs.Str (names queries dead)) ])
+      (Pruned dead)
+  end
+
+let condense (graph : Coordination_graph.t) alive =
+  let scc = Graphs.Scc.compute_masked graph.graph ~alive:(Array.get alive) in
+  {
+    an_graph = graph;
+    an_alive = alive;
+    an_scc = scc;
+    an_cond = Graphs.Scc.condensation graph.graph scc;
+  }
+
 (* Preprocessing, safety check and SCC condensation of an already-built
    graph (Figure 6 measures these together with the graph's
    construction).  Touches no database. *)
 let analyze ?(preprocess = true) (graph : Coordination_graph.t) =
-  let queries = graph.queries in
-  let n = Array.length queries in
-  let alive = Array.make n true in
-  if preprocess then
-    Obs.with_span "scc.preprocess" (fun () ->
-        Coordination_graph.prune_unsatisfiable graph ~alive;
-        let dead = List.filter (fun i -> not alive.(i)) (List.init n Fun.id) in
-        if dead <> [] then
-          emit "scc.pruned"
-            (fun () -> [ ("dropped", Obs.Str (names queries dead)) ])
-            (Pruned dead));
-  let unsafe = Safety.unsafe_posts ~alive graph in
-  if unsafe <> [] then Error (Not_safe unsafe)
-  else begin
-    let scc, condensation =
-      Obs.with_span "scc.condense" (fun () ->
-          let scc =
-            Graphs.Scc.compute_masked graph.graph ~alive:(fun v -> alive.(v))
-          in
-          (scc, Graphs.Scc.condensation graph.graph scc))
-    in
-    Ok
-      {
-        an_graph = graph;
-        an_alive = alive;
-        an_scc = scc;
-        an_cond = condensation;
-      }
-  end
+  let alive = Array.make (Array.length graph.queries) true in
+  if preprocess then spanned "scc.preprocess" (prune graph) alive;
+  match Safety.unsafe_posts ~alive graph with
+  | [] -> Ok (spanned "scc.condense" (condense graph) alive)
+  | unsafe -> Error (Not_safe unsafe)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: per-component probing                                     *)
@@ -118,20 +122,44 @@ type ctx = {
   cx_db : Database.t;
   cx_minimize : bool;
   cx_stats : Stats.t;
-  (* Failure/coverage state keyed by SCC id.  A covered SCC keeps its
-     whole candidate: the witness seeds its predecessors. *)
-  cx_failed : (int, unit) Hashtbl.t;
-  cx_covered : (int, candidate) Hashtbl.t;
+  cx_an : analysis;
+  (* Failure/coverage state by SCC id.  A covered SCC keeps its whole
+     candidate: the witness seeds its predecessors. *)
+  cx_failed : bool array;
+  cx_covered : candidate option array;
+  (* unify and ground time, folded into [cx_stats] by [finish_ctx] *)
+  mutable cx_unify_ns : int;
+  mutable cx_ground_ns : int;
+  mutable cx_clock : int;  (* the int clock as the unify phase ended, or -1 *)
+  (* The component being probed: its successors, their covering
+     candidates and R(q); then the members grounded. *)
+  mutable cx_successors : int list;
+  mutable cx_witnesses : candidate list;
+  mutable cx_members : int list;
+  mutable cx_grounded : int list;
 }
 
-let make_ctx ?(minimize = false) ~stats db =
+let make_ctx ?(minimize = false) ~stats db (a : analysis) =
   {
     cx_db = db;
     cx_minimize = minimize;
     cx_stats = stats;
-    cx_failed = Hashtbl.create 32;
-    cx_covered = Hashtbl.create 32;
+    cx_an = a;
+    cx_failed = Array.make a.an_scc.count false;
+    cx_covered = Array.make a.an_scc.count None;
+    cx_unify_ns = 0;
+    cx_ground_ns = 0;
+    cx_clock = -1;
+    cx_successors = [];
+    cx_witnesses = [];
+    cx_members = [];
+    cx_grounded = [];
   }
+
+let finish_ctx ctx =
+  let stats = ctx.cx_stats in
+  stats.unify_ns <- Int64.add stats.unify_ns (Int64.of_int ctx.cx_unify_ns);
+  stats.ground_ns <- Int64.add stats.ground_ns (Int64.of_int ctx.cx_ground_ns)
 
 (* How a candidate's unifier was found: seeded from its successors'
    merged witness, or by the full search over R(q). *)
@@ -139,7 +167,7 @@ type unified =
   | Seeded of {
       merged : Eval.valuation;
       subst : Subst.t;
-      fixed : Eval.valuation;
+      fixed : (string * Value.t) list;
     }
   | Full of (Subst.t, Combine.failure) result
 
@@ -162,6 +190,94 @@ let merge_witnesses = function
            w.assignment ws)
     with Disagree -> None)
 
+let rec mem_int (x : int) = function [] -> false | y :: l -> x = y || mem_int x l
+
+let rec mem_var x = function
+  | [] -> false
+  | (y, _) :: rest -> String.equal x y || mem_var x rest
+
+let rec assoc_var x = function
+  | [] -> None
+  | (y, v) :: rest -> if String.equal x y then Some v else assoc_var x rest
+
+(* Record that the class of each variable of a successor's head atom
+   holds that one successor variable: [links] maps class
+   representatives to it.  [Coupled] when a class holds a constant or
+   two successor variables. *)
+let rec link subst links (args : Term.t array) i =
+  if i = Array.length args then links
+  else
+    let links =
+      match args.(i) with
+      | Term.Const _ -> links
+      | Term.Var y as t -> (
+        match Subst.resolve subst t with
+        | Term.Const _ -> raise_notrace Coupled
+        | Term.Var r -> (
+          match assoc_var r links with
+          | Some y' -> if String.equal y' y then links else raise_notrace Coupled
+          | None -> (r, y) :: links))
+    in
+    link subst links args (i + 1)
+
+let rec link_targets (g : Coordination_graph.t) comp successors subst links =
+  function
+  | [] -> links
+  | (d, hi) :: rest ->
+    let links =
+      if mem_int comp.(d) successors then
+        link subst links (List.nth g.queries.(d).Query.head hi).Cq.args 0
+      else links
+    in
+    link_targets g comp successors subst links rest
+
+let rec link_posts g comp successors subst links q pi = function
+  | [] -> links
+  | (_ : Cq.atom) :: rest ->
+    let targets = Coordination_graph.post_targets g ~src:q ~post_index:pi in
+    link_posts g comp successors subst
+      (link_targets g comp successors subst links targets)
+      q (pi + 1) rest
+
+let rec link_members (g : Coordination_graph.t) comp successors subst links =
+  function
+  | [] -> links
+  | q :: rest ->
+    link_members g comp successors subst
+      (link_posts g comp successors subst links q 0 g.queries.(q).Query.post)
+      rest
+
+(* [Coupled] when a variable of the members' bodies is in a linked
+   class. *)
+let rec unlinked_args subst links (args : Term.t array) i =
+  if i < Array.length args then begin
+    (match args.(i) with
+    | Term.Const _ -> ()
+    | Term.Var _ as t -> (
+      match Subst.resolve subst t with
+      | Term.Var r when mem_var r links -> raise_notrace Coupled
+      | _ -> ()));
+    unlinked_args subst links args (i + 1)
+  end
+
+let rec unlinked_atoms subst links = function
+  | [] -> ()
+  | (a : Cq.atom) :: rest ->
+    unlinked_args subst links a.args 0;
+    unlinked_atoms subst links rest
+
+let rec unlinked (g : Coordination_graph.t) subst links = function
+  | [] -> ()
+  | q :: rest ->
+    unlinked_atoms subst links g.queries.(q).Query.body.Cq.atoms;
+    unlinked g subst links rest
+
+(* Each linking class's value: its successor variable's, from the
+   merged witness. *)
+let rec fix merged = function
+  | [] -> []
+  | (r, y) :: rest -> (r, Eval.Binding.find y merged) :: fix merged rest
+
 (* Seeded candidates.  When every successor of SCC [c] is covered, R(c)
    is [c]'s own members plus the successors' covered sets, and each of
    those already has a witness.  Unifying only [c]'s own postconditions
@@ -179,79 +295,155 @@ let merge_witnesses = function
 let seed a c ~own ~successors witnesses =
   let g = a.an_graph in
   let comp = a.an_scc.component in
-  let succ d = List.mem comp.(d) successors in
-  match
-    ( merge_witnesses witnesses,
-      Combine.unify_posts g ~in_set:(fun d -> comp.(d) = c || succ d)
-        ~members:own )
-  with
-  | None, _ | _, Error _ -> None
-  | Some merged, Ok subst -> (
-    (* class representative -> the one successor variable in its class;
-       one entry per successor variable in [c]'s posts, a handful *)
-    let links = ref [] in
-    let link = function
-      | Term.Const _ -> ()
-      | Term.Var y as t -> (
-        match Subst.resolve subst t with
-        | Term.Const _ -> raise Coupled
-        | Term.Var r -> (
-          match List.assoc r !links with
-          | y' -> if not (String.equal y' y) then raise Coupled
-          | exception Not_found -> links := (r, y) :: !links))
+  match merge_witnesses witnesses with
+  | None -> None
+  | Some merged -> (
+    let in_set d =
+      let k = comp.(d) in
+      k = c || mem_int k successors
     in
-    let unlinked = function
-      | Term.Const _ -> ()
-      | Term.Var _ as t -> (
-        match Subst.resolve subst t with
-        | Term.Var r when List.mem_assoc r !links -> raise Coupled
-        | _ -> ())
-    in
-    try
-      List.iter
-        (fun q ->
-          List.iteri
-            (fun pi (_ : Cq.atom) ->
-              List.iter
-                (fun (d, hi) ->
-                  if succ d then
-                    Array.iter link
-                      (List.nth g.queries.(d).Query.head hi).Cq.args)
-                (Coordination_graph.post_targets g ~src:q ~post_index:pi))
-            g.queries.(q).Query.post)
-        own;
-      List.iter
-        (fun q ->
-          List.iter
-            (fun (at : Cq.atom) -> Array.iter unlinked at.args)
-            g.queries.(q).Query.body.Cq.atoms)
-        own;
-      let fixed =
-        List.fold_left
-          (fun acc (r, y) -> Eval.Binding.add r (Eval.Binding.find y merged) acc)
-          Eval.Binding.empty !links
-      in
-      Some (Seeded { merged; subst; fixed })
-    with Coupled | Not_found -> None)
+    match Combine.unify_posts g ~in_set ~members:own with
+    | Error _ -> None
+    | Ok subst -> (
+      try
+        let links = link_members g comp successors subst [] own in
+        unlinked g subst links own;
+        Some (Seeded { merged; subst; fixed = fix merged links })
+      with Coupled | Not_found -> None))
 
 (* The union of two strictly ascending lists, strictly ascending;
    [dups] counts the elements both hold.  The walk stops as soon as
-   either list runs out and shares the other's rest, so merging an SCC's
-   own members into a successor's cover that starts after them costs
-   O(own), not O(cover). *)
-let union dups xs ys =
-  let rec go xs ys =
-    match (xs, ys) with
-    | [], l | l, [] -> l
-    | (x : int) :: xs', y :: ys' ->
-      if x < y then x :: go xs' ys
-      else if y < x then y :: go xs ys'
-      else begin
-        incr dups;
-        x :: go xs' ys'
-      end
+   either list runs out and shares the other's rest, so merging an
+   SCC's own members into a successor's cover that starts after them
+   costs O(own), not O(cover). *)
+let dups = ref 0
+
+let rec union xs ys =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | (x : int) :: xs', y :: ys' ->
+    if x < y then x :: union xs' ys
+    else if y < x then y :: union xs ys'
+    else begin
+      incr dups;
+      x :: union xs' ys'
+    end
+
+let rec covered_witnesses ctx = function
+  | [] -> []
+  | s :: rest -> (
+    match ctx.cx_covered.(s) with
+    | Some w -> w :: covered_witnesses ctx rest
+    | None -> covered_witnesses ctx rest)
+
+let rec any_failed ctx = function
+  | [] -> false
+  | s :: rest -> ctx.cx_failed.(s) || any_failed ctx rest
+
+let charge ctx ~ground ns =
+  if ground then ctx.cx_ground_ns <- ctx.cx_ground_ns + ns
+  else ctx.cx_unify_ns <- ctx.cx_unify_ns + ns
+
+(* [f ctx x], timed as the unify or the ground phase: inside span
+   [name] (with [members] as args) when anything is armed, between two
+   reads of the int clock otherwise, so a disarmed solve builds no
+   closure.  The ground phase reuses the unify phase's closing read
+   ([cx_clock]): three reads per component, not four. *)
+let phase ctx ~ground name members f x =
+  if Obs.enabled () then begin
+    let v, ns =
+      Obs.timed_span
+        ~args:(fun () ->
+          [ ("members", Obs.Str (names ctx.cx_an.an_graph.queries members)) ])
+        name
+        (fun () -> f ctx x)
+    in
+    charge ctx ~ground (Int64.to_int ns);
+    ctx.cx_clock <- -1;
+    v
+  end
+  else begin
+    let t0 =
+      if ground && ctx.cx_clock >= 0 then ctx.cx_clock else Obs.now_ns_int ()
+    in
+    ctx.cx_clock <- -1;
+    let v = f ctx x in
+    let t1 = Obs.now_ns_int () in
+    charge ctx ~ground (t1 - t0);
+    if not ground then ctx.cx_clock <- t1;
+    v
+  end
+
+let unify_component ctx c =
+  let a = ctx.cx_an and successors = ctx.cx_successors in
+  let witnesses = ctx.cx_witnesses in
+  match
+    if successors <> [] && List.compare_lengths witnesses successors = 0 then
+      seed a c ~own:a.an_scc.members.(c) ~successors witnesses
+    else None
+  with
+  | Some seeded -> seeded
+  | None -> Full (Combine.unify_set a.an_graph ~members:ctx.cx_members)
+
+let ground_unified ctx = function
+  | Seeded { merged; subst; fixed } ->
+    Ground.solve ~minimize:ctx.cx_minimize ~fixed ~into:merged ctx.cx_db
+      ctx.cx_an.an_graph.queries ~members:ctx.cx_grounded subst
+  | Full (Ok subst) ->
+    Ground.solve ~minimize:ctx.cx_minimize ctx.cx_db ctx.cx_an.an_graph.queries
+      ~members:ctx.cx_grounded subst
+  | Full (Error _) -> assert false
+
+(* The combined body of R(q) that [Probed] carries under tracing, which
+   [Explain] renders as the SQL the full search would send; a seeded
+   candidate's too. *)
+let probed_body ctx c unified =
+  let g = ctx.cx_an.an_graph and members = ctx.cx_members in
+  match unified with
+  | Full (Ok subst) -> Combine.combined_body g ~members subst
+  | Seeded { subst; _ } -> (
+    match Combine.unify_set g ~members with
+    | Ok full -> Combine.combined_body g ~members full
+    | Error _ ->
+      Combine.combined_body g ~members:ctx.cx_an.an_scc.members.(c) subst)
+  | Full (Error _) -> assert false
+
+(* Ground [grounded] under [unified] and record the verdict. *)
+let ground_component ctx c ~grounded unified =
+  let stats = ctx.cx_stats and members = ctx.cx_members in
+  ctx.cx_grounded <- grounded;
+  let witness =
+    phase ctx ~ground:true "scc.ground" grounded ground_unified unified
   in
-  go xs ys
+  stats.candidates <- stats.candidates + 1;
+  stats.grounded_members <- stats.grounded_members + List.length grounded;
+  if Obs.tracing () then begin
+    let own = ctx.cx_an.an_scc.members.(c) in
+    emit "scc.probed"
+      (fun () ->
+        [
+          ("members", Obs.Str (names ctx.cx_an.an_graph.queries members));
+          ("witness", Obs.Bool (Option.is_some witness));
+        ])
+      (Probed
+         { component = own; members; body = probed_body ctx c unified; witness })
+  end;
+  match witness with
+  | None ->
+    ctx.cx_failed.(c) <- true;
+    None
+  | Some assignment ->
+    (* |R(c)| without walking it: every element a merge finds twice
+       was counted in both inputs' sizes. *)
+    let size =
+      List.fold_left
+        (fun n (w : candidate) -> n + w.size)
+        (List.length ctx.cx_an.an_scc.members.(c) - !dups)
+        ctx.cx_witnesses
+    in
+    let cand = { covered = members; size; assignment } in
+    ctx.cx_covered.(c) <- Some cand;
+    Some cand
 
 (* One component, in reverse topological order relative to its
    predecessors in the same ctx: probe the candidate set R(q), record
@@ -261,106 +453,40 @@ let union dups xs ys =
    either way it is exactly one database probe.  Raises
    [Resilient.Abort] through (budget aborts are the caller's policy
    decision). *)
-let probe_component ctx a c =
+let probe_component ctx c =
+  let a = ctx.cx_an in
   let queries = a.an_graph.queries in
-  let scc = a.an_scc in
-  let stats = ctx.cx_stats in
-  let own = scc.members.(c) in
+  let own = a.an_scc.members.(c) in
   let successors = Graphs.Digraph.successors a.an_cond c in
-  if List.exists (fun s -> Hashtbl.mem ctx.cx_failed s) successors then begin
-    Hashtbl.replace ctx.cx_failed c ();
-    emit "scc.skipped"
-      (fun () -> [ ("component", Obs.Str (names queries own)) ])
-      (Skipped { component = own });
+  if any_failed ctx successors then begin
+    ctx.cx_failed.(c) <- true;
+    if Obs.enabled () then
+      emit "scc.skipped"
+        (fun () -> [ ("component", Obs.Str (names queries own)) ])
+        (Skipped { component = own });
     None
   end
   else begin
-    let witnesses =
-      List.filter_map (Hashtbl.find_opt ctx.cx_covered) successors
-    in
-    let dups = ref 0 in
+    let witnesses = covered_witnesses ctx successors in
+    dups := 0;
     let members =
       List.fold_left
-        (fun acc (w : candidate) -> union dups acc w.covered)
+        (fun acc (w : candidate) -> union acc w.covered)
         (List.sort Int.compare own) witnesses
     in
-    (* |R(c)| without walking it: every element a merge finds twice
-       was counted in both inputs' sizes. *)
-    let size =
-      List.fold_left
-        (fun n (w : candidate) -> n + w.size)
-        (List.length own - !dups) witnesses
-    in
-    let args ms () = [ ("members", Obs.Str (names queries ms)) ] in
-    let unify f =
-      let unified, unify_ns =
-        Obs.timed_span ~args:(args members) "scc.unify" f
-      in
-      stats.unify_ns <- Int64.add stats.unify_ns unify_ns;
-      unified
-    in
-    let ground ?fixed ~grounded subst =
-      let witness, ground_ns =
-        Obs.timed_span ~args:(args grounded) "scc.ground" (fun () ->
-            Ground.solve ~minimize:ctx.cx_minimize ?fixed ctx.cx_db queries
-              ~members:grounded subst)
-      in
-      stats.ground_ns <- Int64.add stats.ground_ns ground_ns;
-      stats.candidates <- stats.candidates + 1;
-      stats.grounded_members <- stats.grounded_members + List.length grounded;
-      witness
-    in
-    let record ~body witness =
-      if Obs.tracing () then
-        emit "scc.probed"
-          (fun () ->
-            [
-              ("members", Obs.Str (names queries members));
-              ("witness", Obs.Bool (Option.is_some witness));
-            ])
-          (Probed { component = own; members; body = body (); witness });
-      match witness with
-      | None ->
-        Hashtbl.replace ctx.cx_failed c ();
-        None
-      | Some assignment ->
-        let cand = { covered = members; size; assignment } in
-        Hashtbl.replace ctx.cx_covered c cand;
-        Some cand
-    in
-    let seedable =
-      successors <> [] && List.compare_lengths witnesses successors = 0
-    in
-    let unified =
-      unify (fun () ->
-          match
-            if seedable then seed a c ~own ~successors witnesses else None
-          with
-          | Some seeded -> seeded
-          | None -> Full (Combine.unify_set a.an_graph ~members))
-    in
-    let full_body subst () = Combine.combined_body a.an_graph ~members subst in
-    match unified with
-    | Seeded { merged; subst; fixed } ->
-      (* Under tracing, [Probed] still carries the combined body of R(q),
-         which [Explain] renders as the SQL the full search would send. *)
-      let body () =
-        match Combine.unify_set a.an_graph ~members with
-        | Ok full -> full_body full ()
-        | Error _ -> Combine.combined_body a.an_graph ~members:own subst
-      in
-      record ~body
-        (Option.map
-           (fun mine -> Eval.Binding.fold Eval.Binding.add mine merged)
-           (ground ~fixed ~grounded:own subst))
+    ctx.cx_successors <- successors;
+    ctx.cx_witnesses <- witnesses;
+    ctx.cx_members <- members;
+    match phase ctx ~ground:false "scc.unify" members unify_component c with
+    | Seeded _ as seeded -> ground_component ctx c ~grounded:own seeded
     | Full (Error failure) ->
-      Hashtbl.replace ctx.cx_failed c ();
-      emit "scc.unify_failed"
-        (fun () -> [ ("component", Obs.Str (names queries own)) ])
-        (Unify_failed { component = own; failure });
+      ctx.cx_failed.(c) <- true;
+      if Obs.enabled () then
+        emit "scc.unify_failed"
+          (fun () -> [ ("component", Obs.Str (names queries own)) ])
+          (Unify_failed { component = own; failure });
       None
-    | Full (Ok subst) ->
-      record ~body:(full_body subst) (ground ~grounded:members subst)
+    | Full (Ok _) as full -> ground_component ctx c ~grounded:members full
   end
 
 (* ------------------------------------------------------------------ *)
@@ -404,7 +530,7 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
       (* Phase 2: process components in reverse topological order.  Our
          SCC ids are numbered sinks-first, so ascending id order is
          exactly that. *)
-      let ctx = make_ctx ~minimize ~stats db in
+      let ctx = make_ctx ~minimize ~stats db a in
       let candidates = ref [] in
       let degraded = ref None in
       let exception Done in
@@ -414,7 +540,7 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
               probed: components from [c] on are reported unprobed, the
               prefix stands. *)
            try
-             match probe_component ctx a c with
+             match probe_component ctx c with
              | None -> ()
              | Some cand ->
                candidates := cand :: !candidates;
@@ -437,6 +563,7 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
              raise Done
          done
        with Done -> ());
+      finish_ctx ctx;
       let candidates = List.rev !candidates in
       let solution =
         Option.map

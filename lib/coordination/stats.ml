@@ -5,6 +5,7 @@ type t = {
   mutable ground_ns : int64;
   mutable total_ns : int64;
   mutable commit_ns : int64;
+  mutable admit_ns : int64;
   mutable candidates : int;
   mutable grounded_members : int;
   mutable cleaning_rounds : int;
@@ -21,6 +22,7 @@ let create () =
     ground_ns = 0L;
     total_ns = 0L;
     commit_ns = 0L;
+    admit_ns = 0L;
     candidates = 0;
     grounded_members = 0;
     cleaning_rounds = 0;
@@ -41,6 +43,7 @@ let merge ~(into : t) (from : t) =
   into.ground_ns <- Int64.add into.ground_ns from.ground_ns;
   into.total_ns <- Int64.add into.total_ns from.total_ns;
   into.commit_ns <- Int64.add into.commit_ns from.commit_ns;
+  into.admit_ns <- Int64.add into.admit_ns from.admit_ns;
   into.candidates <- into.candidates + from.candidates;
   into.grounded_members <- into.grounded_members + from.grounded_members;
   into.cleaning_rounds <- into.cleaning_rounds + from.cleaning_rounds;
@@ -64,10 +67,11 @@ let ms ns = Int64.to_float ns /. 1e6
 let pp ppf s =
   Format.fprintf ppf
     "probes=%d graph=%.3fms unify=%.3fms ground=%.3fms total=%.3fms \
-     commit=%.3fms candidates=%d grounded_members=%d cleaning_rounds=%d \
-     plan_hits=%d plan_misses=%d tuples_scanned=%d"
+     commit=%.3fms admit=%.3fms candidates=%d grounded_members=%d \
+     cleaning_rounds=%d plan_hits=%d plan_misses=%d tuples_scanned=%d"
     s.db_probes (ms s.graph_ns) (ms s.unify_ns) (ms s.ground_ns)
-    (ms s.total_ns) (ms s.commit_ns) s.candidates s.grounded_members
+    (ms s.total_ns) (ms s.commit_ns) (ms s.admit_ns) s.candidates
+    s.grounded_members
     s.cleaning_rounds s.plan_hits s.plan_misses s.tuples_scanned
 
 let to_row s =

@@ -15,6 +15,9 @@ type t = {
       (** the online engine's fire commits: retiring the fired set,
           its journal records and the inventory it consumes; outside
           [total_ns], and never charged by a submit that fires nothing *)
+  mutable admit_ns : int64;
+      (** the online engine's admissions: index probes, edge discovery,
+          fuse and a submit's proven-quiet check; outside [total_ns] *)
   mutable candidates : int;      (** candidate sets considered *)
   mutable grounded_members : int;
       (** member bodies the SCC algorithm sent to the evaluator,

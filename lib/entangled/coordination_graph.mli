@@ -54,9 +54,10 @@ module Atom_index : sig
       — a debug and gauge accessor: it tracks the distinct constants
       of the live atoms, not every constant ever added. *)
 
-  val probe : 'a t -> Cq.atom -> (Cq.atom * 'a) list
-  (** All stored atoms {!compatible} with the probe atom, bucket order
-      (first-argument-constant matches before wildcards). *)
+  val iter : 'a t -> Cq.atom -> ('a -> unit) -> unit
+  (** [iter t p f] applies [f] to the payload of every stored atom
+      {!compatible} with [p], bucket order (first-argument-constant
+      matches before wildcards), building no list. *)
 end
 
 val build : Query.t array -> t

@@ -5,14 +5,16 @@ open Relational
 
 val solve :
   ?minimize:bool ->
-  ?fixed:Eval.valuation ->
+  ?fixed:(string * Value.t) list ->
+  ?into:Eval.valuation ->
   Database.t ->
   Query.t array ->
   members:int list ->
   Subst.t ->
   Eval.valuation option
 (** [solve db queries ~members subst] evaluates the members' combined body
-    under [subst] with choose-1 semantics.
+    under [subst] with choose-1 semantics: one first-answer probe
+    ({!Eval.first}), whose witness is read in place.
 
     [minimize] (default [false]) first replaces the combined body by its
     core ({!Relational.Containment.minimize_with_retraction}) and maps
@@ -30,14 +32,8 @@ val solve :
     the body does not mention, ahead of the active-domain default: a
     seeded SCC candidate passes the values its successors' witness gives
     the classes linking its own head and postcondition variables to
-    theirs. *)
+    theirs.
 
-val assignment_of :
-  Database.t ->
-  Query.t array ->
-  members:int list ->
-  Subst.t ->
-  Eval.valuation ->
-  Eval.valuation option
-(** The valuation-extension part of {!solve}, split out so callers that
-    already hold a body witness can reuse it. *)
+    [into] (default empty) is the valuation the result extends: a seeded
+    candidate passes its successors' merged witness, whose variables
+    the members' (renamed apart) never meet. *)

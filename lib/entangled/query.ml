@@ -39,33 +39,88 @@ let body_relations q = distinct_rels q.body.atoms
 
 (* Each distinct variable is renamed once, and its occurrences share
    the renamed term: an evaluation renames every member of the
-   component it solves. *)
-let rename ~prefix q =
-  let renamed = ref [] in
-  let term = function
-    | Term.Const _ as t -> t
-    | Term.Var x ->
-      let rec find = function
-        | (y, t) :: rest -> if String.equal x y then t else find rest
-        | [] ->
-          let t = Term.Var (prefix ^ x) in
-          renamed := (x, t) :: !renamed;
-          t
-      in
-      find !renamed
-  in
-  let rename_atom (a : Cq.atom) = { a with args = Array.map term a.args } in
-  {
-    q with
-    post = List.map rename_atom q.post;
-    head = List.map rename_atom q.head;
-    body = { Cq.atoms = List.map rename_atom q.body.Cq.atoms };
-  }
+   component it solves.  The variables met so far sit in two reused
+   arrays, scanned (a query has a handful), so renaming allocates only
+   the renamed atoms, names and terms.  Not reentrant. *)
+let seen_vars = ref (Array.make 16 "")
+let seen_terms = ref (Array.make 16 (Term.Var ""))
+let seen = ref 0
+
+let rec find_seen x i =
+  if i = !seen then -1
+  else
+    let y = Array.unsafe_get !seen_vars i in
+    if y == x || String.equal y x then i else find_seen x (i + 1)
+
+let renamed prefix x =
+  match find_seen x 0 with
+  | -1 ->
+    let t = Term.Var (prefix ^ x) in
+    if !seen = Array.length !seen_vars then begin
+      seen_vars := Array.append !seen_vars (Array.make !seen "");
+      seen_terms := Array.append !seen_terms (Array.make !seen t)
+    end;
+    !seen_vars.(!seen) <- x;
+    !seen_terms.(!seen) <- t;
+    incr seen;
+    t
+  | i -> !seen_terms.(i)
+
+let rename_term prefix = function
+  | Term.Const _ as t -> t
+  | Term.Var x -> renamed prefix x
+
+let rename_atom prefix (a : Cq.atom) =
+  let n = Array.length a.args in
+  if n = 0 then a
+  else begin
+    let args = Array.make n (rename_term prefix a.args.(0)) in
+    for i = 1 to n - 1 do
+      args.(i) <- rename_term prefix a.args.(i)
+    done;
+    { a with args }
+  end
+
+let rec rename_atoms prefix = function
+  | [] -> []
+  | a :: rest ->
+    let a = rename_atom prefix a in
+    a :: rename_atoms prefix rest
+
+let rename_with ~prefix ~name q =
+  seen := 0;
+  let post = rename_atoms prefix q.post in
+  let head = rename_atoms prefix q.head in
+  let body = { Cq.atoms = rename_atoms prefix q.body.Cq.atoms } in
+  { name; post; head; body }
+
+let rename ~prefix q = rename_with ~prefix ~name:q.name q
+
+(* ["q<i>."], built in one string: every evaluation renames each member
+   of its component. *)
+let prefix_of i =
+  if i < 0 then "q" ^ string_of_int i ^ "."
+  else begin
+    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
+    let d = digits i in
+    let b = Bytes.create (d + 2) in
+    Bytes.unsafe_set b 0 'q';
+    let rec write n k =
+      Bytes.unsafe_set b k (Char.unsafe_chr (48 + (n mod 10)));
+      if n >= 10 then write (n / 10) (k - 1)
+    in
+    write i d;
+    Bytes.unsafe_set b (d + 1) '.';
+    Bytes.unsafe_to_string b
+  end
 
 let rename_apart i q =
-  let name = "q" ^ string_of_int i in
-  let q = rename ~prefix:(name ^ ".") q in
-  if q.name = "" then { q with name } else q
+  let prefix = prefix_of i in
+  let name =
+    if q.name = "" then String.sub prefix 0 (String.length prefix - 1)
+    else q.name
+  in
+  rename_with ~prefix ~name q
 
 let rename_set qs = Array.of_list (List.mapi rename_apart qs)
 

@@ -1,16 +1,21 @@
+let rec live_targets alive n = function
+  | [] -> n
+  | (d, _) :: rest ->
+    live_targets alive (if alive d then n + 1 else n) rest
+
 let unsafe_posts ?alive (g : Coordination_graph.t) =
   let live = match alive with Some a -> Array.get a | None -> Fun.const true in
   let unsafe = ref [] in
-  Array.iteri
-    (fun src posts ->
-      if live src then
-        Array.iteri
-          (fun pi targets ->
-            if List.length (List.filter (fun (d, _) -> live d) targets) > 1
-            then unsafe := (src, pi) :: !unsafe)
-          posts)
-    g.targets;
-  List.rev !unsafe
+  for src = Array.length g.targets - 1 downto 0 do
+    if live src then begin
+      let posts = g.targets.(src) in
+      for pi = Array.length posts - 1 downto 0 do
+        if live_targets live 0 posts.(pi) > 1 then
+          unsafe := (src, pi) :: !unsafe
+      done
+    end
+  done;
+  !unsafe
 
 let is_safe_query g q = List.for_all (fun (s, _) -> s <> q) (unsafe_posts g)
 

@@ -5,8 +5,16 @@ type t = {
   assignment : Eval.valuation;
 }
 
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | [ _ ] | [] -> true
+
 let make ~members ~assignment =
-  { members = List.sort_uniq Int.compare members; assignment }
+  let members =
+    if strictly_ascending members then members
+    else List.sort_uniq Int.compare members
+  in
+  { members; assignment }
 
 let size s = List.length s.members
 

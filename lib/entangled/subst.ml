@@ -23,23 +23,52 @@ let unify_terms s a b =
   | Term.Var x, (Term.Const _ as c) | (Term.Const _ as c), Term.Var x ->
     Some (M.add x c s)
 
+exception Clash
+
+(* [unify_terms] raising [Clash], so a position that changes nothing
+   allocates nothing. *)
+let unify_terms_exn s a b =
+  let a = resolve s a and b = resolve s b in
+  match (a, b) with
+  | Term.Const u, Term.Const v ->
+    if Value.equal u v then s else raise_notrace Clash
+  | Term.Var x, Term.Var y -> if String.equal x y then s else M.add x b s
+  | Term.Var x, (Term.Const _ as c) | (Term.Const _ as c), Term.Var x ->
+    M.add x c s
+
+let rec unify_args s (xs : Term.t array) (ys : Term.t array) i =
+  if i = Array.length xs then s
+  else unify_args (unify_terms_exn s xs.(i) ys.(i)) xs ys (i + 1)
+
 let unify_atoms s (a : Cq.atom) (b : Cq.atom) =
-  if a.rel <> b.rel || Array.length a.args <> Array.length b.args then None
-  else begin
-    let n = Array.length a.args in
-    let rec loop s i =
-      if i = n then Some s
-      else
-        match unify_terms s a.args.(i) b.args.(i) with
-        | None -> None
-        | Some s' -> loop s' (i + 1)
-    in
-    loop s 0
-  end
+  if
+    not (String.equal a.rel b.rel)
+    || Array.length a.args <> Array.length b.args
+  then None
+  else match unify_args s a.args b.args 0 with
+    | s -> Some s
+    | exception Clash -> None
 
-let apply_atom s (a : Cq.atom) = { a with args = Array.map (resolve s) a.args }
+(* Applying a substitution shares what it leaves unchanged: an atom
+   none of whose terms resolves elsewhere, and a query none of whose
+   atoms changes, come back physically equal. *)
+let rec unchanged s (args : Term.t array) i =
+  i = Array.length args
+  || (resolve s args.(i) == args.(i) && unchanged s args (i + 1))
 
-let apply_cq s (q : Cq.t) = { Cq.atoms = List.map (apply_atom s) q.atoms }
+let apply_atom s (a : Cq.atom) =
+  if unchanged s a.args 0 then a
+  else { a with args = Array.map (resolve s) a.args }
+
+let rec apply_atoms s = function
+  | [] as l -> l
+  | a :: rest as l ->
+    let a' = apply_atom s a and rest' = apply_atoms s rest in
+    if a' == a && rest' == rest then l else a' :: rest'
+
+let apply_cq s (q : Cq.t) =
+  let atoms = apply_atoms s q.atoms in
+  if atoms == q.atoms then q else { Cq.atoms }
 
 let bindings s =
   M.fold

@@ -27,8 +27,10 @@ val unify_atoms : t -> Cq.atom -> Cq.atom -> t option
     or some position clashes. *)
 
 val apply_atom : t -> Cq.atom -> Cq.atom
+(** Physically the argument when no term of it resolves elsewhere. *)
 
 val apply_cq : t -> Cq.t -> Cq.t
+(** Physically the argument when no atom of it changes. *)
 
 val bindings : t -> (string * Term.t) list
 (** Fully-resolved bindings [x -> resolve s (Var x)] for every variable

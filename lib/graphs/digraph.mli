@@ -26,6 +26,11 @@ val mem_edge : t -> int -> int -> bool
 val successors : t -> int -> int list
 (** Out-neighbours in insertion order. *)
 
+val successor : t -> int -> int -> int
+(** [successor g u i] is the [i]-th out-neighbour of [u] in insertion
+    order, [0 <= i < out_degree g u]: a walk over them allocates
+    nothing. *)
+
 val predecessors : t -> int -> int list
 
 val out_degree : t -> int -> int

@@ -20,7 +20,7 @@ external now_ns : unit -> int64 = "entangle_obs_monotonic_ns"
 
 (* Unboxed variant for the recording hot path: no caml_copy_int64, no
    minor allocation, safe to call at every span open/close. *)
-external now_ns_i : unit -> int = "entangle_obs_monotonic_ns_int" [@@noalloc]
+external now_ns_int : unit -> int = "entangle_obs_monotonic_ns_int" [@@noalloc]
 
 type arg = Str of string | Int of int | Float of float | Bool of bool
 
@@ -274,7 +274,7 @@ let ring_slot r =
   else r.fr_len <- r.fr_len + 1;
   r.fr_slots.(i)
 
-(* Timestamps arrive as plain [int] nanoseconds (from {!now_ns_i}):
+(* Timestamps arrive as plain [int] nanoseconds (from {!now_ns_int}):
    the push path must not touch boxed int64s. *)
 let ring_push_span r ~name ~start_ns ~dur_ns ~depth ~args =
   let s = ring_slot r in
@@ -362,7 +362,7 @@ let force_args = function Some f -> f () | None -> []
    so the epilogue allocates only when a sink or the metrics registry
    asks for boxed values. *)
 let close_span ?args ?hist name ~t0 ~d =
-  let dur = now_ns_i () - t0 in
+  let dur = now_ns_int () - t0 in
   st.depth <- d;
   (match hist with
   | Some h when st.metrics_enabled -> Histogram.observe_i h dur
@@ -405,7 +405,7 @@ let with_span ?args ?hist name f =
   else begin
     let d = st.depth in
     st.depth <- d + 1;
-    let t0 = now_ns_i () in
+    let t0 = now_ns_int () in
     match f () with
     | v ->
       ignore (close_span ?args ?hist name ~t0 ~d);
@@ -416,10 +416,10 @@ let with_span ?args ?hist name f =
   end
 
 let timed_span ?args name f =
-  let t0 = now_ns_i () in
+  let t0 = now_ns_int () in
   if not (span_live None) then begin
     let v = f () in
-    (v, Int64.of_int (now_ns_i () - t0))
+    (v, Int64.of_int (now_ns_int () - t0))
   end
   else begin
     let d = st.depth in
@@ -440,10 +440,10 @@ let event ?args ?(payload = No_payload) name =
        member-name strings in theirs — the bulk of the armed cost).
        {!Flight_recorder.incident} pushes its reason directly, so the
        one arg a post-mortem cannot do without always survives. *)
-    ring_push_event r ~name ~ts_ns:(now_ns_i ()) ~depth:st.depth ~args:[]
+    ring_push_event r ~name ~ts_ns:(now_ns_int ()) ~depth:st.depth ~args:[]
       ~payload
   | sinks, ring ->
-    let ts = now_ns_i () and args = force_args args in
+    let ts = now_ns_int () and args = force_args args in
     (match ring with
     | Some r ->
       ring_push_event r ~name ~ts_ns:ts ~depth:st.depth ~args ~payload
@@ -701,7 +701,7 @@ module Flight_recorder = struct
     | None -> ()
     | Some r -> (
       Counter.incr (Lazy.force c_incidents);
-      ring_push_event r ~name:"flight.incident" ~ts_ns:(now_ns_i ())
+      ring_push_event r ~name:"flight.incident" ~ts_ns:(now_ns_int ())
         ~depth:st.depth
         ~args:[ ("reason", Str reason) ]
         ~payload:No_payload;

@@ -22,6 +22,11 @@ val now_ns : unit -> int64
     are durations, immune to wall-clock adjustment.  The epoch is
     arbitrary (boot time on Linux) — only differences are meaningful. *)
 
+external now_ns_int : unit -> int = "entangle_obs_monotonic_ns_int"
+  [@@noalloc]
+(** {!now_ns} as an immediate [int]: no boxing, so timing a hot path
+    with it allocates nothing. *)
+
 (** Argument values attached to spans and events. *)
 type arg = Str of string | Int of int | Float of float | Bool of bool
 

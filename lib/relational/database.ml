@@ -1,7 +1,7 @@
 type t = {
   tables : (string, Relation.t) Hashtbl.t;
   counters : Counters.t;
-  plan_cache : (string, Plan.t) Hashtbl.t;
+  plan_cache : Plan.cache;
   version : int ref;
       (* per-database content version: passed into every relation this
          database creates (each successful insert/delete bumps it) and
@@ -10,13 +10,16 @@ type t = {
          database's contents move. *)
   mutable probe_latency : float;  (* seconds added per probe *)
   mutable guard : Resilient.t option;  (* evaluation budgets, if armed *)
+  lookup : string -> Relation.t option;  (* [relation_opt], built once *)
 }
 
 let create () =
+  let tables = Hashtbl.create 16 in
   {
-    tables = Hashtbl.create 16;
+    tables;
+    lookup = Hashtbl.find_opt tables;
     counters = Counters.create ();
-    plan_cache = Hashtbl.create 64;
+    plan_cache = Plan.create_cache ();
     version = ref 0;
     probe_latency = 0.0;
     guard = None;
@@ -25,7 +28,7 @@ let create () =
 (* Plans bake in join orders chosen against the schema (and, for
    tie-breaks, cardinalities) seen at compile time; schema changes make
    them meaningless, so the cache empties wholesale. *)
-let invalidate_plans db = Hashtbl.reset db.plan_cache
+let invalidate_plans db = Plan.clear_cache db.plan_cache
 
 let create_table db schema =
   let name = Schema.name schema in
@@ -105,31 +108,21 @@ let grown_since db version =
 (* Plan cache                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let prepare db q =
-  let key, binding = Plan.canonicalize q in
-  let plan =
-    match Hashtbl.find_opt db.plan_cache key with
-    | Some plan ->
-      db.counters.plan_hits <- db.counters.plan_hits + 1;
-      (* Stamp how current the data was when the plan last served a
-         hit — rendered by EXPLAIN ANALYZE as the drift window against
-         [compiled_version]. *)
-      Plan.note_seen plan ~version:!(db.version);
-      plan
-    | None ->
-      db.counters.plan_misses <- db.counters.plan_misses + 1;
-      let plan = Plan.compile ~version:!(db.version) (relation_opt db) q in
-      Hashtbl.add db.plan_cache key plan;
-      plan
-  in
-  (plan, binding)
+let plan db q =
+  Plan.find db.plan_cache ~version:!(db.version) db.lookup db.counters q
 
-let plan_cache_size db = Hashtbl.length db.plan_cache
+let prepare db q =
+  let plan = plan db q in
+  (plan, Plan.binding ())
+
+let plan_cache_size db = Plan.cache_size db.plan_cache
 
 (* Snapshot of the plan cache for EXPLAIN ANALYZE, key-sorted so the
    rendering order is deterministic. *)
 let cached_plans db =
-  Hashtbl.fold (fun key plan acc -> (key, plan) :: acc) db.plan_cache []
+  List.map
+    (fun plan -> (Plan.shape_key plan, plan))
+    (Plan.cache_plans db.plan_cache)
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)

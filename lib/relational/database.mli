@@ -85,18 +85,22 @@ val grown_since : t -> int -> string list
     abstracted — so isomorphic probes compile once.  The cache is
     cleared whenever a table is created or dropped. *)
 
-val prepare : t -> Cq.t -> Plan.t * Plan.binding
-(** [prepare db q] canonicalizes [q] and returns its compiled plan plus
-    the instance binding (constants and variable names).  The plan is
-    served from / stored into the shape cache, counting a hit or
-    miss.
+val plan : t -> Cq.t -> Plan.t
+(** [plan db q] is the compiled plan of [q]'s shape ({!Plan.find}):
+    served from the cache, counting a hit, or compiled and stored,
+    counting a miss.  [q]'s binding stays in {!Plan}'s probe scratch
+    until the next probe.
     @raise Plan.Unknown_relation, Plan.Arity_mismatch on bad queries. *)
+
+val prepare : t -> Cq.t -> Plan.t * Plan.binding
+(** {!plan} with a copy of [q]'s binding (constants and variable
+    names). *)
 
 val plan_cache_size : t -> int
 (** Number of distinct query shapes currently cached. *)
 
 val cached_plans : t -> (string * Plan.t) list
-(** Snapshot of the plan cache, sorted by shape key (deterministic
+(** Snapshot of the plan cache, sorted by shape key ({!Plan.key}; deterministic
     order).  The plans are the live cached objects — their
     {!Plan.stats} keep accruing after the snapshot.  What
     [solve --explain-analyze] renders. *)

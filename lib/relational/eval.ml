@@ -13,16 +13,12 @@ let get_relation db (a : Cq.atom) =
     if got <> expected then raise (Arity_mismatch (a.rel, got, expected));
     r
 
-(* The compiled evaluator: canonicalize, fetch or build the plan
-   (per-database cache keyed by query shape), execute over an integer
-   slot frame.  Returns the instance binding (variable names per slot)
-   and a runner. *)
+(* The enumerating probes: the plan of [q]'s shape with a copy of its
+   binding, and a runner that executes it in a fresh frame. *)
 let prepare db q =
   let plan, binding = Database.prepare db q in
   let run on_frame =
-    Plan.execute plan
-      (Database.relation_opt db)
-      (Database.counters db) binding ~on_frame
+    Plan.execute plan (Database.counters db) binding ~on_frame
   in
   (binding, run)
 
@@ -163,22 +159,49 @@ let probed db (q : Cq.t) ~kind f =
     end
   end
 
+(* The first-answer probe: the plan's reused frame holds the witness,
+   and the probe scratch names its slots, until the next probe. *)
+type witness = { plan : Plan.t; generation : int }
+
+let run_first db q =
+  let plan = Database.plan db q in
+  if Plan.first plan (Database.counters db) then
+    Some { plan; generation = Plan.generation () }
+  else None
+
+(* [probed] without its closure when nothing is armed or guarded. *)
+let first_probe ~kind db q =
+  match Database.guard db with
+  | None when not (Obs.enabled ()) ->
+    Database.count_probe db;
+    run_first db q
+  | _ -> probed db q ~kind (fun () -> run_first db q)
+
+let first db q = first_probe ~kind:"first" db q
+
+let witness_value w x =
+  if w.generation <> Plan.generation () then
+    invalid_arg "Eval.witness_value: another probe ran since";
+  match Plan.slot x with
+  | -1 -> None
+  | s -> Some (Plan.frame w.plan).(s)
+
+let valuation { plan; _ } =
+  let frame = Plan.frame plan in
+  let b = ref Binding.empty in
+  for s = 0 to Plan.nslots plan - 1 do
+    b := Binding.add (Plan.var_name s) frame.(s) !b
+  done;
+  !b
+
+let find_first db q = Option.map valuation (first_probe ~kind:"solve" db q)
+
 let solve db (q : Cq.t) ~on_solution =
   probed db q ~kind:"solve" @@ fun () ->
   let binding, run = prepare db q in
   run (fun frame -> on_solution (snapshot_frame binding frame))
 
-let find_first db q =
-  let result = ref None in
-  solve db q ~on_solution:(fun b ->
-      result := Some b;
-      false);
-  !result
-
-let satisfiable db q =
-  probed db q ~kind:"satisfiable" @@ fun () ->
-  let _, run = prepare db q in
-  count_frames run 1 > 0
+let satisfiable db q = Option.is_some (first_probe ~kind:"satisfiable" db q)
 
 let find_all ?limit db q =
   let results = ref [] in

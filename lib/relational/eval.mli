@@ -7,9 +7,11 @@
     database instance keyed by query shape, so isomorphic probes (the
     common case in the coordination algorithms: thousands of
     structurally identical queries differing only in constants) compile
-    exactly once.  The hot path runs over a slot-indexed binding frame
-    with no string hashing and no per-node re-planning.  Its reference
-    semantics live in the test suite's evaluation oracle.
+    exactly once, and a probe finds its plan without building a key.
+    The hot path runs over a slot-indexed binding frame with no string
+    hashing, no per-node re-planning and no closure; {!first} leaves
+    its answer in the plan's own reused frame.  Its reference semantics
+    live in the test suite's evaluation oracle.
 
     Each top-level call counts as one database probe
     ({!Database.count_probe}), mirroring "one SQL query" in the paper's
@@ -31,7 +33,22 @@ exception Arity_mismatch of string * int * int
 
 val find_first : Database.t -> Cq.t -> valuation option
 (** Choose-1 semantics: the first satisfying valuation, if any.  The empty
-    query succeeds with the empty valuation. *)
+    query succeeds with the empty valuation.  {!first}, with the witness
+    copied into a map. *)
+
+type witness
+(** The first satisfying valuation of the query last probed, read in
+    place out of its plan's reused slot frame. *)
+
+val first : Database.t -> Cq.t -> witness option
+(** The first-answer probe behind {!find_first}: the same valuation,
+    left in the plan's frame instead of a map.  Builds no key, binding
+    or valuation: a probe allocates only its [Some] witness. *)
+
+val witness_value : witness -> string -> Value.t option
+(** The witness's value of a variable of the probed query, [None] when
+    the query has no such variable.
+    @raise Invalid_argument once another probe has run. *)
 
 val satisfiable : Database.t -> Cq.t -> bool
 

@@ -6,7 +6,9 @@
    shape (isomorphic up to variable names and constant values) share one
    compiled plan, which is what lets a per-database cache amortise
    planning across the thousands of isomorphic probes the coordination
-   algorithms issue.
+   algorithms issue.  A probe finds its plan without building a key:
+   it canonicalizes into one reused scratch, hashes the shape as it
+   goes and compares it with the cached shapes in place.
 
    Compilation fixes the join order and each atom's access path once per
    *binding stage* — the set of slots bound when the atom is reached is
@@ -65,12 +67,28 @@ type stats = {
   mutable last_seen_version : int;  (* data_version at last cache hit *)
 }
 
+(* A shape: per atom of the query, in source order, its relation and
+   arity, and per argument the variable's slot or [-1] for a constant.
+   Structural equality is shape equality. *)
+type shape = {
+  sh_rels : string array;
+  sh_arities : int array;
+  sh_codes : int array;
+}
+
 type t = {
-  key : string;
+  key : string;  (* the shape rendered, for [pp] and sorted listings *)
+  shape : shape;
+  hash : int;
   steps : step array;
+  rels : Relation.t array;
+      (* per step, resolved at compile: a plan lives in its database's
+         cache, which empties whenever a table is created or dropped *)
   nslots : int;
   nparams : int;
   obs : stats;
+  frame : Value.t array;  (* the reused slot frame of {!first} *)
+  tuples : Value.t array array;  (* per step, the reused membership probe *)
 }
 
 (* The per-instance residue of canonicalization: the concrete constants
@@ -82,92 +100,166 @@ type binding = {
   var_names : string array;
 }
 
-type shape = {
-  sh_atoms : (string * arg array) list;
-  sh_nslots : int;
-  sh_nparams : int;
+(* ------------------------------------------------------------------ *)
+(* Canonicalization into the probe scratch                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every probe canonicalizes its query into this one scratch (so
+   [load] is not reentrant): the slot of each variable, the constants,
+   each argument's code and the shape's hash.  A handful of variables
+   find their slots by a scan of [names]; past [scan_slots] a table
+   takes over. *)
+type scratch = {
+  mutable c_names : string array;
+  mutable c_nslots : int;
+  mutable c_params : Value.t array;
+  mutable c_nparams : int;
+  mutable c_codes : int array;
+  mutable c_ncodes : int;
+  mutable c_shash : int;
+  c_table : (string, int) Hashtbl.t;
+  mutable c_generation : int;  (* bumped by every [load] *)
 }
 
-(* [canonicalize] runs on every probe, so it reuses one key buffer and
-   one slot table (it is not reentrant) and builds no shape: a plan-cache
-   hit needs only the key and the binding. *)
-let key_buf = Buffer.create 64
+let scan_slots = 8
 
-let slot_table : (string, int) Hashtbl.t = Hashtbl.create 16
-
-let canonicalize (q : Cq.t) =
-  let buf = key_buf and slots = slot_table in
-  Buffer.clear buf;
-  if Hashtbl.length slots > 64 then Hashtbl.reset slots else Hashtbl.clear slots;
-  let nparams = ref 0 in
-  List.iter
-    (fun (a : Cq.atom) ->
-      Buffer.add_string buf a.rel;
-      Buffer.add_char buf '(';
-      Array.iter
-        (function
-          | Term.Const _ ->
-            incr nparams;
-            Buffer.add_string buf "p,"
-          | Term.Var x ->
-            let s =
-              match Hashtbl.find_opt slots x with
-              | Some s -> s
-              | None ->
-                let s = Hashtbl.length slots in
-                Hashtbl.add slots x s;
-                s
-            in
-            Buffer.add_char buf 's';
-            if s < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + s))
-            else Buffer.add_string buf (string_of_int s);
-            Buffer.add_char buf ',')
-        a.args;
-      Buffer.add_string buf ");")
-    q.atoms;
-  let params = Array.make !nparams (Value.Int 0) in
-  let k = ref 0 in
-  List.iter
-    (fun (a : Cq.atom) ->
-      Array.iter
-        (function
-          | Term.Const v ->
-            params.(!k) <- v;
-            incr k
-          | Term.Var _ -> ())
-        a.args)
-    q.atoms;
-  let var_names = Array.make (Hashtbl.length slots) "" in
-  Hashtbl.iter (fun x s -> var_names.(s) <- x) slots;
-  (Buffer.contents buf, { params; var_names })
-
-let key q = fst (canonicalize q)
-
-(* The shape [binding] is the residue of: each variable takes the slot
-   [binding] names it in, each constant the next parameter position. *)
-let shape_of (q : Cq.t) (binding : binding) =
-  let slot = Hashtbl.create 16 in
-  Array.iteri (fun s x -> Hashtbl.replace slot x s) binding.var_names;
-  let nparams = ref 0 in
-  let atoms =
-    List.map
-      (fun (a : Cq.atom) ->
-        ( a.rel,
-          Array.map
-            (function
-              | Term.Const _ ->
-                let j = !nparams in
-                incr nparams;
-                Param j
-              | Term.Var x -> Slot (Hashtbl.find slot x))
-            a.args ))
-      q.atoms
-  in
+let sc =
   {
-    sh_atoms = atoms;
-    sh_nslots = Array.length binding.var_names;
-    sh_nparams = !nparams;
+    c_names = Array.make 16 "";
+    c_nslots = 0;
+    c_params = Array.make 16 (Value.Int 0);
+    c_nparams = 0;
+    c_codes = Array.make 32 0;
+    c_ncodes = 0;
+    c_shash = 0;
+    c_table = Hashtbl.create 16;
+    c_generation = 0;
   }
+
+let grow a fill = Array.append a (Array.make (Array.length a) fill)
+
+let rec scan_slot x i =
+  if i = sc.c_nslots then -1
+  else
+    let y = Array.unsafe_get sc.c_names i in
+    if y == x || String.equal y x then i else scan_slot x (i + 1)
+
+let find_slot x =
+  if sc.c_nslots <= scan_slots then scan_slot x 0
+  else match Hashtbl.find_opt sc.c_table x with Some s -> s | None -> -1
+
+let slot_of x =
+  match find_slot x with
+  | -1 ->
+    let s = sc.c_nslots in
+    if s = Array.length sc.c_names then sc.c_names <- grow sc.c_names "";
+    sc.c_names.(s) <- x;
+    sc.c_nslots <- s + 1;
+    if s = scan_slots then
+      for i = 0 to s do
+        Hashtbl.replace sc.c_table sc.c_names.(i) i
+      done
+    else if s > scan_slots then Hashtbl.replace sc.c_table x s;
+    s
+  | s -> s
+
+let mix h x = ((h * 31) + x) land max_int
+
+let push_code c =
+  if sc.c_ncodes = Array.length sc.c_codes then sc.c_codes <- grow sc.c_codes 0;
+  sc.c_codes.(sc.c_ncodes) <- c;
+  sc.c_ncodes <- sc.c_ncodes + 1;
+  sc.c_shash <- mix sc.c_shash c
+
+let load_arg = function
+  | Term.Const v ->
+    if sc.c_nparams = Array.length sc.c_params then
+      sc.c_params <- grow sc.c_params (Value.Int 0);
+    sc.c_params.(sc.c_nparams) <- v;
+    sc.c_nparams <- sc.c_nparams + 1;
+    push_code (-1)
+  | Term.Var x -> push_code (slot_of x)
+
+let rec load_atoms = function
+  | [] -> ()
+  | (a : Cq.atom) :: rest ->
+    sc.c_shash <-
+      mix (mix sc.c_shash (Hashtbl.hash a.rel)) (Array.length a.args);
+    Array.iter load_arg a.args;
+    load_atoms rest
+
+(* Canonicalize [q] into the scratch. *)
+let load (q : Cq.t) =
+  if sc.c_nslots > scan_slots then Hashtbl.reset sc.c_table;
+  sc.c_nslots <- 0;
+  sc.c_nparams <- 0;
+  sc.c_ncodes <- 0;
+  sc.c_shash <- 0;
+  sc.c_generation <- sc.c_generation + 1;
+  load_atoms q.atoms
+
+let scratch_shape (q : Cq.t) =
+  {
+    sh_rels = Array.of_list (List.map (fun (a : Cq.atom) -> a.rel) q.atoms);
+    sh_arities =
+      Array.of_list
+        (List.map (fun (a : Cq.atom) -> Array.length a.args) q.atoms);
+    sh_codes = Array.sub sc.c_codes 0 sc.c_ncodes;
+  }
+
+let scratch_binding () =
+  {
+    params = Array.sub sc.c_params 0 sc.c_nparams;
+    var_names = Array.sub sc.c_names 0 sc.c_nslots;
+  }
+
+let canonicalize q =
+  load q;
+  (scratch_shape q, scratch_binding ())
+
+let render shape =
+  let buf = Buffer.create 64 and k = ref 0 in
+  Array.iteri
+    (fun i rel ->
+      Buffer.add_string buf rel;
+      Buffer.add_char buf '(';
+      for _ = 1 to shape.sh_arities.(i) do
+        let c = shape.sh_codes.(!k) in
+        incr k;
+        if c < 0 then Buffer.add_string buf "p,"
+        else begin
+          Buffer.add_char buf 's';
+          Buffer.add_string buf (string_of_int c);
+          Buffer.add_char buf ','
+        end
+      done;
+      Buffer.add_string buf ");")
+    shape.sh_rels;
+  Buffer.contents buf
+
+let key q = render (fst (canonicalize q))
+
+(* Whether [plan] has the shape of [q], the query just loaded. *)
+let rec same_atoms plan i = function
+  | [] -> i = Array.length plan.shape.sh_rels
+  | (a : Cq.atom) :: rest ->
+    i < Array.length plan.shape.sh_rels
+    && (let rel = plan.shape.sh_rels.(i) in
+        rel == a.rel || String.equal rel a.rel)
+    && plan.shape.sh_arities.(i) = Array.length a.args
+    && same_atoms plan (i + 1) rest
+
+let rec same_codes codes k =
+  k = sc.c_ncodes
+  || (Array.unsafe_get codes k = Array.unsafe_get sc.c_codes k
+     && same_codes codes (k + 1))
+
+let matches plan (q : Cq.t) =
+  plan.hash = sc.c_shash
+  && Array.length plan.shape.sh_codes = sc.c_ncodes
+  && plan.nparams = sc.c_nparams
+  && same_codes plan.shape.sh_codes 0
+  && same_atoms plan 0 q.atoms
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                        *)
@@ -207,14 +299,29 @@ module Pick = Set.Make (struct
 end)
 
 let compile ?(version = 0) lookup q =
-  let key, binding = canonicalize q in
-  let shape = shape_of q binding in
-  let atoms = Array.of_list shape.sh_atoms in
+  load q;
+  let shape = scratch_shape q and hash = sc.c_shash in
+  let nslots = sc.c_nslots and nparams = sc.c_nparams in
+  let atoms =
+    let k = ref 0 and j = ref 0 in
+    Array.mapi
+      (fun i rel ->
+        ( rel,
+          Array.init shape.sh_arities.(i) (fun _ ->
+              let c = shape.sh_codes.(!k) in
+              incr k;
+              if c >= 0 then Slot c
+              else begin
+                incr j;
+                Param (!j - 1)
+              end) ))
+      shape.sh_rels
+  in
   let rels =
     Array.map (fun (rel, args) -> resolve lookup rel (Array.length args)) atoms
   in
   let n = Array.length atoms in
-  let bound = Array.make shape.sh_nslots false in
+  let bound = Array.make nslots false in
   let placed = Array.make n false in
   (* Per atom, its columns bound so far (constants from the start), and
      per slot the atoms with a column on it, once per column: binding a
@@ -228,7 +335,7 @@ let compile ?(version = 0) lookup q =
           0 args)
       atoms
   in
-  let users = Array.make shape.sh_nslots [] in
+  let users = Array.make nslots [] in
   Array.iteri
     (fun i (_, args) ->
       Array.iter
@@ -264,6 +371,7 @@ let compile ?(version = 0) lookup q =
       users.(s)
   in
   let steps = ref [] in
+  let step_rels = ref [] in
   let ests = ref [] in
   for _stage = 0 to n - 1 do
     let ((_, _, i) as best) = Pick.min_elt !unplaced in
@@ -303,14 +411,21 @@ let compile ?(version = 0) lookup q =
         args
     in
     steps := { rel; args; ops; access } :: !steps;
+    step_rels := rels.(i) :: !step_rels;
     ests := estimate rels.(i) access :: !ests
   done;
   let steps = Array.of_list (List.rev !steps) in
   {
-    key;
+    key = render shape;
+    shape;
+    hash;
     steps;
-    nslots = shape.sh_nslots;
-    nparams = shape.sh_nparams;
+    rels = Array.of_list (List.rev !step_rels);
+    nslots;
+    nparams;
+    frame = Array.make (max 1 nslots) (Value.Int 0);
+    tuples =
+      Array.map (fun st -> Array.make (Array.length st.args) (Value.Int 0)) steps;
     obs =
       {
         executions = 0;
@@ -325,10 +440,68 @@ let compile ?(version = 0) lookup q =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Execution                                                          *)
+(* The plan cache                                                     *)
 (* ------------------------------------------------------------------ *)
 
-exception Stop
+(* Plans chained by shape hash: a probe hashes its shape while loading
+   it and compares the shape in place, so a hit builds no key. *)
+type cache = { mutable buckets : t list array; mutable size : int }
+
+let create_cache () = { buckets = Array.make 64 []; size = 0 }
+
+let clear_cache c =
+  c.buckets <- Array.make 64 [];
+  c.size <- 0
+
+let cache_size c = c.size
+
+let cache_plans c =
+  Array.fold_left (fun acc ps -> List.rev_append ps acc) [] c.buckets
+
+let bucket c h = h land (Array.length c.buckets - 1)
+
+let rec find_in q = function
+  | [] -> raise_notrace Not_found
+  | plan :: rest -> if matches plan q then plan else find_in q rest
+
+let add c plan =
+  if c.size >= 2 * Array.length c.buckets then begin
+    let old = c.buckets in
+    c.buckets <- Array.make (2 * Array.length old) [];
+    Array.iter
+      (List.iter (fun p ->
+           let b = bucket c p.hash in
+           c.buckets.(b) <- p :: c.buckets.(b)))
+      old
+  end;
+  let b = bucket c plan.hash in
+  c.buckets.(b) <- plan :: c.buckets.(b);
+  c.size <- c.size + 1
+
+let find c ~version lookup (counters : Counters.t) q =
+  load q;
+  match find_in q c.buckets.(bucket c sc.c_shash) with
+  | plan ->
+    counters.plan_hits <- counters.plan_hits + 1;
+    plan.obs.last_seen_version <- version;
+    plan
+  | exception Not_found ->
+    counters.plan_misses <- counters.plan_misses + 1;
+    let plan = compile ~version lookup q in
+    add c plan;
+    plan
+
+let binding () = scratch_binding ()
+
+let slot x = find_slot x
+
+let frame plan = plan.frame
+
+let shape_key plan = plan.key
+
+(* ------------------------------------------------------------------ *)
+(* Execution                                                          *)
+(* ------------------------------------------------------------------ *)
 
 (* Analyze mode: when on, every step execution is timed (two clock
    reads per step entry) and charged inclusively to its per-step
@@ -339,101 +512,139 @@ let analyze_mode = ref false
 
 let set_analyze b = analyze_mode := b
 
-let execute plan lookup (counters : Counters.t) (binding : binding) ~on_frame =
-  if Array.length binding.params <> plan.nparams then
-    invalid_arg "Plan.execute: parameter count does not match the plan";
-  (* Re-resolve relations: the plan may be older than a drop/create of a
-     table, in which case stale arities must surface as errors, not
-     out-of-bounds reads. *)
-  let rels =
-    Array.map (fun st -> resolve lookup st.rel (Array.length st.args)) plan.steps
-  in
-  let params = binding.params in
-  (* All slots are statically bound before first read, so a dummy
-     initial value is never observed. *)
-  let frame = Array.make (max 1 plan.nslots) (Value.Int 0) in
-  let value = function Slot s -> frame.(s) | Param j -> params.(j) in
-  let nsteps = Array.length plan.steps in
+let value frame params = function
+  | Slot s -> Array.unsafe_get frame s
+  | Param j -> Array.unsafe_get params j
+
+(* Match tuple [t] against the step's ops, binding first occurrences. *)
+let rec matches_ops ops frame params (t : Tuple.t) c =
+  c = Array.length ops
+  ||
+  match Array.unsafe_get ops c with
+  | Bind s ->
+    Array.unsafe_set frame s (Array.unsafe_get t c);
+    matches_ops ops frame params t (c + 1)
+  | Check_slot s ->
+    Value.equal (Array.unsafe_get frame s) (Array.unsafe_get t c)
+    && matches_ops ops frame params t (c + 1)
+  | Check_param j ->
+    Value.equal (Array.unsafe_get params j) (Array.unsafe_get t c)
+    && matches_ops ops frame params t (c + 1)
+
+(* The join: step [i] onwards, false once [on_frame] asked to stop.
+   Top-level and closure-free, so an execution allocates nothing. *)
+let rec go plan frame params (counters : Counters.t) on_frame i =
+  if i = Array.length plan.steps then on_frame frame
+  else begin
+    let so = plan.obs.steps_obs.(i) in
+    so.s_entered <- so.s_entered + 1;
+    if not !analyze_mode then access plan frame params counters on_frame i so
+    else begin
+      (* Inclusive per-step time (children included), like EXPLAIN
+         ANALYZE's actual-time column. *)
+      let t0 = Obs.now_ns () in
+      let charge () =
+        so.s_ns <- Int64.add so.s_ns (Int64.sub (Obs.now_ns ()) t0)
+      in
+      match access plan frame params counters on_frame i so with
+      | more ->
+        charge ();
+        more
+      | exception e ->
+        charge ();
+        raise e
+    end
+  end
+
+and access plan frame params (counters : Counters.t) on_frame i so =
+  let st = plan.steps.(i) and r = plan.rels.(i) in
+  match st.access with
+  | Membership ->
+    counters.tuples_scanned <- counters.tuples_scanned + 1;
+    so.s_scanned <- so.s_scanned + 1;
+    let t = plan.tuples.(i) in
+    for c = 0 to Array.length t - 1 do
+      t.(c) <- value frame params st.args.(c)
+    done;
+    if Relation.mem r t then begin
+      so.s_emitted <- so.s_emitted + 1;
+      go plan frame params counters on_frame (i + 1)
+    end
+    else true
+  | Index_one (c, a) ->
+    let ids = Relation.matching_rows r ~col:c (value frame params a) in
+    scan_ids plan frame params counters on_frame i so st.ops r ids 0
+  | Index_adaptive cols ->
+    (* The only run-time planning left: with several bound columns
+       the cheapest depends on the actual values. *)
+    let best = ref 0 and best_cost = ref max_int in
+    for k = 0 to Array.length cols - 1 do
+      let c, a = cols.(k) in
+      let cost = Relation.count_matching r ~col:c (value frame params a) in
+      if cost < !best_cost then begin
+        best_cost := cost;
+        best := k
+      end
+    done;
+    let c, a = cols.(!best) in
+    let ids = Relation.matching_rows r ~col:c (value frame params a) in
+    scan_ids plan frame params counters on_frame i so st.ops r ids 0
+  | Full_scan -> scan_rows plan frame params counters on_frame i so st.ops r 0
+
+and try_row plan frame params (counters : Counters.t) on_frame i so ops r row =
+  (not (Relation.live r row))
+  || begin
+    counters.tuples_scanned <- counters.tuples_scanned + 1;
+    so.s_scanned <- so.s_scanned + 1;
+    (not (matches_ops ops frame params (Relation.row r row) 0))
+    || begin
+      so.s_emitted <- so.s_emitted + 1;
+      go plan frame params counters on_frame (i + 1)
+    end
+  end
+
+and scan_ids plan frame params counters on_frame i so ops r ids k =
+  k >= Vec.length ids
+  || (try_row plan frame params counters on_frame i so ops r (Vec.get ids k)
+     && scan_ids plan frame params counters on_frame i so ops r ids (k + 1))
+
+and scan_rows plan frame params counters on_frame i so ops r row =
+  row >= Relation.rows r
+  || (try_row plan frame params counters on_frame i so ops r row
+     && scan_rows plan frame params counters on_frame i so ops r (row + 1))
+
+let run plan frame params counters on_frame =
   let obs = plan.obs in
   obs.executions <- obs.executions + 1;
   (* [tracing], not [enabled]: always-on telemetry (metrics registry,
      flight recorder) must keep the zero-allocation probe path, and
      [Obs.now_ns] boxes its int64.  Wall time is only accrued when a
      serializing sink is attached or EXPLAIN ANALYZE asked for it. *)
-  let armed = Obs.tracing () || !analyze_mode in
-  let t_run = if armed then Obs.now_ns () else 0L in
-  let rec go i =
-    if i = nsteps then begin
-      if not (on_frame frame) then raise Stop
-    end
-    else begin
-      let st = plan.steps.(i) in
-      let r = rels.(i) in
-      let so = obs.steps_obs.(i) in
-      so.s_entered <- so.s_entered + 1;
-      let ops = st.ops in
-      let nops = Array.length ops in
-      let try_tuple (t : Tuple.t) =
-        counters.tuples_scanned <- counters.tuples_scanned + 1;
-        so.s_scanned <- so.s_scanned + 1;
-        let ok = ref true in
-        let c = ref 0 in
-        while !ok && !c < nops do
-          (match ops.(!c) with
-          | Bind s -> frame.(s) <- t.(!c)
-          | Check_slot s -> if not (Value.equal frame.(s) t.(!c)) then ok := false
-          | Check_param j ->
-            if not (Value.equal params.(j) t.(!c)) then ok := false);
-          incr c
-        done;
-        if !ok then begin
-          so.s_emitted <- so.s_emitted + 1;
-          go (i + 1)
-        end
-      in
-      let run_access () =
-        match st.access with
-        | Membership ->
-          counters.tuples_scanned <- counters.tuples_scanned + 1;
-          so.s_scanned <- so.s_scanned + 1;
-          if Relation.mem r (Array.map value st.args) then begin
-            so.s_emitted <- so.s_emitted + 1;
-            go (i + 1)
-          end
-        | Index_one (c, a) -> Relation.iter_matching r ~col:c (value a) try_tuple
-        | Index_adaptive cols ->
-          (* The only run-time planning left: with several bound columns
-             the cheapest depends on the actual values. *)
-          let best_col = ref (-1) and best_v = ref (Value.Int 0) in
-          let best_cost = ref max_int in
-          Array.iter
-            (fun (c, a) ->
-              let v = value a in
-              let cost = Relation.count_matching r ~col:c v in
-              if cost < !best_cost then begin
-                best_cost := cost;
-                best_col := c;
-                best_v := v
-              end)
-            cols;
-          Relation.iter_matching r ~col:!best_col !best_v try_tuple
-        | Full_scan -> Relation.iter try_tuple r
-      in
-      if not !analyze_mode then run_access ()
-      else begin
-        (* Inclusive per-step time (children included), like EXPLAIN
-           ANALYZE's actual-time column.  [Fun.protect] so a Stop
-           unwinding from a solution callback still charges the step. *)
-        let t0 = Obs.now_ns () in
-        Fun.protect
-          ~finally:(fun () ->
-            so.s_ns <- Int64.add so.s_ns (Int64.sub (Obs.now_ns ()) t0))
-          run_access
-      end
-    end
-  in
-  (try go 0 with Stop -> ());
-  if armed then obs.exec_ns <- Int64.add obs.exec_ns (Int64.sub (Obs.now_ns ()) t_run)
+  if not (Obs.tracing () || !analyze_mode) then
+    not (go plan frame params counters on_frame 0)
+  else begin
+    let t_run = Obs.now_ns () in
+    let stopped = not (go plan frame params counters on_frame 0) in
+    obs.exec_ns <- Int64.add obs.exec_ns (Int64.sub (Obs.now_ns ()) t_run);
+    stopped
+  end
+
+let stop_at_first _ = false
+
+let first plan (counters : Counters.t) =
+  run plan plan.frame sc.c_params counters stop_at_first
+
+let generation () = sc.c_generation
+
+let var_name s = sc.c_names.(s)
+
+let execute plan (counters : Counters.t) (binding : binding) ~on_frame =
+  if Array.length binding.params <> plan.nparams then
+    invalid_arg "Plan.execute: parameter count does not match the plan";
+  (* All slots are statically bound before first read, so a dummy
+     initial value is never observed. *)
+  let frame = Array.make (max 1 plan.nslots) (Value.Int 0) in
+  ignore (run plan frame binding.params counters on_frame)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)
@@ -442,8 +653,6 @@ let execute plan lookup (counters : Counters.t) (binding : binding) ~on_frame =
 let nslots plan = plan.nslots
 
 let stats plan = plan.obs
-
-let note_seen plan ~version = plan.obs.last_seen_version <- version
 
 let reset_stats plan =
   let obs = plan.obs in

@@ -304,6 +304,22 @@ let iter_matching r ~col v f =
       (fun row -> if Vec.get r.live row then f (Vec.get r.tuples row))
       p.ids
 
+(* Row access for the evaluator's closure-free scans: a bucket's row
+   ids (dead ones included) and each row's liveness and tuple. *)
+let no_rows : int Vec.t = Vec.create ()
+
+let matching_rows r ~col v =
+  let idx = ensure_index r col in
+  match Value.Hashtbl.find idx v with
+  | p -> p.ids
+  | exception Not_found -> no_rows
+
+let rows r = Vec.length r.tuples
+
+let live r row = Vec.get r.live row
+
+let row r row = Vec.get r.tuples row
+
 let count_matching r ~col v =
   let idx = ensure_index r col in
   match Value.Hashtbl.find_opt idx v with

@@ -79,6 +79,22 @@ val iter_matching : t -> col:int -> Value.t -> (Tuple.t -> unit) -> unit
     evaluator's hot path, where choose-1 search usually stops after a
     few tuples. *)
 
+val matching_rows : t -> col:int -> Value.t -> int Vec.t
+(** The row ids of the tuples whose [col]-th field equals [v], in
+    insertion order, tombstoned rows included: test each with {!live}
+    and read it with {!row}.  The evaluator scans these without a
+    closure.  The vector is the index's own: read it, never write it,
+    and not across a write to the relation. *)
+
+val rows : t -> int
+(** Row ids in use, [0 .. rows r - 1], tombstoned rows included. *)
+
+val live : t -> int -> bool
+(** Whether a row id holds a live tuple. *)
+
+val row : t -> int -> Tuple.t
+(** The tuple of a row id (see {!live}). *)
+
 val count_matching : t -> col:int -> Value.t -> int
 (** Number of tuples with the given value in the given column, from the
     index.  Used by the evaluator's selectivity heuristic. *)

@@ -7,9 +7,10 @@
    [render db body] prints the plan the way [Plan.pp] does, and
    [estimates db body] lists the per-step row estimates.
 
-   [canonicalize] is the key and binding [Plan.canonicalize] first
-   built with a fresh table and buffer per call, before it reused one of
-   each and left the shape to [Plan.compile]. *)
+   [canonicalize] is the string key and binding the plan cache was
+   once keyed by, built with a fresh table and buffer per call: equal
+   keys iff equal [Plan.canonicalize] shapes, and [Plan.key] renders the
+   same string. *)
 
 open Relational
 

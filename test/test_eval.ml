@@ -140,6 +140,23 @@ let test_explain_plan () =
     "membership" [ "1. Mark(p0) via membership" ]
     (plan_steps db (q [ atom "Mark" [ ci 7 ] ]))
 
+(* A first-answer witness names the probed query's variables, and goes
+   stale with the next probe. *)
+let test_first_witness () =
+  let db = flights_db () in
+  let zurich = q [ atom "F" [ var "x"; cs "Zurich" ] ] in
+  match Eval.first db zurich with
+  | None -> Alcotest.fail "Zurich flights exist"
+  | Some w ->
+    Alcotest.(check (option value_t))
+      "first Zurich flight" (Some (vi 101)) (Eval.witness_value w "x");
+    Alcotest.(check (option value_t))
+      "not a variable of the query" None (Eval.witness_value w "y");
+    ignore (Eval.first db (q [ atom "F" [ var "y"; cs "Paris" ] ]));
+    Alcotest.check_raises "stale after another probe"
+      (Invalid_argument "Eval.witness_value: another probe ran since")
+      (fun () -> ignore (Eval.witness_value w "x"))
+
 (* Randomized agreement with the reference evaluators on small
    instances. *)
 
@@ -194,6 +211,7 @@ let suite =
     Alcotest.test_case "distinct projections" `Quick test_distinct_projections;
     Alcotest.test_case "explain plan" `Quick test_explain_plan;
     Alcotest.test_case "check ground" `Quick test_check_ground;
+    Alcotest.test_case "first-answer witness" `Quick test_first_witness;
     qtest ~count:300 "backtracking join = naive semantics" instance_arb
       (fun inst ->
         let db, query = build_instance inst in
@@ -211,4 +229,24 @@ let suite =
     qtest ~count:300 "compiled = interpreted" instance_arb (fun inst ->
         let db, query = build_instance inst in
         valuations_equal (Eval_oracle.greedy db query) (Eval.find_all db query));
+    (* The first-answer probe, read in place out of the plan's frame, on
+       a plan cache miss and then on a hit over the same reused frame:
+       a witness iff the oracle finds one, and always one of its
+       valuations. *)
+    qtest ~count:500 "first-answer probe = oracle" instance_arb (fun inst ->
+        let db, query = build_instance inst in
+        let expected = Eval_oracle.greedy db query in
+        let probe () =
+          match Eval.first db query with
+          | None -> expected = []
+          | Some w ->
+            let b =
+              List.fold_left
+                (fun b x ->
+                  Eval.Binding.add x (Option.get (Eval.witness_value w x)) b)
+                Eval.Binding.empty (Cq.variables query)
+            in
+            List.exists (Eval.Binding.equal Value.equal b) expected
+        in
+        probe () && probe ());
   ]

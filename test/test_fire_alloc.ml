@@ -1,0 +1,50 @@
+(* Allocation regression: the minor words one 32-chain fire allocates
+   through [Online.submit], a count that does not depend on timing.
+   Chains arrive head first over a small Posts-shaped table, as in
+   bench/chain_fires.exe and perfbench's [chains] workload; only the
+   submit that completes each chain is counted. *)
+
+open Relational
+open Coordination
+
+let len = 32
+let warmup = 8
+let fires = 64
+
+(* Mean minor words of a fire, measured in the default (dev) profile on
+   OCaml 5.1.1: 11,995.  The bound leaves about 15% on top. *)
+let bound = 13_800.
+
+let mean_words_per_fire () =
+  let db = Database.create () in
+  ignore (Workload.Social.install_posts ~rows:2_000 db);
+  let engine = Online.create db in
+  let rng = Prng.create 3 in
+  let total = ref 0. in
+  for c = 0 to warmup + fires - 1 do
+    let rec go = function
+      | [ last ] ->
+        let w0 = Gc.minor_words () in
+        let fired = Online.submit engine last in
+        let w1 = Gc.minor_words () in
+        (match fired with
+        | Online.Coordinated _ -> ()
+        | _ -> Alcotest.fail "the chain's last arrival did not fire");
+        if c >= warmup then total := !total +. (w1 -. w0)
+      | q :: rest ->
+        ignore (Online.submit engine q);
+        go rest
+      | [] -> ()
+    in
+    go (Workload.Listgen.queries rng ~n:len)
+  done;
+  !total /. float fires
+
+let test_words_per_fire () =
+  let words = mean_words_per_fire () in
+  if words > bound then
+    Alcotest.failf "a 32-chain fire allocates %.0f minor words, above %.0f"
+      words bound
+
+let suite =
+  [ Alcotest.test_case "a 32-chain fire's minor words" `Quick test_words_per_fire ]

@@ -19,6 +19,26 @@ let test_digraph_basics () =
     (Invalid_argument "Digraph: node 7 out of [0,4)") (fun () ->
       Digraph.add_edge g 7 0)
 
+(* A node whose out-degree passes the successor scan's limit switches
+   the graph to its edge table: parallel edges still collapse, on that
+   node and on the others, and successors keep insertion order. *)
+let test_digraph_high_degree () =
+  let n = 40 in
+  let g = Digraph.create n in
+  let order = List.init n (fun i -> (i * 7) mod n) in
+  List.iter (fun v -> Digraph.add_edge g 0 v) order;
+  List.iter (fun v -> Digraph.add_edge g 0 v) order;
+  Digraph.add_edge g 3 4;
+  Digraph.add_edge g 3 4;
+  Alcotest.(check int) "parallel edges collapsed" (n + 1) (Digraph.edge_count g);
+  Alcotest.(check (list int)) "insertion order" order (Digraph.successors g 0);
+  Alcotest.(check bool) "every hub edge" true
+    (List.for_all (Digraph.mem_edge g 0) order);
+  Alcotest.(check bool) "no reverse edge" false (Digraph.mem_edge g 5 0);
+  Alcotest.(check (list int)) "pred" [ 0; 3 ] (Digraph.predecessors g 4);
+  let h = Digraph.of_edges n ((3, 4) :: List.rev_map (fun v -> (0, v)) order) in
+  Alcotest.(check bool) "same edge set, other order" true (Digraph.equal g h)
+
 let test_transpose () =
   let g = Digraph.of_edges 3 [ (0, 1); (1, 2) ] in
   let t = Digraph.transpose g in
@@ -112,6 +132,8 @@ let graph_arb =
 let suite =
   [
     Alcotest.test_case "digraph basics" `Quick test_digraph_basics;
+    Alcotest.test_case "digraph past the scan degree" `Quick
+      test_digraph_high_degree;
     Alcotest.test_case "transpose" `Quick test_transpose;
     Alcotest.test_case "induced subgraph" `Quick test_induced;
     Alcotest.test_case "scc cycle" `Quick test_scc_cycle;

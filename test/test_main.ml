@@ -11,6 +11,7 @@ let () =
       ("single-connected", Test_single_connected.suite);
       ("extensions", Test_extensions.suite);
       ("online-incremental", Test_online_incremental.suite);
+      ("fire-alloc", Test_fire_alloc.suite);
       ("containment", Test_containment.suite);
       ("proposition-1", Test_prop1.suite);
       ("sat", Test_sat.suite);
