@@ -1,12 +1,10 @@
 (* Benchmark driver.
 
    With no arguments, regenerates every figure of the paper's evaluation
-   (Figures 4-8), runs the ablation studies, and finishes with quick
-   Bechamel micro-benchmarks.  Individual pieces:
+   (Figures 4-8) and runs the ablation studies.  Individual pieces:
 
      dune exec bench/main.exe -- --figure 4
      dune exec bench/main.exe -- --ablation preprocess
-     dune exec bench/main.exe -- --bechamel
      dune exec bench/main.exe -- --fast        (reduced sizes, for CI) *)
 
 (* Every ablation by its [--ablation] name, in run order, with its
@@ -68,15 +66,14 @@ let figures =
   ]
 
 let usage =
-  "main.exe [--fast] [--figure N]... [--ablation NAME]... [--bechamel] \
-   [--figures-only] [--json FILE]"
+  "main.exe [--fast] [--figure N]... [--ablation NAME]... [--figures-only] \
+   [--json FILE]"
 
 (* Names are checked as they are parsed, so a stale name fails the run
    (usage on stderr, exit 2) before anything is measured. *)
 let () =
   let chosen_figures = ref [] in
   let chosen_ablations = ref [] in
-  let bechamel_only = ref false in
   let figures_only = ref false in
   let fast = ref false in
   let json_path = ref None in
@@ -100,8 +97,7 @@ let () =
              chosen_ablations := List.assoc name ablations :: !chosen_ablations
          ),
        "  run only this ablation; repeatable");
-      ("--bechamel", Arg.Set bechamel_only, " run only the micro-benchmarks");
-      ("--figures-only", Arg.Set figures_only, " skip ablations and bechamel");
+      ("--figures-only", Arg.Set figures_only, " skip the ablations");
       ("--fast", Arg.Set fast, " reduced sizes (CI-friendly)");
       ("--csv", Arg.String (fun d -> Figures.csv_dir := Some d),
        "DIR  also write each figure's series to DIR/fig<N>.csv");
@@ -121,12 +117,8 @@ let () =
   let fast = !fast in
   let chosen = List.rev_append !chosen_figures (List.rev !chosen_ablations) in
   List.iter (fun run -> run fast) chosen;
-  if !bechamel_only then Micro.run_all ();
-  if List.is_empty chosen && not !bechamel_only then begin
+  if List.is_empty chosen then begin
     List.iter (fun (_, run) -> run fast) figures;
-    if not !figures_only then begin
-      List.iter (fun (_, run) -> run fast) ablations;
-      Micro.run_all ()
-    end
+    if not !figures_only then List.iter (fun (_, run) -> run fast) ablations
   end;
   Option.iter Series.write_json !json_path

@@ -252,17 +252,9 @@ let solve_cmd =
       & info [ "trace" ] ~docv:"PATH"
           ~doc:
             "Record a structured execution trace (solver phases, per-probe \
-             spans) to $(docv); see $(b,--trace-format).")
-  in
-  let trace_format =
-    Arg.(
-      value
-      & opt (enum [ ("chrome", `Chrome); ("jsonl", `Jsonl) ]) `Chrome
-      & info [ "trace-format" ] ~docv:"FORMAT"
-          ~doc:
-            "Trace encoding: $(b,chrome) (a $(b,trace_event) JSON array, \
-             loadable in chrome://tracing or Perfetto) or $(b,jsonl) (one \
-             JSON object per line).")
+             spans) to $(docv): one JSON object per line when $(docv) ends \
+             in $(b,.jsonl), a Chrome $(b,trace_event) JSON array (loadable \
+             in chrome://tracing or Perfetto) otherwise.")
   in
   let metrics =
     Arg.(
@@ -276,8 +268,7 @@ let solve_cmd =
      installed trace sink always writes its trailer (a Chrome trace
      without the closing bracket is not valid JSON). *)
   let run file algorithm first stats dot explain
-      explain_analyze metrics_out flight_recorder trace trace_format metrics
-      guard =
+      explain_analyze metrics_out flight_recorder trace metrics guard =
     handle_syntax @@ fun () ->
     let db, input = load file in
     Option.iter arm_flight_recorder flight_recorder;
@@ -404,11 +395,7 @@ let solve_cmd =
       | None -> run_solve ()
       | Some path ->
         let oc = open_out path in
-        let sink =
-          match trace_format with
-          | `Chrome -> Obs.chrome_sink (output_string oc)
-          | `Jsonl -> Obs.jsonl_sink (output_string oc)
-        in
+        let sink = Obs.sink_for path (output_string oc) in
         Fun.protect
           ~finally:(fun () -> close_out oc)
           (fun () -> Obs.with_sink sink run_solve)
@@ -445,7 +432,7 @@ let solve_cmd =
     Cmdliner.Term.(
       const run $ file $ algorithm $ first $ stats $ dot
       $ explain $ explain_analyze $ metrics_out $ flight_recorder $ trace
-      $ trace_format $ metrics $ guard_term)
+      $ metrics $ guard_term)
 
 (* ------------------------------ check ----------------------------- *)
 

@@ -70,10 +70,10 @@ let with_stats stats db f =
   match stats with
   | None -> f ()
   | Some stats ->
-    let t0 = Stats.now_ns () in
+    let t0 = Obs.now_ns_int () in
     let counters0 = Database.snapshot_counters db in
     let finally () =
-      let span = Int64.sub (Stats.now_ns ()) t0 in
+      let span = Int64.of_int (Obs.now_ns_int () - t0) in
       stats.Stats.ground_ns <- Int64.add stats.Stats.ground_ns span;
       stats.Stats.total_ns <- Int64.add stats.Stats.total_ns span;
       Stats.add_counters stats

@@ -248,7 +248,7 @@ let finalize db p ~candidates ~best stats =
      abort mid-grounding keeps the member set (its survival was proved
      by the pure cleaning phase) but leaves [choices] empty: the keys
      were never fetched. *)
-  let t_ground = Stats.now_ns () in
+  let t_ground = Obs.now_ns_int () in
   let ground members v =
     List.map
       (fun i ->
@@ -277,7 +277,8 @@ let finalize db p ~candidates ~best stats =
                ~note:"winning set not grounded to keys" reason) ))
   in
   stats.Stats.ground_ns <-
-    Int64.add stats.Stats.ground_ns (Int64.sub (Stats.now_ns ()) t_ground);
+    Int64.add stats.Stats.ground_ns
+      (Int64.of_int (Obs.now_ns_int () - t_ground));
   (* Partner witnesses, for re-expression in the general formalism. *)
   let member_set = Hashtbl.create 16 in
   List.iter (fun i -> Hashtbl.replace member_set i ()) members;
@@ -341,23 +342,24 @@ let solve ?(selection = `Largest) db config input =
     "consistent.solve"
   @@ fun () ->
   let stats = Stats.create () in
-  let t_start = Stats.now_ns () in
+  let t_start = Obs.now_ns_int () in
   let counters0 = Database.snapshot_counters db in
   let finish outcome =
-    outcome.stats.Stats.total_ns <- Int64.sub (Stats.now_ns ()) t_start;
+    outcome.stats.Stats.total_ns <-
+      Int64.of_int (Obs.now_ns_int () - t_start);
     Stats.add_counters outcome.stats
       (Counters.diff ~before:counters0 ~after:(Database.snapshot_counters db));
     Ok outcome
   in
-  let t_graph = Stats.now_ns () in
+  let t_graph = Obs.now_ns_int () in
   match Obs.with_span "consistent.prepare" (fun () -> prepare db config input) with
   | exception Resilient.Abort reason ->
     finish (degraded_outcome config input stats reason)
   | Error e ->
-    stats.total_ns <- Int64.sub (Stats.now_ns ()) t_start;
+    stats.total_ns <- Int64.of_int (Obs.now_ns_int () - t_start);
     Error e
   | Ok p ->
-    stats.graph_ns <- Int64.sub (Stats.now_ns ()) t_graph;
+    stats.graph_ns <- Int64.of_int (Obs.now_ns_int () - t_graph);
     let candidates = ref [] in
     let best = ref None in
     Obs.with_span

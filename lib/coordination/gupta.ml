@@ -27,11 +27,11 @@ let solve db input =
     "gupta.solve"
   @@ fun () ->
   let stats = Stats.create () in
-  let t_start = Stats.now_ns () in
+  let t_start = Obs.now_ns_int () in
   let queries = Query.rename_set input in
   let counters0 = Database.snapshot_counters db in
   let finish result =
-    stats.total_ns <- Int64.sub (Stats.now_ns ()) t_start;
+    stats.total_ns <- Int64.of_int (Obs.now_ns_int () - t_start);
     Stats.add_counters stats
       (Counters.diff ~before:counters0 ~after:(Database.snapshot_counters db));
     result
@@ -39,31 +39,32 @@ let solve db input =
   if Array.length queries = 0 then
     finish (Ok { queries; solution = None; stats; degraded = None })
   else
-  let graph, graph_ns =
-    Obs.timed_span "gupta.graph" (fun () -> Coordination_graph.build queries)
-  in
-  stats.graph_ns <- graph_ns;
+  let d = Obs.enter () in
+  let t0 = Obs.now_ns_int () in
+  let graph = Coordination_graph.build queries in
+  stats.graph_ns <- Int64.of_int (Obs.leave d "gupta.graph" ~t0 - t0);
   match Safety.classify graph with
   | `Unsafe -> finish (Error (Not_safe (Safety.unsafe_posts graph)))
   | `Safe -> finish (Error Not_unique)
   | `Safe_unique -> (
     let members = List.init (Array.length queries) Fun.id in
-    let unified, unify_ns =
-      Obs.timed_span "gupta.unify" (fun () -> Combine.unify_set graph ~members)
-    in
-    stats.unify_ns <- unify_ns;
+    let d = Obs.enter () in
+    let t0 = Obs.now_ns_int () in
+    let unified = Combine.unify_set graph ~members in
+    stats.unify_ns <- Int64.of_int (Obs.leave d "gupta.unify" ~t0 - t0);
     match unified with
     | Error f -> finish (Error (Unification_failed f))
     | Ok subst -> (
       (* The single combined probe is the only database work: an abort
          here degrades to "nothing probed" rather than raising. *)
-      let witness, ground_ns =
-        Obs.timed_span "gupta.ground" (fun () ->
-            match Ground.solve db queries ~members subst with
-            | w -> Ok w
-            | exception Resilient.Abort reason -> Error reason)
+      let d = Obs.enter () in
+      let t0 = Obs.now_ns_int () in
+      let witness =
+        match Ground.solve db queries ~members subst with
+        | w -> Ok w
+        | exception Resilient.Abort reason -> Error reason
       in
-      stats.ground_ns <- ground_ns;
+      stats.ground_ns <- Int64.of_int (Obs.leave d "gupta.ground" ~t0 - t0);
       stats.candidates <- 1;
       match witness with
       | Error reason ->

@@ -36,14 +36,12 @@ type inventory_conflict = {
    public operation emitted; a durability layer uses it as the atomic
    commit boundary. *)
 module Journal = struct
-  type op = Submit_op | Submit_all_op | Flush_op | Withdraw_op
-
   type record =
     | Submitted of { id : int; query : Query.t }
     | Rejected of { id : int }  (** admitted then evicted as unsafe *)
     | Retired of { ids : int list }  (** a fired set left the pool *)
     | Consumed of { deletions : (string * Tuple.t) list }
-    | Op_end of { op : op; fired : int }
+    | Op_end
 
   type sink = record -> unit
 end
@@ -205,9 +203,8 @@ let reads (q : Query.t) rel =
        q.Query.head)
 
 let c_store_redirty =
-  lazy
-    (Obs.Counter.make ~help:"pool entries a store write re-dirtied"
-       "online.store_redirty")
+  Obs.Counter.declare ~help:"pool entries a store write re-dirtied"
+    "online.store_redirty"
 
 (* Absorb the store writes made since the engine last looked (repl
    [fact] statements, the protocol's inserts), re-dirtying exactly the
@@ -234,8 +231,7 @@ let refresh_db_version engine =
             incr redirtied
           end)
         engine.entries;
-      if Obs.metrics_on () then
-        Obs.Counter.add (Lazy.force c_store_redirty) !redirtied
+      Obs.Counter.add c_store_redirty !redirtied
     end
   end
 
@@ -524,13 +520,10 @@ let component_graph engine ids = graph_of engine (Array.of_list ids)
    engine's graph construction: charge it where Scc_algo.solve charges
    its rebuild. *)
 let solve_component engine ids =
+  let d = Obs.enter () in
   let t0 = Obs.now_ns_int () in
-  let graph =
-    if Obs.enabled () then
-      Obs.with_span "scc.graph" (fun () -> graph_of engine ids)
-    else graph_of engine ids
-  in
-  let graph_ns = Int64.of_int (Obs.now_ns_int () - t0) in
+  let graph = graph_of engine ids in
+  let graph_ns = Int64.of_int (Obs.leave d "scc.graph" ~t0 - t0) in
   let result = Scc_algo.solve_graph engine.db graph in
   (match result with
   | Ok o ->
@@ -543,12 +536,10 @@ let solve_component engine ids =
    order; on success retire the members and report them. *)
 let evaluate engine ids =
   let solved =
-    if Obs.enabled () then
-      Obs.with_span
-        ~args:(fun () -> [ ("queries", Obs.Int (Array.length ids)) ])
-        "scc.solve"
-        (fun () -> solve_component engine ids)
-    else solve_component engine ids
+    Obs.with_span
+      ~args:(fun () -> [ ("queries", Obs.Int (Array.length ids)) ])
+      "scc.solve"
+      (fun () -> solve_component engine ids)
   in
   match solved with
   | Error (Scc_algo.Not_safe ws) ->
@@ -582,7 +573,7 @@ let evaluate engine ids =
          the engine would stay coherent (the set genuinely fired); the
          reverse order could delete tuples for a set never recorded as
          satisfied. *)
-      let t_commit = Stats.now_ns () in
+      let t_commit = Obs.now_ns_int () in
       let member_ids = List.map (Array.get ids) solution.members in
       let satisfied_queries =
         List.map (fun id -> (Ids.find engine.entries id).query) member_ids
@@ -593,7 +584,7 @@ let evaluate engine ids =
       if engine.consume then consume_inventory engine outcome.queries solution;
       engine.stats.commit_ns <-
         Int64.add engine.stats.commit_ns
-          (Int64.sub (Stats.now_ns ()) t_commit);
+          (Int64.of_int (Obs.now_ns_int () - t_commit));
       Ok
         (Some { queries = satisfied_queries; assignment = solution.assignment }))
 
@@ -656,27 +647,19 @@ let submit_op engine query =
       | Ok None -> Pending
       | Ok (Some c) -> Coordinated c
   in
-  emit engine
-    (Journal.Op_end
-       {
-         op = Journal.Submit_op;
-         fired =
-           (match result with Coordinated c -> List.length c.queries | _ -> 0);
-       });
+  emit engine Journal.Op_end;
   sync_db_version engine;
   result
 
 let submit engine query =
-  if not (Obs.enabled ()) then submit_op engine query
-  else
-    Obs.with_span
-      ~args:(fun () ->
-        [
-          ("query", Obs.Str query.Query.name);
-          ("pool", Obs.Int (Ids.length engine.entries));
-        ])
-      "online.submit"
-      (fun () -> submit_op engine query)
+  Obs.with_span
+    ~args:(fun () ->
+      [
+        ("query", Obs.Str query.Query.name);
+        ("pool", Obs.Int (Ids.length engine.entries));
+      ])
+    "online.submit"
+    (fun () -> submit_op engine query)
 
 (* Withdraw a pending entry by pool id — the service layer's `retire`
    verb: a client takes an offer back before it coordinates.  Journaled
@@ -701,7 +684,7 @@ let withdraw engine id =
   else begin
     retire engine [ id ];
     emit engine (Journal.Rejected { id });
-    emit engine (Journal.Op_end { op = Journal.Withdraw_op; fired = 0 });
+    emit engine Journal.Op_end;
     sync_db_version engine;
     true
   end
@@ -755,8 +738,7 @@ let flush engine =
   @@ fun () ->
   begin_op engine;
   let fired = flush_dirty engine in
-  emit engine
-    (Journal.Op_end { op = Journal.Flush_op; fired = List.length fired });
+  emit engine Journal.Op_end;
   sync_db_version engine;
   fired
 
@@ -774,8 +756,7 @@ let submit_all engine queries =
     (fun q -> ignore (admit_timed engine q ~check_quiet:false))
     queries;
   let fired = flush_dirty engine in
-  emit engine
-    (Journal.Op_end { op = Journal.Submit_all_op; fired = List.length fired });
+  emit engine Journal.Op_end;
   sync_db_version engine;
   fired
 

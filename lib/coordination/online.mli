@@ -210,9 +210,6 @@ val last_inventory_conflict : t -> inventory_conflict option
     double-spend inventory, whatever the crash point. *)
 
 module Journal : sig
-  (** Which public operation a record group belongs to. *)
-  type op = Submit_op | Submit_all_op | Flush_op | Withdraw_op
-
   type record =
     | Submitted of { id : int; query : Query.t }
         (** an entry joined the pool under [id] *)
@@ -226,10 +223,9 @@ module Journal : sig
         (** the deduplicated inventory deletions actually issued by the
             two-phase consume commit, in first-demand order — each
             deleted exactly once *)
-    | Op_end of { op : op; fired : int }
-        (** the operation finished having fired [fired] sets; the
-            atomic commit boundary for everything since the previous
-            [Op_end] *)
+    | Op_end
+        (** the operation finished: the atomic commit boundary for
+            everything since the previous [Op_end] *)
 
   type sink = record -> unit
 end

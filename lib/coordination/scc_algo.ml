@@ -76,11 +76,6 @@ type analysis = {
   an_cond : Graphs.Digraph.t;
 }
 
-(* [f x] inside span [name] when anything is armed; disarmed, no
-   closure is built. *)
-let spanned name f x =
-  if Obs.enabled () then Obs.with_span name (fun () -> f x) else f x
-
 let prune (graph : Coordination_graph.t) alive =
   Coordination_graph.prune_unsatisfiable graph ~alive;
   if Obs.enabled () && not (Array.for_all Fun.id alive) then begin
@@ -109,9 +104,10 @@ let condense (graph : Coordination_graph.t) alive =
    construction).  Touches no database. *)
 let analyze ?(preprocess = true) (graph : Coordination_graph.t) =
   let alive = Array.make (Array.length graph.queries) true in
-  if preprocess then spanned "scc.preprocess" (prune graph) alive;
+  if preprocess then
+    Obs.with_span "scc.preprocess" (fun () -> prune graph alive);
   match Safety.unsafe_posts ~alive graph with
-  | [] -> Ok (spanned "scc.condense" (condense graph) alive)
+  | [] -> Ok (Obs.with_span "scc.condense" (fun () -> condense graph alive))
   | unsafe -> Error (Not_safe unsafe)
 
 (* ------------------------------------------------------------------ *)
@@ -344,35 +340,33 @@ let charge ctx ~ground ns =
   if ground then ctx.cx_ground_ns <- ctx.cx_ground_ns + ns
   else ctx.cx_unify_ns <- ctx.cx_unify_ns + ns
 
-(* [f ctx x], timed as the unify or the ground phase: inside span
-   [name] (with [members] as args) when anything is armed, between two
-   reads of the int clock otherwise, so a disarmed solve builds no
-   closure.  The ground phase reuses the unify phase's closing read
-   ([cx_clock]): three reads per component, not four. *)
-let phase ctx ~ground name members f x =
-  if Obs.enabled () then begin
-    let v, ns =
-      Obs.timed_span
-        ~args:(fun () ->
-          [ ("members", Obs.Str (names ctx.cx_an.an_graph.queries members)) ])
-        name
-        (fun () -> f ctx x)
-    in
-    charge ctx ~ground (Int64.to_int ns);
-    ctx.cx_clock <- -1;
-    v
-  end
-  else begin
-    let t0 =
-      if ground && ctx.cx_clock >= 0 then ctx.cx_clock else Obs.now_ns_int ()
-    in
-    ctx.cx_clock <- -1;
-    let v = f ctx x in
-    let t1 = Obs.now_ns_int () in
+(* [f ctx x], timed as the unify or the ground phase inside span
+   [name] (with [args ctx]): one reading of the int clock per boundary
+   feeds both [cx_stats] and the span, and the ground phase starts at
+   the unify phase's closing read ([cx_clock]), so a component costs
+   three reads.  A budget abort inside still closes the span. *)
+let phase ctx ~ground name args f x =
+  let d = Obs.enter () in
+  let t0 =
+    if ground && ctx.cx_clock >= 0 then ctx.cx_clock else Obs.now_ns_int ()
+  in
+  ctx.cx_clock <- -1;
+  match f ctx x with
+  | v ->
+    let t1 = Obs.leave_with d name ~t0 args ctx in
     charge ctx ~ground (t1 - t0);
     if not ground then ctx.cx_clock <- t1;
     v
-  end
+  | exception e ->
+    ignore (Obs.leave_with d name ~t0 args ctx : int);
+    raise e
+
+let members_arg members ctx =
+  [ ("members", Obs.Str (names ctx.cx_an.an_graph.queries members)) ]
+
+let unify_args ctx = members_arg ctx.cx_members ctx
+
+let ground_args ctx = members_arg ctx.cx_grounded ctx
 
 let unify_component ctx c =
   let a = ctx.cx_an and successors = ctx.cx_successors in
@@ -413,7 +407,7 @@ let ground_component ctx c ~grounded unified =
   let stats = ctx.cx_stats and members = ctx.cx_members in
   ctx.cx_grounded <- grounded;
   let witness =
-    phase ctx ~ground:true "scc.ground" grounded ground_unified unified
+    phase ctx ~ground:true "scc.ground" ground_args ground_unified unified
   in
   stats.candidates <- stats.candidates + 1;
   stats.grounded_members <- stats.grounded_members + List.length grounded;
@@ -477,7 +471,7 @@ let probe_component ctx c =
     ctx.cx_successors <- successors;
     ctx.cx_witnesses <- witnesses;
     ctx.cx_members <- members;
-    match phase ctx ~ground:false "scc.unify" members unify_component c with
+    match phase ctx ~ground:false "scc.unify" unify_args unify_component c with
     | Seeded _ as seeded -> ground_component ctx c ~grounded:own seeded
     | Full (Error failure) ->
       ctx.cx_failed.(c) <- true;
@@ -501,10 +495,10 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
     =
   let queries = graph.queries in
   let stats = Stats.create () in
-  let t_start = Stats.now_ns () in
+  let t_start = Obs.now_ns_int () in
   let counters0 = Database.snapshot_counters db in
   let finish result =
-    stats.total_ns <- Int64.sub (Stats.now_ns ()) t_start;
+    stats.total_ns <- Int64.of_int (Obs.now_ns_int () - t_start);
     Stats.add_counters stats
       (Counters.diff ~before:counters0 ~after:(Database.snapshot_counters db));
     result
@@ -514,7 +508,7 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
   | Error e -> finish (Error e)
   | Ok a ->
     let scc = a.an_scc in
-    stats.graph_ns <- Int64.sub (Stats.now_ns ()) t_start;
+    stats.graph_ns <- Int64.of_int (Obs.now_ns_int () - t_start);
     if graph_only then
       finish
         (Ok
@@ -580,20 +574,19 @@ let solve ?selection ?preprocess ?graph_only ?minimize db input =
     ~args:(fun () -> [ ("queries", Obs.Int (List.length input)) ])
     "scc.solve"
   @@ fun () ->
-  let t_start = Stats.now_ns () in
+  let t_start = Obs.now_ns_int () in
   let queries = Query.rename_set input in
-  let t_graph = Stats.now_ns () in
-  let graph =
-    Obs.with_span "scc.graph" (fun () -> Coordination_graph.build queries)
-  in
-  let t_built = Stats.now_ns () in
+  let d = Obs.enter () in
+  let t_graph = Obs.now_ns_int () in
+  let graph = Coordination_graph.build queries in
+  let t_built = Obs.leave d "scc.graph" ~t0:t_graph in
   let result =
     solve_graph ?selection ?preprocess ?graph_only ?minimize db graph
   in
   Result.iter
     (fun o ->
       let s = o.stats in
-      s.graph_ns <- Int64.add s.graph_ns (Int64.sub t_built t_graph);
-      s.total_ns <- Int64.add s.total_ns (Int64.sub t_built t_start))
+      s.graph_ns <- Int64.add s.graph_ns (Int64.of_int (t_built - t_graph));
+      s.total_ns <- Int64.add s.total_ns (Int64.of_int (t_built - t_start)))
     result;
   result

@@ -57,11 +57,6 @@ let add_counters stats (d : Relational.Counters.t) =
   stats.plan_misses <- stats.plan_misses + d.plan_misses;
   stats.tuples_scanned <- stats.tuples_scanned + d.tuples_scanned
 
-(* Delegates to the observability subsystem's CLOCK_MONOTONIC stub:
-   gettimeofday is not monotonic, so spans could go negative under
-   clock adjustment. *)
-let now_ns = Obs.now_ns
-
 let ms ns = Int64.to_float ns /. 1e6
 
 let pp ppf s =

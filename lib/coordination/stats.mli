@@ -41,11 +41,6 @@ val add_counters : t -> Relational.Counters.t -> unit
     (typically [Counters.diff] of two {!Relational.Database.snapshot_counters})
     into the solver's record: probes, plan hits/misses, tuples scanned. *)
 
-val now_ns : unit -> int64
-(** Monotonic timestamp in nanoseconds (delegates to {!Obs.now_ns}, i.e.
-    [CLOCK_MONOTONIC]); differences are durations, immune to wall-clock
-    adjustment. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_row : t -> (string * string) list

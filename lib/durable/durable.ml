@@ -203,7 +203,9 @@ type record =
   | Reject of { id : int }
   | Retire of { ids : int list }
   | Consume of { deletions : (string * Value.t list) list }
-  | Commit of { op : int; fired : int }
+  | Commit
+      (* kind 5: an operation trailer older logs hold; decoded, never
+         written *)
   | Insert of { rel : string; tuple : Value.t list }
   | Create_table of { name : string; attrs : string list }
 
@@ -213,7 +215,7 @@ let record_kind = function
   | Reject _ -> 2
   | Retire _ -> 3
   | Consume _ -> 4
-  | Commit _ -> 5
+  | Commit -> 5
   | Insert _ -> 6
   | Create_table _ -> 7
 
@@ -230,9 +232,7 @@ let encode_payload w = function
         Enc.str w rel;
         Enc.values w tuple)
       deletions
-  | Commit { op; fired } ->
-    Enc.u8 w op;
-    Enc.u32 w fired
+  | Commit -> ()
   | Insert { rel; tuple } ->
     Enc.str w rel;
     Enc.values w tuple
@@ -281,8 +281,9 @@ let decode_record kind payload =
                 (rel, Dec.list d Dec.value));
         }
     | 5 ->
-      let op = Dec.u8 d in
-      Commit { op; fired = Dec.u32 d }
+      ignore (Dec.u8 d : int);
+      ignore (Dec.u32 d : int);
+      Commit
     | 6 ->
       let rel = Dec.str d in
       Insert { rel; tuple = Dec.list d Dec.value }
@@ -343,40 +344,41 @@ let list_dir dir =
 (* ----------------------------- Metrics ----------------------------- *)
 
 let h_append =
-  lazy (Obs.Histogram.make ~help:"WAL segment write, with its fsync" "wal.append_ns")
-let h_fsync = lazy (Obs.Histogram.make ~help:"WAL fsync" "wal.fsync_ns")
-let c_records = lazy (Obs.Counter.make ~help:"WAL records written" "wal.records")
-let c_groups = lazy (Obs.Counter.make ~help:"WAL groups committed" "wal.groups")
-let c_fsyncs = lazy (Obs.Counter.make ~help:"WAL fsyncs issued" "wal.fsyncs")
-let c_snapshots = lazy (Obs.Counter.make ~help:"snapshots written" "wal.snapshots")
+  Obs.Histogram.declare ~help:"WAL segment write, with its fsync"
+    "wal.append_ns"
+let h_fsync = Obs.Histogram.declare ~help:"WAL fsync" "wal.fsync_ns"
+let c_records = Obs.Counter.declare ~help:"WAL records written" "wal.records"
+let c_groups = Obs.Counter.declare ~help:"WAL groups committed" "wal.groups"
+let c_fsyncs = Obs.Counter.declare ~help:"WAL fsyncs issued" "wal.fsyncs"
+let c_snapshots = Obs.Counter.declare ~help:"snapshots written" "wal.snapshots"
 
 let h_snapshot_encode =
-  lazy
-    (Obs.Histogram.make ~help:"snapshot time on the request thread: encode and rotation"
-       "wal.snapshot_encode_ns")
+  Obs.Histogram.declare
+    ~help:"snapshot time on the request thread: encode and rotation"
+    "wal.snapshot_encode_ns"
 
 let h_snapshot_write =
-  lazy
-    (Obs.Histogram.make ~help:"snapshot time on the writer: fsyncs, write, rename, prune"
-       "wal.snapshot_write_ns")
+  Obs.Histogram.declare
+    ~help:"snapshot time on the writer: fsyncs, write, rename, prune"
+    "wal.snapshot_write_ns"
 
+(* Counted with metrics off too: a silent snapshot failure is what a
+   health check looks for. *)
 let c_snapshot_failures =
-  lazy
-    (Obs.Counter.make ~help:"snapshot writes that failed (journal retained)"
-       "wal.snapshot_failures")
+  Obs.Counter.declare ~always:true
+    ~help:"snapshot writes that failed (journal retained)"
+    "wal.snapshot_failures"
 
 let c_truncations =
-  lazy
-    (Obs.Counter.make ~help:"corrupt WAL tails truncated at recovery"
-       "recovery.truncations")
+  Obs.Counter.declare ~help:"corrupt WAL tails truncated at recovery"
+    "recovery.truncations"
 
 let c_replayed =
-  lazy
-    (Obs.Counter.make ~help:"WAL records replayed at recovery"
-       "recovery.records_replayed")
+  Obs.Counter.declare ~help:"WAL records replayed at recovery"
+    "recovery.records_replayed"
 
 let c_recoveries =
-  lazy (Obs.Counter.make ~help:"recoveries performed" "recovery.runs")
+  Obs.Counter.declare ~help:"recoveries performed" "recovery.runs"
 
 (* -------------------------- Configuration -------------------------- *)
 
@@ -574,7 +576,7 @@ type job = {
   j_cfg : config;  (* its directory and seam *)
   j_lsn : int64;
   j_offset : int;  (* segment bytes the image covers *)
-  mutable j_encode_ns : int64;  (* the request thread's encode, set at hand-off *)
+  mutable j_encode_ns : int;  (* the request thread's encode, set at hand-off *)
 }
 
 type t = {
@@ -606,15 +608,13 @@ let synced_offset t = t.synced
 let last_lsn t = Int64.pred t.next_lsn
 
 let do_fsync t =
-  let t0 = if Obs.metrics_on () then Obs.now_ns () else 0L in
+  let t0 = Obs.now_ns_int () in
   seam t.cfg Segment_sync;
   Unix.fsync t.fd;
   t.synced <- t.offset;
   t.groups_since_sync <- 0;
-  if Obs.metrics_on () then begin
-    Obs.Counter.incr (Lazy.force c_fsyncs);
-    Obs.Histogram.observe (Lazy.force h_fsync) (Int64.sub (Obs.now_ns ()) t0)
-  end
+  Obs.Counter.incr c_fsyncs;
+  Obs.Histogram.observe_i h_fsync (Obs.now_ns_int () - t0)
 
 let rec write_all fd b off n =
   if n > 0 then
@@ -713,7 +713,7 @@ let fail_stop t f =
 let write_groups t =
   let n = t.committed in
   if n > 0 then begin
-    let t0 = if Obs.metrics_on () then Obs.now_ns () else 0L in
+    let t0 = Obs.now_ns_int () in
     seam t.cfg Append;
     write_all t.fd t.out.b 0 n;
     t.offset <- t.offset + n;
@@ -725,8 +725,7 @@ let write_groups t =
     | Always -> do_fsync t
     | Every_n k -> if t.groups_since_sync >= k then do_fsync t
     | Never -> t.synced <- max t.synced segment_header_len);
-    if Obs.metrics_on () then
-      Obs.Histogram.observe (Lazy.force h_append) (Int64.sub (Obs.now_ns ()) t0)
+    Obs.Histogram.observe_i h_append (Obs.now_ns_int () - t0)
   end
 
 (* Close the open group, flagging its last record, and write it unless
@@ -736,10 +735,8 @@ let commit_group t =
     seal_record t.out t.last_record ~commit:true;
     t.committed <- t.out.len;
     t.next_lsn <- Int64.add t.next_lsn (Int64.of_int t.open_records);
-    if Obs.metrics_on () then begin
-      Obs.Counter.add (Lazy.force c_records) t.open_records;
-      Obs.Counter.incr (Lazy.force c_groups)
-    end;
+    Obs.Counter.add c_records t.open_records;
+    Obs.Counter.incr c_groups;
     t.open_records <- 0;
     t.groups_since_sync <- t.groups_since_sync + 1;
     t.groups_since_snapshot <- t.groups_since_snapshot + 1;
@@ -921,7 +918,7 @@ let make_job cfg ~lsn ~payload ?wal ?(offset = 0) ?victims () =
     j_cfg = cfg;
     j_lsn = lsn;
     j_offset = offset;
-    j_encode_ns = 0L;
+    j_encode_ns = 0;
   }
 
 (* Run the job's next step on the calling thread, after the seam: a
@@ -946,7 +943,7 @@ let outcome j =
   | exception e when steps.(job_failed j.j_c) = Some Sync_wal -> raise e
   | exception e ->
     let why = io_error_to_string e in
-    Obs.Counter.incr (Lazy.force c_snapshot_failures);
+    Obs.Counter.incr c_snapshot_failures;
     Obs.event
       ~args:(fun () ->
         [ ("lsn", Obs.Int (Int64.to_int j.j_lsn)); ("error", Obs.Str why) ])
@@ -968,7 +965,7 @@ let await j = if job_started j.j_c then job_wait j.j_c else run_job j
    [last_lsn]. *)
 let hand_off t ~spawn =
   write_groups t;
-  let t0 = Obs.now_ns () in
+  let t0 = Obs.now_ns_int () in
   let lsn = last_lsn t in
   let payload = encode_snapshot t.enc ~db:t.db t.engine in
   (* Only this handle's writer changes the directory, so what the new
@@ -980,7 +977,7 @@ let hand_off t ~spawn =
         (if t.synced < t.offset then Some t.fd else None)
       ~offset:t.offset ~victims ()
   in
-  job.j_encode_ns <- Int64.sub (Obs.now_ns ()) t0;
+  job.j_encode_ns <- Obs.now_ns_int () - t0;
   t.groups_since_snapshot <- 0;
   t.writer <- Some job;
   (* A handle with a seam starts no thread.  Without a thread to spare,
@@ -1013,15 +1010,12 @@ let settle t j ~rotate:do_rotate =
   t.writer <- None;
   let result = outcome j in
   t.synced <- max t.synced j.j_offset;
-  let t0 = Obs.now_ns () in
+  let t0 = Obs.now_ns_int () in
   if result = Ok () && do_rotate then rotate t;
-  if Obs.metrics_on () then begin
-    Obs.Histogram.observe
-      (Lazy.force h_snapshot_encode)
-      (Int64.add j.j_encode_ns (Int64.sub (Obs.now_ns ()) t0));
-    Obs.Histogram.observe_i (Lazy.force h_snapshot_write) (job_write_ns j.j_c);
-    if result = Ok () then Obs.Counter.incr (Lazy.force c_snapshots)
-  end;
+  Obs.Histogram.observe_i h_snapshot_encode
+    (j.j_encode_ns + (Obs.now_ns_int () - t0));
+  Obs.Histogram.observe_i h_snapshot_write (job_write_ns j.j_c);
+  if result = Ok () then Obs.Counter.incr c_snapshots;
   result
 
 (* Wait for the snapshot in flight, if any, and settle it. *)
@@ -1063,12 +1057,6 @@ let maybe_snapshot t =
 
 (* ------------------------- Journal binding ------------------------- *)
 
-let op_tag = function
-  | Online.Journal.Submit_op -> 0
-  | Online.Journal.Submit_all_op -> 1
-  | Online.Journal.Flush_op -> 2
-  | Online.Journal.Withdraw_op -> 3
-
 let commit_group_and_snapshot t =
   fail_stop t @@ fun () ->
   poll t;
@@ -1087,17 +1075,9 @@ let journal_sink t : Online.Journal.sink = function
            deletions =
              List.map (fun (rel, tup) -> (rel, Array.to_list tup)) deletions;
          })
-  | Online.Journal.Op_end { op; fired } ->
-    if t.open_records > 0 then begin
-      (match op with
-      (* A submit's or withdraw's group is self-delimiting (one effect,
-         at most one eviction); only the batched operations need an
-         explicit fired-count trailer. *)
-      | Online.Journal.Submit_op | Online.Journal.Withdraw_op -> ()
-      | Online.Journal.Submit_all_op | Online.Journal.Flush_op ->
-        buffer_record t (Commit { op = op_tag op; fired }));
-      commit_group_and_snapshot t
-    end
+  | Online.Journal.Op_end ->
+    (* The commit bit on the group's last record marks where it ends. *)
+    if t.open_records > 0 then commit_group_and_snapshot t
 
 let journal_insert t rel tuple =
   buffer_record t (Insert { rel; tuple });
@@ -1336,7 +1316,7 @@ let recover cfg =
   if not (Sys.file_exists cfg.dir) then
     Result.Error (Printf.sprintf "%s: no such directory" cfg.dir)
   else begin
-    if Obs.metrics_on () then Obs.Counter.incr (Lazy.force c_recoveries);
+    Obs.Counter.incr c_recoveries;
     let entries = list_dir cfg.dir in
     (* An interrupted snapshot leaves a .tmp that was never renamed —
        it is garbage by construction. *)
@@ -1436,7 +1416,7 @@ let recover cfg =
                     ignore (Relation.delete r (Array.of_list tuple))
                   | None -> ())
                 deletions
-            | Commit _ -> ()
+            | Commit -> ()
             | Insert { rel; tuple } -> Database.insert db rel tuple
             | Create_table { name; attrs } ->
               ignore (Database.create_table' db name attrs));
@@ -1582,10 +1562,8 @@ let recover cfg =
           (Printf.sprintf "wal corruption: %s in %s"
              (corruption_to_string tr.reason)
              (Filename.basename tr.t_segment));
-        if Obs.metrics_on () then
-          Obs.Counter.incr (Lazy.force c_truncations));
-      if Obs.metrics_on () then
-        Obs.Counter.add (Lazy.force c_replayed) !records_replayed;
+        Obs.Counter.incr c_truncations);
+      Obs.Counter.add c_replayed !records_replayed;
       (* Recovery checkpoint: make the recovered state durable in a
          fresh snapshot, then delete every other file the scan saw,
          whatever its LSN (torn bytes whole-segment), and open a fresh

@@ -56,6 +56,11 @@ type sink = {
 (* Registry of metrics                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The gate of every declared metric and span histogram.  A registry
+   holds every handle, made or declared; [find] and the dumps see the
+   listed ones. *)
+let metrics_armed = ref false
+
 module Histogram = struct
   (* Log2-bucketed: bucket 0 counts values <= 0, bucket i >= 1 counts
      values in [2^(i-1), 2^i).  63 value buckets cover every positive
@@ -68,6 +73,8 @@ module Histogram = struct
   type t = {
     h_name : string;
     h_help : string;
+    h_gated : bool;
+    mutable h_listed : bool;
     buckets : int array;
     mutable count : int;
     mutable sum : int;
@@ -76,7 +83,7 @@ module Histogram = struct
 
   let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 
-  let make ?(help = "") name =
+  let get ~gated help name =
     match Hashtbl.find_opt registry name with
     | Some h -> h
     | None ->
@@ -84,6 +91,8 @@ module Histogram = struct
         {
           h_name = name;
           h_help = help;
+          h_gated = gated;
+          h_listed = false;
           buckets = Array.make bucket_count 0;
           count = 0;
           sum = 0;
@@ -93,7 +102,17 @@ module Histogram = struct
       Hashtbl.add registry name h;
       h
 
-  let find name = Hashtbl.find_opt registry name
+  let make ?(help = "") name =
+    let h = get ~gated:false help name in
+    h.h_listed <- true;
+    h
+
+  let declare ?(help = "") name = get ~gated:true help name
+
+  let find name =
+    match Hashtbl.find_opt registry name with
+    | Some h when h.h_listed -> Some h
+    | Some _ | None -> None
 
   let bucket_of v =
     if Int64.compare v 0L <= 0 then 0
@@ -121,11 +140,14 @@ module Histogram = struct
     end
 
   let observe_i h v =
-    let i = bucket_of_i v in
-    h.buckets.(i) <- h.buckets.(i) + 1;
-    h.count <- h.count + 1;
-    h.sum <- h.sum + v;
-    if v > h.max_v then h.max_v <- v
+    if !metrics_armed || not h.h_gated then begin
+      h.h_listed <- true;
+      let i = bucket_of_i v in
+      h.buckets.(i) <- h.buckets.(i) + 1;
+      h.count <- h.count + 1;
+      h.sum <- h.sum + v;
+      if v > h.max_v then h.max_v <- v
+    end
 
   let observe h v = observe_i h (Int64.to_int v)
 
@@ -179,25 +201,48 @@ module Histogram = struct
 end
 
 module Counter = struct
-  type t = { c_name : string; c_help : string; mutable value : int }
+  type t = {
+    c_name : string;
+    c_help : string;
+    c_gated : bool;
+    mutable c_listed : bool;
+    mutable value : int;
+  }
 
   let registry : (string, t) Hashtbl.t = Hashtbl.create 16
 
-  let make ?(help = "") name =
+  let get ~gated help name =
     match Hashtbl.find_opt registry name with
     | Some c -> c
     | None ->
-      let c = { c_name = name; c_help = help; value = 0 } in
+      let c =
+        { c_name = name; c_help = help; c_gated = gated; c_listed = false; value = 0 }
+      in
       Hashtbl.add registry name c;
       c
+
+  let make ?(help = "") name =
+    let c = get ~gated:false help name in
+    c.c_listed <- true;
+    c
+
+  let declare ?(help = "") ?(always = false) name =
+    get ~gated:(not always) help name
 
   (* Labeled counters share the registry under "name{label}" keys, so
      one dump lists the family together. *)
   let labeled ?help name label = make ?help (name ^ "{" ^ label ^ "}")
 
-  let find name = Hashtbl.find_opt registry name
+  let find name =
+    match Hashtbl.find_opt registry name with
+    | Some c when c.c_listed -> Some c
+    | Some _ | None -> None
 
-  let add c n = c.value <- c.value + n
+  let add c n =
+    if !metrics_armed || not c.c_gated then begin
+      c.c_listed <- true;
+      c.value <- c.value + n
+    end
 
   let incr c = add c 1
 
@@ -336,98 +381,92 @@ let ring_items r =
 type state = {
   mutable sinks : sink list;
   mutable depth : int;
-  mutable metrics_enabled : bool;
   mutable ring : fring option;
 }
 
-let st = { sinks = []; depth = 0; metrics_enabled = false; ring = None }
+let st = { sinks = []; depth = 0; ring = None }
 
-let enabled () = st.sinks <> [] || st.metrics_enabled || st.ring != None
+let enabled () = st.sinks <> [] || !metrics_armed || st.ring != None
 
 let tracing () = st.sinks <> []
 
-let metrics_on () = st.metrics_enabled
+let metrics_on () = !metrics_armed
 
-let set_metrics b = st.metrics_enabled <- b
+let set_metrics b = metrics_armed := b
 
 (* ------------------------------------------------------------------ *)
 (* Spans and events                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let force_args = function Some f -> f () | None -> []
-
-(* Close a span opened at [t0] on depth [d]; returns its duration.
-   Unboxed int timestamps and no [Fun.protect] wrapper: with the flight
-   recorder always armed this closes around every span in the engine,
-   so the epilogue allocates only when a sink or the metrics registry
-   asks for boxed values. *)
-let close_span ?args ?hist name ~t0 ~d =
-  let dur = now_ns_int () - t0 in
-  st.depth <- d;
-  (match hist with
-  | Some h when st.metrics_enabled -> Histogram.observe_i h dur
-  | Some _ | None -> ());
-  (match (st.sinks, st.ring) with
-  | [], None -> ()
-  | [], Some r ->
-    (* Ring-only spans drop their args: forcing the closure is the
-       expensive part of recording (it may snapshot counters or build
-       strings), and the always-armed flight recorder must stay at
-       ~100ns per span.  As soon as a sink is attached the full args
-       are captured — and land in the ring too. *)
-    ring_push_span r ~name ~start_ns:t0 ~dur_ns:dur ~depth:d ~args:[]
-  | sinks, ring ->
-    let args = force_args args in
-    (match ring with
-    | Some r -> ring_push_span r ~name ~start_ns:t0 ~dur_ns:dur ~depth:d ~args
-    | None -> ());
-    let s =
-      {
-        name;
-        start_ns = Int64.of_int t0;
-        dur_ns = Int64.of_int dur;
-        depth = d;
-        args;
-      }
-    in
-    List.iter (fun k -> k.on_span s) sinks);
-  dur
-
-(* A span is live if a sink wants it, or if it feeds a histogram and
-   metrics are on; otherwise it must cost one load and a branch. *)
-let[@inline] span_live hist =
-  match hist with
-  | None -> st.sinks <> [] || st.ring != None
-  | Some _ -> st.sinks <> [] || st.metrics_enabled || st.ring != None
-
-let with_span ?args ?hist name f =
-  if not (span_live hist) then f ()
+(* The open/close pair every span goes through: no closure and no
+   boxed timestamp.  With the flight recorder always armed it runs
+   around every span in the engine, so it allocates only when a sink
+   or the metrics registry asks for boxed values. *)
+let[@inline] enter () =
+  if st.sinks == [] && st.ring == None then -1
   else begin
     let d = st.depth in
     st.depth <- d + 1;
+    d
+  end
+
+let close_span ?hist d name ~t0 args x =
+  let t1 = now_ns_int () in
+  (match hist with
+  | Some h when !metrics_armed -> Histogram.observe_i h (t1 - t0)
+  | Some _ | None -> ());
+  if d >= 0 then begin
+    st.depth <- d;
+    match (st.sinks, st.ring) with
+    | [], None -> ()
+    | [], Some r ->
+      (* Ring-only spans drop their args: forcing them is the expensive
+         part of recording (it may snapshot counters or build strings),
+         and the always-armed flight recorder must stay at ~100ns per
+         span.  As soon as a sink is attached the full args are
+         captured — and land in the ring too. *)
+      ring_push_span r ~name ~start_ns:t0 ~dur_ns:(t1 - t0) ~depth:d ~args:[]
+    | sinks, ring ->
+      let args = args x in
+      (match ring with
+      | Some r ->
+        ring_push_span r ~name ~start_ns:t0 ~dur_ns:(t1 - t0) ~depth:d ~args
+      | None -> ());
+      let s =
+        {
+          name;
+          start_ns = Int64.of_int t0;
+          dur_ns = Int64.of_int (t1 - t0);
+          depth = d;
+          args;
+        }
+      in
+      List.iter (fun k -> k.on_span s) sinks
+  end;
+  t1
+
+let leave_with d name ~t0 args x = close_span d name ~t0 args x
+
+let no_args () = []
+
+let leave d name ~t0 = close_span d name ~t0 no_args ()
+
+let force_args = function Some f -> f () | None -> []
+
+let with_span ?args ?hist name f =
+  if
+    st.sinks == [] && st.ring == None
+    && not (!metrics_armed && Option.is_some hist)
+  then f ()
+  else begin
+    let d = enter () in
     let t0 = now_ns_int () in
     match f () with
     | v ->
-      ignore (close_span ?args ?hist name ~t0 ~d);
+      ignore (close_span ?hist d name ~t0 force_args args : int);
       v
     | exception e ->
-      ignore (close_span ?args ?hist name ~t0 ~d);
-      raise e
-  end
-
-let timed_span ?args name f =
-  let t0 = now_ns_int () in
-  if not (span_live None) then begin
-    let v = f () in
-    (v, Int64.of_int (now_ns_int () - t0))
-  end
-  else begin
-    let d = st.depth in
-    st.depth <- d + 1;
-    match f () with
-    | v -> (v, Int64.of_int (close_span ?args name ~t0 ~d))
-    | exception e ->
-      ignore (close_span ?args name ~t0 ~d);
+      ignore (close_span ?hist d name ~t0 force_args args : int);
       raise e
   end
 
@@ -602,6 +641,11 @@ let chrome_sink write =
       (fun () -> if !first then write "[\n]\n" else write "\n]\n");
   }
 
+let jsonl_path path = Filename.check_suffix path ".jsonl"
+
+let sink_for path write =
+  if jsonl_path path then jsonl_sink write else chrome_sink write
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -620,15 +664,14 @@ module Flight_recorder = struct
   let dumped = ref false
 
   let c_incidents =
-    lazy
-      (Counter.make ~help:"flight-recorder incidents (aborts, crashes)"
-         "flight.incidents")
+    Counter.declare ~always:true
+      ~help:"flight-recorder incidents (aborts, crashes)" "flight.incidents"
 
   let armed () = st.ring != None
 
   let arm ?(capacity = default_capacity) () =
     if capacity < 1 then invalid_arg "Flight_recorder.arm: capacity < 1";
-    ignore (Lazy.force c_incidents);
+    c_incidents.c_listed <- true;
     dumped := false;
     if Option.is_none st.ring then
       st.ring <-
@@ -687,8 +730,7 @@ module Flight_recorder = struct
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        if Filename.check_suffix path ".jsonl" then
-          write_jsonl (output_string oc) items
+        if jsonl_path path then write_jsonl (output_string oc) items
         else write_chrome (output_string oc) items)
 
   (* Called on the failure paths (typed Abort, degraded solve, WAL
@@ -700,7 +742,7 @@ module Flight_recorder = struct
     match st.ring with
     | None -> ()
     | Some r -> (
-      Counter.incr (Lazy.force c_incidents);
+      Counter.incr c_incidents;
       ring_push_event r ~name:"flight.incident" ~ts_ns:(now_ns_int ())
         ~depth:st.depth
         ~args:[ ("reason", Str reason) ]
@@ -720,14 +762,10 @@ let sorted_keys tbl =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
 let counters () =
-  List.map
-    (fun k -> Hashtbl.find Counter.registry k)
-    (sorted_keys Counter.registry)
+  List.filter_map Counter.find (sorted_keys Counter.registry)
 
 let histograms () =
-  List.map
-    (fun k -> Hashtbl.find Histogram.registry k)
-    (sorted_keys Histogram.registry)
+  List.filter_map Histogram.find (sorted_keys Histogram.registry)
 
 let gauges () =
   List.map (fun k -> Hashtbl.find Gauge.registry k) (sorted_keys Gauge.registry)

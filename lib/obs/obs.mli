@@ -72,9 +72,15 @@ val tracing : unit -> bool
 val metrics_on : unit -> bool
 
 val set_metrics : bool -> unit
-(** Turn histogram/counter recording on or off. *)
+(** Turn recording on or off for every declared metric and every span
+    histogram. *)
 
-(** {1 Metrics} *)
+(** {1 Metrics}
+
+    [make] lists a metric now and records it always; [declare] records
+    it only while metrics are on and lists it (for [find] and dumps)
+    from its first record.  So a library declares its metrics once and
+    records them unguarded.  Both return the handle a name already has. *)
 
 module Histogram : sig
   (** Log2-bucketed histograms in a process-wide registry.  Bucket 0
@@ -86,7 +92,10 @@ module Histogram : sig
   val make : ?help:string -> string -> t
   (** Get-or-create by name (process-wide). *)
 
+  val declare : ?help:string -> string -> t
+
   val find : string -> t option
+  (** A listed handle. *)
 
   val observe : t -> int64 -> unit
 
@@ -124,6 +133,9 @@ module Counter : sig
   type t
 
   val make : ?help:string -> string -> t
+
+  val declare : ?help:string -> ?always:bool -> string -> t
+  (** [always]: count with metrics off too. *)
 
   val labeled : ?help:string -> string -> string -> t
   (** [labeled name label] registers ["name{label}"] — a labeled family
@@ -191,7 +203,7 @@ val with_span :
   (unit -> 'a) ->
   'a
 (** [with_span name f] times [f] and reports it to every sink as a span
-    nested under the enclosing [with_span].  [args] is a thunk,
+    nested under the enclosing span.  [args] is a thunk,
     evaluated once after [f] returns (so it can report deltas) and only
     when a sink is installed (the {!Flight_recorder} alone records the
     span without args — see its docs).  [hist], if given, receives the
@@ -199,13 +211,22 @@ val with_span :
     sink installed.  Disarmed cost: one branch.  Exceptions propagate;
     the span still closes. *)
 
-val timed_span :
-  ?args:(unit -> (string * arg) list) -> string -> (unit -> 'a) -> 'a * int64
-(** [timed_span name f] is {!with_span} that also returns the duration
-    in nanoseconds: the span's own two clock reads when it is recorded,
-    two reads of the same clock when nothing is armed.  For a caller
-    that charges the time to its own counters (as {!Stats} does), so an
-    armed span costs no extra clock pair. *)
+val enter : unit -> int
+(** Open a span: the depth it closes at, or [-1] when no sink and no
+    {!Flight_recorder} would record it.  Read its start with
+    {!now_ns_int} after. *)
+
+val leave : int -> string -> t0:int -> int
+(** [leave d name ~t0] reads {!now_ns_int} once and returns it as [t1]:
+    the span [name] opened as [d] closes over [t0, t1], so a caller
+    timing the phase for its own counters reads no other clock.  Call
+    it on every path out of the phase, exceptions too: it restores
+    depth [d]. *)
+
+val leave_with :
+  int -> string -> t0:int -> ('a -> (string * arg) list) -> 'a -> int
+(** {!leave} with args [args x], forced only for a sink.  A closed
+    [args] builds no closure. *)
 
 val event :
   ?args:(unit -> (string * arg) list) -> ?payload:payload -> string -> unit
@@ -237,6 +258,11 @@ val chrome_sink : (string -> unit) -> sink
     spans, ["ph": "i"] instants for events.  {!close} writes the closing
     bracket — without it the file is not valid JSON. *)
 
+val sink_for : string -> (string -> unit) -> sink
+(** [sink_for path write]: {!jsonl_sink} when [path] ends in [.jsonl],
+    {!chrome_sink} otherwise — the rule {!Flight_recorder} dumps follow
+    too. *)
+
 val memory_sink : unit -> sink * (unit -> item list)
 (** In-memory sink and a drain returning items in emission order
     (spans appear at their close time), payloads intact. *)
@@ -259,8 +285,8 @@ val memory_sink : unit -> sink * (unit -> item list)
     On an {!Flight_recorder.incident} — reported by the budget
     guard on a typed [Abort], by the durable layer on a WAL failure,
     by the server on a failed session — the ring's window is
-    written once to the configured dump path (Chrome trace_event JSON, or JSONL when the path ends in
-    [.jsonl]), giving a post-hoc view of the moments preceding the
+    written once to the configured dump path (encoded as {!sink_for}
+    picks), giving a post-hoc view of the moments preceding the
     failure. *)
 module Flight_recorder : sig
   val arm : ?capacity:int -> unit -> unit

@@ -102,61 +102,45 @@ let guarded db f =
       ~tuples_scanned:(fun () -> counters.Counters.tuples_scanned)
       f
 
+(* The "eval.probe" span's args: the relation names, plan-cache
+   outcome and tuples-scanned delta since [before]. *)
+let probe_args db (q : Cq.t) kind before () =
+  let d = Counters.diff ~before ~after:(Database.snapshot_counters db) in
+  [
+    ("rels", Obs.Str (rels_label q));
+    ("atoms", Obs.Int (List.length q.atoms));
+    ("kind", Obs.Str kind);
+    ("plan_hit", Obs.Bool (d.plan_misses = 0));
+    ("tuples_scanned", Obs.Int d.tuples_scanned);
+  ]
+
+let counted db f () =
+  Database.count_probe db;
+  f ()
+
 (* Every probe entry point funnels through here.  Disarmed, this is the
    old code plus two branches; armed, the probe runs inside an
-   "eval.probe" span carrying the relation names, plan-cache outcome
-   and tuples-scanned delta, and feeds the probe-latency histogram.
+   "eval.probe" span and feeds the probe counters and the latency
+   histogram when metrics are on.  Only a sink reads the span's args,
+   so only a sink pays for the counter snapshot they diff against.
    [Database.count_probe] runs inside the measured section so emulated
    round-trip latency shows up in the histogram, as it would over a
-   real connection.  The Obs span sits outside the guard so a budget
-   abort lands inside the probe span it cut short. *)
+   real connection.  The span sits outside the guard so a budget abort
+   lands inside the probe span it cut short. *)
 let probed db (q : Cq.t) ~kind f =
-  if not (Obs.enabled ()) then
-    guarded db (fun () ->
-        Database.count_probe db;
-        f ())
-  else if not (Obs.tracing () || Obs.metrics_on ()) then
-    (* Only the flight recorder is armed.  It wants the probe span in
-       its window but must stay at ~100ns per probe, so skip the label
-       building, counter snapshots and per-label registry increments
-       that sinks and the metrics registry pay for. *)
-    Obs.with_span ~hist:probe_hist "eval.probe" (fun () ->
-        guarded db (fun () ->
-            Database.count_probe db;
-            f ()))
+  if not (Obs.enabled ()) then guarded db (counted db f)
   else begin
     if Obs.metrics_on () then begin
       Obs.Counter.incr probe_count;
       Obs.Counter.incr (probe_label_counter q)
     end;
-    if not (Obs.tracing ()) then
-      (* Registry (and possibly the recorder) armed, but no sink: the
-         args thunk would never be forced, so don't build the counter
-         snapshot it closes over. *)
-      Obs.with_span ~hist:probe_hist "eval.probe" (fun () ->
-          guarded db (fun () ->
-              Database.count_probe db;
-              f ()))
-    else begin
-      let label = rels_label q in
-      let before = Database.snapshot_counters db in
-      let args () =
-        let d =
-          Counters.diff ~before ~after:(Database.snapshot_counters db)
-        in
-        [
-          ("rels", Obs.Str label);
-          ("atoms", Obs.Int (List.length q.atoms));
-          ("kind", Obs.Str kind);
-          ("plan_hit", Obs.Bool (d.plan_misses = 0));
-          ("tuples_scanned", Obs.Int d.tuples_scanned);
-        ]
-      in
-      Obs.with_span ~args ~hist:probe_hist "eval.probe" (fun () ->
-          guarded db (fun () ->
-              Database.count_probe db;
-              f ()))
-    end
+    let args =
+      if Obs.tracing () then
+        Some (probe_args db q kind (Database.snapshot_counters db))
+      else None
+    in
+    Obs.with_span ?args ~hist:probe_hist "eval.probe" (fun () ->
+        guarded db (counted db f))
   end
 
 (* The first-answer probe: the plan's reused frame holds the witness,

@@ -39,18 +39,16 @@ let arm ?max_probes ?max_tuples ?deadline_ns () =
 
 (* ---------------------------- Metrics ----------------------------- *)
 
-(* Registered lazily — on the first armed increment — so unguarded runs
-   never add zero-valued resilient.* lines to a metrics dump. *)
+(* Declared, so unguarded runs never add zero-valued resilient.* lines
+   to a metrics dump. *)
 let c_attempts =
-  lazy (Obs.Counter.make ~help:"guarded probe attempts" "resilient.attempts")
+  Obs.Counter.declare ~help:"guarded probe attempts" "resilient.attempts"
 
 let c_aborts =
-  lazy (Obs.Counter.make ~help:"solves cut short by the guard" "resilient.aborts")
-
-let count c = if Obs.metrics_on () then Obs.Counter.incr (Lazy.force c)
+  Obs.Counter.declare ~help:"solves cut short by the guard" "resilient.aborts"
 
 let abort err =
-  count c_aborts;
+  Obs.Counter.incr c_aborts;
   (* Every degraded outcome funnels through this one raise site, so it
      is where the flight recorder freezes its window: the ring holds
      exactly the moments leading up to the abort. *)
@@ -73,7 +71,7 @@ let probe g ~tuples_scanned f =
   | Some d when Int64.sub (Obs.now_ns ()) g.start_ns >= d -> abort Deadline
   | Some _ | None -> ());
   g.attempts <- g.attempts + 1;
-  count c_attempts;
+  Obs.Counter.incr c_attempts;
   f ()
 
 (* -------------------------- Degradation --------------------------- *)

@@ -117,28 +117,23 @@ let outbound = 4096
 (* ---------------------------- metrics ----------------------------- *)
 
 let h_request_ns =
-  lazy (Obs.Histogram.make ~help:"per-request service latency" "server.request_ns")
+  Obs.Histogram.declare ~help:"per-request service latency" "server.request_ns"
 
 let c_requests =
-  lazy (Obs.Counter.make ~help:"request frames dispatched" "server.requests")
+  Obs.Counter.declare ~help:"request frames dispatched" "server.requests"
 
 let c_overloaded =
-  lazy
-    (Obs.Counter.make ~help:"submissions refused by admission control"
-       "server.overloaded")
+  Obs.Counter.declare ~help:"submissions refused by admission control"
+    "server.overloaded"
 
 let c_abnormal =
-  lazy
-    (Obs.Counter.make ~help:"sessions torn down abnormally"
-       "server.abnormal_disconnects")
+  Obs.Counter.declare ~help:"sessions torn down abnormally"
+    "server.abnormal_disconnects"
 
-let c_sessions =
-  lazy (Obs.Counter.make ~help:"sessions accepted" "server.sessions")
+let c_sessions = Obs.Counter.declare ~help:"sessions accepted" "server.sessions"
 
 let c_notifications =
-  lazy
-    (Obs.Counter.make ~help:"notification frames pushed"
-       "server.notifications")
+  Obs.Counter.declare ~help:"notification frames pushed" "server.notifications"
 
 (* ----------------------------- server ----------------------------- *)
 
@@ -269,7 +264,7 @@ let teardown t s ~abnormal ~reason =
     s.dead <- true;
     (try Unix.close s.fd with Unix.Unix_error _ -> ());
     if abnormal then begin
-      if Obs.metrics_on () then Obs.Counter.incr (Lazy.force c_abnormal);
+      Obs.Counter.incr c_abnormal;
       Obs.event
         ~args:(fun () ->
           [ ("sid", Obs.Int s.sid); ("reason", Obs.Str reason) ])
@@ -328,8 +323,7 @@ let notify_matched t fired =
           List.iter
             (fun s ->
               enqueue t s fr;
-              if Obs.metrics_on () then
-                Obs.Counter.incr (Lazy.force c_notifications))
+              Obs.Counter.incr c_notifications)
             subs)
         fired
 
@@ -347,8 +341,7 @@ let notify_degraded t = function
     List.iter
       (fun s ->
         enqueue t s fr;
-        if Obs.metrics_on () then
-          Obs.Counter.incr (Lazy.force c_notifications))
+        Obs.Counter.incr c_notifications)
       (subscribed_sessions t)
 
 (* --------------------------- dispatch ----------------------------- *)
@@ -417,8 +410,7 @@ let handle_request t s req =
             ->
             (* Typed admission-control refusal instead of unbounded
                queueing: the client backs off, the pool stays bounded. *)
-            if Obs.metrics_on () then
-              Obs.Counter.incr (Lazy.force c_overloaded);
+            Obs.Counter.incr c_overloaded;
             err "overloaded"
               ~fields:
                 [
@@ -539,7 +531,7 @@ let handle_request t s req =
 
 (* The frame of [n] payload bytes at the front of [s.inb]. *)
 let handle_frame t s n =
-  let t0 = Obs.now_ns () in
+  let t0 = Obs.now_ns_int () in
   (match Buf.take_frame s.inb n with
   | Error why ->
     enqueue t s
@@ -560,11 +552,8 @@ let handle_frame t s n =
         (Printf.sprintf "session %d internal error: %s" s.sid
            (Printexc.to_string e));
       enqueue t s (error_frame (request_id req) "internal_error")));
-  if Obs.metrics_on () then begin
-    Obs.Counter.incr (Lazy.force c_requests);
-    Obs.Histogram.observe (Lazy.force h_request_ns)
-      (Int64.sub (Obs.now_ns ()) t0)
-  end
+  Obs.Counter.incr c_requests;
+  Obs.Histogram.observe_i h_request_ns (Obs.now_ns_int () - t0)
 
 let drain_frames t s =
   let continue = ref true in
@@ -634,7 +623,7 @@ let rec accept_loop t =
         }
       in
       Hashtbl.replace t.sessions s.sid s;
-      if Obs.metrics_on () then Obs.Counter.incr (Lazy.force c_sessions);
+      Obs.Counter.incr c_sessions;
       Obs.event
         ~args:(fun () -> [ ("sid", Obs.Int s.sid) ])
         "server.session_open";

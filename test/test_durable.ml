@@ -947,6 +947,55 @@ let test_backend_byte_compat () =
     if not (contains msg needle) then Alcotest.failf "expected %S in %S" needle msg);
   List.iter rm_rf [ dir; wal_only; bad ]
 
+(* Earlier writers closed each flush and submit_all group with a kind-5
+   trailer (op u8, fired u32) that recovery never applied.  A segment
+   holding one still recovers, to the same state: here the last group
+   of a trace gets such a trailer as its committing record, checksummed
+   with the exported CRC. *)
+let test_kind5_trailer_compat () =
+  let dir = fresh_dir "kind5" in
+  let wal, db, engine =
+    Durable.create_engine ~consume:true
+      (Durable.config ~fsync:Durable.Always ~snapshot_every:0 dir)
+  in
+  seed_store ~wal db;
+  run wal db engine trace;
+  let expected = observe db engine in
+  Durable.close wal;
+  let segment =
+    List.find (fun f -> Filename.check_suffix f ".log") (Array.to_list (Sys.readdir dir))
+  in
+  let path = Filename.concat dir segment in
+  let data = Bytes.of_string (read_file path) in
+  (* header 16, then per record:
+     payload_len 4 | lsn 8 | kind 1 | payload | crc 4 *)
+  let rec last_record pos =
+    let next = pos + 4 + 9 + Int32.to_int (Bytes.get_int32_le data pos) + 4 in
+    if next >= Bytes.length data then pos else last_record next
+  in
+  let last = last_record 16 in
+  let len = Int32.to_int (Bytes.get_int32_le data last) in
+  let body = last + 4 in
+  Bytes.set_uint8 data (body + 8) (Bytes.get_uint8 data (body + 8) land 0x7f);
+  Bytes.set_int32_le data (body + 9 + len)
+    (Int32.of_int (Durable.Crc32.bytes data body (9 + len)));
+  let trailer = Bytes.create (4 + 9 + 5 + 4) in
+  Bytes.set_int32_le trailer 0 5l;
+  Bytes.set_int64_le trailer 4 (Int64.succ (Bytes.get_int64_le data body));
+  Bytes.set_uint8 trailer 12 (0x80 lor 5);
+  Bytes.set_uint8 trailer 13 2;
+  Bytes.set_int32_le trailer 14 1l;
+  Bytes.set_int32_le trailer 18
+    (Int32.of_int (Durable.Crc32.bytes trailer 4 14));
+  let oc = open_out_bin path in
+  output_bytes oc data;
+  output_bytes oc trailer;
+  close_out oc;
+  let t, rdb, rengine, _ = recover_exn ~ctx:"kind-5 trailer" ~clean:true dir in
+  Alcotest.check obs_t "recovered == original" expected (observe rdb rengine);
+  Durable.close t;
+  rm_rf dir
+
 let suite =
   [
     Alcotest.test_case "crc32 known vector" `Quick test_crc32_vector;
@@ -994,5 +1043,7 @@ let suite =
       test_close_in_flight;
     Alcotest.test_case "snapshot bytes equal the reference encoder's" `Quick
       test_snapshot_bytes;
+    Alcotest.test_case "a kind-5 trailer from an older writer recovers" `Quick
+      test_kind5_trailer_compat;
     crc32_matches_oracle;
   ]

@@ -194,6 +194,32 @@ let test_counters () =
   Alcotest.(check int) "reset_metrics zeroes histograms" 0
     (Obs.Histogram.count h)
 
+let test_declared_metrics () =
+  let c = Obs.Counter.declare "test.obs.declared" in
+  let always = Obs.Counter.declare ~always:true "test.obs.declared_always" in
+  let h = Obs.Histogram.declare "test.obs.declared_hist" in
+  Obs.set_metrics false;
+  Obs.Counter.incr c;
+  Obs.Histogram.observe_i h 5;
+  Alcotest.(check bool) "metrics off: not counted, not listed" true
+    (Obs.Counter.value c = 0 && Obs.Counter.find "test.obs.declared" = None);
+  Alcotest.(check bool) "metrics off: not observed, not listed" true
+    (Obs.Histogram.count h = 0 && Obs.Histogram.find "test.obs.declared_hist" = None);
+  Obs.Counter.incr always;
+  Alcotest.(check bool) "always: counted and listed with metrics off" true
+    (Obs.Counter.value always = 1
+    && Obs.Counter.find "test.obs.declared_always" <> None);
+  Obs.set_metrics true;
+  Obs.Counter.incr c;
+  Obs.Histogram.observe_i h 5;
+  Obs.set_metrics false;
+  Alcotest.(check bool) "metrics on: counted and listed" true
+    (match Obs.Counter.find "test.obs.declared" with
+     | Some c' -> c' == c && Obs.Counter.value c = 1
+     | None -> false);
+  Alcotest.(check bool) "make of a declared name shares its handle" true
+    (Obs.Histogram.make "test.obs.declared_hist" == h && Obs.Histogram.count h = 1)
+
 (* ------------------------- sink round-trips ----------------------- *)
 
 let traced_run () =
@@ -399,6 +425,63 @@ let test_abort_triggers_incident () =
              lines));
   Sys.remove path
 
+(* A one-probe budget aborts the figure 1 solve inside its second
+   "scc.ground".  However the layer is armed — a memory sink, the
+   flight recorder alone, the registry alone — the aborted probe and
+   ground phase still close, each at its own depth, and the next
+   top-level span is back at depth 0. *)
+let test_abort_closes_spans () =
+  let solve_aborted () =
+    let db = Database.create () in
+    let queries = Helpers.figure1_queries db in
+    let g = Resilient.arm ~max_probes:1 () in
+    Database.set_guard db (Some g);
+    Resilient.start_solve g;
+    match Coordination.Scc_algo.solve db queries with
+    | Ok { Coordination.Scc_algo.degraded = Some _; _ } -> ()
+    | Ok _ | Error _ -> Alcotest.fail "the one-probe budget degrades the solve"
+  in
+  let depths spans name =
+    List.filter_map
+      (fun (s : Obs.span) -> if s.Obs.name = name then Some s.Obs.depth else None)
+      spans
+  in
+  let check_closed label spans =
+    Alcotest.(check (list int))
+      (label ^ ": both ground phases closed at depth 1")
+      [ 1; 1 ] (depths spans "scc.ground");
+    Alcotest.(check (list int))
+      (label ^ ": both probes closed at depth 2")
+      [ 2; 2 ] (depths spans "eval.probe");
+    Alcotest.(check (list int))
+      (label ^ ": the solve closed at depth 0")
+      [ 0 ] (depths spans "scc.solve")
+  in
+  let next_at_top label =
+    let sink, contents = Obs.memory_sink () in
+    Obs.with_sink sink (fun () -> Obs.with_span "next" ignore);
+    Alcotest.(check (list int))
+      (label ^ ": next top-level span at depth 0")
+      [ 0 ]
+      (depths (List.filter_map span_of (contents ())) "next")
+  in
+  let sink, contents = Obs.memory_sink () in
+  Obs.with_sink sink solve_aborted;
+  check_closed "memory sink" (List.filter_map span_of (contents ()));
+  next_at_top "memory sink";
+  with_recorder (fun () ->
+      solve_aborted ();
+      check_closed "flight recorder"
+        (List.filter_map span_of (Obs.Flight_recorder.items ())));
+  next_at_top "flight recorder";
+  let h = Option.get (Obs.Histogram.find "eval.probe_ns") in
+  let before = Obs.Histogram.count h in
+  Obs.set_metrics true;
+  Fun.protect ~finally:(fun () -> Obs.set_metrics false) solve_aborted;
+  Alcotest.(check int) "registry: the aborted probe is timed too" 2
+    (Obs.Histogram.count h - before);
+  next_at_top "registry"
+
 (* ------------------------- metrics export ------------------------- *)
 
 let test_metrics_json_export () =
@@ -530,6 +613,7 @@ let suite =
     ("histogram percentiles", `Quick, test_histogram_percentiles);
     ("hist spans obey the metrics gate", `Quick, test_histogram_metrics_gate);
     ("counters and labels", `Quick, test_counters);
+    ("declared metrics list on their first record", `Quick, test_declared_metrics);
     ("jsonl sink round-trip", `Quick, test_jsonl_roundtrip);
     ("chrome sink round-trip", `Quick, test_chrome_roundtrip);
     ("chrome empty trace is valid", `Quick, test_chrome_empty_is_valid);
@@ -538,6 +622,7 @@ let suite =
     ("incident dumps once and counts", `Quick, test_incident_dump_latch);
     ("guard abort triggers the flight dump", `Quick,
      test_abort_triggers_incident);
+    ("a budget abort closes every span", `Quick, test_abort_closes_spans);
     ("metrics export as JSON", `Quick, test_metrics_json_export);
     ("metrics export as Prometheus text", `Quick,
      test_metrics_prometheus_export);
