@@ -19,48 +19,59 @@ let obligations (graph : Coordination_graph.t) ~members =
       (List.concat_map
          (fun q ->
            List.mapi
-             (fun pi (p : Cq.atom) ->
+             (fun pi (_ : Cq.atom) ->
                let targets =
                  List.filter
                    (fun (d, _) -> Hashtbl.mem in_set d)
                    (Coordination_graph.post_targets graph ~src:q ~post_index:pi)
                in
                if targets = [] then raise No_candidate;
-               (q, p, targets))
+               (q, pi, targets))
              graph.queries.(q).Query.post)
          members)
   with No_candidate -> None
+
+(* Each slot's class and constant: equal signatures, equal unifiers. *)
+let signature t ~members =
+  List.concat_map
+    (fun m ->
+      List.init
+        (Combine.offset t (m + 1) - Combine.offset t m)
+        (fun j ->
+          let r = Combine.find t (Combine.offset t m + j) in
+          (r, Combine.value t r)))
+    members
 
 let solve_subset db (graph : Coordination_graph.t) ~members =
   match obligations graph ~members with
   | None -> None
   | Some obligations ->
-    let queries = graph.queries in
+    let t = Combine.start graph in
     let result = ref None in
-    let rec assign subst = function
-      | [] ->
-        (match Ground.solve db queries ~members subst with
-        | Some assignment -> result := Some assignment
-        | None -> ())
-      | (_, p, targets) :: rest ->
+    let rec assign = function
+      | [] -> result := Ground.valuation db t ~members
+      | (q, pi, targets) :: rest ->
         (* Distinct candidate heads often induce the same unifier (e.g.
            ground gadget atoms); exploring duplicates multiplies the
            search for nothing. *)
         let tried = ref [] in
         List.iter
           (fun (d, hi) ->
-            if !result = None then
-              let h = List.nth queries.(d).Query.head hi in
-              match Subst.unify_atoms subst p h with
-              | None -> ()
-              | Some subst' ->
-                if not (List.exists (Subst.equal subst') !tried) then begin
-                  tried := subst' :: !tried;
-                  assign subst' rest
-                end)
+            if !result = None then begin
+              let m = Combine.mark t in
+              if Combine.unify_post t ~src:q ~post_index:pi ~dst:d ~head_index:hi
+              then begin
+                let s = signature t ~members in
+                if not (List.mem s !tried) then begin
+                  tried := s :: !tried;
+                  assign rest
+                end
+              end;
+              Combine.undo t m
+            end)
           targets
     in
-    assign Subst.empty obligations;
+    assign obligations;
     !result
 
 (* Brute search has no phases worth timing separately; when a stats

@@ -54,13 +54,13 @@ let solve db input =
     stats.unify_ns <- Int64.of_int (Obs.leave d "gupta.unify" ~t0 - t0);
     match unified with
     | Error f -> finish (Error (Unification_failed f))
-    | Ok subst -> (
+    | Ok t -> (
       (* The single combined probe is the only database work: an abort
          here degrades to "nothing probed" rather than raising. *)
       let d = Obs.enter () in
       let t0 = Obs.now_ns_int () in
       let witness =
-        match Ground.solve db queries ~members subst with
+        match Ground.valuation db t ~members with
         | w -> Ok w
         | exception Resilient.Abort reason -> Error reason
       in

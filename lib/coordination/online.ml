@@ -46,10 +46,11 @@ module Journal = struct
   type sink = record -> unit
 end
 
-(* One pooled query.  [query] is the query as submitted (journaled and
-   reported); an evaluation renames it apart by its pool id
-   ({!Query.rename_apart}) when it builds the component's graph, so
-   a pending entry keeps one copy of the query.  [out] holds the
+(* One pooled query.  [query] is the query as submitted (journaled,
+   reported and evaluated: the solver names a variable by its member
+   and local index, not by a renamed string, and only the fired set's
+   valuation spells its variables ["q<id>.x"]), so a pending entry
+   keeps one copy of the query and evaluation copies none.  [out] holds the
    entry's outgoing extended coordination edges, [src] = its own id and
    [dst] a live pool id (itself for a self-loop): together the entries'
    out-lists are the pool's coordination graph, discovered once at
@@ -433,25 +434,15 @@ let components engine =
    coordinated, and refusing here would leave them half-committed — but
    the conflict is recorded on the engine and emitted as an Obs event so
    the caller can compensate. *)
-let consume_inventory engine (queries : Query.t array) (solution : Solution.t)
-    =
+let consume_inventory engine (o : Scc_algo.outcome) (c : Scc_algo.candidate) =
   let deletions =
-    List.concat_map
-      (fun m ->
-        List.filter_map
-          (fun (a : Cq.atom) ->
-            let tuple =
-              Array.map
-                (function
-                  | Term.Const v -> v
-                  | Term.Var x -> Eval.Binding.find x solution.assignment)
-                a.args
-            in
-            match Database.relation_opt engine.db a.rel with
-            | Some r -> Some (a.rel, r, tuple)
-            | None -> None)
-          queries.(m).Query.body.Cq.atoms)
-      solution.members
+    List.filter_map
+      (fun (rel, tuple) ->
+        match Database.relation_opt engine.db rel with
+        | Some r -> Some (rel, r, tuple)
+        | None -> None)
+      (Combine.body_tuples (Combine.layout o.graph) ~members:c.covered
+         c.values)
   in
   (* Demand count per (relation, tuple), in first-demand order. *)
   let counts = Hashtbl.create 16 in
@@ -510,9 +501,7 @@ let graph_of engine ids =
         edges := { ed with src = i; dst = at ed.dst 0 n } :: !edges)
       members.(i).out
   done;
-  Coordination_graph.of_edges
-    (Array.map (fun e -> Query.rename_apart e.id e.query) members)
-    !edges
+  Coordination_graph.of_edges (Array.map (fun e -> e.query) members) !edges
 
 let component_graph engine ids = graph_of engine (Array.of_list ids)
 
@@ -524,7 +513,7 @@ let solve_component engine ids =
   let t0 = Obs.now_ns_int () in
   let graph = graph_of engine ids in
   let graph_ns = Int64.of_int (Obs.leave d "scc.graph" ~t0 - t0) in
-  let result = Scc_algo.solve_graph engine.db graph in
+  let result = Scc_algo.solve_graph ~ids engine.db graph in
   (match result with
   | Ok o ->
     o.stats.graph_ns <- Int64.add o.stats.graph_ns graph_ns;
@@ -532,15 +521,12 @@ let solve_component engine ids =
   | Error _ -> ());
   result
 
+let solve_args _ ids = [ ("queries", Obs.Int (Array.length ids)) ]
+
 (* Evaluate one component, given as an array of live ids in ascending
    order; on success retire the members and report them. *)
 let evaluate engine ids =
-  let solved =
-    Obs.with_span
-      ~args:(fun () -> [ ("queries", Obs.Int (Array.length ids)) ])
-      "scc.solve"
-      (fun () -> solve_component engine ids)
-  in
+  let solved = Obs.span "scc.solve" solve_args solve_component engine ids in
   match solved with
   | Error (Scc_algo.Not_safe ws) ->
     (* Safety is a property of the graph: an unsafe component cannot
@@ -581,7 +567,8 @@ let evaluate engine ids =
       retire engine member_ids;
       engine.satisfied <- engine.satisfied + List.length satisfied_queries;
       emit engine (Journal.Retired { ids = member_ids });
-      if engine.consume then consume_inventory engine outcome.queries solution;
+      if engine.consume then
+        Option.iter (consume_inventory engine outcome) outcome.selected;
       engine.stats.commit_ns <-
         Int64.add engine.stats.commit_ns
           (Int64.of_int (Obs.now_ns_int () - t_commit));
@@ -651,15 +638,15 @@ let submit_op engine query =
   sync_db_version engine;
   result
 
+(* The public operations run inside spans that cost nothing disarmed
+   ({!Obs.span}): their args and bodies are closed functions. *)
+let pool_arg engine = ("pool", Obs.Int (Ids.length engine.entries))
+
+let submit_args engine (query : Query.t) =
+  [ ("query", Obs.Str query.name); pool_arg engine ]
+
 let submit engine query =
-  Obs.with_span
-    ~args:(fun () ->
-      [
-        ("query", Obs.Str query.Query.name);
-        ("pool", Obs.Int (Ids.length engine.entries));
-      ])
-    "online.submit"
-    (fun () -> submit_op engine query)
+  Obs.span "online.submit" submit_args submit_op engine query
 
 (* Withdraw a pending entry by pool id — the service layer's `retire`
    verb: a client takes an offer back before it coordinates.  Journaled
@@ -670,15 +657,7 @@ let submit engine query =
    component unsafe or over-constrained — so survivors are marked
    dirty by [retire]; the next flush, or a submit that joins them,
    re-evaluates them. *)
-let withdraw engine id =
-  Obs.with_span
-    ~args:(fun () ->
-      [
-        ("id", Obs.Int id);
-        ("pool", Obs.Int (Ids.length engine.entries));
-      ])
-    "online.withdraw"
-  @@ fun () ->
+let withdraw_op engine id =
   begin_op engine;
   if not (Ids.mem engine.entries id) then false
   else begin
@@ -688,6 +667,11 @@ let withdraw engine id =
     sync_db_version engine;
     true
   end
+
+let withdraw_args engine id = [ ("id", Obs.Int id); pool_arg engine ]
+
+let withdraw engine id =
+  Obs.span "online.withdraw" withdraw_args withdraw_op engine id
 
 (* The components a flush round must (re-)evaluate, as ascending id
    lists ordered by smallest member.  An all-clean component was last
@@ -726,31 +710,24 @@ let flush_dirty engine =
   done;
   List.rev !results
 
-let flush engine =
-  let pool0 = Ids.length engine.entries in
-  Obs.with_span
-    ~args:(fun () ->
-      [
-        ("pool", Obs.Int pool0);
-        ("remaining", Obs.Int (Ids.length engine.entries));
-      ])
-    "online.flush"
-  @@ fun () ->
+let flush_op engine _pool0 =
   begin_op engine;
   let fired = flush_dirty engine in
   emit engine Journal.Op_end;
   sync_db_version engine;
   fired
 
-let submit_all engine queries =
-  Obs.with_span
-    ~args:(fun () ->
-      [
-        ("batch", Obs.Int (List.length queries));
-        ("pool", Obs.Int (Ids.length engine.entries));
-      ])
-    "online.submit_all"
-  @@ fun () ->
+let flush_args engine pool0 =
+  [
+    ("pool", Obs.Int pool0);
+    ("remaining", Obs.Int (Ids.length engine.entries));
+  ]
+
+let flush engine =
+  Obs.span "online.flush" flush_args flush_op engine
+    (Ids.length engine.entries)
+
+let submit_all_op engine queries =
   begin_op engine;
   List.iter
     (fun q -> ignore (admit_timed engine q ~check_quiet:false))
@@ -759,6 +736,12 @@ let submit_all engine queries =
   emit engine Journal.Op_end;
   sync_db_version engine;
   fired
+
+let submit_all_args engine queries =
+  [ ("batch", Obs.Int (List.length queries)); pool_arg engine ]
+
+let submit_all engine queries =
+  Obs.span "online.submit_all" submit_all_args submit_all_op engine queries
 
 (* Recovery replay (lib/durable).  These re-apply journaled effects to
    a fresh engine without evaluating anything: the journal already says

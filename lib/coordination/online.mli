@@ -29,12 +29,12 @@
       postcondition and head atoms, so a new arrival discovers its
       coordination edges by probing the index instead of re-unifying
       against every pooled query;
-    - {b stored edges}: each entry keeps its query renamed apart once,
-      by pool id, and its outgoing extended edges (self-loops
-      included).  Evaluation hands {!Scc_algo.solve_graph} the
-      component's graph assembled from them
-      ({!Coordination_graph.of_edges}); nothing is renamed or rebuilt
-      per evaluation;
+    - {b stored edges}: each entry keeps its query as submitted and its
+      outgoing extended edges (self-loops included).  Evaluation hands
+      {!Scc_algo.solve_graph} the component's graph assembled from them
+      ({!Coordination_graph.of_edges}) over the queries as submitted:
+      the solver names a variable by its member ({!Combine}), so
+      nothing is renamed or rebuilt per evaluation;
     - a {b partition keyed by live entries}: every entry names its
       weakly connected component by a live member's id, a fuse
       relabels the smaller member list, and a retirement re-fuses only
@@ -80,8 +80,8 @@ val consume : t -> bool
 type coordinated = {
   queries : Query.t list;        (** the satisfied queries, in pool order *)
   assignment : Eval.valuation;
-      (** over the members' variables, renamed apart by pool id: member
-          [id]'s variable [x] is ["q<id>.x"] *)
+      (** one key per variable of each member, named by pool id:
+          member [id]'s variable [x] is ["q<id>.x"] *)
 }
 
 type submission =
@@ -155,8 +155,7 @@ val component_graph : t -> int list -> Coordination_graph.t
 (** The coordination graph evaluation hands to
     {!Scc_algo.solve_graph} for a component (its live ids, ascending):
     assembled from the edges stored at admission, over the members'
-    queries renamed apart by pool id, the [i]-th smallest id being
-    query [i]. *)
+    queries as submitted, the [i]-th smallest id being query [i]. *)
 
 val components : t -> int list list
 (** The weakly-connected-component partition of the pending pool, as

@@ -6,7 +6,7 @@ type error = Not_safe of (int * int) list
 type candidate = {
   covered : int list;
   size : int;
-  assignment : Eval.valuation;
+  values : Combine.values;
 }
 
 type selection =
@@ -18,6 +18,7 @@ type outcome = {
   queries : Query.t array;
   graph : Coordination_graph.t;
   candidates : candidate list;
+  selected : candidate option;
   solution : Solution.t option;
   stats : Stats.t;
   degraded : Resilient.degradation option;
@@ -99,15 +100,16 @@ let condense (graph : Coordination_graph.t) alive =
     an_cond = Graphs.Scc.condensation graph.graph scc;
   }
 
+let no_args _ _ = []
+
 (* Preprocessing, safety check and SCC condensation of an already-built
    graph (Figure 6 measures these together with the graph's
    construction).  Touches no database. *)
 let analyze ?(preprocess = true) (graph : Coordination_graph.t) =
   let alive = Array.make (Array.length graph.queries) true in
-  if preprocess then
-    Obs.with_span "scc.preprocess" (fun () -> prune graph alive);
+  if preprocess then Obs.span "scc.preprocess" no_args prune graph alive;
   match Safety.unsafe_posts ~alive graph with
-  | [] -> Ok (Obs.with_span "scc.condense" (fun () -> condense graph alive))
+  | [] -> Ok (Obs.span "scc.condense" no_args condense graph alive)
   | unsafe -> Error (Not_safe unsafe)
 
 (* ------------------------------------------------------------------ *)
@@ -119,6 +121,9 @@ type ctx = {
   cx_minimize : bool;
   cx_stats : Stats.t;
   cx_an : analysis;
+  cx_ids : int array option;
+  (* The run of values a full search over an SCC alone writes into. *)
+  cx_shared : Combine.values;
   (* Failure/coverage state by SCC id.  A covered SCC keeps its whole
      candidate: the witness seeds its predecessors. *)
   cx_failed : bool array;
@@ -126,7 +131,7 @@ type ctx = {
   (* unify and ground time, folded into [cx_stats] by [finish_ctx] *)
   mutable cx_unify_ns : int;
   mutable cx_ground_ns : int;
-  mutable cx_clock : int;  (* the int clock as the unify phase ended, or -1 *)
+  mutable cx_clock : int;  (* the int clock as the last phase ended, or -1 *)
   (* The component being probed: its successors, their covering
      candidates and R(q); then the members grounded. *)
   mutable cx_successors : int list;
@@ -135,12 +140,17 @@ type ctx = {
   mutable cx_grounded : int list;
 }
 
-let make_ctx ?(minimize = false) ~stats db (a : analysis) =
+let make_ctx ?(minimize = false) ?ids ~stats db (a : analysis) =
+  let t = Combine.layout a.an_graph in
   {
     cx_db = db;
     cx_minimize = minimize;
     cx_stats = stats;
     cx_an = a;
+    cx_ids = ids;
+    cx_shared =
+      Combine.values ~base:0
+        ~len:(Combine.offset t (Array.length a.an_graph.queries));
     cx_failed = Array.make a.an_scc.count false;
     cx_covered = Array.make a.an_scc.count None;
     cx_unify_ns = 0;
@@ -158,121 +168,134 @@ let finish_ctx ctx =
   stats.ground_ns <- Int64.add stats.ground_ns (Int64.of_int ctx.cx_ground_ns)
 
 (* How a candidate's unifier was found: seeded from its successors'
-   merged witness, or by the full search over R(q). *)
+   witnesses, whose merged values its own members extend, or by the
+   full search over R(q).  Either way the unifier is {!Combine}'s
+   scratch. *)
 type unified =
-  | Seeded of {
-      merged : Eval.valuation;
-      subst : Subst.t;
-      fixed : (string * Value.t) list;
-    }
-  | Full of (Subst.t, Combine.failure) result
+  | Seeded of Combine.values
+  | Full of (Combine.t, Combine.failure) result
 
 exception Disagree
 exception Coupled
 
-(* The successors' witnesses as one valuation; [None] when two of them
-   give a shared variable different values (a diamond one side of which
-   took the full search), which leaves the verdict to the full search. *)
-let merge_witnesses = function
-  | [] -> None
-  | [ (w : candidate) ] -> Some w.assignment
-  | (w : candidate) :: ws -> (
-    let agree _ u v = if Value.equal u v then Some u else raise Disagree in
-    try
-      Some
-        (List.fold_left
-           (fun acc (w : candidate) ->
-             Eval.Binding.union agree acc w.assignment)
-           w.assignment ws)
-    with Disagree -> None)
-
 let rec mem_int (x : int) = function [] -> false | y :: l -> x = y || mem_int x l
 
-let rec mem_var x = function
-  | [] -> false
-  | (y, _) :: rest -> String.equal x y || mem_var x rest
+let rec same_values vs = function
+  | [] -> true
+  | (w : candidate) :: rest -> w.values == vs && same_values vs rest
 
-let rec assoc_var x = function
+(* The slot run of a member list: from the first slot of its least
+   member to the end of its greatest. *)
+let lo_slot t ms = Combine.offset t (List.fold_left Int.min max_int ms)
+
+let hi_slot t ms = Combine.offset t (List.fold_left Int.max (-1) ms + 1)
+
+let fresh_values t members =
+  let base = lo_slot t members in
+  Combine.values ~base ~len:(hi_slot t members - base)
+
+(* Copy a successor's covered values into [into]; [Disagree] when a
+   member another successor also covers took different values there. *)
+let copy_covered t (into : Combine.values) (w : candidate) =
+  List.iter
+    (fun m ->
+      for s = Combine.offset t m to Combine.offset t (m + 1) - 1 do
+        let v = Combine.get w.values s and i = s - into.base in
+        let u = into.v.(i) in
+        if Combine.is_unset u then into.v.(i) <- v
+        else if not (Value.equal u v) then raise_notrace Disagree
+      done)
+    w.covered
+
+(* The successors' witnesses as one run of values that [own]'s slots
+   extend.  Every slot of a run is written once (a seeded candidate
+   writes only its own SCC, a full search a fresh run or the first
+   use of the shared one), so successors sharing one run agree, and
+   when it also spans [own] the run itself is extended in place.
+   Otherwise a fresh run over R(q) [members] takes a copy; [None] when
+   two successors give a shared member different values (a diamond one
+   side of which took the full search), which leaves the verdict to the
+   full search. *)
+let merge_witnesses t ~members ~own = function
   | [] -> None
-  | (y, v) :: rest -> if String.equal x y then Some v else assoc_var x rest
+  | (w : candidate) :: ws as all ->
+    let vs = w.values in
+    if
+      same_values vs ws
+      && vs.base <= lo_slot t own
+      && hi_slot t own <= vs.base + Array.length vs.v
+    then Some vs
+    else
+      let into = fresh_values t members in
+      match List.iter (copy_covered t into) all with
+      | () -> Some into
+      | exception Disagree -> None
 
-(* Record that the class of each variable of a successor's head atom
-   holds that one successor variable: [links] maps class
-   representatives to it.  [Coupled] when a class holds a constant or
-   two successor variables. *)
-let rec link subst links (args : Term.t array) i =
-  if i = Array.length args then links
-  else
-    let links =
-      match args.(i) with
-      | Term.Const _ -> links
-      | Term.Var y as t -> (
-        match Subst.resolve subst t with
-        | Term.Const _ -> raise_notrace Coupled
-        | Term.Var r -> (
-          match assoc_var r links with
-          | Some y' -> if String.equal y' y then links else raise_notrace Coupled
-          | None -> (r, y) :: links))
-    in
-    link subst links args (i + 1)
+(* Fix the class of each variable of a successor's head atom (coded
+   from [c]) to that successor variable's value in [merged].
+   [Coupled] when a class holds a constant or two successor
+   variables. *)
+let rec link t merged c i n =
+  if i < n then begin
+    (match Combine.code t (c + i) with
+    | -1 -> ()
+    | y ->
+      let v = Combine.get merged y in
+      if Combine.is_unset v || not (Combine.link t y v) then
+        raise_notrace Coupled);
+    link t merged c (i + 1) n
+  end
 
-let rec link_targets (g : Coordination_graph.t) comp successors subst links =
+let rec link_targets t (g : Coordination_graph.t) comp successors merged =
   function
-  | [] -> links
+  | [] -> ()
   | (d, hi) :: rest ->
-    let links =
-      if mem_int comp.(d) successors then
-        link subst links (List.nth g.queries.(d).Query.head hi).Cq.args 0
-      else links
-    in
-    link_targets g comp successors subst links rest
+    if mem_int comp.(d) successors then begin
+      let h = List.nth g.queries.(d).Query.head hi in
+      link t merged (Combine.head_code t d hi) 0 (Array.length h.Cq.args)
+    end;
+    link_targets t g comp successors merged rest
 
-let rec link_posts g comp successors subst links q pi = function
-  | [] -> links
+let rec link_posts t g comp successors merged q pi = function
+  | [] -> ()
   | (_ : Cq.atom) :: rest ->
-    let targets = Coordination_graph.post_targets g ~src:q ~post_index:pi in
-    link_posts g comp successors subst
-      (link_targets g comp successors subst links targets)
-      q (pi + 1) rest
+    link_targets t g comp successors merged
+      (Coordination_graph.post_targets g ~src:q ~post_index:pi);
+    link_posts t g comp successors merged q (pi + 1) rest
 
-let rec link_members (g : Coordination_graph.t) comp successors subst links =
+let rec link_members t (g : Coordination_graph.t) comp successors merged =
   function
-  | [] -> links
+  | [] -> ()
   | q :: rest ->
-    link_members g comp successors subst
-      (link_posts g comp successors subst links q 0 g.queries.(q).Query.post)
-      rest
+    link_posts t g comp successors merged q 0 g.queries.(q).Query.post;
+    link_members t g comp successors merged rest
 
 (* [Coupled] when a variable of the members' bodies is in a linked
    class. *)
-let rec unlinked_args subst links (args : Term.t array) i =
-  if i < Array.length args then begin
-    (match args.(i) with
-    | Term.Const _ -> ()
-    | Term.Var _ as t -> (
-      match Subst.resolve subst t with
-      | Term.Var r when mem_var r links -> raise_notrace Coupled
-      | _ -> ()));
-    unlinked_args subst links args (i + 1)
-  end
-
-let rec unlinked_atoms subst links = function
+let rec unlinked_atoms t c = function
   | [] -> ()
   | (a : Cq.atom) :: rest ->
-    unlinked_args subst links a.args 0;
-    unlinked_atoms subst links rest
+    for i = 0 to Array.length a.args - 1 do
+      match Combine.code t (c + i) with
+      | -1 -> ()
+      | s -> if Combine.linked t s then raise_notrace Coupled
+    done;
+    unlinked_atoms t (c + Array.length a.args) rest
 
-let rec unlinked (g : Coordination_graph.t) subst links = function
+let rec unlinked t (g : Coordination_graph.t) = function
   | [] -> ()
   | q :: rest ->
-    unlinked_atoms subst links g.queries.(q).Query.body.Cq.atoms;
-    unlinked g subst links rest
+    unlinked_atoms t (Combine.body_code t q) g.queries.(q).Query.body.Cq.atoms;
+    unlinked t g rest
 
-(* Each linking class's value: its successor variable's, from the
-   merged witness. *)
-let rec fix merged = function
-  | [] -> []
-  | (r, y) :: rest -> (r, Eval.Binding.find y merged) :: fix merged rest
+(* Unify [c]'s own postconditions with their heads inside R(c). *)
+let unify_own (a : analysis) c ~own ~successors =
+  let comp = a.an_scc.component in
+  let in_set d =
+    let k = comp.(d) in
+    k = c || mem_int k successors
+  in
+  Combine.unify_posts a.an_graph ~in_set ~members:own
 
 (* Seeded candidates.  When every successor of SCC [c] is covered, R(c)
    is [c]'s own members plus the successors' covered sets, and each of
@@ -288,24 +311,19 @@ let rec fix merged = function
    [None]: this rule does not apply (a coupled SCC such as Figure 1's
    qJ, disagreeing witnesses, or an own unification failure, which the
    full search then reports in its own words). *)
-let seed a c ~own ~successors witnesses =
+let seed a c ~members ~own ~successors witnesses =
   let g = a.an_graph in
-  let comp = a.an_scc.component in
-  match merge_witnesses witnesses with
+  match merge_witnesses (Combine.layout g) ~members ~own witnesses with
   | None -> None
   | Some merged -> (
-    let in_set d =
-      let k = comp.(d) in
-      k = c || mem_int k successors
-    in
-    match Combine.unify_posts g ~in_set ~members:own with
+    match unify_own a c ~own ~successors with
     | Error _ -> None
-    | Ok subst -> (
+    | Ok t -> (
       try
-        let links = link_members g comp successors subst [] own in
-        unlinked g subst links own;
-        Some (Seeded { merged; subst; fixed = fix merged links })
-      with Coupled | Not_found -> None))
+        link_members t g a.an_scc.component successors merged own;
+        unlinked t g own;
+        Some (Seeded merged)
+      with Coupled -> None))
 
 (* The union of two strictly ascending lists, strictly ascending;
    [dups] counts the elements both hold.  The walk stops as soon as
@@ -342,20 +360,20 @@ let charge ctx ~ground ns =
 
 (* [f ctx x], timed as the unify or the ground phase inside span
    [name] (with [args ctx]): one reading of the int clock per boundary
-   feeds both [cx_stats] and the span, and the ground phase starts at
-   the unify phase's closing read ([cx_clock]), so a component costs
-   three reads.  A budget abort inside still closes the span. *)
+   feeds both [cx_stats] and the span.  A phase starts at the previous
+   phase's closing read ([cx_clock]) when there is one, so the
+   bookkeeping between components counts as unification and a
+   component costs two reads.  A budget abort inside still closes the
+   span. *)
 let phase ctx ~ground name args f x =
   let d = Obs.enter () in
-  let t0 =
-    if ground && ctx.cx_clock >= 0 then ctx.cx_clock else Obs.now_ns_int ()
-  in
+  let t0 = if ctx.cx_clock >= 0 then ctx.cx_clock else Obs.now_ns_int () in
   ctx.cx_clock <- -1;
   match f ctx x with
   | v ->
     let t1 = Obs.leave_with d name ~t0 args ctx in
     charge ctx ~ground (t1 - t0);
-    if not ground then ctx.cx_clock <- t1;
+    ctx.cx_clock <- t1;
     v
   | exception e ->
     ignore (Obs.leave_with d name ~t0 args ctx : int);
@@ -373,34 +391,49 @@ let unify_component ctx c =
   let witnesses = ctx.cx_witnesses in
   match
     if successors <> [] && List.compare_lengths witnesses successors = 0 then
-      seed a c ~own:a.an_scc.members.(c) ~successors witnesses
+      seed a c ~members:ctx.cx_members ~own:a.an_scc.members.(c) ~successors
+        witnesses
     else None
   with
   | Some seeded -> seeded
   | None -> Full (Combine.unify_set a.an_graph ~members:ctx.cx_members)
 
-let ground_unified ctx = function
-  | Seeded { merged; subst; fixed } ->
-    Ground.solve ~minimize:ctx.cx_minimize ~fixed ~into:merged ctx.cx_db
-      ctx.cx_an.an_graph.queries ~members:ctx.cx_grounded subst
-  | Full (Ok subst) ->
-    Ground.solve ~minimize:ctx.cx_minimize ctx.cx_db ctx.cx_an.an_graph.queries
-      ~members:ctx.cx_grounded subst
-  | Full (Error _) -> assert false
+(* The values a candidate's grounding writes: a seeded candidate's
+   merged run; a full search's own first use of the shared run when
+   R(q) is the SCC alone, whose slots nothing wrote yet, and otherwise a
+   fresh run, so the covered successors' values stand. *)
+let ground_unified ctx unified =
+  let t, vs =
+    match unified with
+    | Seeded merged -> (Combine.layout ctx.cx_an.an_graph, merged)
+    | Full (Ok t) ->
+      (t, if ctx.cx_successors = [] then ctx.cx_shared
+          else fresh_values t ctx.cx_members)
+    | Full (Error _) -> assert false
+  in
+  if Ground.solve ~minimize:ctx.cx_minimize ctx.cx_db t
+       ~members:ctx.cx_grounded vs
+  then Some vs
+  else None
 
 (* The combined body of R(q) that [Probed] carries under tracing, which
    [Explain] renders as the SQL the full search would send; a seeded
    candidate's too. *)
 let probed_body ctx c unified =
-  let g = ctx.cx_an.an_graph and members = ctx.cx_members in
+  let a = ctx.cx_an and members = ctx.cx_members in
   match unified with
-  | Full (Ok subst) -> Combine.combined_body g ~members subst
-  | Seeded { subst; _ } -> (
-    match Combine.unify_set g ~members with
-    | Ok full -> Combine.combined_body g ~members full
+  | Full (Ok t) -> Combine.combined_body t ~members
+  | Seeded _ -> (
+    match Combine.unify_set a.an_graph ~members with
+    | Ok full -> Combine.combined_body full ~members
     | Error _ ->
-      Combine.combined_body g ~members:ctx.cx_an.an_scc.members.(c) subst)
+      Combine.combined_body (Combine.start a.an_graph)
+        ~members:a.an_scc.members.(c))
   | Full (Error _) -> assert false
+
+let valuation_of ctx members vs =
+  Combine.valuation ?ids:ctx.cx_ids (Combine.layout ctx.cx_an.an_graph)
+    ~members vs
 
 (* Ground [grounded] under [unified] and record the verdict. *)
 let ground_component ctx c ~grounded unified =
@@ -413,6 +446,7 @@ let ground_component ctx c ~grounded unified =
   stats.grounded_members <- stats.grounded_members + List.length grounded;
   if Obs.tracing () then begin
     let own = ctx.cx_an.an_scc.members.(c) in
+    let witness = Option.map (valuation_of ctx members) witness in
     emit "scc.probed"
       (fun () ->
         [
@@ -420,13 +454,15 @@ let ground_component ctx c ~grounded unified =
           ("witness", Obs.Bool (Option.is_some witness));
         ])
       (Probed
-         { component = own; members; body = probed_body ctx c unified; witness })
+         { component = own; members; body = probed_body ctx c unified; witness });
+    (* Building the trace is no phase's time. *)
+    ctx.cx_clock <- -1
   end;
   match witness with
   | None ->
     ctx.cx_failed.(c) <- true;
     None
-  | Some assignment ->
+  | Some values ->
     (* |R(c)| without walking it: every element a merge finds twice
        was counted in both inputs' sizes. *)
     let size =
@@ -435,7 +471,7 @@ let ground_component ctx c ~grounded unified =
         (List.length ctx.cx_an.an_scc.members.(c) - !dups)
         ctx.cx_witnesses
     in
-    let cand = { covered = members; size; assignment } in
+    let cand = { covered = members; size; values } in
     ctx.cx_covered.(c) <- Some cand;
     Some cand
 
@@ -491,7 +527,8 @@ let probe_component ctx c =
    the whole call.  A caller that built [graph] adds the construction
    to both. *)
 let solve_graph ?(selection = Largest) ?(preprocess = true)
-    ?(graph_only = false) ?(minimize = false) db (graph : Coordination_graph.t)
+    ?(graph_only = false) ?(minimize = false) ?ids db
+    (graph : Coordination_graph.t)
     =
   let queries = graph.queries in
   let stats = Stats.create () in
@@ -516,6 +553,7 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
              queries;
              graph;
              candidates = [];
+             selected = None;
              solution = None;
              stats;
              degraded = None;
@@ -524,7 +562,7 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
       (* Phase 2: process components in reverse topological order.  Our
          SCC ids are numbered sinks-first, so ascending id order is
          exactly that. *)
-      let ctx = make_ctx ~minimize ~stats db a in
+      let ctx = make_ctx ~minimize ?ids ~stats db a in
       let candidates = ref [] in
       let degraded = ref None in
       let exception Done in
@@ -559,22 +597,32 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
        with Done -> ());
       finish_ctx ctx;
       let candidates = List.rev !candidates in
+      let selected = select selection queries candidates in
       let solution =
         Option.map
-          (fun c -> Solution.make ~members:c.covered ~assignment:c.assignment)
-          (select selection queries candidates)
+          (fun c ->
+            Solution.make ~members:c.covered
+              ~assignment:(valuation_of ctx c.covered c.values))
+          selected
       in
       finish
         (Ok
-           { queries; graph; candidates; solution; stats; degraded = !degraded })
+           {
+             queries;
+             graph;
+             candidates;
+             selected;
+             solution;
+             stats;
+             degraded = !degraded;
+           })
     end
 
-let solve ?selection ?preprocess ?graph_only ?minimize db input =
-  Obs.with_span
-    ~args:(fun () -> [ ("queries", Obs.Int (List.length input)) ])
-    "scc.solve"
-  @@ fun () ->
-  let t_start = Obs.now_ns_int () in
+let valuation ?ids o c =
+  Combine.valuation ?ids (Combine.layout o.graph) ~members:c.covered c.values
+
+let solve_input ?selection ?preprocess ?graph_only ?minimize ~t_start db input
+    =
   let queries = Query.rename_set input in
   let d = Obs.enter () in
   let t_graph = Obs.now_ns_int () in
@@ -590,3 +638,24 @@ let solve ?selection ?preprocess ?graph_only ?minimize db input =
       s.total_ns <- Int64.add s.total_ns (Int64.of_int (t_built - t_start)))
     result;
   result
+
+let solve_args input = [ ("queries", Obs.Int (List.length input)) ]
+
+let close_solve span t_start input =
+  if span >= 0 then
+    ignore (Obs.leave_with span "scc.solve" ~t0:t_start solve_args input : int)
+
+(* The [scc.solve] span opens at [t_start], which [stats] reads anyway,
+   and closes only when armed: disarmed, it costs one branch. *)
+let solve ?selection ?preprocess ?graph_only ?minimize db input =
+  let span = Obs.enter () in
+  let t_start = Obs.now_ns_int () in
+  match
+    solve_input ?selection ?preprocess ?graph_only ?minimize ~t_start db input
+  with
+  | result ->
+    close_solve span t_start input;
+    result
+  | exception e ->
+    close_solve span t_start input;
+    raise e

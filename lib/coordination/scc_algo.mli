@@ -25,7 +25,9 @@ type candidate = {
           predecessor's cover is merged from its successors' in one
           linear pass that relies on it *)
   size : int;                    (** [List.length covered] *)
-  assignment : Eval.valuation;
+  values : Combine.values;
+      (** every covered member's slot values ({!Combine}); read them
+          through {!valuation} *)
 }
 
 type selection =
@@ -41,6 +43,7 @@ type outcome = {
   queries : Query.t array;
   graph : Coordination_graph.t;
   candidates : candidate list;   (** all successful components, discovery order *)
+  selected : candidate option;   (** the candidate [solution] is made of *)
   solution : Solution.t option;
   stats : Stats.t;
   degraded : Resilient.degradation option;
@@ -103,13 +106,22 @@ val solve_graph :
   ?preprocess:bool ->
   ?graph_only:bool ->
   ?minimize:bool ->
+  ?ids:int array ->
   Database.t ->
   Coordination_graph.t ->
   (outcome, error) result
-(** {!solve} from a supplied graph over renamed-apart queries: the
-    online engine assembles it from the edges it discovered at
-    admission ({!Coordination_graph.of_edges}) instead of rebuilding
-    it.  Same options, events, {!Stats} and degraded handling as
-    {!solve}.  [stats.graph_ns] covers the analysis only, and no
-    [scc.solve]/[scc.graph] span is emitted: both belong to the caller
-    that built the graph. *)
+(** {!solve} from a supplied graph: the online engine assembles it from
+    the edges it discovered at admission ({!Coordination_graph.of_edges})
+    instead of rebuilding it.  The queries need not be renamed apart:
+    unification and grounding name a variable by its member and local
+    index ({!Combine}).  With [ids], the solution's valuation names
+    member [i]'s variable [x] ["q<ids.(i)>.x"]; without, variables keep
+    their own names, which must then be apart.  Same options, events,
+    {!Stats} and degraded handling as {!solve}.  [stats.graph_ns] covers
+    the analysis only, and no [scc.solve]/[scc.graph] span is emitted:
+    both belong to the caller that built the graph. *)
+
+val valuation : ?ids:int array -> outcome -> candidate -> Eval.valuation
+(** A candidate's assignment: every variable of every covered member,
+    named as {!solve_graph}'s [ids] would name it.  Built on demand;
+    the outcome's [solution] already holds the selected one's. *)

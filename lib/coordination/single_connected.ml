@@ -107,24 +107,30 @@ let solve db input =
       | _ -> best := Some (size, members, assignment)
     in
     let exception Found of int list * Eval.valuation in
-    let rec descend path subst q =
+    (* One unifier, undone as the search backs out; a root starts from
+       none of a [Found] chain's bindings. *)
+    let t = Combine.start graph in
+    let empty = Combine.mark t in
+    let rec descend path q =
       (* [path] is the chain so far, most recent first; [q] its tip. *)
       if body_satisfiable q then
         match queries.(q).Query.post with
         | [] -> (
           let members = List.sort_uniq Int.compare (q :: path) in
           stats.candidates <- stats.candidates + 1;
-          match Ground.solve db queries ~members subst with
+          match Ground.valuation db t ~members with
           | Some assignment -> raise (Found (members, assignment))
           | None -> ())
-        | p :: _ ->
+        | _ :: _ ->
           let targets = Coordination_graph.post_targets graph ~src:q ~post_index:0 in
           List.iter
             (fun (d, hi) ->
-              let h = List.nth queries.(d).Query.head hi in
-              match Subst.unify_atoms subst p h with
-              | None -> ()
-              | Some subst' -> descend (q :: path) subst' d)
+              let m = Combine.mark t in
+              if
+                Combine.unify_post t ~src:q ~post_index:0 ~dst:d
+                  ~head_index:hi
+              then descend (q :: path) d;
+              Combine.undo t m)
             targets
     in
     let degraded = ref None in
@@ -143,7 +149,10 @@ let solve db input =
               | None -> false
             in
             if not covered then
-              try descend [] Subst.empty root with
+              try
+                Combine.undo t empty;
+                descend [] root
+              with
               | Found (members, assignment) -> consider members assignment
               | Resilient.Abort reason -> raise (Stop_all (reason, root))
           done

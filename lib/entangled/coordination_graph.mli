@@ -61,11 +61,12 @@ module Atom_index : sig
 end
 
 val build : Query.t array -> t
-(** Queries are expected to be renamed apart (see {!Query.rename_set});
-    variable names shared between queries would create spurious unifier
-    interactions downstream.  Discovers every compatible post × head
-    pair (self-loops included) through an {!Atom_index}, then calls
-    {!of_edges}. *)
+(** Discovers every compatible post × head pair (self-loops included)
+    through an {!Atom_index}, then calls {!of_edges}.  Queries may share
+    variable names: edges read only relation symbols and constants, and
+    {!Combine} names a variable by its member.  A caller that reads
+    variables by name (a solver's printed valuation) renames the input
+    apart first ({!Query.rename_set}). *)
 
 val of_edges : Query.t array -> edge list -> t
 (** The graph over [queries] with exactly the given extended edges (in

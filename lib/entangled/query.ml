@@ -37,82 +37,38 @@ let answer_relations q = distinct_rels (q.post @ q.head)
 
 let body_relations q = distinct_rels q.body.atoms
 
-(* Each distinct variable is renamed once, and its occurrences share
-   the renamed term: an evaluation renames every member of the
-   component it solves.  The variables met so far sit in two reused
-   arrays, scanned (a query has a handful), so renaming allocates only
-   the renamed atoms, names and terms.  Not reentrant. *)
-let seen_vars = ref (Array.make 16 "")
-let seen_terms = ref (Array.make 16 (Term.Var ""))
-let seen = ref 0
-
-let rec find_seen x i =
-  if i = !seen then -1
-  else
-    let y = Array.unsafe_get !seen_vars i in
-    if y == x || String.equal y x then i else find_seen x (i + 1)
-
-let renamed prefix x =
-  match find_seen x 0 with
-  | -1 ->
-    let t = Term.Var (prefix ^ x) in
-    if !seen = Array.length !seen_vars then begin
-      seen_vars := Array.append !seen_vars (Array.make !seen "");
-      seen_terms := Array.append !seen_terms (Array.make !seen t)
-    end;
-    !seen_vars.(!seen) <- x;
-    !seen_terms.(!seen) <- t;
-    incr seen;
-    t
-  | i -> !seen_terms.(i)
-
-let rename_term prefix = function
-  | Term.Const _ as t -> t
-  | Term.Var x -> renamed prefix x
-
-let rename_atom prefix (a : Cq.atom) =
-  let n = Array.length a.args in
-  if n = 0 then a
-  else begin
-    let args = Array.make n (rename_term prefix a.args.(0)) in
-    for i = 1 to n - 1 do
-      args.(i) <- rename_term prefix a.args.(i)
-    done;
-    { a with args }
-  end
-
-let rec rename_atoms prefix = function
-  | [] -> []
-  | a :: rest ->
-    let a = rename_atom prefix a in
-    a :: rename_atoms prefix rest
-
+(* Only the batch solvers rename, whose printed valuations name
+   variables: the online engine and the unifier name a variable by its
+   member and local index ({!Combine}). *)
 let rename_with ~prefix ~name q =
-  seen := 0;
-  let post = rename_atoms prefix q.post in
-  let head = rename_atoms prefix q.head in
-  let body = { Cq.atoms = rename_atoms prefix q.body.Cq.atoms } in
-  { name; post; head; body }
+  let term = function Term.Var x -> Term.Var (prefix ^ x) | c -> c in
+  let atoms =
+    List.map (fun (a : Cq.atom) -> { a with args = Array.map term a.args })
+  in
+  let body = { Cq.atoms = atoms q.body.atoms } in
+  { name; post = atoms q.post; head = atoms q.head; body }
 
 let rename ~prefix q = rename_with ~prefix ~name:q.name q
 
-(* ["q<i>."], built in one string: every evaluation renames each member
-   of its component. *)
-let prefix_of i =
-  if i < 0 then "q" ^ string_of_int i ^ "."
+(* In one allocation: every fired set names its members' variables
+   so. *)
+let prefixed i x =
+  if i < 0 then "q" ^ string_of_int i ^ "." ^ x
   else begin
     let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
-    let d = digits i in
-    let b = Bytes.create (d + 2) in
-    Bytes.unsafe_set b 0 'q';
+    let d = digits i and n = String.length x in
+    let b = Bytes.make (d + 2 + n) 'q' in
     let rec write n k =
       Bytes.unsafe_set b k (Char.unsafe_chr (48 + (n mod 10)));
       if n >= 10 then write (n / 10) (k - 1)
     in
     write i d;
-    Bytes.unsafe_set b (d + 1) '.';
+    Bytes.set b (d + 1) '.';
+    Bytes.blit_string x 0 b (d + 2) n;
     Bytes.unsafe_to_string b
   end
+
+let prefix_of i = prefixed i ""
 
 let rename_apart i q =
   let prefix = prefix_of i in

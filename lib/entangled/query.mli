@@ -41,6 +41,10 @@ val rename_apart : int -> t -> t
 val rename_set : t list -> t array
 (** {!rename_apart} by position: query [i] gets prefix ["q<i>."]. *)
 
+val prefixed : int -> string -> string
+(** [prefixed i x] is ["q<i>.<x>"], the name {!rename_apart}[ i] gives
+    variable [x]. *)
+
 val well_formed : Database.t -> t -> (unit, string) result
 (** Checks the two syntactic conditions of Section 2.1 against an
     instance: body relation symbols must exist in the database schema, and

@@ -470,6 +470,20 @@ let with_span ?args ?hist name f =
       raise e
   end
 
+let span name args f x y =
+  let d = enter () in
+  if d < 0 then f x y
+  else begin
+    let t0 = now_ns_int () in
+    match f x y with
+    | v ->
+      ignore (close_span d name ~t0 (fun () -> args x y) () : int);
+      v
+    | exception e ->
+      ignore (close_span d name ~t0 (fun () -> args x y) () : int);
+      raise e
+  end
+
 let event ?args ?(payload = No_payload) name =
   match (st.sinks, st.ring) with
   | [], None -> ()

@@ -211,6 +211,20 @@ val with_span :
     sink installed.  Disarmed cost: one branch.  Exceptions propagate;
     the span still closes. *)
 
+val span :
+  string ->
+  ('a -> 'b -> (string * arg) list) ->
+  ('a -> 'b -> 'c) ->
+  'a ->
+  'b ->
+  'c
+(** [span name args f x y] is [f x y] inside span [name], with args
+    [args x y] forced after [f] returns and only for a sink.  With
+    closed [args] and [f] it builds no closure: when no sink and no
+    {!Flight_recorder} would record the span it is one branch and the
+    call, and reads no clock.  Exceptions propagate; the span still
+    closes. *)
+
 val enter : unit -> int
 (** Open a span: the depth it closes at, or [-1] when no sink and no
     {!Flight_recorder} would record it.  Read its start with

@@ -163,12 +163,19 @@ let first_probe ~kind db q =
 
 let first db q = first_probe ~kind:"first" db q
 
-let witness_value w x =
+let check w =
   if w.generation <> Plan.generation () then
-    invalid_arg "Eval.witness_value: another probe ran since";
+    invalid_arg "Eval.witness_value: another probe ran since"
+
+let witness_value w x =
+  check w;
   match Plan.slot x with
   | -1 -> None
   | s -> Some (Plan.frame w.plan).(s)
+
+let witness_slot w s =
+  check w;
+  (Plan.frame w.plan).(s)
 
 let valuation { plan; _ } =
   let frame = Plan.frame plan in

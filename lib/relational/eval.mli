@@ -50,6 +50,11 @@ val witness_value : witness -> string -> Value.t option
     the query has no such variable.
     @raise Invalid_argument once another probe has run. *)
 
+val witness_slot : witness -> int -> Value.t
+(** The witness's value of the probed query's [k]-th variable in
+    first-occurrence order (its plan slot), read without a name.
+    @raise Invalid_argument once another probe has run. *)
+
 val satisfiable : Database.t -> Cq.t -> bool
 
 val find_all : ?limit:int -> Database.t -> Cq.t -> valuation list

@@ -6,7 +6,7 @@
    it prunes by rescanning every query until a pass kills none, and for
    every component it unifies the whole candidate set R(q)
    ([Combine.unify_set]) and grounds every member's body
-   ([Ground.solve]) — one probe per candidate, O(|R(q)|) work each.
+   ([Ground.valuation]) — one probe per candidate, O(|R(q)|) work each.
    The differentials hold the engine's per-component verdicts, covered
    sets and probe counts to it.  Only tests use it. *)
 
@@ -72,8 +72,8 @@ let run ?(minimize = false) db (queries : Query.t array) =
         in
         match Combine.unify_set g ~members with
         | Error f -> Unify_failed f
-        | Ok subst ->
-          let witness = Ground.solve ~minimize db queries ~members subst in
+        | Ok t ->
+          let witness = Ground.valuation ~minimize db t ~members in
           if witness <> None then covered.(c) <- Some members;
           Probed { members; witness }
     in

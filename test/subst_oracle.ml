@@ -1,3 +1,8 @@
+(* The string-keyed substitution the solvers unified with before
+   member-local slots ([Entangled.Combine]): a map from variable names
+   to terms over queries renamed apart.  Only tests use it, as the
+   reference the slot unifier is held to. *)
+
 open Relational
 module M = Map.Make (String)
 

@@ -9,51 +9,51 @@ open Helpers
 (* ----------------------------- Subst ------------------------------ *)
 
 let test_unify_terms () =
-  let s = Subst.empty in
-  (match Subst.unify_terms s (var "x") (ci 1) with
+  let s = Subst_oracle.empty in
+  (match Subst_oracle.unify_terms s (var "x") (ci 1) with
   | None -> Alcotest.fail "var/const must unify"
-  | Some s -> Alcotest.check term_t "resolved" (ci 1) (Subst.resolve s (var "x")));
+  | Some s -> Alcotest.check term_t "resolved" (ci 1) (Subst_oracle.resolve s (var "x")));
   Alcotest.(check bool) "const clash" true
-    (Subst.unify_terms s (ci 1) (ci 2) = None);
+    (Subst_oracle.unify_terms s (ci 1) (ci 2) = None);
   Alcotest.(check bool) "const same" true
-    (Subst.unify_terms s (ci 1) (ci 1) <> None)
+    (Subst_oracle.unify_terms s (ci 1) (ci 1) <> None)
 
 let test_unify_chain () =
   (* x = y, y = z, z = 5 resolves x to 5. *)
-  let s = Subst.empty in
-  let s = Option.get (Subst.unify_terms s (var "x") (var "y")) in
-  let s = Option.get (Subst.unify_terms s (var "y") (var "z")) in
-  let s = Option.get (Subst.unify_terms s (var "z") (ci 5)) in
-  Alcotest.check term_t "x -> 5" (ci 5) (Subst.resolve s (var "x"));
+  let s = Subst_oracle.empty in
+  let s = Option.get (Subst_oracle.unify_terms s (var "x") (var "y")) in
+  let s = Option.get (Subst_oracle.unify_terms s (var "y") (var "z")) in
+  let s = Option.get (Subst_oracle.unify_terms s (var "z") (ci 5)) in
+  Alcotest.check term_t "x -> 5" (ci 5) (Subst_oracle.resolve s (var "x"));
   (* Late clash through a chain is detected. *)
   Alcotest.(check bool) "clash via chain" true
-    (Subst.unify_terms s (var "x") (ci 6) = None)
+    (Subst_oracle.unify_terms s (var "x") (ci 6) = None)
 
 let test_unify_atoms () =
   let a = atom "R" [ cs "C"; var "x" ] and b = atom "R" [ cs "C"; var "y" ] in
-  (match Subst.unify_atoms Subst.empty a b with
+  (match Subst_oracle.unify_atoms Subst_oracle.empty a b with
   | None -> Alcotest.fail "unifiable"
   | Some s ->
-    Alcotest.check term_t "x ~ y" (Subst.resolve s (var "x"))
-      (Subst.resolve s (var "y")));
+    Alcotest.check term_t "x ~ y" (Subst_oracle.resolve s (var "x"))
+      (Subst_oracle.resolve s (var "y")));
   Alcotest.(check bool) "different rel" true
-    (Subst.unify_atoms Subst.empty a (atom "Q" [ cs "C"; var "y" ]) = None);
+    (Subst_oracle.unify_atoms Subst_oracle.empty a (atom "Q" [ cs "C"; var "y" ]) = None);
   Alcotest.(check bool) "different arity" true
-    (Subst.unify_atoms Subst.empty a (atom "R" [ cs "C" ]) = None);
+    (Subst_oracle.unify_atoms Subst_oracle.empty a (atom "R" [ cs "C" ]) = None);
   Alcotest.(check bool) "const clash" true
-    (Subst.unify_atoms Subst.empty (atom "R" [ cs "C"; ci 1 ])
+    (Subst_oracle.unify_atoms Subst_oracle.empty (atom "R" [ cs "C"; ci 1 ])
        (atom "R" [ cs "C"; ci 2 ])
     = None);
   (* Repeated variable: R(x, x) vs R(1, 2) must fail. *)
   Alcotest.(check bool) "repeated var" true
-    (Subst.unify_atoms Subst.empty (atom "R" [ var "x"; var "x" ])
+    (Subst_oracle.unify_atoms Subst_oracle.empty (atom "R" [ var "x"; var "x" ])
        (atom "R" [ ci 1; ci 2 ])
     = None)
 
 let test_subst_apply () =
-  let s = Option.get (Subst.unify_terms Subst.empty (var "x") (ci 7)) in
+  let s = Option.get (Subst_oracle.unify_terms Subst_oracle.empty (var "x") (ci 7)) in
   let q = Cq.make [ atom "F" [ var "x"; var "y" ] ] in
-  let q' = Subst.apply_cq s q in
+  let q' = Subst_oracle.apply_cq s q in
   Alcotest.(check string) "applied" "F(7, y)" (Format.asprintf "%a" Cq.pp q')
 
 (* qcheck: unification soundness on random atom pairs. *)
@@ -323,23 +323,21 @@ let test_combine_figure1 () =
   (* Chris + Guy unify; the combined body forces Paris. *)
   (match Combine.unify_set g ~members:[ 0; 1 ] with
   | Error f -> Alcotest.failf "unify failed: %a" (Combine.pp_failure queries) f
-  | Ok subst ->
-    let body = Combine.combined_body g ~members:[ 0; 1 ] subst in
-    (match Eval.find_first db body with
-    | None -> Alcotest.fail "combined body satisfiable"
+  | Ok t -> (
+    let body = Combine.combined_body t ~members:[ 0; 1 ] in
+    Alcotest.(check bool) "combined body satisfiable" true
+      (Eval.satisfiable db body);
+    match Ground.valuation db t ~members:[ 0; 1 ] with
+    | None -> Alcotest.fail "grounds"
     | Some b ->
       (* Chris's flight equals Guy's flight. *)
-      let resolve v =
-        match Subst.resolve subst (var v) with
-        | Term.Var rep -> Eval.Binding.find rep b
-        | Term.Const c -> c
-      in
-      Alcotest.check value_t "same flight" (resolve "q0.x1") (resolve "q1.y1")));
+      let value v = Eval.Binding.find v b in
+      Alcotest.check value_t "same flight" (value "q0.x1") (value "q1.y1")));
   (* Jonny's component {qJ, qC, qG} unifies but cannot ground. *)
   match Combine.unify_set g ~members:[ 0; 1; 2 ] with
   | Error f -> Alcotest.failf "jonny unify: %a" (Combine.pp_failure queries) f
-  | Ok subst ->
-    let body = Combine.combined_body g ~members:[ 0; 1; 2 ] subst in
+  | Ok t ->
+    let body = Combine.combined_body t ~members:[ 0; 1; 2 ] in
     Alcotest.(check bool) "athens+paris unsatisfiable" false
       (Eval.satisfiable db body)
 
@@ -379,7 +377,8 @@ let test_ground_free_variable () =
     Query.rename_set
       [ Query.make ~name:"free" ~post:[] ~head:[ atom "R" [ var "u" ] ] [] ]
   in
-  match Ground.solve db queries ~members:[ 0 ] Subst.empty with
+  let t = Combine.start (Coordination_graph.build queries) in
+  match Ground.valuation db t ~members:[ 0 ] with
   | None -> Alcotest.fail "groundable"
   | Some assignment ->
     Alcotest.(check bool) "assigned from domain" true
@@ -394,8 +393,9 @@ let test_ground_empty_domain () =
     Query.rename_set
       [ Query.make ~name:"free" ~post:[] ~head:[ atom "R" [ var "u" ] ] [] ]
   in
+  let t = Combine.start (Coordination_graph.build queries) in
   Alcotest.(check bool) "no domain value" true
-    (Ground.solve db queries ~members:[ 0 ] Subst.empty = None)
+    (Ground.valuation db t ~members:[ 0 ] = None)
 
 (* ---------------------------- Solution ---------------------------- *)
 
@@ -467,8 +467,8 @@ let test_printers () =
   let rendered = Format.asprintf "%a" Query.pp q in
   Alcotest.(check string) "query pp"
     "g: {R(C, x)} R(G, x) :- F(x, Zurich)" rendered;
-  let s = Option.get (Subst.unify_terms Subst.empty (var "x") (ci 7)) in
-  Alcotest.(check string) "subst pp" "{x := 7}" (Format.asprintf "%a" Subst.pp s);
+  let s = Option.get (Subst_oracle.unify_terms Subst_oracle.empty (var "x") (ci 7)) in
+  Alcotest.(check string) "subst pp" "{x := 7}" (Format.asprintf "%a" Subst_oracle.pp s);
   let graph = Coordination_graph.build (Query.rename_set [ q ]) in
   Alcotest.(check bool) "graph pp non-empty" true
     (String.length (Format.asprintf "%a" Coordination_graph.pp graph) > 0);
@@ -477,6 +477,214 @@ let test_printers () =
   let stats = Coordination.Stats.create () in
   Alcotest.(check int) "stats row has 10 fields" 10
     (List.length (Coordination.Stats.to_row stats))
+
+(* ---------------------- Member-local variables -------------------- *)
+
+(* Queries as submitted, not renamed apart: every member may use the
+   same variable names, and the unifier tells them apart by member. *)
+let online_fire db queries =
+  let engine = Coordination.Online.create db in
+  let rec go = function
+    | [] -> Alcotest.fail "nothing fired"
+    | q :: rest -> (
+      match Coordination.Online.submit engine q with
+      | Coordination.Online.Coordinated c ->
+        if rest <> [] then Alcotest.fail "fired before the last arrival";
+        c
+      | Pending -> go rest
+      | Rejected_unsafe _ -> Alcotest.fail "rejected as unsafe")
+  in
+  go queries
+
+(* One [q<id>.<x>] key per variable of each fired member, pool ids
+   counting submissions from 0. *)
+let check_keys queries (c : Coordination.Online.coordinated) =
+  let expected =
+    List.concat
+      (List.mapi
+         (fun id q -> List.map (Query.prefixed id) (Query.variables q))
+         queries)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string))
+    "one key per member variable" expected
+    (List.map fst (Eval.Binding.bindings c.assignment))
+
+let test_shared_names_coordinate () =
+  let db = flights_db () in
+  let queries =
+    [
+      Query.make ~name:"a" ~post:[ atom "R" [ cs "B"; var "x" ] ]
+        ~head:[ atom "R" [ cs "A"; var "x" ] ]
+        [ atom "F" [ var "x"; var "y" ] ];
+      Query.make ~name:"b" ~post:[ atom "R" [ cs "A"; var "x" ] ]
+        ~head:[ atom "R" [ cs "B"; var "x" ] ]
+        [ atom "F" [ var "x"; cs "Paris" ] ];
+    ]
+  in
+  let c = online_fire db queries in
+  check_fired ~ctx:"shared names" db c;
+  check_keys queries c;
+  let value x = Eval.Binding.find x c.assignment in
+  Alcotest.check value_t "a's x is b's flight" (vi 200) (value "q0.x");
+  Alcotest.check value_t "a's y is its own" (vs "Paris") (value "q0.y")
+
+let test_repeated_variable_clashes () =
+  (* Member 1 uses x too, in its body only: it is not member 0's x. *)
+  let queries =
+    [|
+      Query.make ~name:"a" ~post:[ atom "R" [ var "x"; var "x" ] ]
+        ~head:[ atom "A" [ var "x" ] ] [];
+      Query.make ~name:"b" ~post:[] ~head:[ atom "R" [ ci 1; ci 2 ] ]
+        [ atom "F" [ var "x"; cs "Zurich" ] ];
+    |]
+  in
+  let g = Coordination_graph.build queries in
+  (match Combine.unify_set g ~members:[ 0; 1 ] with
+  | Error (Combine.Clash (0, 0)) -> ()
+  | Error f -> Alcotest.failf "wrong failure: %a" (Combine.pp_failure queries) f
+  | Ok _ -> Alcotest.fail "R(x, x) unified with R(1, 2)");
+  let same =
+    [|
+      queries.(0);
+      Query.make ~name:"b" ~post:[] ~head:[ atom "R" [ ci 1; ci 1 ] ]
+        [ atom "F" [ var "x"; cs "Zurich" ] ];
+    |]
+  in
+  let db = flights_db () in
+  match Combine.unify_set (Coordination_graph.build same) ~members:[ 0; 1 ] with
+  | Error f -> Alcotest.failf "R(x, x) vs R(1, 1): %a" (Combine.pp_failure same) f
+  | Ok t -> (
+    match Ground.valuation db t ~members:[ 0; 1 ] with
+    | None -> Alcotest.fail "grounds"
+    | Some _ ->
+      (* The names collide, so the valuation keeps one [x]: check the
+         constant through a renamed copy instead. *)
+      let renamed = Query.rename_set (Array.to_list same) in
+      match
+        Combine.unify_set (Coordination_graph.build renamed) ~members:[ 0; 1 ]
+      with
+      | Error _ -> Alcotest.fail "renamed copy unifies"
+      | Ok t -> (
+        match Ground.valuation db t ~members:[ 0; 1 ] with
+        | Some v -> Alcotest.check value_t "x = 1" (vi 1) (Eval.Binding.find "q0.x" v)
+        | None -> Alcotest.fail "renamed copy grounds"))
+
+let test_cyclic_scc_shared_names () =
+  (* A three-member cycle on R whose members all say x and y: x runs
+     round the cycle, each y is its own member's destination. *)
+  let db = flights_db () in
+  let member name post head dest =
+    Query.make ~name ~post:[ atom "R" [ cs post; var "x" ] ]
+      ~head:[ atom "R" [ cs head; var "x" ] ]
+      [ atom "F" [ var "x"; var "y" ]; atom "H" [ var "h"; dest ] ]
+  in
+  let queries =
+    [
+      member "a" "B" "A" (var "y");
+      member "b" "C" "B" (cs "Paris");
+      member "c" "A" "C" (var "y");
+    ]
+  in
+  let c = online_fire db queries in
+  check_fired ~ctx:"cycle" db c;
+  check_keys queries c;
+  Alcotest.(check (list string)) "all three fire" [ "a"; "b"; "c" ]
+    (List.map (fun q -> q.Query.name) c.queries);
+  let renamed = Query.rename_set queries in
+  (match Coordination.Brute.maximum db renamed with
+  | Some s -> Alcotest.(check (list int)) "= brute" [ 0; 1; 2 ] s.members
+  | None -> Alcotest.fail "brute finds the cycle");
+  (* The solver on the graph of the unrenamed queries, naming by id. *)
+  let g = Coordination_graph.build (Array.of_list queries) in
+  match Coordination.Scc_algo.solve_graph ~ids:[| 0; 1; 2 |] db g with
+  | Ok { solution = Some s; _ } -> check_validates db renamed s
+  | _ -> Alcotest.fail "solve_graph fires the cycle"
+
+(* A lone member's body is probed as it is only when the unifier binds
+   none of its variables: here the self-loop binds x to the head's
+   flight, and the body must be probed with that constant. *)
+let test_lone_body_takes_constants () =
+  let db = flights_db () in
+  let self flight =
+    Query.make ~name:"s" ~post:[ atom "R" [ var "x" ] ]
+      ~head:[ atom "R" [ ci flight ] ]
+      [ atom "F" [ var "x"; cs "Paris" ] ]
+  in
+  let fires q =
+    match Coordination.Scc_algo.solve db [ q ] with
+    | Ok { solution = Some s; queries; _ } ->
+      check_validates db queries s;
+      true
+    | Ok { solution = None; _ } -> false
+    | Error _ -> Alcotest.fail "safe"
+  in
+  Alcotest.(check bool) "F(101, Paris) is no flight" false (fires (self 101));
+  Alcotest.(check bool) "F(200, Paris) is" true (fires (self 200));
+  (* Two body variables the self-loop equates: F(x, x) holds nowhere. *)
+  let pair =
+    Query.make ~name:"p" ~post:[ atom "R" [ var "x"; var "y" ] ]
+      ~head:[ atom "R" [ var "u"; var "u" ] ]
+      [ atom "F" [ var "x"; var "y" ] ]
+  in
+  Alcotest.(check bool) "F(x, x) is no flight" false (fires pair);
+  let engine = Coordination.Online.create db in
+  Alcotest.(check bool) "online: pending" true
+    (Coordination.Online.submit engine (self 101) = Coordination.Online.Pending)
+
+(* The slot unifier against the string one: one postcondition of
+   member 0 and one head of member 1, both spelling variables v0..v3.
+   Same verdict, and two variables share a class (or a constant) iff
+   the renamed ones resolve to the same term. *)
+let slot_unifier_agrees (a, b) =
+  let q0 = Query.make ~post:[ a ] ~head:[ atom "Z" [] ] []
+  and q1 = Query.make ~post:[] ~head:[ b ] [] in
+  let g = Coordination_graph.build [| q0; q1 |] in
+  let t = Combine.start g in
+  let slot_ok =
+    Coordination_graph.compatible a b
+    && Combine.unify_post t ~src:0 ~post_index:0 ~dst:1 ~head_index:0
+  in
+  let r0 = Query.rename_apart 0 q0 and r1 = Query.rename_apart 1 q1 in
+  match
+    Subst_oracle.unify_atoms Subst_oracle.empty (List.hd r0.post)
+      (List.hd r1.head)
+  with
+  | None -> not slot_ok
+  | Some s ->
+    slot_ok
+    &&
+    let vars =
+      List.concat
+        (List.mapi
+           (fun m q ->
+             List.mapi
+               (fun j x ->
+                 (Subst_oracle.resolve s (var (Query.prefixed m x)),
+                  Combine.find t (Combine.offset t m + j)))
+               (Query.variables q))
+           [ q0; q1 ])
+    in
+    let same (_, r) (_, r') =
+      r = r'
+      ||
+      match (Combine.value t r, Combine.value t r') with
+      | Some u, Some v -> Value.equal u v
+      | _ -> false
+    in
+    List.for_all
+      (fun u ->
+        List.for_all
+          (fun w -> Term.equal (fst u) (fst w) = same u w)
+          vars)
+      vars
+    && List.for_all
+         (fun (term, r) ->
+           match (term, Combine.value t r) with
+           | Term.Const v, Some u -> Value.equal u v
+           | Term.Var _, None -> true
+           | _ -> false)
+         vars
 
 let suite =
   [
@@ -506,19 +714,30 @@ let suite =
     Alcotest.test_case "ground free variable" `Quick test_ground_free_variable;
     Alcotest.test_case "ground empty domain" `Quick test_ground_empty_domain;
     Alcotest.test_case "validator rejects" `Quick test_validate_rejects;
+    Alcotest.test_case "member-local: shared names coordinate" `Quick
+      test_shared_names_coordinate;
+    Alcotest.test_case "member-local: repeated variable clashes" `Quick
+      test_repeated_variable_clashes;
+    Alcotest.test_case "member-local: cyclic SCC = brute" `Quick
+      test_cyclic_scc_shared_names;
+    Alcotest.test_case "member-local: a lone body takes its constants" `Quick
+      test_lone_body_takes_constants;
+    qtest ~count:400 "slot unifier = string unifier"
+      QCheck.(pair atom_arb atom_arb)
+      slot_unifier_agrees;
     qtest ~count:400 "MGU makes atoms equal" QCheck.(pair atom_arb atom_arb)
       (fun (a, b) ->
-        match Subst.unify_atoms Subst.empty a b with
+        match Subst_oracle.unify_atoms Subst_oracle.empty a b with
         | None -> true
-        | Some s -> Cq.equal_atom (Subst.apply_atom s a) (Subst.apply_atom s b));
+        | Some s -> Cq.equal_atom (Subst_oracle.apply_atom s a) (Subst_oracle.apply_atom s b));
     qtest ~count:400 "unification is symmetric" QCheck.(pair atom_arb atom_arb)
       (fun (a, b) ->
-        Option.is_some (Subst.unify_atoms Subst.empty a b)
-        = Option.is_some (Subst.unify_atoms Subst.empty b a));
+        Option.is_some (Subst_oracle.unify_atoms Subst_oracle.empty a b)
+        = Option.is_some (Subst_oracle.unify_atoms Subst_oracle.empty b a));
     qtest ~count:400 "unifiable implies edge-compatible"
       QCheck.(pair atom_arb atom_arb)
       (fun (a, b) ->
-        (not (Option.is_some (Subst.unify_atoms Subst.empty a b)))
+        (not (Option.is_some (Subst_oracle.unify_atoms Subst_oracle.empty a b)))
         || Coordination_graph.compatible a b);
     qtest ~count:300 "parser roundtrip on random queries"
       (let gen_term =
@@ -584,9 +803,9 @@ let suite =
       (fun q -> Parser.query_to_string q = Printer_oracle.query_to_string q);
     qtest ~count:400 "apply is idempotent" QCheck.(pair atom_arb atom_arb)
       (fun (a, b) ->
-        match Subst.unify_atoms Subst.empty a b with
+        match Subst_oracle.unify_atoms Subst_oracle.empty a b with
         | None -> true
         | Some s ->
-          let once = Subst.apply_atom s a in
-          Cq.equal_atom once (Subst.apply_atom s once));
+          let once = Subst_oracle.apply_atom s a in
+          Cq.equal_atom once (Subst_oracle.apply_atom s once));
   ]

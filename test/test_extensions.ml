@@ -352,8 +352,8 @@ let test_sqlgen_combined_query () =
   let graph = Coordination_graph.build queries in
   match Combine.unify_set graph ~members:[ 0; 1 ] with
   | Error _ -> Alcotest.fail "unifies"
-  | Ok subst ->
-    let body = Combine.combined_body graph ~members:[ 0; 1 ] subst in
+  | Ok t ->
+    let body = Combine.combined_body t ~members:[ 0; 1 ] in
     let sql = Sqlgen.exists db body in
     Alcotest.(check bool) "renders and joins four atoms" true
       (String.length sql > 0

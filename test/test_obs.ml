@@ -74,6 +74,47 @@ let test_span_disarmed () =
   Obs.event ~args:(fun () -> pinged := true; []) "nobody-listens";
   Alcotest.(check bool) "event dropped without sink" false !pinged
 
+(* A disarmed [Obs.span] over closed functions builds nothing: the
+   words a loop of them allocates are the words an empty loop does.
+   Armed, the same call reports its span and args. *)
+let span_args n m = [ ("sum", Obs.Int (n + m)) ]
+let span_body n m = n + m
+
+let test_span_disarmed_allocates_nothing () =
+  Alcotest.(check bool) "nothing armed" false (Obs.enabled ());
+  let words f =
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    (Gc.minor_words () -. w0, r)
+  in
+  let empty () =
+    let acc = ref 0 in
+    for i = 1 to 1000 do
+      acc := !acc + span_body i 1
+    done;
+    !acc
+  in
+  let spans () =
+    let acc = ref 0 in
+    for i = 1 to 1000 do
+      acc := !acc + Obs.span "dark" span_args span_body i 1
+    done;
+    !acc
+  in
+  ignore (words spans);
+  let base, r0 = words empty in
+  let w, r = words spans in
+  Alcotest.(check int) "same result" r0 r;
+  Alcotest.(check (float 0.)) "1,000 disarmed spans allocate 0 words" base w;
+  let sink, contents = Obs.memory_sink () in
+  Alcotest.(check int) "armed result" 5
+    (Obs.with_sink sink (fun () -> Obs.span "lit" span_args span_body 2 3));
+  match List.filter_map span_of (contents ()) with
+  | [ s ] ->
+    Alcotest.(check string) "name" "lit" s.Obs.name;
+    Alcotest.(check bool) "args" true (s.Obs.args = [ ("sum", Obs.Int 5) ])
+  | _ -> Alcotest.fail "one span"
+
 let test_span_exception () =
   let sink, contents = Obs.memory_sink () in
   (try
@@ -607,6 +648,8 @@ let suite =
     ("clock is monotonic", `Quick, test_clock_monotonic);
     ("span nesting and ordering", `Quick, test_span_nesting);
     ("disarmed sites cost nothing observable", `Quick, test_span_disarmed);
+    ("a disarmed span allocates 0 words", `Quick,
+     test_span_disarmed_allocates_nothing);
     ("spans close on exception", `Quick, test_span_exception);
     ("typed payloads survive the stream", `Quick, test_event_payload);
     ("histogram bucket boundaries", `Quick, test_histogram_buckets);

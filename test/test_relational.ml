@@ -395,8 +395,30 @@ let arbitrary_value =
 
 let value_arb = QCheck.make ~print:Value.to_string arbitrary_value
 
+(* A constant no row ever held: the index lookup misses, the probe
+   answers no and counts one probe and no tuple. *)
+let test_never_inserted_constant () =
+  let db = Helpers.flights_db () in
+  let r = Option.get (Database.relation_opt db "F") in
+  Alcotest.(check int) "no rows" 0
+    (Vec.length (Relation.matching_rows r ~col:1 (Value.str "Nowhere")));
+  Alcotest.(check int) "a held constant has rows" 2
+    (Vec.length (Relation.matching_rows r ~col:1 (Value.str "Zurich")));
+  let q = Cq.make [ Helpers.atom "F" [ Term.var "x"; Term.str "Nowhere" ] ] in
+  ignore (Eval.satisfiable db q);
+  let before = Database.snapshot_counters db in
+  Alcotest.(check bool) "unsatisfiable" false (Eval.satisfiable db q);
+  Alcotest.(check bool) "no first answer" true (Eval.first db q = None);
+  let d = Counters.diff ~before ~after:(Database.snapshot_counters db) in
+  Alcotest.(check int) "two probes" 2 d.probes;
+  Alcotest.(check int) "plan hits" 2 d.plan_hits;
+  Alcotest.(check int) "no plan miss" 0 d.plan_misses;
+  Alcotest.(check int) "no tuple scanned" 0 d.tuples_scanned
+
 let suite =
   [
+    Alcotest.test_case "never-inserted constant misses" `Quick
+      test_never_inserted_constant;
     Alcotest.test_case "vec basics" `Quick test_vec_basics;
     Alcotest.test_case "vec of_list" `Quick test_vec_of_list;
     Alcotest.test_case "value order" `Quick test_value_order;

@@ -103,7 +103,8 @@ let check_pool ?(minimize = false) label db input =
             Alcotest.(check int)
               (label ^ ": size") (List.length c.covered) c.size;
             check_validates db queries
-              (Solution.make ~members:c.covered ~assignment:c.assignment))
+              (Solution.make ~members:c.covered
+                 ~assignment:(Scc_algo.valuation o c)))
           o.candidates)
       [ outcome; untraced ];
     if Array.length queries <= 8 then begin
