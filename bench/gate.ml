@@ -20,7 +20,12 @@
    `bound`: fail when the change's median is worse than the parent's by
    more than the bound.  The gate also fails when any run is not
    `correct`; run.py marks a run with failed operations not correct, so
-   this also keeps the failed share at 0.
+   this also keeps the failed share at 0.  For each metric it also
+   prints the change's wins out of the pairs (run i of each file is
+   pair i), both sides' quartiles and whether they support a claimed
+   gain: better on at least 9 pairs in 10, and medians apart by more
+   than the parent's interquartile range.  That line never changes the
+   verdict.
 
      gate.exe --baseline BENCH_eval.json --fresh bench.json
      gate.exe --baseline parent.jsonl --fresh change.jsonl *)
@@ -152,6 +157,38 @@ let metric name run =
       Option.bind (Json.mem name ms) (fun m ->
           Option.bind (Json.mem "value" m) Json.number))
 
+(* The [p]-quantile of a non-empty sorted list, interpolated linearly
+   between closest ranks. *)
+let quantile sorted p =
+  let a = Array.of_list sorted in
+  let pos = p *. float (Array.length a - 1) in
+  let lo = int_of_float pos in
+  let hi = min (lo + 1) (Array.length a - 1) in
+  a.(lo) +. ((pos -. float lo) *. (a.(hi) -. a.(lo)))
+
+let quartiles xs =
+  let sorted = List.sort compare xs in
+  (quantile sorted 0.25, quantile sorted 0.5, quantile sorted 0.75)
+
+(* Wins, quartiles and the claim rule for one metric.  [gain x y] is
+   how much better x is than y. *)
+let print_claim ~gain parent change =
+  let rec wins n = function
+    | p :: ps, c :: cs -> wins (if gain c p > 0. then n + 1 else n) (ps, cs)
+    | _ -> n
+  in
+  let pairs = min (List.length parent) (List.length change) in
+  let need = ((9 * pairs) + 9) / 10 in
+  let won = wins 0 (parent, change) in
+  let p1, p2, p3 = quartiles parent and c1, c2, c3 = quartiles change in
+  let g = gain c2 p2 and iqr = p3 -. p1 in
+  Printf.printf
+    "  %-20s wins %d/%d, a claim needs %d; quartiles parent %.3f %.3f %.3f, \
+     change %.3f %.3f %.3f; median gain %.3f, parent IQR %.3f: a gain claim \
+     %s\n"
+    "" won pairs need p1 p2 p3 c1 c2 c3 g iqr
+    (if won >= need && g > iqr then "holds" else "does not hold")
+
 (* The failures of a perfbench A/B comparison; prints every judged
    metric on the way. *)
 let gate_perfbench ~baseline_path ~fresh_path =
@@ -170,15 +207,16 @@ let gate_perfbench ~baseline_path ~fresh_path =
     [ ("parent", parent); ("change", change) ];
   List.iter
     (fun (name, better, bound) ->
-      match
-        (median (List.filter_map (metric name) parent),
-         median (List.filter_map (metric name) change))
-      with
+      let ps = List.filter_map (metric name) parent
+      and cs = List.filter_map (metric name) change in
+      match (median ps, median cs) with
       | Some p, Some c ->
         (* How much worse the change is, as a share of the parent. *)
         let worse = if better = "lower" then (c -. p) /. p else (p -. c) /. p in
         Printf.printf "  %-20s parent %12.3f  change %12.3f  (%+.1f%%, %s is better, bound %.0f%%)\n"
           name p c ((c /. p -. 1.0) *. 100.0) better (bound *. 100.0);
+        let gain = if better = "lower" then fun x y -> y -. x else ( -. ) in
+        print_claim ~gain ps cs;
         if worse > bound then
           fail "%s worse by %.1f%% (median %.3f -> %.3f, %s is better, bound %.0f%%)"
             name (worse *. 100.0) p c better (bound *. 100.0)

@@ -663,7 +663,7 @@ let repl_cmd =
         match Database.body_schema_error db q.Entangled.Query.body with
         | Some e -> refuse e
         | None -> (
-          match Coordination.Online.submit engine q with
+          match Coordination.Online.submit ~witness:false engine q with
           | Coordination.Online.Coordinated c -> report_fired c
           | Coordination.Online.Pending ->
             Printf.printf "pending: %s\n"
@@ -685,7 +685,7 @@ let repl_cmd =
         Printf.printf "pending (%d): %s\n" (List.length names)
           (String.concat ", " names)
       | "\\flush" ->
-        let fired = Coordination.Online.flush engine in
+        let fired = Coordination.Online.flush ~witness:false engine in
         List.iter report_fired fired;
         if fired = [] then Printf.printf "nothing fired\n"
       | "\\stats" ->

@@ -48,23 +48,24 @@ end
 
 (* One pooled query.  [query] is the query as submitted (journaled,
    reported and evaluated: the solver names a variable by its member
-   and local index, not by a renamed string, and only the fired set's
-   valuation spells its variables ["q<id>.x"]), so a pending entry
-   keeps one copy of the query and evaluation copies none.  [out] holds the
-   entry's outgoing extended coordination edges, [src] = its own id and
-   [dst] a live pool id (itself for a self-loop): together the entries'
-   out-lists are the pool's coordination graph, discovered once at
-   admission and never rebuilt.  [comp] names the entry's weakly
-   connected component by the id of one of its live members.  [quiet]
-   holds when the component's last complete evaluation, with its
-   current members and the current store, was safe and fired nothing;
-   a component is quiet iff every member is.  [store_free] holds when
-   the entry's cached verdict (clean, quiet or not) depends on the pool
-   alone, so no store write can change it; otherwise the verdict read
-   the store through the entry's body (see [reads]).  Ids are
-   submission order and never reused; an id is live iff it is present
-   in [entries].  [quiet] changes only through [set_quiet], which keeps
-   the owning component's [unquiet] count in step. *)
+   and local index, not by a renamed string, and only a fired set's
+   witness, when one is asked for, spells its variables ["q<id>.x"]),
+   so a pending entry keeps one copy of the query and evaluation
+   copies none.  [out] holds the entry's outgoing extended coordination
+   edges, [src] = its own id and [dst] a live pool id (itself for a
+   self-loop): together the entries' out-lists are the pool's
+   coordination graph, discovered once at admission and never rebuilt.
+   [comp] names the entry's weakly connected component by the id of
+   one of its live members.  [quiet] holds when the component's last
+   complete evaluation, with its current members and the current
+   store, was safe and fired nothing; a component is quiet iff every
+   member is.  [store_free] holds when the entry's cached verdict
+   (clean, quiet or not) depends on the pool alone, so no store write
+   can change it; otherwise the verdict read the store through the
+   entry's body (see [reads]).  Ids are submission order and never
+   reused; an id is live iff it is present in [entries].  [quiet]
+   changes only through [set_quiet], which keeps the owning
+   component's [unquiet] count in step. *)
 type entry = {
   id : int;
   query : Query.t;
@@ -524,8 +525,9 @@ let solve_component engine ids =
 let solve_args _ ids = [ ("queries", Obs.Int (Array.length ids)) ]
 
 (* Evaluate one component, given as an array of live ids in ascending
-   order; on success retire the members and report them. *)
-let evaluate engine ids =
+   order; on success retire the members and report them, with their
+   assignment when [witness] asks for it. *)
+let evaluate engine ~witness ids =
   let solved = Obs.span "scc.solve" solve_args solve_component engine ids in
   match solved with
   | Error (Scc_algo.Not_safe ws) ->
@@ -539,7 +541,7 @@ let evaluate engine ids =
     Stats.merge ~into:engine.stats outcome.stats;
     (if outcome.degraded <> None then
        engine.last_degradation <- outcome.degraded);
-    match outcome.solution with
+    match outcome.selected with
     | None ->
       (* A complete (non-degraded) quiescent evaluation is cachable: the
          component cannot fire until its membership changes or a store
@@ -553,27 +555,29 @@ let evaluate engine ids =
           ~store_free:(outcome.stats.db_probes = 0)
           ids;
       Ok None
-    | Some solution ->
+    | Some fired ->
       (* Commit the pool/satisfied bookkeeping BEFORE consuming
          inventory: if the deletion pass failed after the pool shrank,
          the engine would stay coherent (the set genuinely fired); the
          reverse order could delete tuples for a set never recorded as
          satisfied. *)
       let t_commit = Obs.now_ns_int () in
-      let member_ids = List.map (Array.get ids) solution.members in
+      let assignment =
+        if witness then Scc_algo.valuation ~ids outcome fired
+        else Eval.Binding.empty
+      in
+      let member_ids = List.map (Array.get ids) fired.covered in
       let satisfied_queries =
         List.map (fun id -> (Ids.find engine.entries id).query) member_ids
       in
       retire engine member_ids;
       engine.satisfied <- engine.satisfied + List.length satisfied_queries;
       emit engine (Journal.Retired { ids = member_ids });
-      if engine.consume then
-        Option.iter (consume_inventory engine outcome) outcome.selected;
+      if engine.consume then consume_inventory engine outcome fired;
       engine.stats.commit_ns <-
         Int64.add engine.stats.commit_ns
           (Int64.of_int (Obs.now_ns_int () - t_commit));
-      Ok
-        (Some { queries = satisfied_queries; assignment = solution.assignment }))
+      Ok (Some { queries = satisfied_queries; assignment }))
 
 (* The ids of a component, ascending. *)
 let sorted_members (c : comp) =
@@ -618,14 +622,16 @@ let admit_timed engine query ~check_quiet =
   emit engine (Journal.Submitted { id = e.id; query });
   e
 
-let submit_op engine query =
+let submit_op ~witness engine query =
   begin_op engine;
   let e = admit_timed engine query ~check_quiet:true in
   let result =
     (* A new entry is quiet only when it was proven quiet. *)
     if e.quiet then Pending
     else
-      match evaluate engine (sorted_members (Ids.find engine.comps e.comp)) with
+      match
+        evaluate engine ~witness (sorted_members (Ids.find engine.comps e.comp))
+      with
       | Error ws ->
         (* Do not admit a query that makes its component unsafe. *)
         retire engine [ e.id ];
@@ -645,8 +651,14 @@ let pool_arg engine = ("pool", Obs.Int (Ids.length engine.entries))
 let submit_args engine (query : Query.t) =
   [ ("query", Obs.Str query.name); pool_arg engine ]
 
-let submit engine query =
-  Obs.span "online.submit" submit_args submit_op engine query
+(* One closure per [witness], made once: a submit allocates none. *)
+let submit_witness = submit_op ~witness:true
+let submit_bare = submit_op ~witness:false
+
+let submit ?(witness = true) engine query =
+  Obs.span "online.submit" submit_args
+    (if witness then submit_witness else submit_bare)
+    engine query
 
 (* Withdraw a pending entry by pool id — the service layer's `retire`
    verb: a client takes an offer back before it coordinates.  Journaled
@@ -690,7 +702,7 @@ let due_components engine =
 (* Evaluate the dirty components in order of their smallest member id,
    restarting after every fire, until a fixpoint: removing one satisfied
    set can newly enable another among the remainder. *)
-let flush_dirty engine =
+let flush_dirty engine ~witness =
   let results = ref [] in
   let progress = ref true in
   while !progress do
@@ -698,7 +710,7 @@ let flush_dirty engine =
     let rec try_components = function
       | [] -> ()
       | c :: rest -> (
-        match evaluate engine c with
+        match evaluate engine ~witness c with
         | Ok (Some fired) ->
           (* Membership changed: abandon the stale component list and
              rescan (the untried components stay dirty). *)
@@ -710,9 +722,9 @@ let flush_dirty engine =
   done;
   List.rev !results
 
-let flush_op engine _pool0 =
+let flush_op ~witness engine _pool0 =
   begin_op engine;
-  let fired = flush_dirty engine in
+  let fired = flush_dirty engine ~witness in
   emit engine Journal.Op_end;
   sync_db_version engine;
   fired
@@ -723,16 +735,20 @@ let flush_args engine pool0 =
     ("remaining", Obs.Int (Ids.length engine.entries));
   ]
 
-let flush engine =
-  Obs.span "online.flush" flush_args flush_op engine
-    (Ids.length engine.entries)
+let flush_witness = flush_op ~witness:true
+let flush_bare = flush_op ~witness:false
+
+let flush ?(witness = true) engine =
+  Obs.span "online.flush" flush_args
+    (if witness then flush_witness else flush_bare)
+    engine (Ids.length engine.entries)
 
 let submit_all_op engine queries =
   begin_op engine;
   List.iter
     (fun q -> ignore (admit_timed engine q ~check_quiet:false))
     queries;
-  let fired = flush_dirty engine in
+  let fired = flush_dirty engine ~witness:true in
   emit engine Journal.Op_end;
   sync_db_version engine;
   fired

@@ -80,8 +80,11 @@ val consume : t -> bool
 type coordinated = {
   queries : Query.t list;        (** the satisfied queries, in pool order *)
   assignment : Eval.valuation;
-      (** one key per variable of each member, named by pool id:
-          member [id]'s variable [x] is ["q<id>.x"] *)
+      (** the witness, Definition 1's [h], when the operation was asked
+          for one ([~witness:true], the default): one key per variable
+          of each member, named by pool id, member [id]'s variable [x]
+          being ["q<id>.x"].  [Eval.Binding.empty] under
+          [~witness:false]; the fired set is the same either way. *)
 }
 
 type submission =
@@ -90,7 +93,7 @@ type submission =
   | Rejected_unsafe of (int * int) list
       (** the component became unsafe; the new query was NOT admitted *)
 
-val submit : t -> Query.t -> submission
+val submit : ?witness:bool -> t -> Query.t -> submission
 (** Submit one query.  The arrival's component is evaluated, except
     when the arrival is {e proven quiet}: one of its postconditions has
     no coordination edge (not even a self-loop), and every other member
@@ -100,7 +103,13 @@ val submit : t -> Query.t -> submission
     arrival first and leaves every other candidate as it was, so the
     answer is [Pending] without a solve (DESIGN.md §2c).  The check
     costs O(1) in the component's size: each component counts its
-    members that are not quiet.  The journal is the same either way. *)
+    members that are not quiet.  The journal is the same either way.
+
+    [witness] (default [true]) fills a fired set's [assignment].  A
+    caller that reports only the members' names ([serve], the repl)
+    passes [false], and the fire builds no assignment map: the same set
+    fires, the pool, inventory and journal are the same, and
+    [assignment] is empty. *)
 
 val submit_all : t -> Query.t list -> coordinated list
 (** Batched submission: admit the whole batch, then evaluate pending
@@ -110,11 +119,12 @@ val submit_all : t -> Query.t list -> coordinated list
     {!submit}.  Queries whose component is unsafe are left pending
     (there is no single arrival to reject). *)
 
-val flush : t -> coordinated list
+val flush : ?witness:bool -> t -> coordinated list
 (** Evaluate the pending pool's weakly connected components that were
     touched since their last evaluation, in order of their smallest
     member, until no set fires; satisfied sets leave the pool.  Returns
-    them in discovery order. *)
+    them in discovery order, with their assignments as {!submit}'s
+    [witness] says. *)
 
 val withdraw : t -> int -> bool
 (** [withdraw engine id] removes the pending entry with pool id [id]

@@ -525,7 +525,8 @@ let probe_component ctx c =
 
 (* [solve_graph] times itself: [graph_ns] is the analysis, [total_ns]
    the whole call.  A caller that built [graph] adds the construction
-   to both. *)
+   to both.  It names no assignment: [solve] does, and an online fire
+   asks [valuation] for one only when its caller wants it. *)
 let solve_graph ?(selection = Largest) ?(preprocess = true)
     ?(graph_only = false) ?(minimize = false) ?ids db
     (graph : Coordination_graph.t)
@@ -598,13 +599,6 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
       finish_ctx ctx;
       let candidates = List.rev !candidates in
       let selected = select selection queries candidates in
-      let solution =
-        Option.map
-          (fun c ->
-            Solution.make ~members:c.covered
-              ~assignment:(valuation_of ctx c.covered c.values))
-          selected
-      in
       finish
         (Ok
            {
@@ -612,7 +606,7 @@ let solve_graph ?(selection = Largest) ?(preprocess = true)
              graph;
              candidates;
              selected;
-             solution;
+             solution = None;
              stats;
              degraded = !degraded;
            })
@@ -631,13 +625,19 @@ let solve_input ?selection ?preprocess ?graph_only ?minimize ~t_start db input
   let result =
     solve_graph ?selection ?preprocess ?graph_only ?minimize db graph
   in
-  Result.iter
+  Result.map
     (fun o ->
+      let solution =
+        Option.map
+          (fun c ->
+            Solution.make ~members:c.covered ~assignment:(valuation o c))
+          o.selected
+      in
       let s = o.stats in
       s.graph_ns <- Int64.add s.graph_ns (Int64.of_int (t_built - t_graph));
-      s.total_ns <- Int64.add s.total_ns (Int64.of_int (t_built - t_start)))
-    result;
-  result
+      s.total_ns <- Int64.of_int (Obs.now_ns_int () - t_start);
+      { o with solution })
+    result
 
 let solve_args input = [ ("queries", Obs.Int (List.length input)) ]
 

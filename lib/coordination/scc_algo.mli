@@ -43,8 +43,13 @@ type outcome = {
   queries : Query.t array;
   graph : Coordination_graph.t;
   candidates : candidate list;   (** all successful components, discovery order *)
-  selected : candidate option;   (** the candidate [solution] is made of *)
+  selected : candidate option;
+      (** the chosen candidate: the answer, whether or not [solution]
+          spells it out *)
   solution : Solution.t option;
+      (** [selected] with its assignment, from {!solve}; always [None]
+          from {!solve_graph}, whose caller builds the assignment with
+          {!valuation} when it wants one *)
   stats : Stats.t;
   degraded : Resilient.degradation option;
       (** [Some _] when an armed {!Resilient.t} guard cut the solve
@@ -114,14 +119,19 @@ val solve_graph :
     the edges it discovered at admission ({!Coordination_graph.of_edges})
     instead of rebuilding it.  The queries need not be renamed apart:
     unification and grounding name a variable by its member and local
-    index ({!Combine}).  With [ids], the solution's valuation names
-    member [i]'s variable [x] ["q<ids.(i)>.x"]; without, variables keep
-    their own names, which must then be apart.  Same options, events,
-    {!Stats} and degraded handling as {!solve}.  [stats.graph_ns] covers
-    the analysis only, and no [scc.solve]/[scc.graph] span is emitted:
-    both belong to the caller that built the graph. *)
+    index ({!Combine}).  The outcome's [selected] is the answer and its
+    [solution] is [None]: no assignment map is built unless the caller
+    asks {!valuation} for one, so an online fire whose client reads only
+    the members' names pays for none.  With [ids], a traced [Probed]
+    witness names member [i]'s variable [x] ["q<ids.(i)>.x"]; without,
+    variables keep their own names.  Same options, events, {!Stats} and
+    degraded handling as {!solve}.  [stats.graph_ns] covers the analysis
+    only, and no [scc.solve]/[scc.graph] span is emitted: both belong to
+    the caller that built the graph. *)
 
 val valuation : ?ids:int array -> outcome -> candidate -> Eval.valuation
-(** A candidate's assignment: every variable of every covered member,
-    named as {!solve_graph}'s [ids] would name it.  Built on demand;
-    the outcome's [solution] already holds the selected one's. *)
+(** A candidate's assignment, Definition 1's [h]: every variable of
+    every covered member, member [i]'s variable [x] named
+    ["q<ids.(i)>.x"] with [ids] and [x] without (the names must then be
+    apart, as {!solve}'s renamed queries are).  Built on each call; a
+    {!solve} outcome's [solution] already holds the selected one's. *)

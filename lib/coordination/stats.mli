@@ -13,8 +13,9 @@ type t = {
   mutable total_ns : int64;      (** whole solver call *)
   mutable commit_ns : int64;
       (** the online engine's fire commits: retiring the fired set,
-          its journal records and the inventory it consumes; outside
-          [total_ns], and never charged by a submit that fires nothing *)
+          its journal records, the inventory it consumes and its
+          witness when one is asked for; outside [total_ns], and never
+          charged by a submit that fires nothing *)
   mutable admit_ns : int64;
       (** the online engine's admissions: index probes, edge discovery,
           fuse and a submit's proven-quiet check; outside [total_ns] *)

@@ -305,6 +305,8 @@ let subscribed_sessions t =
     t.sessions []
   |> List.sort (fun a b -> compare a.sid b.sid)
 
+(* A fired set goes on the wire as its members' names only, so the
+   engine is asked for no witness ([~witness:false]). *)
 let queries_json (c : Online.coordinated) =
   Json.Arr
     (List.map (fun q -> Json.Str q.Entangled.Query.name) c.Online.queries)
@@ -420,7 +422,7 @@ let handle_request t s req =
           | None -> (
             Option.iter Resilient.start_solve t.binding.guard;
             let pool_id = Online.next_id t.engine in
-            let r = Online.submit t.engine q in
+            let r = Online.submit ~witness:false t.engine q in
             let degraded = Online.last_degradation t.engine in
             (* Notifications are enqueued BEFORE the response, so a
                subscribed requester reads its own match/degradation
@@ -453,7 +455,7 @@ let handle_request t s req =
         else err "not_found" ~fields:[ ("pool_id", Json.Int pool_id) ]
       | "flush" ->
         Option.iter Resilient.start_solve t.binding.guard;
-        let fired = Online.flush t.engine in
+        let fired = Online.flush ~witness:false t.engine in
         let degraded = Online.last_degradation t.engine in
         notify_matched t fired;
         notify_degraded t degraded;

@@ -231,11 +231,11 @@ let write_store ?wal db = function
       (Database.relation_opt db rel)
   | Submit _ | Submit_all _ | Withdraw _ | Flush | Crash -> ()
 
-let apply_op ?wal db engine = function
-  | Submit q -> Submitted (Online.submit engine q)
+let apply_op ?wal ?witness db engine = function
+  | Submit q -> Submitted (Online.submit ?witness engine q)
   | Submit_all qs -> Fired (Online.submit_all engine qs)
   | Withdraw id -> Withdrew (Online.withdraw engine id)
-  | Flush -> Fired (Online.flush engine)
+  | Flush -> Fired (Online.flush ?witness engine)
   | (Insert _ | Delete _ | Crash) as op ->
     write_store ?wal db op;
     Stored

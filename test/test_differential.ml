@@ -14,7 +14,8 @@
      that crashing at each of its own, then tearing the tail each op
      appended ([Disk_fault]).  Every recovery must land on the oracle's
      state after the ops written, and the trace goes on from there;
-   - served: [Server.step] over two sessions, with a WAL.  A crash
+   - served: [Server.step] over two sessions, with a WAL.  The server
+     fires without a witness ([Online.submit ~witness:false]).  A crash
      stops the server without closing the WAL and restarts it on a
      recovery.
 

@@ -597,8 +597,12 @@ let test_cyclic_scc_shared_names () =
   | None -> Alcotest.fail "brute finds the cycle");
   (* The solver on the graph of the unrenamed queries, naming by id. *)
   let g = Coordination_graph.build (Array.of_list queries) in
-  match Coordination.Scc_algo.solve_graph ~ids:[| 0; 1; 2 |] db g with
-  | Ok { solution = Some s; _ } -> check_validates db renamed s
+  let ids = [| 0; 1; 2 |] in
+  match Coordination.Scc_algo.solve_graph ~ids db g with
+  | Ok ({ selected = Some c; solution = None; _ } as o) ->
+    check_validates db renamed
+      (Solution.make ~members:c.covered
+         ~assignment:(Coordination.Scc_algo.valuation ~ids o c))
   | _ -> Alcotest.fail "solve_graph fires the cycle"
 
 (* A lone member's body is probed as it is only when the unifier binds

@@ -600,6 +600,135 @@ let test_unbound_head_variable_reads_every_table () =
     "a row anywhere grounds x" [ [ "free" ] ]
     (List.map fired_names (Online.flush engine))
 
+(* ----------------------------- witness ---------------------------- *)
+
+(* One op sequence drawn from CHAOS_SEED: 3 to 5 Figure 4 chains of 2
+   to 6 queries arrive head first, interleaved.  Chain 0 wants a
+   Nowhere flight, which the store gains only after every chain is in,
+   so the closing flush fires it; one non-tail member of chain 1 is
+   withdrawn just before its tail arrives, so only the members past it
+   fire.  A booking pair that grounds on one shared Zurich flight
+   closes the sequence. *)
+let witness_ops st =
+  let int n = Random.State.int st n in
+  let chains = 3 + int 3 in
+  let lens = Array.init chains (fun _ -> 2 + int 5) in
+  let queue c =
+    List.init lens.(c) (fun i ->
+        let name k = Printf.sprintf "c%du%d" c k in
+        rq (name i)
+          ~dest:(if c = 0 then "Nowhere" else "Zurich")
+          ~post:(if i = lens.(c) - 1 then [] else [ name (i + 1) ])
+          ~head:(name i))
+  in
+  let queues = Array.init chains queue in
+  let withdrawn = int (lens.(1) - 1) in
+  let ids = ref 0 and chain1 = ref [] and ops = ref [] in
+  let push op = ops := op :: !ops in
+  let rec go () =
+    match List.filter (fun c -> queues.(c) <> []) (List.init chains Fun.id) with
+    | [] -> ()
+    | live ->
+      let c = List.nth live (int (List.length live)) in
+      let q = List.hd queues.(c) in
+      queues.(c) <- List.tl queues.(c);
+      if c = 1 && queues.(c) = [] then
+        push (Withdraw (List.nth (List.rev !chain1) withdrawn));
+      if c = 1 then chain1 := !ids :: !chain1;
+      push (Submit q);
+      incr ids;
+      go ()
+  in
+  go ();
+  push (Insert ("F", [ vi 999; vs "Nowhere" ]));
+  push Flush;
+  push
+    (Submit
+       (Query.make ~name:"gwyneth"
+          ~post:[ atom "R" [ cs "Chris"; var "x" ] ]
+          ~head:[ atom "R" [ cs "Gwyneth"; var "x" ] ]
+          [ atom "F" [ var "x"; cs "Zurich" ] ]));
+  push
+    (Submit
+       (Query.make ~name:"chris" ~post:[]
+          ~head:[ atom "R" [ cs "Chris"; var "y" ] ]
+          [ atom "F" [ var "y"; cs "Zurich" ] ]));
+  List.rev !ops
+
+(* A store of 40 Zurich flights, enough for every chain to book its
+   seats in consume mode. *)
+let witness_db () =
+  let db = Database.create () in
+  ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
+  for f = 1 to 40 do
+    Database.insert db "F" [ vi f; vs "Zurich" ]
+  done;
+  db
+
+(* The sequence through two engines, with and without consume: the
+   witness-free engine fires the same member names in the same order,
+   keeps the same pool, books the same inventory and journals the same
+   records as the default one.  Only the default engine's sets carry
+   an assignment, and it holds to Definition 1; the other's are
+   empty. *)
+(* An op's answer in words: the verdict, the fired sets' member names
+   in order, or the withdrawal's outcome. *)
+let answer = function
+  | Submitted s -> submission_repr s
+  | Fired sets ->
+    String.concat ";" (List.map (fun c -> String.concat "," (fired_names c)) sets)
+  | Withdrew w -> string_of_bool w
+  | Stored -> ""
+
+let test_witness_free_fires_the_same () =
+  let ops = witness_ops (Random.State.make [| chaos_seed |]) in
+  List.iter
+    (fun consume ->
+      let ctx = Printf.sprintf "seed %d, consume %b" chaos_seed consume in
+      let engine () =
+        let db = witness_db () in
+        let e = Online.create ~consume db in
+        let journal = ref [] in
+        Online.set_journal e (Some (fun r -> journal := r :: !journal));
+        (db, e, journal)
+      in
+      let db, full, full_journal = engine () in
+      let bare_db, bare, bare_journal = engine () in
+      (* Every tuple ever inserted: a consume-mode fire deleted its own. *)
+      let shadow = witness_db () in
+      let fires = ref 0 in
+      let pool e =
+        List.map (fun (id, q) -> (id, q.Query.name)) (Online.pending_entries e)
+      in
+      List.iteri
+        (fun i op ->
+          let ctx = Printf.sprintf "%s, op %d" ctx i in
+          write_store shadow op;
+          let a = apply_op db full op in
+          let b = apply_op ~witness:false bare_db bare op in
+          Alcotest.(check string) (ctx ^ ": answer") (answer a) (answer b);
+          let with_h = fired_sets a and without = fired_sets b in
+          List.iter (check_fired ~ctx shadow) with_h;
+          List.iter
+            (fun (c : Online.coordinated) ->
+              if not (Eval.Binding.is_empty c.assignment) then
+                Alcotest.failf "%s: a witness-free set has an assignment" ctx)
+            without;
+          fires := !fires + List.length with_h;
+          Alcotest.(check (list (pair int string)))
+            (ctx ^ ": pending") (pool full) (pool bare);
+          Alcotest.(check bool)
+            (ctx ^ ": inventory") true (tables db = tables bare_db);
+          Alcotest.(check bool)
+            (ctx ^ ": inventory conflict") true
+            (Online.last_inventory_conflict full
+            = Online.last_inventory_conflict bare))
+        ops;
+      Alcotest.(check bool) (ctx ^ ": journals") true
+        (!full_journal = !bare_journal);
+      Alcotest.(check bool) (ctx ^ ": sets fired") true (!fires >= 3))
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "submit_all == enqueue + flush == oracle" `Quick
@@ -639,4 +768,6 @@ let suite =
       `Quick test_unbound_head_variable_reads_every_table;
     Alcotest.test_case "stats: only a fire is charged commit time" `Quick
       test_commit_time_charges_fires_only;
+    Alcotest.test_case "witness: a witness-free engine fires the same" `Quick
+      test_witness_free_fires_the_same;
   ]
