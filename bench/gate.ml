@@ -54,10 +54,21 @@ let rows_of series =
   | Some (Json.Arr rows) -> List.map (function Json.Arr r -> r | _ -> []) rows
   | _ -> []
 
+(* The [p]-quantile of a non-empty sorted list, interpolated linearly
+   between closest ranks. *)
+let quantile sorted p =
+  let a = Array.of_list sorted in
+  let pos = p *. float (Array.length a - 1) in
+  let lo = int_of_float pos in
+  let hi = min (lo + 1) (Array.length a - 1) in
+  a.(lo) +. ((pos -. float lo) *. (a.(hi) -. a.(lo)))
+
+(* The median the verdict judges, the one the claim line prints: for
+   an even count, the mean of the two middle values. *)
 let median xs =
   match List.sort compare xs with
   | [] -> None
-  | sorted -> Some (List.nth sorted (List.length sorted / 2))
+  | sorted -> Some (quantile sorted 0.5)
 
 let column_median series name =
   let columns = columns_of series in
@@ -156,15 +167,6 @@ let metric name run =
   Option.bind (Json.mem "metrics" run) (fun ms ->
       Option.bind (Json.mem name ms) (fun m ->
           Option.bind (Json.mem "value" m) Json.number))
-
-(* The [p]-quantile of a non-empty sorted list, interpolated linearly
-   between closest ranks. *)
-let quantile sorted p =
-  let a = Array.of_list sorted in
-  let pos = p *. float (Array.length a - 1) in
-  let lo = int_of_float pos in
-  let hi = min (lo + 1) (Array.length a - 1) in
-  a.(lo) +. ((pos -. float lo) *. (a.(hi) -. a.(lo)))
 
 let quartiles xs =
   let sorted = List.sort compare xs in

@@ -592,9 +592,13 @@ let session_term =
       & opt nonneg_int_conv 512
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
-            "Snapshot the engine state after every $(docv) journaled \
-             operations (0 disables periodic snapshots).  Only \
-             meaningful with $(b,--wal).")
+            "Snapshot the engine state once at least $(docv) journaled \
+             operations have committed since the last snapshot and the \
+             journal written since is at least as large as that \
+             snapshot's image, so recovery replays at most about one \
+             image of journal or $(docv) operations, whichever is more \
+             (0 disables periodic snapshots).  Only meaningful with \
+             $(b,--wal).")
   in
   let flight_recorder =
     Arg.(

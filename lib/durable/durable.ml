@@ -593,6 +593,8 @@ type t = {
   mutable batching : bool;  (* inside [batch]: committed groups wait for its end *)
   mutable groups_since_sync : int;
   mutable groups_since_snapshot : int;
+  mutable bytes_since_snapshot : int;  (* written since the last hand-off *)
+  mutable image_bytes : int;  (* the last image's payload *)
   db : Database.t;
   engine : Online.t;
   mutable closed : bool;
@@ -646,7 +648,7 @@ let open_segment cfg ~first_lsn =
      match e with Unix.Unix_error (e, _, _) -> fail e | e -> raise e);
   (path, fd)
 
-let handle cfg ~db ~engine ~first_lsn =
+let handle ?(image_bytes = 0) cfg ~db ~engine ~first_lsn =
   let seg_path, fd = open_segment cfg ~first_lsn in
   {
     cfg;
@@ -662,6 +664,8 @@ let handle cfg ~db ~engine ~first_lsn =
     batching = false;
     groups_since_sync = 0;
     groups_since_snapshot = 0;
+    bytes_since_snapshot = 0;
+    image_bytes;
     db;
     engine;
     closed = false;
@@ -717,6 +721,7 @@ let write_groups t =
     seam t.cfg Append;
     write_all t.fd t.out.b 0 n;
     t.offset <- t.offset + n;
+    t.bytes_since_snapshot <- t.bytes_since_snapshot + n;
     Bytes.blit t.out.b n t.out.b 0 (t.out.len - n);
     t.out.len <- t.out.len - n;
     t.last_record <- t.last_record - n;
@@ -979,6 +984,8 @@ let hand_off t ~spawn =
   in
   job.j_encode_ns <- Obs.now_ns_int () - t0;
   t.groups_since_snapshot <- 0;
+  t.bytes_since_snapshot <- 0;
+  t.image_bytes <- String.length payload;
   t.writer <- Some job;
   (* A handle with a seam starts no thread.  Without a thread to spare,
      the write happens on the calling thread. *)
@@ -1045,10 +1052,15 @@ let snapshot t =
     Option.get (finish t)
   end
 
+(* Periodic snapshots wait for [snapshot_every] groups and for as many
+   journal bytes since the last hand-off as that image's payload, so
+   the cost of encoding an image is spread over a journal at least as
+   large as it (Redis's rewrite at 100% growth). *)
 let maybe_snapshot t =
   if
     t.cfg.snapshot_every > 0
     && t.groups_since_snapshot >= t.cfg.snapshot_every
+    && t.bytes_since_snapshot + t.committed >= t.image_bytes
   then
     if t.writer <> None then
       (* At most one snapshot in flight: this cadence is skipped. *)
@@ -1308,7 +1320,7 @@ let load_snapshot path =
         else
           match decode_snapshot (String.sub data 20 payload_len) with
           | exception Decode_error msg -> Error ("undecodable: " ^ msg)
-          | state -> Ok (lsn, state)
+          | state -> Ok (lsn, payload_len, state)
       end
     end
 
@@ -1369,18 +1381,19 @@ let recover cfg =
       | (lsn, name) :: rest -> (
         match
           Result.bind (load_snapshot (Filename.concat cfg.dir name))
-            (fun (stored_lsn, s) ->
+            (fun (stored_lsn, size, s) ->
               if stored_lsn <> lsn then Error "name/LSN mismatch"
-              else restore s)
+              else Result.map (fun r -> (size, r)) (restore s))
         with
-        | Ok restored -> (Some (name, lsn, restored), List.rev skipped)
+        | Ok (size, restored) ->
+          (Some (name, lsn, size, restored), List.rev skipped)
         | Error why -> pick_snapshot ((name, why) :: skipped) rest)
     in
     let snapshot_pick, snapshots_skipped = pick_snapshot [] snaps in
     let snap_lsn =
-      match snapshot_pick with Some (_, lsn, _) -> lsn | None -> 0L
+      match snapshot_pick with Some (_, lsn, _, _) -> lsn | None -> 0L
     in
-    let state = ref (Option.map (fun (_, _, r) -> r) snapshot_pick) in
+    let state = ref (Option.map (fun (_, _, _, r) -> r) snapshot_pick) in
     let ensure_engine consume =
       match !state with
       | Some (db, engine, stored) ->
@@ -1571,10 +1584,10 @@ let recover cfg =
          checkpoint recovers again from the same inputs. *)
       let lsn = !last_applied in
       let image = snapshot_name lsn in
+      let payload = encode_snapshot (encoder ()) ~db engine in
       let checkpoint =
         let job =
-          make_job cfg ~lsn
-            ~payload:(encode_snapshot (encoder ()) ~db engine)
+          make_job cfg ~lsn ~payload
             ~victims:
               (List.filter
                  (fun n ->
@@ -1604,14 +1617,24 @@ let recover cfg =
            segments stay a durable copy of the replayed prefix.  So a
            segment that cannot be created is an [Error] a retry
            recovers from, the image alone after a checkpoint. *)
-        match handle cfg ~db ~engine ~first_lsn:(Int64.add lsn 1L) with
+        (* The next periodic hand-off waits for a journal as large as
+           the image recovery leaves authoritative. *)
+        let image_bytes =
+          match (checkpoint, snapshot_pick) with
+          | Ok (), _ -> String.length payload
+          | Error _, Some (_, _, size, _) -> size
+          | Error _, None -> 0
+        in
+        match
+          handle ~image_bytes cfg ~db ~engine ~first_lsn:(Int64.add lsn 1L)
+        with
         | exception Sys_error why -> Result.Error why
         | t ->
           attach t;
           let report =
             {
               snapshot_loaded =
-                Option.map (fun (n, l, _) -> (n, l)) snapshot_pick;
+                Option.map (fun (n, l, _, _) -> (n, l)) snapshot_pick;
               snapshots_skipped;
               segments_scanned = !segments_scanned;
               records_replayed = !records_replayed;

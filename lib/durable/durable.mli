@@ -31,13 +31,22 @@
 
     {2 Snapshots off the request path}
 
-    The request thread only encodes.  The operation that commits the
-    [snapshot_every]-th group writes the groups a {!batch} deferred,
+    The request thread only encodes.  A periodic snapshot is due at the
+    first commit where two things hold since the last hand-off: at
+    least [snapshot_every] groups have committed, and the journal
+    written (plus what a {!batch} has deferred) is at least as many
+    bytes as the last image's payload — the image handed off last,
+    periodic or forced, or on a recovered handle the recovery
+    checkpoint's (the loaded image's when the checkpoint failed; 0 for
+    a fresh WAL).  So the journal between two images is at least as
+    large as the earlier one, and the encodes stay in proportion to
+    the journal written however large the store grows.  The operation
+    that commits the due group writes the groups a {!batch} deferred,
     encodes the image, lists what it will supersede, and hands the
-    bytes, its LSN and the segment's descriptor to a writer thread, then
-    returns.  The writer fsyncs the WAL prefix the image covers (unless
-    already synced), checksums the image, writes, fsyncs and renames it,
-    fsyncs the directory and prunes; then it ends.  It is a POSIX
+    bytes, its LSN and the segment's descriptor to a writer thread,
+    then returns.  The writer fsyncs the WAL prefix the image covers
+    (unless already synced), checksums the image, writes, fsyncs and
+    renames it, fsyncs the directory and prunes; then it ends.  It is a POSIX
     thread that never enters the OCaml runtime, so it never takes the
     runtime lock the request thread runs under (the process still runs
     OCaml on one domain).
@@ -46,10 +55,20 @@
     failure it keeps appending, with nothing pruned; on a failed
     WAL-prefix fsync the handle fails ({!Wal_failed}).  At most one
     snapshot is in flight: a cadence reached while one is written is
-    skipped.  Until the rotation the current segment runs past the
-    image's LSN, and {!recover} replays that tail from it.  The
-    [wal.snapshot_encode_ns] histogram times the request thread's part
-    (encode and rotation), [wal.snapshot_write_ns] the writer's.
+    skipped, and the group count starts again.  Until the rotation the
+    current segment runs past the image's LSN, and {!recover} replays
+    that tail from it.
+
+    The replay bound: after an image's hand-off, the next one comes
+    within max([snapshot_every] groups, the groups that reach the
+    image's payload in bytes, the crossing group included), plus the
+    groups committed while the image was in flight.  So, barring a
+    failed snapshot, recovery replays at most that from the image it
+    loads, plus the groups committed since the next image's hand-off
+    when a crash cut that image short.
+
+    The [wal.snapshot_encode_ns] histogram times the request thread's
+    part (encode and rotation), [wal.snapshot_write_ns] the writer's.
     [wal.append_ns] times each segment write (with its fsync, when the
     policy asks for one): its count is the number of writes, against
     [wal.groups] committed groups.
@@ -120,10 +139,14 @@ type config = {
   dir : string;  (** the WAL directory (created if missing) *)
   fsync : fsync_policy;
   snapshot_every : int;
-      (** hand a snapshot to the writer thread after this many
-          committed groups; [0] disables periodic snapshots.  At most
-          one is in flight: a cadence reached while one is written is
-          skipped, and the count starts again. *)
+      (** the floor of the snapshot cadence: hand a snapshot to the
+          writer thread once at least this many groups have committed
+          since the last hand-off {e and} the journal written since is
+          at least the last image's payload in bytes (see "Snapshots
+          off the request path", with the replay bound this gives);
+          [0] disables periodic snapshots.  At most one is in flight:
+          a cadence reached while one is written is skipped, and the
+          group count starts again. *)
   io : (io_call -> unit) option;  (** the test seam *)
 }
 
@@ -177,7 +200,12 @@ val snapshot : t -> (unit, string) result
     snapshot would have superseded remains the only durable copy, so
     recovery still replays it.  A failed periodic snapshot surfaces the
     same way at the next journaled operation, and periodic snapshots
-    retry after another [snapshot_every] interval.
+    retry after another interval: [snapshot_every] groups and the
+    failed image's payload in journal bytes, counted from its
+    hand-off.  Until one succeeds, recovery replays from the last
+    installed image, past the replay bound.  Every hand-off, forced or
+    periodic, starts the next interval and sets the image size it waits
+    for.
     @raise Wal_failed if the journal itself cannot be synced or its
     next segment cannot be opened. *)
 

@@ -17,7 +17,9 @@
    - served: [Server.step] over two sessions, with a WAL.  The server
      fires without a witness ([Online.submit ~witness:false]).  A crash
      stops the server without closing the WAL and restarts it on a
-     recovery.
+     recovery.  Each trace follows a fixed prefix whose component holds
+     two candidates of different sizes ([served_prefix]), so a served
+     engine that does not fire the largest fails at every seed.
 
    After every op the checker compares the answer (the verdict or the
    fired sets), the pending ids and names, the components, the
@@ -219,8 +221,12 @@ let in_memory x =
 exception Killed
 
 (* A WAL directory's configuration; its seam runs [!io] before each I/O
-   call, so a run can count calls, crash at one, or let them be. *)
-let wal_config ?(snapshot_every = 4) io dir =
+   call, so a run can count calls, crash at one, or let them be.  A
+   hand-off also waits for an image's worth of journal, so the cadence
+   floor is 3: at the CI seeds the traces hand off, and crash at, at
+   least as many snapshots as under a 4-group count alone
+   (EXPERIMENTS.md, "Snapshot cadence by journal growth"). *)
+let wal_config ?(snapshot_every = 3) io dir =
   Durable.config ~fsync:(Durable.Every_n 8) ~snapshot_every
     ~io:(fun c -> !io c) dir
 
@@ -482,17 +488,38 @@ let served x =
   Durable.close wal;
   rm_rf dir
 
+(* A fixed prefix the served driver runs before each drawn trace: [pa]
+   waits for [pb], and [pb] alone coordinates, so [pb]'s arrival leaves
+   two candidates of different sizes in one component, [{pb}] and
+   [{pa, pb}].  The largest-candidate selection fires both; an engine
+   that fired the first candidate it found would fire [pb] alone.  Their
+   flight is in Oslo, which no drawn query reads. *)
+let served_prefix =
+  [
+    Insert ("F", [ vi 900; vs "Oslo" ]);
+    Submit (rq ~dest:"Oslo" "pa" ~post:[ "pb" ] ~head:"pa");
+    Submit (rq ~dest:"Oslo" "pb" ~post:[] ~head:"pb");
+  ]
+
 (* ----------------------------- cases ------------------------------ *)
 
 (* [count] traces of [len] ops drawn from CHAOS_SEED, each run by
-   [driver] with and without consume.  A failure reports the shrunk
+   [driver] with and without consume after [prefix], whose ids the
+   drawn withdrawals are shifted past.  A failure reports the shrunk
    trace as JSONL frames, one a line. *)
-let differential name ~can ~len ~count driver =
+let differential ?(prefix = []) name ~can ~len ~count driver =
+  let shift =
+    List.length (List.filter (function Submit _ -> true | _ -> false) prefix)
+  in
+  let trace ops =
+    seed_ops @ prefix
+    @ List.map (function Withdraw id -> Withdraw (id + shift) | op -> op) ops
+  in
   let print ops =
     String.concat ""
       (List.map
          (fun f -> "\n" ^ Json.to_string f)
-         (List.concat (frames (seed_ops @ ops))))
+         (List.concat (frames (trace ops))))
     ^ "\n"
   in
   QCheck_alcotest.to_alcotest
@@ -502,7 +529,7 @@ let differential name ~can ~len ~count driver =
        (fun ops ->
          List.iter
            (fun consume ->
-             try driver (expect ~consume (seed_ops @ ops))
+             try driver (expect ~consume (trace ops))
              with Failure m -> QCheck.Test.fail_reportf "consume %b: %s" consume m)
            [ false; true ];
          true))
@@ -524,7 +551,7 @@ let suite =
         torn_sweep x);
     Alcotest.test_case "durable: every kind of I/O call crashed" `Quick
       every_kind_crashed;
-    differential "served with a WAL == oracle"
+    differential ~prefix:served_prefix "served with a WAL == oracle"
       ~can:{ batch = false; delete = false; crash = true }
       ~len:30 ~count:4 served;
   ]

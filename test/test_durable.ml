@@ -605,6 +605,294 @@ let test_close_in_flight () =
   Durable.close t;
   rm_rf dir
 
+(* ------------------------- snapshot cadence ------------------------ *)
+
+(* A segment's header: its magic and first LSN. *)
+let segment_header = 16
+
+(* The payload bytes of the image at [lsn] in [dir], installed or still
+   a .tmp: its file less the 20-byte header and the 4-byte checksum. *)
+let image_payload dir lsn =
+  let path = Filename.concat dir (Printf.sprintf "snap-%020Ld.img" lsn) in
+  let path = if Sys.file_exists path then path else path ^ ".tmp" in
+  (Unix.stat path).Unix.st_size - 24
+
+(* A tuple with a distinct 40-byte string: an image of a few hundred
+   outweighs [every] such groups of journal many times over. *)
+let wide i = [ vi i; vs (Printf.sprintf "%040d" i) ]
+
+let put wal db i = write_store ~wal db (Insert ("W", wide i))
+
+(* A store of 200 wide tuples behind a forced snapshot. *)
+let wide_engine ?io dir =
+  let wal, db, engine =
+    Durable.create_engine (Durable.config ~snapshot_every:every ?io dir)
+  in
+  for i = 1 to 200 do
+    put wal db i
+  done;
+  snapshot_ok wal;
+  (wal, db, engine)
+
+(* From a hand-off or a recovery of an [image]-byte payload, insert one
+   wide tuple a group: the next hand-off must come exactly at the first
+   commit where at least [every] groups and [image] bytes of journal
+   have been written since.  It must not come at the floor. *)
+let check_hand_off_when_due ~ctx wal db ~image =
+  let start = Durable.wal_offset wal in
+  let rec go groups =
+    if groups > 10_000 then Alcotest.failf "%s: no hand-off" ctx;
+    put wal db (1000 + groups);
+    let written = Durable.wal_offset wal - start in
+    let due = groups >= every && written >= image in
+    let handed = Durable.writer_step wal <> None in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: a hand-off after %d groups, %d of %d bytes" ctx
+         groups written image)
+      due handed;
+    if handed then groups else go (groups + 1)
+  in
+  let groups = go 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d groups, past the floor of %d" ctx groups every)
+    true (groups > every)
+
+(* The image outweighs [every] groups of journal: no hand-off comes at
+   the floor, and one comes as soon as the journal since the last image
+   is as large as it. *)
+let test_cadence_waits_for_image () =
+  let dir = fresh_dir "cadence" in
+  let wal, db, _ = wide_engine ~io:ignore dir in
+  let image = image_payload dir (Durable.last_lsn wal) in
+  check_hand_off_when_due ~ctx:"live" wal db ~image;
+  Durable.close wal;
+  rm_rf dir
+
+(* A recovered handle's next hand-off waits for a journal as large as
+   the recovery checkpoint's image, or, when the checkpoint could not be
+   written, as the image recovery loaded (smaller here: groups follow
+   it). *)
+let test_recovered_image_size () =
+  List.iter
+    (fun checkpoint_fails ->
+      let ctx = Printf.sprintf "checkpoint fails %b" checkpoint_fails in
+      let dir = fresh_dir "cadence-recovered" in
+      let wal, db, _ = wide_engine dir in
+      let loaded = image_payload dir (Durable.last_lsn wal) in
+      for i = 201 to 220 do
+        put wal db i
+      done;
+      Durable.close wal;
+      let armed = ref checkpoint_fails in
+      let io = fault ~armed Unix.ENOSPC (Durable.Step Durable.Write_tmp) in
+      match Durable.recover (Durable.config ~snapshot_every:every ~io dir) with
+      | Error why -> Alcotest.failf "%s: recover failed: %s" ctx why
+      | Ok (wal, db, _, report) ->
+        armed := false;
+        Alcotest.(check bool) (ctx ^ ": checkpoint failed") checkpoint_fails
+          (report.Durable.checkpoint_failed <> None);
+        let image =
+          if checkpoint_fails then loaded
+          else image_payload dir report.Durable.recovered_lsn
+        in
+        if not checkpoint_fails then
+          Alcotest.(check bool) (ctx ^ ": the checkpoint's image is larger") true
+            (image > loaded);
+        check_hand_off_when_due ~ctx wal db ~image;
+        Durable.close wal;
+        rm_rf dir)
+    [ false; true ]
+
+(* One op of a seeded cadence trace. *)
+type cadence_op =
+  | Put of int option
+      (** insert a tuple with a fresh string of this length, or with one
+          of four shared ones *)
+  | Step  (** run a step of the snapshot in flight *)
+  | Drain  (** run the rest of it *)
+  | Restart  (** kill the process, its writer with it, and recover *)
+
+let cadence_op_to_string = function
+  | Put (Some n) -> Printf.sprintf "put %d" n
+  | Put None -> "put shared"
+  | Step -> "step"
+  | Drain -> "drain"
+  | Restart -> "restart"
+
+(* A hand-off the trace has seen, or a recovery checkpoint: its LSN, its
+   payload bytes and the groups committed while it was in flight. *)
+type hand = { h_lsn : int64; h_image : int; mutable h_inflight : int }
+
+exception Killed
+
+let cadence_every = 3
+
+(* Run [ops] on a durable engine whose snapshots wait for [writer_step]
+   ([Step], [Drain]).  At every hand-off, the groups and the journal
+   bytes since the last image (handed off or recovered) must reach
+   [snapshot_every] and that image's payload.  After every op, a copy
+   of the directory (a crash there) must recover replaying at most what
+   durable.mli bounds: the groups in flight behind the loaded image,
+   then max(every groups, its payload in bytes and the group that
+   crosses it), then the groups committed since the next hand-off. *)
+let run_cadence ops =
+  let dir = fresh_dir "cadence-seeded" in
+  let io = ref ignore in
+  let cfg =
+    Durable.config ~fsync:Durable.Always ~snapshot_every:cadence_every
+      ~io:(fun c -> !io c)
+      dir
+  in
+  let wal, db, _ = Durable.create_engine cfg in
+  let h = ref (wal, db) in
+  (* Every group as (last LSN, bytes), newest first. *)
+  let groups = ref [ (1L, Durable.wal_offset wal - segment_header) ] in
+  let hands = ref [ { h_lsn = 0L; h_image = 0; h_inflight = 0 } ] in
+  let since_groups = ref 1 and since_bytes = ref (snd (List.hd !groups)) in
+  (* The hand-off in flight, and whether its last step has run. *)
+  let job = ref None in
+  (* An image at [lsn], handed off or checkpointed: the groups and bytes
+     since start again. *)
+  let image lsn =
+    let hand = { h_lsn = lsn; h_image = image_payload dir lsn; h_inflight = 0 } in
+    hands := hand :: !hands;
+    since_groups := 0;
+    since_bytes := 0;
+    hand
+  in
+  let journal f =
+    let wal, db = !h in
+    let seg = Durable.current_segment wal and off = Durable.wal_offset wal in
+    f wal db;
+    let base =
+      if Durable.current_segment wal = seg then off else segment_header
+    in
+    let bytes = Durable.wal_offset wal - base in
+    groups := (Durable.last_lsn wal, bytes) :: !groups;
+    incr since_groups;
+    since_bytes := !since_bytes + bytes;
+    (match !job with
+    | Some (_, true) -> job := None (* this op settled it *)
+    | Some (hand, false) -> hand.h_inflight <- hand.h_inflight + 1
+    | None -> ());
+    if !job = None then
+      match Durable.writer_step wal with
+      | None -> ()
+      | Some step ->
+        let lsn = Durable.last_lsn wal in
+        let last = List.hd !hands in
+        if step <> "write-tmp" || !since_groups < cadence_every
+           || !since_bytes < last.h_image
+        then
+          Alcotest.failf
+            "hand-off at LSN %Ld (%s) after %d groups and %d bytes, the last \
+             image %d bytes"
+            lsn step !since_groups !since_bytes last.h_image;
+        job := Some (image lsn, false)
+  in
+  journal (fun wal db ->
+      ignore (Database.create_table' db "W" table_attrs);
+      Durable.journal_create_table wal "W" table_attrs);
+  let step () =
+    match !job with
+    | Some (hand, false) -> (
+      match Durable.writer_step (fst !h) with
+      | Some "prune" -> job := Some (hand, true)
+      | Some _ -> ()
+      | None -> Alcotest.fail "a snapshot in flight had no step left")
+    | _ -> ()
+  in
+  (* The replay bound for a recovery that loaded the image at [s]. *)
+  let bound s =
+    let hand = List.find (fun h -> h.h_lsn = s) !hands in
+    let after l = List.filter (fun (g, _) -> g > l) (List.rev !groups) in
+    let rec reach k acc = function
+      | _ when acc >= hand.h_image -> k
+      | [] -> k
+      | (_, b) :: rest -> reach (k + 1) (acc + b) rest
+    in
+    let cut =
+      match List.find_opt (fun h -> h.h_lsn > s) (List.rev !hands) with
+      | Some next -> List.length (after next.h_lsn)
+      | None -> 0
+    in
+    let tail = after s in
+    (List.length tail, hand.h_inflight + max cadence_every (reach 0 0 tail) + cut)
+  in
+  let crash_here i =
+    let copy = fresh_dir "cadence-crash" in
+    copy_dir dir copy;
+    (match Durable.recover (Durable.config copy) with
+    | Error why -> Alcotest.failf "op %d: recovery failed: %s" i why
+    | Ok (t, _, _, report) ->
+      let s = Option.fold ~none:0L ~some:snd report.Durable.snapshot_loaded in
+      let tail, most = bound s in
+      let replayed = report.Durable.groups_replayed in
+      if replayed <> tail || replayed > most then
+        Alcotest.failf
+          "op %d: from the image at LSN %Ld recovery replayed %d groups (%d \
+           after it), the bound is %d"
+          i s replayed tail most;
+      Durable.close t);
+    rm_rf copy
+  in
+  let fresh = ref 0 in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Put len ->
+        incr fresh;
+        let s =
+          match len with
+          | Some n -> String.make n 'x' ^ string_of_int !fresh
+          | None -> Printf.sprintf "shared%d" (!fresh mod 4)
+        in
+        journal (fun wal db ->
+            write_store ~wal db (Insert ("W", [ vi !fresh; vs s ])))
+      | Step -> step ()
+      | Drain ->
+        while (match !job with Some (_, false) -> true | _ -> false) do
+          step ()
+        done
+      | Restart -> (
+        let wal, _ = !h in
+        io := (fun _ -> raise Killed);
+        (try Durable.close wal with Killed -> ());
+        io := ignore;
+        match Durable.recover cfg with
+        | Error why -> Alcotest.failf "op %d: restart failed: %s" i why
+        | Ok (wal, db, _, report) ->
+          h := (wal, db);
+          ignore (image report.Durable.recovered_lsn : hand);
+          job := None));
+      crash_here i)
+    ops;
+  Durable.close (fst !h);
+  rm_rf dir
+
+let cadence_seeded =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| chaos_seed; Hashtbl.hash "cadence" |])
+    (QCheck.Test.make ~count:10
+       ~name:
+         "seeded traces: every hand-off is due, every crash replays within \
+          the bound"
+       (QCheck.make
+          ~print:(fun ops ->
+            String.concat "; " (List.map cadence_op_to_string ops))
+          QCheck.Gen.(
+            list_size (int_range 20 80)
+              (frequency
+                 [
+                   (12, map (fun n -> Put n) (opt (int_range 0 60)));
+                   (3, return Step);
+                   (2, return Drain);
+                   (1, return Restart);
+                 ])))
+       (fun ops ->
+         run_cadence ops;
+         true))
+
 (* ------------------------- snapshot bytes -------------------------- *)
 
 (* Every snapshot file's payload equals the reference encoder's
@@ -1041,6 +1329,11 @@ let suite =
       test_writer_thread_failure;
     Alcotest.test_case "close waits for the snapshot in flight" `Quick
       test_close_in_flight;
+    Alcotest.test_case "cadence waits for an image's worth of WAL" `Quick
+      test_cadence_waits_for_image;
+    Alcotest.test_case "a recovered handle keeps its image's size" `Quick
+      test_recovered_image_size;
+    cadence_seeded;
     Alcotest.test_case "snapshot bytes equal the reference encoder's" `Quick
       test_snapshot_bytes;
     Alcotest.test_case "a kind-5 trailer from an older writer recovers" `Quick
