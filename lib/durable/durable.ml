@@ -10,8 +10,9 @@
      committed group and [crc] covers lsn..payload.
 
    snapshot [snap-<lsn 20 digits>.img]:
-     "EWALSNP1" (8) | lsn u64 (8) | payload_len u32 | payload | crc u32
-     where [crc] covers the payload.  Written to a [.tmp] sibling,
+     "EWALSNP2" (8) | lsn u64 (8) | payload_len u32 | payload | crc u32
+     where [crc] covers the payload ("EWALSNP1" images, whose payload
+     holds a value dictionary, are still read).  Written to a [.tmp] sibling,
      fsynced, renamed into place, then the directory is fsynced — a
      crash mid-write leaves only a [.tmp], never a half snapshot under
      the real name.
@@ -298,7 +299,9 @@ let decode_record kind payload =
 (* ------------------------------ Files ------------------------------ *)
 
 let segment_magic = "EWALSEG1"
-let snapshot_magic = "EWALSNP1"
+let snapshot_magic = "EWALSNP2"
+let snapshot_magic_v1 = "EWALSNP1"
+let snapshot_header_len = 20
 let segment_header_len = 16
 
 (* Largest payload a well-formed record may carry; a length prefix
@@ -446,105 +449,6 @@ let seam cfg call = match cfg.io with None -> () | Some io -> io call
 
 (* --------------------------- Live handle --------------------------- *)
 
-(* The snapshot dictionary: each value to its index in order of first
-   use, by linear probing.  A live handle keeps one from snapshot to
-   snapshot, with its buffers (see [encoder]), so a periodic encode
-   allocates little beyond the payload itself.  [slots.(i)] packs the
-   stamp of the encode that filled slot [i] (above bit 32) and its
-   key's index; a slot with an older stamp is empty.  The [Int] hash is
-   mixed here rather than through [caml_hash].  The hash only places
-   keys, so the bytes do not depend on it. *)
-module Dict = struct
-  type t = {
-    mutable keys : Value.t array;
-    mutable slots : int array;
-    mutable stamp : int;
-    mutable count : int;
-  }
-
-  let create () =
-    { keys = Array.make 64 (Value.Int 0); slots = Array.make 64 0; stamp = 0; count = 0 }
-
-  let hash = function
-    | Value.Int x ->
-      let h = (x lxor (x lsr 29)) * 0x1b873593 in
-      h lxor (h lsr 32)
-    | Value.Str s -> Hashtbl.hash s
-    | Value.Bool b -> Bool.to_int b
-
-  let equal a b =
-    match (a, b) with
-    | Value.Int x, Value.Int y -> Int.equal x y
-    | Value.Str x, Value.Str y -> String.equal x y
-    | Value.Bool x, Value.Bool y -> Bool.equal x y
-    | _ -> false
-
-  let reset d =
-    (* The stamp must stay below 2^30 to fit above the 32 index bits. *)
-    if d.stamp >= (1 lsl 30) - 1 then begin
-      Array.fill d.slots 0 (Array.length d.slots) 0;
-      d.stamp <- 0
-    end;
-    d.stamp <- d.stamp + 1;
-    d.count <- 0
-
-  (* [v]'s slot, or the empty slot where it goes.  A loop, not a local
-     closure: this runs once per stored value. *)
-  let find d v =
-    let mask = Array.length d.keys - 1 in
-    let i = ref (hash v land mask) in
-    while d.slots.(!i) lsr 32 = d.stamp && not (equal d.keys.(!i) v) do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  (* Double the table, keeping this encode's keys. *)
-  let grow d =
-    let keys = d.keys and slots = d.slots in
-    d.keys <- Array.make (2 * Array.length keys) (Value.Int 0);
-    d.slots <- Array.make (2 * Array.length keys) 0;
-    Array.iteri
-      (fun i s ->
-        if s lsr 32 = d.stamp then begin
-          let j = find d keys.(i) in
-          d.keys.(j) <- keys.(i);
-          d.slots.(j) <- s
-        end)
-      slots
-
-  (* The index of [v], calling [fresh v] when it is new. *)
-  let intern d v ~fresh =
-    let i = find d v in
-    if d.slots.(i) lsr 32 = d.stamp then d.slots.(i) land 0xffff_ffff
-    else begin
-      let id = d.count in
-      d.keys.(i) <- v;
-      d.slots.(i) <- (d.stamp lsl 32) lor id;
-      d.count <- id + 1;
-      fresh v;
-      if 2 * d.count > Array.length d.keys then grow d;
-      id
-    end
-end
-
-type encoder = {
-  dict : Dict.t;
-  values : Buf.t;  (* the dictionary's values, in order *)
-  store : Buf.t;  (* the tables, as dictionary references *)
-  head : Buf.t;  (* meta, counters and the dictionary's size *)
-  pool : Buf.t;
-}
-
-let encoder () =
-  {
-    dict = Dict.create ();
-    values = Buf.create 4096;
-    store = Buf.create 16384;
-    head = Buf.create 16;
-    pool = Buf.create 1024;
-  }
-
-
 (* A job's paths, bytes and progress, in C memory (durable_io.c). *)
 type cjob
 
@@ -552,8 +456,9 @@ external job_create :
   string ->
   string ->
   string ->
-  string ->
-  string ->
+  Bytes.t ->
+  int ->
+  int ->
   Unix.file_descr option ->
   string list option ->
   cjob = "entangle_durable_job_create_bytecode" "entangle_durable_job_create"
@@ -600,7 +505,7 @@ type t = {
   mutable closed : bool;
   mutable failed : string option;  (* why the journal stopped taking writes *)
   mutable writer : job option;  (* at most one snapshot in flight *)
-  enc : encoder;
+  image : Buf.t;  (* the last image's header and payload, reused *)
 }
 
 let dir t = t.cfg.dir
@@ -671,7 +576,7 @@ let handle ?(image_bytes = 0) cfg ~db ~engine ~first_lsn =
     closed = false;
     failed = None;
     writer = None;
-    enc = encoder ();
+    image = Buf.create 16384;
   }
 
 (* Encode [r] into the open group, in place.  LSNs follow the committed
@@ -769,62 +674,38 @@ let batch t f =
 
 (* --------------------------- Snapshots ----------------------------- *)
 
-(* Snapshot payload: engine meta, id allocator, satisfied count, then
-   the store as a snapshot-local value dictionary plus per-table tuples
-   of dictionary references, then the pool as (id, query source).  The
-   dictionary makes tuples compact.  Tables come in database order,
-   tuples in [Tuple.compare] order, and the dictionary in order of
-   first use, so the bytes are a function of the engine state.  The
-   tables are written in one pass, interning as it goes, and follow the
-   dictionary they filled. *)
-let encode_snapshot enc ~(db : Database.t) engine =
-  let { dict; values; store; head; pool } = enc in
-  List.iter Buf.clear [ values; store; head; pool ];
-  Dict.reset dict;
-  let fresh = Enc.value values in
-  Enc.list store
-    (fun store r ->
+(* A snapshot image into [w]: room for the file's header, then the
+   payload: engine meta, id allocator, satisfied count, the tables in
+   database order, each as its name, attributes, cardinal and live
+   tuples in row order (its arity values each, inline), then the pool
+   as (id, query source).  One pass over the store; the bytes are a
+   function of the engine state and its row order, which recovery
+   keeps by re-inserting the tuples in it. *)
+let encode_snapshot (w : Buf.t) ~(db : Database.t) engine =
+  Buf.clear w;
+  Buf.reserve w snapshot_header_len;
+  w.len <- snapshot_header_len;
+  encode_meta w ~consume:(Online.consume engine);
+  Enc.u32 w (Online.next_id engine);
+  Enc.u32 w (Online.total_coordinated engine);
+  Enc.list w
+    (fun w r ->
       let schema = Relation.schema r in
-      Enc.str store (Schema.name schema);
-      Enc.list store Enc.str (Array.to_list (Schema.attributes schema));
-      Enc.u32 store (Relation.cardinal r);
-      let arity = Relation.arity r in
-      let ids = Array.make arity 0 and last = ref [||] in
-      Relation.iter_sorted
+      Enc.str w (Schema.name schema);
+      Enc.list w Enc.str (Array.to_list (Schema.attributes schema));
+      Enc.u32 w (Relation.cardinal r);
+      Relation.iter
         (fun t ->
-          Enc.u32 store arity;
-          let l = !last in
-          for i = 0 to arity - 1 do
-            (* Sorted neighbours share leading values: reuse their ids. *)
-            if Array.length l = 0 || not (Dict.equal l.(i) t.(i)) then
-              ids.(i) <- Dict.intern dict t.(i) ~fresh;
-            Enc.u32 store ids.(i)
-          done;
-          last := t)
+          for i = 0 to Array.length t - 1 do
+            Enc.value w t.(i)
+          done)
         r)
     (Database.relations db);
-  encode_meta head ~consume:(Online.consume engine);
-  Enc.u32 head (Online.next_id engine);
-  Enc.u32 head (Online.total_coordinated engine);
-  Enc.u32 head dict.count;
-  Enc.list pool
-    (fun b (id, query) ->
-      Enc.u32 b id;
-      Enc.str b (Parser.query_to_string query))
-    (Online.pending_entries engine);
-  (* One payload-sized allocation, not a growing buffer and its copy:
-     the store is large, and each such block is major-heap work. *)
-  let parts = [ head; values; store; pool ] in
-  let payload =
-    Bytes.create (List.fold_left (fun n (w : Buf.t) -> n + w.len) 0 parts)
-  in
-  let at = ref 0 in
-  List.iter
-    (fun (w : Buf.t) ->
-      Bytes.blit w.b 0 payload !at w.len;
-      at := !at + w.len)
-    parts;
-  Bytes.unsafe_to_string payload
+  Enc.list w
+    (fun w (id, query) ->
+      Enc.u32 w id;
+      Enc.str w (Parser.query_to_string query))
+    (Online.pending_entries engine)
 
 type snapshot_state = {
   s_consume : bool;
@@ -834,27 +715,35 @@ type snapshot_state = {
   s_pool : (int * string) list;
 }
 
-let decode_snapshot payload =
+(* A version-2 payload, or a version-1 one: the same but for the store,
+   a value dictionary then per-table tuples of references into it,
+   each tuple prefixed by its arity. *)
+let decode_snapshot ~version payload =
   let d = Dec.make payload in
   let consume = decode_meta d in
   let next_id = Dec.u32 d in
   let satisfied = Dec.u32 d in
-  let dict = Array.of_list (Dec.list d Dec.value) in
-  let deref i =
-    if i >= Array.length dict then raise (Decode_error "bad value reference");
-    dict.(i)
+  let tuple =
+    if version = 2 then fun arity d -> Array.init arity (fun _ -> Dec.value d)
+    else begin
+      let dict = Array.of_list (Dec.list d Dec.value) in
+      let deref d =
+        let i = Dec.u32 d in
+        if i >= Array.length dict then raise (Decode_error "bad value reference");
+        dict.(i)
+      in
+      fun _ d ->
+        let arity = Dec.u32 d in
+        if arity > 4096 then raise (Decode_error "bad arity");
+        Array.init arity (fun _ -> deref d)
+    end
   in
   let tables =
     Dec.list d (fun d ->
         let name = Dec.str d in
         let attrs = Dec.list d Dec.str in
-        let tuples =
-          Dec.list d (fun d ->
-              let arity = Dec.u32 d in
-              if arity > 4096 then raise (Decode_error "bad arity");
-              Array.init arity (fun _ -> deref (Dec.u32 d)))
-        in
-        (name, attrs, tuples))
+        let arity = List.length attrs in
+        (name, attrs, Dec.list d (tuple arity)))
   in
   let pool =
     Dec.list d (fun d ->
@@ -903,22 +792,20 @@ let superseded entries =
 
 (* ------------------------- Snapshot writer ------------------------- *)
 
-(* The job writing [payload] as the snapshot at [lsn] into [cfg.dir]:
-   the header is built here, on the caller's thread, and the job's
-   write step appends the payload's checksum, so the writer runs no
-   OCaml code between its system calls.  [wal] is the segment to fsync
-   first; [victims] the names to delete last. *)
-let make_job cfg ~lsn ~payload ?wal ?(offset = 0) ?victims () =
-  let header = Bytes.create 20 in
-  Bytes.blit_string snapshot_magic 0 header 0 8;
-  Bytes.set_int64_le header 8 lsn;
-  Bytes.set_int32_le header 16 (Int32.of_int (String.length payload));
+(* The job writing the image [encode_snapshot] left in [w] as the
+   snapshot at [lsn] into [cfg.dir]: the header is filled in here, on
+   the caller's thread, the job copies the bytes, and its write step
+   appends the payload's checksum, so the writer runs no OCaml code
+   between its system calls.  [wal] is the segment to fsync first;
+   [victims] the names to delete last. *)
+let make_job cfg ~lsn (w : Buf.t) ?wal ?(offset = 0) ?victims () =
+  Bytes.blit_string snapshot_magic 0 w.b 0 8;
+  Bytes.set_int64_le w.b 8 lsn;
+  Bytes.set_int32_le w.b 16 (Int32.of_int (w.len - snapshot_header_len));
   let path = Filename.concat cfg.dir (snapshot_name lsn) in
   {
     j_c =
-      job_create cfg.dir (path ^ ".tmp") path
-        (Bytes.unsafe_to_string header)
-        payload wal
+      job_create cfg.dir (path ^ ".tmp") path w.b snapshot_header_len w.len wal
         (Option.map (List.map (Filename.concat cfg.dir)) victims);
     j_cfg = cfg;
     j_lsn = lsn;
@@ -972,12 +859,12 @@ let hand_off t ~spawn =
   write_groups t;
   let t0 = Obs.now_ns_int () in
   let lsn = last_lsn t in
-  let payload = encode_snapshot t.enc ~db:t.db t.engine in
+  encode_snapshot t.image ~db:t.db t.engine;
   (* Only this handle's writer changes the directory, so what the new
      image supersedes is known now. *)
   let victims = superseded (snapshot_name lsn :: list_dir t.cfg.dir) in
   let job =
-    make_job t.cfg ~lsn ~payload
+    make_job t.cfg ~lsn t.image
       ?wal:
         (if t.synced < t.offset then Some t.fd else None)
       ~offset:t.offset ~victims ()
@@ -985,7 +872,7 @@ let hand_off t ~spawn =
   job.j_encode_ns <- Obs.now_ns_int () - t0;
   t.groups_since_snapshot <- 0;
   t.bytes_since_snapshot <- 0;
-  t.image_bytes <- String.length payload;
+  t.image_bytes <- t.image.len - snapshot_header_len;
   t.writer <- Some job;
   (* A handle with a seam starts no thread.  Without a thread to spare,
      the write happens on the calling thread. *)
@@ -1055,17 +942,16 @@ let snapshot t =
 (* Periodic snapshots wait for [snapshot_every] groups and for as many
    journal bytes since the last hand-off as that image's payload, so
    the cost of encoding an image is spread over a journal at least as
-   large as it (Redis's rewrite at 100% growth). *)
+   large as it (Redis's rewrite at 100% growth).  At most one snapshot
+   is in flight: one that comes due meanwhile waits, its counts kept,
+   for the first commit after the writer has settled. *)
 let maybe_snapshot t =
   if
-    t.cfg.snapshot_every > 0
+    t.writer = None
+    && t.cfg.snapshot_every > 0
     && t.groups_since_snapshot >= t.cfg.snapshot_every
     && t.bytes_since_snapshot + t.committed >= t.image_bytes
-  then
-    if t.writer <> None then
-      (* At most one snapshot in flight: this cadence is skipped. *)
-      t.groups_since_snapshot <- 0
-    else hand_off t ~spawn:true
+  then hand_off t ~spawn:true
 
 (* ------------------------- Journal binding ------------------------- *)
 
@@ -1303,26 +1189,33 @@ let load_snapshot path =
   | exception Sys_error msg -> Error msg
   | data ->
     let len = String.length data in
+    let version () =
+      match String.sub data 0 8 with
+      | m when m = snapshot_magic -> Some 2
+      | m when m = snapshot_magic_v1 -> Some 1
+      | _ -> None
+    in
     if len < 24 then Error "too short"
-    else if String.sub data 0 8 <> snapshot_magic then Error "bad magic"
-    else begin
-      let lsn = String.get_int64_le data 8 in
-      let payload_len =
-        Int32.to_int (String.get_int32_le data 16) land u32_max
-      in
-      if payload_len <> len - 24 then Error "bad length"
-      else begin
-        let stored_crc =
-          Int32.to_int (String.get_int32_le data (len - 4)) land u32_max
+    else
+      match version () with
+      | None -> Error "bad magic"
+      | Some version ->
+        let lsn = String.get_int64_le data 8 in
+        let payload_len =
+          Int32.to_int (String.get_int32_le data 16) land u32_max
         in
-        if Crc32.sub data 20 payload_len <> stored_crc then
-          Error "checksum mismatch"
-        else
-          match decode_snapshot (String.sub data 20 payload_len) with
-          | exception Decode_error msg -> Error ("undecodable: " ^ msg)
-          | state -> Ok (lsn, payload_len, state)
-      end
-    end
+        if payload_len <> len - 24 then Error "bad length"
+        else begin
+          let stored_crc =
+            Int32.to_int (String.get_int32_le data (len - 4)) land u32_max
+          in
+          if Crc32.sub data 20 payload_len <> stored_crc then
+            Error "checksum mismatch"
+          else
+            match decode_snapshot ~version (String.sub data 20 payload_len) with
+            | exception Decode_error msg -> Error ("undecodable: " ^ msg)
+            | state -> Ok (lsn, payload_len, state)
+        end
 
 let recover cfg =
   if not (Sys.file_exists cfg.dir) then
@@ -1584,10 +1477,11 @@ let recover cfg =
          checkpoint recovers again from the same inputs. *)
       let lsn = !last_applied in
       let image = snapshot_name lsn in
-      let payload = encode_snapshot (encoder ()) ~db engine in
+      let w = Buf.create 16384 in
+      encode_snapshot w ~db engine;
       let checkpoint =
         let job =
-          make_job cfg ~lsn ~payload
+          make_job cfg ~lsn w
             ~victims:
               (List.filter
                  (fun n ->
@@ -1621,7 +1515,7 @@ let recover cfg =
            the image recovery leaves authoritative. *)
         let image_bytes =
           match (checkpoint, snapshot_pick) with
-          | Ok (), _ -> String.length payload
+          | Ok (), _ -> w.len - snapshot_header_len
           | Error _, Some (_, _, size, _) -> size
           | Error _, None -> 0
         in

@@ -20,14 +20,18 @@
     [snap-<lsn>.img].  Records are length-prefixed and CRC32-checksummed
     with strictly monotonic LSNs; segments start at the LSN in their
     name.  Snapshots serialize the full recoverable state (engine meta,
-    pool, satisfied count, store contents via a snapshot-local value
-    dictionary) and are written to a temporary
-    file, fsynced, atomically renamed, and fsynced into the directory;
-    only then is history pruned (the latest two snapshots and the
-    segments they need are kept) and the WAL rotated to a fresh
-    segment.  The bytes of a snapshot are a function of the engine
-    state: tables in database order, tuples in {!Relational.Tuple.compare}
-    order, dictionary values in order of first use.
+    pool, satisfied count, store contents) and are written to a
+    temporary file, fsynced, atomically renamed, and fsynced into the
+    directory; only then is history pruned (the latest two snapshots
+    and the segments they need are kept) and the WAL rotated to a fresh
+    segment.  An image lists the tables in database order, each with
+    its live tuples in row order ({!Relational.Relation.iter}), their
+    values inline, so encoding it is one pass over the store.  Recovery
+    re-inserts the tuples in that order: a recovered store iterates, and
+    answers first-answer probes, as the live one did.  Images an older
+    writer left (["EWALSNP1"]: tuples in {!Relational.Tuple.compare}
+    order, values in a snapshot-local dictionary) are still read, and
+    the recovery checkpoint replaces them with the current format.
 
     {2 Snapshots off the request path}
 
@@ -54,15 +58,16 @@
     the request thread rotates to a fresh segment; on a snapshot-file
     failure it keeps appending, with nothing pruned; on a failed
     WAL-prefix fsync the handle fails ({!Wal_failed}).  At most one
-    snapshot is in flight: a cadence reached while one is written is
-    skipped, and the group count starts again.  Until the rotation the
+    snapshot is in flight: one that comes due while another is written
+    waits, its counts kept, and is handed off at the first commit after
+    the writer has settled.  Until the rotation the
     current segment runs past the image's LSN, and {!recover} replays
     that tail from it.
 
     The replay bound: after an image's hand-off, the next one comes
     within max([snapshot_every] groups, the groups that reach the
-    image's payload in bytes, the crossing group included), plus the
-    groups committed while the image was in flight.  So, barring a
+    image's payload in bytes, the crossing group included, one group
+    past those committed while the image was in flight).  So, barring a
     failed snapshot, recovery replays at most that from the image it
     loads, plus the groups committed since the next image's hand-off
     when a crash cut that image short.
@@ -145,8 +150,8 @@ type config = {
           at least the last image's payload in bytes (see "Snapshots
           off the request path", with the replay bound this gives);
           [0] disables periodic snapshots.  At most one is in flight:
-          a cadence reached while one is written is skipped, and the
-          group count starts again. *)
+          one that comes due while another is written is handed off at
+          the first commit after that one settles. *)
   io : (io_call -> unit) option;  (** the test seam *)
 }
 

@@ -138,17 +138,19 @@ static struct custom_operations job_ops = {
   custom_compare_ext_default, custom_fixed_length_default
 };
 
-/* [entangle_durable_job_create dir tmp path header payload wal
-   victims]: the job that writes [header], [payload] and the payload's
+/* [entangle_durable_job_create dir tmp path image header_len len wal
+   victims]: the job that writes the first [len] bytes of [image] (a
+   header of [header_len] bytes, then the payload) and the payload's
    CRC-32 (four bytes, little-endian) to [tmp], renames it to [path] and
    fsyncs [dir]; first fsyncs [wal] when given, and last deletes the
    paths of [victims] when given. */
 CAMLprim value entangle_durable_job_create(value v_dir, value v_tmp, value v_path,
-                                           value v_header, value v_payload,
-                                           value v_wal, value v_victims)
+                                           value v_image, value v_header_len,
+                                           value v_len, value v_wal,
+                                           value v_victims)
 {
-  CAMLparam5(v_dir, v_tmp, v_path, v_header, v_payload);
-  CAMLxparam2(v_wal, v_victims);
+  CAMLparam5(v_dir, v_tmp, v_path, v_image, v_header_len);
+  CAMLxparam3(v_len, v_wal, v_victims);
   CAMLlocal2(l, res);
   struct job *j = caml_stat_calloc_noexc(1, sizeof *j);
   if (j == NULL) caml_raise_out_of_memory();
@@ -160,12 +162,11 @@ CAMLprim value entangle_durable_job_create(value v_dir, value v_tmp, value v_pat
   j->dir = caml_stat_strdup(String_val(v_dir));
   j->tmp = caml_stat_strdup(String_val(v_tmp));
   j->path = caml_stat_strdup(String_val(v_path));
-  j->header_len = caml_string_length(v_header);
-  size_t plen = caml_string_length(v_payload);
-  j->len = j->header_len + plen + 4;
+  j->header_len = (size_t)Long_val(v_header_len);
+  size_t len = (size_t)Long_val(v_len);
+  j->len = len + 4;
   j->image = caml_stat_alloc(j->len);
-  memcpy(j->image, String_val(v_header), j->header_len);
-  memcpy(j->image + j->header_len, String_val(v_payload), plen);
+  memcpy(j->image, Bytes_val(v_image), len);
   j->wal_fd = Is_block(v_wal) ? Int_val(Field(v_wal, 0)) : -1;
   if (Is_block(v_victims)) {
     int n = 0;
@@ -183,7 +184,7 @@ CAMLprim value entangle_durable_job_create_bytecode(value *argv, int argn)
 {
   (void)argn;
   return entangle_durable_job_create(argv[0], argv[1], argv[2], argv[3],
-                                     argv[4], argv[5], argv[6]);
+                                     argv[4], argv[5], argv[6], argv[7]);
 }
 
 static int write_file(struct job *j)

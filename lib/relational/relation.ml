@@ -30,11 +30,6 @@ type t = {
   (* Observed mutation statistics for the query-intelligence layer. *)
   mutable n_inserts : int;
   mutable n_deletes : int;
-  (* Row ids of the live tuples in [Tuple.compare] order as of the last
-     [iter_sorted], which saw rows [0, sorted_upto); compaction
-     renumbers both through its old-to-new row map. *)
-  mutable sorted_rows : int array;
-  mutable sorted_upto : int;
 }
 
 (* Process-wide stamp of extensional mutations (successful inserts and
@@ -61,8 +56,6 @@ let create ?version schema =
       grown = !version;
       n_inserts = 0;
       n_deletes = 0;
-      sorted_rows = [||];
-      sorted_upto = 0;
     }
   in
   (* The first-argument index is eager, not lazy: the coordination
@@ -119,43 +112,24 @@ let insert r t =
 
 let insert_list r ts = List.iter (fun t -> ignore (insert r t)) ts
 
-(* Rebuild the store with only live rows; indexes are dropped and will
-   be rebuilt lazily on next use.  Live rows keep their relative order,
-   so the sorted order of the last [iter_sorted] survives renumbered:
-   its live rows map to their new ids, and the rows it saw are the
-   live rows below its old mark. *)
+(* Rebuild the store with only live rows, in their order; indexes are
+   dropped and will be rebuilt lazily on next use. *)
 let compact r =
   let tuples = Vec.create () in
   let live = Vec.create () in
   let present = Tuple.Hashtbl.create (max 64 (cardinal r)) in
-  let renumbered = Array.make (Vec.length r.tuples) (-1) in
-  let sorted_upto = ref 0 in
   Vec.iteri
     (fun row t ->
       if Vec.get r.live row then begin
-        let fresh = Vec.length tuples in
-        renumbered.(row) <- fresh;
-        if row < r.sorted_upto then incr sorted_upto;
-        Tuple.Hashtbl.add present t fresh;
+        Tuple.Hashtbl.add present t (Vec.length tuples);
         Vec.push tuples t;
         Vec.push live true
       end)
     r.tuples;
-  let sorted = Array.make !sorted_upto 0 and k = ref 0 in
-  Array.iter
-    (fun row ->
-      let fresh = renumbered.(row) in
-      if fresh >= 0 then begin
-        sorted.(!k) <- fresh;
-        incr k
-      end)
-    r.sorted_rows;
   r.tuples <- tuples;
   r.live <- live;
   r.present <- present;
   r.dead_count <- 0;
-  r.sorted_rows <- sorted;
-  r.sorted_upto <- !sorted_upto;
   r.indexes <- Array.make (arity r) None;
   (* Keep the first-argument bucket counters alive across compaction
      (the other indexes rebuild lazily as before). *)
@@ -212,46 +186,6 @@ let fold f init r =
   !acc
 
 let to_list r = List.rev (fold (fun acc t -> t :: acc) [] r)
-
-(* The previous answer's survivors keep their relative order (a delete
-   only tombstones its row), so only rows appended since then are
-   sorted, then merged in. *)
-let iter_sorted f r =
-  let tuple row = Vec.get r.tuples row in
-  let rows = Vec.length r.tuples in
-  let fresh = ref [] in
-  for row = rows - 1 downto r.sorted_upto do
-    if Vec.get r.live row then fresh := row :: !fresh
-  done;
-  let fresh =
-    Array.of_list
-      (List.stable_sort
-         (fun a b -> Tuple.compare (tuple a) (tuple b))
-         !fresh)
-  in
-  let merged = Array.make (cardinal r) 0 in
-  let k = ref 0 and j = ref 0 in
-  let emit row =
-    merged.(!k) <- row;
-    incr k
-  in
-  Array.iter
-    (fun row ->
-      if Vec.get r.live row then begin
-        while
-          !j < Array.length fresh
-          && Tuple.compare (tuple fresh.(!j)) (tuple row) < 0
-        do
-          emit fresh.(!j);
-          incr j
-        done;
-        emit row
-      end)
-    r.sorted_rows;
-  Array.iteri (fun i row -> if i >= !j then emit row) fresh;
-  r.sorted_rows <- merged;
-  r.sorted_upto <- rows;
-  Array.iter (fun row -> f (tuple row)) merged
 
 let ensure_index r col =
   if col < 0 || col >= arity r then

@@ -6,8 +6,11 @@
 
     Live tuples iterate in insertion order.  Deletes tombstone and
     compaction keeps the survivors' order; a deleted tuple inserted
-    again appends at the end.  The online engine's candidate order and
-    the durable layer's snapshots rely on this. *)
+    again appends at the end.  The online engine's candidate order
+    relies on this, and so does the durable layer: a snapshot image
+    lists each table's tuples in this order and recovery re-inserts
+    them in it, so a recovered store iterates, and answers
+    first-answer probes, as the live one did. *)
 
 type t
 
@@ -55,14 +58,6 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 
 val to_list : t -> Tuple.t list
-
-val iter_sorted : (Tuple.t -> unit) -> t -> unit
-(** [iter_sorted f r] applies [f] to the live tuples in {!Tuple.compare}
-    order.  The relation keeps the row ids of the previous call's
-    answer: their order is reused (dead rows dropped by their
-    tombstones), and only rows inserted since are sorted and merged
-    in, so a call after a few changes costs O(n) plus the sort of the
-    new rows.  A compaction drops the cache. *)
 
 val lookup : t -> col:int -> Value.t -> Tuple.t list
 (** [lookup r ~col v] is every tuple whose [col]-th field equals [v],

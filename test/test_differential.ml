@@ -23,7 +23,8 @@
 
    After every op the checker compares the answer (the verdict or the
    fired sets), the pending ids and names, the components, the
-   satisfied count, next_id and every table with the oracle's, and
+   satisfied count, next_id and every table with the oracle's, the
+   table's row order included (so after every recovery too), and
    holds every set a driver fired to Definition 1
    ({!Helpers.check_fired}) against a shadow store of every tuple
    inserted so far.  The served driver sees sets by name only, so they
@@ -56,7 +57,8 @@ type can = { batch : bool; delete : bool; crash : bool }
    reads them back.  A withdrawal names one of the last 4 pool ids
    handed out, a delete a tuple inserted earlier (perhaps booked or
    deleted since), an insert a fresh flight into F, or one time in four
-   into U, which no query reads. *)
+   into U, which no query reads.  Fresh flight ids count down, so a
+   table's key order is not its row order. *)
 let gen_ops ~can ~len st =
   let int n = Random.State.int st n in
   let query i =
@@ -75,7 +77,7 @@ let gen_ops ~can ~len st =
         | r when r < 17 ->
           Insert
             ( (if int 4 = 0 then "U" else "F"),
-              [ vi (1000 + i); vs dests.(int (Array.length dests)) ] )
+              [ vi (2000 - i); vs dests.(int (Array.length dests)) ] )
         | 17 when can.delete ->
           let rel, tuple = List.nth tuples (int (List.length tuples)) in
           Delete (rel, tuple)
@@ -93,13 +95,18 @@ let gen_ops ~can ~len st =
 (* ----------------------------- oracle ----------------------------- *)
 
 (* The oracle's run of a trace: each op's answer, and the state after
-   every prefix ([states.(i)] follows the first [i] ops). *)
+   every prefix ([states.(i)] follows the first [i] ops), with its
+   store's tables in row order. *)
 type expected = {
   consume : bool;
   ops : op array;
   answers : answer array;
   states : obs_state array;
+  rows : (string * Tuple.t list) list array;
 }
+
+(* Every table of [db], its live tuples in row order. *)
+let rows db = List.map (fun r -> (Relation.name r, Relation.to_list r)) (Database.relations db)
 
 (* An answer in words; [wire] as the protocol says it, which counts a
    rejection's witnesses. *)
@@ -146,6 +153,7 @@ let expect ~consume ops =
     }
   in
   let states = Array.make (Array.length ops + 1) (state ()) in
+  let row_order = Array.make (Array.length ops + 1) [] in
   let answer i = function
     | Submit q -> Submitted (Online_oracle.submit o q)
     | Submit_all qs -> Fired (Online_oracle.submit_all o qs)
@@ -163,10 +171,11 @@ let expect ~consume ops =
       (fun i op ->
         let a = answer i op in
         states.(i + 1) <- state ();
+        row_order.(i + 1) <- rows db;
         a)
       ops
   in
-  { consume; ops; answers; states }
+  { consume; ops; answers; states; rows = row_order }
 
 (* ----------------------------- checker ---------------------------- *)
 
@@ -185,6 +194,16 @@ let check_state ~ctx want (db, engine) =
   let got = observe db engine in
   if got <> want then fail "%s:\n  state  %s\n  oracle %s" ctx (show got) (show want)
 
+(* Every table of [db] lists its tuples as the oracle's store, which
+   never crashed, does in [want] (a table it lacks as empty): recovery
+   keeps row order, and so the first answer of a probe. *)
+let check_rows ~ctx want db =
+  List.iter
+    (fun (name, got) ->
+      if got <> Option.value ~default:[] (List.assoc_opt name want) then
+        fail "%s: %s lists its tuples out of the oracle's row order" ctx name)
+    (rows db)
+
 (* Run ops [from..] of [x] on [c], checking each against the oracle;
    [after i] runs once op [i] is checked. *)
 let replay ?(after = ignore) ~ctx x c ~from =
@@ -202,6 +221,7 @@ let replay ?(after = ignore) ~ctx x c ~from =
     let store = if x.consume then shadow else fst (c.live ()) in
     List.iter (check_fired ~ctx store) sets;
     check_state ~ctx x.states.(i + 1) (c.live ());
+    check_rows ~ctx x.rows.(i + 1) (fst (c.live ()));
     after i
   done
 
@@ -310,7 +330,8 @@ let recover_sweep ~ctx x ~torn ~want ~from dir =
     let check ~torn (_, db, engine, report) =
       if (not torn) && report.Durable.truncation <> None then
         fail "%s: the tail is not clean" ctx;
-      check_state ~ctx want (db, engine)
+      check_state ~ctx want (db, engine);
+      check_rows ~ctx x.rows.(from) db
     in
     match Durable.recover cfg with
     | Ok ((wal, db, engine, _) as r) ->

@@ -10,7 +10,8 @@
    recovered mutant must keep what it recovered: one more journaled
    insert, a close and a second recovery give the same state plus that
    insert.  Recovering the unmutated directory must reproduce the
-   session exactly.  Seeds follow CHAOS_SEED, so CI runs this suite
+   session exactly.  A third directory holds an image an older writer
+   left (version 1), so the version-1 decoder is fuzzed too.  Seeds follow CHAOS_SEED, so CI runs this suite
    over its seed matrix. *)
 
 open Helpers
@@ -256,10 +257,52 @@ let test_in_flight_never_raises () =
         Alcotest.(check int) "from the image's own segment" 1
           report.Durable.segments_scanned )
 
+(* A directory whose image an older writer left: the settled session
+   is recovered, its checkpoint replaced by the version-1 image of the
+   same state ([Snapshot_oracle.encode_v1]), and four more submissions
+   are journaled behind it.  Unmutated, recovery loads that image and
+   skips nothing. *)
+let test_v1_image_never_raises () =
+  let src = fresh_dir "fuzz-v1" in
+  ignore (write_session src : obs_state);
+  let expected, name =
+    match Durable.recover (Durable.config ~fsync:Durable.Never ~snapshot_every:0 src) with
+    | Error why -> Alcotest.failf "v1 session: recovery failed: %s" why
+    | Ok (wal, db, engine, report) ->
+      let lsn = report.Durable.recovered_lsn in
+      let image =
+        Snapshot_oracle.image ~magic:"EWALSNP1" ~lsn
+          (Snapshot_oracle.encode_v1 ~db engine)
+      in
+      let rng = Prng.create 6 in
+      for step = 15 to 18 do
+        ignore (Online.submit engine (random_query (Prng.int rng) step))
+      done;
+      let expected = observe db engine in
+      Durable.close wal;
+      let name = Printf.sprintf "snap-%020Ld.img" lsn in
+      write_files src [ (name, image) ];
+      (expected, name)
+  in
+  let files = files_of src in
+  rm_rf src;
+  fuzz ~label:"v1 image" ~mutants:(mutants_per_seed / 2)
+    ( expected,
+      files,
+      fun report ->
+        Alcotest.(check (option string)) "the v1 image is loaded" (Some name)
+          (Option.map fst report.Durable.snapshot_loaded);
+        Alcotest.(check int) "no image skipped" 0
+          (List.length report.Durable.snapshots_skipped);
+        Alcotest.(check bool) "groups past it replayed" true
+          (report.Durable.groups_replayed > 0) )
+
 let suite =
   [
     Alcotest.test_case "mutated WAL and snapshots recover or report" `Quick
       test_recover_never_raises;
     Alcotest.test_case "mutants of a snapshot in flight recover or report"
       `Quick test_in_flight_never_raises;
+    Alcotest.test_case "mutants of a version-1 image recover or report" `Quick
+      test_v1_image_never_raises;
   ]
