@@ -44,13 +44,38 @@ let attach_probe_metrics name =
 
 let csv_row = Series.row
 
+(* RFC 4180 rows: comma-separated, a field with a comma, quote or line
+   break double-quoted with its quotes doubled. *)
+let escape_field s =
+  if String.exists (function ',' | '"' | '\n' | '\r' -> true | _ -> false) s
+  then begin
+    let buf = Buffer.create (String.length s + 2) in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+  end
+  else s
+
+let write_string rows =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun fields ->
+      Buffer.add_string buf (String.concat "," (List.map escape_field fields));
+      Buffer.add_char buf '\n')
+    rows;
+  Buffer.contents buf
+
 let csv_finish name =
   attach_probe_metrics name;
   match !csv_dir with
   | Some dir ->
     let path = Filename.concat dir (name ^ ".csv") in
     let oc = open_out path in
-    output_string oc (Relational.Csv_io.write_string (Series.rows name));
+    output_string oc (write_string (Series.rows name));
     close_out oc;
     Printf.printf "(wrote %s)\n" path
   | None -> ()

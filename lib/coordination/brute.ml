@@ -42,6 +42,9 @@ let signature t ~members =
           (r, Combine.value t r)))
     members
 
+(* Does this exact subset coordinate?  Tries every assignment of heads
+   to postconditions; on the first unifiable choice whose combined body
+   is satisfiable, returns the full Definition-1 assignment. *)
 let solve_subset db (graph : Coordination_graph.t) ~members =
   match obligations graph ~members with
   | None -> None

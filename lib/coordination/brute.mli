@@ -13,12 +13,6 @@ val max_queries : int
 (** Inputs larger than this raise [Invalid_argument] (subset enumeration
     is exponential). *)
 
-val solve_subset :
-  Database.t -> Coordination_graph.t -> members:int list -> Eval.valuation option
-(** Does this exact subset coordinate?  Tries every assignment of heads
-    to postconditions; on the first unifiable choice whose combined body
-    is satisfiable, returns the full Definition-1 assignment. *)
-
 val exists_coordinating_set : ?stats:Stats.t -> Database.t -> Query.t array -> bool
 (** Is there any non-empty coordinating subset?  The queries must be
     renamed apart ({!Query.rename_set}).  When [stats] is given, the

@@ -606,12 +606,12 @@ let proven_quiet engine (e : entry) =
   && (Ids.find engine.comps e.comp).unquiet = if e.quiet then 0 else 1
 
 (* Admission, timed into [admit_ns]: index probes, edge discovery,
-   fuse and, for a submit, the proven-quiet check.  The arrival is left
-   dirty, or quiet and store-free when proven quiet. *)
-let admit_timed engine query ~check_quiet =
+   fuse and the proven-quiet check.  The arrival is left dirty, or
+   quiet and store-free when proven quiet. *)
+let admit_timed engine query =
   let t0 = Obs.now_ns_int () in
   let e = admit engine ~id:engine.next_id query in
-  if check_quiet && proven_quiet engine e then begin
+  if proven_quiet engine e then begin
     (* The arrival is pruned whatever the store holds; the other
        members keep the verdicts, store-free or not, they had. *)
     set_quiet engine e true;
@@ -624,7 +624,7 @@ let admit_timed engine query ~check_quiet =
 
 let submit_op ~witness engine query =
   begin_op engine;
-  let e = admit_timed engine query ~check_quiet:true in
+  let e = admit_timed engine query in
   let result =
     (* A new entry is quiet only when it was proven quiet. *)
     if e.quiet then Pending
@@ -742,22 +742,6 @@ let flush ?(witness = true) engine =
   Obs.span "online.flush" flush_args
     (if witness then flush_witness else flush_bare)
     engine (Ids.length engine.entries)
-
-let submit_all_op engine queries =
-  begin_op engine;
-  List.iter
-    (fun q -> ignore (admit_timed engine q ~check_quiet:false))
-    queries;
-  let fired = flush_dirty engine ~witness:true in
-  emit engine Journal.Op_end;
-  sync_db_version engine;
-  fired
-
-let submit_all_args engine queries =
-  [ ("batch", Obs.Int (List.length queries)); pool_arg engine ]
-
-let submit_all engine queries =
-  Obs.span "online.submit_all" submit_all_args submit_all_op engine queries
 
 (* Recovery replay (lib/durable).  These re-apply journaled effects to
    a fresh engine without evaluating anything: the journal already says

@@ -13,10 +13,9 @@
     it to the pool and evaluates only the weakly connected component of
     the coordination graph that contains it, selecting a largest
     candidate ({!Scc_algo.Largest}); a found coordinating set is
-    reported and its members leave the pool.  A batch arrives through
-    {!submit_all}, which admits every query first and then evaluates the
-    touched components as {!flush} does — equivalent to one
-    {!Scc_algo.solve} per component.
+    reported and its members leave the pool.  {!flush} evaluates every
+    component left dirty, as one {!Scc_algo.solve} per component
+    would.
 
     {2 Incremental state}
 
@@ -39,10 +38,10 @@
       weakly connected component by a live member's id, a fuse
       relabels the smaller member list, and a retirement re-fuses only
       the survivors along their stored edges;
-    - {b dirty-component tracking}: {!flush} and {!submit_all}
-      re-evaluate only components whose cached verdict may have
-      changed since their last evaluation.  A new member or a
-      retirement marks a component dirty.  A store write marks it
+    - {b dirty-component tracking}: {!flush} re-evaluates only
+      components whose cached verdict may have changed since their
+      last evaluation.  A new member or a retirement marks a component
+      dirty.  A store write marks it
       dirty only when it can change the verdict (DESIGN.md §2c): an
       unsafe verdict, or a "no fire" whose evaluation issued no probe,
       depends on the pool alone and survives every write; deletes
@@ -111,14 +110,6 @@ val submit : ?witness:bool -> t -> Query.t -> submission
     fires, the pool, inventory and journal are the same, and
     [assignment] is empty. *)
 
-val submit_all : t -> Query.t list -> coordinated list
-(** Batched submission: admit the whole batch, then evaluate pending
-    components as {!flush} does.  One index/graph maintenance pass per
-    query and one evaluation per touched component, instead of one
-    component evaluation per submission — the batched counterpart of
-    {!submit}.  Queries whose component is unsafe are left pending
-    (there is no single arrival to reject). *)
-
 val flush : ?witness:bool -> t -> coordinated list
 (** Evaluate the pending pool's weakly connected components that were
     touched since their last evaluation, in order of their smallest
@@ -182,11 +173,11 @@ val stats : t -> Stats.t
     {!Stats.merge}). *)
 
 val last_degradation : t -> Resilient.degradation option
-(** [Some _] when the most recent {!submit}, {!submit_all} or {!flush}
-    hit an armed-guard limit mid-evaluation (see {!Resilient}): the
-    underlying solve returned a degraded outcome, so some component may
-    hold a coordinating set that was never probed.  Cleared at the start
-    of the next operation.  A degraded component stays dirty and is
+(** [Some _] when the most recent {!submit} or {!flush} hit an
+    armed-guard limit mid-evaluation (see {!Resilient}): the underlying
+    solve returned a degraded outcome, so some component may hold a
+    coordinating set that was never probed.  Cleared at the start of
+    the next operation.  A degraded component stays dirty and is
     re-evaluated by the next [flush]. *)
 
 type inventory_conflict = {
@@ -205,7 +196,7 @@ val last_inventory_conflict : t -> inventory_conflict option
 (** [Some _] when the most recent fired set's inventory booking
     (engine created with [consume:true]) double-demanded or missed a
     tuple — see {!inventory_conflict}.  Cleared at the start of the next
-    {!submit}, {!submit_all} or {!flush}. *)
+    {!submit} or {!flush}. *)
 
 (** {2 Durability hooks}
 

@@ -68,17 +68,3 @@ let pp ppf s =
     (ms s.total_ns) (ms s.commit_ns) (ms s.admit_ns) s.candidates
     s.grounded_members
     s.cleaning_rounds s.plan_hits s.plan_misses s.tuples_scanned
-
-let to_row s =
-  [
-    ("probes", string_of_int s.db_probes);
-    ("graph_ms", Printf.sprintf "%.3f" (ms s.graph_ns));
-    ("unify_ms", Printf.sprintf "%.3f" (ms s.unify_ns));
-    ("ground_ms", Printf.sprintf "%.3f" (ms s.ground_ns));
-    ("total_ms", Printf.sprintf "%.3f" (ms s.total_ns));
-    ("candidates", string_of_int s.candidates);
-    ("cleaning_rounds", string_of_int s.cleaning_rounds);
-    ("plan_hits", string_of_int s.plan_hits);
-    ("plan_misses", string_of_int s.plan_misses);
-    ("tuples_scanned", string_of_int s.tuples_scanned);
-  ]

@@ -43,6 +43,3 @@ val add_counters : t -> Relational.Counters.t -> unit
     into the solver's record: probes, plan hits/misses, tuples scanned. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_row : t -> (string * string) list
-(** Key/value view for the benchmark harness's tabular output. *)

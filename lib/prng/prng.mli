@@ -11,8 +11,6 @@ val create : int -> t
 
 val copy : t -> t
 
-val next_int64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].
     @raise Invalid_argument when [bound <= 0]. *)

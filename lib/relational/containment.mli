@@ -13,10 +13,7 @@
 
 exception Too_large of int
 (** Raised by {!homomorphism} and friends when the source query has more
-    than {!max_atoms} atoms. *)
-
-val max_atoms : int
-(** Guard for the exponential search (32). *)
+    than 32 atoms, the guard for the exponential search. *)
 
 val homomorphism : Cq.t -> Cq.t -> (string * Term.t) list option
 (** [homomorphism q1 q2] is a mapping of [q1]'s variables to terms of
@@ -35,7 +32,7 @@ val minimize : ?protect:string list -> Cq.t -> Cq.t
     Variables listed in [protect] (e.g. variables referenced by heads or
     postconditions) are kept as themselves — they may not be collapsed
     into other terms, so the minimized query still binds them.
-    Returns the input unchanged when it exceeds {!max_atoms}. *)
+    Returns the input unchanged when it has more than 32 atoms. *)
 
 val minimize_with_retraction :
   ?protect:string list -> Cq.t -> Cq.t * (string * Term.t) list

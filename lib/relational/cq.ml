@@ -30,11 +30,6 @@ let variables q =
     q.atoms;
   List.rev !out
 
-let is_ground q =
-  List.for_all
-    (fun a -> Array.for_all Term.is_const a.args)
-    q.atoms
-
 let pp_atom ppf a =
   Format.fprintf ppf "%s(%s)" a.rel
     (String.concat ", "

@@ -22,8 +22,6 @@ val variables : t -> string list
 
 val atom_variables : atom -> string list
 
-val is_ground : t -> bool
-
 val pp_atom : Format.formatter -> atom -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -149,8 +149,6 @@ let guard db = db.guard
 
 let probes db = db.counters.probes
 
-let reset_probes db = reset_counters db
-
 let pp ppf db =
   Format.fprintf ppf "@[<v>database (%d probes issued)" db.counters.probes;
   List.iter

@@ -143,9 +143,5 @@ val guard : t -> Resilient.t option
 val probes : t -> int
 (** Number of probes since creation or the last reset. *)
 
-val reset_probes : t -> unit
-(** Alias of {!reset_counters}: all engine counters share one reset so
-    probe accounting can never drift from the cache and scan counters. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints every relation's schema and cardinality (not the tuples). *)

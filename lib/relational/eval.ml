@@ -5,14 +5,6 @@ type valuation = Value.t Binding.t
 exception Unknown_relation = Plan.Unknown_relation
 exception Arity_mismatch = Plan.Arity_mismatch
 
-let get_relation db (a : Cq.atom) =
-  match Database.relation_opt db a.rel with
-  | None -> raise (Unknown_relation a.rel)
-  | Some r ->
-    let expected = Relation.arity r and got = Array.length a.args in
-    if got <> expected then raise (Arity_mismatch (a.rel, got, expected));
-    r
-
 (* The enumerating probes: the plan of [q]'s shape with a copy of its
    binding, and a runner that executes it in a fresh frame. *)
 let prepare db q =
@@ -21,15 +13,6 @@ let prepare db q =
     Plan.execute plan (Database.counters db) binding ~on_frame
   in
   (binding, run)
-
-(* Number of frames, stopping at [limit], without materialising any
-   valuation. *)
-let count_frames run limit =
-  let n = ref 0 in
-  run (fun _ ->
-      incr n;
-      !n < limit);
-  !n
 
 let snapshot_frame (binding : Plan.binding) frame =
   let b = ref Binding.empty in
@@ -163,18 +146,9 @@ let first_probe ~kind db q =
 
 let first db q = first_probe ~kind:"first" db q
 
-let check w =
-  if w.generation <> Plan.generation () then
-    invalid_arg "Eval.witness_value: another probe ran since"
-
-let witness_value w x =
-  check w;
-  match Plan.slot x with
-  | -1 -> None
-  | s -> Some (Plan.frame w.plan).(s)
-
 let witness_slot w s =
-  check w;
+  if w.generation <> Plan.generation () then
+    invalid_arg "Eval.witness_slot: another probe ran since";
   (Plan.frame w.plan).(s)
 
 let valuation { plan; _ } =
@@ -205,49 +179,6 @@ let find_all ?limit db q =
       results := b :: !results;
       continue_after ());
   List.rev !results
-
-let count db q =
-  probed db q ~kind:"count" @@ fun () ->
-  let _, run = prepare db q in
-  count_frames run max_int
-
-let distinct_projections db q vars =
-  let qvars = Cq.variables q in
-  List.iter
-    (fun x ->
-      if not (List.mem x qvars) then
-        invalid_arg
-          (Printf.sprintf "Eval.distinct_projections: %s not in query" x))
-    vars;
-  probed db q ~kind:"distinct" @@ fun () ->
-  let binding, run = prepare db q in
-  (* Project straight out of the slot frame. *)
-  let slot_of x =
-    let slot = ref (-1) in
-    Array.iteri
-      (fun s y -> if String.equal x y then slot := s)
-      binding.Plan.var_names;
-    assert (!slot >= 0);
-    !slot
-  in
-  let slots = Array.of_list (List.map slot_of vars) in
-  let acc = ref Tuple.Set.empty in
-  run (fun frame ->
-      let t = Array.map (fun s -> frame.(s)) slots in
-      acc := Tuple.Set.add t !acc;
-      true);
-  !acc
-
-let check_ground db q =
-  if not (Cq.is_ground q) then
-    invalid_arg "Eval.check_ground: query has variables";
-  probed db q ~kind:"check_ground" @@ fun () ->
-  List.for_all
-    (fun (a : Cq.atom) ->
-      let r = get_relation db a in
-      let t = Array.map (function Term.Const v -> v | Term.Var _ -> assert false) a.args in
-      Relation.mem r t)
-    q.atoms
 
 let pp_valuation ppf b =
   Format.fprintf ppf "{@[%a@]}"

@@ -45,11 +45,6 @@ val first : Database.t -> Cq.t -> witness option
     left in the plan's frame instead of a map.  Builds no key, binding
     or valuation: a probe allocates only its [Some] witness. *)
 
-val witness_value : witness -> string -> Value.t option
-(** The witness's value of a variable of the probed query, [None] when
-    the query has no such variable.
-    @raise Invalid_argument once another probe has run. *)
-
 val witness_slot : witness -> int -> Value.t
 (** The witness's value of the probed query's [k]-th variable in
     first-occurrence order (its plan slot), read without a name.
@@ -61,19 +56,5 @@ val find_all : ?limit:int -> Database.t -> Cq.t -> valuation list
 (** All satisfying valuations (up to [limit] when given), in search order.
     Two valuations agreeing on all variables of the query are returned
     once. *)
-
-val count : Database.t -> Cq.t -> int
-(** Number of distinct satisfying valuations.  No per-solution
-    valuation map is materialized. *)
-
-val distinct_projections :
-  Database.t -> Cq.t -> string list -> Tuple.Set.t
-(** [distinct_projections db q vars] is the set of distinct tuples of
-    values the listed variables take over all satisfying valuations.
-    @raise Invalid_argument if some listed variable does not occur in [q]. *)
-
-val check_ground : Database.t -> Cq.t -> bool
-(** [check_ground db q] for a variable-free query: true iff every atom's
-    tuple is present.  Counts as one probe. *)
 
 val pp_valuation : Format.formatter -> valuation -> unit

@@ -493,8 +493,6 @@ let find c ~version lookup (counters : Counters.t) q =
 
 let binding () = scratch_binding ()
 
-let slot x = find_slot x
-
 let frame plan = plan.frame
 
 let shape_key plan = plan.key

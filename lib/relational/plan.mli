@@ -97,8 +97,8 @@ val compile : ?version:int -> (string -> Relation.t option) -> Cq.t -> t
     for a handful of variables — and finds its plan by a structural
     hash of the shape.  The scratch keeps the probe's binding until the
     next {!find} (so probing is not reentrant): {!first} executes over
-    it, and {!slot} names the slots of the witness {!first} leaves in
-    the plan's {!frame}. *)
+    it, and {!var_name} names the slots of the witness {!first} leaves
+    in the plan's {!frame}. *)
 
 type cache
 (** Plans by shape. *)
@@ -127,10 +127,6 @@ val find :
 val binding : unit -> binding
 (** A fresh copy of the binding of the query last found. *)
 
-val slot : string -> int
-(** The slot of a variable of the query last found, [-1] if it has
-    none. *)
-
 val var_name : int -> string
 (** The variable of the query last found that a slot holds. *)
 
@@ -141,12 +137,12 @@ val first : t -> Counters.t -> bool
 
 val frame : t -> Value.t array
 (** The plan's reused slot frame: after {!first} returned [true], slot
-    [s] holds the witness's value of the variable {!slot} maps to [s].
+    [s] holds the witness's value of the variable {!var_name} [s].
     Overwritten by the plan's next {!first}. *)
 
 val generation : unit -> int
-(** Moves with every {!find}: {!frame}, {!slot} and {!var_name}
-    describe the witness {!first} found while it has not moved. *)
+(** Moves with every {!find}: {!frame} and {!var_name} describe the
+    witness {!first} found while it has not moved. *)
 
 val execute :
   t -> Counters.t -> binding -> on_frame:(Value.t array -> bool) -> unit

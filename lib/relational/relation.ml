@@ -27,9 +27,6 @@ type t = {
      what a cache of "no answer" verdicts compares to learn whether this
      relation can answer more than it could. *)
   mutable grown : int;
-  (* Observed mutation statistics for the query-intelligence layer. *)
-  mutable n_inserts : int;
-  mutable n_deletes : int;
 }
 
 (* Process-wide stamp of extensional mutations (successful inserts and
@@ -54,8 +51,6 @@ let create ?version schema =
       indexes = Array.make (Schema.arity schema) None;
       version;
       grown = !version;
-      n_inserts = 0;
-      n_deletes = 0;
     }
   in
   (* The first-argument index is eager, not lazy: the coordination
@@ -103,14 +98,11 @@ let insert r t =
       (fun c idx ->
         match idx with None -> () | Some idx -> index_row idx row t c)
       r.indexes;
-    r.n_inserts <- r.n_inserts + 1;
     incr r.version;
     r.grown <- !(r.version);
     note_mutation ();
     true
   end
-
-let insert_list r ts = List.iter (fun t -> ignore (insert r t)) ts
 
 (* Rebuild the store with only live rows, in their order; indexes are
    dropped and will be rebuilt lazily on next use. *)
@@ -168,7 +160,6 @@ let delete r t =
           | None -> ()))
       r.indexes;
     if r.dead_count > Vec.length r.tuples / 2 then compact r;
-    r.n_deletes <- r.n_deletes + 1;
     incr r.version;
     note_mutation ();
     true
@@ -200,20 +191,6 @@ let ensure_index r col =
     r.indexes.(col) <- Some idx;
     idx
 
-let lookup r ~col v =
-  let idx = ensure_index r col in
-  match Value.Hashtbl.find_opt idx v with
-  | None -> []
-  | Some p ->
-    (* One backward pass consing onto the accumulator yields the rows in
-       forward (insertion) order without the List.rev re-walk. *)
-    let acc = ref [] in
-    for i = Vec.length p.ids - 1 downto 0 do
-      let row = Vec.get p.ids i in
-      if Vec.get r.live row then acc := Vec.get r.tuples row :: !acc
-    done;
-    !acc
-
 exception Found of Tuple.t
 
 let find_matching r ~col v =
@@ -228,15 +205,6 @@ let find_matching r ~col v =
         p.ids;
       None
     with Found t -> Some t)
-
-let iter_matching r ~col v f =
-  let idx = ensure_index r col in
-  match Value.Hashtbl.find_opt idx v with
-  | None -> ()
-  | Some p ->
-    Vec.iter
-      (fun row -> if Vec.get r.live row then f (Vec.get r.tuples row))
-      p.ids
 
 (* Row access for the evaluator's closure-free scans: a bucket's row
    ids (dead ones included) and each row's liveness and tuple. *)
@@ -273,10 +241,6 @@ let version r = !(r.version)
 
 let grown r = r.grown
 
-let inserts r = r.n_inserts
-
-let deletes r = r.n_deletes
-
 (* Number of non-empty buckets of [col]'s index — for col 0 this is
    maintained eagerly from the first insert. *)
 let distinct_count r ~col =
@@ -295,15 +259,6 @@ let estimate_bucket r ~col =
     let d = distinct_count r ~col in
     if d = 0 then 0 else (n + d - 1) / d
   end
-
-let distinct_values r ~col =
-  let idx = ensure_index r col in
-  Value.Hashtbl.fold
-    (fun v p acc -> if p.count > 0 then Value.Set.add v acc else acc)
-    idx Value.Set.empty
-
-let distinct_projection r ~cols =
-  fold (fun acc t -> Tuple.Set.add (Tuple.project t cols) acc) Tuple.Set.empty r
 
 let active_domain r =
   fold

@@ -24,8 +24,8 @@ val create : ?version:int ref -> Schema.t -> t
 
     The first column's hash index is built eagerly and maintained across
     compaction, so first-argument bucket cardinalities
-    ({!count_matching}, {!distinct_count}, {!estimate_bucket}) are live
-    from the first insert. *)
+    ({!count_matching}, {!estimate_bucket}) are live from the first
+    insert. *)
 
 val schema : t -> Schema.t
 
@@ -39,8 +39,6 @@ val insert : t -> Tuple.t -> bool
 (** [insert r t] adds [t]; returns [false] (and leaves [r] unchanged) when
     the tuple was already present.
     @raise Invalid_argument if [t] has the wrong arity. *)
-
-val insert_list : t -> Tuple.t list -> unit
 
 val delete : t -> Tuple.t -> bool
 (** [delete r t] removes [t]; returns [false] when it was not present.
@@ -59,20 +57,9 @@ val fold : ('acc -> Tuple.t -> 'acc) -> 'acc -> t -> 'acc
 
 val to_list : t -> Tuple.t list
 
-val lookup : t -> col:int -> Value.t -> Tuple.t list
-(** [lookup r ~col v] is every tuple whose [col]-th field equals [v],
-    served from a hash index (built on first use for that column), in
-    insertion order, built in a single pass. *)
-
 val find_matching : t -> col:int -> Value.t -> Tuple.t option
 (** First (insertion-order) live tuple whose [col]-th field equals [v],
-    without materialising the match list.  The point-lookup companion to
-    {!iter_matching}. *)
-
-val iter_matching : t -> col:int -> Value.t -> (Tuple.t -> unit) -> unit
-(** Like {!lookup} but without materialising the matching list — the
-    evaluator's hot path, where choose-1 search usually stops after a
-    few tuples. *)
+    served from the column's hash index (built on first use). *)
 
 val matching_rows : t -> col:int -> Value.t -> int Vec.t
 (** The row ids of the tuples whose [col]-th field equals [v], in
@@ -113,31 +100,13 @@ val grown : t -> int
     it alone, so [grown r > v] says exactly whether [r] gained a tuple
     (or came into being) since the stamp read [v]. *)
 
-val inserts : t -> int
-(** Successful inserts since creation (monotone; unaffected by
-    compaction). *)
-
-val deletes : t -> int
-(** Successful deletes since creation (monotone). *)
-
-val distinct_count : t -> col:int -> int
-(** Number of distinct values with at least one live row in [col].
-    Served from the column's index (eager for col 0, built on first use
-    otherwise). *)
-
 val estimate_bucket : t -> col:int -> int
 (** Expected live rows per index bucket of [col] (live cardinality over
-    {!distinct_count}, rounded up; 0 for an empty relation).  The
+    the number of distinct values with a live row, rounded up; 0 for an
+    empty relation).  The
     planner's compile-time estimate for an index access path — constants
     are abstracted out of plan shapes, so the average bucket is the best
     estimate a shared plan can carry. *)
-
-val distinct_values : t -> col:int -> Value.Set.t
-(** The active domain of one column. *)
-
-val distinct_projection : t -> cols:int list -> Tuple.Set.t
-(** [distinct_projection r ~cols] is the set of distinct projections of the
-    relation's tuples onto [cols]. *)
 
 val active_domain : t -> Value.Set.t
 (** All values occurring anywhere in the relation. *)

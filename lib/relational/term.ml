@@ -7,8 +7,6 @@ let const v = Const v
 let int n = Const (Value.Int n)
 let str s = Const (Value.Str s)
 
-let is_const = function Const _ -> true | Var _ -> false
-
 let compare a b =
   match (a, b) with
   | Var x, Var y -> String.compare x y

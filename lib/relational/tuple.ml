@@ -25,8 +25,6 @@ let equal a b = compare a b = 0
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 
-let project t cols = Array.of_list (List.map (fun c -> get t c) cols)
-
 let pp ppf t =
   Format.fprintf ppf "(%s)"
     (String.concat ", " (Array.to_list (Array.map Value.to_string t)))

@@ -15,10 +15,6 @@ val compare : t -> t -> int
 
 val hash : t -> int
 
-val project : t -> int list -> t
-(** [project t cols] keeps the listed columns, in the given order.
-    @raise Invalid_argument on an out-of-bounds column. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [(v1, v2, ...)]. *)
 

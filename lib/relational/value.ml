@@ -43,19 +43,6 @@ let pp ppf = function
 
 let to_string v = Format.asprintf "%a" pp v
 
-let of_string s =
-  match int_of_string_opt s with
-  | Some n -> Int n
-  | None -> (
-    match s with
-    | "true" -> Bool true
-    | "false" -> Bool false
-    | _ ->
-      let n = String.length s in
-      if n >= 2 && s.[0] = '\'' && s.[n - 1] = '\'' then
-        Str (String.sub s 1 (n - 2))
-      else Str s)
-
 let int x = Int x
 let str s = Str s
 let bool b = Bool b

@@ -24,11 +24,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val of_string : string -> t
-(** [of_string s] parses [s] back into a value: decimal integers become
-    [Int], ["true"]/["false"] become [Bool], anything else is [Str].
-    Inverse of [to_string] on identifier-looking strings and numbers. *)
-
 val int : int -> t
 val str : string -> t
 val bool : bool -> t

@@ -144,8 +144,6 @@ val port : t -> int
 (** The actually-bound TCP port (useful with [Tcp (_, 0)]).
     @raise Invalid_argument on a Unix-socket server. *)
 
-val live_sessions : t -> int
-
 val sessions_served : t -> int
 (** Sessions accepted over the server's lifetime (live ones included). *)
 

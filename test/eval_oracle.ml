@@ -76,7 +76,12 @@ let access db b (a : Cq.atom) =
         | Some v ->
           let n = Relation.count_matching r ~col v in
           if n < fst !best then
-            best := (n, fun f -> Relation.iter_matching r ~col v f))
+            best :=
+              ( n,
+                fun f ->
+                  Relation.iter
+                    (fun t -> if Value.equal t.(col) v then f t)
+                    r ))
       known;
     !best
   end

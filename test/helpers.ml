@@ -201,7 +201,6 @@ let mk_db () =
    does not exist yet creates it, with F's attributes. *)
 type op =
   | Submit of Query.t
-  | Submit_all of Query.t list
   | Withdraw of int  (** a pool id *)
   | Flush
   | Insert of string * Value.t list
@@ -229,11 +228,10 @@ let write_store ?wal db = function
     Option.iter
       (fun r -> ignore (Relation.delete r (Tuple.make tuple)))
       (Database.relation_opt db rel)
-  | Submit _ | Submit_all _ | Withdraw _ | Flush | Crash -> ()
+  | Submit _ | Withdraw _ | Flush | Crash -> ()
 
 let apply_op ?wal ?witness db engine = function
   | Submit q -> Submitted (Online.submit ?witness engine q)
-  | Submit_all qs -> Fired (Online.submit_all engine qs)
   | Withdraw id -> Withdrew (Online.withdraw engine id)
   | Flush -> Fired (Online.flush ?witness engine)
   | (Insert _ | Delete _ | Crash) as op ->
@@ -263,7 +261,6 @@ let frames ops =
       let row rel t = [ ("rel", Json.Str rel); ("tuple", Json.Arr (List.map value t)) ] in
       match op with
       | Submit q -> [ req "submit" [ ("query", Json.Str (query q)) ] ]
-      | Submit_all qs -> [ req "submit_all" [ ("queries", strs (List.map query qs)) ] ]
       | Withdraw id -> [ req "retire" [ ("pool_id", Json.Int id) ] ]
       | Flush -> [ req "flush" [] ]
       | Insert (rel, t) when Hashtbl.mem created rel -> [ req "insert" (row rel t) ]

@@ -162,7 +162,3 @@ let submit t q =
     (* The arrival made its component unsafe: it is not admitted. *)
     remove t [ last ];
     Online.Rejected_unsafe ws
-
-let submit_all t queries =
-  List.iter (admit t) queries;
-  flush t

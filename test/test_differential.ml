@@ -2,12 +2,11 @@
    engine (Section 6.1), judged against the rebuild-everything oracle
    (test/online_oracle.ml).
 
-   A QCheck generator draws op traces: submissions, batches,
-   withdrawals, flushes, inserts (the first into a table creates it),
-   store deletes and crash + recover.  Three drivers run each trace,
-   with and without consume, drawing only the ops they can express
-   (neither the WAL nor the protocol carries deletes; the protocol has
-   no batch):
+   A QCheck generator draws op traces: submissions, withdrawals,
+   flushes, inserts (the first into a table creates it), store deletes
+   and crash + recover.  Three drivers run each trace, with and without
+   consume, drawing only the ops they can express (neither the WAL nor
+   the protocol carries deletes):
    - in memory: [Online] on a plain store;
    - durable: [Online] journaling through the [Durable] WAL.  The trace
      runs again crashing at each of its I/O calls, each recovery after
@@ -51,7 +50,7 @@ let fail fmt = Printf.ksprintf failwith fmt
 
 (* The ops a configuration can express beyond submit, withdraw, flush
    and insert. *)
-type can = { batch : bool; delete : bool; crash : bool }
+type can = { delete : bool; crash : bool }
 
 (* [len] ops.  Queries come from {!Helpers.random_query}, as the parser
    reads them back.  A withdrawal names one of the last 4 pool ids
@@ -70,8 +69,6 @@ let gen_ops ~can ~len st =
       let op =
         match int 20 with
         | r when r < 9 -> Submit (query i)
-        | 9 when can.batch ->
-          Submit_all (List.init (1 + int 3) (fun j -> query (1000 + (10 * i) + j)))
         | r when r < 12 -> Withdraw (max 0 (ids - 1 - int 4))
         | r when r < 14 -> Flush
         | r when r < 17 ->
@@ -86,7 +83,6 @@ let gen_ops ~can ~len st =
       in
       match op with
       | Submit _ -> go (i + 1) (ids + 1) tuples (op :: acc)
-      | Submit_all qs -> go (i + 1) (ids + List.length qs) tuples (op :: acc)
       | Insert (rel, t) -> go (i + 1) ids ((rel, t) :: tuples) (op :: acc)
       | _ -> go (i + 1) ids tuples (op :: acc)
   in
@@ -156,7 +152,6 @@ let expect ~consume ops =
   let row_order = Array.make (Array.length ops + 1) [] in
   let answer i = function
     | Submit q -> Submitted (Online_oracle.submit o q)
-    | Submit_all qs -> Fired (Online_oracle.submit_all o qs)
     | Withdraw id -> Withdrew (Online_oracle.withdraw o id)
     | Flush ->
       let sets = Online_oracle.flush o in
@@ -562,10 +557,10 @@ let every_kind_crashed () =
 let suite =
   [
     differential "in memory == oracle"
-      ~can:{ batch = true; delete = true; crash = false }
+      ~can:{ delete = true; crash = false }
       ~len:40 ~count:200 in_memory;
     differential "durable: every crash point and torn tail == oracle"
-      ~can:{ batch = true; delete = false; crash = true }
+      ~can:{ delete = false; crash = true }
       ~len:14 ~count:4
       (fun x ->
         crash_sweep x;
@@ -573,6 +568,6 @@ let suite =
     Alcotest.test_case "durable: every kind of I/O call crashed" `Quick
       every_kind_crashed;
     differential ~prefix:served_prefix "served with a WAL == oracle"
-      ~can:{ batch = false; delete = false; crash = true }
+      ~can:{ delete = false; crash = true }
       ~len:30 ~count:4 served;
   ]

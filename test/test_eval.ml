@@ -61,7 +61,7 @@ let test_limit () =
 let test_count () =
   let db = flights_db () in
   Alcotest.(check int) "count flights" 4
-    (Eval.count db (q [ atom "F" [ var "x"; var "y" ] ]))
+    (List.length (Eval.find_all db (q [ atom "F" [ var "x"; var "y" ] ])))
 
 let test_unknown_relation () =
   let db = flights_db () in
@@ -75,7 +75,7 @@ let test_arity_mismatch () =
 
 let test_probe_counting () =
   let db = flights_db () in
-  Database.reset_probes db;
+  Database.reset_counters db;
   ignore (Eval.find_first db (q [ atom "F" [ var "x"; var "y" ] ]));
   ignore (Eval.find_all db (q [ atom "F" [ var "x"; var "y" ] ]));
   ignore (Eval.satisfiable db (q [ atom "F" [ var "x"; var "y" ] ]));
@@ -83,20 +83,22 @@ let test_probe_counting () =
 
 let test_distinct_projections () =
   let db = flights_db () in
-  let s =
-    Eval.distinct_projections db (q [ atom "F" [ var "x"; var "d" ] ]) [ "d" ]
+  let dests =
+    List.sort_uniq Value.compare
+      (List.map (Eval.Binding.find "d")
+         (Eval.find_all db (q [ atom "F" [ var "x"; var "d" ] ])))
   in
-  Alcotest.(check int) "three destinations" 3 (Tuple.Set.cardinal s);
-  Alcotest.check_raises "unknown var"
-    (Invalid_argument "Eval.distinct_projections: zz not in query") (fun () ->
-      ignore (Eval.distinct_projections db (q [ atom "F" [ var "x"; var "d" ] ]) [ "zz" ]))
+  Alcotest.(check int) "three destinations" 3 (List.length dests)
 
+(* A variable-free query is a membership test, one probe each. *)
 let test_check_ground () =
   let db = flights_db () in
+  Database.reset_counters db;
   Alcotest.(check bool) "present" true
-    (Eval.check_ground db (q [ atom "F" [ ci 101; cs "Zurich" ] ]));
+    (Eval.satisfiable db (q [ atom "F" [ ci 101; cs "Zurich" ] ]));
   Alcotest.(check bool) "absent" false
-    (Eval.check_ground db (q [ atom "F" [ ci 101; cs "Paris" ] ]))
+    (Eval.satisfiable db (q [ atom "F" [ ci 101; cs "Paris" ] ]));
+  Alcotest.(check int) "two probes" 2 (Database.probes db)
 
 (* The compiled plan's order and access paths, as {!Plan.pp} renders
    them (the first line is the shape key). *)
@@ -140,22 +142,19 @@ let test_explain_plan () =
     "membership" [ "1. Mark(p0) via membership" ]
     (plan_steps db (q [ atom "Mark" [ ci 7 ] ]))
 
-(* A first-answer witness names the probed query's variables, and goes
-   stale with the next probe. *)
+(* A first-answer witness holds the probed query's variables by slot,
+   and goes stale with the next probe. *)
 let test_first_witness () =
   let db = flights_db () in
   let zurich = q [ atom "F" [ var "x"; cs "Zurich" ] ] in
   match Eval.first db zurich with
   | None -> Alcotest.fail "Zurich flights exist"
   | Some w ->
-    Alcotest.(check (option value_t))
-      "first Zurich flight" (Some (vi 101)) (Eval.witness_value w "x");
-    Alcotest.(check (option value_t))
-      "not a variable of the query" None (Eval.witness_value w "y");
+    Alcotest.check value_t "first Zurich flight" (vi 101) (Eval.witness_slot w 0);
     ignore (Eval.first db (q [ atom "F" [ var "y"; cs "Paris" ] ]));
     Alcotest.check_raises "stale after another probe"
-      (Invalid_argument "Eval.witness_value: another probe ran since")
-      (fun () -> ignore (Eval.witness_value w "x"))
+      (Invalid_argument "Eval.witness_slot: another probe ran since")
+      (fun () -> ignore (Eval.witness_slot w 0))
 
 (* Randomized agreement with the reference evaluators on small
    instances. *)
@@ -223,9 +222,14 @@ let suite =
         | None, [] -> true
         | Some _, _ :: _ -> true
         | _ -> false);
+    (* find_all returns each distinct valuation once. *)
     qtest ~count:200 "count = length find_all" instance_arb (fun inst ->
         let db, query = build_instance inst in
-        Eval.count db query = List.length (Eval.find_all db query));
+        List.length
+          (List.sort_uniq
+             (Eval.Binding.compare Value.compare)
+             (Eval_oracle.naive db query))
+        = List.length (Eval.find_all db query));
     qtest ~count:300 "compiled = interpreted" instance_arb (fun inst ->
         let db, query = build_instance inst in
         valuations_equal (Eval_oracle.greedy db query) (Eval.find_all db query));
@@ -240,12 +244,11 @@ let suite =
           match Eval.first db query with
           | None -> expected = []
           | Some w ->
-            let b =
-              List.fold_left
-                (fun b x ->
-                  Eval.Binding.add x (Option.get (Eval.witness_value w x)) b)
-                Eval.Binding.empty (Cq.variables query)
-            in
+            let b = ref Eval.Binding.empty in
+            List.iteri
+              (fun s x -> b := Eval.Binding.add x (Eval.witness_slot w s) !b)
+              (Cq.variables query);
+            let b = !b in
             List.exists (Eval.Binding.equal Value.equal b) expected
         in
         probe () && probe ());

@@ -90,9 +90,11 @@ let test_online_stream_matches_batch_components () =
     queries
 
 let test_online_flush_multiple_components () =
-  let db = flights_db () in
+  let db = Database.create () in
+  ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
   let engine = Coordination.Online.create db in
-  (* Two independent pairs plus one doomed query. *)
+  (* Two independent pairs plus one doomed query, all pending until F
+     holds their flights. *)
   let pair tag dest =
     [
       Query.make
@@ -113,10 +115,14 @@ let test_online_flush_multiple_components () =
       ~head:[ atom "R" [ cs "doomed"; var "z" ] ]
       [ atom "F" [ var "z"; cs "Zurich" ] ]
   in
-  let fired =
-    Coordination.Online.submit_all engine
-      (pair "p" "Zurich" @ [ doomed ] @ pair "q" "Paris")
-  in
+  List.iter
+    (fun q ->
+      Alcotest.(check string) "pending" "pending"
+        (submission_repr (Coordination.Online.submit engine q)))
+    (pair "p" "Zurich" @ [ doomed ] @ pair "q" "Paris");
+  Database.insert db "F" [ vi 101; vs "Zurich" ];
+  Database.insert db "F" [ vi 200; vs "Paris" ];
+  let fired = Coordination.Online.flush engine in
   Alcotest.(check int) "two sets fire" 2 (List.length fired);
   Alcotest.(check (list string)) "doomed remains" [ "doomed" ]
     (List.map

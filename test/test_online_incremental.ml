@@ -14,33 +14,15 @@ open Entangled
 open Helpers
 module Online = Coordination.Online
 
-(* --------------------------- submit_all --------------------------- *)
-
-let test_submit_all_matches_enqueue_flush () =
-  let n = 8 in
-  let queries = List.init n (fun i -> chain_query i ~last:(i = n - 1)) in
-  let incremental =
-    let engine = Online.create (flights_db ()) in
-    List.map fired_names (Online.submit_all engine queries)
-  in
-  (* No arrival can fire before F holds a Zurich flight. *)
-  let enqueued =
-    let db = Database.create () in
-    ignore (Database.create_table' db "F" [ "fid"; "dest" ]);
-    let engine = Online.create db in
-    List.iter (fun q -> ignore (Online.submit engine q)) queries;
-    Database.insert db "F" [ vi 101; vs "Zurich" ];
-    List.map fired_names (Online.flush engine)
-  in
-  Alcotest.(check (list (list string)))
-    "batch == enqueue-then-flush" enqueued incremental;
-  Alcotest.(check (list (list string)))
-    "batch: incremental == oracle"
-    (List.map fired_names
-       (Online_oracle.submit_all (Online_oracle.create (flights_db ())) queries))
-    incremental;
-  Alcotest.(check int) "whole chain fired" n
-    (List.length (List.concat incremental))
+(* Admit [queries] unevaluated under the next ids, as recovery replays
+   a journaled pool ({!Online.restore_submit}), then evaluate them with
+   a flush.  Only this path pools an unsafe component: a submit rejects
+   the arrival that would make one. *)
+let restore_then_flush engine queries =
+  List.iter
+    (fun q -> Online.restore_submit engine ~id:(Online.next_id engine) q)
+    queries;
+  Online.flush engine
 
 (* ------------------------- dirty tracking ------------------------- *)
 
@@ -91,8 +73,9 @@ let test_components_deep_chain () =
   let queries = List.init n (fun i -> chain_query i ~last:false) in
   let oracle = Online_oracle.create (Database.create ()) in
   let engine = Online.create (Database.create ()) in
-  Alcotest.(check int) "the oracle's batch fires nothing" 0
-    (List.length (Online_oracle.submit_all oracle queries));
+  List.iter (Online_oracle.admit oracle) queries;
+  Alcotest.(check int) "the oracle's flush fires nothing" 0
+    (List.length (Online_oracle.flush oracle));
   List.iteri
     (fun i q ->
       match Online.submit engine q with
@@ -166,8 +149,9 @@ let test_index_keys_follow_live_pool () =
 (* -------------------------- graph handoff ------------------------- *)
 
 (* Pools of var-first posts (compatible with every R head, their
-   owner's own included) and constant ones, admitted by one-query
-   batches, which keep unsafe components pending; a withdrawal and a
+   owner's own included) and constant ones, each restored and flushed
+   in turn ({!restore_then_flush}), which keeps unsafe components
+   pending; a withdrawal and a
    fire make the engine drop edges and re-fuse the survivors.  After
    each step every component's graph must be [Coordination_graph.build]'s
    ({!Helpers.check_component_graphs}); the differential harness runs
@@ -181,7 +165,7 @@ let test_component_graph_matches_build () =
   let engine = Online.create db in
   let step f = ignore (f ()); check_component_graphs engine in
   List.iter
-    (fun query -> step (fun () -> Online.submit_all engine [ query ]))
+    (fun query -> step (fun () -> restore_then_flush engine [ query ]))
     [ q "a" [ r (cs "g1") ] "g0"; q "b" [ r (var "w") ] "g1";
       q ~dest:"Nowhere" "c" [ r (cs "g0") ] "g2"; q ~dest:"Nowhere" "d" [] "g1";
       q "e" [ r (cs "g2"); r (var "v") ] "g3" ];
@@ -392,7 +376,7 @@ let test_quiet_unsafe_component_still_rejects () =
   in
   let engine = Online.create (flights_db ()) in
   Alcotest.(check int) "unsafe component fires nothing" 0
-    (List.length (Online.submit_all engine pool));
+    (List.length (restore_then_flush engine pool));
   Alcotest.(check int) "its verdict is cached" 0
     (List.assoc "dirty" (Online.table_sizes engine));
   Alcotest.(check string) "arrival rejected as batch"
@@ -488,8 +472,9 @@ let test_commit_time_charges_fires_only () =
 (* perfbench's market shape: each buyer books a window seat and waits
    for a partner whose head no pooled query has, so pruning removes it
    whatever the store holds.  Half arrive one by one (proven quiet, no
-   solve), half in one batch (each evaluated, pruned, no probe).  A
-   restock of 32 seats and a flush must then evaluate nothing. *)
+   solve), half are restored and flushed ({!restore_then_flush}: each
+   evaluated, pruned, no probe).  A restock of 32 seats and a flush
+   must then evaluate nothing. *)
 let test_restock_reevaluates_no_blocked_buyer () =
   let db = Database.create () in
   ignore (Database.create_table' db "Seats" [ "flight"; "kind"; "seat" ]);
@@ -515,12 +500,14 @@ let test_restock_reevaluates_no_blocked_buyer () =
       Alcotest.(check string) "buyer waits" "pending"
         (submission_repr (Online.submit engine (buyer i))))
     (List.init 32 Fun.id);
-  let batch, batch_solves =
+  let restored, restored_solves =
     traced (fun () ->
-        Online.submit_all engine (List.init 32 (fun i -> buyer (32 + i))))
+        restore_then_flush engine (List.init 32 (fun i -> buyer (32 + i))))
   in
-  Alcotest.(check int) "the batch fires nothing" 0 (List.length batch);
-  Alcotest.(check int) "the batch evaluates each buyer" 32 batch_solves;
+  Alcotest.(check int) "the restored buyers fire nothing" 0
+    (List.length restored);
+  Alcotest.(check int) "the flush evaluates each restored buyer" 32
+    restored_solves;
   Alcotest.(check int) "pruned before any probe" 0 (probes engine);
   let fired, flush_solves =
     traced (fun () ->
@@ -731,8 +718,6 @@ let test_witness_free_fires_the_same () =
 
 let suite =
   [
-    Alcotest.test_case "submit_all == enqueue + flush == oracle" `Quick
-      test_submit_all_matches_enqueue_flush;
     Alcotest.test_case "flush skips clean components" `Quick
       test_flush_skips_clean_components;
     Alcotest.test_case "components survive deep chains" `Quick

@@ -67,7 +67,9 @@ let test_social_posts () =
   let r = Workload.Social.install_posts ~rows:1000 ~topics:10 db in
   Alcotest.(check int) "rows" 1000 (Relation.cardinal r);
   Alcotest.(check int) "topics" 10
-    (Value.Set.cardinal (Relation.distinct_values r ~col:1));
+    (List.length
+       (List.sort_uniq Value.compare
+          (List.map (fun t -> Tuple.get t 1) (Relation.to_list r))));
   (* Every topic constant the generators can pick exists. *)
   for t = 0 to 9 do
     Alcotest.(check bool) "topic exists" true
